@@ -6,10 +6,16 @@ property everything else rests on: two runs of the same seeded program
 produce *identical* schedules.  The golden test runs a seeded churn
 program twice — with ``debug_names`` on and off — and asserts the
 ``(time, seq, event)`` schedule streams match.
+
+Comparing two runs in one process only catches nondeterminism: a change
+that moves every run's schedule the same way passes it.  So each golden
+schedule is also pinned by a checked-in sha256 (``GOLDEN_DIGESTS``);
+a refactor that claims byte-identical behaviour must leave them alone.
 """
 
 from __future__ import annotations
 
+import hashlib
 import re
 
 import pytest
@@ -248,6 +254,38 @@ class TestGoldenServing:
         assert r_plain.elapsed_us == r_named.elapsed_us
         assert r_plain.completed == r_named.completed
         assert r_plain.p99_us == r_named.p99_us
+
+
+def _schedule_digest(schedule) -> str:
+    h = hashlib.sha256()
+    for t, seq, name in schedule:
+        h.update(f"{t!r} {seq} {name}\n".encode())
+    return h.hexdigest()
+
+
+#: sha256 of each golden ``#N``-normalised schedule with debug names off.
+#: Identical across PYTHONHASHSEED values; update only for a change that
+#: deliberately alters simulated behaviour, and say so in its description.
+GOLDEN_DIGESTS = {
+    "churn": "2251c91c35e70ad3ac7b3297f334e01f73cade16f70f73c5ed21631b6b96d53d",
+    "contended_fabric": "45c8653a49feafbb75f9b8aef7ba422ad65c861b7514a0780068e71721816d29",
+    "ecmp_reroute": "017ffcf1ff1c8fa2a094f67850c13a4d0cbf5f01f14e0e26f22d875c404e2017",
+    "serving": "e72d37187c43e7872b0a3523a1aa4bcf615f42ff7cf9be758d5fdcbcc4e8087b",
+}
+
+_GOLDEN_RUNS = {
+    "churn": _golden_run,
+    "contended_fabric": _golden_net_run,
+    "ecmp_reroute": _golden_ecmp_run,
+    "serving": _golden_serve_run,
+}
+
+
+class TestGoldenDigests:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+    def test_schedule_matches_pinned_digest(self, name):
+        schedule, _ = _GOLDEN_RUNS[name](debug_names=False)
+        assert _schedule_digest(schedule) == GOLDEN_DIGESTS[name]
 
 
 class TestGoldenTracing:
