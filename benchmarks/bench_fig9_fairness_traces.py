@@ -12,8 +12,10 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.harness import full_asserts, smoke_trim
-from repro.trace import (
+from repro.telemetry.timeline import (
     interleave_granularity_us,
+    kernel_devices,
+    kernel_span_range,
     program_share,
     render_timeline,
     utilization_by_device,
@@ -49,14 +51,14 @@ def test_fig9_fairness_traces(benchmark):
     fairness, utilization = benchmark.pedantic(run_all, rounds=1, iterations=1)
 
     for wts, res in fairness.items():
-        trace = res.system_handle.trace
-        lo, hi = trace.span()
+        trace = res.system_handle.sim.tracer
+        lo, hi = kernel_span_range(trace)
         window = (lo + 0.1 * (hi - lo), lo + 0.8 * (hi - lo))
         shares = program_share(trace, window=window)
         total = sum(wts)
         ratio = ":".join(str(int(w)) for w in wts)
         print(f"\n== Figure 9: proportional share {ratio} ==")
-        print(render_timeline(trace, width=100, devices=trace.devices()[:4]))
+        print(render_timeline(trace, width=100, devices=kernel_devices(trace)[:4]))
         for i, w in enumerate(wts):
             measured = shares.get(f"step_client{i}_solo", 0.0)
             print(f"  client{i}: share {measured:.3f} (target {w/total:.3f})")
@@ -68,7 +70,7 @@ def test_fig9_fairness_traces(benchmark):
     print("\n== Figure 11: utilization vs concurrent clients (0.33 ms) ==")
     utils = {}
     for n, res in utilization.items():
-        u = utilization_by_device(res.system_handle.trace)
+        u = utilization_by_device(res.system_handle.sim.tracer)
         utils[n] = sum(u.values()) / len(u)
         print(f"  {n:3d} client(s): mean device utilization {utils[n]:.1%}")
     # A single client cannot saturate; many clients approach ~100%.

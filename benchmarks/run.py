@@ -2,21 +2,17 @@
 """One entrypoint for the whole bench suite.
 
 Discovers every ``benchmarks/bench_*.py`` and runs the selection through
-pytest with smoke mode and sweep fan-out threaded through a single
-place, instead of each invocation hand-assembling ``REPRO_BENCH_SMOKE``
-/ ``REPRO_BENCH_JOBS`` / ``PYTHONPATH`` plumbing::
+pytest with smoke mode threaded through a single place, instead of each
+invocation hand-assembling ``REPRO_BENCH_SMOKE`` / ``PYTHONPATH``
+plumbing::
 
     python benchmarks/run.py --list
     python benchmarks/run.py --bench serving --smoke
-    python benchmarks/run.py --bench sim_throughput --smoke --jobs 2 --check
     python benchmarks/run.py --smoke          # the full CI smoke sweep
 
-``--bench`` matches by substring and may repeat.  ``--jobs N`` fans
-sweep points across N worker processes (see :mod:`repro.bench.sweep`);
-benches without sweep-runner points simply ignore it.  ``--check``
-verifies the merged ``BENCH_sim_throughput.json`` against the
-checked-in baseline via ``check_throughput_regression.py`` after the
-run — exactly what the CI perf-smoke job executes.
+``--bench`` matches by substring and may repeat.  These benches
+reproduce the paper's figures; how fast the simulator itself runs is
+measured by ``benchmarks/e2e/run.py``.
 """
 
 from __future__ import annotations
@@ -67,18 +63,6 @@ def main(argv: list[str]) -> int:
         "--smoke", action="store_true",
         help="smoke mode: shrunken sweeps, paper-scale asserts skipped",
     )
-    parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="fan sweep points across N processes (default: serial)",
-    )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="after the run, gate BENCH_sim_throughput.json against the baseline",
-    )
-    parser.add_argument(
-        "--wall-tolerance", type=float, default=None, metavar="FRAC",
-        help="forwarded to check_throughput_regression.py (CI uses 0.60)",
-    )
     parser.add_argument("--list", action="store_true", help="list benches and exit")
     parser.add_argument(
         "pytest_args", nargs="*",
@@ -99,8 +83,6 @@ def main(argv: list[str]) -> int:
     )
     if args.smoke:
         env["REPRO_BENCH_SMOKE"] = "1"
-    if args.jobs is not None:
-        env["REPRO_BENCH_JOBS"] = str(max(1, args.jobs))
 
     failed = []
     for name, path in chosen.items():
@@ -111,25 +93,6 @@ def main(argv: list[str]) -> int:
         )
         if proc.returncode != 0:
             failed.append(name)
-
-    if args.check:
-        if "sim_throughput" not in chosen:
-            print("--check requires the sim_throughput bench in the selection",
-                  file=sys.stderr)
-            return 2
-        artifact = os.path.join(
-            env.get("REPRO_BENCH_ARTIFACT_DIR", REPO_ROOT),
-            "BENCH_sim_throughput.json",
-        )
-        check_cmd = [
-            sys.executable,
-            os.path.join(BENCH_DIR, "check_throughput_regression.py"),
-            artifact,
-        ]
-        if args.wall_tolerance is not None:
-            check_cmd += ["--wall-tolerance", str(args.wall_tolerance)]
-        if subprocess.run(check_cmd, env=env, cwd=REPO_ROOT).returncode != 0:
-            failed.append("throughput-regression-check")
 
     if failed:
         print(f"FAILED: {', '.join(failed)}", file=sys.stderr)

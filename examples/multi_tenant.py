@@ -13,8 +13,10 @@ Run:  python examples/multi_tenant.py
 
 from __future__ import annotations
 
-from repro.trace import (
+from repro.telemetry.timeline import (
     interleave_granularity_us,
+    kernel_devices,
+    kernel_span_range,
     program_share,
     render_timeline,
     utilization_by_device,
@@ -29,7 +31,7 @@ def saturation_demo() -> None:
             n_clients, compute_time_us=330.0, n_hosts=4, devices_per_host=8,
             iters_per_client=10, with_trace=True, pipelined=True,
         )
-        util = utilization_by_device(res.system_handle.trace)
+        util = utilization_by_device(res.system_handle.sim.tracer)
         mean_util = sum(util.values()) / len(util)
         print(f"  {n_clients:3d} client(s): "
               f"{res.aggregate_computations_per_second:8.0f} computations/s, "
@@ -44,8 +46,8 @@ def fairness_demo() -> None:
         iters_per_client=25, weights=weights, with_trace=True,
         pipelined=True, scale_iters_by_weight=True,
     )
-    trace = res.system_handle.trace
-    lo, hi = trace.span()
+    trace = res.system_handle.sim.tracer
+    lo, hi = kernel_span_range(trace)
     window = (lo + 0.1 * (hi - lo), lo + 0.8 * (hi - lo))
     shares = program_share(trace, window=window)
     total = sum(weights.values())
@@ -57,7 +59,7 @@ def fairness_demo() -> None:
           f"{interleave_granularity_us(trace) / 1000:.2f} ms")
     print("\nPer-core timeline, 100 ms window (A/B/C/D = the four clients):")
     zoom = (window[0], window[0] + 100_000.0)
-    print(render_timeline(trace, width=100, devices=trace.devices()[:2], window=zoom))
+    print(render_timeline(trace, width=100, devices=kernel_devices(trace)[:2], window=zoom))
 
 
 def main() -> None:

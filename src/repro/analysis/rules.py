@@ -357,9 +357,6 @@ _WALL_CLOCK_CALLS = frozenset(
 )
 #: Seeded constructors are the *sanctioned* way to get randomness.
 _SEEDED_RANDOM_CTORS = frozenset({"default_rng", "SeedSequence"})
-#: The wall-clock measurement layer is the one legitimate home for real
-#: time in this repo.
-_WALLCLOCK_EXEMPT_SUFFIX = "bench/wallclock.py"
 
 
 class WallClockRule(Rule):
@@ -376,12 +373,6 @@ class WallClockRule(Rule):
     name = "wall-clock-in-sim"
     summary = "wall-clock or unseeded randomness in simulator code"
     sim_only = True
-
-    def run(self):
-        posix = self.ctx.path.replace("\\", "/")
-        if posix.endswith(_WALLCLOCK_EXEMPT_SUFFIX):
-            return []
-        return super().run()
 
     def visit_Call(self, node: ast.Call) -> None:
         dotted = _dotted(node.func)

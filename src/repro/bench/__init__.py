@@ -1,5 +1,5 @@
-"""Shared benchmark-harness utilities: table/series formatting, smoke
-mode, the wall-clock recorder, and the parallel sweep runner."""
+"""Shared benchmark-harness utilities: table/series formatting and
+smoke mode."""
 
 from repro.bench.harness import (
     Series,
@@ -9,20 +9,12 @@ from repro.bench.harness import (
     smoke_mode,
     smoke_trim,
 )
-from repro.bench.sweep import SweepTask, point_seed, run_sweep, sweep_jobs
-from repro.bench.wallclock import WallclockPoint, WallclockRecorder
 
 __all__ = [
     "Series",
-    "SweepTask",
     "Table",
-    "WallclockPoint",
-    "WallclockRecorder",
     "full_asserts",
     "geometric_range",
-    "point_seed",
-    "run_sweep",
     "smoke_mode",
     "smoke_trim",
-    "sweep_jobs",
 ]

@@ -24,7 +24,6 @@ __all__ = [
     "geometric_range",
     "smoke_mode",
     "smoke_trim",
-    "soft_timing",
 ]
 
 
@@ -40,20 +39,6 @@ def full_asserts() -> bool:
     hold, so those assertions are gated on this.
     """
     return not smoke_mode()
-
-
-def soft_timing() -> bool:
-    """True when wall-clock *ratio* assertions are demoted to
-    reported-only (``REPRO_BENCH_SOFT_TIMING=1``).
-
-    Speedup floors (calendar-vs-heap, scoped-vs-dense) are sharp on
-    dedicated hardware but can miss on contended or virtualized runners
-    without any code regression.  The deterministic work counters
-    (events, flows touched per update) gate regardless, so setting this
-    never weakens the correctness or complexity checks — only the
-    timing ratios, which the rows still report.
-    """
-    return os.environ.get("REPRO_BENCH_SOFT_TIMING", "") == "1"
 
 
 def smoke_trim(values: Sequence, keep: int = 3) -> list:

@@ -16,12 +16,11 @@ from repro.hw.device import (
     Kernel,
 )
 from repro.hw.host import Host
-from repro.hw.interconnect import DCN, ICI
+from repro.hw.interconnect import ICI
 from repro.hw.topology import Island, Mesh
 from repro.hw.cluster import Cluster, ClusterSpec, config_a, config_b, config_c, make_cluster
 
 __all__ = [
-    "DCN",
     "ICI",
     "Cluster",
     "ClusterSpec",

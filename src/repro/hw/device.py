@@ -27,7 +27,6 @@ from repro.sim import Event, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.hw.host import Host
-    from repro.trace.events import TraceRecorder
 
 __all__ = [
     "CollectiveRendezvous",
@@ -316,8 +315,8 @@ class Kernel:
     dependencies: the device *stalls at the head of its queue* until the
     gate fires (input buffers filled via RDMA), faithfully reproducing
     the non-preemptible stream semantics that make enqueue order matter.
-    ``done`` triggers at completion; ``tag`` and ``program`` feed the
-    trace recorder.
+    ``done`` triggers at completion; ``tag`` and ``program`` label the
+    ``kernel`` span the device emits when a tracer is attached.
     """
 
     __slots__ = ("duration_us", "collective", "done", "tag", "program", "gate")
@@ -375,7 +374,6 @@ class Device:
         island_id: int,
         coords: tuple[int, int],
         host: Optional["Host"] = None,
-        trace: Optional["TraceRecorder"] = None,
     ):
         self.sim = sim
         self.config = config
@@ -383,7 +381,6 @@ class Device:
         self.island_id = island_id
         self.coords = coords
         self.host = host
-        self.trace = trace
         debug = sim.debug_names
         self.hbm = HbmAllocator(
             sim,
@@ -576,13 +573,15 @@ class Device:
         end = self.sim.now
         self.busy_us += end - self._start_us
         self.kernels_run += 1
-        if self.trace is not None:
-            self.trace.record(
-                device=self.device_id,
-                start=self._start_us,
-                end=end,
-                tag=kernel.tag,
-                program=kernel.program,
+        tr = self.sim.tracer
+        if tr is not None and tr.enabled:
+            tr.complete(
+                kernel.tag or kernel.program or "kernel",
+                "kernel",
+                self._start_us,
+                end,
+                track=f"device{self.device_id}",
+                args={"device": self.device_id, "program": kernel.program},
             )
         done = kernel.done
         if not done.triggered:

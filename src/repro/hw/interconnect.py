@@ -1,12 +1,11 @@
-"""Interconnect models: per-island ICI and the cross-island DCN transport.
+"""Interconnect model: the per-island ICI.
 
 ICI is the dedicated accelerator interconnect (TPU mesh): device-to-device
 transfers and fused collectives run here without host involvement.  The
 DCN is the datacenter network: host-mediated, an order of magnitude
 higher latency (paper §2, Figure 1).  Cross-host communication lives in
 :mod:`repro.net` — a routed :class:`~repro.net.Transport` over a
-topology-aware :class:`~repro.net.Fabric`; ``DCN`` is kept here as the
-historical name for that transport (``Cluster.dcn`` is one).
+topology-aware :class:`~repro.net.Fabric` (``Cluster.dcn`` is one).
 """
 
 from __future__ import annotations
@@ -15,12 +14,11 @@ import math
 from typing import Generator
 
 from repro.config import SystemConfig
-from repro.net.transport import Transport as DCN
 from repro.sim import Simulator
 
 from repro.hw.device import CollectiveRendezvous, Device
 
-__all__ = ["DCN", "ICI"]
+__all__ = ["ICI"]
 
 
 class ICI:

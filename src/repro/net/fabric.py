@@ -39,24 +39,17 @@ Two serialization disciplines are supported (``net_link_sharing``):
 * ``"fifo"`` — store-and-forward: the message crosses hops one at a
   time, each hop serving one message at a time in arrival order.
 
-Two interchangeable engines drive the fluid model
-(``SystemConfig.fluid_solver`` / ``REPRO_NET_FLUID_SOLVER``; explicit
-config wins over the env var, default ``"scoped"``):
-
-* ``"scoped"`` — incremental: each link keeps the insertion-ordered set
-  of flows crossing it, so a membership change touches only the
-  *affected set* (flows sharing a link whose flow count changed), flow
-  progress integrates lazily per flow (work-remaining updated only when
-  that flow's rate changes), and projected completions live in a keyed
-  heap with lazy invalidation — O(affected · route + log F) per change.
-* ``"dense"`` — the reference engine: every membership change
-  recomputes every live flow's rate and min-scans all projected
-  completions, O(F) per change.
-
-Both engines share the same flow arithmetic and drive one cancellable
-:class:`~repro.sim.TimerHandle`, so they produce **byte-identical
-schedules** — not merely equal delivery times — on every scenario
-(``tests/test_fluid_solver.py`` pins this property).
+One engine, :class:`ScopedFluidSolver`, drives the fluid model
+incrementally: each link keeps the insertion-ordered set of flows
+crossing it, so a membership change touches only the *affected set*
+(flows sharing a link whose flow count changed), flow progress
+integrates lazily per flow (work-remaining updated only when that
+flow's rate changes), and projected completions live in a keyed heap
+with lazy invalidation — O(affected · route + log F) per change.  One
+cancellable :class:`~repro.sim.TimerHandle` fires the next completion.
+The solver-equivalence tests pin it **byte-identical** — the same
+schedule, not merely equal delivery times — to a dense reference that
+recomputes every live flow on every change (``tests/oracles.py``).
 
 Both disciplines support exact abort — an in-flight message whose
 endpoint host crashed releases all held capacity immediately, the
@@ -71,7 +64,6 @@ transparently.
 from __future__ import annotations
 
 import heapq
-import os
 import re
 import zlib
 from collections import deque
@@ -84,7 +76,7 @@ from repro.sim import Event, Simulator
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hw.host import Host
 
-__all__ = ["DenseFluidSolver", "Fabric", "Link", "ScopedFluidSolver"]
+__all__ = ["Fabric", "Link", "ScopedFluidSolver"]
 
 #: "Never finishes" sentinel for unrated flows' projected completion.
 _NEVER = float("inf")
@@ -335,15 +327,14 @@ class _Flow:
         self.ev = ev
         self.rate = 0.0
         #: Start order — the deterministic tie-break for same-instant
-        #: completions (identical to the dense engine's insertion-order
-        #: registry walk).
+        #: completions (the solver registry's insertion order).
         self.seq = seq
         #: Last time ``remaining`` was integrated (lazy advance: work
         #: only moves from projection to state when the rate changes).
         self.synced_at = now
         #: Projected completion time at the current rate.
         self.finish_at = _NEVER
-        #: Scoped-solver bookkeeping: last affected-set epoch (dedup
+        #: Solver bookkeeping: last affected-set epoch (dedup
         #: across a multi-link walk) and the completion-calendar entry
         #: version (lazy invalidation of superseded projections).
         self.epoch = 0
@@ -353,17 +344,24 @@ class _Flow:
 _BY_SEQ = attrgetter("seq")
 
 
-class _FluidSolver:
-    """Shared machinery for the fluid fair-share engines.
+class ScopedFluidSolver:
+    """The fluid fair-share engine: O(affected) updates plus a
+    completion calendar.
 
-    Subclasses choose the membership-update and next-finish strategy;
-    everything observable — flow arithmetic, completion semantics,
-    eviction order, the timer schedule — lives here and is shared,
-    which is what makes the engines *byte-identical* rather than merely
-    approximately equal (``tests/test_fluid_solver.py`` pins this).
+    A membership change re-rates only the flows that share a link with
+    the changed route(s) — the only flows whose ``bandwidth / count``
+    inputs moved.  Changed projections push versioned entries into a
+    keyed heap; superseded entries are invalidated lazily on contact,
+    so the next-finish question is an O(log F) peek instead of a
+    min-scan.
+
+    Everything observable — flow arithmetic, completion semantics,
+    eviction order, the timer schedule — lives outside the three
+    strategy hooks (``_membership_changed``, ``_collect_due``,
+    ``_min_finish``).  The dense recompute-everything reference in
+    ``tests/oracles.py`` overrides only those hooks, and the
+    solver-equivalence tests pin the two as byte-identical.
     """
-
-    name = "base"
 
     def __init__(self, fabric: "Fabric"):
         self.fabric = fabric
@@ -373,8 +371,8 @@ class _FluidSolver:
         self.flows: dict = {}
         self.seq = 0
         #: The one next-finish timer.  ``schedule()`` at an unchanged
-        #: target is a seq-free no-op, so both engines consume sequence
-        #: numbers identically — whole-simulation schedules match.
+        #: target is a seq-free no-op, so re-asserting it after every
+        #: update consumes no sequence numbers.
         self.timer = self.sim.timer_handle(self._on_timer, name="net_next_finish")
         #: Observability (see ``FabricStats``).
         self.peak_flows = 0
@@ -382,8 +380,13 @@ class _FluidSolver:
         self.membership_updates = 0
         self.flows_touched = 0
         self.rate_recomputes = 0
+        self.epoch = 0
+        #: Completion calendar: ``(finish_at, seq, cal_ver, flow)``
+        #: entries; an entry is live while its version matches the
+        #: flow's current ``cal_ver``.
+        self.calendar: list = []
 
-    # -- shared canonical arithmetic ------------------------------------
+    # -- flow arithmetic -------------------------------------------------
     def _update_flow(self, flow: _Flow, now: float) -> bool:
         """Recompute one flow's fair-share rate; on change, integrate
         progress at the old rate and re-project completion.
@@ -391,8 +394,8 @@ class _FluidSolver:
         The exact-float compare carries the equivalence argument: a
         flow's rate is a pure function of its route links' flow counts,
         so a flow none of whose links changed recomputes to the
-        bit-identical value and is skipped — the dense engine's skip
-        set equals the scoped engine's unaffected set exactly.
+        bit-identical value and is skipped — a dense recompute-everything
+        solver's skip set equals this solver's unaffected set exactly.
         """
         self.rate_recomputes += 1
         rate = min(link.bytes_per_us / link.fluid_flows for link in flow.route)
@@ -490,68 +493,10 @@ class _FluidSolver:
         self.timer.schedule(best)
 
     def _on_idle(self) -> None:
-        """Hook: the last flow left the fabric."""
+        """The last flow left the fabric: drop calendar garbage."""
+        self.calendar.clear()
 
     # -- strategy hooks --------------------------------------------------
-    def _membership_changed(self, routes, now: float) -> None:
-        raise NotImplementedError
-
-    def _collect_due(self, now: float) -> list[_Flow]:
-        raise NotImplementedError
-
-    def _min_finish(self) -> float:
-        raise NotImplementedError
-
-
-class DenseFluidSolver(_FluidSolver):
-    """The reference engine: O(F) recompute-everything per change.
-
-    Every membership change touches every live flow, and the next
-    completion is a min-scan over all of them — the shape the scoped
-    engine replaces.  Kept PR-6 style: the equivalence suite drives
-    both engines with identical scenarios and asserts byte-identical
-    results, and the NET-F bench measures the scoped win against it.
-    """
-
-    name = "dense"
-
-    def _membership_changed(self, routes, now: float) -> None:
-        self.membership_updates += 1
-        flows = self.flows
-        self.flows_touched += len(flows)
-        for flow in flows.values():
-            self._update_flow(flow, now)
-
-    def _collect_due(self, now: float) -> list[_Flow]:
-        # Registry order is start order: the completion tie-break.
-        return [f for f in self.flows.values() if f.finish_at <= now]
-
-    def _min_finish(self) -> float:
-        return min(f.finish_at for f in self.flows.values())
-
-
-class ScopedFluidSolver(_FluidSolver):
-    """Scoped incremental engine: O(affected) updates + a completion
-    calendar.
-
-    A membership change re-rates only the flows that share a link with
-    the changed route(s) — the only flows whose ``bandwidth / count``
-    inputs moved.  Changed projections push versioned entries into a
-    keyed heap; superseded entries are invalidated lazily on contact,
-    so the next-finish question is an O(log F) peek instead of a
-    min-scan.
-    """
-
-    name = "scoped"
-
-    def __init__(self, fabric: "Fabric"):
-        super().__init__(fabric)
-        self.epoch = 0
-        #: Completion calendar: ``(finish_at, seq, cal_ver, flow)``
-        #: entries; an entry is live while its version matches the
-        #: flow's current ``cal_ver``.
-        self.calendar: list = []
-
     def _membership_changed(self, routes, now: float) -> None:
         self.membership_updates += 1
         epoch = self.epoch = self.epoch + 1
@@ -593,7 +538,7 @@ class ScopedFluidSolver(_FluidSolver):
             due.append(head[3])
         if len(due) > 1:
             # Same-instant completions resolve in start order — exactly
-            # the dense engine's registry-walk order.
+            # the registry's insertion order.
             due.sort(key=_BY_SEQ)
         return due
 
@@ -608,17 +553,6 @@ class ScopedFluidSolver(_FluidSolver):
         # Unreachable while flows exist: every live flow keeps one live
         # calendar entry (pushed at birth and on every rate change).
         return _NEVER
-
-    def _on_idle(self) -> None:
-        self.calendar.clear()
-
-
-#: Fluid-engine registry for ``SystemConfig.fluid_solver`` /
-#: ``REPRO_NET_FLUID_SOLVER``.
-_FLUID_SOLVERS = {
-    "dense": DenseFluidSolver,
-    "scoped": ScopedFluidSolver,
-}
 
 
 class Fabric:
@@ -648,23 +582,7 @@ class Fabric:
         self._uplink_tx: dict[int, Link] = {}
         self._uplink_rx: dict[int, Link] = {}
         self._spines: list[Link] = []
-        # The fluid fair-share engine (explicit config beats env beats
-        # the scoped default — the timer-queue registry precedent).
-        # ``is None`` keeps the precedence exact: an explicit empty
-        # string is an unknown solver, not a fall-through to the env.
-        solver = config.fluid_solver
-        if solver is None:
-            solver = os.environ.get("REPRO_NET_FLUID_SOLVER", "scoped")
-        try:
-            solver_cls = _FLUID_SOLVERS[solver]
-        except KeyError:
-            raise ValueError(
-                f"unknown fluid_solver {solver!r}; "
-                f"expected one of {sorted(_FLUID_SOLVERS)}"
-            ) from None
-        #: Which fluid engine drives flow progress ("scoped" / "dense").
-        self.fluid_solver = solver
-        self._solver = solver_cls(self)
+        self._solver = ScopedFluidSolver(self)
         if sim.sanitize and sim.sanitizer is not None:
             sim.sanitizer.watch(self)
 
@@ -795,9 +713,8 @@ class Fabric:
         """Start one fluid flow across ``route``; returns its completion.
 
         The flow progresses at the min over its links of
-        ``bandwidth / flows_on_link``, maintained by the configured
-        fluid solver (scoped incremental by default; see the module
-        docstring).
+        ``bandwidth / flows_on_link``, maintained by the
+        :class:`ScopedFluidSolver` (see the module docstring).
         """
         debug = self.sim.debug_names
         ev = Event(self.sim, "flow" if debug else "")
@@ -952,7 +869,6 @@ class Fabric:
         t = s.timer
         links = self.links()
         return FabricStats(
-            fluid_solver=self.fluid_solver,
             active_flows=len(s.flows),
             peak_concurrent_flows=s.peak_flows,
             flows_started=s.seq,

@@ -16,7 +16,6 @@ from repro.sim.engine import (
     CalendarTimerQueue,
     DeadlockError,
     Event,
-    HeapTimerQueue,
     Interrupt,
     Process,
     ProcessFailed,
@@ -45,7 +44,6 @@ __all__ = [
     "DeadlockError",
     "DoubleTriggerError",
     "Event",
-    "HeapTimerQueue",
     "Interrupt",
     "LeakedCapacityError",
     "PendingTimeoutReadError",

@@ -81,8 +81,6 @@ class SimStats(Stats):
     immediate_depth: int
     #: Live (unfinished) processes, daemons included.
     live_processes: int
-    #: Active timer-queue implementation ("calendar" or "heap").
-    timer_queue: str
 
 
 @dataclass(frozen=True)
@@ -105,22 +103,20 @@ class SchedulerStats(Stats):
 class FabricStats(Stats):
     """Fluid fair-share engine observability (``Fabric.stats()``).
 
-    The counters quantify the work the solver did — the quantities the
-    NET-F bench and the flow-scale sweep compare across engines — while
+    The counters quantify the work the solver did — the flow-scale
+    sweep bounds ``flows_touched_per_update`` — while
     ``active_flows``/``idle`` carry the capacity-leak invariant benches
     assert after fault drills.
     """
 
-    #: Engine name: "scoped" or "dense".
-    fluid_solver: str
     active_flows: int
     peak_concurrent_flows: int
     flows_started: int
     flows_completed: int
     #: Membership changes processed (start/abort/completion batches).
     membership_updates: int
-    #: Flows examined across all membership changes (dense: all live
-    #: flows each time; scoped: the affected set only).
+    #: Flows examined across all membership changes (the affected set
+    #: of each change).
     flows_touched: int
     #: Per-flow min-over-route rate evaluations.
     rate_recomputes: int

@@ -2,13 +2,14 @@
 
 Three cooperating parts over one span stream:
 
-* **Causal span tracing** (:class:`Tracer`, :class:`Span`) — request/
-  program-scoped spans captured passively through the serve frontend,
-  scheduler, dispatch, ``repro.net``, and resilience layers; exported
-  as Chrome-trace/Perfetto JSON, analyzed by the critical-path CLI
-  (``python -m repro.telemetry critpath``), and rendered by the
-  existing ``repro.trace`` ASCII timeline via
-  :meth:`Tracer.to_trace_recorder`.
+* **Causal span tracing** (:class:`Tracer`, :class:`Span`) — the
+  simulator's one trace stream: request/program-scoped spans captured
+  passively through the serve frontend, scheduler, dispatch, device
+  kernels, ``repro.net``, and resilience layers; exported as
+  Chrome-trace/Perfetto JSON, analyzed by the critical-path CLI
+  (``python -m repro.telemetry critpath``), and turned into device
+  utilization, program shares, interleave granularity and ASCII
+  timelines by :mod:`repro.telemetry.timeline`.
 * **Metrics registry** (:class:`MetricsRegistry`,
   :class:`MetricsSampler`) — counters/gauges/probes/histograms sampled
   on a sim-time ticker into exportable time-series.

@@ -3,8 +3,9 @@
 A :class:`Tracer` is attached to the :class:`~repro.sim.Simulator`
 (``Simulator(tracer=...)`` or via ``PathwaysSystem.build(tracer=...)``)
 and collects :class:`Span` records from instrumentation sites across
-the serve frontend, scheduler, dispatch, ``repro.net``, and resilience
-layers.  Two properties are load-bearing:
+the serve frontend, scheduler, dispatch, devices, ``repro.net``, and
+resilience layers.  It is the simulator's one trace stream.  Two
+properties are load-bearing:
 
 * **schedule-neutral** — capture is a passive append that reads
   ``sim.now``; the tracer never creates events, timers, or processes,
@@ -18,9 +19,8 @@ layers.  Two properties are load-bearing:
 Spans export as Chrome-trace/Perfetto JSON (:meth:`Tracer.to_chrome_trace`)
 — load the file in ``ui.perfetto.dev`` or ``chrome://tracing`` — and the
 same span stream feeds the critical-path analyzer
-(:mod:`repro.telemetry.critpath`) and, through
-:meth:`Tracer.to_trace_recorder`, the existing ``repro.trace`` ASCII
-timeline (one renderer among several over the stream).
+(:mod:`repro.telemetry.critpath`) and, through its ``kernel`` spans, the
+device timelines of :mod:`repro.telemetry.timeline`.
 """
 
 from __future__ import annotations
@@ -86,8 +86,8 @@ class Tracer:
     """Causal span collector; see the module docstring for the contract.
 
     ``enabled=False`` builds a tracer whose every emit method returns
-    immediately — the TRACE-OFF bench row pins that this costs <3% of
-    baseline events/sec.  ``flight`` optionally attaches a
+    immediately, and whose gated emit sites skip building labels.
+    ``flight`` optionally attaches a
     :class:`~repro.telemetry.flight.FlightRecorder` that shadows every
     emission into a bounded post-mortem ring.
     """
@@ -215,49 +215,12 @@ class Tracer:
         finally:
             self.end(opened)
 
-    # -- kernel feed (TraceRecorder-compatible) ---------------------------
-    def record(
-        self, device: int, start: float, end: float, tag: str = "", program: str = ""
-    ) -> None:
-        """Duck-types :class:`repro.trace.TraceRecorder` so a tracer can
-        be handed to the cluster as its kernel recorder — device kernel
-        intervals then land in the same span stream."""
-        if not self.enabled:
-            return
-        self._append(
-            tag or program or "kernel",
-            "kernel",
-            start,
-            end,
-            f"device{device}",
-            {"device": device, "program": program},
-            None,
-            None,
-        )
-
     # -- views -------------------------------------------------------------
     def by_cat(self, cat: str) -> list[Span]:
         return [s for s in self.spans if s.cat == cat]
 
     def clear(self) -> None:
         self.spans.clear()
-
-    def to_trace_recorder(self):
-        """The ``repro.trace`` view: kernel-category spans as a
-        :class:`~repro.trace.TraceRecorder`, so ``render_timeline`` (the
-        ASCII figure renderer) draws straight off the span stream."""
-        from repro.trace.events import TraceRecorder
-
-        rec = TraceRecorder()
-        for s in self.by_cat("kernel"):
-            rec.record(
-                device=s.args["device"] if s.args else 0,
-                start=s.start_us,
-                end=s.end_us if s.end_us is not None else s.start_us,
-                tag=s.name,
-                program=(s.args or {}).get("program", ""),
-            )
-        return rec
 
     # -- Chrome-trace / Perfetto export -----------------------------------
     def to_chrome_trace(self) -> dict:

@@ -22,6 +22,7 @@ from repro.core.system import PathwaysSystem
 from repro.hw.cluster import ClusterSpec, make_cluster
 from repro.hw.device import CollectiveRendezvous, Kernel
 from repro.sim import Resource, Simulator
+from repro.telemetry import Tracer
 from repro.xla.computation import scalar_allreduce_add
 
 __all__ = [
@@ -65,7 +66,9 @@ def run_pathways_multitenant(
     ``pipelined=True`` keeps several submissions in flight per client,
     oversubscribing the island so the scheduling policy (not client
     self-limiting) decides shares — the Figure 9 regime.  The default
-    OpByOp drive is the Figure 8 regime.
+    OpByOp drive is the Figure 8 regime.  ``with_trace=True`` attaches a
+    :class:`~repro.telemetry.Tracer` (``system_handle.sim.tracer``)
+    whose kernel spans feed :mod:`repro.telemetry.timeline`.
     """
     if n_clients < 1:
         raise ValueError("need at least one client")
@@ -75,7 +78,7 @@ def run_pathways_multitenant(
         _spec(n_hosts, devices_per_host),
         config=config,
         policy=policy,
-        with_trace=with_trace,
+        tracer=Tracer() if with_trace else None,
         aggregate_threshold=aggregate_threshold,
     )
     n_devices = n_hosts * devices_per_host

@@ -23,7 +23,6 @@ the arguments.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Generator, Optional
 
@@ -338,7 +337,7 @@ def run_net_congestion(
 
 
 # ---------------------------------------------------------------------------
-# Flow-scale fabric stress (the NET-F scenario family)
+# Flow-scale fabric stress (the flow-scale sweep of bench_net_congestion)
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -346,18 +345,13 @@ class FlowFleetResult:
     """Outcome of one flow-fleet run."""
 
     n_flows: int
-    #: Which fluid engine ran the fabric ("scoped" or "dense").
-    fluid_solver: str
     #: Max flows simultaneously live on the fabric (from ``FabricStats``).
     peak_concurrent_flows: int
     elapsed_us: float
     events: int
-    #: Wall-clock of the simulation run itself (setup excluded).
-    wall_s: float
-    setup_wall_s: float
     #: Per-flow simulated delivery time, in send (flow-index) order —
-    #: the byte-identity witness the NET-F bench compares across
-    #: solvers with exact ``==``.
+    #: the byte-identity witness the solver-equivalence tests compare
+    #: with exact ``==``.
     deliveries: list[float] = field(default_factory=list)
     #: ``FabricStats`` snapshot (solver work counters + leak invariant).
     fabric: Optional[object] = None
@@ -380,7 +374,6 @@ def run_flow_fleet(
     devices_per_host: int = 1,
     flow_bytes: int = 1 << 20,
     arrival_window_us: float = 1_000.0,
-    fluid_solver: Optional[str] = None,
     config: SystemConfig = DEFAULT_CONFIG,
     debug_names: bool = False,
 ) -> FlowFleetResult:
@@ -392,24 +385,20 @@ def run_flow_fleet(
     (a serving-style arrival burst, spread by a fixed multiplicative
     LCG — deterministic, no RNG state).  The window is much shorter
     than the drain time, so concurrency climbs to thousands of
-    simultaneously-live fluid flows — the regime where the dense
-    engine's O(all-flows)-per-change updates go superlinear while the
-    scoped engine's affected set stays the per-pair flow count.
+    simultaneously-live fluid flows, while the solver's affected set
+    per membership change stays the per-pair flow count.
 
     Every membership change only moves rates on one NIC pair, so this
-    is the best case for scoped *and* the honest one: real fleets
-    spread traffic across many endpoint pairs rather than converging
-    on one bottleneck.  ``deliveries`` carries the exact per-flow
-    delivery times for cross-solver equality checks.
+    is the best case for an O(affected) solver *and* the honest one:
+    real fleets spread traffic across many endpoint pairs rather than
+    converging on one bottleneck.  ``deliveries`` carries the exact
+    per-flow delivery times for cross-solver equality checks.
     """
     if hosts < 2 or hosts % 2:
         raise ValueError(f"hosts must be even and >= 2, got {hosts}")
     config = config.with_overrides(
-        net_contention=True,
-        net_link_sharing="fair",
-        **({"fluid_solver": fluid_solver} if fluid_solver else {}),
+        net_contention=True, net_link_sharing="fair"
     )
-    t0 = time.perf_counter()
     system = PathwaysSystem.build(
         ClusterSpec(islands=((hosts, devices_per_host),), name="flowfleet"),
         config=config,
@@ -435,19 +424,13 @@ def run_flow_fleet(
                 name=f"fleet_flow{i}" if debug_names else "",
             )
         )
-    done = sim.all_of(procs)
-    t1 = time.perf_counter()
-    sim.run_until_triggered(done)
-    wall = time.perf_counter() - t1
+    sim.run_until_triggered(sim.all_of(procs))
     fabric = system.transport.stats().fabric
     return FlowFleetResult(
         n_flows=n_flows,
-        fluid_solver=fabric.fluid_solver,
         peak_concurrent_flows=fabric.peak_concurrent_flows,
         elapsed_us=sim.now,
         events=sim.stats().events_processed,
-        wall_s=wall,
-        setup_wall_s=t1 - t0,
         deliveries=deliveries,
         fabric=fabric,
     )

@@ -15,16 +15,25 @@ transport scenarios, the fault drills included.
 from __future__ import annotations
 
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import DenseFluidSolver
 from repro.config import SystemConfig
-from repro.net.fabric import Fabric
+from repro.net import fabric as fabric_module
+from repro.net.fabric import Fabric, ScopedFluidSolver
 from repro.sim import Simulator
 from repro.stats import FabricStats
 from repro.workloads.netload import run_flow_fleet, run_net_congestion
+
+
+def _solver(cls):
+    """Every Fabric built inside the block runs ``cls`` as its solver."""
+    return mock.patch.object(fabric_module, "ScopedFluidSolver", cls)
+
 
 #: Two islands x 4 hosts: intra-island, cross-island, and ECMP'd routes.
 _HOSTS = [
@@ -54,14 +63,13 @@ _OPS = st.lists(
 )
 
 
-def _run_fabric_scenario(solver: str, ops, debug_names: bool = False):
+def _run_fabric_scenario(solver, ops, debug_names: bool = False):
     """Drive one op stream straight into a Fabric; returns the full
     observable record (deliveries, victims, link counters, schedule)."""
     sim = Simulator(debug_names=debug_names, log_schedule=True)
-    config = SystemConfig(
-        net_link_sharing="fair", spine_paths=2, fluid_solver=solver
-    )
-    fabric = Fabric(sim, config)
+    config = SystemConfig(net_link_sharing="fair", spine_paths=2)
+    with _solver(solver):
+        fabric = Fabric(sim, config)
     deliveries: list = []
     log: list = []
 
@@ -121,8 +129,8 @@ def _run_fabric_scenario(solver: str, ops, debug_names: bool = False):
 @given(ops=_OPS)
 @settings(max_examples=150, deadline=None)
 def test_scoped_matches_dense_exactly(ops):
-    dense = _run_fabric_scenario("dense", ops)
-    scoped = _run_fabric_scenario("scoped", ops)
+    dense = _run_fabric_scenario(DenseFluidSolver, ops)
+    scoped = _run_fabric_scenario(ScopedFluidSolver, ops)
     assert scoped["deliveries"] == dense["deliveries"]
     assert scoped["log"] == dense["log"]  # abort results + eviction victims
     assert scoped["links"] == dense["links"]
@@ -138,8 +146,8 @@ def test_scoped_matches_dense_exactly(ops):
 @settings(max_examples=50, deadline=None)
 def test_schedule_independent_of_debug_names(ops):
     """Lazy event naming may never perturb the solver's schedule."""
-    plain = _run_fabric_scenario("scoped", ops, debug_names=False)
-    named = _run_fabric_scenario("scoped", ops, debug_names=True)
+    plain = _run_fabric_scenario(ScopedFluidSolver, ops, debug_names=False)
+    named = _run_fabric_scenario(ScopedFluidSolver, ops, debug_names=True)
     assert [t for t, _ in named["schedule"]] == [
         t for t, _ in plain["schedule"]
     ]
@@ -163,16 +171,10 @@ class TestFullScenarioEquivalence:
     (the PR-8 fault matrix: eviction, reroute-with-remaining, park)."""
 
     def _pair(self, **kwargs):
-        base = kwargs.pop("config", SystemConfig())
         runs = []
-        for solver in ("dense", "scoped"):
-            runs.append(
-                run_net_congestion(
-                    config=base.with_overrides(fluid_solver=solver),
-                    log_schedule=True,
-                    **kwargs,
-                )
-            )
+        for solver in (DenseFluidSolver, ScopedFluidSolver):
+            with _solver(solver):
+                runs.append(run_net_congestion(log_schedule=True, **kwargs))
         return runs
 
     def test_plain_congestion(self):
@@ -222,8 +224,9 @@ class TestFullScenarioEquivalence:
         assert _scenario_fingerprint(dense) == _scenario_fingerprint(scoped)
 
     def test_flow_fleet_deliveries_identical(self):
-        dense = run_flow_fleet(n_flows=300, hosts=8, fluid_solver="dense")
-        scoped = run_flow_fleet(n_flows=300, hosts=8, fluid_solver="scoped")
+        with _solver(DenseFluidSolver):
+            dense = run_flow_fleet(n_flows=300, hosts=8)
+        scoped = run_flow_fleet(n_flows=300, hosts=8)
         assert dense.deliveries == scoped.deliveries
         assert dense.elapsed_us == scoped.elapsed_us
         assert dense.events == scoped.events
@@ -233,46 +236,30 @@ class TestFullScenarioEquivalence:
 class TestSolverSelection:
     def test_default_is_scoped(self):
         fabric = Fabric(Simulator(), SystemConfig())
-        assert fabric.fluid_solver == "scoped"
+        assert type(fabric._solver) is ScopedFluidSolver
 
-    def test_explicit_config(self):
-        cfg = SystemConfig(fluid_solver="dense")
-        assert Fabric(Simulator(), cfg).fluid_solver == "dense"
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NET_FLUID_SOLVER", "dense")
-        assert Fabric(Simulator(), SystemConfig()).fluid_solver == "dense"
-        # Explicit config beats the environment.
-        cfg = SystemConfig(fluid_solver="scoped")
-        assert Fabric(Simulator(), cfg).fluid_solver == "scoped"
-
-    def test_unknown_solver_rejected(self):
-        with pytest.raises(ValueError, match="scoped"):
-            Fabric(Simulator(), SystemConfig(fluid_solver="quantum"))
-
-    def test_empty_string_rejected_not_defaulted(self, monkeypatch):
-        """An explicit ``fluid_solver=""`` is an unknown solver, not a
-        fall-through to the env var: only ``None`` defers."""
-        monkeypatch.setenv("REPRO_NET_FLUID_SOLVER", "dense")
-        with pytest.raises(ValueError, match="unknown fluid_solver"):
-            Fabric(Simulator(), SystemConfig(fluid_solver=""))
+SOLVERS = [DenseFluidSolver, ScopedFluidSolver]
+SOLVER_IDS = ["dense", "scoped"]
 
 
 class TestTimerHygiene:
     """The dead-timer-leak regression: the historical engine armed a
     fresh timeout on every membership change and abandoned the old one,
-    so the queue filled with dead events.  Both engines now drive one
-    cancellable handle: at most one live timer, zero after drain."""
+    so the queue filled with dead events.  The solver (and the dense
+    reference) drive one cancellable handle: at most one live timer,
+    zero after drain."""
 
     @staticmethod
-    def _fabric(solver: str):
+    def _fabric(solver=ScopedFluidSolver):
         sim = Simulator()
-        fabric = Fabric(sim, SystemConfig(fluid_solver=solver))
+        with _solver(solver):
+            fabric = Fabric(sim, SystemConfig())
         hosts = [SimpleNamespace(host_id=i, island_id=0) for i in range(2)]
         route = fabric.route(hosts[0], hosts[1])
         return sim, fabric, route
 
-    @pytest.mark.parametrize("solver", ["dense", "scoped"])
+    @pytest.mark.parametrize("solver", SOLVERS, ids=SOLVER_IDS)
     def test_one_live_timer_despite_churn(self, solver):
         sim, fabric, route = self._fabric(solver)
         for key in range(50):
@@ -286,7 +273,7 @@ class TestTimerHygiene:
         # Not merely "no live entries": physically empty post-drain.
         assert len(sim._queue) == 0
 
-    @pytest.mark.parametrize("solver", ["dense", "scoped"])
+    @pytest.mark.parametrize("solver", SOLVERS, ids=SOLVER_IDS)
     def test_abort_all_cancels_the_timer(self, solver):
         sim, fabric, route = self._fabric(solver)
         for key in range(10):
@@ -302,7 +289,7 @@ class TestTimerHygiene:
 
 class TestFabricStats:
     def test_snapshot_is_frozen_and_serializable(self):
-        sim, fabric, route = TestTimerHygiene._fabric("scoped")
+        sim, fabric, route = TestTimerHygiene._fabric()
         fabric.start_flow("a", route, 10_000)
         sim.run()
         snap = fabric.stats()
@@ -310,13 +297,13 @@ class TestFabricStats:
         with pytest.raises(Exception):
             snap.active_flows = 5  # frozen dataclass
         d = snap.as_dict()
-        assert d["fluid_solver"] == "scoped"
         assert d["flows_completed"] == 1 and d["idle"] is True
         assert snap.timer_fires >= 1
 
     def test_scoped_touches_no_more_than_dense(self):
-        dense = run_flow_fleet(n_flows=200, hosts=16, fluid_solver="dense")
-        scoped = run_flow_fleet(n_flows=200, hosts=16, fluid_solver="scoped")
+        with _solver(DenseFluidSolver):
+            dense = run_flow_fleet(n_flows=200, hosts=16)
+        scoped = run_flow_fleet(n_flows=200, hosts=16)
         assert scoped.fabric.flows_touched < dense.fabric.flows_touched
         assert (
             scoped.fabric.flows_touched_per_update

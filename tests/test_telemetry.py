@@ -105,7 +105,6 @@ class TestTracerDisabled:
         assert tr.instant("b", "c") is None
         assert tr.begin("d", "c") is None
         tr.end(None)  # None-safe close
-        tr.record(device=0, start=0.0, end=1.0, tag="k")
         with tr.span("e", "c") as s:
             assert s is None
         assert tr.spans == []
@@ -136,21 +135,6 @@ class TestTracerEnabled:
         assert child.parent_id == parent.span_id
         assert mark.is_instant and not child.is_instant
         assert tr.by_cat("test") == tr.spans
-
-    def test_record_duck_types_trace_recorder(self):
-        """A tracer handed to the cluster as its kernel recorder lands
-        device intervals in the span stream, and ``to_trace_recorder``
-        round-trips them into the ASCII timeline renderer."""
-        from repro.trace.render import render_timeline
-
-        tr = Tracer()
-        tr.record(device=0, start=0.0, end=10.0, tag="matmul", program="step")
-        tr.record(device=1, start=5.0, end=15.0, tag="allreduce")
-        rec = tr.to_trace_recorder()
-        assert len(rec.events) == 2
-        assert {e.device for e in rec.events} == {0, 1}
-        art = render_timeline(rec, width=40)
-        assert "step" in art  # the legend keys on program names
 
     def test_open_span_closes_at_export(self, sim):
         tr = Tracer()

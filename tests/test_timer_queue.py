@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import CalendarTimerQueue, HeapTimerQueue, Simulator
+from oracles import HeapTimerQueue
+from repro.sim import CalendarTimerQueue, Simulator
 
 #: Delay pools chosen to hit every calendar mechanism: sub-width ties,
 #: in-horizon spread, and way-past-horizon overflow.
@@ -273,31 +273,20 @@ def test_head_discard_below_min_drains_loaded_bucket():
 
 class TestTimerQueueSelection:
     def test_default_is_calendar(self):
-        assert Simulator().timer_queue == "calendar"
-
-    def test_explicit_heap(self):
-        assert Simulator(timer_queue="heap").timer_queue == "heap"
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_TIMER_QUEUE", "heap")
-        assert Simulator().timer_queue == "heap"
-        # Explicit argument beats the environment.
-        assert Simulator(timer_queue="calendar").timer_queue == "calendar"
-
-    def test_unknown_queue_rejected(self):
-        with pytest.raises(ValueError, match="calendar"):
-            Simulator(timer_queue="wheel-of-fortune")
+        assert type(Simulator()._queue) is CalendarTimerQueue
 
 
 class TestEngineCoreEquivalence:
-    """The same seeded program must produce identical schedules on both
-    timer-queue cores (the golden churn/net/serve suites pin this for
-    the calendar default; this pins calendar *against* heap)."""
+    """The same seeded program must produce identical schedules on the
+    calendar queue and the reference heap (the golden churn/net/serve
+    suites pin the calendar queue's schedules; this pins calendar
+    *against* heap)."""
 
     @staticmethod
-    def _schedule(timer_queue: str):
+    def _schedule(queue_cls):
         rng = random.Random(42)
-        sim = Simulator(timer_queue=timer_queue, log_schedule=True)
+        sim = Simulator(log_schedule=True)
+        sim._queue = queue_cls()
 
         def proc(i):
             for _ in range(10):
@@ -315,4 +304,4 @@ class TestEngineCoreEquivalence:
         return list(sim.schedule_log)
 
     def test_identical_schedules(self):
-        assert self._schedule("calendar") == self._schedule("heap")
+        assert self._schedule(CalendarTimerQueue) == self._schedule(HeapTimerQueue)
