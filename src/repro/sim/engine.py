@@ -721,7 +721,7 @@ class Process(Event):
             callbacks.append(self._resume)
 
 
-#: "No scheduled timer" sentinel for the timer queues' ``min_when``.
+#: "No scheduled timer" sentinel for the timer queue's ``min_when``.
 _INF = float("inf")
 
 
