@@ -245,25 +245,29 @@ def test_flow_scale_solver_touches_only_the_affected_set():
     Each membership change re-rates only the flows sharing a link with
     the changed route — here the flows of one NIC pair, about
     ``1/32`` of the live fleet — so the per-update touch count tracks
-    the per-pair population.
+    the per-pair population.  Those flows form one route class, rated
+    once: at most one rate evaluation per change.
     """
     counts = smoke_trim([600, 1200, 2400], keep=2)
 
     table = Table(
         "Flow-scale sweep: fluid-solver work per membership change",
-        columns=["flows", "peak", "updates", "touched/upd", "bound"],
+        columns=["flows", "peak", "updates", "rates", "touched/upd", "bound"],
     )
     for n in counts:
         r = run_flow_fleet(n_flows=n)
         fab = r.fabric
         table.add_row(
             n, r.peak_concurrent_flows, fab.membership_updates,
-            fab.flows_touched_per_update, _TOUCHED_PER_UPDATE_BOUND[n],
+            fab.rate_recomputes, fab.flows_touched_per_update,
+            _TOUCHED_PER_UPDATE_BOUND[n],
         )
         assert fab.idle, n
         assert fab.flows_touched_per_update <= _TOUCHED_PER_UPDATE_BOUND[n], n
         # The affected set is a small slice of the live fleet.
         assert fab.flows_touched_per_update * 8 < r.peak_concurrent_flows, n
+        # One route class per NIC pair, so one rate per change.
+        assert fab.rate_recomputes <= fab.membership_updates, n
     table.show()
 
 

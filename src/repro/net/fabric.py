@@ -40,16 +40,25 @@ Two serialization disciplines are supported (``net_link_sharing``):
   time, each hop serving one message at a time in arrival order.
 
 One engine, :class:`ScopedFluidSolver`, drives the fluid model
-incrementally: each link keeps the insertion-ordered set of flows
-crossing it, so a membership change touches only the *affected set*
-(flows sharing a link whose flow count changed), flow progress
-integrates lazily per flow (work-remaining updated only when that
-flow's rate changes), and projected completions live in a keyed heap
-with lazy invalidation — O(affected · route + log F) per change.  One
-cancellable :class:`~repro.sim.TimerHandle` fires the next completion.
-The solver-equivalence tests pin it **byte-identical** — the same
-schedule, not merely equal delivery times — to a dense reference that
-recomputes every live flow on every change (``tests/oracles.py``).
+incrementally over **route classes**: every live flow with the same
+route tuple.  A flow's rate is a pure function of the flow counts on
+its route links, so all members of a class always share one rate, and
+a join or leave changes the count on every link of that route, so the
+class rate always changes strictly.  Members therefore move in
+lockstep — they sync at the same instants and subtract the same
+``rate * elapsed`` each time — and a class keeps one ``rate``, one
+sync time ``at`` and a list of remaining bytes.  Each link keeps the
+insertion-ordered set of classes crossing it, so a membership change
+re-rates only the *affected* classes (those sharing a link whose count
+changed): one rate evaluation, one list pass and one completion-
+calendar entry per class, keyed on the class head (float subtraction
+and division are monotone, so the member with the least remaining
+bytes finishes first).  The calendar is a heap with lazy invalidation
+and one cancellable :class:`~repro.sim.TimerHandle` fires the next
+completion.  The solver-equivalence tests pin it **byte-identical** —
+the same schedule, not merely equal delivery times — to a per-flow
+reference that recomputes every live flow on every change
+(``tests/oracles.py``).
 
 Both disciplines support exact abort — an in-flight message whose
 endpoint host crashed releases all held capacity immediately, the
@@ -67,7 +76,7 @@ import heapq
 import re
 import zlib
 from collections import deque
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Deque, Optional, TYPE_CHECKING
 
 from repro.config import SystemConfig
@@ -78,7 +87,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["Fabric", "Link", "ScopedFluidSolver"]
 
-#: "Never finishes" sentinel for unrated flows' projected completion.
+#: "Never finishes": the next-finish answer of an empty calendar.
 _NEVER = float("inf")
 
 
@@ -138,13 +147,12 @@ class Link:
         self.flows_aborted = 0
         self.max_concurrency = 0
         #: Live fluid flows crossing this link (maintained by the fluid
-        #: solver).  The count is denormalized from ``_fluid`` because
-        #: it sits inside the rate formula's inner loop.
+        #: solver); the rate formula's denominator.
         self.fluid_flows = 0
-        #: The flows themselves, insertion-ordered (dict-as-set): the
-        #: scoped solver's affected-set walk and take-down eviction both
-        #: iterate this, so a hash set here would feed the schedule from
-        #: object addresses (RPR002).
+        #: The route classes crossing this link, insertion-ordered
+        #: (dict-as-set): the solver's affected-set walk and take-down
+        #: eviction both iterate this, so a hash set here would feed the
+        #: schedule from object addresses (RPR002).
         self._fluid: dict = {}
         #: How far back :meth:`busy_fraction` can look; older busy
         #: intervals are dropped so the log stays bounded.
@@ -298,68 +306,80 @@ class Link:
             self._start(self._queue.popleft())
 
     # -- fluid-flow membership (driven by the fluid solver) -----------------
-    def fluid_enter(self, flow) -> None:
-        self._fluid[flow] = None
+    def fluid_enter(self) -> None:
         self.fluid_flows += 1
         self._note_concurrency()
         self._sync_busy()
 
-    def fluid_exit(self, flow) -> None:
-        del self._fluid[flow]
+    def fluid_exit(self) -> None:
         self.fluid_flows -= 1
         self._sync_busy()
 
 
 class _Flow:
-    """One fluid flow spanning its whole route."""
+    """One fluid flow: identity and completion event.  Its progress
+    lives in the route class keyed by ``route`` (the parallel ``rem``
+    list).  The flow holds the route tuple, not the class, so a dropped
+    class and its members form no reference cycle and are freed
+    without the cyclic garbage collector."""
 
-    __slots__ = (
-        "key", "route", "remaining", "nbytes", "ev", "rate",
-        "seq", "synced_at", "finish_at", "epoch", "cal_ver",
-    )
+    __slots__ = ("key", "route", "nbytes", "ev", "seq")
 
-    def __init__(self, key, route: list[Link], nbytes: int, ev: Event,
-                 seq: int, now: float):
+    def __init__(self, key, route: tuple, nbytes: int, ev: Event, seq: int):
         self.key = key
         self.route = route
-        self.remaining = float(nbytes)
         self.nbytes = nbytes
         self.ev = ev
-        self.rate = 0.0
         #: Start order — the deterministic tie-break for same-instant
-        #: completions (the solver registry's insertion order).
+        #: completions and eviction reports.
         self.seq = seq
-        #: Last time ``remaining`` was integrated (lazy advance: work
-        #: only moves from projection to state when the rate changes).
-        self.synced_at = now
-        #: Projected completion time at the current rate.
-        self.finish_at = _NEVER
-        #: Solver bookkeeping: last affected-set epoch (dedup
-        #: across a multi-link walk) and the completion-calendar entry
-        #: version (lazy invalidation of superseded projections).
+
+
+class _RouteClass:
+    """Every live flow on one route tuple, progressing in lockstep.
+
+    ``rem[i]`` is member ``flows[i]``'s remaining bytes as of ``at``;
+    the members' projected finishes are ``at + max(rem[i], 0) / rate``.
+    Only a rate change moves ``at`` or decrements ``rem``.
+    """
+
+    __slots__ = ("route", "cid", "flows", "rem", "rate", "at", "epoch", "ver")
+
+    def __init__(self, route: tuple, cid: int, now: float):
+        self.route = route
+        #: Its first member's seq: the calendar tie-break between classes.
+        self.cid = cid
+        #: Members in start order, and their remaining bytes.
+        self.flows: list[_Flow] = []
+        self.rem: list[float] = []
+        self.rate = 0.0
+        #: Last time ``rem`` was integrated.
+        self.at = now
+        #: Solver bookkeeping: last affected-set epoch (dedup across a
+        #: multi-link walk) and the completion-calendar entry version
+        #: (lazy invalidation of superseded projections).
         self.epoch = 0
-        self.cal_ver = 0
+        self.ver = 0
 
 
 _BY_SEQ = attrgetter("seq")
+_FIRST = itemgetter(0)
 
 
 class ScopedFluidSolver:
-    """The fluid fair-share engine: O(affected) updates plus a
-    completion calendar.
+    """The fluid fair-share engine over route classes: O(affected
+    classes) updates plus a completion calendar.
 
-    A membership change re-rates only the flows that share a link with
-    the changed route(s) — the only flows whose ``bandwidth / count``
-    inputs moved.  Changed projections push versioned entries into a
-    keyed heap; superseded entries are invalidated lazily on contact,
-    so the next-finish question is an O(log F) peek instead of a
-    min-scan.
+    A membership change re-rates only the classes that share a link
+    with the changed route(s) — the only flows whose ``bandwidth /
+    count`` inputs moved.  A class whose rate moved integrates all its
+    members in one list pass and pushes one versioned entry, keyed on
+    its head finish, into a heap; superseded entries are invalidated
+    lazily on contact, so the next-finish question is a heap peek
+    instead of a min-scan.
 
-    Everything observable — flow arithmetic, completion semantics,
-    eviction order, the timer schedule — lives outside the three
-    strategy hooks (``_membership_changed``, ``_collect_due``,
-    ``_min_finish``).  The dense recompute-everything reference in
-    ``tests/oracles.py`` overrides only those hooks, and the
+    The per-flow arithmetic this replaces survives only as the
+    recompute-everything reference in ``tests/oracles.py``; the
     solver-equivalence tests pin the two as byte-identical.
     """
 
@@ -369,6 +389,9 @@ class ScopedFluidSolver:
         #: key -> flow, insertion-ordered = start order (RPR002: a hash
         #: set here would order completions by object address).
         self.flows: dict = {}
+        #: route tuple -> live class; a class is dropped with its last
+        #: member.
+        self.classes: dict = {}
         self.seq = 0
         #: The one next-finish timer.  ``schedule()`` at an unchanged
         #: target is a seq-free no-op, so re-asserting it after every
@@ -381,80 +404,89 @@ class ScopedFluidSolver:
         self.flows_touched = 0
         self.rate_recomputes = 0
         self.epoch = 0
-        #: Completion calendar: ``(finish_at, seq, cal_ver, flow)``
+        #: Completion calendar: ``(head_finish, cid, ver, class)``
         #: entries; an entry is live while its version matches the
-        #: flow's current ``cal_ver``.
+        #: class's current ``ver``.
         self.calendar: list = []
-
-    # -- flow arithmetic -------------------------------------------------
-    def _update_flow(self, flow: _Flow, now: float) -> bool:
-        """Recompute one flow's fair-share rate; on change, integrate
-        progress at the old rate and re-project completion.
-
-        The exact-float compare carries the equivalence argument: a
-        flow's rate is a pure function of its route links' flow counts,
-        so a flow none of whose links changed recomputes to the
-        bit-identical value and is skipped — a dense recompute-everything
-        solver's skip set equals this solver's unaffected set exactly.
-        """
-        self.rate_recomputes += 1
-        rate = min(link.bytes_per_us / link.fluid_flows for link in flow.route)
-        if rate == flow.rate:
-            return False
-        elapsed = now - flow.synced_at
-        if elapsed > 0.0:
-            flow.remaining -= flow.rate * elapsed
-            flow.synced_at = now
-        flow.rate = rate
-        remaining = flow.remaining
-        if remaining < 0.0:
-            remaining = 0.0
-        flow.finish_at = now + remaining / rate
-        return True
-
-    def _sync(self, flow: _Flow, now: float) -> float:
-        """Integrate ``remaining`` up to ``now`` without a rate change
-        (eviction reporting); returns the clamped remaining bytes."""
-        elapsed = now - flow.synced_at
-        if elapsed > 0.0:
-            flow.remaining -= flow.rate * elapsed
-            flow.synced_at = now
-        remaining = flow.remaining
-        return remaining if remaining > 0.0 else 0.0
 
     # -- membership ------------------------------------------------------
     def start(self, key, route: list[Link], nbytes: int, ev: Event) -> None:
         now = self.sim._now
         self.seq += 1
-        flow = _Flow(key, route, nbytes, ev, self.seq, now)
+        rkey = tuple(route)
+        cls = self.classes.get(rkey)
+        if cls is None:
+            cls = self.classes[rkey] = _RouteClass(rkey, self.seq, now)
+            for link in rkey:
+                link._fluid[cls] = None
+        else:
+            # The join strictly lowers this class's rate (every route
+            # link's count rises), so the walk below re-rates it: the
+            # members integrate at the old rate before the newcomer
+            # joins at full size.
+            elapsed = now - cls.at
+            if elapsed > 0.0:
+                x = cls.rate * elapsed
+                cls.rem = [r - x for r in cls.rem]
+                cls.at = now
+        flow = _Flow(key, rkey, nbytes, ev, self.seq)
+        cls.flows.append(flow)
+        cls.rem.append(float(nbytes))
         self.flows[key] = flow
         n = len(self.flows)
         if n > self.peak_flows:
             self.peak_flows = n
-        for link in route:
-            link.fluid_enter(flow)
-        self._membership_changed((route,), now)
+        for link in rkey:
+            link.fluid_enter()
+        self._membership_changed((rkey,), now)
         self._settle_timer(now)
 
     def abort(self, key) -> bool:
         flow = self.flows.pop(key, None)
         if flow is None:
             return False
-        flow.cal_ver += 1
-        for link in flow.route:
-            link.fluid_exit(flow)
+        route = flow.route
+        cls = self.classes[route]
+        i = cls.flows.index(flow)
+        del cls.flows[i]
+        del cls.rem[i]
+        for link in route:
+            link.fluid_exit()
             link.flows_aborted += 1
+        if not cls.flows:
+            self._drop(cls)
         now = self.sim._now
-        self._membership_changed((flow.route,), now)
+        self._membership_changed((route,), now)
         self._settle_timer(now)
         return True
 
     def evict_crossing(self, link: Link) -> list[tuple[object, float]]:
-        """Sync and report every fluid flow crossing ``link``, in start
-        order, with its exact remaining bytes (take-down eviction).
-        The caller aborts the victims afterwards."""
+        """Report every fluid flow crossing ``link``, in start order,
+        with its exact remaining bytes (take-down eviction).  The caller
+        aborts the victims afterwards.
+
+        Remaining bytes are computed on the side: a class is never
+        synced without a rate change, which keeps every stored
+        projection bit-identical to the per-flow arithmetic.
+        """
         now = self.sim._now
-        return [(flow.key, self._sync(flow, now)) for flow in link._fluid]
+        victims = []
+        for cls in link._fluid:
+            elapsed = now - cls.at
+            x = cls.rate * elapsed
+            for flow, r in zip(cls.flows, cls.rem):
+                if elapsed > 0.0:
+                    r -= x
+                victims.append((flow.seq, flow.key, r if r > 0.0 else 0.0))
+        victims.sort(key=_FIRST)
+        return [(key, r) for _, key, r in victims]
+
+    def _drop(self, cls: _RouteClass) -> None:
+        """An emptied class leaves the solver and every link's index."""
+        del self.classes[cls.route]
+        cls.ver += 1
+        for link in cls.route:
+            del link._fluid[cls]
 
     # -- completion ------------------------------------------------------
     def _on_timer(self, handle) -> None:
@@ -464,12 +496,13 @@ class ScopedFluidSolver:
         due = self._collect_due(now)
         while due:
             self.completed += len(due)
+            flows = self.flows
             for flow in due:
-                del self.flows[flow.key]
-                flow.cal_ver += 1
+                del flows[flow.key]
+                nbytes = flow.nbytes
                 for link in flow.route:
-                    link.fluid_exit(flow)
-                    link.bytes_carried += flow.nbytes
+                    link.fluid_exit()
+                    link.bytes_carried += nbytes
                     link.flows_completed += 1
                 if not flow.ev.triggered:
                     flow.ev.succeed(None)
@@ -484,7 +517,8 @@ class ScopedFluidSolver:
         """Re-arm the next-finish timer after any membership change."""
         if not self.flows:
             self.timer.cancel()
-            self._on_idle()
+            # The last flow left the fabric: drop calendar garbage.
+            self.calendar.clear()
             return
         best = self._min_finish()
         if best <= now:
@@ -492,53 +526,79 @@ class ScopedFluidSolver:
             return
         self.timer.schedule(best)
 
-    def _on_idle(self) -> None:
-        """The last flow left the fabric: drop calendar garbage."""
-        self.calendar.clear()
-
-    # -- strategy hooks --------------------------------------------------
     def _membership_changed(self, routes, now: float) -> None:
+        """Re-rate every class sharing a link with ``routes``."""
         self.membership_updates += 1
         epoch = self.epoch = self.epoch + 1
-        touched = 0
+        touched = recomputes = 0
         cal = self.calendar
         push = heapq.heappush
-        update = self._update_flow
         for route in routes:
             for link in route:
-                for flow in link._fluid:
-                    if flow.epoch == epoch:
+                for cls in link._fluid:
+                    if cls.epoch == epoch:
                         continue
-                    flow.epoch = epoch
-                    touched += 1
-                    if update(flow, now):
-                        ver = flow.cal_ver = flow.cal_ver + 1
-                        push(cal, (flow.finish_at, flow.seq, ver, flow))
+                    cls.epoch = epoch
+                    touched += len(cls.flows)
+                    recomputes += 1
+                    rate = min(hop.bytes_per_us / hop.fluid_flows for hop in cls.route)
+                    if rate == cls.rate:
+                        # A pure function of unchanged counts: every
+                        # member keeps its projection bit for bit.
+                        continue
+                    elapsed = now - cls.at
+                    if elapsed > 0.0:
+                        x = cls.rate * elapsed
+                        cls.rem = [r - x for r in cls.rem]
+                        cls.at = now
+                    cls.rate = rate
+                    head = min(cls.rem)
+                    if head < 0.0:
+                        head = 0.0
+                    ver = cls.ver = cls.ver + 1
+                    push(cal, (now + head / rate, cls.cid, ver, cls))
         self.flows_touched += touched
-        if len(cal) > 64 and len(cal) > 4 * len(self.flows):
-            # Compact: at most one entry per flow is live; the rest is
+        self.rate_recomputes += recomputes
+        if len(cal) > 64 and len(cal) > 4 * len(self.classes):
+            # Compact: at most one entry per class is live; the rest is
             # superseded-projection garbage.  Values are untouched, so
             # this is schedule-neutral.
-            live = [e for e in cal if e[2] == e[3].cal_ver]
+            live = [e for e in cal if e[2] == e[3].ver]
             heapq.heapify(live)
             self.calendar = live
 
     def _collect_due(self, now: float) -> list[_Flow]:
+        """Pop every class whose head is due and split off its due
+        members; returns them in start order (the same-instant
+        completion tie-break)."""
         cal = self.calendar
-        due = []
+        due: list[_Flow] = []
         pop = heapq.heappop
         while cal:
             head = cal[0]
-            if head[2] != head[3].cal_ver:
+            cls = head[3]
+            if head[2] != cls.ver:
                 pop(cal)
                 continue
             if head[0] > now:
                 break
             pop(cal)
-            due.append(head[3])
+            flows = cls.flows
+            if len(flows) > 1:
+                at, rate, rem = cls.at, cls.rate, cls.rem
+                hits = [
+                    i for i, r in enumerate(rem)
+                    if at + (r if r > 0.0 else 0.0) / rate <= now
+                ]
+                if len(hits) < len(flows):
+                    for i in reversed(hits):
+                        due.append(flows.pop(i))
+                        del rem[i]
+                    continue
+            # Every member is due (a lone member is its class's head).
+            due.extend(flows)
+            self._drop(cls)
         if len(due) > 1:
-            # Same-instant completions resolve in start order — exactly
-            # the registry's insertion order.
             due.sort(key=_BY_SEQ)
         return due
 
@@ -547,11 +607,12 @@ class ScopedFluidSolver:
         pop = heapq.heappop
         while cal:
             head = cal[0]
-            if head[2] == head[3].cal_ver:
+            if head[2] == head[3].ver:
                 return head[0]
             pop(cal)
-        # Unreachable while flows exist: every live flow keeps one live
-        # calendar entry (pushed at birth and on every rate change).
+        # Unreachable while flows exist: every live class keeps one live
+        # calendar entry (pushed on every rate change, and every
+        # membership change moves its rate).
         return _NEVER
 
 
@@ -782,7 +843,7 @@ class Fabric:
         link.up = False
         link.faults += 1
         victims: list[tuple[object, Optional[float]]] = []
-        if link._fluid:
+        if link.fluid_flows:
             victims = list(self._solver.evict_crossing(link))
             for key, _ in victims:
                 self._solver.abort(key)
@@ -831,10 +892,12 @@ class Fabric:
         return [link for link in self.links() if link.up and not link.idle]
 
     def _sanitizer_problems(self) -> list[tuple[str, str]]:
-        """Drain-end capacity invariant: every flow gone, every link idle.
+        """Drain-end capacity invariant: every flow and route class
+        gone, every link idle and indexing no class.
 
         A residual here is the network slot-leak — an abort path that
-        failed to hand back a flow's share of link capacity.
+        failed to hand back a flow's share of link capacity, or a drop
+        path that left an emptied class behind.
         """
         problems: list[tuple[str, str]] = []
         flows = self._solver.flows
@@ -845,6 +908,27 @@ class Fabric:
                     "capacity",
                     f"fabric drained with {len(flows)} live fluid "
                     f"flow(s): {keys}",
+                )
+            )
+        classes = self._solver.classes
+        if classes:
+            routes = ", ".join(
+                "->".join(link.name for link in route) for route in classes
+            )
+            problems.append(
+                (
+                    "capacity",
+                    f"fabric drained with {len(classes)} live route "
+                    f"class(es): {routes}",
+                )
+            )
+        indexed = [link.name for link in self.links() if link._fluid]
+        if indexed:
+            problems.append(
+                (
+                    "capacity",
+                    f"{len(indexed)} fabric link(s) still index route "
+                    f"classes at drain end: {', '.join(indexed)}",
                 )
             )
         stuck = self.busy_links()

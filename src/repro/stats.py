@@ -115,10 +115,11 @@ class FabricStats(Stats):
     flows_completed: int
     #: Membership changes processed (start/abort/completion batches).
     membership_updates: int
-    #: Flows examined across all membership changes (the affected set
-    #: of each change).
+    #: Flows examined across all membership changes (the members of
+    #: every route class in the affected set of each change).
     flows_touched: int
-    #: Per-flow min-over-route rate evaluations.
+    #: Min-over-route rate evaluations, one per affected route class
+    #: (all flows on one route share a rate).
     rate_recomputes: int
     #: Next-finish timer traffic: re-arms vs cancels vs actual fires.
     timer_rearms: int

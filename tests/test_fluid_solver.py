@@ -1,14 +1,20 @@
-"""The scoped fluid solver against the dense reference, property-style.
+"""The route-class fluid solver against the per-flow reference,
+property-style.
 
-The scoped incremental engine must be *byte-identical* to the dense
-reference — not approximately equal: same per-flow delivery times, same
-link counters, same busy fractions, and the same whole-simulation event
+The scoped route-class engine must be *byte-identical* to the dense
+per-flow reference (``tests/oracles.py``, which shares no code with it)
+— not approximately equal: same per-flow delivery times, same link
+counters, same busy fractions, and the same whole-simulation event
 schedule — for every interleaving of flow starts, aborts, link faults,
-and restores.  The equivalence argument is that a flow's rate is a pure
-function of its route links' flow counts, so the dense engine's
-"rate unchanged -> skip" set equals the scoped engine's unaffected set
-exactly; these tests pin that argument at the fabric layer (where
-hypothesis shrinking is cheap) and then end to end through the full
+and restores.  The equivalence argument has two parts.  A flow's rate
+is a pure function of its route links' flow counts, so the dense
+engine's "rate unchanged -> skip" set equals the scoped engine's
+unaffected set exactly.  And every flow on one route shares that rate
+and changes it at the same instants, so a route class integrating its
+members in lockstep performs the very float operations the per-flow
+engine performs one flow at a time.  These tests pin the argument at
+the fabric layer (where hypothesis shrinking is cheap), with a stream
+built to grow large classes, and then end to end through the full
 transport scenarios, the fault drills included.
 """
 
@@ -18,7 +24,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
 from oracles import DenseFluidSolver
@@ -63,7 +69,39 @@ _OPS = st.lists(
 )
 
 
-def _run_fabric_scenario(solver, ops, debug_names: bool = False):
+#: Two hosts on island 0 and one on island 1: only a handful of distinct
+#: routes exist, so route classes collect many members.
+_FEW_HOSTS = [_HOSTS[0], _HOSTS[1], _HOSTS[4]]
+
+#: Links each shared by two or more routes among ``_FEW_HOSTS``.
+_SHARED_LINKS = [
+    "nic_tx[h0]", "nic_rx[h1]", "uplink_tx[i0]", "spine[p0]", "spine[p1]",
+]
+
+_CLASS_START = st.builds(
+    lambda pair, nbytes, delay: ("start", *pair, nbytes, delay),
+    # Mostly one route, one size and zero delays: members pile up, and
+    # equal-size members started together complete as a same-instant tie.
+    st.sampled_from([(0, 1), (0, 1), (0, 1), (1, 0), (0, 2), (1, 2)]),
+    st.sampled_from([1 << 20, 1 << 20, 1 << 20, 65536, 1 << 22]),
+    st.sampled_from([0.0, 0.0, 0.0, 0.0, 1.0, 10.0]),
+)
+
+_CLASS_OPS = st.tuples(
+    st.lists(_CLASS_START, min_size=12, max_size=40),
+    st.lists(
+        st.one_of(
+            _CLASS_START,
+            st.tuples(st.just("abort_head"), st.integers(0, 5), _DELAYS),
+            st.tuples(st.just("down_link"), st.sampled_from(_SHARED_LINKS), _DELAYS),
+            st.tuples(st.just("restore"), _DELAYS),
+        ),
+        max_size=30,
+    ),
+).map(lambda parts: parts[0] + parts[1])
+
+
+def _run_fabric_scenario(solver, ops, debug_names: bool = False, hosts=_HOSTS):
     """Drive one op stream straight into a Fabric; returns the full
     observable record (deliveries, victims, link counters, schedule)."""
     sim = Simulator(debug_names=debug_names, log_schedule=True)
@@ -72,32 +110,53 @@ def _run_fabric_scenario(solver, ops, debug_names: bool = False):
         fabric = Fabric(sim, config)
     deliveries: list = []
     log: list = []
+    routes: dict = {}  # key -> route tuple, as started
+    peak_class = 0
+
+    def live_on(route):
+        return [k for k in fabric._solver.flows if routes[k] == route]
 
     def driver():
+        nonlocal peak_class
         next_key = 0
         for op in ops:
             yield sim.timeout(op[-1])
             if op[0] == "start":
-                src, dst = _HOSTS[op[1]], _HOSTS[op[2]]
+                src, dst = hosts[op[1]], hosts[op[2]]
                 route = fabric.route(src, dst, flow_seq=next_key)
                 if not route or any(not link.up for link in route):
                     continue
                 key = next_key = next_key + 1
+                routes[key] = tuple(route)
                 ev = fabric.start_flow(key, route, op[3])
                 ev.add_callback(
                     lambda ev, k=key: deliveries.append((k, sim.now))
                 )
+                peak_class = max(peak_class, len(live_on(routes[key])))
             elif op[0] == "abort":
                 live = list(fabric._solver.flows)
                 if live:
                     key = live[op[1] % len(live)]
                     log.append(("abort", key, fabric.abort_flow(key)))
-            elif op[0] == "down":
-                links = fabric.links()
-                if links:
+            elif op[0] == "abort_head":
+                # The oldest live member of one route: with equal sizes,
+                # the member whose projection keys its class's entry.
+                live_routes = list(dict.fromkeys(
+                    routes[k] for k in fabric._solver.flows
+                ))
+                if live_routes:
+                    key = live_on(live_routes[op[1] % len(live_routes)])[0]
+                    log.append(("abort_head", key, fabric.abort_flow(key)))
+            elif op[0] in ("down", "down_link"):
+                if op[0] == "down_link":
+                    link = fabric.link_by_name(op[1])
+                else:
+                    links = fabric.links()
+                    if not links:
+                        continue
                     link = links[op[1] % len(links)]
-                    victims = fabric.take_down(link)
-                    log.append(("down", link.name, victims))
+                victims = fabric.take_down(link)
+                log.append(("down", link.name, victims))
             else:
                 down = fabric.down_links()
                 if down:
@@ -123,14 +182,11 @@ def _run_fabric_scenario(solver, ops, debug_names: bool = False):
         "schedule": list(sim.schedule_log),
         "pending_timers": sim.stats().pending_timers,
         "fabric_stats": fabric.stats(),
+        "peak_class": peak_class,
     }
 
 
-@given(ops=_OPS)
-@settings(max_examples=150, deadline=None)
-def test_scoped_matches_dense_exactly(ops):
-    dense = _run_fabric_scenario(DenseFluidSolver, ops)
-    scoped = _run_fabric_scenario(ScopedFluidSolver, ops)
+def _assert_identical(dense, scoped):
     assert scoped["deliveries"] == dense["deliveries"]
     assert scoped["log"] == dense["log"]  # abort results + eviction victims
     assert scoped["links"] == dense["links"]
@@ -140,6 +196,52 @@ def test_scoped_matches_dense_exactly(ops):
     assert scoped["events"] == dense["events"]
     # Both engines end clean: no live flows, no stranded timer.
     assert scoped["pending_timers"] == dense["pending_timers"] == 0
+
+
+@given(ops=_OPS)
+@settings(max_examples=150, deadline=None)
+def test_scoped_matches_dense_exactly(ops):
+    dense = _run_fabric_scenario(DenseFluidSolver, ops)
+    scoped = _run_fabric_scenario(ScopedFluidSolver, ops)
+    _assert_identical(dense, scoped)
+
+
+@given(ops=_CLASS_OPS)
+@settings(max_examples=100, deadline=None)
+def test_large_route_classes_match_per_flow_exactly(ops):
+    """Few endpoints, many flows: classes of ten and more members,
+    same-instant completion ties, head aborts, and take-downs of links
+    that two classes share."""
+    dense = _run_fabric_scenario(DenseFluidSolver, ops, hosts=_FEW_HOSTS)
+    scoped = _run_fabric_scenario(ScopedFluidSolver, ops, hosts=_FEW_HOSTS)
+    target(float(scoped["peak_class"]), label="peak route-class size")
+    _assert_identical(dense, scoped)
+
+
+def test_large_class_ties_head_abort_and_shared_takedown():
+    """One pinned stream through every class-specific path: twelve
+    equal flows on one route start together (a same-instant tie), a
+    second class shares the sender NIC, the head of the big class is
+    aborted, then that shared NIC is taken down and restored."""
+    same = [("start", 0, 1, 65536, 0.0)] * 12
+    other = [("start", 0, 2, 65536, 0.0)] * 3
+    ops = same + other + [
+        ("abort_head", 0, 1.0),
+        ("down_link", "nic_tx[h0]", 2.0),
+        ("restore", 5.0),
+    ] + same + [("restore", 0.0)]
+    dense = _run_fabric_scenario(DenseFluidSolver, ops, hosts=_FEW_HOSTS)
+    scoped = _run_fabric_scenario(ScopedFluidSolver, ops, hosts=_FEW_HOSTS)
+    _assert_identical(dense, scoped)
+    assert scoped["peak_class"] >= 12
+    head_abort, takedown = scoped["log"][0], scoped["log"][1]
+    assert head_abort == ("abort_head", 1, True)
+    # Both classes crossing the NIC were evicted, in start order.
+    victims = [key for key, _ in takedown[2]]
+    assert takedown[1] == "nic_tx[h0]" and victims == list(range(2, 16))
+    # The second burst completes as one same-instant tie.
+    times = [t for k, t in scoped["deliveries"] if k > 15]
+    assert len(times) == 12 and len(set(times)) == 1
 
 
 @given(ops=_OPS)
@@ -239,6 +341,73 @@ class TestSolverSelection:
         assert type(fabric._solver) is ScopedFluidSolver
 
 
+class TestRouteClassLifecycle:
+    """A route class is every live flow on one route tuple: created
+    with its first member, dropped with its last, and indexed by every
+    link it crosses exactly while it lives."""
+
+    @staticmethod
+    def _fabric():
+        sim = Simulator()
+        fabric = Fabric(sim, SystemConfig(net_link_sharing="fair"))
+        h0, h1, h4 = _FEW_HOSTS
+        routes = {
+            "a": tuple(fabric.route(h0, h1)),
+            "b": tuple(fabric.route(h1, h0)),
+            "c": tuple(fabric.route(h0, h4)),
+        }
+        return sim, fabric, routes
+
+    @staticmethod
+    def _assert_indexed(fabric):
+        classes = list(fabric._solver.classes.values())
+        for link in fabric.links():
+            assert list(link._fluid) == [c for c in classes if link in c.route]
+            assert link.fluid_flows == sum(len(c.flows) for c in link._fluid)
+
+    def test_one_class_per_distinct_route(self):
+        sim, fabric, routes = self._fabric()
+        for key, name in enumerate("aabacb"):
+            fabric.start_flow(key, list(routes[name]), 10_000 + key)
+        solver = fabric._solver
+        assert list(solver.classes) == [routes["a"], routes["b"], routes["c"]]
+        sizes = [[f.key for f in c.flows] for c in solver.classes.values()]
+        assert sizes == [[0, 1, 3], [2, 5], [4]]
+        # Members share one rate; remaining bytes stay parallel.
+        for cls in solver.classes.values():
+            assert len(cls.rem) == len(cls.flows) and cls.rate > 0.0
+        self._assert_indexed(fabric)
+        sim.run()
+
+    def test_class_removed_with_its_last_member(self):
+        sim, fabric, routes = self._fabric()
+        for key, name in enumerate("aab"):
+            fabric.start_flow(key, list(routes[name]), 50_000)
+        solver = fabric._solver
+        assert fabric.abort_flow(2)  # "b"'s only member
+        assert routes["b"] not in solver.classes
+        self._assert_indexed(fabric)
+        assert fabric.abort_flow(0)  # "a" keeps one member
+        assert [f.key for f in solver.classes[routes["a"]].flows] == [1]
+        self._assert_indexed(fabric)
+        assert fabric.abort_flow(1)
+        assert not solver.classes and not solver.flows
+        self._assert_indexed(fabric)
+
+    def test_drain_leaves_no_class_and_no_link_index(self):
+        sim, fabric, routes = self._fabric()
+        for key in range(30):
+            fabric.start_flow(key, list(routes["abc"[key % 3]]), 4096 * (1 + key % 4))
+        victims = fabric.take_down(fabric.link_by_name("nic_tx[h0]"))
+        assert [key for key, _ in victims] == [k for k in range(30) if k % 3 != 1]
+        fabric.restore_link(fabric.link_by_name("nic_tx[h0]"))
+        sim.run()
+        solver = fabric._solver
+        assert not solver.classes and not solver.flows and not solver.calendar
+        assert all(not link._fluid and link.fluid_flows == 0 for link in fabric.links())
+        assert fabric.idle
+
+
 SOLVERS = [DenseFluidSolver, ScopedFluidSolver]
 SOLVER_IDS = ["dense", "scoped"]
 
@@ -315,6 +484,10 @@ class TestFabricStats:
             == dense.fabric.membership_updates
         )
         assert scoped.fabric.timer_fires == dense.fabric.timer_fires
+        # The same flows are examined, but rated once per route class:
+        # each NIC pair is one class, so one evaluation per change.
+        assert dense.fabric.rate_recomputes == dense.fabric.flows_touched
+        assert scoped.fabric.rate_recomputes <= scoped.fabric.membership_updates
 
     def test_transport_stats_carries_fabric_snapshot(self):
         r = run_flow_fleet(n_flows=50, hosts=4)

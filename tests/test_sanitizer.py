@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.config import SystemConfig
-from repro.net.fabric import Fabric
+from repro.net.fabric import Fabric, _RouteClass
 from repro.net.transport import Transport
 from repro.sim import (
     DoubleTriggerError,
@@ -167,8 +167,44 @@ class TestFabricAndTransportInvariants:
         sim = Simulator(sanitize=True)
         fabric = Fabric(sim, SystemConfig())
         link = fabric.nic_tx(SimpleNamespace(host_id=0))
-        link.fluid_enter(object())  # a flow's share never handed back
+        link.fluid_enter()  # a flow's share never handed back
         with pytest.raises(LeakedCapacityError, match="nic_tx"):
+            sim.run()
+
+    @staticmethod
+    def _drained_fabric():
+        """A sanitized fabric that carried one flow to completion."""
+        sim = Simulator(sanitize=True)
+        fabric = Fabric(sim, SystemConfig())
+        hosts = [SimpleNamespace(host_id=i, island_id=0) for i in range(2)]
+        route = fabric.route(hosts[0], hosts[1])
+        fabric.start_flow("a", route, 10_000)
+        sim.run()
+        assert fabric.idle and not fabric._solver.classes
+        return sim, fabric, route
+
+    def test_leaked_route_class_detected(self):
+        """A drop path that forgets an emptied route class leaves it in
+        the solver and in every route link's index."""
+        sim, fabric, route = self._drained_fabric()
+        stale = _RouteClass(tuple(route), cid=99, now=sim.now)
+        fabric._solver.classes[stale.route] = stale
+        for link in route:
+            link._fluid[stale] = None
+        with pytest.raises(
+            LeakedCapacityError, match=r"1 live route class\(es\): nic_tx\[h0\]->nic_rx\[h1\]"
+        ) as err:
+            sim.run()
+        assert "2 fabric link(s) still index route classes" in str(err.value)
+
+    def test_stale_link_index_detected(self):
+        """A link still indexing a class the solver already dropped."""
+        sim, fabric, route = self._drained_fabric()
+        route[1]._fluid[object()] = None
+        with pytest.raises(
+            LeakedCapacityError,
+            match=r"1 fabric link\(s\) still index route classes at drain end: nic_rx\[h1\]",
+        ):
             sim.run()
 
     def test_idle_fabric_is_clean(self):
