@@ -15,6 +15,7 @@ from repro.config import SystemConfig
 from repro.core.placement import DeviceGroup
 from repro.core.virtual_device import VirtualSlice
 from repro.hw.cluster import Cluster
+from repro.hw.device import Device
 from repro.hw.topology import Island
 from repro.sim import Event, Simulator
 from repro.xla.compiler import Compiler
@@ -141,8 +142,9 @@ class ResourceManager:
         return sum(isl.n_devices for isl in self._islands.values())
 
     # -- slice binding ----------------------------------------------------
-    def _pick_island(self, n_devices: int) -> Island:
-        """Least-loaded non-draining island with *surviving* capacity.
+    def _pick_island(self, n_devices: int) -> tuple[Island, list[Device]]:
+        """Least-loaded non-draining island with *surviving* capacity,
+        with its healthy-device list (one scan per island per bind).
 
         Ranked by ``(uplink utilization, cursor, island id)``: the
         congestion signal first — the same
@@ -156,10 +158,13 @@ class ResourceManager:
         history.  Utilization is rounded so float dust cannot flip the
         deterministic tie-break.
         """
-        candidates = [
-            isl for isl in self._islands.values()
-            if isl.n_healthy >= n_devices and isl.island_id not in self._draining
-        ]
+        candidates = []
+        for isl in self._islands.values():
+            if isl.island_id in self._draining:
+                continue
+            healthy = isl.healthy_devices
+            if len(healthy) >= n_devices:
+                candidates.append((isl, healthy))
         if not candidates:
             raise RuntimeError(
                 f"no island can host a slice of {n_devices} devices "
@@ -169,10 +174,10 @@ class ResourceManager:
         fabric = self.cluster.fabric
         return min(
             candidates,
-            key=lambda isl: (
-                round(fabric.uplink_utilization(isl.island_id), 6),
-                self._cursor.get(isl.island_id, 0),
-                isl.island_id,
+            key=lambda c: (
+                round(fabric.uplink_utilization(c[0].island_id), 6),
+                self._cursor.get(c[0].island_id, 0),
+                c[0].island_id,
             ),
         )
 
@@ -195,10 +200,10 @@ class ResourceManager:
                     f"island {vslice.island_id} is draining; repin slice "
                     f"{vslice.slice_id} elsewhere"
                 )
+            healthy = island.healthy_devices
         else:
-            island = self._pick_island(vslice.n_devices)
+            island, healthy = self._pick_island(vslice.n_devices)
         n = vslice.n_devices
-        healthy = island.healthy_devices
         if n <= self.aggregate_threshold and n <= len(healthy):
             # Detailed: a contiguous run of healthy devices, round-robin
             # offset (identical to the original contiguous slice when

@@ -366,13 +366,34 @@ class IslandScheduler:
         surviving devices of affected gangs are released too (their
         kernels were aborted by the collective release)."""
         self._outstanding.pop(device_id, None)
-        for seq, devices in list(self._live_grants.items()):
+        live = self._live_grants
+        if not live:
+            return
+        for seq, devices in list(live.items()):
             if device_id in devices:
-                del self._live_grants[seq]
+                del live[seq]
                 self._release(tuple(d for d in devices if d != device_id))
 
     def _apply(self, kind: str, payload) -> None:
-        if kind == "req":
+        # Fault traffic first: under churn nearly every message is an
+        # evict or a readmit.
+        if kind == "evict":
+            device_id = payload
+            self._purge_device(device_id)
+            if self._pending:
+                doomed = [r for r in self._pending if device_id in r.device_ids]
+                for req in doomed:
+                    self._pending.remove(req)
+                    self.evictions += 1
+                    if not req.grant.triggered:
+                        req.grant.fail(
+                            DeviceFailure(device_id, f"evicted {req.node_label}")
+                        )
+            self._check_drained()
+        elif kind == "readmit":
+            self._purge_device(payload)
+            self._check_drained()
+        elif kind == "req":
             if self._draining:
                 # Not admitted: fail fast so the client's retry path can
                 # remap onto a non-draining island instead of wedging on
@@ -412,18 +433,6 @@ class IslandScheduler:
                         },
                     )
             self._check_drained()
-        elif kind == "evict":
-            device_id = payload
-            self._purge_device(device_id)
-            doomed = [r for r in self._pending if device_id in r.device_ids]
-            for req in doomed:
-                self._pending.remove(req)
-                self.evictions += 1
-                if not req.grant.triggered:
-                    req.grant.fail(
-                        DeviceFailure(device_id, f"evicted {req.node_label}")
-                    )
-            self._check_drained()
         elif kind == "expire":
             req = payload
             if req in self._pending:
@@ -445,9 +454,6 @@ class IslandScheduler:
                         DeadlineExceeded(req.node_label, req.deadline_at_us)
                     )
                 self._check_drained()
-        elif kind == "readmit":
-            self._purge_device(payload)
-            self._check_drained()
         elif kind == "pause":
             self._paused = True
         elif kind == "resume":
@@ -483,8 +489,9 @@ class IslandScheduler:
             self._drain_incoming()
             # Draining does not stop this loop: requests admitted before
             # the drain still grant in order; only new submissions are
-            # rejected (in ``_apply``).
-            while not self._paused:
+            # rejected (in ``_apply``).  An empty pending list would only
+            # break below, with no yield.
+            while not self._paused and self._pending:
                 if getattr(self.policy, "picks_first_eligible", False):
                     # FIFO fast path: _pending is in arrival (seq) order,
                     # so the first eligible entry is the policy's pick.

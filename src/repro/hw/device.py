@@ -431,21 +431,24 @@ class Device:
             return
         self.failed = True
         self.fail_count += 1
+        # Detach from whatever phase event we were waiting on (its
+        # late firing is ignored via the _waiting_on guard).
+        self._waiting_on = None
+        self._phase = None
+        self._idle = False
+        current, self._current = self._current, None
+        queue = self._queue
+        hbm = self.hbm
+        if current is None and not queue and not hbm.queue_len:
+            return  # an idle core: nothing to fail, so no cause to build
         cause = DeviceFailure(self.device_id, reason)
         # Preps blocked waiting on this device's HBM must observe the
         # loss: cancelling the waiters is what lets their retry loops
         # re-run instead of stalling forever on a grant that can never
         # arrive.
-        self.hbm.fail_waiters(cause)
-        # Detach from whatever phase event we were waiting on (its
-        # late firing is ignored via the _waiting_on guard), then abort
-        # the in-flight kernel and everything queued behind it.
-        self._waiting_on = None
-        self._phase = None
-        self._idle = False
-        current, self._current = self._current, None
+        hbm.fail_waiters(cause)
+        # Abort the in-flight kernel and everything queued behind it.
         self._abort_kernel(current, cause)
-        queue = self._queue
         while queue:
             self._abort_kernel(queue.popleft(), cause)
 

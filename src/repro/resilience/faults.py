@@ -14,9 +14,11 @@ and hands each event to the :class:`~repro.resilience.recovery.RecoveryManager`.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Generator, Iterable, TYPE_CHECKING
+from operator import attrgetter
+from typing import Generator, Iterable, Iterator, TYPE_CHECKING
 
 import numpy as np
 
@@ -24,6 +26,27 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.resilience.recovery import RecoveryManager
 
 __all__ = ["FaultEvent", "FaultInjector", "FaultKind", "FaultSchedule"]
+
+#: Schedule order: fault time only, ties kept in insertion order — the
+#: same stable order as :class:`FaultEvent`'s ``(at_us,)`` comparison,
+#: without a Python-level ``__lt__`` call per comparison.
+_AT = attrgetter("at_us")
+
+#: Exponential draws per ``Generator.exponential`` call when building a
+#: Poisson schedule.  NumPy fills a block element by element from the
+#: same bit stream as repeated scalar calls, so the block size changes
+#: no draw.
+_DRAW_BLOCK = 4096
+
+
+def _exponentials(rng: np.random.Generator, scale: float) -> Iterator[float]:
+    """Endless ``rng.exponential(scale)`` draws, taken in blocks.
+
+    Yields exactly the floats repeated scalar calls would return; the
+    generator must be private to one caller, since the unused tail of
+    the last block is drawn from it."""
+    while True:
+        yield from rng.exponential(scale, size=_DRAW_BLOCK).tolist()
 
 
 class FaultKind(Enum):
@@ -34,7 +57,7 @@ class FaultKind(Enum):
     LINK_RESTORE = "link_restore"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class FaultEvent:
     """One scheduled fault.
 
@@ -86,7 +109,7 @@ class FaultSchedule:
     """An ordered collection of fault events."""
 
     def __init__(self, events: Iterable[FaultEvent] = ()):
-        self.events: list[FaultEvent] = sorted(events)
+        self.events: list[FaultEvent] = sorted(events, key=_AT)
 
     def __len__(self) -> int:
         return len(self.events)
@@ -95,8 +118,8 @@ class FaultSchedule:
         return iter(self.events)
 
     def add(self, event: FaultEvent) -> "FaultSchedule":
-        self.events.append(event)
-        self.events.sort()
+        # Right of any equal-time event: the order append + stable sort gives.
+        bisect.insort(self.events, event, key=_AT)
         return self
 
     def device_failure(
@@ -184,17 +207,17 @@ class FaultSchedule:
         """
         if mtbf_us <= 0:
             raise ValueError(f"mtbf must be positive, got {mtbf_us}")
-        rng = np.random.default_rng(seed)
+        draw = _exponentials(np.random.default_rng(seed), mtbf_us).__next__
+        kind = FaultKind.DEVICE_FAILURE
         events: list[FaultEvent] = []
+        append = events.append
         for device_id in device_ids:
-            t = float(rng.exponential(mtbf_us))
+            t = draw()
             while t < horizon_us:
-                events.append(
-                    FaultEvent(t, FaultKind.DEVICE_FAILURE, device_id, repair_us)
-                )
+                append(FaultEvent(t, kind, device_id, repair_us))
                 if repair_us <= 0:
                     break
-                t += repair_us + float(rng.exponential(mtbf_us))
+                t += repair_us + draw()
         return cls(events)
 
 
@@ -229,12 +252,15 @@ class FaultInjector:
 
     def _run(self) -> Generator:
         sim = self.recovery.sim
+        timeout = sim.timeout
+        inject = self.recovery.inject
+        record = self.injected.append
         for event in self.schedule:
-            delay = event.at_us - sim.now
+            delay = event.at_us - sim._now
             if delay > 0:
-                yield sim.timeout(delay)
-            self.recovery.inject(event)
-            self.injected.append(event)
+                yield timeout(delay)
+            inject(event)
+            record(event)
             tr = sim.tracer
             if tr is not None and tr.enabled:
                 tr.instant(

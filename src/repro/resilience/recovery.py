@@ -101,7 +101,10 @@ class RecoveryManager:
             device = self.system.cluster.device(event.target)
             self.fail_device(device, reason="injected fault")
             if event.repair_us > 0:
-                self._after(event.repair_us, lambda: self.repair_device(device))
+                # The hot fault path: one callback on the repair timeout.
+                self.sim.timeout(event.repair_us).add_callback(
+                    lambda _ev: self.repair_device(device)
+                )
         elif event.kind is FaultKind.HOST_CRASH:
             host = self._host(event.target)
             self.crash_host(host)

@@ -7,21 +7,53 @@ production path that selects it:
 
 * :class:`HeapTimerQueue` — one global ``(when, seq, event)`` heap;
 * :class:`DenseFluidSolver` — per-flow rates, every live flow
-  recomputed on every membership change.
+  recomputed on every membership change;
+* :func:`scalar_poisson_device_failures` — one scalar exponential draw
+  per call and the dataclass-ordered sort, the reference for
+  :meth:`repro.resilience.FaultSchedule.poisson_device_failures`.
 
 ``test_timer_queue.py`` and ``test_fluid_solver.py`` swap them in (by
 assigning ``sim._queue`` or patching ``repro.net.fabric.ScopedFluidSolver``)
-and assert byte-identical results.
+and assert byte-identical results; ``test_resilience.py`` compares the
+schedules event for event.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any
+from typing import Any, Iterable
 
-__all__ = ["DenseFluidSolver", "HeapTimerQueue"]
+import numpy as np
+
+from repro.resilience import FaultEvent, FaultKind
+
+__all__ = ["DenseFluidSolver", "HeapTimerQueue", "scalar_poisson_device_failures"]
 
 _INF = float("inf")
+
+
+def scalar_poisson_device_failures(
+    mtbf_us: float,
+    horizon_us: float,
+    device_ids: Iterable[int],
+    seed: int = 0,
+    repair_us: float = 0.0,
+) -> list[FaultEvent]:
+    """Per-device exponential failure times, one ``rng.exponential``
+    call per draw, sorted by :class:`FaultEvent`'s own ``(at_us,)``
+    ordering."""
+    rng = np.random.default_rng(seed)
+    events: list[FaultEvent] = []
+    for device_id in device_ids:
+        t = float(rng.exponential(mtbf_us))
+        while t < horizon_us:
+            events.append(
+                FaultEvent(t, FaultKind.DEVICE_FAILURE, device_id, repair_us)
+            )
+            if repair_us <= 0:
+                break
+            t += repair_us + float(rng.exponential(mtbf_us))
+    return sorted(events)
 
 
 class HeapTimerQueue:

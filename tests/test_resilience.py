@@ -9,8 +9,13 @@ end-to-end ``retry_on_failure`` / churn scenarios.
 
 from __future__ import annotations
 
+import dataclasses
+import operator
+import random
+
 import pytest
 
+from oracles import scalar_poisson_device_failures
 from repro.config import DEFAULT_CONFIG
 from repro.core.system import PathwaysSystem
 from repro.hw.cluster import ClusterSpec, make_cluster
@@ -27,6 +32,7 @@ from repro.resilience import (
     FaultSchedule,
     RecoveryManager,
 )
+from repro.resilience.faults import _DRAW_BLOCK
 from repro.sim import Interrupt, Simulator
 from repro.workloads.churn import run_churn
 from repro.xla.computation import scalar_allreduce_add
@@ -129,6 +135,30 @@ class TestDeviceFailure:
         devs[1].enqueue(k_next)
         sim.run()
         assert k_next.done.ok
+
+    def test_fail_idle_device_aborts_nothing(self, sim, small_cluster):
+        dev = small_cluster.devices[0]
+        dev.fail("idle fault")
+        sim.run()
+        assert dev.failed and dev.fail_count == 1
+        assert dev.kernels_aborted == 0
+        assert dev.hbm.cancellations == 0
+
+    def test_fail_busy_device_carries_reason(self, sim, small_cluster):
+        dev = small_cluster.devices[0]
+        running = Kernel(sim, duration_us=100.0)
+        dev.enqueue(running)
+        assert dev.hbm.alloc(dev.hbm.capacity).ok
+        waiter = dev.hbm.alloc(1024)
+        sim.timeout(10.0).add_callback(lambda ev: dev.fail("busy fault"))
+        sim.run()
+        assert dev.kernels_aborted == 1 and dev.hbm.cancellations == 1
+        for ev in (running.done, waiter):
+            assert ev.triggered and not ev.ok
+            with pytest.raises(DeviceFailure) as info:
+                ev.value
+            assert info.value.device_id == dev.device_id
+            assert info.value.reason == "busy fault"
 
     def test_enqueue_to_failed_device_fails_fast(self, sim, small_cluster):
         dev = small_cluster.devices[0]
@@ -353,6 +383,22 @@ class TestHealthyBinding:
         with pytest.raises(RuntimeError):
             small_system.make_virtual_device_set().add_slice(tpu_devices=4)
 
+    def test_bind_error_when_only_a_draining_island_has_capacity(
+        self, two_island_system
+    ):
+        rm = two_island_system.resource_manager
+        island0, island1 = two_island_system.cluster.islands
+        rm.begin_drain(island0.island_id)
+        for d in island1.devices[1:]:
+            d.fail("gone")
+        # The message reports the largest healthy count over all
+        # islands, the draining one included.
+        with pytest.raises(
+            RuntimeError,
+            match=r"^no island can host a slice of 4 devices \(largest has 8 healthy\)$",
+        ):
+            two_island_system.make_virtual_device_set().add_slice(tpu_devices=4)
+
 
 # -- checkpoint cost model ---------------------------------------------------
 
@@ -387,6 +433,10 @@ class TestCheckpointManager:
 # -- fault schedules ---------------------------------------------------------
 
 
+#: Every field of a FaultEvent (its equality compares at_us only).
+_fields = operator.attrgetter(*(f.name for f in dataclasses.fields(FaultEvent)))
+
+
 class TestFaultSchedule:
     def test_poisson_schedule_is_deterministic(self):
         a = FaultSchedule.poisson_device_failures(
@@ -406,9 +456,60 @@ class TestFaultSchedule:
         targets = [e.target for e in sched]
         assert len(targets) == len(set(targets))
 
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    @pytest.mark.parametrize(
+        "n_devices, repair_us",
+        [(13_000, 0.0), (96, 50.0)],
+        ids=["one-draw-per-device", "repeated-failures"],
+    )
+    def test_block_draws_match_scalar_oracle(self, seed, n_devices, repair_us):
+        args = (100.0, 20_000.0, range(n_devices))
+        got = FaultSchedule.poisson_device_failures(
+            *args, seed=seed, repair_us=repair_us
+        )
+        want = scalar_poisson_device_failures(*args, seed=seed, repair_us=repair_us)
+        # Enough draws to refill the block several times.
+        assert len(want) > 3 * _DRAW_BLOCK
+        assert [_fields(e) for e in got] == [_fields(e) for e in want]
+
+    def test_tied_times_keep_dataclass_sort_order(self):
+        rng = random.Random(3)
+        events = [
+            FaultEvent(float(rng.randrange(4)), FaultKind.DEVICE_FAILURE, i)
+            for i in range(64)
+        ]
+        rng.shuffle(events)
+        # FaultEvent's own ordering compares (at_us,) only; sorted() is
+        # stable, so ties keep their input order.
+        want = [e.target for e in sorted(events)]
+        assert [e.target for e in FaultSchedule(events)] == want
+        one_by_one = FaultSchedule()
+        for event in events:
+            one_by_one.add(event)
+        assert [e.target for e in one_by_one] == want
+
+    def test_fault_event_is_frozen(self):
+        event = FaultEvent(1.0, FaultKind.DEVICE_FAILURE, 3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            event.at_us = 2.0
+
     def test_preemption_requires_duration(self):
         with pytest.raises(ValueError):
             FaultEvent(0.0, FaultKind.ISLAND_PREEMPTION, 0, repair_us=0.0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(at_us=-1.0),
+            dict(at_us=0.0, repair_us=-1.0),
+            dict(at_us=0.0, notice_us=5.0),
+            dict(at_us=0.0, link="spine[p0]"),
+        ],
+        ids=["negative-time", "negative-repair", "notice", "link-name"],
+    )
+    def test_invalid_device_failure_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            FaultEvent(kind=FaultKind.DEVICE_FAILURE, **kwargs)
 
     def test_injector_delivers_in_order(self, small_system):
         recovery = RecoveryManager(small_system)
