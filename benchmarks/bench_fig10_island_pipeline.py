@@ -66,11 +66,11 @@ def test_fig10_island_pipeline(benchmark):
     devices = [isl.devices[0].device_id for isl in system_c.cluster.islands]
     print("\npipeline trace (one core per island; A..=fwd/bwd kernels):")
     print(render_timeline(trace, width=110, devices=devices, legend=False))
-    print(f"DCN bytes moved: {system_c.cluster.dcn.bytes_sent / 1e9:.1f} GB")
+    print(f"DCN bytes moved: {system_c.cluster.transport.bytes_sent / 1e9:.1f} GB")
 
     # The headline: same throughput across DCN as within one island.
     assert rc.tokens_per_second == pytest.approx(rb.tokens_per_second, rel=0.03)
     # And the DCN was genuinely exercised.
-    assert system_c.cluster.dcn.bytes_sent > 1e9
+    assert system_c.cluster.transport.bytes_sent > 1e9
     # Calibration: within 10% of the paper's 131.4k tokens/s.
     assert rc.tokens_per_second == pytest.approx(PAPER_TOKENS_S, rel=0.10)

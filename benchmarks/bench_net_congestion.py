@@ -269,22 +269,3 @@ def test_flow_scale_solver_touches_only_the_affected_set():
         # One route class per NIC pair, so one rate per change.
         assert fab.rate_recomputes <= fab.membership_updates, n
     table.show()
-
-
-def test_fifo_discipline_also_saturates_and_recovers():
-    """The per-hop FIFO alternative: still bounded by the uplink, still
-    leak-free under a crash (store-and-forward abort path)."""
-    scale = _scale()
-    r = run_net_congestion(
-        n_senders=2,
-        streams=2,
-        sharing="fifo",
-        flow_bytes=4 << 20,
-        n_probes=0,
-        crash_sender_at=scale["duration_us"] * 0.25,
-        crash_repair_us=scale["duration_us"] * 0.2,
-        **scale,
-    )
-    assert r.achieved_gbps <= r.uplink_gbps * 1.02
-    assert r.messages_lost > 0 and r.bytes_delivered > 0
-    assert r.fabric_idle and r.nic_slots_leaked == 0

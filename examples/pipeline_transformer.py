@@ -46,8 +46,8 @@ def run_four_islands() -> None:
     )
     result = builder.run(system.client("train"))
     print(f"  {result}")
-    print(f"  DCN traffic: {system.cluster.dcn.bytes_sent / 1e9:.1f} GB "
-          f"in {system.cluster.dcn.messages_sent} messages")
+    print(f"  DCN traffic: {system.cluster.transport.bytes_sent / 1e9:.1f} GB "
+          f"in {system.cluster.transport.messages_sent} messages")
     print("  (paper: same 131.4k tokens/s as the single island — DCN")
     print("   transfers overlap with compute)")
 

@@ -17,7 +17,7 @@ repo and was found by hand:
 * **RPR006** — ``stats()`` methods that don't return a frozen ``Stats``
   dataclass (the PR-6 unified snapshot protocol);
 * **RPR007** — tracer spans opened without a guaranteed close, or span
-  labels built eagerly outside the tracer's enabled gate (the
+  labels built eagerly outside a ``tracer is not None`` gate (the
   ``repro.telemetry`` pay-as-you-go contract).
 """
 
@@ -641,27 +641,29 @@ def _trace_receiver(receiver: Optional[str]) -> bool:
     return last == "tr" or "trace" in last
 
 
-def _test_mentions_enabled(test: ast.AST) -> bool:
-    """True when an ``if`` test involves the tracer's enabled gate."""
-    for node in ast.walk(test):
-        if isinstance(node, ast.Attribute) and "enabled" in node.attr:
-            return True
-        if isinstance(node, ast.Name) and "enabled" in node.id:
-            return True
-    return False
+def _test_gates_tracer(test: ast.AST) -> bool:
+    """True when an ``if`` test checks a tracer handle ``is not None``."""
+    return any(
+        isinstance(node, ast.Compare)
+        and isinstance(node.ops[0], ast.IsNot)
+        and isinstance(node.comparators[0], ast.Constant)
+        and node.comparators[0].value is None
+        and _trace_receiver(_dotted(node.left))
+        for node in ast.walk(test)
+    )
 
 
 def _eager_label_construct(expr: ast.AST) -> Optional[ast.AST]:
     """The first eagerly evaluated f-string/.format inside ``expr``.
 
-    Like RPR001's detector, but the sanctioned gate is the tracer's
-    ``enabled`` flag (``debug_names`` also passes: both mean "the slow
+    Like RPR001's detector, but the sanctioned gate is a ``tracer is
+    not None`` test (``debug_names`` also passes: both mean "the slow
     path was explicitly opted into").
     """
     if isinstance(expr, ast.Lambda):
         return None
     if isinstance(expr, ast.IfExp) and (
-        _test_mentions_enabled(expr.test) or _test_mentions_debug(expr.test)
+        _test_gates_tracer(expr.test) or _test_mentions_debug(expr.test)
     ):
         return None
     if isinstance(expr, ast.JoinedStr) and any(
@@ -692,9 +694,9 @@ class SpanHygieneRule(Rule):
       leaves the span open whenever an exception (or early return)
       interrupts the holder.  Close in ``try/finally`` or use the
       ``with tr.span(...)`` context manager, which guarantees it.
-    * f-string span labels evaluated outside an ``if ... tr.enabled``
-      gate pay string formatting on every call even with tracing
-      disabled — exactly the eager-name tax RPR001 exists for, on the
+    * f-string span labels evaluated outside an ``if tr is not None``
+      gate pay string formatting on every call even with no tracer
+      attached — exactly the eager-name tax RPR001 exists for, on the
       telemetry API.
     """
 
@@ -702,7 +704,7 @@ class SpanHygieneRule(Rule):
     name = "span-hygiene"
     summary = (
         "tracer span opened without a guaranteed close, or eager span "
-        "label not gated behind the tracer's enabled flag"
+        "label not gated behind `tracer is not None`"
     )
     sim_only = True
 
@@ -755,20 +757,21 @@ class SpanHygieneRule(Rule):
             ]
             for cand in candidates:
                 eager = _eager_label_construct(cand)
-                if eager is not None and not self._enabled_gated(node):
+                if eager is not None and not self._tracer_gated(node):
                     self.report(
                         eager,
                         "eager f-string span label; gate the emission "
-                        "behind the tracer's enabled flag",
+                        "behind `tracer is not None`",
                     )
                     break
         self.generic_visit(node)
 
-    def _enabled_gated(self, call: ast.Call) -> bool:
-        """The whole call sits under an ``if ...enabled...`` branch."""
+    def _tracer_gated(self, call: ast.Call) -> bool:
+        """The whole call sits under an ``if <tracer> is not None``
+        branch."""
         for anc in self.ctx.ancestors(call):
             if isinstance(anc, (ast.If, ast.IfExp)) and (
-                _test_mentions_enabled(anc.test)
+                _test_gates_tracer(anc.test)
                 or _test_mentions_debug(anc.test)
             ):
                 return True

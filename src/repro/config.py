@@ -53,9 +53,9 @@ class SystemConfig:
     #: uncontended fast path reproduces the historical point-to-point
     #: cost model byte-identically (sender-NIC serialization only).
     net_contention: bool = False
-    #: Per-hop serialization discipline when contention is on: "fair"
+    #: Link-sharing discipline when contention is on.  Only "fair"
     #: (processor sharing — concurrent flows split the link bandwidth)
-    #: or "fifo" (strict arrival-order store-and-forward).
+    #: is accepted; ``Fabric`` rejects any other value.
     net_link_sharing: str = "fair"
     #: Receiver-NIC ingress bandwidth; None mirrors the egress NIC.
     net_rx_bandwidth_gbps: Optional[float] = None

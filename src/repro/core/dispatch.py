@@ -197,7 +197,7 @@ class ProgramExecution:
             self.mode = DispatchMode.SEQUENTIAL
         tr = self.sim.tracer
         span = None
-        if tr is not None and tr.enabled:
+        if tr is not None:
             span = tr.begin(
                 f"exec:{self.name}",
                 "dispatch.exec",
@@ -413,7 +413,7 @@ class ProgramExecution:
         the critical-path analyzer uses to attribute prep to a served
         request's batch execution."""
         tr = self.sim.tracer
-        if tr is not None and tr.enabled:
+        if tr is not None:
             tr.complete(
                 f"prep:{node.label}",
                 "dispatch.prep",
@@ -539,7 +539,7 @@ class ProgramExecution:
             dst_host = node.group.hosts[0]
             yield self.system.transport.send(src_host, dst_host, per_host)
         tr = self.sim.tracer
-        if tr is not None and tr.enabled:
+        if tr is not None:
             tr.complete(
                 f"xfer:{spec.src_node}->{spec.dst_node}",
                 "dispatch.transfer",
@@ -639,7 +639,7 @@ class ProgramExecution:
         """
         recovery = self.system.recovery
         tr = self.sim.tracer
-        if tr is not None and tr.enabled:
+        if tr is not None:
             tr.instant(
                 f"replay:{self.name}",
                 "resilience.replay",

@@ -419,7 +419,7 @@ class IslandScheduler:
             else:
                 self._release(devices)
                 tr = self.sim.tracer
-                if tr is not None and tr.enabled:
+                if tr is not None:
                     tr.complete(
                         f"gang:{payload.node_label}",
                         "sched.granted",
@@ -442,7 +442,7 @@ class IslandScheduler:
                 self._pending.remove(req)
                 self.deadline_evictions += 1
                 tr = self.sim.tracer
-                if tr is not None and tr.enabled:
+                if tr is not None:
                     tr.instant(
                         f"evict:{req.node_label}",
                         "sched.evict",
@@ -516,7 +516,7 @@ class IslandScheduler:
                 self._live_grants[choice.seq] = choice.device_ids
                 choice.granted_us = self.sim.now
                 tr = self.sim.tracer
-                if tr is not None and tr.enabled:
+                if tr is not None:
                     tr.complete(
                         f"pend:{choice.node_label}",
                         "sched.pending",

@@ -73,8 +73,8 @@ class Cluster:
         self.config = config
         #: Topology-aware link set (host NIC tx/rx, island uplinks, spine).
         self.fabric = Fabric(sim, config)
-        #: The uniform cross-host transport; ``dcn`` is the historical name.
-        self.dcn = Transport(sim, config, fabric=self.fabric)
+        #: The uniform cross-host transport.
+        self.transport = Transport(sim, config, fabric=self.fabric)
         self.islands: list[Island] = []
         host_id = 0
         device_id = 0
@@ -91,11 +91,6 @@ class Cluster:
             self.islands.append(island)
             host_id += n_hosts
             device_id += n_hosts * per_host
-
-    @property
-    def transport(self) -> Transport:
-        """The cross-host transport (alias of :attr:`dcn`)."""
-        return self.dcn
 
     @property
     def hosts(self) -> list[Host]:

@@ -577,7 +577,7 @@ class Device:
         self.busy_us += end - self._start_us
         self.kernels_run += 1
         tr = self.sim.tracer
-        if tr is not None and tr.enabled:
+        if tr is not None:
             tr.complete(
                 kernel.tag or kernel.program or "kernel",
                 "kernel",

@@ -5,7 +5,7 @@ transfers and fused collectives run here without host involvement.  The
 DCN is the datacenter network: host-mediated, an order of magnitude
 higher latency (paper §2, Figure 1).  Cross-host communication lives in
 :mod:`repro.net` — a routed :class:`~repro.net.Transport` over a
-topology-aware :class:`~repro.net.Fabric` (``Cluster.dcn`` is one).
+topology-aware :class:`~repro.net.Fabric` (``Cluster.transport`` is one).
 """
 
 from __future__ import annotations

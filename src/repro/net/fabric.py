@@ -27,17 +27,13 @@ transport), which reroutes or parks them.  A downed link therefore holds
 zero capacity by construction and is exempt from the sanitizer's
 drain-end ``LeakedCapacityError`` sweep until restore.
 
-Two serialization disciplines are supported (``net_link_sharing``):
-
-* ``"fair"`` — the flow-level fluid model packet-switched networks
-  approximate: a message occupies *every* link on its route
-  simultaneously and progresses at ``min over links of
-  (link bandwidth / flows on that link)``, recomputed whenever flow
-  membership changes.  A lone flow runs at its bottleneck link rate;
-  aggregate goodput through a shared uplink saturates at exactly the
-  uplink bandwidth.
-* ``"fifo"`` — store-and-forward: the message crosses hops one at a
-  time, each hop serving one message at a time in arrival order.
+Links share bandwidth under the flow-level fluid model packet-switched
+networks approximate (``net_link_sharing="fair"``, the only discipline):
+a message occupies *every* link on its route simultaneously and
+progresses at ``min over links of (link bandwidth / flows on that
+link)``, recomputed whenever flow membership changes.  A lone flow runs
+at its bottleneck link rate; aggregate goodput through a shared uplink
+saturates at exactly the uplink bandwidth.
 
 One engine, :class:`ScopedFluidSolver`, drives the fluid model
 incrementally over **route classes**: every live flow with the same
@@ -60,10 +56,9 @@ the same schedule, not merely equal delivery times — to a per-flow
 reference that recomputes every live flow on every change
 (``tests/oracles.py``).
 
-Both disciplines support exact abort — an in-flight message whose
-endpoint host crashed releases all held capacity immediately, the
-network analogue of the PR-3 CPU-slot-leak fix: a failure may never
-strand link bandwidth.
+Aborts are exact — an in-flight message whose endpoint host crashed
+releases all held capacity immediately, the network analogue of the
+host CPU-slot guarantee: a failure may never strand link bandwidth.
 
 Links are created lazily per host/island, so elastically added islands
 (:meth:`~repro.core.system.PathwaysSystem.add_island`) join the fabric
@@ -92,12 +87,10 @@ _NEVER = float("inf")
 
 
 class Link:
-    """One fabric hop: a bandwidth capacity with FIFO serialization.
+    """One fabric hop: a bandwidth capacity plus accounting.
 
-    Under the fluid (fair) discipline the :class:`Fabric` drives
-    progress and this object holds capacity plus accounting; under FIFO
-    the link itself serializes messages via :meth:`transmit` /
-    :meth:`abort`.
+    The :class:`Fabric`'s fluid solver drives progress; this object
+    holds the capacity, the live-flow count and the busy-time log.
     """
 
     __slots__ = (
@@ -114,9 +107,6 @@ class Link:
         "fluid_flows",
         "_fluid",
         "util_window_us",
-        "_gen",
-        "_queue",
-        "_active",
         "_busy_since",
         "_busy_log",
     )
@@ -137,7 +127,7 @@ class Link:
         #: messages endpointed there), "uplink", "spine", or "link".
         self.kind = kind
         #: False while the link is failed; a down link carries nothing
-        #: (take-down evicts all occupancy) and refuses new crossings.
+        #: (take-down evicts all occupancy) and no new flow starts on it.
         self.up = True
         #: Times this link has been taken down.
         self.faults = 0
@@ -157,10 +147,6 @@ class Link:
         #: How far back :meth:`busy_fraction` can look; older busy
         #: intervals are dropped so the log stays bounded.
         self.util_window_us = util_window_us
-        #: Guards stale FIFO completion timers across aborts.
-        self._gen = 0
-        self._queue: Deque[list] = deque()
-        self._active: Optional[list] = None
         #: Start of the current busy period (None while idle) plus the
         #: closed [start, end] busy intervals inside the window.
         self._busy_since: Optional[float] = None
@@ -169,33 +155,19 @@ class Link:
     # -- introspection ----------------------------------------------------
     @property
     def idle(self) -> bool:
-        """True when no flow occupies or waits for this link — the
-        capacity-leak check benches and tests assert after faults."""
-        return self._active is None and not self._queue and self.fluid_flows == 0
-
-    @property
-    def concurrency(self) -> int:
-        fifo = (1 if self._active is not None else 0) + len(self._queue)
-        return fifo + self.fluid_flows
-
-    def _note_concurrency(self) -> None:
-        c = self.concurrency
-        if c > self.max_concurrency:
-            self.max_concurrency = c
+        """True when no flow occupies this link — the capacity-leak
+        check benches and tests assert after faults."""
+        return self.fluid_flows == 0
 
     # -- busy-time accounting (the utilization snapshot API) ----------------
     def _sync_busy(self) -> None:
         """Fold the carrying/idle transition into the busy log.
 
-        Called after every occupancy change.  A link is *busy* while it
-        is actually carrying traffic — an active FIFO crossing or at
-        least one fluid flow; FIFO-queued entries waiting their turn do
-        not count (the link is still moving someone else's bytes, which
-        that crossing's own busy period already records).
+        Called after every occupancy change.  A link is *busy* while at
+        least one flow crosses it.
         """
-        busy = self._active is not None or self.fluid_flows > 0
         now = self.sim.now
-        if busy:
+        if self.fluid_flows > 0:
             if self._busy_since is None:
                 self._busy_since = now
             return
@@ -237,78 +209,11 @@ class Link:
             busy += now - max(self._busy_since, lo)
         return min(1.0, busy / span)
 
-    # -- FIFO store-and-forward -------------------------------------------
-    def transmit(self, key, nbytes: int) -> Event:
-        """Start one FIFO hop crossing; returns its completion event."""
-        if nbytes < 0:
-            raise ValueError(f"negative transfer: {nbytes}")
-        if not self.up:
-            raise RuntimeError(f"link {self.name} is down")
-        debug = self.sim.debug_names
-        ev = Event(self.sim, f"hop:{self.name}" if debug else "")
-        if nbytes == 0:
-            ev.succeed(None)
-            return ev
-        entry = [key, nbytes, ev]
-        if self._active is None:
-            self._start(entry)
-        else:
-            self._queue.append(entry)
-            self._note_concurrency()
-        return ev
-
-    def abort(self, key) -> bool:
-        """Drop a queued or in-flight FIFO crossing, releasing the link.
-
-        The crossing's completion event is *abandoned* (the transport
-        fails the owning message itself); returns False when ``key`` is
-        not on this link.
-        """
-        active = self._active
-        if active is not None and active[0] is key:
-            self._gen += 1
-            self._active = None
-            self.flows_aborted += 1
-            self._start_next()
-            self._sync_busy()
-            return True
-        for entry in self._queue:
-            if entry[0] is key:
-                self._queue.remove(entry)
-                self.flows_aborted += 1
-                return True
-        return False
-
-    def _start(self, entry: list) -> None:
-        self._active = entry
-        self._note_concurrency()
-        self._sync_busy()
-        self._gen += 1
-        gen = self._gen
-        self.sim.timeout(entry[1] / self.bytes_per_us).add_callback(
-            lambda ev, g=gen: self._on_fifo_done(g)
-        )
-
-    def _on_fifo_done(self, gen: int) -> None:
-        if gen != self._gen or self._active is None:
-            return  # aborted meanwhile
-        entry, self._active = self._active, None
-        self.bytes_carried += entry[1]
-        self.flows_completed += 1
-        ev = entry[2]
-        if not ev.triggered:
-            ev.succeed(None)
-        self._start_next()
-        self._sync_busy()
-
-    def _start_next(self) -> None:
-        if self._active is None and self._queue and self.up:
-            self._start(self._queue.popleft())
-
     # -- fluid-flow membership (driven by the fluid solver) -----------------
     def fluid_enter(self) -> None:
         self.fluid_flows += 1
-        self._note_concurrency()
+        if self.fluid_flows > self.max_concurrency:
+            self.max_concurrency = self.fluid_flows
         self._sync_busy()
 
     def fluid_exit(self) -> None:
@@ -622,17 +527,17 @@ class Fabric:
     Links are created on first use from the config's bandwidth knobs, so
     islands added at runtime get fabric links with no registration step.
     The fabric also runs the fluid fair-share engine
-    (:meth:`start_flow` / :meth:`abort_flow`) that the transport uses
-    when ``net_link_sharing == "fair"``.
+    (:meth:`start_flow` / :meth:`abort_flow`) the contended transport
+    sends every message through.
     """
 
     def __init__(self, sim: Simulator, config: SystemConfig):
         self.sim = sim
         self.config = config
-        self.sharing = config.net_link_sharing
-        if self.sharing not in ("fair", "fifo"):
+        if config.net_link_sharing != "fair":
             raise ValueError(
-                f"net_link_sharing must be 'fair' or 'fifo', got {self.sharing!r}"
+                "net_link_sharing must be 'fair', got "
+                f"{config.net_link_sharing!r}"
             )
         if config.spine_paths < 1:
             raise ValueError(
@@ -823,16 +728,14 @@ class Fabric:
             )
         return spines[idx]
 
-    def take_down(self, link: Link) -> list[tuple[object, Optional[float]]]:
+    def take_down(self, link: Link) -> list[tuple[object, float]]:
         """Fail one link, evicting every flow crossing it *exactly*.
 
-        Fluid flows with the link on their route are aborted (their
-        share on every route link released); FIFO crossings active or
-        queued on the link are dropped.  Returns the evicted flow keys
-        in deterministic (start-order) sequence, each with the flow's
-        remaining bytes at eviction time (``None`` for FIFO crossings,
-        which retransmit the interrupted hop whole).  The caller — the
-        transport — decides each victim's fate: reroute, park, or lose.
+        Flows with the link on their route are aborted (their share on
+        every route link released).  Returns the evicted flow keys in
+        deterministic (start-order) sequence, each with the flow's
+        remaining bytes at eviction time.  The caller — the transport —
+        decides each victim's fate: reroute, park, or lose.
 
         A downed link holds zero capacity by construction, so it is
         exempt from the drain-end ``LeakedCapacityError`` sweep until
@@ -842,18 +745,9 @@ class Fabric:
             return []
         link.up = False
         link.faults += 1
-        victims: list[tuple[object, Optional[float]]] = []
-        if link.fluid_flows:
-            victims = list(self._solver.evict_crossing(link))
-            for key, _ in victims:
-                self._solver.abort(key)
-        fifo_keys = []
-        if link._active is not None:
-            fifo_keys.append(link._active[0])
-        fifo_keys.extend(entry[0] for entry in link._queue)
-        for key in fifo_keys:
-            link.abort(key)
-            victims.append((key, None))
+        victims = self._solver.evict_crossing(link)
+        for key, _ in victims:
+            self._solver.abort(key)
         return victims
 
     def restore_link(self, link: Link) -> bool:
@@ -886,7 +780,7 @@ class Fabric:
         return not self._solver.flows and all(link.idle for link in self.links())
 
     def busy_links(self) -> list[Link]:
-        """Links carrying or queueing traffic.  Down links are exempt:
+        """Links carrying traffic.  Down links are exempt:
         take-down evicts all occupancy, so they hold zero capacity by
         construction until restored."""
         return [link for link in self.links() if link.up and not link.idle]

@@ -20,10 +20,16 @@ Two cost models share the API:
   byte-identically, now as an explicit event-chain state machine so the
   crash-abort path knows exactly which phase (queued / holding the NIC /
   propagating) each message is in;
-* **contended fabric** (``net_contention=True``): the message traverses
-  its static :class:`~repro.net.fabric.Fabric` route hop by hop,
-  store-and-forward, sharing every link fairly (or FIFO) with whatever
-  else is crossing it — host NIC tx/rx, the island uplinks, the spine.
+* **contended fabric** (``net_contention=True``): the message is one
+  fluid flow over its :class:`~repro.net.fabric.Fabric` route, sharing
+  every link fairly with whatever else is crossing it — host NIC tx/rx,
+  the island uplinks, the spine.
+
+Both paths exist because they finish concurrent sends differently.  Two
+equal sends from one host hold the fast path's capacity-1 NIC in turn
+and finish serializing at ``s`` and ``2s`` (``s`` one serialization);
+as fluid flows they split the NIC and both finish at ``2s``.  The
+paper's dispatch and pipeline figures are calibrated on the first.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from typing import Callable, Generator, Iterable, Optional, Sequence, TYPE_CHECK
 from repro.config import SystemConfig
 from repro.faults import FaultError
 from repro.sim import Event, Interrupt, Simulator
+from repro.stats import Stats
 
 from repro.net.fabric import Fabric, Link
 
@@ -194,21 +201,17 @@ class _SendState:
 
 
 class _Reroute:
-    """Interrupt cause handed to a traversal whose hop just died.
+    """Interrupt cause handed to a traversal whose hop just died;
+    ``remaining`` is the flow's unsent bytes at eviction."""
 
-    ``remaining`` is the fluid flow's unsent bytes at eviction (``None``
-    for FIFO crossings, which retransmit the interrupted hop whole).
-    """
+    __slots__ = ("remaining",)
 
-    __slots__ = ("link", "remaining")
-
-    def __init__(self, link: Link, remaining: Optional[float]):
-        self.link = link
+    def __init__(self, remaining: float):
         self.remaining = remaining
 
 
 @dataclass(frozen=True)
-class TransportStats:
+class TransportStats(Stats):
     """One point-in-time snapshot of the transport (and its fabric).
 
     ``link_utilization`` is the fabric's sliding-window per-link busy
@@ -253,7 +256,7 @@ class Transport:
 
     With ``fabric=None`` (or ``config.net_contention=False``) behaves as
     the historical point-to-point DCN cost model; with contention on,
-    messages traverse their routes hop by hop under link contention.
+    messages cross their routes as fluid flows under link contention.
     """
 
     def __init__(
@@ -559,27 +562,24 @@ class Transport:
         ``name`` is the stable link name (``spine[p1]``, ``uplink_tx[i0]``,
         ``nic_rx[h3]``, ...).  Every flow crossing the link is evicted
         with exact capacity release and its traversal re-routes: onto a
-        surviving path (fluid flows resume with their remaining bytes,
-        FIFO crossings retransmit the interrupted hop), parked until a
-        restore when no path survives, or — endpoint NIC death only —
+        surviving path (resuming with its remaining bytes), parked until
+        a restore when no path survives, or — endpoint NIC death only —
         failed with :class:`MessageLost`.  Returns the victim count.
         """
         if self.fabric is None:
             raise RuntimeError("transport has no fabric to fail links on")
-        link = self.fabric.link_by_name(name)
-        victims = self.fabric.take_down(link)
-        for key, remaining in victims:
-            proc = getattr(key, "_proc", None)
-            if proc is not None and not proc.triggered:
-                proc.interrupt(_Reroute(link, remaining))
+        victims = self.fabric.take_down(self.fabric.link_by_name(name))
+        for msg, remaining in victims:
+            # A live flow's traversal is always waiting on that flow.
+            msg._proc.interrupt(_Reroute(remaining))
         return len(victims)
 
     def restore_link(self, name: str) -> bool:
         """Bring a downed link back up, waking parked flows it unblocks.
 
         Parked messages are retried in park order; each recomputes its
-        route (ECMP rehash included) and resumes from its first
-        untraversed hop.  Returns False if the link was not down.
+        route (ECMP rehash included) and resumes with its remaining
+        bytes.  Returns False if the link was not down.
         """
         if self.fabric is None:
             raise RuntimeError("transport has no fabric to restore links on")
@@ -597,20 +597,16 @@ class Transport:
     def _traverse(self, msg: Message) -> Generator:
         """Contended traversal across the route, then propagation.
 
-        Fair sharing uses the fabric's fluid engine (the message holds
-        its whole route, progressing at the bottleneck share); FIFO
-        store-and-forwards hop by hop.  The loop is the reroute engine:
-        a hop death mid-crossing interrupts the traversal with
+        The message is one fluid flow holding its whole route,
+        progressing at the bottleneck share.  The loop is the reroute
+        engine: a hop death mid-flow interrupts the traversal with
         :class:`_Reroute`, the route is recomputed over surviving paths
-        (fluid flows keep their remaining-byte progress; FIFO crossings
-        retransmit the interrupted hop whole), and when *no* path
-        survives the message parks until a link restore.  Only a dead
-        endpoint NIC loses the message.
+        and the flow restarts with its remaining bytes, and when *no*
+        path survives the message parks until a link restore.  Only a
+        dead endpoint NIC loses the message.
         """
         fabric = self.fabric
-        fair = fabric.sharing == "fair"
         remaining = float(msg.nbytes)
-        hop = 0  # FIFO resume index; fluid always restarts the route
         while not msg.triggered:
             if not msg.route:
                 new = fabric.route(msg.src, msg.dst, msg.flow_seq)
@@ -620,10 +616,7 @@ class Transport:
                         return
                     continue
                 msg.route = new
-                hop = 0
-            down = next(
-                (link for link in msg.route[hop:] if not link.up), None
-            )
+            down = next((link for link in msg.route if not link.up), None)
             if down is not None:
                 if down.kind == "nic":
                     # The endpoint rule: fabrics survive link loss, not
@@ -642,7 +635,7 @@ class Transport:
                 msg.reroutes += 1
                 self.reroutes += 1
                 tr = self.sim.tracer
-                if tr is not None and tr.enabled:
+                if tr is not None:
                     tr.instant(
                         f"reroute:msg#{msg.msg_id}",
                         "net.reroute",
@@ -651,32 +644,16 @@ class Transport:
                     )
                 continue
             try:
-                if fair:
-                    # The fluid flow spans the whole route (sender NIC
-                    # included) until completion, so the message is on
-                    # the wire only once the flow has fully drained.
-                    yield fabric.start_flow(msg, msg.route, remaining)
-                    msg.on_wire = True
-                else:
-                    # Store-and-forward: past the first hop (the
-                    # sender's NIC) the message is buffered in the
-                    # network — a sender crash no longer loses it.
-                    while hop < len(msg.route):
-                        link = msg.route[hop]
-                        if not link.up:
-                            break  # died since the check; re-route above
-                        yield link.transmit(msg, msg.nbytes)
-                        hop += 1
-                        if hop == 1:
-                            msg.on_wire = True
-                    if hop < len(msg.route):
-                        continue
+                yield fabric.start_flow(msg, msg.route, remaining)
             except Interrupt as intr:
                 if isinstance(intr.cause, _Reroute):
-                    if intr.cause.remaining is not None:
-                        remaining = intr.cause.remaining
+                    remaining = intr.cause.remaining
                     continue
                 return  # crash/timeout abort: the message already failed
+            # The flow spans the whole route (sender NIC included) until
+            # completion, so the message is on the wire only once the
+            # flow has fully drained.
+            msg.on_wire = True
             break
         if msg.triggered:
             return
@@ -700,7 +677,7 @@ class Transport:
         self._parked[msg] = park
         self.messages_parked += 1
         tr = self.sim.tracer
-        if tr is not None and tr.enabled:
+        if tr is not None:
             tr.instant(
                 f"park:msg#{msg.msg_id}",
                 "net.park",
@@ -771,7 +748,7 @@ class Transport:
             self.messages_delivered += 1
             self.bytes_delivered += msg.nbytes
             tr = self.sim.tracer
-            if tr is not None and tr.enabled:
+            if tr is not None:
                 tr.complete(
                     f"msg#{msg.msg_id}",
                     "net.msg",
@@ -793,7 +770,7 @@ class Transport:
         category = getattr(cause, "category", "other")
         self.lost_by_reason[category] = self.lost_by_reason.get(category, 0) + 1
         tr = self.sim.tracer
-        if tr is not None and tr.enabled:
+        if tr is not None:
             tr.instant(
                 f"lost:msg#{msg.msg_id}",
                 "net.lost",
@@ -818,10 +795,8 @@ class Transport:
         if msg._state is not None:
             msg._state.abort(cause)
             return
-        if self.fabric is not None and self.fabric.sharing == "fair":
-            self.fabric.abort_flow(msg)
-        for link in msg.route:
-            link.abort(msg)
+        # Not on the fast path, so the message is a fabric flow.
+        self.fabric.abort_flow(msg)
         proc = msg._proc
         if proc is not None and not proc.triggered:
             proc.interrupt(cause)

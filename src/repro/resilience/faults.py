@@ -262,7 +262,7 @@ class FaultInjector:
             inject(event)
             record(event)
             tr = sim.tracer
-            if tr is not None and tr.enabled:
+            if tr is not None:
                 tr.instant(
                     f"fault:{event.kind.value}",
                     "fault.injected",

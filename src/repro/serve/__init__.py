@@ -37,7 +37,7 @@ from repro.serve.frontend import (
     REJECT_QUEUE_FULL,
     Request,
 )
-from repro.serve.metrics import LatencyRecorder, LatencySnapshot, percentile
+from repro.serve.metrics import LatencyRecorder, LatencySnapshot
 from repro.serve.replicas import Replica, ReplicaSet
 
 __all__ = [
@@ -56,5 +56,4 @@ __all__ = [
     "Replica",
     "ReplicaSet",
     "Request",
-    "percentile",
 ]

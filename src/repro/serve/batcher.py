@@ -136,7 +136,7 @@ class ContinuousBatcher:
         replica.batches += 1
         replica.in_flight_requests += len(batch)
         tr = sim.tracer
-        if tr is not None and tr.enabled:
+        if tr is not None:
             # Link every rider to its batch execution so the critical-
             # path analyzer can attribute the batch's prep span.
             for r in batch:
@@ -170,7 +170,7 @@ class ContinuousBatcher:
             outcome = "abandoned"
             self.frontend.abandon_batch(batch, ev._exc)
         tr = self.sim.tracer
-        if tr is not None and tr.enabled:
+        if tr is not None:
             tr.complete(
                 f"batch[{len(batch)}]",
                 "serve.batch",

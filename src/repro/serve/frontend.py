@@ -249,7 +249,7 @@ class Frontend:
         self.completed += 1
         self.recorder.record(req)
         tr = self.sim.tracer
-        if tr is not None and tr.enabled:
+        if tr is not None:
             # The causal request span: every lifecycle stamp rides along
             # so the critical-path analyzer can decompose the latency
             # into stages that sum exactly to completed - arrival.
@@ -297,7 +297,7 @@ class Frontend:
         req.rejected = reason
         self.rejections[reason] = self.rejections.get(reason, 0) + 1
         tr = self.sim.tracer
-        if tr is not None and tr.enabled:
+        if tr is not None:
             tr.instant(
                 f"reject:{reason}",
                 "serve.reject",

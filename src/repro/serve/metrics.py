@@ -21,22 +21,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-# The shared nearest-rank implementation (repro.telemetry.histogram) —
-# re-exported here because serving callers historically import it from
-# this module.
+from repro.stats import Stats
 from repro.telemetry.histogram import percentile
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.serve.frontend import Request
 
-__all__ = ["LatencyRecorder", "LatencySnapshot", "STAGES", "percentile"]
+__all__ = ["LatencyRecorder", "LatencySnapshot", "STAGES"]
 
 #: Stage keys, in pipeline order.
 STAGES = ("net", "queue", "dispatch", "compute")
 
 
 @dataclass(frozen=True)
-class LatencySnapshot:
+class LatencySnapshot(Stats):
     """Aggregated view of every request recorded so far."""
 
     count: int

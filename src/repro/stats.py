@@ -10,8 +10,8 @@ the one protocol they all share now:
   :class:`Stats` — an immutable point-in-time snapshot, safe to stash
   and compare across phases of a run;
 * every snapshot serializes uniformly via :meth:`Stats.as_dict`, which
-  recurses through nested dataclasses (including pre-existing ones like
-  ``TransportStats`` and ``LatencySnapshot`` that predate this module),
+  recurses through nested snapshots (such as the ``TransportStats`` and
+  ``LatencySnapshot`` that subsystems define next to their counters),
   mappings, and sequences — ready for JSON artifacts;
 * ``PathwaysSystem.stats()`` aggregates the whole stack — engine,
   dispatch counters, per-island schedulers, clients, transport, serving
@@ -46,9 +46,9 @@ def stats_to_dict(value: Any) -> Any:
     """Recursively render a snapshot as plain dicts/lists/scalars.
 
     Unlike :func:`dataclasses.asdict` this also descends into dataclass
-    instances reached through ``object``-typed fields (snapshots from
-    modules that predate the :class:`Stats` protocol), so the result is
-    always JSON-ready.
+    instances reached through ``object``-typed fields (snapshots defined
+    in subsystem modules this leaf module cannot import), so the result
+    is always JSON-ready.
     """
     if is_dataclass(value) and not isinstance(value, type):
         return {f.name: stats_to_dict(getattr(value, f.name)) for f in fields(value)}
@@ -193,8 +193,8 @@ class FaultInjectorStats(Stats):
 class ServeStats(Stats):
     """One serving frontend: typed outcomes plus latency aggregates.
 
-    ``latency`` is the frontend recorder's ``LatencySnapshot`` (kept as
-    its own dataclass; :func:`stats_to_dict` flattens it uniformly).
+    ``latency`` is the frontend recorder's ``LatencySnapshot``
+    (:func:`stats_to_dict` flattens it uniformly).
     """
 
     arrived: int

@@ -12,8 +12,8 @@ properties are load-bearing:
   so golden schedules are byte-identical with tracing on or off (pinned
   in ``tests/test_sim_determinism.py``);
 * **pay-as-you-go** — every instrumentation site gates its span-label
-  f-strings behind ``tracer.enabled`` (the ``debug_names`` idiom, now
-  enforced statically by lint rule RPR007), and a simulator without a
+  f-strings behind ``tracer is not None`` (the ``debug_names`` idiom,
+  enforced statically by lint rule RPR007), so a simulator without a
   tracer pays one ``is None`` check per site.
 
 Spans export as Chrome-trace/Perfetto JSON (:meth:`Tracer.to_chrome_trace`)
@@ -85,15 +85,12 @@ class Span:
 class Tracer:
     """Causal span collector; see the module docstring for the contract.
 
-    ``enabled=False`` builds a tracer whose every emit method returns
-    immediately, and whose gated emit sites skip building labels.
     ``flight`` optionally attaches a
     :class:`~repro.telemetry.flight.FlightRecorder` that shadows every
     emission into a bounded post-mortem ring.
     """
 
-    def __init__(self, enabled: bool = True, flight=None):
-        self.enabled = enabled
+    def __init__(self, flight=None):
         self.flight = flight
         self.sim = None
         self.spans: list[Span] = []
@@ -144,12 +141,10 @@ class Tracer:
         args: Optional[dict] = None,
         parent: Optional[Span] = None,
         trace_id: Optional[str] = None,
-    ) -> Optional[Span]:
+    ) -> Span:
         """One closed interval, recorded after the fact (the dominant
         idiom: sites read timestamps already stamped on the object —
         request/gang/message — and emit passively at settle time)."""
-        if not self.enabled:
-            return None
         return self._append(
             name, cat, start_us, end_us, track, args,
             parent.span_id if parent is not None else None, trace_id,
@@ -163,10 +158,8 @@ class Tracer:
         track: str = "",
         args: Optional[dict] = None,
         trace_id: Optional[str] = None,
-    ) -> Optional[Span]:
+    ) -> Span:
         """A zero-duration marker (reroute, park, loss, fault delivery)."""
-        if not self.enabled:
-            return None
         t = ts_us if ts_us is not None else self.now
         return self._append(name, cat, t, t, track, args, None, trace_id)
 
@@ -178,7 +171,7 @@ class Tracer:
         args: Optional[dict] = None,
         parent: Optional[Span] = None,
         trace_id: Optional[str] = None,
-    ) -> Optional[Span]:
+    ) -> Span:
         """Open a span at ``sim.now``; close with :meth:`end`.
 
         Every ``begin`` needs an ``end`` on all paths (``try/finally``
@@ -186,17 +179,13 @@ class Tracer:
         it, because an exception between the two leaves the span open
         and silently truncates the exported trace.
         """
-        if not self.enabled:
-            return None
         return self._append(
             name, cat, self.now, None, track, args,
             parent.span_id if parent is not None else None, trace_id,
         )
 
-    def end(self, span: Optional[Span], end_us: Optional[float] = None) -> None:
-        """Close a span from :meth:`begin` (None-safe for disabled mode)."""
-        if span is None:
-            return
+    def end(self, span: Span, end_us: Optional[float] = None) -> None:
+        """Close a span from :meth:`begin`."""
         span.end_us = end_us if end_us is not None else self.now
 
     @contextmanager
@@ -207,7 +196,7 @@ class Tracer:
         track: str = "",
         args: Optional[dict] = None,
         trace_id: Optional[str] = None,
-    ) -> Iterator[Optional[Span]]:
+    ) -> Iterator[Span]:
         """``with tracer.span(...)``: begin/end with a guaranteed close."""
         opened = self.begin(name, cat, track=track, args=args, trace_id=trace_id)
         try:

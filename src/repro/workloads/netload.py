@@ -159,7 +159,6 @@ def run_net_congestion(
     flow_bytes: int = 4 << 20,
     duration_us: float = 50_000.0,
     contention: bool = True,
-    sharing: str = "fair",
     n_probes: int = 5,
     probe_interval_us: float = 5_000.0,
     probe_elems: int = 1 << 22,
@@ -200,7 +199,6 @@ def run_net_congestion(
         reliable = crash
     config = config.with_overrides(
         net_contention=contention,
-        net_link_sharing=sharing,
         spine_paths=spine_paths,
     )
     system = PathwaysSystem.build(
@@ -396,9 +394,7 @@ def run_flow_fleet(
     """
     if hosts < 2 or hosts % 2:
         raise ValueError(f"hosts must be even and >= 2, got {hosts}")
-    config = config.with_overrides(
-        net_contention=True, net_link_sharing="fair"
-    )
+    config = config.with_overrides(net_contention=True)
     system = PathwaysSystem.build(
         ClusterSpec(islands=((hosts, devices_per_host),), name="flowfleet"),
         config=config,

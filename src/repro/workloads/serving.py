@@ -224,7 +224,6 @@ def run_serving(
     fail_replica_at: Optional[float] = None,
     repair_us: float = 30_000.0,
     contention: bool = True,
-    sharing: str = "fair",
     seed: int = 0,
     config: SystemConfig = DEFAULT_CONFIG,
     debug_names: bool = False,
@@ -250,9 +249,7 @@ def run_serving(
             f"{n_replicas} replicas x {devices_per_replica} devices exceed "
             f"the cluster ({total_devices} devices)"
         )
-    config = config.with_overrides(
-        net_contention=contention, net_link_sharing=sharing
-    )
+    config = config.with_overrides(net_contention=contention)
     system = PathwaysSystem.build(
         ClusterSpec(
             islands=((hosts_per_island, devices_per_host),) * islands,

@@ -14,7 +14,7 @@ def close_not_guaranteed(tracer, req):
 
 
 def ungated_eager_label(tr, req):
-    if tr is not None:
+    if req.reason:
         tr.instant(f"reject:{req.reason}", "serve.reject")
 
 

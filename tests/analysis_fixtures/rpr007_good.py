@@ -3,7 +3,7 @@
 
 def finally_closed(tr, req):
     span = None
-    if tr is not None and tr.enabled:
+    if tr is not None:
         span = tr.begin(f"req#{req.req_id}", "serve")
     try:
         do_work(req)
@@ -18,7 +18,7 @@ def context_managed(tr, req):
 
 
 def gated_instant(tr, req):
-    if tr is not None and tr.enabled:
+    if tr is not None:
         tr.instant(f"reject:{req.reason}", "serve.reject", args={"req": req.req_id})
 
 

@@ -167,7 +167,7 @@ class TestMultiIsland:
         (out,) = f(vec2)
         np.testing.assert_allclose(out, (vec2 + 1.0) * 2.0)
         # The cross-island edge used DCN.
-        assert system.cluster.dcn.messages_sent > 0
+        assert system.cluster.transport.messages_sent > 0
 
     def test_per_island_schedulers_exist(self, two_island_system):
         assert len(two_island_system._schedulers) == 2

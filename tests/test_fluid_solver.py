@@ -105,7 +105,7 @@ def _run_fabric_scenario(solver, ops, debug_names: bool = False, hosts=_HOSTS):
     """Drive one op stream straight into a Fabric; returns the full
     observable record (deliveries, victims, link counters, schedule)."""
     sim = Simulator(debug_names=debug_names, log_schedule=True)
-    config = SystemConfig(net_link_sharing="fair", spine_paths=2)
+    config = SystemConfig(spine_paths=2)
     with _solver(solver):
         fabric = Fabric(sim, config)
     deliveries: list = []
@@ -349,7 +349,7 @@ class TestRouteClassLifecycle:
     @staticmethod
     def _fabric():
         sim = Simulator()
-        fabric = Fabric(sim, SystemConfig(net_link_sharing="fair"))
+        fabric = Fabric(sim, SystemConfig())
         h0, h1, h4 = _FEW_HOSTS
         routes = {
             "a": tuple(fabric.route(h0, h1)),

@@ -118,20 +118,20 @@ class TestICI:
 
 class TestDCN:
     def test_loopback_is_free(self, sim, config, small_cluster):
-        dcn = small_cluster.dcn
+        dcn = small_cluster.transport
         host = small_cluster.hosts[0]
         ev = dcn.send(host, host, 1 << 20)
         assert ev.triggered
 
     def test_send_latency_and_bandwidth(self, sim, config, small_cluster):
-        dcn = small_cluster.dcn
+        dcn = small_cluster.transport
         a, b = small_cluster.hosts[:2]
         ev = dcn.send(a, b, 1_250_000)  # 100us serialization at 12.5GB/s
         sim.run_until_triggered(ev)
         assert sim.now == pytest.approx(config.dcn_latency_us + 100.0)
 
     def test_nic_serializes_concurrent_sends(self, sim, config, small_cluster):
-        dcn = small_cluster.dcn
+        dcn = small_cluster.transport
         a, b = small_cluster.hosts[:2]
         ev1 = dcn.send(a, b, 1_250_000)
         ev2 = dcn.send(a, b, 1_250_000)
@@ -140,7 +140,7 @@ class TestDCN:
         assert sim.now == pytest.approx(config.dcn_latency_us + 200.0)
 
     def test_counters(self, sim, config, small_cluster):
-        dcn = small_cluster.dcn
+        dcn = small_cluster.transport
         a, b = small_cluster.hosts[:2]
         dcn.send(a, b, 100)
         dcn.send(a, b, 200)

@@ -191,7 +191,7 @@ class TestPipeline:
         assert r_c.tokens_per_second == pytest.approx(
             r_b.tokens_per_second, rel=0.03
         )
-        assert sys_c.cluster.dcn.bytes_sent > 0  # really crossed islands
+        assert sys_c.cluster.transport.bytes_sent > 0  # really crossed islands
 
 
 class TestDataParallel:

@@ -1,6 +1,6 @@
 """Tests for the routed transport layer (repro.net).
 
-Covers the fabric (routes, FIFO and fluid fair-share links), the
+Covers the fabric (routes, fluid fair-share links), the
 transport (uncontended fast path, contended traversal, loopback stats,
 timeouts, reliable retransmit), route loss on host crash — including
 the no-capacity-leak invariants mirroring the PR-3 CPU-slot-leak fix —
@@ -73,42 +73,10 @@ class TestFabricRoutes:
         )
         assert len(route) == 5  # fresh uplinks + NICs materialized on demand
 
-
-class TestFifoLink:
-    def test_serializes_in_arrival_order(self, sim):
-        from repro.net import Link
-
-        link = Link(sim, bytes_per_us=100.0)
-        first = link.transmit("a", 1000)
-        second = link.transmit("b", 1000)
-        sim.run_until_triggered(first)
-        assert sim.now == pytest.approx(10.0)
-        sim.run_until_triggered(second)
-        assert sim.now == pytest.approx(20.0)
-        assert link.idle and link.max_concurrency == 2
-
-    def test_abort_active_starts_next_and_releases(self, sim):
-        from repro.net import Link
-
-        link = Link(sim, bytes_per_us=100.0)
-        link.transmit("a", 10_000)
-        second = link.transmit("b", 1000)
-        assert link.abort("a")
-        sim.run_until_triggered(second)
-        # "b" starts at abort time (t=0), not behind the aborted 100us.
-        assert sim.now == pytest.approx(10.0)
-        assert link.idle
-        assert link.flows_aborted == 1
-
-    def test_abort_queued_entry(self, sim):
-        from repro.net import Link
-
-        link = Link(sim, bytes_per_us=100.0)
-        first = link.transmit("a", 1000)
-        link.transmit("b", 1000)
-        assert link.abort("b")
-        sim.run_until_triggered(first)
-        assert link.idle
+    def test_fifo_link_sharing_is_rejected(self, sim, contended_config):
+        cfg = contended_config.with_overrides(net_link_sharing="fifo")
+        with pytest.raises(ValueError, match="net_link_sharing"):
+            make_cluster(sim, ClusterSpec(islands=((2, 2),)), config=cfg)
 
 
 class TestFluidFairShare:
@@ -187,7 +155,7 @@ class TestLoopbackStats:
     def test_loopback_counted_separately(self, sim, small_cluster):
         """Regression: loopbacks skip the network, so they must not
         inflate ``messages_sent``/``bytes_sent``."""
-        dcn = small_cluster.dcn
+        dcn = small_cluster.transport
         host = small_cluster.hosts[0]
         other = small_cluster.hosts[1]
         ev = dcn.send(host, host, 1 * MB)
@@ -203,7 +171,7 @@ class TestUncontendedRouteLoss:
     def test_src_crash_mid_serialization_fails_and_frees_nic(
         self, sim, config, small_cluster
     ):
-        dcn = small_cluster.dcn
+        dcn = small_cluster.transport
         a, b = small_cluster.hosts[:2]
         msg = dcn.send(a, b, 10 * MB)  # ~839us serialization
         outcome = {}
@@ -230,7 +198,7 @@ class TestUncontendedRouteLoss:
     ):
         """The PR-3 pattern on the NIC: a crash while one send holds the
         NIC and another is queued must fail both and leave the NIC free."""
-        dcn = small_cluster.dcn
+        dcn = small_cluster.transport
         a, b = small_cluster.hosts[:2]
         first = dcn.send(a, b, 10 * MB)
         second = dcn.send(a, b, 10 * MB)
@@ -264,7 +232,7 @@ class TestUncontendedRouteLoss:
     ):
         """A message fully serialized out of the NIC is on the wire: the
         sender dying afterwards does not un-send it."""
-        dcn = small_cluster.dcn
+        dcn = small_cluster.transport
         a, b = small_cluster.hosts[:2]
         msg = dcn.send(a, b, 1_250_000)  # 100us serialization + 40us wire
 
@@ -280,7 +248,7 @@ class TestUncontendedRouteLoss:
     def test_dst_crash_during_propagation_loses_message(
         self, sim, config, small_cluster
     ):
-        dcn = small_cluster.dcn
+        dcn = small_cluster.transport
         a, b = small_cluster.hosts[:2]
         msg = dcn.send(a, b, 1_250_000)
         outcome = {}
@@ -302,7 +270,7 @@ class TestUncontendedRouteLoss:
         assert a.nic.in_use == 0
 
     def test_send_to_dead_host_fails_fast(self, sim, config, small_cluster):
-        dcn = small_cluster.dcn
+        dcn = small_cluster.transport
         a, b = small_cluster.hosts[:2]
         b.crash()
         msg = dcn.send(a, b, 100)
@@ -312,7 +280,7 @@ class TestUncontendedRouteLoss:
     def test_delivery_timeout_aborts_and_frees_capacity(
         self, sim, config, small_cluster
     ):
-        dcn = small_cluster.dcn
+        dcn = small_cluster.transport
         a, b = small_cluster.hosts[:2]
         msg = dcn.send(a, b, 10 * MB, timeout_us=50.0)  # needs ~879us
         outcome = {}
@@ -333,7 +301,7 @@ class TestReliableSend:
     def test_retransmit_resolves_after_restore(self, sim, config, small_cluster):
         """Host crash mid-transfer fails the message; retransmit after
         the restore delivers — and nothing leaks."""
-        dcn = small_cluster.dcn
+        dcn = small_cluster.transport
         a, b = small_cluster.hosts[:2]
         done = dcn.send_reliable(a, b, 10 * MB, max_attempts=32)
 
@@ -351,7 +319,7 @@ class TestReliableSend:
         assert a.nic.in_use == 0 and a.nic.queue_len == 0
 
     def test_gives_up_after_max_attempts(self, sim, config, small_cluster):
-        dcn = small_cluster.dcn
+        dcn = small_cluster.transport
         a, b = small_cluster.hosts[:2]
         b.crash()
         done = dcn.send_reliable(a, b, 100, max_attempts=3)
@@ -376,6 +344,8 @@ class TestContendedRouteLoss:
         src = contended_cluster.islands[0].hosts[0]
         dst = contended_cluster.islands[1].hosts[0]
         msg = transport.send(src, dst, 100 * MB)
+        # Shares the route at half rate (~1678us): in flight at the crash.
+        trailing = transport.send(src, dst, 10 * MB)
         outcome = {}
 
         def watcher():
@@ -392,29 +362,8 @@ class TestContendedRouteLoss:
         sim.process(crasher())
         sim.run(detect_deadlock=False)
         assert isinstance(outcome["exc"], MessageLost)
+        assert isinstance(trailing._exc, MessageLost)
         assert fabric.idle and fabric.active_flows == 0
-
-    def test_fifo_mode_crash_releases_hops(self, sim):
-        config = DEFAULT_CONFIG.with_overrides(
-            net_contention=True, net_link_sharing="fifo"
-        )
-        cluster = make_cluster(
-            sim, ClusterSpec(islands=((2, 2), (2, 2)), name="fifo"), config=config
-        )
-        transport = cluster.transport
-        src = cluster.islands[0].hosts[0]
-        dst = cluster.islands[1].hosts[0]
-        msg = transport.send(src, dst, 100 * MB)
-        trailing = transport.send(src, dst, 1 * MB)
-
-        def crasher():
-            yield sim.timeout(500.0)
-            src.crash()
-
-        sim.process(crasher())
-        sim.run(detect_deadlock=False)
-        assert not msg.ok and not trailing.ok
-        assert cluster.fabric.idle
 
 
 class TestCrossIslandCollective:
@@ -664,34 +613,12 @@ class TestReviewRegressions:
         assert msg.ok
         assert transport.messages_lost == 0
 
-    def test_fifo_message_past_src_nic_survives_src_crash(self, sim):
-        config = DEFAULT_CONFIG.with_overrides(
-            net_contention=True, net_link_sharing="fifo"
-        )
-        cluster = make_cluster(
-            sim, ClusterSpec(islands=((2, 2), (2, 2)), name="sf"), config=config
-        )
-        transport = cluster.transport
-        src = cluster.islands[0].hosts[0]
-        dst = cluster.islands[1].hosts[0]
-        # 10 MiB: ~839us on the src NIC hop, then uplink/spine/rx hops.
-        msg = transport.send(src, dst, 10 * MB)
-
-        def crasher():
-            yield sim.timeout(900.0)  # past the NIC hop, buffered upstream
-            src.crash()
-
-        sim.process(crasher())
-        sim.run_until_triggered(msg)
-        assert msg.ok
-        assert cluster.fabric.idle
-
     def test_batching_channel_propagates_loss_eagerly(self, sim, config, small_cluster):
         from repro.plaque.channels import BatchingDcnChannel
 
         cfg = config.with_overrides(dcn_batch_window_us=0.0)
         a, b = small_cluster.hosts[:2]
-        chan = BatchingDcnChannel(sim, small_cluster.dcn, cfg, a)
+        chan = BatchingDcnChannel(sim, small_cluster.transport, cfg, a)
         arrival = chan.send(b, nbytes=10 * MB)
         outcome = {}
 
@@ -718,7 +645,7 @@ class TestReviewRegressions:
         from repro.plaque.channels import BatchingDcnChannel
 
         a, b = small_cluster.hosts[:2]
-        chan = BatchingDcnChannel(sim, small_cluster.dcn, config, a)
+        chan = BatchingDcnChannel(sim, small_cluster.transport, config, a)
         arrivals = [chan.send(b, nbytes=5 * MB) for _ in range(3)]
         failures = []
 
@@ -822,24 +749,6 @@ class TestUtilizationSnapshot:
         sim.process(_idle(sim))
         sim.run()
         assert cluster.fabric.utilization(5_000.0)["nic_tx[h0]"] == 0.0
-
-    def test_fifo_discipline_tracks_busy_time_too(self, sim):
-        cfg = DEFAULT_CONFIG.with_overrides(
-            net_contention=True, net_link_sharing="fifo"
-        )
-        cluster = make_cluster(
-            sim, ClusterSpec(islands=((2, 2),), name="net"), config=cfg
-        )
-        transport = cluster.transport
-        a, b = cluster.islands[0].hosts
-
-        def sender():
-            yield transport.send(a, b, 4 * MB)
-
-        proc = sim.process(sender())
-        sim.run_until_triggered(proc)
-        assert cluster.fabric.utilization()["nic_tx[h0]"] > 0.3
-        assert cluster.fabric.idle
 
     def test_transport_stats_snapshot(self, sim, contended_config):
         cluster = make_cluster(

@@ -196,7 +196,7 @@ class TestBatchingDcnChannel:
         )
         cluster = make_cluster(sim, ClusterSpec(islands=((2, 1),)), config=config)
         src, dst = cluster.hosts
-        return BatchingDcnChannel(sim, cluster.dcn, config, src), dst
+        return BatchingDcnChannel(sim, cluster.transport, config, src), dst
 
     def test_messages_in_window_batch(self, sim):
         chan, dst = self._make(sim)

@@ -28,8 +28,8 @@ from repro.serve import (
     REJECT_NO_CAPACITY,
     REJECT_QUEUE_FULL,
     ReplicaSet,
-    percentile,
 )
+from repro.telemetry.histogram import percentile
 from repro.workloads.serving import (
     bursty_arrivals,
     diurnal_arrivals,

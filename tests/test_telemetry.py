@@ -3,7 +3,7 @@
 The golden-determinism half of the contract (tracing on/off produces
 byte-identical schedules) is pinned in ``tests/test_sim_determinism.py``
 (``TestGoldenTracing``); this file covers the telemetry machinery
-itself — disabled-mode no-ops, span capture, Chrome-trace export, the
+itself — span capture, Chrome-trace export, the
 sampled metrics registry, post-mortem flight dumps, and the exact-sum
 critical-path decomposition plus its CLI.
 """
@@ -64,12 +64,6 @@ def traced_serve():
 
 
 class TestHistogram:
-    def test_percentile_matches_serve_metrics_reexport(self):
-        """Satellite: one nearest-rank definition for the whole repo."""
-        from repro.serve.metrics import percentile as serve_percentile
-
-        assert serve_percentile is percentile
-
     def test_nearest_rank_semantics(self):
         vals = [10.0, 20.0, 30.0, 40.0]
         assert percentile(vals, 0.0) == 10.0
@@ -96,25 +90,10 @@ class TestHistogram:
         assert h.percentile(50.0) == 1.0
 
 
-class TestTracerDisabled:
-    """Disabled mode is the zero-cost contract: every emit no-ops."""
-
-    def test_every_emit_is_a_noop(self):
-        tr = Tracer(enabled=False)
-        assert tr.complete("a", "c", 0.0, 1.0) is None
-        assert tr.instant("b", "c") is None
-        assert tr.begin("d", "c") is None
-        tr.end(None)  # None-safe close
-        with tr.span("e", "c") as s:
-            assert s is None
-        assert tr.spans == []
-
-    def test_export_of_empty_tracer(self):
-        doc = Tracer(enabled=False).to_chrome_trace()
-        assert doc["traceEvents"] == []
-
-
 class TestTracerEnabled:
+    def test_export_of_empty_tracer(self):
+        assert Tracer().to_chrome_trace()["traceEvents"] == []
+
     def test_begin_end_and_context_manager(self, sim):
         tr = Tracer()
         tr.bind(sim)
@@ -284,7 +263,7 @@ class TestFlightRecorder:
                 net_contention=True, spine_paths=2
             ),
         )
-        transport = cluster.dcn
+        transport = cluster.transport
         fl = FlightRecorder(capacity=16)
         fl.watch_transport(transport)
         src = cluster.islands[0].hosts[0]

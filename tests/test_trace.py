@@ -48,11 +48,6 @@ class TestRecorder:
         assert kernel_devices(tr) == [0, 1]
         assert len(tr.by_cat("kernel")) == 4
 
-    def test_disabled_recorder_drops_events(self):
-        tr = Tracer(enabled=False)
-        kernel(tr, 0, 0.0, 1.0)
-        assert tr.spans == [] and kernel_devices(tr) == []
-
     def test_clear(self):
         tr = make_trace()
         tr.clear()
