@@ -24,7 +24,7 @@ repo and was found by hand:
 from __future__ import annotations
 
 import ast
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.analysis.engine import FileContext, Rule
 
@@ -69,16 +69,6 @@ def _walk_scope(root: ast.AST):
             stack.extend(ast.iter_child_nodes(node))
 
 
-def _test_mentions_debug(test: ast.AST) -> bool:
-    """True when an ``if`` test involves the debug-names gate."""
-    for node in ast.walk(test):
-        if isinstance(node, ast.Attribute) and "debug" in node.attr:
-            return True
-        if isinstance(node, ast.Name) and "debug" in node.id:
-            return True
-    return False
-
-
 # --------------------------------------------------------------------------
 # RPR001 — eager event names
 # --------------------------------------------------------------------------
@@ -95,22 +85,23 @@ _EVENT_CLASS_NAME_POS = {
     "Event": 1,
     "Process": 2,
     "Ticker": 3,
-    "Message": 4,
     "Kernel": None,
     "CollectiveRendezvous": None,
 }
 
 
-def _eager_name_construct(expr: ast.AST) -> Optional[ast.AST]:
+def _eager_format(
+    expr: ast.AST, gate: Optional[Callable[[ast.AST], bool]] = None
+) -> Optional[ast.AST]:
     """The first *eagerly evaluated* f-string/.format inside ``expr``.
 
     Lambdas are lazy (the engine's ``LazyName`` protocol resolves them
-    on first read) and conditional expressions gated on the debug flag
-    are the sanctioned eager idiom — both are skipped.
+    on first read) and are skipped, as is a conditional expression
+    whose test satisfies ``gate``.
     """
     if isinstance(expr, ast.Lambda):
         return None
-    if isinstance(expr, ast.IfExp) and _test_mentions_debug(expr.test):
+    if gate is not None and isinstance(expr, ast.IfExp) and gate(expr.test):
         return None
     if isinstance(expr, ast.JoinedStr) and any(
         isinstance(v, ast.FormattedValue) for v in expr.values
@@ -123,28 +114,24 @@ def _eager_name_construct(expr: ast.AST) -> Optional[ast.AST]:
     ):
         return expr
     for child in ast.iter_child_nodes(expr):
-        found = _eager_name_construct(child)
+        found = _eager_format(child, gate)
         if found is not None:
             return found
     return None
 
 
 class EagerEventNameRule(Rule):
-    """RPR001: f-string/.format event names not gated behind debug_names.
+    """RPR001: eager f-string/.format event names.
 
     Event names exist for debuggers and error messages; the hot path
     never reads them.  Building one eagerly pays string formatting on
-    every event — millions per sweep.  Gate with
-    ``name=f"..." if sim.debug_names else ""`` or pass a lazy
+    every event — millions per sweep.  Pass a constant name or a lazy
     ``name=lambda: f"..."``.
     """
 
     code = "RPR001"
     name = "eager-event-name"
-    summary = (
-        "eager f-string/.format event name; gate behind debug_names or "
-        "pass a lazy lambda"
-    )
+    summary = "eager f-string/.format event name; pass a lazy lambda"
     sim_only = True
 
     def visit_Call(self, node: ast.Call) -> None:
@@ -167,22 +154,11 @@ class EagerEventNameRule(Rule):
             if pos is not None and len(node.args) > pos:
                 candidates.append(node.args[pos])
             for cand in candidates:
-                eager = _eager_name_construct(cand)
-                if eager is not None and not self._gated(node):
+                eager = _eager_format(cand)
+                if eager is not None:
                     self.report(eager)
                     break
         self.generic_visit(node)
-
-    def _gated(self, call: ast.Call) -> bool:
-        """The whole call sits under an ``if ...debug...`` branch."""
-        for anc in self.ctx.ancestors(call):
-            if isinstance(anc, (ast.If, ast.IfExp)) and _test_mentions_debug(
-                anc.test
-            ):
-                return True
-            if isinstance(anc, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                break
-        return False
 
 
 # --------------------------------------------------------------------------
@@ -653,36 +629,6 @@ def _test_gates_tracer(test: ast.AST) -> bool:
     )
 
 
-def _eager_label_construct(expr: ast.AST) -> Optional[ast.AST]:
-    """The first eagerly evaluated f-string/.format inside ``expr``.
-
-    Like RPR001's detector, but the sanctioned gate is a ``tracer is
-    not None`` test (``debug_names`` also passes: both mean "the slow
-    path was explicitly opted into").
-    """
-    if isinstance(expr, ast.Lambda):
-        return None
-    if isinstance(expr, ast.IfExp) and (
-        _test_gates_tracer(expr.test) or _test_mentions_debug(expr.test)
-    ):
-        return None
-    if isinstance(expr, ast.JoinedStr) and any(
-        isinstance(v, ast.FormattedValue) for v in expr.values
-    ):
-        return expr
-    if (
-        isinstance(expr, ast.Call)
-        and isinstance(expr.func, ast.Attribute)
-        and expr.func.attr == "format"
-    ):
-        return expr
-    for child in ast.iter_child_nodes(expr):
-        found = _eager_label_construct(child)
-        if found is not None:
-            return found
-    return None
-
-
 class SpanHygieneRule(Rule):
     """RPR007: tracer spans must close on all paths and cost nothing
     when tracing is off.
@@ -756,7 +702,7 @@ class SpanHygieneRule(Rule):
                 kw.value for kw in node.keywords
             ]
             for cand in candidates:
-                eager = _eager_label_construct(cand)
+                eager = _eager_format(cand, _test_gates_tracer)
                 if eager is not None and not self._tracer_gated(node):
                     self.report(
                         eager,
@@ -770,9 +716,8 @@ class SpanHygieneRule(Rule):
         """The whole call sits under an ``if <tracer> is not None``
         branch."""
         for anc in self.ctx.ancestors(call):
-            if isinstance(anc, (ast.If, ast.IfExp)) and (
-                _test_gates_tracer(anc.test)
-                or _test_mentions_debug(anc.test)
+            if isinstance(anc, (ast.If, ast.IfExp)) and _test_gates_tracer(
+                anc.test
             ):
                 return True
             if isinstance(anc, (ast.FunctionDef, ast.AsyncFunctionDef)):

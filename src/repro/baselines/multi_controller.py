@@ -107,7 +107,6 @@ class MultiControllerJax:
                 self.sim,
                 participants=len(self.group.devices),
                 duration_us=coll_us,
-                name=f"jax:{fn.name}" if self.sim.debug_names else "",
             )
             kernels = [
                 Kernel(

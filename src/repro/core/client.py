@@ -212,10 +212,7 @@ class PathwaysClient:
             deadline_us=deadline_us,
         )
         sim = self.system.sim
-        sim.process(
-            execution.run(),
-            name=f"dispatch:{execution.name}" if sim.debug_names else "",
-        )
+        sim.process(execution.run())
         self.programs_submitted += 1
         return execution
 

@@ -112,20 +112,15 @@ class ProgramExecution:
         self.deadline_exceeded = False
         self.exec_id = next(_exec_ids)
         self.name = f"{low.name}#{self.exec_id}"
-        debug = self.sim.debug_names
 
         #: Fires once the controller has enqueued everything and holds
         #: the output handles (what an OpByOp client waits for).
-        self.handles_ready: Event = self.sim.event(
-            name=f"handles:{self.name}" if debug else ""
-        )
+        self.handles_ready: Event = self.sim.event()
         #: Retry mode only: fires when every node has completed (after
         #: any replays), or fails with :class:`ExecutionAbandoned`.
         #: Resilient drivers wait on this instead of :attr:`done`, whose
         #: constituent events are replaced across replays.
-        self.finished: Event = self.sim.event(
-            name=f"finished:{self.name}" if debug else ""
-        )
+        self.finished: Event = self.sim.event()
         #: Per-result futures (logical buffers in the object store).
         self.result_futures: list[PathwaysFuture] = []
         self._executors: dict[int, NodeExecutor] = {}
@@ -154,13 +149,11 @@ class ProgramExecution:
             self._executors[node.node_id] = ex
             self._node_done[node.node_id] = ex.all_kernels_done
 
-        src_results = low.source.results
-        for node_id, out_index in src_results:
+        for node_id, _ in low.source.results:
             handle = self._executors[node_id].output_handle  # None until prep
             fut = PathwaysFuture(
                 self.sim,
                 handle if handle is not None else _placeholder_handle(node_id),
-                name=f"result:{self.name}[{node_id}.{out_index}]" if debug else "",
             )
             self.result_futures.append(fut)
 
@@ -307,13 +300,9 @@ class ProgramExecution:
         # paper §4.5); the controller does not wait for completions.
         yield self.sim.timeout(self.config.dcn_latency_us)
         self._wire_dataflow(nodes, seed_args=seed_args)
-        debug = self.sim.debug_names
         for node in nodes:
             self._dispatched.add(node.node_id)
-            self.sim.process(
-                self._run_node(node),
-                name=f"node:{node.label}" if debug else "",
-            )
+            self.sim.process(self._run_node(node))
         # The controller thread is released as soon as the subgraph
         # message is out; node processes run island-side.
         return
@@ -432,12 +421,9 @@ class ProgramExecution:
         transfers are rebuilt against the (possibly pre-triggered)
         completion events of preserved producers.
         """
-        debug = self.sim.debug_names
         for node in nodes:
             if node.incoming:
-                self._gates[node.node_id] = self.sim.event(
-                    name=f"gate:{self.name}:{node.label}" if debug else ""
-                )
+                self._gates[node.node_id] = self.sim.event()
         for node in nodes:
             if not node.incoming:
                 continue
@@ -450,10 +436,7 @@ class ProgramExecution:
                 # — no per-edge transfer process, no feeder process.
                 self._wire_local_gate(node)
             else:
-                self.sim.process(
-                    self._feed_node(node),
-                    name=f"xfer:{self.name}:{node.label}" if debug else "",
-                )
+                self.sim.process(self._feed_node(node))
         # Arg values seed the logical evaluation.
         if seed_args and self.compute_values:
             arg_nodes = self.low.source.arg_nodes
@@ -496,15 +479,11 @@ class ProgramExecution:
         whole (non-preemptible) queue behind it forever.
         """
         gate = self._gates[node.node_id]
-        debug = self.sim.debug_names
         transfer_events = []
         for spec in node.incoming:
             producer_done = self._node_done[spec.src_node]
             transfer_events.append(
-                self.sim.process(
-                    self._one_transfer(spec, producer_done, node),
-                    name=f"move:{spec.src_node}->{spec.dst_node}" if debug else "",
-                )
+                self.sim.process(self._one_transfer(spec, producer_done, node))
             )
         try:
             yield self.sim.all_of(transfer_events)

@@ -46,13 +46,8 @@ class NodeExecutor:
         self.owner = owner
         self.program = program or owner
         self.output_handle: Optional[ObjectHandle] = None
-        debug = sim.debug_names
-        self.prep_done: Event = sim.event(
-            name=f"prep:{node.label}" if debug else ""
-        )
-        self.all_kernels_done: Event = sim.event(
-            name=f"exec:{node.label}" if debug else ""
-        )
+        self.prep_done: Event = sim.event()
+        self.all_kernels_done: Event = sim.event()
 
     # -- step 1: host-side preparation ----------------------------------------
     def prep(self) -> Generator:
@@ -116,7 +111,6 @@ class NodeExecutor:
                 self.sim,
                 participants=len(group.devices),
                 duration_us=duration,
-                name=f"gang:{self.node.label}" if self.sim.debug_names else "",
                 # Fold the gang's identical compute phase — and the
                 # per-device launch latency — into the rendezvous
                 # completion: one shared timeout and one wait per device

@@ -23,15 +23,14 @@ __all__ = ["PathwaysFuture"]
 class PathwaysFuture:
     """A promise for a (logical) buffer produced by a computation."""
 
-    def __init__(self, sim: Simulator, handle: "ObjectHandle", name: str = ""):
+    def __init__(self, sim: Simulator, handle: "ObjectHandle"):
         self.sim = sim
         self.handle = handle
-        self._name = name
-        self._ready: Event = sim.event(name=name)
+        self._ready: Event = sim.event()
 
     @property
     def name(self) -> str:
-        return self._name or f"future:{self.handle.object_id}"
+        return f"future:{self.handle.object_id}"
 
     @property
     def ready(self) -> Event:

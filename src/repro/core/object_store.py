@@ -111,9 +111,7 @@ class ShardedObjectStore:
             else:
                 ready = self.sim.all_of([ev for _, ev in grants])
         else:
-            ready = self.sim.event(
-                name=f"dram_alloc:{handle.object_id}" if self.sim.debug_names else ""
-            )
+            ready = self.sim.event()
             ready.succeed(None)
         return handle, ready
 

@@ -267,10 +267,6 @@ class ResourceManager:
             self._bound[vslice.slice_id] = vslice
             raise
 
-    def slices_needing_remap(self) -> list[VirtualSlice]:
-        """Bound slices that lost at least one device to a failure."""
-        return [s for s in self._bound.values() if s.needs_remap]
-
     # -- compilation tracking ---------------------------------------------
     def register_computation(self, fn: CompiledFunction) -> Event:
         """Trigger background compilation; event fires when ready.

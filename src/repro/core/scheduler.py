@@ -236,13 +236,12 @@ class IslandScheduler:
         :class:`DeadlineExceeded`.  Granted gangs are never killed by
         their deadline — non-preemptible devices are already running them.
         """
-        debug = self.sim.debug_names
         req = GangRequest(
             client=client,
             program=program,
             node_label=node_label,
-            grant=self.sim.event(name=f"grant:{node_label}" if debug else ""),
-            enqueued_ack=self.sim.event(name=f"ack:{node_label}" if debug else ""),
+            grant=self.sim.event(),
+            enqueued_ack=self.sim.event(),
             cost_us=cost_us,
             device_ids=tuple(device_ids),
             deadline_at_us=deadline_at_us,

@@ -87,22 +87,18 @@ class PathwaysSystem:
         policy: Optional[SchedulingPolicy] = None,
         aggregate_threshold: int = 64,
         disjoint_aggregate_reps: bool = False,
-        debug_names: bool = False,
         log_schedule: bool = False,
         tracer=None,
     ) -> "PathwaysSystem":
         """Create a fresh simulator + cluster + system for ``spec``.
 
-        ``debug_names`` / ``log_schedule`` are forwarded to the
-        :class:`~repro.sim.Simulator` (rich event names for debugging,
-        and the golden-determinism schedule log, respectively).
+        ``log_schedule`` is forwarded to the :class:`~repro.sim.Simulator`
+        (the golden-determinism schedule log).
         ``tracer`` attaches a :class:`repro.telemetry.Tracer` to the
         simulator (``system.sim.tracer``); every layer, device kernels
         included, emits its spans into that one stream.
         """
-        sim = Simulator(
-            debug_names=debug_names, log_schedule=log_schedule, tracer=tracer
-        )
+        sim = Simulator(log_schedule=log_schedule, tracer=tracer)
         cluster = make_cluster(sim, spec, config=config)
         return PathwaysSystem(
             sim,
@@ -152,11 +148,6 @@ class PathwaysSystem:
         self.resource_manager.add_island(island)
         return island
 
-    def set_policy(self, policy: SchedulingPolicy) -> None:
-        self._default_policy = policy
-        for sched in self._schedulers.values():
-            sched.policy = policy
-
     def make_virtual_device_set(self) -> VirtualDeviceSet:
         return VirtualDeviceSet(self.resource_manager)
 
@@ -169,17 +160,8 @@ class PathwaysSystem:
         self._clients[name] = client
         return client
 
-    # -- execution helpers -----------------------------------------------
-    def run_until_idle(self, limit_us: Optional[float] = None) -> float:
-        """Drain the simulation; returns final time (µs)."""
-        return self.sim.run(until=limit_us)
-
     def mean_utilization(self) -> float:
         return self.cluster.mean_utilization()
-
-    # -- resilience --------------------------------------------------------
-    def healthy_device_count(self) -> int:
-        return sum(isl.n_healthy for isl in self.cluster.islands)
 
     # -- observability -----------------------------------------------------
     def stats(self):

@@ -106,9 +106,6 @@ class Cluster:
         # runtime (elastic scale-up).
         return sum(isl.n_devices for isl in self.islands)
 
-    def island_of(self, device: Device) -> Island:
-        return self.islands[device.island_id]
-
     def device(self, device_id: int) -> Device:
         for isl in self.islands:
             base = isl.devices[0].device_id

@@ -98,11 +98,10 @@ class HbmAllocator:
                 f"{self.name}: request of {nbytes} bytes exceeds HBM capacity "
                 f"{self.capacity}"
             )
-        debug = self.sim.debug_names
         if self.device is not None and self.device.failed:
             # Fail fast, mirroring enqueue-to-failed-device semantics: a
             # grant on a dead core would otherwise queue forever.
-            ev = self.sim.event(name=f"hbm_alloc:{self.name}" if debug else "")
+            ev = self.sim.event()
             ev.fail(DeviceFailure(self.device.device_id, "alloc on failed device"))
             return ev
         if not self._waiters and self.used + nbytes <= self.capacity:
@@ -112,7 +111,7 @@ class HbmAllocator:
             if self.used > self.peak_used:
                 self.peak_used = self.used
             return self.sim.granted()
-        ev = self.sim.event(name=f"hbm_alloc:{self.name}" if debug else "")
+        ev = self.sim.event()
         self._waiters.append((ev, nbytes))
         return ev
 
@@ -221,9 +220,7 @@ class CollectiveRendezvous:
         #: Set once the wire phase has completed: a later abort must not
         #: release the surviving peers' compute phase with a failure.
         self._wire_done = False
-        self._done = sim.event(
-            name=f"collective_done:{self.name}" if sim.debug_names else ""
-        )
+        self._done = sim.event()
         #: Post-release compute phase shared by the gang when
         #: ``compute_us`` is not used (see :meth:`shared_delay`).
         self._shared_delay: Optional[Event] = None
@@ -334,9 +331,7 @@ class Kernel:
             raise ValueError(f"negative kernel duration: {duration_us}")
         self.duration_us = duration_us
         self.collective = collective
-        self.done: Event = sim.event(
-            name=f"kernel_done:{tag}" if sim.debug_names else ""
-        )
+        self.done: Event = sim.event()
         self.tag = tag
         self.program = program
         self.gate = gate
@@ -381,11 +376,10 @@ class Device:
         self.island_id = island_id
         self.coords = coords
         self.host = host
-        debug = sim.debug_names
         self.hbm = HbmAllocator(
             sim,
             config.hbm_bytes,
-            name=f"hbm[d{device_id}]" if debug else "hbm",
+            name=f"hbm[d{device_id}]",
             device=self,
         )
         #: The hardware FIFO.  A plain deque + idle flag: a busy device

@@ -17,12 +17,12 @@ where ``retry_on_failure`` catches it.
 
 from __future__ import annotations
 
-from typing import Callable, Generator
+from typing import Callable
 
 from repro.config import SystemConfig
-from repro.sim import Event, Process, Resource, Simulator
+from repro.sim import Event, Resource, Simulator
 
-from repro.hw.device import Device, FaultError, Kernel
+from repro.hw.device import Device, FaultError
 
 __all__ = ["Host", "HostFailure"]
 
@@ -56,32 +56,28 @@ class Host:
         self.host_id = host_id
         self.island_id = island_id
         self.devices: list[Device] = []
-        debug = sim.debug_names
         #: Serial CPU doing dispatch/prep work.  Leak-checked: every
         #: grant must be released by drain end (the PR-3 slot-leak bug
         #: class) — the sim-sanitizer enforces it when enabled.
         self.cpu = Resource(
             sim,
             capacity=1,
-            name=f"cpu[h{host_id}]" if debug else "cpu",
+            name=f"cpu[h{host_id}]",
             leak_check=True,
         )
         #: NIC egress serialization for DCN sends (leak-checked too).
         self.nic = Resource(
             sim,
             capacity=1,
-            name=f"nic[h{host_id}]" if debug else "nic",
+            name=f"nic[h{host_id}]",
             leak_check=True,
         )
         #: Set while the host is crashed; its devices are down with it.
         self.failed = False
-        #: In-flight prep work processes, interrupted on crash.
-        #: Insertion-ordered (dict-as-set): crash interrupts walk these
-        #: in spawn order — a hash set would iterate by object address
-        #: and make the failure schedule nondeterministic.
-        self._prep_procs: dict[Process, None] = {}
-        #: In-flight event-chain preps (:meth:`prep_request`), aborted
-        #: on crash.  Same ordering argument as ``_prep_procs``.
+        #: In-flight preps (:meth:`prep_request`), aborted on crash.
+        #: Insertion-ordered (dict-as-set): crash aborts walk these in
+        #: issue order — a hash set would iterate by object address and
+        #: make the failure schedule nondeterministic.
         self._live_preps: dict[_PrepState, None] = {}
         self.preps_aborted = 0
         #: Crash observers (the transport layer fails in-flight messages
@@ -107,9 +103,6 @@ class Host:
         self.cpu.fail_waiters(cause)
         # Sends still queued for the dead NIC can never serialize.
         self.nic.fail_waiters(cause)
-        for proc in list(self._prep_procs):
-            self.preps_aborted += 1
-            proc.interrupt(cause)
         for state in list(self._live_preps):
             self.preps_aborted += 1
             state.abort(cause)
@@ -137,40 +130,17 @@ class Host:
         self.devices.append(device)
 
     # -- host-side work ----------------------------------------------------
-    def cpu_work(self, work_us: float) -> Generator:
-        """Occupy the serial CPU for ``work_us``.  ``yield from`` this."""
-        yield from self.cpu.using(self.sim, work_us)
-
-    def prep_process(self, work_us: float, name: str = "") -> Process:
-        """Spawn executor-prep CPU work as a crash-aware process.
-
-        The returned process fails with :class:`HostFailure` if the host
-        is already down or crashes while the work is queued or running —
-        the fail-fast path that feeds ``retry_on_failure``.
-        """
-        proc = self.sim.process(
-            self._guarded_cpu_work(work_us),
-            name=name or (f"prep@{self.name}" if self.sim.debug_names else ""),
-        )
-        self._prep_procs[proc] = None
-        proc.add_callback(lambda ev: self._prep_procs.pop(proc, None))
-        return proc
-
-    def _guarded_cpu_work(self, work_us: float) -> Generator:
-        if self.failed:
-            raise HostFailure(self.host_id, "prep on crashed host")
-        yield from self.cpu.using(self.sim, work_us)
-
     def prep_request(self, work_us: float) -> Event:
-        """Crash-aware executor-prep CPU occupancy, without a process.
+        """Crash-aware executor-prep CPU occupancy.
 
-        Semantically :meth:`prep_process` (acquire the serial CPU, hold
-        it for ``work_us``, release; fail fast with
-        :class:`HostFailure` if the host is down or crashes meanwhile)
-        but wired as an event chain — no generator, no Process, no
-        bootstrap — because the executor layer issues one of these per
-        (node, host) and paper-scale dispatch sweeps create hundreds of
-        thousands of them.  Returns the completion event.
+        Acquires the serial CPU, holds it for ``work_us`` and releases
+        it.  The returned completion event fails with
+        :class:`HostFailure` if the host is down or crashes while the
+        work is queued or running — the fail-fast path that feeds
+        ``retry_on_failure``.  Wired as an event chain — no generator,
+        no Process, no bootstrap — because the executor layer issues one
+        of these per (node, host) and paper-scale dispatch sweeps create
+        hundreds of thousands of them.
         """
         done = Event(self.sim)
         if self.failed:
@@ -196,27 +166,6 @@ class Host:
 
     def _finish_prep(self, state: "_PrepState") -> None:
         self._live_preps.pop(state, None)
-
-    def enqueue_kernel(self, device: Device, kernel: Kernel) -> Generator:
-        """Dispatch one kernel over PCIe: CPU launch work + PCIe latency.
-
-        Returns (via StopIteration value) the kernel's completion event,
-        which the caller may or may not wait on — enqueue is asynchronous
-        (Appendix A.2).
-        """
-        if device.host is not self:
-            raise ValueError(
-                f"device {device.name} is attached to "
-                f"{device.host.name if device.host else 'no host'}, not {self.name}"
-            )
-        yield from self.cpu_work(self.config.host_launch_work_us)
-        yield self.sim.timeout(self.config.pcie_latency_us)
-        return device.enqueue(kernel)
-
-    def pcie_transfer(self, nbytes: int) -> Generator:
-        """Move ``nbytes`` between device HBM and host DRAM over PCIe."""
-        duration = self.config.pcie_latency_us + nbytes / self.config.gpu_dram_bytes_per_us
-        yield self.sim.timeout(duration)
 
 
 class _PrepState:

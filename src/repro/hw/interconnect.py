@@ -16,7 +16,7 @@ from typing import Generator
 from repro.config import SystemConfig
 from repro.sim import Simulator
 
-from repro.hw.device import CollectiveRendezvous, Device
+from repro.hw.device import Device
 
 __all__ = ["ICI"]
 
@@ -30,8 +30,8 @@ class ICI:
     changing any reproduced shape.  Costs:
 
     * point-to-point: ``hops * ici_latency + bytes / link_bw``
-    * all-reduce over n devices (ring): ``base + 2*(n-1)/n * bytes / bw``
-    * all-gather / reduce-scatter: ``base + (n-1)/n * bytes / bw``
+    * all-reduce over n devices (ring): ``base + 2*sqrt(n)*ici_latency +
+      2*(n-1)/n * bytes / bw``
     """
 
     def __init__(self, sim: Simulator, config: SystemConfig, island_id: int):
@@ -57,31 +57,9 @@ class ICI:
         lat = self.config.allreduce_base_us + 2.0 * math.sqrt(n_devices) * self.config.ici_latency_us
         return lat + ring
 
-    def allgather_time_us(self, n_devices: int, nbytes: int) -> float:
-        if n_devices <= 1:
-            return self.config.allreduce_base_us / 2
-        wire = (n_devices - 1) / n_devices * nbytes / self.config.ici_bytes_per_us
-        return self.config.allreduce_base_us / 2 + wire
-
     # -- simulated actions -------------------------------------------------
     def transfer(self, src: Device, dst: Device, nbytes: int) -> Generator:
         """Simulate a device-to-device copy; completes after wire time."""
         if src.island_id != self.island_id or dst.island_id != self.island_id:
             raise ValueError("ICI transfer requires both devices on this island")
         yield self.sim.timeout(self.transfer_time_us(src, dst, nbytes))
-
-    def make_allreduce(
-        self, participants: int, nbytes: int, name: str = ""
-    ) -> CollectiveRendezvous:
-        """Create the rendezvous for one all-reduce instance."""
-        return CollectiveRendezvous(
-            self.sim,
-            participants,
-            self.allreduce_time_us(participants, nbytes),
-            name=name
-            or (
-                f"allreduce[{participants}x{nbytes}B]"
-                if self.sim.debug_names
-                else ""
-            ),
-        )

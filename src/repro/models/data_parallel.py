@@ -597,7 +597,6 @@ class ElasticDataParallelTrainer:
                 self.sim,
                 participants=len(devices),
                 duration_us=0.0,
-                name=f"{self.name}:{tag}" if self.sim.debug_names else "",
             )
         kernels = []
         for device in devices:

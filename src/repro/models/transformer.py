@@ -61,10 +61,6 @@ class TransformerConfig:
     def forward_flops_per_token(self) -> float:
         return 2.0 * self.params
 
-    def activation_bytes_per_token(self, dtype_bytes: int = 2) -> int:
-        """Bytes of the layer-boundary activation for one token."""
-        return self.d_model * dtype_bytes
-
     # -- inference (the serving subsystem's cost model) --------------------
     def infer_flops(self, prompt_tokens: int, gen_tokens: int) -> float:
         """FLOPs of one inference-mode step for a single request:
@@ -100,10 +96,6 @@ class TransformerConfig:
     def kv_cache_bytes_per_token(self, dtype_bytes: int = 2) -> int:
         """Per-token KV-cache footprint (keys + values, every layer)."""
         return 2 * self.n_total_layers * self.d_model * dtype_bytes
-
-    def gradient_bytes(self, dtype_bytes: int = 4) -> int:
-        """Full-model gradient size (f32 by default)."""
-        return self.params * dtype_bytes
 
     # -- partitioning helpers --------------------------------------------
     def stage_params(self, n_stages: int) -> int:

@@ -634,7 +634,7 @@ class Fabric:
     def spine_path(self, src: "Host", dst: "Host", flow_seq: int) -> Optional[Link]:
         """ECMP: hash one flow onto a surviving spine path (None if all
         are down).  The hash is a seeded CRC of the flow identity —
-        stable across runs, interpreters, and ``debug_names`` — and is
+        stable across runs and interpreters — and is
         taken over the *up* paths, so a failed path's flows rehash onto
         the survivors while flows on healthy paths keep their path."""
         spines = self.spine_links()
@@ -682,8 +682,7 @@ class Fabric:
         ``bandwidth / flows_on_link``, maintained by the
         :class:`ScopedFluidSolver` (see the module docstring).
         """
-        debug = self.sim.debug_names
-        ev = Event(self.sim, "flow" if debug else "")
+        ev = Event(self.sim)
         if nbytes <= 0 or not route:
             ev.succeed(None)
             return ev

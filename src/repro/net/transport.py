@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Generator, Iterable, Optional, Sequence, TYPE_CHECKING
+from typing import Callable, Generator, Optional, Sequence, TYPE_CHECKING
 
 from repro.config import SystemConfig
 from repro.faults import FaultError
@@ -100,8 +100,8 @@ class Message(Event):
         "flow_seq", "on_wire", "reroutes", "_state", "_proc",
     )
 
-    def __init__(self, sim: Simulator, src: "Host", dst: "Host", nbytes: int, name=""):
-        super().__init__(sim, name=name)
+    def __init__(self, sim: Simulator, src: "Host", dst: "Host", nbytes: int):
+        super().__init__(sim)
         self.msg_id = next(_message_ids)
         self.src = src
         self.dst = dst
@@ -389,11 +389,7 @@ class Transport:
         while it is in flight (or ``timeout_us`` elapses first).
         Loopback (src is dst) skips the network entirely.
         """
-        debug = self.sim.debug_names
-        msg = Message(
-            self.sim, src, dst, nbytes,
-            name=f"dcn:{src.name}->{dst.name}" if debug else "",
-        )
+        msg = Message(self.sim, src, dst, nbytes)
         if src is dst:
             self.loopback_messages += 1
             self.loopback_bytes += nbytes
@@ -414,10 +410,7 @@ class Transport:
             # None (no surviving middle path) becomes the empty route:
             # the traversal recomputes it and parks until a restore.
             msg.route = self.fabric.route(src, dst, msg.flow_seq) or []
-            msg._proc = self.sim.process(
-                self._traverse(msg),
-                name=f"net_send:{src.name}->{dst.name}" if debug else "",
-            )
+            msg._proc = self.sim.process(self._traverse(msg))
         else:
             state = msg._state = _SendState(self, msg)
             state.start()
@@ -432,21 +425,6 @@ class Transport:
     def rpc(self, src: "Host", dst: "Host", nbytes: int = 256) -> Message:
         """A small control-plane message (scheduling, data handles)."""
         return self.send(src, dst, nbytes)
-
-    def bulk_transfer(
-        self, transfers: Iterable[tuple["Host", "Host", int]]
-    ) -> Event:
-        """Fire a batch of sends in parallel; fires when all delivered.
-
-        Fails fast with the first :class:`MessageLost` (callers that
-        need per-message outcomes should issue sends individually).
-        """
-        messages = [self.send(s, d, n) for s, d, n in transfers]
-        if not messages:
-            return self.sim.completed(None)
-        if len(messages) == 1:
-            return messages[0]
-        return self.sim.all_of(messages)
 
     def send_reliable(
         self,
@@ -464,10 +442,7 @@ class Transport:
         event succeeds with the number of attempts used, or fails with
         the final :class:`MessageLost` once ``max_attempts`` is spent.
         """
-        done = Event(
-            self.sim,
-            f"reliable:{src.name}->{dst.name}" if self.sim.debug_names else "",
-        )
+        done = Event(self.sim)
 
         def _proc() -> Generator:
             last: Optional[BaseException] = None
@@ -485,12 +460,7 @@ class Transport:
                 return
             done.fail(last)
 
-        self.sim.process(
-            _proc(),
-            name=f"net_reliable:{src.name}->{dst.name}"
-            if self.sim.debug_names
-            else "",
-        )
+        self.sim.process(_proc())
         return done
 
     def make_cross_island_collective(
@@ -519,12 +489,7 @@ class Transport:
             self.sim,
             participants,
             duration_us=0.0,
-            name=name
-            or (
-                f"net_collective[{len(hosts)}hx{nbytes_per_host}B]"
-                if self.sim.debug_names
-                else ""
-            ),
+            name=name,
             compute_us=compute_us,
             wire_fn=lambda: self._collective_wire(hosts, nbytes_per_host),
         )
@@ -668,12 +633,7 @@ class Transport:
         traversal retries), False when the message was failed meanwhile
         (park deadline, endpoint crash, timeout).
         """
-        park = Event(
-            self.sim,
-            f"park:h{msg.src.host_id}->h{msg.dst.host_id}"
-            if self.sim.debug_names
-            else "",
-        )
+        park = Event(self.sim)
         self._parked[msg] = park
         self.messages_parked += 1
         tr = self.sim.tracer
@@ -725,9 +685,7 @@ class Transport:
             if scatter:
                 yield self.sim.all_of(scatter)
 
-        return self.sim.process(
-            _proc(), name="net_collective_wire" if self.sim.debug_names else ""
-        )
+        return self.sim.process(_proc())
 
     def _track(self, msg: Message) -> None:
         for host in (msg.src, msg.dst):

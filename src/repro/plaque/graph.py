@@ -146,9 +146,6 @@ class ShardedGraph:
     def in_edges(self, node_id: int) -> list[ShardedEdge]:
         return [e for e in self._edges if e.dst == node_id]
 
-    def out_edges(self, node_id: int) -> list[ShardedEdge]:
-        return [e for e in self._edges if e.src == node_id]
-
     def predecessors(self, node_id: int) -> list[int]:
         return sorted(self._g.predecessors(node_id))
 

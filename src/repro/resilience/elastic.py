@@ -102,10 +102,6 @@ class ElasticController:
             self.workloads.append(workload)
             workload.elastic = self
 
-    def unregister(self, workload) -> None:
-        if workload in self.workloads:
-            self.workloads.remove(workload)
-
     # -- capacity growth -----------------------------------------------------
     def _on_capacity(self, reason: str, island_id: int) -> None:
         self.capacity_events += 1

@@ -84,11 +84,7 @@ class Autoscaler:
         self._candidates: list[int] = []
         if system.elastic is not None:
             system.elastic.register(self)
-        self.proc = self.sim.process(
-            self._run(),
-            name="autoscaler" if self.sim.debug_names else "",
-            daemon=True,
-        )
+        self.proc = self.sim.process(self._run(), daemon=True)
 
     # -- elastic-workload protocol (ElasticController callbacks) -------------
     def notify_capacity(self, island_id: int, reason: str) -> None:

@@ -52,11 +52,7 @@ class ContinuousBatcher:
         #: Wait between submission attempts while the replica's slice is
         #: mid-remap with no healthy capacity bound yet.
         self.rebind_backoff_us = rebind_backoff_us
-        self.proc = self.sim.process(
-            self._run(),
-            name=f"batcher[{replica.name}]" if self.sim.debug_names else "",
-            daemon=True,
-        )
+        self.proc = self.sim.process(self._run(), daemon=True)
 
     # -- the loop ------------------------------------------------------------
     def _run(self) -> Generator:

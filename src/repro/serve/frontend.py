@@ -145,9 +145,7 @@ class Frontend:
         self.last_abandon_cause: Optional[BaseException] = None
         self._outstanding = 0
         self._closing = False
-        self._drained: Event = self.sim.event(
-            name="serve_drained" if self.sim.debug_names else ""
-        )
+        self._drained: Event = self.sim.event()
         self._req_ids = 0
         #: Registered for ``PathwaysSystem.stats()`` aggregation.
         getattr(system, "frontends", []).append(self)

@@ -47,12 +47,6 @@ class LatencySnapshot(Stats):
     slo_met: int
     slo_missed: int
 
-    @property
-    def slo_fraction(self) -> float:
-        """Within-SLO fraction of *completed* requests (1.0 when none)."""
-        total = self.slo_met + self.slo_missed
-        return self.slo_met / total if total else 1.0
-
 
 class LatencyRecorder:
     """Collects per-request latency samples and stage breakdowns."""

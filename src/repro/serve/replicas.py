@@ -321,10 +321,7 @@ class ReplicaSet:
         if initial:
             self._activate_now(replica)
         else:
-            self.sim.process(
-                self._activate(replica),
-                name=f"spinup[{replica.name}]" if self.sim.debug_names else "",
-            )
+            self.sim.process(self._activate(replica))
         return replica
 
     def _activate_now(self, replica: Replica) -> None:
@@ -362,9 +359,7 @@ class ReplicaSet:
         A replica still spinning up finalizes as soon as its weights
         transfer settles; one already gone returns a fired event."""
         if replica.retired is None:
-            replica.retired = self.sim.event(
-                name=f"retired[{replica.name}]" if self.sim.debug_names else ""
-            )
+            replica.retired = self.sim.event()
         if replica not in self.replicas:
             # Already unwound (failed spin-up) or fully retired.
             if not replica.retired.triggered:

@@ -15,10 +15,9 @@ Performance: this module is the simulator's hot path (a paper-scale
 sweep processes millions of events), so it deliberately trades a little
 idiom for speed — `_value`/`_exc` are tested directly instead of going
 through the ``triggered``/``ok`` properties, zero-delay occurrences skip
-the timer queue entirely, and event *names* are resolved lazily.  Pass
-``Simulator(debug_names=True)`` to make components attach their rich
-f-string names eagerly (helpful in a debugger; measurably slower).
-How fast the whole simulator runs, and which layer the wall time goes
+the timer queue entirely, and event *names* are resolved lazily: a
+component passes a constant or a zero-argument lambda, never an eager
+f-string.  How fast the whole simulator runs, and which layer the wall time goes
 to, is measured by ``benchmarks/e2e/``.
 """
 
@@ -256,24 +255,23 @@ class Ticker(Event):
     ``timeout(...).add_callback(...)`` allocates an event, a callbacks
     list, and a dispatch per tick; a Ticker is *one* event object
     re-armed forever.  Each tick runs ``action(ticker)`` and, unless
-    :meth:`stop` was called, re-schedules the same object
-    ``next_delay()`` microseconds ahead — zero per-tick allocation,
-    which also keeps the cyclic GC's allocation counters out of the
-    hot loop.
+    :meth:`stop` was called, re-schedules the same object ``period``
+    microseconds ahead — zero per-tick allocation, which also keeps the
+    cyclic GC's allocation counters out of the hot loop.
 
     A Ticker never *triggers* in the Event sense: it cannot be yielded
     on from a process and must not be given callbacks or succeeded;
     ``stop()`` ends it (lazily — a queued occurrence is consumed as a
-    no-op).  ``next_delay`` returning ``0`` re-arms at the same instant
-    via the immediate queue, exactly like a zero-delay timeout.
+    no-op).  A ``0`` period re-arms at the same instant via the
+    immediate queue, exactly like a zero-delay timeout.
     """
 
-    __slots__ = ("action", "next_delay", "period", "ticks", "stopped")
+    __slots__ = ("action", "period", "ticks", "stopped")
 
     def __init__(
         self,
         sim: "Simulator",
-        next_delay: Union[float, Callable[[], float]],
+        period: float,
         action: Callable[["Ticker"], None],
         name: LazyName = "",
         start_delay: Optional[float] = None,
@@ -283,19 +281,11 @@ class Ticker(Event):
         self._value = _PENDING
         self._exc = None
         self.callbacks = []
-        if callable(next_delay):
-            #: Fixed-period tickers (telemetry scrapes, heartbeats) pass a
-            #: plain number and skip the per-tick callable dispatch.
-            self.period = None
-            self.next_delay = next_delay
-            first = next_delay() if start_delay is None else start_delay
-        else:
-            period = float(next_delay)
-            if period < 0:
-                raise ValueError(f"negative ticker period: {period}")
-            self.period = period
-            self.next_delay = None
-            first = period if start_delay is None else start_delay
+        period = float(period)
+        if period < 0:
+            raise ValueError(f"negative ticker period: {period}")
+        self.period = period
+        first = period if start_delay is None else start_delay
         self.action = action
         #: Number of times this ticker has fired.
         self.ticks = 0
@@ -318,10 +308,7 @@ class Ticker(Event):
             # this is the single hottest re-arm path in fleet runs, and
             # the extra method call is measurable.
             sim = self.sim
-            delay = self.period
-            if delay is None:
-                delay = self.next_delay()
-            when = sim._now + delay
+            when = sim._now + self.period
             if when <= sim._now:
                 sim._immediate.append(self)
             else:
@@ -1125,15 +1112,12 @@ class Simulator:
     queue), so it precedes every entry of ``_immediate`` in sequence
     order; the loop therefore drains same-time timer entries first.
 
-    ``debug_names=True`` makes components attach their rich f-string
-    event names eagerly (slower; great under a debugger).  ``log_schedule``
-    records one ``(time, name)`` tuple per processed event into
+    ``log_schedule`` records one ``(time, name)`` tuple per processed event into
     :attr:`schedule_log` — the golden-determinism tests diff these.
     """
 
     def __init__(
         self,
-        debug_names: bool = False,
         log_schedule: bool = False,
         sanitize: Optional[bool] = None,
         tracer=None,
@@ -1161,8 +1145,6 @@ class Simulator:
         # drain-end stuck scan walk processes in spawn order — a hash
         # set would iterate by object address (RPR002).
         self._live_processes: dict[Process, None] = {}
-        #: Components check this before building f-string event names.
-        self.debug_names = debug_names
         #: (now, delay) -> Timeout coalescing cache (see shared_timeout).
         self._shared_timeouts: dict[tuple[float, float], Timeout] = {}
         #: Lazily-created shared completed event (see granted()).
@@ -1243,15 +1225,14 @@ class Simulator:
 
     def ticker(
         self,
-        next_delay: Union[float, Callable[[], float]],
+        period: float,
         action: Callable[[Ticker], None],
         name: LazyName = "",
         start_delay: Optional[float] = None,
     ) -> Ticker:
-        """A recurring timer: ``action(ticker)`` every ``next_delay()`` µs
-        — or every ``next_delay`` µs flat when given a plain number
+        """A recurring timer: ``action(ticker)`` every ``period`` µs
         (allocation-free per tick; see :class:`Ticker`)."""
-        return Ticker(self, next_delay, action, name=name, start_delay=start_delay)
+        return Ticker(self, period, action, name=name, start_delay=start_delay)
 
     def timer_handle(
         self, action: Callable[[TimerHandle], None], name: LazyName = ""
@@ -1302,12 +1283,6 @@ class Simulator:
         if self.schedule_log is not None:
             self.schedule_log.append((self._now, event.name))
         event._process_callbacks()
-
-    def _next_time(self) -> float:
-        """Time of the next event; caller guarantees one exists."""
-        if self._immediate:
-            return self._now
-        return self._queue.min_when
 
     def _drain(self, until: Optional[float], waited: Optional[Event]) -> bool:
         """The one drain loop behind :meth:`run` and

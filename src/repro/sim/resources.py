@@ -97,10 +97,8 @@ class Resource:
             # simulated instant either way.
             self._account()
             self._in_use += 1
-            return sim.completed(
-                self, name=f"acquire:{self.name}" if sim.debug_names else ""
-            )
-        ev = Event(sim, f"acquire:{self.name}") if sim.debug_names else Event(sim)
+            return sim.completed(self)
+        ev = Event(sim)
         self._waiters.append(ev)
         return ev
 
@@ -203,32 +201,30 @@ class Store:
 
     def put(self, item: Any) -> Event:
         sim = self.sim
-        debug = sim.debug_names
         if self._getters:
             # Direct handoff to the oldest waiting consumer.
             getter = self._getters.popleft()
             getter.succeed(item)
-            return sim.completed(name=f"put:{self.name}" if debug else "")
+            return sim.completed()
         if self.capacity is None or len(self._items) < self.capacity:
             # Accepted immediately: a completed event (most callers
             # never wait on an unbounded put).
             self._items.append(item)
-            return sim.completed(name=f"put:{self.name}" if debug else "")
-        ev = Event(sim, f"put:{self.name}") if debug else Event(sim)
+            return sim.completed()
+        ev = Event(sim)
         self._putters.append((ev, item))
         return ev
 
     def get(self) -> Event:
         sim = self.sim
-        debug = sim.debug_names
         if self._items:
             item = self._items.popleft()
             if self._putters:
                 put_ev, pending = self._putters.popleft()
                 self._items.append(pending)
                 put_ev.succeed(None)
-            return sim.completed(item, name=f"get:{self.name}" if debug else "")
-        ev = Event(sim, f"get:{self.name}") if debug else Event(sim)
+            return sim.completed(item)
+        ev = Event(sim)
         self._getters.append(ev)
         return ev
 

@@ -168,12 +168,7 @@ class MetricsSampler:
         self.sim = sim
         self.registry = registry
         self.period_us = period_us
-        self._ticker = sim.ticker(
-            period_us,
-            self._tick,
-            name="metrics_sampler" if sim.debug_names else "",
-            start_delay=start_delay,
-        )
+        self._ticker = sim.ticker(period_us, self._tick, start_delay=start_delay)
 
     def _tick(self, ticker) -> None:
         self.registry.sample(self.sim.now)

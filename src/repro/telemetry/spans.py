@@ -12,9 +12,9 @@ properties are load-bearing:
   so golden schedules are byte-identical with tracing on or off (pinned
   in ``tests/test_sim_determinism.py``);
 * **pay-as-you-go** — every instrumentation site gates its span-label
-  f-strings behind ``tracer is not None`` (the ``debug_names`` idiom,
-  enforced statically by lint rule RPR007), so a simulator without a
-  tracer pays one ``is None`` check per site.
+  f-strings behind ``tracer is not None`` (enforced statically by lint
+  rule RPR007), so a simulator without a tracer pays one ``is None``
+  check per site.
 
 Spans export as Chrome-trace/Perfetto JSON (:meth:`Tracer.to_chrome_trace`)
 — load the file in ``ui.perfetto.dev`` or ``chrome://tracing`` — and the

@@ -129,7 +129,6 @@ def run_churn(
     add_island_at: Optional[tuple[float, int, int]] = None,
     aggregate_threshold: int = 64,
     aggregate_fault_scaling: bool = True,
-    debug_names: bool = False,
     log_schedule: bool = False,
 ) -> ChurnResult:
     """N tenants training under device churn on one island.
@@ -174,7 +173,6 @@ def run_churn(
         policy=policy,
         aggregate_threshold=aggregate_threshold,
         disjoint_aggregate_reps=aggregate,
-        debug_names=debug_names,
         log_schedule=log_schedule,
     )
     recovery = RecoveryManager(system)

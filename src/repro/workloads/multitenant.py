@@ -167,12 +167,7 @@ def run_jax_multitenant(
             kernel = Kernel(
                 sim,
                 duration_us=compute_time_us,
-                collective=CollectiveRendezvous(
-                    sim,
-                    1,
-                    coll_us,
-                    name=f"ar:{name}" if sim.debug_names else "",
-                ),
+                collective=CollectiveRendezvous(sim, 1, coll_us),
                 tag="step",
                 program=name,
             )

@@ -171,7 +171,6 @@ def run_net_congestion(
     link_repair_us: float = 8_000.0,
     reliable: Optional[bool] = None,
     config: SystemConfig = DEFAULT_CONFIG,
-    debug_names: bool = False,
     log_schedule: bool = False,
     tracer=None,
 ) -> NetCongestionResult:
@@ -206,7 +205,6 @@ def run_net_congestion(
             islands=((hosts_per_island, devices_per_host),) * 2, name="netload"
         ),
         config=config,
-        debug_names=debug_names,
         log_schedule=log_schedule,
         tracer=tracer,
     )
@@ -234,7 +232,6 @@ def run_net_congestion(
                         reliable, sender_stats[i],
                         stagger_us=s * stream_phase_us,
                     ),
-                    name=f"net_sender{i}.{s}" if debug_names else "",
                 )
             )
 
@@ -275,7 +272,6 @@ def run_net_congestion(
                     system, client, probe_program, arr, n_probes,
                     probe_interval_us, crash, probe_stats,
                 ),
-                name="net_prober" if debug_names else "",
             )
         )
 
@@ -373,7 +369,6 @@ def run_flow_fleet(
     flow_bytes: int = 1 << 20,
     arrival_window_us: float = 1_000.0,
     config: SystemConfig = DEFAULT_CONFIG,
-    debug_names: bool = False,
 ) -> FlowFleetResult:
     """Flow-scale fabric stress: thousands of short concurrent flows.
 
@@ -398,7 +393,6 @@ def run_flow_fleet(
     system = PathwaysSystem.build(
         ClusterSpec(islands=((hosts, devices_per_host),), name="flowfleet"),
         config=config,
-        debug_names=debug_names,
     )
     sim = system.sim
     island_hosts = system.cluster.islands[0].hosts
@@ -417,7 +411,6 @@ def run_flow_fleet(
                     island_hosts[2 * pair], island_hosts[2 * pair + 1],
                     flow_bytes, offset * arrival_window_us, deliveries,
                 ),
-                name=f"fleet_flow{i}" if debug_names else "",
             )
         )
     sim.run_until_triggered(sim.all_of(procs))

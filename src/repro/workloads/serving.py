@@ -226,7 +226,6 @@ def run_serving(
     contention: bool = True,
     seed: int = 0,
     config: SystemConfig = DEFAULT_CONFIG,
-    debug_names: bool = False,
     log_schedule: bool = False,
     tracer=None,
 ) -> ServingResult:
@@ -257,7 +256,6 @@ def run_serving(
         ),
         config=config,
         policy=EarliestDeadlinePolicy(),
-        debug_names=debug_names,
         log_schedule=log_schedule,
         tracer=tracer,
     )
@@ -340,7 +338,6 @@ def run_serving(
         _arrival_driver(
             frontend, arrivals, src_hosts, prompt_tokens, gen_tokens, slo_us
         ),
-        name="serve_driver" if debug_names else "",
     )
     start = sim.now
     sim.run_until_triggered(driver)

@@ -110,8 +110,5 @@ class Compiler:
         self._cache[fn.name] = fn
         return fn, self.compile_time_us
 
-    def is_cached(self, name: str) -> bool:
-        return name in self._cache
-
     def __len__(self) -> int:
         return len(self._cache)

@@ -123,12 +123,6 @@ class CompiledFunction:
             for spec, sh in zip(self.out_specs, self.out_shardings)
         )
 
-    def input_nbytes_per_shard(self) -> int:
-        return sum(
-            sh.shard_nbytes(spec, self.n_shards)
-            for spec, sh in zip(self.in_specs, self.in_shardings)
-        )
-
     # -- semantics ---------------------------------------------------------
     def execute(self, *args: np.ndarray) -> tuple[np.ndarray, ...]:
         """Apply the logical semantics; validates the static contracts."""

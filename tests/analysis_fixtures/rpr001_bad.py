@@ -1,8 +1,10 @@
-"""RPR001 fixture: eager event names on the hot path (3 hits)."""
+"""RPR001 fixture: eager event names on the hot path (4 hits)."""
 
 
 def spawn(sim, work, i):
     ev = sim.event(name=f"grads{i}")
     proc = sim.process(work, f"step{i}")
     tick = sim.completed(None, name="tick {}".format(i))
-    return ev, proc, tick
+    # A flag-gated f-string is still built eagerly whenever the flag is on.
+    gated = sim.event(name=f"gated{i}" if sim.verbose else "")
+    return ev, proc, tick, gated

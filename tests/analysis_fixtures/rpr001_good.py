@@ -1,11 +1,9 @@
-"""RPR001 fixture: the three sanctioned event-name idioms (0 hits)."""
+"""RPR001 fixture: the two sanctioned event-name idioms (0 hits)."""
 
 
 def spawn(sim, work, i):
     # Lazy: the LazyName protocol defers formatting to first read.
     ev = sim.event(name=lambda: f"grads{i}")
-    # Gated: eager only when the debug flag asks for names.
-    proc = sim.process(work, f"step{i}" if sim.debug_names else "")
     # Constant names cost nothing to begin with.
     tick = sim.completed(None, name="tick")
-    return ev, proc, tick
+    return ev, tick

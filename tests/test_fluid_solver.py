@@ -101,10 +101,10 @@ _CLASS_OPS = st.tuples(
 ).map(lambda parts: parts[0] + parts[1])
 
 
-def _run_fabric_scenario(solver, ops, debug_names: bool = False, hosts=_HOSTS):
+def _run_fabric_scenario(solver, ops, hosts=_HOSTS):
     """Drive one op stream straight into a Fabric; returns the full
     observable record (deliveries, victims, link counters, schedule)."""
-    sim = Simulator(debug_names=debug_names, log_schedule=True)
+    sim = Simulator(log_schedule=True)
     config = SystemConfig(spine_paths=2)
     with _solver(solver):
         fabric = Fabric(sim, config)
@@ -163,7 +163,7 @@ def _run_fabric_scenario(solver, ops, debug_names: bool = False, hosts=_HOSTS):
                     fabric.restore_link(down[0])
                     log.append(("restore", down[0].name))
 
-    sim.process(driver(), name="driver" if debug_names else "")
+    sim.process(driver())
     sim.run()
     links = [
         (
@@ -242,19 +242,6 @@ def test_large_class_ties_head_abort_and_shared_takedown():
     # The second burst completes as one same-instant tie.
     times = [t for k, t in scoped["deliveries"] if k > 15]
     assert len(times) == 12 and len(set(times)) == 1
-
-
-@given(ops=_OPS)
-@settings(max_examples=50, deadline=None)
-def test_schedule_independent_of_debug_names(ops):
-    """Lazy event naming may never perturb the solver's schedule."""
-    plain = _run_fabric_scenario(ScopedFluidSolver, ops, debug_names=False)
-    named = _run_fabric_scenario(ScopedFluidSolver, ops, debug_names=True)
-    assert [t for t, _ in named["schedule"]] == [
-        t for t, _ in plain["schedule"]
-    ]
-    assert named["deliveries"] == plain["deliveries"]
-    assert named["links"] == plain["links"]
 
 
 def _scenario_fingerprint(r):

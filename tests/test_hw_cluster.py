@@ -151,34 +151,3 @@ class TestDCN:
         of magnitude above PCIe."""
         assert config.dcn_latency_us >= 10 * config.pcie_latency_us
 
-
-class TestHost:
-    def test_enqueue_via_host_charges_cpu_and_pcie(self, sim, config, small_cluster):
-        host = small_cluster.hosts[0]
-        dev = host.devices[0]
-
-        def proc():
-            done = yield sim.process(host.enqueue_kernel(dev, Kernel(sim, duration_us=5.0)))
-            yield done
-
-        p = sim.process(proc())
-        sim.run_until_triggered(p)
-        expected = (
-            config.host_launch_work_us
-            + config.pcie_latency_us
-            + config.kernel_launch_us
-            + 5.0
-        )
-        assert sim.now == pytest.approx(expected)
-
-    def test_enqueue_to_foreign_device_rejected(self, sim, config, small_cluster):
-        h0, h1 = small_cluster.hosts[:2]
-
-        def proc():
-            yield sim.process(
-                h0.enqueue_kernel(h1.devices[0], Kernel(sim, duration_us=1.0))
-            )
-
-        p = sim.process(proc())
-        sim.run(detect_deadlock=False)
-        assert not p.ok

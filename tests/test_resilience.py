@@ -823,32 +823,25 @@ class TestHostCrashPrepPath:
     def test_prep_on_crashed_host_fails_fast(self, sim, small_cluster):
         host = small_cluster.hosts[0]
         host.crash()
-        proc = host.prep_process(10.0)
+        done = host.prep_request(10.0)
         sim.run(detect_deadlock=False)
-        assert proc.triggered and not proc.ok
+        assert done.triggered and not done.ok
 
     def test_queued_prep_fails_when_host_crashes(self, sim, small_cluster):
         host = small_cluster.hosts[0]
         sim.process(host.cpu.using(sim, 100.0))  # occupies the serial CPU
-        queued = host.prep_process(10.0)
-        running = None
-
-        def scenario():
-            yield sim.timeout(5.0)
-            host.crash()
-
-        sim.process(scenario())
+        queued = host.prep_request(10.0)
+        sim.timeout(5.0).add_callback(lambda ev: host.crash())
         sim.run(detect_deadlock=False)
-        del running
         assert queued.triggered and not queued.ok
         assert host.cpu.queue_len == 0  # no ghost waiter left behind
 
     def test_crash_interrupts_in_flight_prep(self, sim, small_cluster):
         host = small_cluster.hosts[0]
-        proc = host.prep_process(100.0)  # holding the CPU when the crash hits
+        done = host.prep_request(100.0)  # holding the CPU when the crash hits
         sim.timeout(50.0).add_callback(lambda ev: host.crash())
         sim.run(detect_deadlock=False)
-        assert proc.triggered and not proc.ok
+        assert done.triggered and not done.ok
         assert host.preps_aborted == 1
         assert host.cpu.in_use == 0  # the slot was released on abort
 

@@ -15,6 +15,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.config import SystemConfig
+from repro.hw.host import Host
 from repro.net.fabric import Fabric, _RouteClass
 from repro.net.transport import Transport
 from repro.sim import (
@@ -117,6 +118,15 @@ class TestResourceInvariants:
         nic = Resource(sim, capacity=1, name="nic", leak_check=True)
         assert nic.try_acquire()
         with pytest.raises(UnbalancedGrantError, match="nic"):
+            sim.run()
+
+    def test_leaked_nic_slot_names_its_host(self):
+        """A host's NIC is named after the host, so a leak report says
+        which of many hosts' NICs was left held."""
+        sim = Simulator(sanitize=True)
+        host = Host(sim, SystemConfig(), host_id=3, island_id=0)
+        assert host.nic.try_acquire()
+        with pytest.raises(UnbalancedGrantError, match=r"'nic\[h3\]'"):
             sim.run()
 
     def test_held_slot_allowed_without_leak_check(self):
@@ -244,9 +254,7 @@ class TestScheduleNeutrality:
 
     def _golden(self, monkeypatch, sanitize: bool):
         monkeypatch.setenv("REPRO_SIM_SANITIZE", "1" if sanitize else "0")
-        result = run_churn(
-            debug_names=True, log_schedule=True, **self.KWARGS
-        )
+        result = run_churn(log_schedule=True, **self.KWARGS)
         sim = result.system_handle.sim
         assert sim.sanitize is sanitize
         return [

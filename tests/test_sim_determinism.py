@@ -3,8 +3,9 @@
 The engine overhaul (lazy names, counter barriers, inline completions,
 shared timeouts, the device state machine) must not perturb the one
 property everything else rests on: two runs of the same seeded program
-produce *identical* schedules.  The golden test runs a seeded churn
-program twice — with ``debug_names`` on and off — and asserts the
+produce *identical* schedules.  Each golden test runs a seeded program
+twice — once plain and once under the sim-sanitizer, which also audits
+every golden scenario for leaks at drain end — and asserts the
 ``(time, seq, event)`` schedule streams match.
 
 Comparing two runs in one process only catches nondeterminism: a change
@@ -42,27 +43,33 @@ CHURN_KWARGS = dict(
 )
 
 
-def _golden_run(debug_names: bool):
-    result = run_churn(
-        debug_names=debug_names, log_schedule=True, **CHURN_KWARGS
-    )
-    sim = result.system_handle.sim
-    # (time, seq, event): seq is the position in the processed stream.
-    # Execution ids ("prog#42") come from a process-global label counter
-    # that does not reset between runs; normalize them so the comparison
-    # sees the schedule, not the label allocator.
-    schedule = [
+def _schedule(result):
+    """(time, seq, event): seq is the position in the processed stream.
+    Execution ids ("prog#42") come from a process-global label counter
+    that does not reset between runs; normalize them so the comparison
+    sees the schedule, not the label allocator."""
+    return [
         (t, seq, re.sub(r"#\d+", "#N", name))
-        for seq, (t, name) in enumerate(sim.schedule_log)
+        for seq, (t, name) in enumerate(result.system_handle.sim.schedule_log)
     ]
-    return schedule, result
+
+
+def _golden_run():
+    result = run_churn(log_schedule=True, **CHURN_KWARGS)
+    return _schedule(result), result
+
+
+@pytest.fixture(params=[False, True])
+def sanitize(request, monkeypatch):
+    """Run the golden scenario plain and under the sim-sanitizer."""
+    monkeypatch.setenv("REPRO_SIM_SANITIZE", "1" if request.param else "0")
+    return request.param
 
 
 class TestGoldenEventOrder:
-    @pytest.mark.parametrize("debug_names", [False, True])
-    def test_two_runs_identical_schedule(self, debug_names):
-        first, r1 = _golden_run(debug_names)
-        second, r2 = _golden_run(debug_names)
+    def test_two_runs_identical_schedule(self, sanitize):
+        first, r1 = _golden_run()
+        second, r2 = _golden_run()
         # The scenario actually exercised the engine (most work now runs
         # inline inside loop entries, so the entry count is modest).
         assert len(first) > 300
@@ -71,18 +78,6 @@ class TestGoldenEventOrder:
         assert r1.useful_steps == r2.useful_steps
         assert r1.replayed_steps == r2.replayed_steps
         assert r1.per_client_steps == r2.per_client_steps
-
-    def test_debug_names_do_not_affect_scheduling(self):
-        """Names are presentation only: the (time, seq) stream — and the
-        simulated outcome — must be identical with debug names on/off."""
-        plain, r_plain = _golden_run(debug_names=False)
-        named, r_named = _golden_run(debug_names=True)
-        assert [(t, seq) for t, seq, _ in plain] == [
-            (t, seq) for t, seq, _ in named
-        ]
-        assert r_plain.elapsed_us == r_named.elapsed_us
-        assert r_plain.useful_steps == r_named.useful_steps
-        assert r_plain.per_client_steps == r_named.per_client_steps
 
 
 #: Contended-fabric scenario: fluid fair-share flows over the island
@@ -101,39 +96,21 @@ NET_KWARGS = dict(
 )
 
 
-def _golden_net_run(debug_names: bool):
-    result = run_net_congestion(
-        debug_names=debug_names, log_schedule=True, **NET_KWARGS
-    )
-    sim = result.system_handle.sim
-    schedule = [
-        (t, seq, re.sub(r"#\d+", "#N", name))
-        for seq, (t, name) in enumerate(sim.schedule_log)
-    ]
-    return schedule, result
+def _golden_net_run():
+    result = run_net_congestion(log_schedule=True, **NET_KWARGS)
+    return _schedule(result), result
 
 
 class TestGoldenContendedFabric:
-    @pytest.mark.parametrize("debug_names", [False, True])
-    def test_two_runs_identical_schedule(self, debug_names):
-        first, r1 = _golden_net_run(debug_names)
-        second, r2 = _golden_net_run(debug_names)
+    def test_two_runs_identical_schedule(self, sanitize):
+        first, r1 = _golden_net_run()
+        second, r2 = _golden_net_run()
         assert len(first) > 300
         assert first == second
         assert r1.elapsed_us == r2.elapsed_us
         assert r1.bytes_delivered == r2.bytes_delivered
         assert r1.messages_lost == r2.messages_lost
         assert r1.probe_latency_us == r2.probe_latency_us
-
-    def test_debug_names_do_not_affect_scheduling(self):
-        plain, r_plain = _golden_net_run(debug_names=False)
-        named, r_named = _golden_net_run(debug_names=True)
-        assert [(t, seq) for t, seq, _ in plain] == [
-            (t, seq) for t, seq, _ in named
-        ]
-        assert r_plain.elapsed_us == r_named.elapsed_us
-        assert r_plain.bytes_delivered == r_named.bytes_delivered
-        assert r_plain.messages_lost == r_named.messages_lost
 
 
 #: ECMP/fault variant of the contended-fabric golden: two spine paths,
@@ -154,23 +131,15 @@ ECMP_KWARGS = dict(
 )
 
 
-def _golden_ecmp_run(debug_names: bool):
-    result = run_net_congestion(
-        debug_names=debug_names, log_schedule=True, **ECMP_KWARGS
-    )
-    sim = result.system_handle.sim
-    schedule = [
-        (t, seq, re.sub(r"#\d+", "#N", name))
-        for seq, (t, name) in enumerate(sim.schedule_log)
-    ]
-    return schedule, result
+def _golden_ecmp_run():
+    result = run_net_congestion(log_schedule=True, **ECMP_KWARGS)
+    return _schedule(result), result
 
 
 class TestGoldenEcmpReroute:
-    @pytest.mark.parametrize("debug_names", [False, True])
-    def test_two_runs_identical_schedule(self, debug_names):
-        first, r1 = _golden_ecmp_run(debug_names)
-        second, r2 = _golden_ecmp_run(debug_names)
+    def test_two_runs_identical_schedule(self, sanitize):
+        first, r1 = _golden_ecmp_run()
+        second, r2 = _golden_ecmp_run()
         # The drill is only meaningful if the fault really forced a
         # reroute mid-run — and it must cost no messages.
         assert r1.link_faults == 1 and r1.reroutes > 0
@@ -181,16 +150,6 @@ class TestGoldenEcmpReroute:
         assert r1.bytes_delivered == r2.bytes_delivered
         assert r1.reroutes == r2.reroutes
         assert r1.messages_parked == r2.messages_parked
-
-    def test_debug_names_do_not_affect_scheduling(self):
-        plain, r_plain = _golden_ecmp_run(debug_names=False)
-        named, r_named = _golden_ecmp_run(debug_names=True)
-        assert [(t, seq) for t, seq, _ in plain] == [
-            (t, seq) for t, seq, _ in named
-        ]
-        assert r_plain.elapsed_us == r_named.elapsed_us
-        assert r_plain.bytes_delivered == r_named.bytes_delivered
-        assert r_plain.reroutes == r_named.reroutes
 
 
 #: Serving scenario on the contended fabric: Poisson admission over the
@@ -217,23 +176,15 @@ SERVE_KWARGS = dict(
 )
 
 
-def _golden_serve_run(debug_names: bool):
-    result = run_serving(
-        debug_names=debug_names, log_schedule=True, **SERVE_KWARGS
-    )
-    sim = result.system_handle.sim
-    schedule = [
-        (t, seq, re.sub(r"#\d+", "#N", name))
-        for seq, (t, name) in enumerate(sim.schedule_log)
-    ]
-    return schedule, result
+def _golden_serve_run():
+    result = run_serving(log_schedule=True, **SERVE_KWARGS)
+    return _schedule(result), result
 
 
 class TestGoldenServing:
-    @pytest.mark.parametrize("debug_names", [False, True])
-    def test_two_runs_identical_schedule(self, debug_names):
-        first, r1 = _golden_serve_run(debug_names)
-        second, r2 = _golden_serve_run(debug_names)
+    def test_two_runs_identical_schedule(self, sanitize):
+        first, r1 = _golden_serve_run()
+        second, r2 = _golden_serve_run()
         assert len(first) > 300
         assert first == second
         assert r1.elapsed_us == r2.elapsed_us
@@ -245,16 +196,6 @@ class TestGoldenServing:
         assert r1.recoveries >= 1 and r1.scale_ups >= 1
         assert r1.abandoned == 0
 
-    def test_debug_names_do_not_affect_scheduling(self):
-        plain, r_plain = _golden_serve_run(debug_names=False)
-        named, r_named = _golden_serve_run(debug_names=True)
-        assert [(t, seq) for t, seq, _ in plain] == [
-            (t, seq) for t, seq, _ in named
-        ]
-        assert r_plain.elapsed_us == r_named.elapsed_us
-        assert r_plain.completed == r_named.completed
-        assert r_plain.p99_us == r_named.p99_us
-
 
 def _schedule_digest(schedule) -> str:
     h = hashlib.sha256()
@@ -263,7 +204,7 @@ def _schedule_digest(schedule) -> str:
     return h.hexdigest()
 
 
-#: sha256 of each golden ``#N``-normalised schedule with debug names off.
+#: sha256 of each golden ``#N``-normalised schedule.
 #: Identical across PYTHONHASHSEED values; update only for a change that
 #: deliberately alters simulated behaviour, and say so in its description.
 GOLDEN_DIGESTS = {
@@ -284,7 +225,7 @@ _GOLDEN_RUNS = {
 class TestGoldenDigests:
     @pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
     def test_schedule_matches_pinned_digest(self, name):
-        schedule, _ = _GOLDEN_RUNS[name](debug_names=False)
+        schedule, _ = _GOLDEN_RUNS[name]()
         assert _schedule_digest(schedule) == GOLDEN_DIGESTS[name]
 
 
@@ -298,15 +239,10 @@ class TestGoldenTracing:
 
         tracer = Tracer()
         result = run_fn(log_schedule=True, tracer=tracer, **kwargs)
-        sim = result.system_handle.sim
-        schedule = [
-            (t, seq, re.sub(r"#\d+", "#N", name))
-            for seq, (t, name) in enumerate(sim.schedule_log)
-        ]
-        return schedule, result, tracer
+        return _schedule(result), result, tracer
 
     def test_serving_fault_drill_schedule_neutral(self):
-        base, r_off = _golden_serve_run(debug_names=False)
+        base, r_off = _golden_serve_run()
         traced, r_on, tracer = self._traced(run_serving, SERVE_KWARGS)
         assert base == traced
         assert r_off.completed == r_on.completed
@@ -317,7 +253,7 @@ class TestGoldenTracing:
         assert "sched.granted" in cats and "net.msg" in cats
 
     def test_contended_fabric_schedule_neutral(self):
-        base, r_off = _golden_net_run(debug_names=False)
+        base, r_off = _golden_net_run()
         traced, r_on, tracer = self._traced(run_net_congestion, NET_KWARGS)
         assert base == traced
         assert r_off.bytes_delivered == r_on.bytes_delivered
@@ -326,7 +262,7 @@ class TestGoldenTracing:
         assert any(s.cat == "net.lost" for s in tracer.spans)
 
     def test_ecmp_reroute_schedule_neutral(self):
-        base, r_off = _golden_ecmp_run(debug_names=False)
+        base, r_off = _golden_ecmp_run()
         traced, r_on, tracer = self._traced(run_net_congestion, ECMP_KWARGS)
         assert base == traced
         assert r_off.reroutes == r_on.reroutes

@@ -309,13 +309,6 @@ class TestTicker:
         sim.run(until=35.0, detect_deadlock=False)
         assert seen == [3.0, 13.0, 23.0, 33.0]
 
-    def test_callable_delays(self, sim):
-        delays = iter([1.0, 2.0, 4.0, 8.0])
-        seen = []
-        sim.ticker(lambda: next(delays), lambda tk: seen.append(sim.now))
-        sim.run(until=7.0, detect_deadlock=False)
-        assert seen == [1.0, 3.0, 7.0]
-
     def test_stop_from_action(self, sim):
         def action(tk):
             if tk.ticks == 3:
