@@ -82,7 +82,7 @@ def main() -> None:
     print(render_report(paths, limit=8))
 
     # The metrics registry: here fed offline from the span stream (in a
-    # live system a MetricsSampler drives it on a sim-time ticker).
+    # live system a MetricsSampler drives it on a recurring sim-time timer).
     registry = MetricsRegistry()
     lat = registry.histogram("serve.request_latency_us")
     for span in tracer.by_cat("serve.request"):

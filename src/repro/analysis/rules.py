@@ -78,13 +78,13 @@ def _walk_scope(root: ast.AST):
 _EVENT_METHOD_NAME_POS = {
     "event": 0,
     "process": 1,
-    "ticker": 2,
     "completed": 1,
+    "timer_handle": 1,
 }
 _EVENT_CLASS_NAME_POS = {
     "Event": 1,
     "Process": 2,
-    "Ticker": 3,
+    "TimerHandle": 2,
     "Kernel": None,
     "CollectiveRendezvous": None,
 }

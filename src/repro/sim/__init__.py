@@ -5,15 +5,17 @@ style of SimPy.  All Pathways components (hosts, devices, networks,
 schedulers) are simulated processes scheduled by :class:`Simulator`.
 
 The kernel is deliberately minimal: events, processes, timeouts,
-composite events (:class:`AllOf` / :class:`AnyOf`), counted resources,
-FIFO stores, and deadlock detection (the simulator can report which
-processes are blocked when the event queue drains while work remains).
+cancellable re-armable timers (:class:`TimerHandle`, which also carries
+recurring clocks: the action re-arms it), composite events
+(:class:`AllOf` / :class:`AnyOf`), counted resources, FIFO stores, and
+deadlock detection (the simulator can report which processes are blocked
+when the event queue drains while work remains).  Future timers wait in
+one ``(time, seq)`` binary heap, :class:`TimerQueue`.
 """
 
 from repro.sim.engine import (
     AllOf,
     AnyOf,
-    CalendarTimerQueue,
     DeadlockError,
     Event,
     Interrupt,
@@ -21,9 +23,9 @@ from repro.sim.engine import (
     ProcessFailed,
     Settled,
     Simulator,
-    Ticker,
     Timeout,
     TimerHandle,
+    TimerQueue,
 )
 from repro.sim.resources import Resource, Store
 from repro.sim.sanitize import (
@@ -40,7 +42,6 @@ from repro.sim.sanitize import (
 __all__ = [
     "AllOf",
     "AnyOf",
-    "CalendarTimerQueue",
     "DeadlockError",
     "DoubleTriggerError",
     "Event",
@@ -55,9 +56,9 @@ __all__ = [
     "SimSanitizer",
     "Simulator",
     "Store",
-    "Ticker",
     "Timeout",
     "TimerHandle",
+    "TimerQueue",
     "UnbalancedGrantError",
     "UnsettledWaitersError",
     "sanitize_from_env",

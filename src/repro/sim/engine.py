@@ -7,9 +7,9 @@ sub-unit fractions dominating.
 
 Determinism: ties in event time are broken by scheduling order — a FIFO
 ring for events scheduled at the current moment, a (time, seq)-ordered
-calendar queue for future timeouts — so two runs of the same program
-produce identical schedules.  Any randomness must come from explicitly
-seeded generators.
+binary heap (:class:`TimerQueue`) for future timeouts — so two runs of
+the same program produce identical schedules.  Any randomness must come
+from explicitly seeded generators.
 
 Performance: this module is the simulator's hot path (a paper-scale
 sweep processes millions of events), so it deliberately trades a little
@@ -38,7 +38,6 @@ from repro.sim.sanitize import (
 __all__ = [
     "AllOf",
     "AnyOf",
-    "CalendarTimerQueue",
     "DeadlockError",
     "DoubleTriggerError",
     "Event",
@@ -48,9 +47,9 @@ __all__ = [
     "ProcessFailed",
     "Settled",
     "Simulator",
-    "Ticker",
     "Timeout",
     "TimerHandle",
+    "TimerQueue",
 ]
 
 #: Sentinel distinguishing "no value yet" from a legitimate ``None`` value.
@@ -244,76 +243,6 @@ class Timeout(Event):
                 "compare sim.now against the arming time instead"
             )
         return self._value is not _PENDING or self._exc is not None
-
-
-class Ticker(Event):
-    """A self-re-arming periodic timer, processed entirely in place.
-
-    Fleet-scale scenarios keep hundreds of thousands of recurring
-    clocks alive at once — host heartbeats, per-device telemetry
-    scrapes, failure scanners.  Driving each tick through
-    ``timeout(...).add_callback(...)`` allocates an event, a callbacks
-    list, and a dispatch per tick; a Ticker is *one* event object
-    re-armed forever.  Each tick runs ``action(ticker)`` and, unless
-    :meth:`stop` was called, re-schedules the same object ``period``
-    microseconds ahead — zero per-tick allocation, which also keeps the
-    cyclic GC's allocation counters out of the hot loop.
-
-    A Ticker never *triggers* in the Event sense: it cannot be yielded
-    on from a process and must not be given callbacks or succeeded;
-    ``stop()`` ends it (lazily — a queued occurrence is consumed as a
-    no-op).  A ``0`` period re-arms at the same instant via the
-    immediate queue, exactly like a zero-delay timeout.
-    """
-
-    __slots__ = ("action", "period", "ticks", "stopped")
-
-    def __init__(
-        self,
-        sim: "Simulator",
-        period: float,
-        action: Callable[["Ticker"], None],
-        name: LazyName = "",
-        start_delay: Optional[float] = None,
-    ):
-        self.sim = sim
-        self._name = name
-        self._value = _PENDING
-        self._exc = None
-        self.callbacks = []
-        period = float(period)
-        if period < 0:
-            raise ValueError(f"negative ticker period: {period}")
-        self.period = period
-        first = period if start_delay is None else start_delay
-        self.action = action
-        #: Number of times this ticker has fired.
-        self.ticks = 0
-        self.stopped = False
-        if first < 0:
-            raise ValueError(f"negative ticker delay: {first}")
-        sim._schedule_at(self, first)
-
-    def stop(self) -> None:
-        """Stop re-arming after (and including) the next occurrence."""
-        self.stopped = True
-
-    def _process_callbacks(self) -> None:
-        if self.stopped:
-            return
-        self.ticks += 1
-        self.action(self)
-        if not self.stopped:
-            # Inline of Simulator._schedule_at: with O(100k) tickers live
-            # this is the single hottest re-arm path in fleet runs, and
-            # the extra method call is measurable.
-            sim = self.sim
-            when = sim._now + self.period
-            if when <= sim._now:
-                sim._immediate.append(self)
-            else:
-                sim._seq += 1
-                sim._queue.push(when, sim._seq, self)
 
 
 class _TimerShot:
@@ -712,374 +641,70 @@ class Process(Event):
 _INF = float("inf")
 
 
-class CalendarTimerQueue:
-    """A bucketed calendar queue over ``(time, seq, event)`` entries.
+class TimerQueue:
+    """The timer queue: one global binary heap of ``(when, seq, event)``.
 
-    Future timeouts land in fixed-width time buckets (a dict keyed by
-    ``int(when / width)``), so a push is O(1) — an int multiply and a
-    list append — instead of an O(log n) global-heap sift.  Ordering
-    machinery only ever runs over *small* populations:
+    ``push(when, seq, event)``; ``pop() -> (when, seq, event)`` in exact
+    ``(when, seq)`` order (sequence numbers are unique, so event objects
+    are never compared); ``discard(when, event)`` for cancelled
+    :class:`TimerHandle` shots; ``min_when``, the earliest live time
+    (``inf`` when empty); and ``len``/``_len``, which count **live**
+    entries only.
 
-    * ``_bucket_heap`` — a heap of the occupied bucket indices (one
-      entry per occupied bucket, not per event);
-    * ``_current`` — the minimum bucket, heapified on load (C-speed
-      O(k)) and drained in exact ``(when, seq)`` order.  Same-bucket
-      pushes during the drain heappush into this small heap.
-
-    Entries beyond the wheel's horizon (``n_buckets * width`` past the
-    current window) go to an unsorted **overflow ring** and are
-    redistributed when the wheel empties — a rotation.  Because the
-    wheel is empty at that point, the overflow *is* the whole pending
-    population, so the rotation re-sizes the calendar in the same pass:
-    bucket width spreads the population at ``_ROTATE_OCCUPANCY`` entries
-    per bucket over its actual time span, and the wheel grows with the
-    population so the window keeps covering it.  Skew the span can't
-    see (a dense cluster behind a far-future outlier) is corrected on
-    load instead: a bucket loaded with more than ``_RESIZE_SPLIT``
-    entries shrinks the width and re-buckets (bucket resize on load).
-    All resize decisions are pure functions of the pending population,
-    so two identical runs resize identically.
-
-    Surface: ``push(when, seq, event)``, ``pop() -> (when, seq, event)``
-    in exact ``(when, seq)`` order, ``discard(when, event)`` for
-    cancelled :class:`TimerHandle` shots, ``min_when`` (``inf`` when
-    empty), and ``len``, which counts **live** entries only.
-
-    The pop stream is exactly that of one global ``(when, seq)`` heap
-    (``tests/oracles.py`` keeps such a heap as the reference the
-    property tests compare against): the bucket index is monotone in
-    ``when``, every bucket entry precedes every overflow entry, and ties
-    within a bucket resolve by ``seq`` (sequence numbers are unique, so
-    event objects are never compared).
+    Cancelled entries are tombstones (``event._dead``): removed
+    physically whenever they reach the root — the exposed head is always
+    live, so ``min_when`` always names the earliest live entry (the
+    drain loop orders the timer queue against the zero-delay FIFO with
+    it) — and skipped on contact otherwise.
     """
 
-    __slots__ = (
-        "_width", "_inv", "_n_buckets", "_min_width", "_max_width",
-        "_buckets", "_bucket_heap", "_current", "_current_idx",
-        "_overflow", "_horizon", "_len", "_tombs", "min_when", "_free",
-    )
+    __slots__ = ("_heap", "_len", "_tombs", "min_when")
 
-    #: A bucket loaded with more entries than this shrinks the width.
-    _RESIZE_SPLIT = 64
-    #: Rotations re-size for about this many entries per occupied bucket.
-    _ROTATE_OCCUPANCY = 16
-
-    def __init__(
-        self,
-        width: float = 32.0,
-        n_buckets: int = 1024,
-        min_width: float = 1e-3,
-        max_width: float = float(1 << 22),
-    ) -> None:
-        if width <= 0 or n_buckets < 2:
-            raise ValueError("width > 0 and n_buckets >= 2 required")
-        self._width = width
-        self._inv = 1.0 / width
-        self._n_buckets = n_buckets
-        self._min_width = min_width
-        self._max_width = max_width
-        self._buckets: dict[int, list] = {}
-        self._bucket_heap: list[int] = []
-        self._current: list = []
-        self._current_idx = -1
-        self._overflow: list = []
-        #: First pushes overflow, and the first pop's rotation aligns
-        #: the wheel window to the earliest entry — self-initializing.
-        self._horizon = 0.0
+    def __init__(self) -> None:
+        self._heap: list[tuple[float, int, Any]] = []
         self._len = 0
-        #: Physically-present cancelled entries.  All tombstone sweeps
-        #: are gated on this, so queues that never see a ``discard``
-        #: (and property tests pushing raw payloads without a ``_dead``
-        #: attribute) never pay for — or even touch — the flag.
+        #: Physically-present cancelled entries; sweeps are gated on it,
+        #: so payloads without a ``_dead`` attribute are never touched.
         self._tombs = 0
         self.min_when = _INF
-        #: Recycled (drained) bucket lists.  Bucket churn without a
-        #: freelist creates/destroys thousands of young container
-        #: objects per wheel revolution, which drags the cyclic GC into
-        #: repeated full-generation scans over every pending entry; at
-        #: fleet scale that costs more than the queue work itself.
-        self._free: list[list] = []
 
     def __len__(self) -> int:
         return self._len
 
-    @property
-    def width(self) -> float:
-        """Current bucket width in µs (adapts to load)."""
-        return self._width
-
     def push(self, when: float, seq: int, event: Any) -> None:
-        entry = (when, seq, event)
+        heapq.heappush(self._heap, (when, seq, event))
         self._len += 1
         if when < self.min_when:
             self.min_when = when
-        if when >= self._horizon:
-            self._overflow.append(entry)
-            return
-        idx = int(when * self._inv)
-        if idx == self._current_idx:
-            # Lands in the bucket being drained: join its small heap.
-            heapq.heappush(self._current, entry)
-            return
-        b = self._buckets.get(idx)
-        if b is None:
-            free = self._free
-            if free:
-                b = free.pop()
-                b.append(entry)
-            else:
-                b = [entry]
-            self._buckets[idx] = b
-            heapq.heappush(self._bucket_heap, idx)
-        else:
-            b.append(entry)
 
     def pop(self) -> tuple[float, int, Any]:
-        cur = self._current
-        if not cur or cur[0][0] > self.min_when:
-            # The minimum lives in another bucket: before the first pop
-            # of a window, a push may land *below* the loaded bucket.
-            self._reload()
-            cur = self._current
-        entry = heapq.heappop(cur)
-        # Gated on ``_tombs`` so payloads without a ``_dead`` attribute
-        # (queues that never saw a discard) are never touched.
-        assert not (self._tombs and entry[2]._dead), "popped a dead entry"
+        entry = heapq.heappop(self._heap)
         self._len -= 1
-        self._settle()
+        self._sweep()
         return entry
 
     def discard(self, when: float, event: Any) -> None:
         """Logically remove a cancelled entry (``event._dead`` already
-        set by the caller).  The exposed head of the current bucket is
-        removed physically — ``min_when`` must always name the earliest
-        *live* entry, because the drain loop orders the timer queue
-        against the zero-delay FIFO with it — and any other entry is
-        dropped lazily when a pop or bucket load reaches it."""
+        set by the caller).  The root is removed physically — together
+        with any tombstones it was shadowing — so ``min_when`` stays
+        honest; a non-root entry is already covered by the live root
+        and is dropped lazily when a pop reaches it."""
         self._len -= 1
-        cur = self._current
-        if cur and cur[0][2] is event:
-            heapq.heappop(cur)
-            # The removal can expose tombstones from earlier non-head
-            # discards: sweep them unconditionally — pop() trusts the
-            # current head to be live, and _refresh_min() uses it as
-            # its scan bound, so a dead head would poison both.
-            if self._tombs:
-                while cur and cur[0][2]._dead:
-                    heapq.heappop(cur)
-                    self._tombs -= 1
-            if when == self.min_when:
-                self._settle()
-            elif self._len == 0:
-                self._clear_garbage()
-            elif not cur:
-                # The loaded bucket drained, but the global minimum
-                # lives below it (a push landed under the loaded
-                # window) and is unaffected; load its bucket so the
-                # live-head invariant holds for the next pop.
-                self._free.append(cur)
-                self._load_next()
-            # else: a push landed below the loaded bucket, so the global
-            # minimum lives elsewhere and is unaffected by this removal.
-            return
-        self._tombs += 1
-        if self._len == 0:
-            self._clear_garbage()
-        elif when == self.min_when:
-            # The earliest live entry may have been exactly this one,
-            # sitting outside the loaded bucket (pre-first-pop overflow,
-            # or a push below the loaded window): recompute the minimum
-            # over the surviving live population.
-            self._refresh_min()
-
-    # -- internals -----------------------------------------------------
-    def _settle(self) -> None:
-        """Re-establish the live-head invariant after the head of the
-        current bucket was removed (popped or discarded)."""
-        cur = self._current
-        if self._tombs:
-            while cur and cur[0][2]._dead:
-                heapq.heappop(cur)
-                self._tombs -= 1
-        if cur:
-            self.min_when = cur[0][0]
-        elif self._len:
-            self._free.append(cur)
-            self._load_next()
+        heap = self._heap
+        if heap[0][2] is event:
+            heapq.heappop(heap)
+            self._sweep()
         else:
-            self._clear_garbage()
+            self._tombs += 1
 
-    def _clear_garbage(self) -> None:
-        """No live entries remain: drop cancelled-entry tombstones
-        wholesale so an 'empty' queue is physically empty."""
-        free = self._free
-        cur = self._current
-        if cur:
-            cur.clear()
-        for b in self._buckets.values():
-            b.clear()
-            free.append(b)
-        self._buckets.clear()
-        self._bucket_heap.clear()
-        self._overflow.clear()
-        self._tombs = 0
-        self.min_when = _INF
-
-    def _refresh_min(self) -> None:
-        """Exact minimum over live entries (rare: only when a discard
-        outside the loaded bucket was tied with ``min_when``)."""
-        best = _INF
-        cur = self._current
+    def _sweep(self) -> None:
+        """Drop tombstones exposed at the root and refresh ``min_when``."""
+        heap = self._heap
         if self._tombs:
-            # Defensively re-establish the live-head invariant rather
-            # than trusting it: a dead head used as the bound below
-            # would hide the true minimum behind a stale-early value.
-            while cur and cur[0][2]._dead:
-                heapq.heappop(cur)
+            while heap and heap[0][2]._dead:
+                heapq.heappop(heap)
                 self._tombs -= 1
-        if cur:
-            # The current head is live and bounds everything in ``cur``.
-            best = cur[0][0]
-        for b in self._buckets.values():
-            for e in b:
-                if e[0] < best and not e[2]._dead:
-                    best = e[0]
-        for e in self._overflow:
-            if e[0] < best and not e[2]._dead:
-                best = e[0]
-        self.min_when = best
-
-    def _reload(self) -> None:
-        """Unload the current bucket (if any) and load the minimum one."""
-        cur = self._current
-        if cur:
-            # Already heap-ordered, which is fine for a plain bucket
-            # list; it is re-heapified on its next load.
-            self._buckets[self._current_idx] = cur
-            heapq.heappush(self._bucket_heap, self._current_idx)
-        self._current = []
-        self._current_idx = -1
-        self._load_next()
-
-    def _load_next(self) -> None:
-        """Load the minimum occupied bucket into ``_current``.
-
-        Caller guarantees entries exist somewhere and ``_current`` is
-        empty.  Over-full buckets trigger the halve-and-re-bucket path
-        before the load completes.
-        """
-        while True:
-            if not self._buckets:
-                self._rotate()
-            idx = heapq.heappop(self._bucket_heap)
-            bucket = self._buckets.pop(idx)
-            if len(bucket) > self._RESIZE_SPLIT and self._width > self._min_width:
-                # Bucket resize on load: too many entries share one
-                # bucket — shrink the width so this bucket splits down
-                # to roughly half the threshold, in ONE re-bucketing
-                # pass (repeated halving would re-bucket the whole
-                # population per step).
-                factor = 2
-                target = len(bucket) // (self._RESIZE_SPLIT // 2)
-                while factor < target:
-                    factor <<= 1
-                self._rebucket(bucket, self._width / factor)
-                continue
-            if len(bucket) > 1:
-                heapq.heapify(bucket)
-            if self._tombs:
-                while bucket and bucket[0][2]._dead:
-                    heapq.heappop(bucket)
-                    self._tombs -= 1
-            if bucket:
-                break
-            # Every entry was a cancelled timer shot: keep looking.
-            self._free.append(bucket)
-        self._current = bucket
-        self._current_idx = idx
-        self.min_when = bucket[0][0]
-
-    def _rebucket(self, pending: list, new_width: float) -> None:
-        """Collapse everything into the overflow ring and re-distribute
-        at ``new_width`` (deterministic: bucket lists keep push order,
-        dict iteration is insertion-ordered)."""
-        entries = self._overflow
-        entries.extend(pending)
-        pending.clear()
-        free = self._free
-        free.append(pending)
-        for b in self._buckets.values():
-            entries.extend(b)
-            b.clear()
-            free.append(b)
-        self._buckets.clear()
-        self._bucket_heap.clear()
-        self._width = max(new_width, self._min_width)
-        self._inv = 1.0 / self._width
-        self._horizon = 0.0
-        self._overflow = entries
-        # keep_width: the caller just *chose* this width because the
-        # population is skewed; the span heuristic would undo it.
-        self._rotate(keep_width=True)
-
-    def _rotate(self, keep_width: bool = False) -> None:
-        """Advance the wheel window to the earliest overflow entry and
-        redistribute the overflow ring into buckets.
-
-        Only called with an empty wheel and a non-empty overflow, so the
-        overflow is the entire pending population — which makes this the
-        natural re-sizing point: pick the bucket width that spreads the
-        population at ``_ROTATE_OCCUPANCY`` entries per bucket over its
-        actual span, and grow the wheel with the population (buckets
-        live in a dict, so only occupied ones cost memory).
-        """
-        overflow = self._overflow
-        n = len(overflow)
-        if n > 1:
-            # Lexicographic min/max of (when, seq, ...) tuples: seq is
-            # unique, so [0] is the exact min/max time, C-speed.
-            base_when = min(overflow)[0]
-            if not keep_width:
-                span = max(overflow)[0] - base_when
-                if span > 0.0:
-                    width = span * self._ROTATE_OCCUPANCY / n
-                    if width < self._min_width:
-                        width = self._min_width
-                    elif width > self._max_width:
-                        width = self._max_width
-                    self._width = width
-                    self._inv = 1.0 / width
-        else:
-            base_when = overflow[0][0]
-        want = 1 << max(n >> 3, 512).bit_length()
-        if want > self._n_buckets:
-            self._n_buckets = want
-        limit_idx = int(base_when * self._inv) + self._n_buckets
-        self._horizon = horizon = limit_idx * self._width
-        buckets = self._buckets
-        bucket_heap = self._bucket_heap
-        free = self._free
-        keep: list = free.pop() if free else []
-        inv = self._inv
-        for entry in overflow:
-            if entry[0] < horizon:
-                idx = int(entry[0] * inv)
-                b = buckets.get(idx)
-                if b is None:
-                    if free:
-                        b = free.pop()
-                        b.append(entry)
-                    else:
-                        b = [entry]
-                    buckets[idx] = b
-                    heapq.heappush(bucket_heap, idx)
-                else:
-                    b.append(entry)
-            else:
-                keep.append(entry)
-        overflow.clear()
-        free.append(overflow)
-        self._overflow = keep
+        self.min_when = heap[0][0] if heap else _INF
 
 
 class Simulator:
@@ -1103,9 +728,8 @@ class Simulator:
 
     * ``_immediate`` — a FIFO of events triggered *at the current
       moment*; appended in trigger order, which **is** sequence order.
-    * ``_queue`` — a :class:`CalendarTimerQueue` of ``(time, seq,
-      event)`` for future timeouts, popped in exact ``(time, seq)``
-      order.
+    * ``_queue`` — a :class:`TimerQueue` heap of ``(time, seq, event)``
+      for future timeouts, popped in exact ``(time, seq)`` order.
 
     Any timer entry with time equal to ``now`` was necessarily scheduled
     at an earlier moment (zero-delay scheduling never touches the timer
@@ -1138,7 +762,7 @@ class Simulator:
         self.sanitizer: Optional[SimSanitizer] = (
             SimSanitizer() if self.sanitize else None
         )
-        self._queue = CalendarTimerQueue()
+        self._queue = TimerQueue()
         self._immediate: deque = deque()
         self._seq = 0
         # Insertion-ordered (dict-as-set): deadlock reports and the
@@ -1223,17 +847,6 @@ class Simulator:
             to = cached[key] = Timeout(self, delay)
         return to
 
-    def ticker(
-        self,
-        period: float,
-        action: Callable[[Ticker], None],
-        name: LazyName = "",
-        start_delay: Optional[float] = None,
-    ) -> Ticker:
-        """A recurring timer: ``action(ticker)`` every ``period`` µs
-        (allocation-free per tick; see :class:`Ticker`)."""
-        return Ticker(self, period, action, name=name, start_delay=start_delay)
-
     def timer_handle(
         self, action: Callable[[TimerHandle], None], name: LazyName = ""
     ) -> TimerHandle:
@@ -1270,20 +883,6 @@ class Simulator:
             self._queue.push(when, self._seq, event)
 
     # -- execution -----------------------------------------------------
-    def step(self) -> None:
-        """Process the single next event."""
-        immediate = self._immediate
-        queue = self._queue
-        if queue._len and (not immediate or queue.min_when <= self._now):
-            when, _, event = queue.pop()
-            self._now = when
-        else:
-            event = immediate.popleft()
-        self.events_processed += 1
-        if self.schedule_log is not None:
-            self.schedule_log.append((self._now, event.name))
-        event._process_callbacks()
-
     def _drain(self, until: Optional[float], waited: Optional[Event]) -> bool:
         """The one drain loop behind :meth:`run` and
         :meth:`run_until_triggered`.

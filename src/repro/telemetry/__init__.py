@@ -12,14 +12,14 @@ Three cooperating parts over one span stream:
   timelines by :mod:`repro.telemetry.timeline`.
 * **Metrics registry** (:class:`MetricsRegistry`,
   :class:`MetricsSampler`) — counters/gauges/probes/histograms sampled
-  on a sim-time ticker into exportable time-series.
+  on a recurring sim-time timer into exportable time-series.
 * **Flight recorder** (:class:`FlightRecorder`) — a bounded ring of
   recent observations, dumped automatically on ``SanitizerError`` or
   the first typed message loss.
 
 Tracing creates **no** sim events (golden schedules are byte-identical
-with tracing on/off); the sampler creates exactly one ticker and is a
-separate opt-in.
+with tracing on/off); the sampler creates exactly one recurring timer
+and is a separate opt-in.
 """
 
 from repro.telemetry.critpath import (

@@ -2,12 +2,12 @@
 
 Counters, gauges, probes (sampled callables), and histograms live in a
 :class:`MetricsRegistry`; a :class:`MetricsSampler` drives periodic
-sampling off one allocation-free engine :class:`~repro.sim.Ticker`,
-producing per-metric ``(sim_time_us, value)`` series exportable to
-JSON/CSV for bench trajectories.
+sampling off one engine :class:`~repro.sim.TimerHandle`, re-armed from
+its own action, producing per-metric ``(sim_time_us, value)`` series
+exportable to JSON/CSV for bench trajectories.
 
 Unlike span tracing (purely passive), the sampler *does* create sim
-events — one recurring ticker — so it is a separate opt-in and is never
+events — one recurring timer — so it is a separate opt-in and is never
 attached in golden-determinism comparisons.  :func:`standard_probes`
 registers the stock fleet signals (queue depth, uplink utilization,
 replica width, HBM residency) by scraping the same unified ``stats()``
@@ -17,7 +17,7 @@ protocol everything else reads.
 from __future__ import annotations
 
 import json
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.telemetry.histogram import Histogram
 
@@ -156,25 +156,29 @@ class MetricsRegistry:
 
 
 class MetricsSampler:
-    """Periodic sampling of a registry on one engine ticker."""
+    """Periodic sampling of a registry on one engine timer.
 
-    def __init__(
-        self,
-        sim,
-        registry: MetricsRegistry,
-        period_us: float,
-        start_delay: Optional[float] = None,
-    ):
+    Each firing re-arms the timer one period ahead and then samples, so
+    a probe may call :meth:`stop` from inside a sample.  ``stop()``
+    discards the queued occurrence at once: a stopped sampler never
+    holds ``sim.run()`` past the last real event.
+    """
+
+    def __init__(self, sim, registry: MetricsRegistry, period_us: float):
+        if period_us <= 0:
+            raise ValueError(f"sampler period must be positive, got {period_us}")
         self.sim = sim
         self.registry = registry
         self.period_us = period_us
-        self._ticker = sim.ticker(period_us, self._tick, start_delay=start_delay)
+        self._timer = sim.timer_handle(self._tick, name="metrics.sample")
+        self._timer.schedule(sim.now + period_us)
 
-    def _tick(self, ticker) -> None:
+    def _tick(self, timer) -> None:
+        timer.schedule(self.sim.now + self.period_us)
         self.registry.sample(self.sim.now)
 
     def stop(self) -> None:
-        self._ticker.stop()
+        self._timer.cancel()
 
 
 def standard_probes(

@@ -1,4 +1,4 @@
-"""RPR001 fixture: eager event names on the hot path (4 hits)."""
+"""RPR001 fixture: eager event names on the hot path (5 hits)."""
 
 
 def spawn(sim, work, i):
@@ -7,4 +7,5 @@ def spawn(sim, work, i):
     tick = sim.completed(None, name="tick {}".format(i))
     # A flag-gated f-string is still built eagerly whenever the flag is on.
     gated = sim.event(name=f"gated{i}" if sim.verbose else "")
-    return ev, proc, tick, gated
+    timer = sim.timer_handle(work, f"retry{i}")
+    return ev, proc, tick, gated, timer

@@ -6,4 +6,5 @@ def spawn(sim, work, i):
     ev = sim.event(name=lambda: f"grads{i}")
     # Constant names cost nothing to begin with.
     tick = sim.completed(None, name="tick")
-    return ev, tick
+    timer = sim.timer_handle(work, name=lambda: f"retry{i}")
+    return ev, tick, timer

@@ -1,33 +1,33 @@
 """Reference implementations the equivalence suites compare against.
 
-The simulator runs one timer queue (:class:`repro.sim.CalendarTimerQueue`)
-and one fluid solver (:class:`repro.net.fabric.ScopedFluidSolver`).  The
-simplest correct shape of each lives here, outside the package, with no
-production path that selects it:
+The simulator runs one fluid solver
+(:class:`repro.net.fabric.ScopedFluidSolver`) and one fault generator.
+The simplest correct shape of each lives here, outside the package, with
+no production path that selects it:
 
-* :class:`HeapTimerQueue` — one global ``(when, seq, event)`` heap;
 * :class:`DenseFluidSolver` — per-flow rates, every live flow
   recomputed on every membership change;
 * :func:`scalar_poisson_device_failures` — one scalar exponential draw
   per call and the dataclass-ordered sort, the reference for
   :meth:`repro.resilience.FaultSchedule.poisson_device_failures`.
 
-``test_timer_queue.py`` and ``test_fluid_solver.py`` swap them in (by
-assigning ``sim._queue`` or patching ``repro.net.fabric.ScopedFluidSolver``)
-and assert byte-identical results; ``test_resilience.py`` compares the
-schedules event for event.
+``test_fluid_solver.py`` swaps the solver in (by patching
+``repro.net.fabric.ScopedFluidSolver``) and asserts byte-identical
+results; ``test_resilience.py`` compares the fault schedules event for
+event.  The timer queue needs no oracle: :class:`repro.sim.TimerQueue`
+is itself the plain ``(when, seq)`` heap, and ``test_timer_queue.py``
+checks it against a sorted list of the live entries.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Any, Iterable
+from typing import Iterable
 
 import numpy as np
 
 from repro.resilience import FaultEvent, FaultKind
 
-__all__ = ["DenseFluidSolver", "HeapTimerQueue", "scalar_poisson_device_failures"]
+__all__ = ["DenseFluidSolver", "scalar_poisson_device_failures"]
 
 _INF = float("inf")
 
@@ -54,72 +54,6 @@ def scalar_poisson_device_failures(
                 break
             t += repair_us + float(rng.exponential(mtbf_us))
     return sorted(events)
-
-
-class HeapTimerQueue:
-    """The classic timer store: one global ``(time, seq, event)`` heap.
-
-    Same surface as :class:`~repro.sim.CalendarTimerQueue`: ``push(when,
-    seq, event)``, ``pop() -> (when, seq, event)`` in exact ``(when,
-    seq)`` order, ``discard(when, event)`` for cancelled
-    :class:`~repro.sim.TimerHandle` shots, ``min_when`` (``inf`` when
-    empty), and ``len``.
-
-    ``len``/``_len`` count **live** entries only.  Cancelled entries are
-    tombstones (``event._dead``): removed physically whenever they reach
-    the root — the exposed head is always live, so ``min_when`` always
-    names the earliest live entry (the drain loop orders the timer queue
-    against the zero-delay FIFO with it) — and skipped on contact
-    otherwise.
-    """
-
-    __slots__ = ("_heap", "_len", "_tombs", "min_when")
-
-    def __init__(self) -> None:
-        self._heap: list[tuple[float, int, Any]] = []
-        self._len = 0
-        #: Physically-present cancelled entries; sweeps are gated on it,
-        #: so payloads without a ``_dead`` attribute are never touched.
-        self._tombs = 0
-        self.min_when = _INF
-
-    def __len__(self) -> int:
-        return self._len
-
-    def push(self, when: float, seq: int, event: Any) -> None:
-        heapq.heappush(self._heap, (when, seq, event))
-        self._len += 1
-        if when < self.min_when:
-            self.min_when = when
-
-    def pop(self) -> tuple[float, int, Any]:
-        heap = self._heap
-        entry = heapq.heappop(heap)
-        self._len -= 1
-        if self._tombs:
-            while heap and heap[0][2]._dead:
-                heapq.heappop(heap)
-                self._tombs -= 1
-        self.min_when = heap[0][0] if heap else _INF
-        return entry
-
-    def discard(self, when: float, event: Any) -> None:
-        """Logically remove a cancelled entry (``event._dead`` already
-        set by the caller).  The root is removed physically — together
-        with any tombstones it was shadowing — so ``min_when`` stays
-        honest; a non-root entry is already covered by the live root
-        and is dropped lazily when a pop reaches it."""
-        self._len -= 1
-        heap = self._heap
-        if heap and heap[0][2] is event:
-            heapq.heappop(heap)
-            if self._tombs:
-                while heap and heap[0][2]._dead:
-                    heapq.heappop(heap)
-                    self._tombs -= 1
-            self.min_when = heap[0][0] if heap else _INF
-        else:
-            self._tombs += 1
 
 
 class _Flow:

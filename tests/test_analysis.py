@@ -23,7 +23,7 @@ FIXTURES = Path(__file__).parent / "analysis_fixtures"
 
 #: fixture file -> (expected code, expected hit count).
 BAD_FIXTURES = {
-    "rpr001_bad.py": ("RPR001", 4),
+    "rpr001_bad.py": ("RPR001", 5),
     "rpr002_bad.py": ("RPR002", 4),
     "rpr003_bad.py": ("RPR003", 4),
     "rpr004_bad.py": ("RPR004", 2),
@@ -114,7 +114,7 @@ class TestCli:
         captured = capsys.readouterr()
         assert rc == 1
         assert "RPR001" in captured.out
-        assert "found 4 violation(s)" in captured.out
+        assert "found 5 violation(s)" in captured.out
 
     def test_check_good_file_exits_0(self, capsys):
         rc = main(

@@ -295,62 +295,6 @@ class TestRun:
         assert not p.ok
 
 
-class TestTicker:
-    def test_fixed_period(self, sim):
-        seen = []
-        t = sim.ticker(10.0, lambda tk: seen.append(sim.now))
-        sim.run(until=55.0, detect_deadlock=False)
-        assert seen == [10.0, 20.0, 30.0, 40.0, 50.0]
-        assert t.ticks == 5
-
-    def test_start_delay_offsets_first_tick_only(self, sim):
-        seen = []
-        sim.ticker(10.0, lambda tk: seen.append(sim.now), start_delay=3.0)
-        sim.run(until=35.0, detect_deadlock=False)
-        assert seen == [3.0, 13.0, 23.0, 33.0]
-
-    def test_stop_from_action(self, sim):
-        def action(tk):
-            if tk.ticks == 3:
-                tk.stop()
-
-        t = sim.ticker(1.0, action)
-        sim.run(detect_deadlock=False)
-        assert t.ticks == 3
-        assert sim.now == 3.0
-
-    def test_stop_cancels_pending_occurrence_lazily(self, sim):
-        """stop() outside the action leaves the scheduled entry in the
-        queue but the tick never fires — lazy cancellation."""
-        seen = []
-        t = sim.ticker(10.0, lambda tk: seen.append(sim.now))
-        sim.run(until=5.0, detect_deadlock=False)
-        t.stop()
-        sim.run(detect_deadlock=False)
-        assert seen == []
-        assert t.ticks == 0
-
-    def test_negative_period_rejected(self, sim):
-        with pytest.raises(ValueError, match="negative"):
-            sim.ticker(-1.0, lambda tk: None)
-
-    def test_negative_start_delay_rejected(self, sim):
-        with pytest.raises(ValueError, match="negative"):
-            sim.ticker(1.0, lambda tk: None, start_delay=-0.5)
-
-    def test_zero_period_runs_as_immediate(self, sim):
-        """A zero-period ticker re-arms onto the immediate queue; it must
-        stop itself or the drain would spin forever."""
-        def action(tk):
-            if tk.ticks == 100:
-                tk.stop()
-
-        t = sim.ticker(0.0, action, start_delay=0.0)
-        sim.run(detect_deadlock=False)
-        assert t.ticks == 100
-        assert sim.now == 0.0
-
-
 class TestDrainDedupe:
     """run() and run_until_triggered() share one _drain core; both paths
     must walk the identical (time, name) schedule."""

@@ -77,13 +77,13 @@ class TestSimulatorStats:
             yield sim.timeout(5.0)
 
         sim.process(proc())
-        sim.ticker(100.0, lambda tk: None)
+        sim.timeout(100.0)
         sim.run(until=6.0, detect_deadlock=False)
         s = sim.stats()
         assert isinstance(s, SimStats)
         assert s.now_us == 6.0
         assert s.events_processed == sim.events_processed > 0
-        assert s.pending_timers == 2  # second timeout + ticker re-arm
+        assert s.pending_timers == 2  # second timeout + the t=100 timeout
         assert s.immediate_depth == 0
         assert s.live_processes == 1
 

@@ -186,7 +186,7 @@ class TestMetricsRegistry:
         reg = MetricsRegistry()
         reg.gauge("t").set(1.0)
         sampler = MetricsSampler(sim, reg, period_us=10.0)
-        sim.run(until=35.0)  # a ticker re-arms forever; cut at the horizon
+        sim.run(until=35.0)  # the sampler re-arms forever; cut at the horizon
         assert reg.samples_taken == 3  # t=10, 20, 30
         assert [t for t, _ in reg.series("t")] == [10.0, 20.0, 30.0]
         sampler.stop()
@@ -203,6 +203,57 @@ class TestMetricsRegistry:
             "hw.hbm_resident_bytes",
         ):
             assert len(reg.series(name)) == 1
+
+
+class TestMetricsSampler:
+    def test_fixed_period(self, sim):
+        reg = MetricsRegistry()
+        reg.gauge("g").set(1.0)
+        sampler = MetricsSampler(sim, reg, period_us=10.0)
+        sim.run(until=55.0, detect_deadlock=False)
+        assert [t for t, _ in reg.series("g")] == [10.0, 20.0, 30.0, 40.0, 50.0]
+        assert reg.samples_taken == 5
+        sampler.stop()
+
+    def test_stop_from_action(self, sim):
+        reg = MetricsRegistry()
+        seen = []
+
+        def probe():
+            seen.append(sim.now)
+            if len(seen) == 3:
+                sampler.stop()
+            return 0.0
+
+        reg.probe("p", probe)
+        sampler = MetricsSampler(sim, reg, period_us=1.0)
+        assert sim.run() == 3.0
+        assert seen == [1.0, 2.0, 3.0]
+        assert reg.samples_taken == 3
+
+    def test_stop_discards_pending_occurrence(self, sim):
+        """A stopped sampler must not hold the clock: its queued
+        occurrence leaves the timer queue at once, so ``run()`` ends at
+        the last real event instead of the next sampling instant."""
+        reg = MetricsRegistry()
+        sampler = MetricsSampler(sim, reg, period_us=1000.0)
+        pending = []
+
+        def workload():
+            yield sim.timeout(1500.0)
+            sampler.stop()
+            pending.append(sim.stats().pending_timers)
+            yield sim.timeout(100.0)
+
+        sim.process(workload())
+        assert sim.run() == 1600.0
+        assert pending == [0]
+        assert reg.samples_taken == 1
+
+    def test_negative_period_rejected(self, sim):
+        for period in (-1.0, 0.0):
+            with pytest.raises(ValueError, match="positive"):
+                MetricsSampler(sim, MetricsRegistry(), period_us=period)
 
 
 class TestFlightRecorder:
