@@ -1,7 +1,7 @@
 """The timer queue against a sorted-list model, property-style.
 
-The model is the sorted list of *live* ``(when, seq, event)`` entries.
-For every interleaving of pushes, pops and discards (``TimerHandle``
+The reference model is the sorted list of *live* ``(when, seq, event)``
+entries.  For every interleaving of pushes, pops and discards (``TimerHandle``
 cancellations) the queue must pop the model's head, report the model's
 earliest time as ``min_when`` (``inf`` when empty), and count only live
 entries.  ``min_when`` matters beyond the queue: the drain loop orders
@@ -28,6 +28,9 @@ WHENS = st.one_of(
     st.floats(min_value=1e8, max_value=1e12),
 )
 
+#: Push a `when`, or pop (``None``).
+PUSH_POP_OPS = st.lists(st.one_of(WHENS, st.none()), min_size=1, max_size=200)
+
 #: Push a `when`, pop (``None``), or discard a random live entry.
 OPS = st.lists(
     st.one_of(WHENS, st.none(), st.tuples(st.just("x"), st.integers(0, 40))),
@@ -50,9 +53,10 @@ def _key(entry):
     return entry[0], entry[1]
 
 
-@given(ops=OPS)
-@settings(max_examples=300, deadline=None)
-def test_matches_sorted_list_model(ops):
+def _run(ops, check=None):
+    """Apply `ops` to a queue and to the sorted-list model of its live
+    entries; pops must agree.  `check(q, model)` runs after every op.
+    Returns the queue and model, drained."""
     q = TimerQueue()
     model = []  # live entries, sorted by (when, seq)
     seq = 0
@@ -70,14 +74,43 @@ def test_matches_sorted_list_model(ops):
             entry = (op, seq, _Shot(seq))
             bisect.insort(model, entry, key=_key)
             q.push(*entry)
-        assert len(q) == len(model)
-        assert q.min_when == (model[0][0] if model else float("inf"))
-        if not model:
-            # No live entries left: no tombstones may linger either.
-            assert not q._heap
+        if check is not None:
+            check(q, model)
     while model:
         assert q.pop() == model.pop(0)
     assert len(q) == 0 and q.min_when == float("inf") and not q._heap
+
+
+def _check_live_view(q, model):
+    assert len(q) == len(model)
+    assert q.min_when == (model[0][0] if model else float("inf"))
+
+
+@given(ops=PUSH_POP_OPS)
+@settings(max_examples=200, deadline=None)
+def test_pop_order_matches_heap_reference(ops):
+    _run(ops)
+
+
+@given(ops=PUSH_POP_OPS)
+@settings(max_examples=100, deadline=None)
+def test_min_when_tracks_heap_reference(ops):
+    _run(ops, _check_live_view)
+
+
+@given(ops=OPS)
+@settings(max_examples=300, deadline=None)
+def test_discard_matches_heap_reference(ops):
+    """Random push/pop/discard streams: ``min_when`` must always name
+    the earliest *live* entry, and once nothing is live no tombstone may
+    linger."""
+
+    def check(q, model):
+        _check_live_view(q, model)
+        if not model:
+            assert not q._heap
+
+    _run(ops, check)
 
 
 def test_zero_delay_burst_pops_in_seq_order():
