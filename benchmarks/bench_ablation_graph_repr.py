@@ -61,6 +61,7 @@ def test_ablation_graph_representation(benchmark):
             "materialized nodes", "materialized edges", "TF serialize (ms)",
             "build (ms)",
         ],
+        wall_clock=["build (ms)"],
     )
     for row in rows:
         table.add_row(*row)

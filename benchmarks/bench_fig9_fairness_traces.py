@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.harness import full_asserts, smoke_trim
+from repro.bench.harness import Table, full_asserts, smoke_trim
 from repro.telemetry.timeline import (
     interleave_granularity_us,
     kernel_devices,
@@ -50,6 +50,12 @@ def run_all():
 def test_fig9_fairness_traces(benchmark):
     fairness, utilization = benchmark.pedantic(run_all, rounds=1, iterations=1)
 
+    share_table = Table(
+        "Figure 9: proportional share", columns=["weights", "client", "share", "target"]
+    )
+    gran_table = Table(
+        "Figure 9: interleave granularity", columns=["weights", "granularity (ms)"]
+    )
     for wts, res in fairness.items():
         trace = res.system_handle.sim.tracer
         lo, hi = kernel_span_range(trace)
@@ -61,18 +67,24 @@ def test_fig9_fairness_traces(benchmark):
         print(render_timeline(trace, width=100, devices=kernel_devices(trace)[:4]))
         for i, w in enumerate(wts):
             measured = shares.get(f"step_client{i}_solo", 0.0)
-            print(f"  client{i}: share {measured:.3f} (target {w/total:.3f})")
+            share_table.add_row(ratio, f"client{i}", measured, w / total)
             assert measured == pytest.approx(w / total, abs=0.05)
         gran = interleave_granularity_us(trace)
-        print(f"  interleave granularity: {gran/1000:.2f} ms")
+        gran_table.add_row(ratio, gran / 1000)
         assert gran < 20_000.0
+    share_table.show()
+    gran_table.show()
 
-    print("\n== Figure 11: utilization vs concurrent clients (0.33 ms) ==")
+    util_table = Table(
+        "Figure 11: utilization vs concurrent clients (0.33 ms)",
+        columns=["clients", "mean device utilization"],
+    )
     utils = {}
     for n, res in utilization.items():
         u = utilization_by_device(res.system_handle.sim.tracer)
         utils[n] = sum(u.values()) / len(u)
-        print(f"  {n:3d} client(s): mean device utilization {utils[n]:.1%}")
+        util_table.add_row(n, utils[n])
+    util_table.show()
     # A single client cannot saturate; many clients approach ~100%.
     assert utils[1] < 0.5
     if full_asserts():

@@ -9,8 +9,19 @@ plumbing::
     python benchmarks/run.py --list
     python benchmarks/run.py --bench serving --smoke
     python benchmarks/run.py --smoke          # the full CI smoke sweep
+    python benchmarks/run.py --smoke --update-outcomes
 
-``--bench`` matches by substring and may repeat.  These benches
+``--bench`` matches by substring and may repeat.
+
+Smoke runs also check *outcome pins*: every table a bench shows is
+recorded (title, columns, rows; wall-clock columns left out) and
+compared for exact equality with ``bench_outcomes_smoke.json``.
+Simulated time is deterministic, so any difference is a change in what
+was simulated; the report names the bench, table, row and column.
+``--update-outcomes`` rewrites the pins of the selected benches, and
+``--check-outcomes FILE`` compares an existing recording (the JSON
+lines ``REPRO_BENCH_OUTCOMES=FILE`` collects) without running anything.
+These benches
 reproduce the paper's figures; how fast the simulator itself runs is
 measured by ``benchmarks/e2e/run.py``.
 """
@@ -18,13 +29,19 @@ measured by ``benchmarks/e2e/run.py``.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
+import tempfile
 
 BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
 REPO_ROOT = os.path.dirname(BENCH_DIR)
 SRC_DIR = os.path.join(REPO_ROOT, "src")
+OUTCOMES_FILE = os.path.join(BENCH_DIR, "bench_outcomes_smoke.json")
+#: Same value as ``repro.bench.harness.OUTCOMES_ENV`` (this script runs
+#: without ``src`` on its path).
+OUTCOMES_ENV = "REPRO_BENCH_OUTCOMES"
 
 
 def discover() -> dict[str, str]:
@@ -51,6 +68,94 @@ def select(benches: dict[str, str], patterns: list[str]) -> dict[str, str]:
     return chosen
 
 
+def read_recording(path: str) -> dict[str, list[dict]]:
+    """Group the JSON lines ``Table.show`` appended by bench, in show order."""
+    out: dict[str, list[dict]] = {}
+    with open(path, encoding="utf-8") as f:
+        for line in f:
+            record = json.loads(line)
+            out.setdefault(record.pop("bench"), []).append(record)
+    return out
+
+
+def _cell(value) -> str:
+    # Exact, type-strict equality: 1 != 1.0, and NaN equals NaN.
+    return json.dumps(value)
+
+
+def diff_outcomes(
+    pinned: dict[str, list[dict]], got: dict[str, list[dict]], benches
+) -> list[str]:
+    """Every difference between pinned and recorded tables of ``benches``."""
+    out = []
+    for bench in benches:
+        if bench not in pinned:
+            out.append(f"{bench}: no pinned outcomes (run --update-outcomes)")
+            continue
+        want, have = pinned[bench], got.get(bench, [])
+        if len(want) != len(have):
+            out.append(f"{bench}: {len(have)} tables shown, {len(want)} pinned")
+        for w, h in zip(want, have):
+            where = f"{bench}: {w['test']} table {w['title']!r}"
+            if (w["test"], w["title"], w["columns"]) != (
+                h["test"], h["title"], h["columns"]
+            ):
+                out.append(
+                    f"{where}: shown as {h['test']} {h['title']!r} "
+                    f"with columns {h['columns']}"
+                )
+                continue
+            if len(w["rows"]) != len(h["rows"]):
+                out.append(f"{where}: {len(h['rows'])} rows, {len(w['rows'])} pinned")
+            for i, (wr, hr) in enumerate(zip(w["rows"], h["rows"])):
+                for col, a, b in zip(w["columns"], wr, hr):
+                    if _cell(a) != _cell(b):
+                        out.append(
+                            f"{where} row {i} ({_cell(wr[0])}) column {col!r}: "
+                            f"pinned {_cell(a)}, got {_cell(b)}"
+                        )
+    return out
+
+
+def dump_outcomes(pins: dict[str, list[dict]]) -> str:
+    """The pin file: one JSON object, one table row per line."""
+    benches = []
+    for bench in sorted(pins):
+        tables = []
+        for t in pins[bench]:
+            rows = ",\n      ".join(json.dumps(r) for r in t["rows"])
+            tables.append(
+                f'    {{"test": {json.dumps(t["test"])}, '
+                f'"title": {json.dumps(t["title"])},\n'
+                f'     "columns": {json.dumps(t["columns"])},\n'
+                f'     "rows": [\n      {rows}]}}'
+            )
+        benches.append(f"  {json.dumps(bench)}: [\n" + ",\n".join(tables) + "]")
+    return "{\n" + ",\n".join(benches) + "\n}\n"
+
+
+def load_pins() -> dict[str, list[dict]]:
+    if not os.path.exists(OUTCOMES_FILE):
+        return {}
+    with open(OUTCOMES_FILE, encoding="utf-8") as f:
+        return json.load(f)
+
+
+def check_outcomes(got: dict[str, list[dict]], benches) -> int:
+    problems = diff_outcomes(load_pins(), got, benches)
+    for line in problems:
+        print(f"OUTCOME DRIFT {line}", file=sys.stderr)
+    if problems:
+        print(
+            f"{len(problems)} outcome difference(s) against "
+            f"{os.path.relpath(OUTCOMES_FILE, REPO_ROOT)}",
+            file=sys.stderr,
+        )
+        return 1
+    print(f"outcome pins hold for {len(list(benches))} bench(es)")
+    return 0
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
@@ -65,6 +170,15 @@ def main(argv: list[str]) -> int:
     )
     parser.add_argument("--list", action="store_true", help="list benches and exit")
     parser.add_argument(
+        "--update-outcomes", action="store_true",
+        help="with --smoke: rewrite the selected benches' outcome pins",
+    )
+    parser.add_argument(
+        "--check-outcomes", metavar="FILE",
+        help="compare a recorded outcome file with the pins of every bench "
+        "and exit (runs nothing)",
+    )
+    parser.add_argument(
         "pytest_args", nargs="*",
         help="extra arguments forwarded to pytest (e.g. -q -s)",
     )
@@ -75,6 +189,10 @@ def main(argv: list[str]) -> int:
         for name in benches:
             print(name)
         return 0
+    if args.check_outcomes:
+        return check_outcomes(read_recording(args.check_outcomes), benches)
+    if args.update_outcomes and not args.smoke:
+        parser.error("--update-outcomes needs --smoke (the pins are smoke-size)")
     chosen = select(benches, args.bench)
 
     env = dict(os.environ)
@@ -83,6 +201,9 @@ def main(argv: list[str]) -> int:
     )
     if args.smoke:
         env["REPRO_BENCH_SMOKE"] = "1"
+        fd, recording = tempfile.mkstemp(prefix="bench_outcomes_", suffix=".jsonl")
+        os.close(fd)
+        env[OUTCOMES_ENV] = recording
 
     failed = []
     for name, path in chosen.items():
@@ -94,10 +215,24 @@ def main(argv: list[str]) -> int:
         if proc.returncode != 0:
             failed.append(name)
 
+    status = 0
+    if args.smoke:
+        got = read_recording(recording)
+        os.remove(recording)
+        if not args.update_outcomes:
+            status = check_outcomes(got, chosen)
+        elif failed:
+            print("outcome pins not updated: a bench failed", file=sys.stderr)
+        else:
+            pins = load_pins()
+            pins.update({name: got.get(name, []) for name in chosen})
+            with open(OUTCOMES_FILE, "w", encoding="utf-8") as f:
+                f.write(dump_outcomes(pins))
+            print(f"updated outcome pins for {len(chosen)} bench(es)")
     if failed:
         print(f"FAILED: {', '.join(failed)}", file=sys.stderr)
         return 1
-    return 0
+    return status
 
 
 if __name__ == "__main__":

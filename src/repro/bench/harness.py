@@ -9,15 +9,22 @@ because the paper's numeric claims only hold at full scale.  Every bench
 still executes its complete code path end to end, so figure
 reproductions can never silently rot — the smoke sweep is what CI runs
 on every push.
+
+Setting ``REPRO_BENCH_OUTCOMES`` to a file path makes every
+:meth:`Table.show` append the table's simulated cells to that file as
+one JSON line.  ``benchmarks/run.py --smoke`` sets it and compares the
+recording with the pinned ``benchmarks/bench_outcomes_smoke.json``.
 """
 
 from __future__ import annotations
 
+import json
 import os
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
 __all__ = [
+    "OUTCOMES_ENV",
     "Series",
     "Table",
     "full_asserts",
@@ -25,6 +32,10 @@ __all__ = [
     "smoke_mode",
     "smoke_trim",
 ]
+
+
+#: Names the JSON-lines file :meth:`Table.show` records outcomes into.
+OUTCOMES_ENV = "REPRO_BENCH_OUTCOMES"
 
 
 def smoke_mode() -> bool:
@@ -77,6 +88,9 @@ class Table:
     title: str
     columns: Sequence[str]
     rows: list[Sequence[Any]] = field(default_factory=list)
+    #: Columns measured in wall-clock time: shown, but left out of the
+    #: recorded outcome, which must repeat exactly run to run.
+    wall_clock: Sequence[str] = ()
 
     def add_row(self, *values: Any) -> None:
         if len(values) != len(self.columns):
@@ -110,8 +124,36 @@ class Table:
             lines.append(" | ".join(c.rjust(w) for c, w in zip(row, widths)))
         return "\n".join(lines)
 
+    def outcome(self) -> dict[str, Any]:
+        """Title, columns and rows as plain JSON values, without the
+        wall-clock columns."""
+        keep = [i for i, c in enumerate(self.columns) if c not in self.wall_clock]
+        return {
+            "title": self.title,
+            "columns": [str(self.columns[i]) for i in keep],
+            "rows": [[_plain(row[i]) for i in keep] for row in self.rows],
+        }
+
     def show(self) -> None:
         print("\n" + self.render())
+        path = os.environ.get(OUTCOMES_ENV)
+        if path:
+            # "benchmarks/bench_x.py::test_y[p] (call)" -> ("x", "test_y[p]")
+            node = os.environ.get("PYTEST_CURRENT_TEST", "?::?").rsplit(" (", 1)[0]
+            file, _, test = node.partition("::")
+            bench = os.path.basename(file).removeprefix("bench_").removesuffix(".py")
+            record = {"bench": bench, "test": test, **self.outcome()}
+            with open(path, "a", encoding="utf-8") as f:
+                f.write(json.dumps(record) + "\n")
+
+
+def _plain(value: Any) -> Any:
+    """A table cell as a JSON value (numpy scalars unwrapped)."""
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if hasattr(value, "item") and not isinstance(value, (int, float, str)):
+        return value.item()
+    return value
 
 
 @dataclass
