@@ -110,6 +110,9 @@ class FaultSchedule:
 
     def __init__(self, events: Iterable[FaultEvent] = ()):
         self.events: list[FaultEvent] = sorted(events, key=_AT)
+        #: Set once a :class:`FaultInjector` starts walking ``events``:
+        #: an insert ahead of its cursor would shift the list under it.
+        self._injecting = False
 
     def __len__(self) -> int:
         return len(self.events)
@@ -118,6 +121,11 @@ class FaultSchedule:
         return iter(self.events)
 
     def add(self, event: FaultEvent) -> "FaultSchedule":
+        if self._injecting:
+            raise RuntimeError(
+                "cannot add to a FaultSchedule an injector is already "
+                "delivering; build the whole schedule before the run"
+            )
         # Right of any equal-time event: the order append + stable sort gives.
         bisect.insort(self.events, event, key=_AT)
         return self
@@ -255,6 +263,7 @@ class FaultInjector:
         timeout = sim.timeout
         inject = self.recovery.inject
         record = self.injected.append
+        self.schedule._injecting = True
         for event in self.schedule:
             delay = event.at_us - sim._now
             if delay > 0:

@@ -18,7 +18,7 @@ import pytest
 from oracles import scalar_poisson_device_failures
 from repro.config import DEFAULT_CONFIG
 from repro.core.system import PathwaysSystem
-from repro.hw.cluster import ClusterSpec, make_cluster
+from repro.hw.cluster import ClusterSpec, config_b, make_cluster
 from repro.hw.device import CollectiveRendezvous, DeviceFailure, Kernel
 from repro.hw.host import HostFailure
 from repro.models.data_parallel import ElasticDataParallelTrainer
@@ -524,6 +524,42 @@ class TestFaultSchedule:
         small_system.sim.run()
         assert [e.target for e in injector.injected] == [d1, d0]
         assert recovery.device_failures == 2
+
+    def test_adding_to_a_schedule_being_injected_raises(self):
+        # Regression: the injector walks the live list, so a mid-run
+        # insert ahead of its cursor re-delivered the awaited fault and
+        # dropped the new one (injected read [(100, d0), (100, d0)]).
+        system = PathwaysSystem.build(config_b(n_hosts=2))
+        recovery = RecoveryManager(system)
+        d0, d1 = (d.device_id for d in system.cluster.devices[:2])
+        schedule = FaultSchedule().device_failure(100.0, d0)
+        injector = FaultInjector(recovery, schedule)
+        errors = []
+
+        def late_add(_ev):
+            try:
+                schedule.device_failure(60.0, d1)
+            except RuntimeError as exc:
+                errors.append(exc)
+
+        system.sim.timeout(50.0).add_callback(late_add)
+        system.sim.run()
+        assert len(errors) == 1
+        assert [(e.at_us, e.target) for e in injector.injected] == [(100.0, d0)]
+        assert len(schedule) == 1 and injector.stats().remaining == 0
+        assert recovery.device_failures == 1
+
+    def test_adding_before_the_run_is_delivered(self, small_system):
+        recovery = RecoveryManager(small_system)
+        d0 = small_system.cluster.devices[0].device_id
+        d1 = small_system.cluster.devices[1].device_id
+        schedule = FaultSchedule().device_failure(100.0, d0)
+        injector = FaultInjector(recovery, schedule)
+        schedule.device_failure(60.0, d1)
+        small_system.sim.run()
+        assert [(e.at_us, e.target) for e in injector.injected] == [
+            (60.0, d1), (100.0, d0)
+        ]
 
 
 # -- end-to-end recovery -----------------------------------------------------
