@@ -178,6 +178,19 @@ class IslandScheduler:
       enough that the *policy*, not arrival order, apportions device
       time — this is what makes proportional share (Figure 9)
       enforceable at millisecond timescales.
+
+    Messages reach the grant loop through its mailbox, with one
+    exception.  A control message (everything but a submission: evict,
+    readmit, done, expire, pause, resume, drain, undrain) is applied on
+    delivery when the loop is parked on an empty mailbox and nothing is
+    pending: no earlier message is still in flight, and with no pending
+    request there is nothing the message could make grantable, so a
+    wake would only apply it and park again.  In every other state it
+    queues, so the loop sees it in arrival order at its next check: an
+    ``evict`` mid-grant must still purge the gang being granted once
+    its kernels are appended.  Submissions (``req``) always take the
+    mailbox hop, so the policy picks among everything that arrived
+    before the loop woke.
     """
 
     def __init__(
@@ -251,13 +264,13 @@ class IslandScheduler:
         if deadline_at_us is not None:
             delay = max(0.0, deadline_at_us - self.sim.now)
             self.sim.timeout(delay).add_callback(
-                lambda ev, r=req: self._incoming.push(("expire", r))
+                lambda ev, r=req: self._deliver("expire", r)
             )
         return req
 
     def complete(self, req: GangRequest) -> None:
         """Signal that a granted computation finished executing."""
-        self._incoming.push(("done", req))
+        self._deliver("done", req)
 
     def stats(self):
         """Frozen scheduler snapshot (unified ``repro.stats`` protocol)."""
@@ -285,8 +298,14 @@ class IslandScheduler:
         the eviction.  Evicted work is replayed by the client's
         ``retry_on_failure`` path after the resource manager remaps its
         virtual slice.
+
+        Takes effect before this returns when the grant loop is parked
+        with nothing pending (see the class docstring); otherwise the
+        loop applies it at its next check, after any grant in progress
+        is acknowledged, so a gang being granted on the device is still
+        purged.
         """
-        self._incoming.push(("evict", device_id))
+        self._deliver("evict", device_id)
 
     def readmit_device(self, device_id: int) -> None:
         """A previously-evicted device restarted: drop any stale
@@ -295,16 +314,21 @@ class IslandScheduler:
         Without this, a ``complete`` for a gang granted *before* the
         eviction can race work granted *after* the restart and corrupt
         the fresh counters (over-admitting past the queue depth).
+
+        Applied before this returns under the same rule as
+        :meth:`evict_device`.  With requests pending it queues instead:
+        freeing the device may make one grantable, and only the loop
+        grants.
         """
-        self._incoming.push(("readmit", device_id))
+        self._deliver("readmit", device_id)
 
     def pause(self) -> None:
         """Island preemption: stop granting; pending requests are kept."""
-        self._incoming.push(("pause", None))
+        self._deliver("pause", None)
 
     def resume(self) -> None:
         """End of preemption: resume granting in original seq order."""
-        self._incoming.push(("resume", None))
+        self._deliver("resume", None)
 
     # -- elastic drain/handback --------------------------------------------
     def drain(self) -> Event:
@@ -322,12 +346,12 @@ class IslandScheduler:
         gangs).
         """
         drained = self.sim.event(name=lambda: f"drained[{self.island.island_id}]")
-        self._incoming.push(("drain", drained))
+        self._deliver("drain", drained)
         return drained
 
     def undrain(self) -> None:
         """Resume granting after a drain (island handed back / kept)."""
-        self._incoming.push(("undrain", None))
+        self._deliver("undrain", None)
 
     @property
     def paused(self) -> bool:
@@ -343,6 +367,14 @@ class IslandScheduler:
         return len(self._live_grants)
 
     # -- internals -----------------------------------------------------
+    def _deliver(self, kind: str, payload) -> None:
+        """Apply a control message now if the loop is parked on an empty
+        mailbox with nothing pending, else queue it (class docstring)."""
+        if not self._pending and self._incoming.getters_waiting:
+            self._apply(kind, payload)
+        else:
+            self._incoming.push((kind, payload))
+
     def _eligible(self, req: GangRequest) -> bool:
         depth = self.config.scheduler_queue_depth
         outstanding = self._outstanding

@@ -183,6 +183,12 @@ class Store:
     def __len__(self) -> int:
         return len(self._items)
 
+    @property
+    def getters_waiting(self) -> int:
+        """Consumers blocked in :meth:`get`.  Non-zero only while the
+        store is empty: an item arriving then goes straight to a getter."""
+        return len(self._getters)
+
     def push(self, item: Any) -> None:
         """Fire-and-forget :meth:`put` for unbounded stores.
 

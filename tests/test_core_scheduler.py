@@ -523,3 +523,67 @@ class TestDeadlineDrainInterplay:
         assert isinstance(outcomes["late"], DeviceFailure)
         assert sched.evictions == 1
         assert sched.deadline_evictions == 0
+
+
+class TestControlDelivery:
+    """Control messages apply on delivery only while the grant loop is
+    parked on an empty mailbox with nothing pending; otherwise they queue
+    and the loop applies them at its next check."""
+
+    def _granted(self, sim, sched, devices, client="a"):
+        req = sched.submit(client, "p", f"{client}-node", device_ids=devices)
+
+        def acker():
+            yield req.grant
+            req.enqueued_ack.succeed(None)
+
+        sim.process(acker())
+        return req
+
+    def test_evict_while_parked_applies_before_returning(self, sim):
+        sched = make_scheduler(sim)
+        req = self._granted(sim, sched, (0, 1))
+        sim.run()
+        assert sched.in_flight == 1
+        processed = sim.events_processed
+        sched.evict_device(0)
+        # Settled before evict_device returned: no loop wake needed.
+        assert sched.in_flight == 0
+        sim.run()
+        assert sim.events_processed == processed
+        sched.complete(req)
+        sim.run()
+        assert sched.stale_completions == 1
+
+    def test_evict_mid_decision_still_purges_the_gang_being_granted(self, sim):
+        # The loop has taken the request off the pending list and is
+        # spending scheduler_decision_us on it: an evict applied on
+        # delivery would find nothing to purge, and the gang would keep
+        # its slots on the failed device.  Queued, it runs after the ack.
+        cfg = DEFAULT_CONFIG.with_overrides(scheduler_decision_us=4.0)
+        sched = make_scheduler(sim, config=cfg)
+        req = self._granted(sim, sched, (0, 1))
+        sim.timeout(2.0).add_callback(lambda ev: sched.evict_device(0))
+        sim.run()
+        assert req.grant.triggered and req.granted_us == 4.0
+        assert sched.in_flight == 0
+        sched.complete(req)
+        sim.run()
+        assert sched.stale_completions == 1
+
+    def test_readmit_with_pending_work_wakes_the_loop(self, sim):
+        # Depth 1 and device 0 held: "b" is pending but ineligible while
+        # the loop is parked.  The readmit frees device 0; applied on
+        # delivery it would leave "b" stranded, since only the loop grants.
+        cfg = DEFAULT_CONFIG.with_overrides(scheduler_queue_depth=1)
+        sched = make_scheduler(sim, config=cfg)
+        self._granted(sim, sched, (0,))
+        b = self._granted(sim, sched, (0,), client="b")
+        sim.run(detect_deadlock=False)
+        assert not b.grant.triggered and sched.stats().pending == 1
+        readmit_at = sim.now + 50.0
+        sim.timeout(50.0).add_callback(lambda ev: sched.readmit_device(0))
+        sim.run()
+        assert b.grant.triggered
+        assert b.granted_us == readmit_at + cfg.scheduler_decision_us
+        assert sched.in_flight == 1

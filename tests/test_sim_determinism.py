@@ -208,10 +208,10 @@ def _schedule_digest(schedule) -> str:
 #: Identical across PYTHONHASHSEED values; update only for a change that
 #: deliberately alters simulated behaviour, and say so in its description.
 GOLDEN_DIGESTS = {
-    "churn": "2251c91c35e70ad3ac7b3297f334e01f73cade16f70f73c5ed21631b6b96d53d",
-    "contended_fabric": "45c8653a49feafbb75f9b8aef7ba422ad65c861b7514a0780068e71721816d29",
-    "ecmp_reroute": "017ffcf1ff1c8fa2a094f67850c13a4d0cbf5f01f14e0e26f22d875c404e2017",
-    "serving": "e72d37187c43e7872b0a3523a1aa4bcf615f42ff7cf9be758d5fdcbcc4e8087b",
+    "churn": "d534090ec436456cecafbc41caf62f6f3f04c73d238666e55101dc4844828331",
+    "contended_fabric": "99e87783244237cb10b0b632ad71274a0737df3da395203998fbe5a65e66f963",
+    "ecmp_reroute": "ca8adaa0c5656f45a8032d08a2d906c7e8477be99fc16572f1c0f23fb611f15a",
+    "serving": "cf1bf4db0b6fa9d6fccc7604c55f8c2c7cc82fba0bf36343a0a4bb2d9e0658b8",
 }
 
 _GOLDEN_RUNS = {

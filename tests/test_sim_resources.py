@@ -92,6 +92,17 @@ class TestResource:
 
 
 class TestStore:
+    def test_getters_waiting_counts_blocked_consumers(self, sim):
+        store = Store(sim)
+        assert store.getters_waiting == 0
+        ev = store.get()
+        assert store.getters_waiting == 1
+        store.push("x")
+        assert store.getters_waiting == 0 and ev.triggered
+        store.push("y")
+        store.get()
+        assert store.getters_waiting == 0
+
     def test_put_then_get(self, sim):
         store = Store(sim)
         store.put("x")
