@@ -125,13 +125,12 @@ class Table:
         return "\n".join(lines)
 
     def outcome(self) -> dict[str, Any]:
-        """Title, columns and rows as plain JSON values, without the
-        wall-clock columns."""
+        """Title, columns and rows without the wall-clock columns."""
         keep = [i for i, c in enumerate(self.columns) if c not in self.wall_clock]
         return {
             "title": self.title,
             "columns": [str(self.columns[i]) for i in keep],
-            "rows": [[_plain(row[i]) for i in keep] for row in self.rows],
+            "rows": [[row[i] for i in keep] for row in self.rows],
         }
 
     def show(self) -> None:
@@ -145,15 +144,6 @@ class Table:
             record = {"bench": bench, "test": test, **self.outcome()}
             with open(path, "a", encoding="utf-8") as f:
                 f.write(json.dumps(record) + "\n")
-
-
-def _plain(value: Any) -> Any:
-    """A table cell as a JSON value (numpy scalars unwrapped)."""
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if hasattr(value, "item") and not isinstance(value, (int, float, str)):
-        return value.item()
-    return value
 
 
 @dataclass
