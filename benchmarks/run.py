@@ -11,7 +11,9 @@ plumbing::
     python benchmarks/run.py --smoke          # the full CI smoke sweep
     python benchmarks/run.py --smoke --update-outcomes
 
-``--bench`` matches by substring and may repeat.
+``--bench`` matches by substring and may repeat.  These benches
+reproduce the paper's figures; how fast the simulator itself runs is
+measured by ``benchmarks/e2e/run.py``.
 
 Smoke runs also check *outcome pins*: every table a bench shows is
 recorded (title, columns, rows; wall-clock columns left out) and
@@ -21,9 +23,6 @@ was simulated; the report names the bench, table, row and column.
 ``--update-outcomes`` rewrites the pins of the selected benches, and
 ``--check-outcomes FILE`` compares an existing recording (the JSON
 lines ``REPRO_BENCH_OUTCOMES=FILE`` collects) without running anything.
-These benches
-reproduce the paper's figures; how fast the simulator itself runs is
-measured by ``benchmarks/e2e/run.py``.
 """
 
 from __future__ import annotations
@@ -152,7 +151,7 @@ def check_outcomes(got: dict[str, list[dict]], benches) -> int:
             file=sys.stderr,
         )
         return 1
-    print(f"outcome pins hold for {len(list(benches))} bench(es)")
+    print(f"outcome pins hold for {len(benches)} bench(es)")
     return 0
 
 
