@@ -9,6 +9,8 @@ Figure 11 utilization claim: more concurrent clients drive devices to
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.bench.harness import Table, full_asserts, smoke_trim
@@ -82,7 +84,7 @@ def test_fig9_fairness_traces(benchmark):
     utils = {}
     for n, res in utilization.items():
         u = utilization_by_device(res.system_handle.sim.tracer)
-        utils[n] = sum(u.values()) / len(u)
+        utils[n] = math.fsum(u.values()) / len(u)
         util_table.add_row(n, utils[n])
     util_table.show()
     # A single client cannot saturate; many clients approach ~100%.

@@ -20,9 +20,7 @@ recorded (title, columns, rows; wall-clock columns left out) and
 compared for exact equality with ``bench_outcomes_smoke.json``.
 Simulated time is deterministic, so any difference is a change in what
 was simulated; the report names the bench, table, row and column.
-``--update-outcomes`` rewrites the pins of the selected benches, and
-``--check-outcomes FILE`` compares an existing recording (the JSON
-lines ``REPRO_BENCH_OUTCOMES=FILE`` collects) without running anything.
+``--update-outcomes`` rewrites the pins of the selected benches.
 """
 
 from __future__ import annotations
@@ -38,9 +36,6 @@ BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
 REPO_ROOT = os.path.dirname(BENCH_DIR)
 SRC_DIR = os.path.join(REPO_ROOT, "src")
 OUTCOMES_FILE = os.path.join(BENCH_DIR, "bench_outcomes_smoke.json")
-#: Same value as ``repro.bench.harness.OUTCOMES_ENV`` (this script runs
-#: without ``src`` on its path).
-OUTCOMES_ENV = "REPRO_BENCH_OUTCOMES"
 
 
 def discover() -> dict[str, str]:
@@ -173,11 +168,6 @@ def main(argv: list[str]) -> int:
         help="with --smoke: rewrite the selected benches' outcome pins",
     )
     parser.add_argument(
-        "--check-outcomes", metavar="FILE",
-        help="compare a recorded outcome file with the pins of every bench "
-        "and exit (runs nothing)",
-    )
-    parser.add_argument(
         "pytest_args", nargs="*",
         help="extra arguments forwarded to pytest (e.g. -q -s)",
     )
@@ -188,8 +178,6 @@ def main(argv: list[str]) -> int:
         for name in benches:
             print(name)
         return 0
-    if args.check_outcomes:
-        return check_outcomes(read_recording(args.check_outcomes), benches)
     if args.update_outcomes and not args.smoke:
         parser.error("--update-outcomes needs --smoke (the pins are smoke-size)")
     chosen = select(benches, args.bench)
@@ -202,7 +190,8 @@ def main(argv: list[str]) -> int:
         env["REPRO_BENCH_SMOKE"] = "1"
         fd, recording = tempfile.mkstemp(prefix="bench_outcomes_", suffix=".jsonl")
         os.close(fd)
-        env[OUTCOMES_ENV] = recording
+        # Table.show appends every shown table here (repro.bench.harness).
+        env["REPRO_BENCH_OUTCOMES"] = recording
 
     failed = []
     for name, path in chosen.items():

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
 __all__ = [
-    "OUTCOMES_ENV",
     "Series",
     "Table",
     "full_asserts",

@@ -16,6 +16,7 @@ trace figures show:
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from typing import Optional, Sequence
 
@@ -118,7 +119,7 @@ def interleave_granularity_us(tracer: Tracer, device: Optional[int] = None) -> f
         run_lengths.append(run_end - run_start)
     if not run_lengths:
         return 0.0
-    return sum(run_lengths) / len(run_lengths)
+    return math.fsum(run_lengths) / len(run_lengths)
 
 
 def render_timeline(

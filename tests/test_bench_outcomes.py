@@ -6,7 +6,7 @@ import importlib.util
 import json
 import os
 
-from repro.bench.harness import OUTCOMES_ENV, Table
+from repro.bench.harness import Table
 
 _RUN_PY = os.path.join(os.path.dirname(__file__), "..", "benchmarks", "run.py")
 _spec = importlib.util.spec_from_file_location("bench_run", _RUN_PY)
@@ -29,7 +29,7 @@ def test_outcome_drops_wall_clock_columns():
 
 def test_show_records_bench_and_test(tmp_path, monkeypatch):
     path = tmp_path / "rec.jsonl"
-    monkeypatch.setenv(OUTCOMES_ENV, str(path))
+    monkeypatch.setenv("REPRO_BENCH_OUTCOMES", str(path))
     monkeypatch.setenv(
         "PYTEST_CURRENT_TEST", "benchmarks/bench_serving.py::test_slo[4] (call)"
     )
@@ -42,7 +42,7 @@ def test_show_records_bench_and_test(tmp_path, monkeypatch):
 
 
 def test_show_records_nothing_without_the_variable(tmp_path, monkeypatch):
-    monkeypatch.delenv(OUTCOMES_ENV, raising=False)
+    monkeypatch.delenv("REPRO_BENCH_OUTCOMES", raising=False)
     monkeypatch.chdir(tmp_path)
     _table().show()
     assert list(tmp_path.iterdir()) == []
