@@ -66,7 +66,9 @@ def test_fig10_island_pipeline(benchmark):
     devices = [isl.devices[0].device_id for isl in system_c.cluster.islands]
     print("\npipeline trace (one core per island; A..=fwd/bwd kernels):")
     print(render_timeline(trace, width=110, devices=devices, legend=False))
-    print(f"DCN bytes moved: {system_c.cluster.transport.bytes_sent / 1e9:.1f} GB")
+    dcn = Table("Figure 10: DCN traffic", columns=["configuration", "DCN bytes moved"])
+    dcn.add_row("C (4 x 32 cores, DCN)", system_c.cluster.transport.bytes_sent)
+    dcn.show()
 
     # The headline: same throughput across DCN as within one island.
     assert rc.tokens_per_second == pytest.approx(rb.tokens_per_second, rel=0.03)

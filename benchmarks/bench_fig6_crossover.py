@@ -68,16 +68,20 @@ def test_fig6_crossover(benchmark):
         table.show()
 
     conv_b = convergence_ms(results["B"])
-    print(
-        f"\nconvergence (PW >= {PARITY:.0%} of JAX): config B {conv_b} ms "
-        f"(paper ~2.4 ms)"
+    conv_a = convergence_ms(results["A"]) if full_asserts() else None
+    table = Table(
+        f"Figure 6: convergence (PW >= {PARITY:.0%} of JAX)",
+        columns=["config", "convergence (ms)", "paper (ms)"],
     )
+    table.add_row("B", conv_b, 2.4)
+    if conv_a is not None:
+        table.add_row("A", conv_a, 35.0)
+    table.show()
+
     # Parity exists at config B even in the smoke sweep (~2.4 ms point).
     assert conv_b <= 5.0
-    if not full_asserts():
+    if conv_a is None:
         return
-    conv_a = convergence_ms(results["A"])
-    print(f"convergence config A: {conv_a} ms (paper ~35 ms)")
     # Shape: the parity point grows ~15x from 16 to 512 hosts.
     assert 20.0 <= conv_a <= 100.0
     assert conv_a > 5 * conv_b
