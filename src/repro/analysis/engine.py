@@ -9,8 +9,8 @@ lines and the CLI renders text or JSON.
 Suppression syntax, modeled on ruff's but namespaced so the two tools
 never fight over a comment::
 
-    leaked = nic.try_acquire()  # repro: noqa[RPR005] ownership moves to _PrepState
-    for p in procs:             # repro: noqa  (suppresses every rule on the line)
+    cpu.acquire(state.on_grant)  # repro: noqa[RPR005] ownership moves to _PrepState
+    for p in procs:              # repro: noqa  (suppresses every rule on the line)
 
 Rules that only make sense for simulator code (hot-path event naming,
 schedule-feeding iteration order) set ``sim_only = True`` and are

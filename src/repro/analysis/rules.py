@@ -454,7 +454,7 @@ class TimeoutTriggeredRule(Rule):
 # RPR005 — acquire without a guaranteed release
 # --------------------------------------------------------------------------
 
-_ACQUIRE_METHODS = frozenset({"request", "try_acquire", "acquire"})
+_ACQUIRE_METHODS = frozenset({"request", "acquire"})
 
 
 class AcquireReleaseRule(Rule):

@@ -17,7 +17,7 @@ where ``retry_on_failure`` catches it.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Optional
 
 from repro.config import SystemConfig
 from repro.sim import Event, Resource, Simulator
@@ -150,18 +150,7 @@ class Host:
         self._live_preps[state] = None
         # Slot ownership transfers to the _PrepState, which releases it
         # in on_done/abort on every path.
-        if self.cpu.try_acquire():  # repro: noqa[RPR005]
-            # Uncontended CPU: go straight to the hold phase.
-            state.holding = True
-            if work_us > 0:
-                self.sim.shared_timeout(work_us).add_callback(state.on_done)
-            else:
-                state.on_done(done)
-        else:
-            # Same ownership transfer on the contended path: on_grant
-            # either starts the hold or hands the slot straight back if
-            # the prep was aborted meanwhile.
-            self.cpu.request().add_callback(state.on_grant)  # repro: noqa[RPR005]
+        self.cpu.acquire(state.on_grant)  # repro: noqa[RPR005]
         return done
 
     def _finish_prep(self, state: "_PrepState") -> None:
@@ -175,8 +164,8 @@ class _PrepState:
     ``Resource.using`` as explicit callbacks, plus the crash path: if
     the host dies while this prep is queued or holding the CPU, the
     completion event fails with :class:`HostFailure` and the CPU slot is
-    returned (a granted-but-unobserved slot is released when the stale
-    grant is processed, so a crash can never leak the serial CPU).
+    returned (a grant that reaches an aborted prep is handed straight
+    back, so a crash can never leak the serial CPU).
     """
 
     __slots__ = ("host", "done", "work_us", "holding")
@@ -187,18 +176,18 @@ class _PrepState:
         self.work_us = work_us
         self.holding = False
 
-    def on_grant(self, ev: Event) -> None:
+    def on_grant(self, exc: Optional[BaseException]) -> None:
         host = self.host
         if self.done.triggered:
             # Aborted (crash) while queued.  A grant that nevertheless
             # arrived reserved a slot for a dead prep: hand it back.
-            if ev._exc is None:
+            if exc is None:
                 host.cpu.release()
             return
-        if ev._exc is not None:
+        if exc is not None:
             # Queued waiter failed by Host.crash via cpu.fail_waiters.
             host._finish_prep(self)
-            self.done.fail(ev._exc)
+            self.done.fail(exc)
             return
         self.holding = True
         if self.work_us > 0:
@@ -206,9 +195,9 @@ class _PrepState:
             # the same instant; share the completion timeout.
             host.sim.shared_timeout(self.work_us).add_callback(self.on_done)
         else:
-            self.on_done(ev)
+            self.on_done(None)
 
-    def on_done(self, ev: Event) -> None:
+    def on_done(self, ev: Optional[Event]) -> None:
         if not self.holding:
             # Aborted (crash) while holding: CPU already released there.
             return

@@ -144,24 +144,17 @@ class _SendState:
         self.msg = msg
         self.phase = _QUEUED
 
-    def start(self) -> None:
-        nic = self.msg.src.nic
-        if nic.try_acquire():
-            self._begin_hold()
-        else:
-            nic.request().add_callback(self.on_grant)
-
-    def on_grant(self, ev: Event) -> None:
+    def on_grant(self, exc: Optional[BaseException]) -> None:
         msg = self.msg
         if msg.triggered:
             # Aborted (crash/timeout) while queued.  A slot that was
             # nevertheless granted would leak: hand it back.
-            if ev._exc is None:
+            if exc is None:
                 msg.src.nic.release()
             return
-        if ev._exc is not None:
+        if exc is not None:
             # Queued waiter failed by Host.crash via nic.fail_waiters.
-            self.transport._settle_lost(msg, ev._exc)
+            self.transport._settle_lost(msg, exc)
             return
         self._begin_hold()
 
@@ -178,10 +171,12 @@ class _SendState:
             return  # aborted while serializing; the NIC was released there
         self.phase = _PROPAGATING
         self.msg.on_wire = True
-        self.msg.src.nic.release()
         self.transport.sim.timeout(
             self.transport.config.dcn_latency_us
         ).add_callback(self.on_delivered)
+        # Released last: the next queued sender starts inside release()
+        # and must arm its timer after this message's propagation timer.
+        self.msg.src.nic.release()
 
     def on_delivered(self, ev: Event) -> None:
         msg = self.msg
@@ -412,8 +407,9 @@ class Transport:
             msg.route = self.fabric.route(src, dst, msg.flow_seq) or []
             msg._proc = self.sim.process(self._traverse(msg))
         else:
-            state = msg._state = _SendState(self, msg)
-            state.start()
+            msg._state = _SendState(self, msg)
+            # Slot ownership transfers to the _SendState (see its abort).
+            src.nic.acquire(msg._state.on_grant)  # repro: noqa[RPR005]
         if timeout_us is None and self.config.net_message_timeout_us > 0:
             timeout_us = self.config.net_message_timeout_us
         if timeout_us is not None and timeout_us > 0:

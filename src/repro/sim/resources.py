@@ -1,9 +1,9 @@
 """Shared-resource primitives built on the event kernel.
 
-:class:`Resource` is a counted semaphore with FIFO granting — used to
-model serial host CPUs, PCIe engines, and bounded HBM allocators.
-:class:`Store` is an unbounded-or-bounded FIFO queue of items — used for
-message channels and device work queues.
+:class:`Resource` is a counted semaphore with FIFO granting — used for
+host CPUs and NICs and a client's controller thread.  :class:`Store` is
+an unbounded-or-bounded FIFO queue of items — used for scheduler
+mailboxes, PLAQUE channel shards and input-pipeline buffers.
 
 Both grant strictly in request order, which keeps the simulation
 deterministic and models the paper's FIFO hardware queues faithfully.
@@ -12,7 +12,7 @@ deterministic and models the paper's FIFO hardware queues faithfully.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, Optional
+from typing import Any, Callable, Deque, Generator, Optional, Union
 
 from repro.sim.engine import Event, Simulator
 from repro.sim.sanitize import UnbalancedGrantError
@@ -29,6 +29,8 @@ class Resource:
 
         def task(sim, cpu):
             yield from cpu.using(sim, work_us=10.0)
+
+    ``acquire(on_grant)`` is the callback form; both share one FIFO.
     """
 
     def __init__(
@@ -50,7 +52,8 @@ class Resource:
         #: leave this False — only stranded *waiters* are flagged then.
         self.leak_check = leak_check
         self._in_use = 0
-        self._waiters: Deque[Event] = deque()
+        #: request() events and acquire() callbacks, in arrival order.
+        self._waiters: Deque[Union[Event, Callable]] = deque()
         #: Cumulative busy time integral, for utilization reporting.
         self._busy_accum = 0.0
         self._last_change = 0.0
@@ -75,19 +78,19 @@ class Resource:
         self._account()
         return self._busy_accum
 
-    def try_acquire(self) -> bool:
-        """Take a slot immediately if one is free (no event at all).
+    def acquire(self, on_grant: Callable[[Optional[BaseException]], None]) -> None:
+        """Call ``on_grant(None)`` once a slot is held, then :meth:`release` it.
 
-        The holder must :meth:`release` exactly as if it had gone
-        through :meth:`request`.  Hot callers (executor prep fan-out)
-        use this to skip even the completed-event allocation on the
-        uncontended path.
+        A contended waiter is granted inside the holder's
+        :meth:`release`: no event, no loop entry.  A waiter failed by
+        :meth:`fail_waiters` gets ``on_grant(cause)`` through the loop.
         """
         if self._in_use < self.capacity and not self._waiters:
             self._account()
             self._in_use += 1
-            return True
-        return False
+            on_grant(None)
+        else:
+            self._waiters.append(on_grant)
 
     def request(self) -> Event:
         sim = self.sim
@@ -112,9 +115,15 @@ class Resource:
         """
         n = len(self._waiters)
         while self._waiters:
-            ev = self._waiters.popleft()
-            if not ev.triggered:
-                ev.fail(cause)
+            waiter = self._waiters.popleft()
+            if not isinstance(waiter, Event):
+                # Deferred like a failed request(): the owner (Host.crash)
+                # settles its own state first, in its own order.
+                ev = Event(self.sim)
+                ev.add_callback(lambda ev, on_grant=waiter: on_grant(ev._exc))
+                waiter = ev
+            if not waiter.triggered:
+                waiter.fail(cause)
         return n
 
     def release(self) -> None:
@@ -125,15 +134,18 @@ class Resource:
         self._account()
         if self._waiters:
             # Hand the slot directly to the next waiter: in_use unchanged.
-            ev = self._waiters.popleft()
-            ev.succeed(self)
+            waiter = self._waiters.popleft()
+            if isinstance(waiter, Event):
+                waiter.succeed(self)
+            else:
+                waiter(None)
         else:
             self._in_use -= 1
 
     def _sanitizer_problems(self) -> list[tuple[str, str]]:
         """Drain-end invariants for the sim-sanitizer sweep."""
         problems: list[tuple[str, str]] = []
-        pending = sum(1 for ev in self._waiters if not ev.triggered)
+        pending = sum(not isinstance(w, Event) or not w.triggered for w in self._waiters)
         if pending:
             problems.append(
                 (

@@ -2,8 +2,7 @@
 
 
 def leak_on_success(cpu, work):
-    if cpu.try_acquire():  # never released anywhere in this function
-        work()
+    cpu.acquire(lambda exc: work())  # never released anywhere in this function
 
 
 def leak_on_exception(sim, cpu, work_us):

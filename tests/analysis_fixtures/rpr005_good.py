@@ -18,8 +18,10 @@ class _PrepState:
         self.holding = False
 
     def start(self):
-        if self.cpu.try_acquire():
-            self.holding = True
+        self.cpu.acquire(self.on_grant)
+
+    def on_grant(self, exc):
+        self.holding = exc is None
 
     def abort(self, cause):
         if self.holding:

@@ -227,6 +227,21 @@ class TestUncontendedRouteLoss:
         sim.run_until_triggered(fresh)
         assert sim.now - start == pytest.approx(config.dcn_latency_us + 100.0)
 
+    def test_src_crash_loses_queued_send_as_host_crash(self, sim, small_cluster):
+        """A send queued behind a NIC holder that is not a message is
+        lost by the crash listener's fail_in_flight, with its reason."""
+        dcn = small_cluster.transport
+        a, b = small_cluster.hosts[:2]
+        assert a.nic.request().triggered
+        sim.timeout(100.0).add_callback(lambda ev: a.nic.release())
+        msg = dcn.send(a, b, 1_250_000)
+        sim.timeout(5.0).add_callback(lambda ev: a.crash())
+        sim.run(detect_deadlock=False)
+        assert dcn.stats().lost_by_reason == {"host-crash": 1}
+        assert isinstance(msg._exc, MessageLost)
+        assert msg._exc.reason == f"host crash: {a.name}"
+        assert a.nic.in_use == 0 and a.nic.queue_len == 0
+
     def test_src_crash_during_propagation_still_delivers(
         self, sim, config, small_cluster
     ):

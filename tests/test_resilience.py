@@ -881,6 +881,21 @@ class TestHostCrashPrepPath:
         assert host.preps_aborted == 1
         assert host.cpu.in_use == 0  # the slot was released on abort
 
+    def test_crash_aborts_holding_and_queued_preps(self, sim, small_cluster):
+        """One prep holds the CPU and two queue behind it: the crash
+        aborts all three and fails their completions in issue order."""
+        host = small_cluster.hosts[0]
+        preps = [host.prep_request(100.0) for _ in range(3)]
+        failed = []
+        for i, done in enumerate(preps):
+            done.add_callback(lambda ev, i=i: failed.append((i, ev._exc)))
+        sim.timeout(50.0).add_callback(lambda ev: host.crash())
+        sim.run(detect_deadlock=False)
+        assert host.preps_aborted == 3
+        assert [i for i, _ in failed] == [0, 1, 2]
+        assert all(isinstance(exc, HostFailure) for _, exc in failed)
+        assert host.cpu.in_use == 0 and host.cpu.queue_len == 0
+
     def test_host_crash_fails_pending_prep_into_retry(self):
         """Regression for the ROADMAP bug: a crashed host only took its
         devices down — executor prep kept 'running' on the dead CPU and

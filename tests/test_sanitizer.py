@@ -116,7 +116,7 @@ class TestResourceInvariants:
     def test_leaked_grant_detected(self):
         sim = Simulator(sanitize=True)
         nic = Resource(sim, capacity=1, name="nic", leak_check=True)
-        assert nic.try_acquire()
+        assert nic.request().triggered
         with pytest.raises(UnbalancedGrantError, match="nic"):
             sim.run()
 
@@ -125,7 +125,7 @@ class TestResourceInvariants:
         which of many hosts' NICs was left held."""
         sim = Simulator(sanitize=True)
         host = Host(sim, SystemConfig(), host_id=3, island_id=0)
-        assert host.nic.try_acquire()
+        assert host.nic.request().triggered
         with pytest.raises(UnbalancedGrantError, match=r"'nic\[h3\]'"):
             sim.run()
 
@@ -134,13 +134,13 @@ class TestResourceInvariants:
         leak-checked resources are grant-audited."""
         sim = Simulator(sanitize=True)
         pool = Resource(sim, capacity=2, name="pool")
-        assert pool.try_acquire()
+        assert pool.request().triggered
         sim.run()
 
     def test_stranded_waiter_detected(self):
         sim = Simulator(sanitize=True)
         pool = Resource(sim, capacity=1, name="pool")
-        assert pool.try_acquire()
+        assert pool.request().triggered
         pool.request()  # queued forever: the holder never releases
         with pytest.raises(UnsettledWaitersError, match="lost wakeup"):
             sim.run()
@@ -167,7 +167,7 @@ class TestResourceInvariants:
         """Cut short at ``until``, held slots are expected, not leaks."""
         sim = Simulator(sanitize=True)
         nic = Resource(sim, capacity=1, name="nic", leak_check=True)
-        assert nic.try_acquire()
+        assert nic.request().triggered
         sim.timeout(100.0)
         assert sim.run(until=50.0) == 50.0
 

@@ -372,14 +372,16 @@ class TestHotPathPrimitives:
         with pytest.raises(RuntimeError, match="full bounded store"):
             store.push("b")
 
-    def test_resource_try_acquire_respects_capacity(self, sim):
+    def test_resource_acquire_respects_capacity(self, sim):
         from repro.sim import Resource
 
         res = Resource(sim, capacity=1)
-        assert res.try_acquire()
-        assert not res.try_acquire()
+        grants = []
+        res.acquire(grants.append)
+        res.acquire(grants.append)
+        assert grants == [None] and res.queue_len == 1
         res.release()
-        assert res.try_acquire()
+        assert grants == [None, None] and res.in_use == 1
 
     def test_schedule_log_disabled_by_default(self):
         sim = Simulator()

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim import Resource, Store
+from repro.sim import Resource, Simulator, Store
+from repro.sim.sanitize import UnsettledWaitersError
+from repro.workloads.microbench import run_pathways
 
 
 class TestResource:
@@ -89,6 +91,71 @@ class TestResource:
         # The direct request below should not hang behind a leaked hold.
         ev = res.request()
         assert ev.triggered or res.in_use <= 1
+
+
+class TestAcquire:
+    """The callback form: contended grants run inside release(), while
+    failed waits stay deferred through the loop."""
+
+    def test_contended_acquire_is_granted_inside_release(self, sim):
+        res = Resource(sim, capacity=1)
+        grants = []
+        res.acquire(lambda exc: grants.append(("first", exc, sim.now)))
+        res.acquire(lambda exc: grants.append(("second", exc, sim.now)))
+        assert grants == [("first", None, 0.0)] and res.queue_len == 1
+
+        def release(ev):
+            res.release()
+            # Granted before release() returned, at the same instant.
+            assert grants[-1] == ("second", None, 5.0)
+
+        sim.timeout(5.0).add_callback(release)
+        sim.run()
+        assert len(grants) == 2
+        assert res.in_use == 1 and res.queue_len == 0
+        assert sim.events_processed == 1  # the timeout; the grant adds none
+
+    def test_request_and_acquire_waiters_share_one_fifo(self, sim):
+        res = Resource(sim, capacity=1)
+        res.request()
+        first = res.request()
+        acquired = []
+        res.acquire(acquired.append)
+        last = res.request()
+        res.release()
+        assert first.triggered and not acquired and not last.triggered
+        res.release()
+        assert acquired == [None] and not last.triggered
+        res.release()
+        assert last.triggered and res.queue_len == 0
+
+    def test_fail_waiters_defers_on_grant_to_the_loop(self, sim):
+        res = Resource(sim, capacity=1)
+        res.request()
+        seen = []
+        res.acquire(seen.append)
+        cause = RuntimeError("gone")
+        assert res.fail_waiters(cause) == 1
+        assert seen == [] and res.queue_len == 0
+        sim.run()
+        assert seen == [cause]
+        assert res.in_use == 1  # a failed wait is never granted a slot
+
+    def test_sanitizer_reports_stranded_acquire_waiter(self):
+        sim = Simulator(sanitize=True)
+        pool = Resource(sim, capacity=1, name="pool")
+        pool.request()
+        pool.acquire(lambda exc: None)  # queued forever: never released
+        with pytest.raises(UnsettledWaitersError, match="lost wakeup"):
+            sim.run()
+
+    def test_contended_prep_grants_add_no_loop_entries(self):
+        """Work-count pin: each host's queued preps are handed the CPU
+        inside release() (9,240 events when every contended grant took
+        its own loop entry), with the simulated time unchanged."""
+        result = run_pathways("chained", 4, devices_per_host=4, n_calls=4)
+        assert result.sim_events == 7_196
+        assert result.sim_elapsed_us == 22319.000075
 
 
 class TestStore:
