@@ -150,9 +150,8 @@ class TestAcquire:
             sim.run()
 
     def test_contended_prep_grants_add_no_loop_entries(self):
-        """Work-count pin: each host's queued preps are handed the CPU
-        inside release() (9,240 events when every contended grant took
-        its own loop entry), with the simulated time unchanged."""
+        """Work-count pin: each host's queued preps take the CPU inside
+        release(), adding no loop entry and leaving simulated time as is."""
         result = run_pathways("chained", 4, devices_per_host=4, n_calls=4)
         assert result.sim_events == 7_196
         assert result.sim_elapsed_us == 22319.000075
