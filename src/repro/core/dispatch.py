@@ -13,7 +13,12 @@ A :class:`ProgramExecution` drives one run of a lowered program:
   simulation.
 
 In ``PARALLEL`` mode, prep for *all* regular nodes runs concurrently and
-the controller sends a single subgraph message per island.  In
+the controller sends a single subgraph message per island.  Each node
+then runs as an event chain (:class:`_NodeChain`: prep barrier, gang
+submit, grant, enqueue) and each data-moving edge as another
+(:class:`_Feed`, :class:`_Transfer`): callbacks, not generator
+processes, because paper-scale sweeps dispatch hundreds of thousands
+of nodes.  In
 ``SEQUENTIAL`` mode (the Figure 4a strawman and the fallback for
 irregular nodes), the controller walks the graph: node *k+1*'s dispatch
 begins only after node *k*'s enqueue is acknowledged and its output
@@ -22,6 +27,7 @@ handles have travelled back over DCN.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from enum import Enum
 from typing import Generator, Optional, TYPE_CHECKING
@@ -299,48 +305,52 @@ class ProgramExecution:
         # One subgraph-describing message per island (minimizes traffic,
         # paper §4.5); the controller does not wait for completions.
         yield self.sim.timeout(self.config.dcn_latency_us)
-        self._wire_dataflow(nodes, seed_args=seed_args)
-        for node in nodes:
-            self._dispatched.add(node.node_id)
-            self.sim.process(self._run_node(node))
+        feeds = self._wire_dataflow(nodes, seed_args=seed_args)
+        self._dispatched.update(node.node_id for node in nodes)
         # The controller thread is released as soon as the subgraph
-        # message is out; node processes run island-side.
-        return
+        # message is out; the node chains run island-side.
+        self._launch(feeds, nodes)
 
-    def _run_node(self, node: LowLevelNode) -> Generator:
-        ex = self._executors[node.node_id]
-        try:
-            # Prep runs inline in this (already per-node) process; a
-            # dedicated wrapper process would only add dispatch overhead.
-            prep_start = self.sim.now
-            yield from ex.prep()
-            self._trace_prep(node, prep_start)
-            self._attach_result_handles(node.node_id)
-            scheduler = self.system.scheduler_for(node.group.island)
-            req = scheduler.submit(
-                client=self.client.name,
-                program=self.low.name,
-                node_label=f"{self.name}:{node.label}",
-                cost_us=node.computation.compute_time_us(self.config),
-                device_ids=tuple(d.device_id for d in node.group.devices),
-                deadline_at_us=self.deadline_at_us,
-            )
-            yield req.grant
-        except Exception as exc:  # noqa: BLE001 - grant evicted / prep lost
-            # Settle the node's completion event so supervisors observe
-            # the loss instead of waiting forever.
-            self._note_deadline(exc)
-            if not ex.all_kernels_done.triggered:
-                ex.all_kernels_done.fail(exc)
+    def _launch(self, feeds: list[LowLevelNode], nodes: list[LowLevelNode]) -> None:
+        """Start the edge feeders of ``feeds``, then the chains of
+        ``nodes``, in one loop entry.
+
+        The entry takes the place in the zero-delay FIFO of the first
+        per-node bootstrap a generator process would have queued, and
+        starts everything in the order those bootstraps ran.
+        """
+        if not (feeds or nodes):
             return
-        gate = self._gates.get(node.node_id)
-        ex.enqueue(gate=gate)
-        req.enqueued_ack.succeed(None)
-        ex.all_kernels_done.add_callback(lambda ev: scheduler.complete(req))
-        # PCIe descriptor writes happen after the order is fixed.
-        pcie = ex.pcie_cost_us()
-        if pcie > 0:
-            yield self.sim.timeout(pcie)
+
+        def start(ev: Event) -> None:
+            for node in feeds:
+                _Feed(self, node).start()
+            for node in nodes:
+                _NodeChain(self, node).start()
+
+        kick = self.sim.event()
+        kick.callbacks.append(start)
+        kick.succeed()
+
+    def _submit(self, node: LowLevelNode):
+        """Hand a prepped node to its island's gang scheduler."""
+        scheduler = self.system.scheduler_for(node.group.island)
+        req = scheduler.submit(
+            client=self.client.name,
+            program=self.low.name,
+            node_label=f"{self.name}:{node.label}",
+            cost_us=node.computation.compute_time_us(self.config),
+            device_ids=tuple(d.device_id for d in node.group.devices),
+            deadline_at_us=self.deadline_at_us,
+        )
+        return scheduler, req
+
+    def _node_lost(self, ex: NodeExecutor, exc: BaseException) -> None:
+        """Prep lost or grant evicted: settle the node's completion
+        event so supervisors observe the loss instead of waiting forever."""
+        self._note_deadline(exc)
+        if not ex.all_kernels_done.triggered:
+            ex.all_kernels_done.fail(exc)
 
     # -- sequential dispatch (Figure 4a) ---------------------------------------
     def _dispatch_sequential(self, nodes: list[LowLevelNode], seed_args: bool = True) -> Generator:
@@ -350,7 +360,7 @@ class ProgramExecution:
         predecessor finishes), so per node it pays a full planning pass,
         ships the dispatch over DCN, waits for prep, enqueue, *and
         completion*, and only then turns to the next node."""
-        self._wire_dataflow(nodes, seed_args=seed_args)
+        self._launch(self._wire_dataflow(nodes, seed_args=seed_args), [])
         cfg = self.config
         for node in nodes:
             self._dispatched.add(node.node_id)
@@ -364,25 +374,17 @@ class ProgramExecution:
             yield self.sim.timeout(cfg.dcn_latency_us)  # controller -> host
             try:
                 prep_start = self.sim.now
-                yield from ex.prep()
+                prepped = self.sim.event()
+                ex.prep(functools.partial(_settle, prepped))
+                yield prepped
                 self._trace_prep(node, prep_start)
                 self._attach_result_handles(node.node_id)
-                scheduler = self.system.scheduler_for(node.group.island)
-                req = scheduler.submit(
-                    client=self.client.name,
-                    program=self.low.name,
-                    node_label=f"{self.name}:{node.label}",
-                    cost_us=node.computation.compute_time_us(self.config),
-                    device_ids=tuple(d.device_id for d in node.group.devices),
-                    deadline_at_us=self.deadline_at_us,
-                )
+                scheduler, req = self._submit(node)
                 yield req.grant
             except Exception as exc:  # noqa: BLE001 - prep lost / grant evicted
                 # Settle the node's completion event before propagating,
                 # or the recovery quiesce would wait on it forever.
-                self._note_deadline(exc)
-                if not ex.all_kernels_done.triggered:
-                    ex.all_kernels_done.fail(exc)
+                self._node_lost(ex, exc)
                 raise
             gate = self._gates.get(node.node_id)
             ex.enqueue(gate=gate)
@@ -414,13 +416,17 @@ class ProgramExecution:
             )
 
     # -- dataflow wiring ----------------------------------------------------
-    def _wire_dataflow(self, nodes: list[LowLevelNode], seed_args: bool = True) -> None:
-        """Create gates and transfer processes for inter-node edges.
+    def _wire_dataflow(
+        self, nodes: list[LowLevelNode], seed_args: bool = True
+    ) -> list[LowLevelNode]:
+        """Create gates for inter-node edges; returns the nodes whose
+        edges move data, for :meth:`_launch` to start their feeders.
 
         On replay attempts ``nodes`` is the lost subset: their gates and
         transfers are rebuilt against the (possibly pre-triggered)
         completion events of preserved producers.
         """
+        feeds = []
         for node in nodes:
             if node.incoming:
                 self._gates[node.node_id] = self.sim.event()
@@ -433,10 +439,10 @@ class ProgramExecution:
             ):
                 # Fast path: no data actually moves (same-group edges),
                 # so the gate opens directly off the producers' completion
-                # — no per-edge transfer process, no feeder process.
+                # — no per-edge transfer, no feeder.
                 self._wire_local_gate(node)
             else:
-                self.sim.process(self._feed_node(node))
+                feeds.append(node)
         # Arg values seed the logical evaluation.
         if seed_args and self.compute_values:
             arg_nodes = self.low.source.arg_nodes
@@ -447,10 +453,11 @@ class ProgramExecution:
             self._node_done[node.node_id].add_callback(
                 lambda ev, n=node: self._on_node_done(n, ev)
             )
+        return feeds
 
     def _wire_local_gate(self, node: LowLevelNode) -> None:
         """Open ``node``'s gate when all (local, zero-byte) producers
-        settle — the no-data-movement analogue of :meth:`_feed_node`.
+        settle — the no-data-movement analogue of :class:`_Feed`.
 
         Failure semantics match the feeder: a lost producer *fails* the
         gate so the gated kernel at the head of its device queue is
@@ -469,65 +476,6 @@ class ProgramExecution:
                 gate.succeed(None)
 
         barrier.add_callback(_open)
-
-    def _feed_node(self, node: LowLevelNode) -> Generator:
-        """Wait for producers, move data, then open the node's gate.
-
-        If a producer is lost to a device failure the gate *fails*
-        rather than staying silent: the gated kernel at the head of its
-        device queue is released with the failure instead of wedging the
-        whole (non-preemptible) queue behind it forever.
-        """
-        gate = self._gates[node.node_id]
-        transfer_events = []
-        for spec in node.incoming:
-            producer_done = self._node_done[spec.src_node]
-            transfer_events.append(
-                self.sim.process(self._one_transfer(spec, producer_done, node))
-            )
-        try:
-            yield self.sim.all_of(transfer_events)
-        except Exception as exc:  # noqa: BLE001 - producer lost
-            if not gate.triggered:
-                gate.fail(exc)
-            return
-        if not gate.triggered:
-            gate.succeed(None)
-
-    def _one_transfer(self, spec, producer_done: Event, node: LowLevelNode) -> Generator:
-        yield producer_done
-        if spec.route is TransferRoute.LOCAL or spec.nbytes == 0:
-            return
-        xfer_start = self.sim.now
-        if spec.route is TransferRoute.ICI:
-            src_group = self.low.node(spec.src_node).group
-            island = src_group.island
-            # Per-shard slice moves in parallel across shard pairs; the
-            # wire time is per-shard bytes over one link path.
-            per_shard = max(1, spec.nbytes // max(1, src_group.n_logical))
-            src_dev = src_group.devices[0]
-            dst_dev = node.group.devices[0]
-            yield self.sim.timeout(island.ici.transfer_time_us(src_dev, dst_dev, per_shard))
-        else:  # DCN: a tracked, routed transport message.  A host crash
-            # mid-transfer fails the message with MessageLost (a
-            # FaultError), which fails this node's gate and feeds the
-            # retry_on_failure replay path — DCN route loss is survivable.
-            src_group = self.low.node(spec.src_node).group
-            per_host = max(1, spec.nbytes // max(1, src_group.n_hosts_logical))
-            src_host = src_group.hosts[0]
-            dst_host = node.group.hosts[0]
-            yield self.system.transport.send(src_host, dst_host, per_host)
-        tr = self.sim.tracer
-        if tr is not None:
-            tr.complete(
-                f"xfer:{spec.src_node}->{spec.dst_node}",
-                "dispatch.transfer",
-                xfer_start,
-                self.sim.now,
-                track=f"client/{self.client.name}",
-                trace_id=self.name,
-                args={"route": spec.route.name, "nbytes": spec.nbytes},
-            )
 
     # -- completion bookkeeping ----------------------------------------------
     def _on_node_done(self, node: LowLevelNode, ev: Optional[Event] = None) -> None:
@@ -655,7 +603,7 @@ class ProgramExecution:
             if (
                 old is not None
                 and old.output_handle is not None
-                and old.prep_done.triggered
+                and old.prep_done
             ):
                 # The lost attempt's output buffer: its HBM reservation
                 # is returned so surviving gang devices don't leak.
@@ -694,6 +642,156 @@ class ProgramExecution:
             if h is not None and not h.freed and h.object_id not in released:
                 released.add(h.object_id)
                 self.system.object_store.release(h)
+
+
+def _settle(ev: Event, exc: Optional[BaseException]) -> None:
+    """A prep barrier's callback as one Event (sequential dispatch)."""
+    if exc is None:
+        ev.succeed(None)
+    else:
+        ev.fail(exc)
+
+
+class _NodeChain:
+    """One node of a PARALLEL dispatch, as an event chain.
+
+    prep barrier -> gang submit -> grant -> enqueue, each step a
+    callback of the one before: no generator, no Process, no per-host
+    completion Event.  Success runs inline at the instant its input
+    lands; a lost prep or an evicted grant fails the node's
+    ``all_kernels_done`` (the retry path's loss signal).
+    """
+
+    __slots__ = ("execution", "node", "ex", "prep_start", "scheduler", "req")
+
+    def __init__(self, execution: ProgramExecution, node: LowLevelNode):
+        self.execution = execution
+        self.node = node
+        self.ex = execution._executors[node.node_id]
+
+    def start(self) -> None:
+        self.prep_start = self.execution.sim.now
+        self.ex.prep(self.on_prepped)
+
+    def on_prepped(self, exc: Optional[BaseException]) -> None:
+        execution = self.execution
+        if exc is not None:
+            execution._node_lost(self.ex, exc)
+            return
+        node = self.node
+        execution._trace_prep(node, self.prep_start)
+        execution._attach_result_handles(node.node_id)
+        self.scheduler, self.req = execution._submit(node)
+        self.req.grant.add_callback(self.on_grant)
+
+    def on_grant(self, ev: Event) -> None:
+        if ev._exc is not None:
+            self.execution._node_lost(self.ex, ev._exc)
+            return
+        ex = self.ex
+        ex.enqueue(gate=self.execution._gates.get(self.node.node_id))
+        ex.all_kernels_done.add_callback(self.on_kernels_done)
+        # The grant loop is parked on this ack; resume it inside the
+        # grant's own loop entry.  The PCIe descriptor writes that
+        # follow occupy no shared resource, so nothing waits on them.
+        self.req.enqueued_ack.succeed_inline(None)
+
+    def on_kernels_done(self, ev: Event) -> None:
+        self.scheduler.complete(self.req)
+
+
+class _Feed:
+    """Opens one node's gate once every incoming edge moved its data.
+
+    A lost producer or a lost transfer *fails* the gate rather than
+    leaving it silent: the gated kernel at the head of its device queue
+    is released with the failure instead of wedging the whole
+    (non-preemptible) queue behind it forever.
+    """
+
+    __slots__ = ("execution", "node", "gate", "remaining")
+
+    def __init__(self, execution: ProgramExecution, node: LowLevelNode):
+        self.execution = execution
+        self.node = node
+        self.gate = execution._gates[node.node_id]
+        self.remaining = len(node.incoming)
+
+    def start(self) -> None:
+        node_done = self.execution._node_done
+        for spec in self.node.incoming:
+            node_done[spec.src_node].add_callback(_Transfer(self, spec).on_producer)
+
+    def landed(self) -> None:
+        self.remaining -= 1
+        if self.remaining == 0 and not self.gate.triggered:
+            self.gate.succeed(None)
+
+    def fail(self, exc: BaseException) -> None:
+        if not self.gate.triggered:
+            self.gate.fail(exc)
+
+
+class _Transfer:
+    """One edge of a :class:`_Feed`: wait for the producer, then move
+    its output over ICI (a timed wire) or DCN (a routed transport
+    message)."""
+
+    __slots__ = ("feed", "spec", "start_us")
+
+    def __init__(self, feed: _Feed, spec):
+        self.feed = feed
+        self.spec = spec
+
+    def on_producer(self, ev: Event) -> None:
+        feed = self.feed
+        if ev._exc is not None:
+            feed.fail(ev._exc)
+            return
+        spec = self.spec
+        if spec.route is TransferRoute.LOCAL or spec.nbytes == 0:
+            feed.landed()
+            return
+        execution = feed.execution
+        sim = execution.sim
+        self.start_us = sim.now
+        src_group = execution.low.node(spec.src_node).group
+        if spec.route is TransferRoute.ICI:
+            # Per-shard slice moves in parallel across shard pairs; the
+            # wire time is per-shard bytes over one link path.
+            per_shard = max(1, spec.nbytes // max(1, src_group.n_logical))
+            wire_us = src_group.island.ici.transfer_time_us(
+                src_group.devices[0], feed.node.group.devices[0], per_shard
+            )
+            sim.timeout(wire_us).add_callback(self.on_moved)
+        else:
+            # DCN: a host crash mid-transfer fails the message with
+            # MessageLost (a FaultError), which fails the gate and feeds
+            # the retry_on_failure replay path.
+            per_host = max(1, spec.nbytes // max(1, src_group.n_hosts_logical))
+            execution.system.transport.send(
+                src_group.hosts[0], feed.node.group.hosts[0], per_host
+            ).add_callback(self.on_moved)
+
+    def on_moved(self, ev: Event) -> None:
+        feed = self.feed
+        if ev._exc is not None:
+            feed.fail(ev._exc)
+            return
+        execution = feed.execution
+        tr = execution.sim.tracer
+        if tr is not None:
+            spec = self.spec
+            tr.complete(
+                f"xfer:{spec.src_node}->{spec.dst_node}",
+                "dispatch.transfer",
+                self.start_us,
+                execution.sim.now,
+                track=f"client/{execution.client.name}",
+                trace_id=execution.name,
+                args={"route": spec.route.name, "nbytes": spec.nbytes},
+            )
+        feed.landed()
 
 
 def _placeholder_handle(node_id: int) -> ObjectHandle:

@@ -12,11 +12,20 @@ For one low-level node, the executor layer
 Prep and enqueue are deliberately separate steps: parallel asynchronous
 dispatch runs prep for many nodes concurrently and only serializes the
 (cheap) enqueues through the scheduler's global order.
+
+Prep is a callback barrier, not a generator: :meth:`NodeExecutor.prep`
+counts the node's host preps (:meth:`~repro.hw.host.Host.prep_request`)
+and its HBM allocation directly, with no per-host completion Event and
+no ``AllOf``.  The last part to land calls the dispatcher back inline,
+at the same instant; a failure (host crash, failed device) rolls the
+allocation back first.  A host crash delivers its failures one loop
+entry later, so the crash settles every prep it aborts in issue order
+before any barrier reacts.
 """
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Callable, Optional
 
 from repro.config import SystemConfig
 from repro.core.ir import LowLevelNode
@@ -46,45 +55,68 @@ class NodeExecutor:
         self.owner = owner
         self.program = program or owner
         self.output_handle: Optional[ObjectHandle] = None
-        self.prep_done: Event = sim.event()
+        #: True once every host prep and the output allocation landed
+        #: (replay reads it to decide whether the buffer is this node's).
+        self.prep_done = False
+        self._prep_parts = 0
+        self._on_prepped: Optional[Callable[[Optional[BaseException]], None]] = None
         self.all_kernels_done: Event = sim.event()
 
     # -- step 1: host-side preparation ----------------------------------------
-    def prep(self) -> Generator:
+    def prep(self, on_done: Callable[[Optional[BaseException]], None]) -> None:
         """Host work + output allocation on all hosts, in parallel.
 
-        Both halves can be lost to a fault: a crashed host fails its CPU
-        work fast (:class:`~repro.hw.host.HostFailure`), and a failed
-        device cancels its pending HBM waiters.  Either way the partial
+        One callback barrier counts the host preps and the HBM
+        allocation.  Success calls ``on_done(None)`` inline, at the
+        instant the last part lands.  Both halves can be lost to a
+        fault: a crashed host fails its CPU work fast
+        (:class:`~repro.hw.host.HostFailure`), and a failed device
+        cancels its pending HBM waiters.  Either way the partial
         reservation is rolled back exactly — granted shards freed,
-        queued waiters cancelled — before the failure propagates to the
-        dispatching program's retry path.
+        queued waiters cancelled — before ``on_done(exc)`` hands the
+        failure to the dispatching program's retry path.
         """
         group = self.node.group
         fn = self.node.computation
         per_host_us = self.config.executor_prep_us + self.config.host_launch_work_us
-
-        host_events = [host.prep_request(per_host_us) for host in group.hosts]
+        self._on_prepped = on_done
+        # Every host prep plus the allocation, so the barrier cannot
+        # settle before the allocation below is requested.
+        self._prep_parts = len(group.hosts) + 1
+        for host in group.hosts:
+            host.prep_request(per_host_us, self._on_prep_part)
         # Output buffers: per-shard bytes reserved on every (simulated)
         # device of the group — this is where HBM back-pressure bites.
-        nbytes_shard = fn.output_nbytes_per_shard()
         handle, alloc_ready = self.store.allocate(
-            nbytes_per_shard=nbytes_shard,
+            nbytes_per_shard=fn.output_nbytes_per_shard(),
             n_shards=group.n_logical,
             owner=self.owner,
             group=group,
             space=MemorySpace.HBM,
         )
         self.output_handle = handle
-        try:
-            yield self.sim.all_of(host_events + [alloc_ready])
-        except BaseException:
-            self.store.discard(handle)
+        alloc_ready.add_callback(self._on_alloc)
+
+    def _on_alloc(self, ev: Event) -> None:
+        self._on_prep_part(ev._exc)
+
+    def _on_prep_part(self, exc: Optional[BaseException]) -> None:
+        on_done = self._on_prepped
+        if on_done is None:
+            return  # already failed: later parts land on a settled barrier
+        if exc is not None:
+            # Dropping the callback also breaks the executor <-> caller
+            # reference cycle, so both are freed by refcount.
+            self._on_prepped = None
+            self.store.discard(self.output_handle)
             self.output_handle = None
-            raise
-        # Nothing waits on prep_done (replay code only reads .triggered);
-        # trigger it in place rather than paying a loop entry per node.
-        self.prep_done.succeed_inline(None)
+            on_done(exc)
+            return
+        self._prep_parts -= 1
+        if self._prep_parts == 0:
+            self._on_prepped = None
+            self.prep_done = True
+            on_done(None)
 
     # -- step 2: enqueue (called under the scheduler's grant) ----------------
     def enqueue(self, gate: Optional[Event] = None) -> list[Kernel]:
@@ -154,7 +186,7 @@ class NodeExecutor:
         else:
             akd.fail(ev._exc)
 
-    # -- PCIe cost of the enqueues (charged after the grant is released) -----
+    # -- PCIe cost of the enqueues (sequential dispatch waits it out) --------
     def pcie_cost_us(self) -> float:
         """Per-host PCIe time for this node's launches.
 

@@ -225,6 +225,8 @@ class IslandScheduler:
         #: in-flight gangs finish, nothing new is granted.
         self._draining = False
         self._drain_waiters: list[Event] = []
+        if sim.sanitize and sim.sanitizer is not None:
+            sim.sanitizer.watch(self)
         self._proc = sim.process(
             self._run(), name=lambda: f"scheduler[{island.island_id}]", daemon=True
         )
@@ -286,6 +288,21 @@ class IslandScheduler:
             stale_completions=self.stale_completions,
             rejected_draining=self.rejected_draining,
         )
+
+    def _sanitizer_problems(self) -> list[tuple[str, str]]:
+        """Drain-end invariant: no gang may end pending with its grant
+        unsettled.  A dispatched node waits on its grant as a callback,
+        not as a process, so a node stuck there is reported here rather
+        than in a :class:`~repro.sim.DeadlockError`."""
+        stuck = [req.node_label for req in self._pending if not req.grant.triggered]
+        if not stuck:
+            return []
+        state = " (paused)" if self._paused else ""
+        return [(
+            "waiters",
+            f"scheduler[{self.island.island_id}]{state} drained with "
+            f"{len(stuck)} gang(s) never granted or evicted: {', '.join(stuck)}",
+        )]
 
     # -- fault tolerance ----------------------------------------------------
     def evict_device(self, device_id: int) -> None:

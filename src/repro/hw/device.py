@@ -589,8 +589,8 @@ class Device:
 
     def _peer_fault(self, exc: BaseException) -> None:
         """A *peer* failed: this device was released from a gang
-        rendezvous (or a gate fed by a dead producer).  The fault often
-        arrives wrapped (a failed transfer process delivers
+        rendezvous (or a gate fed by a dead producer).  The fault may
+        arrive wrapped (a failure relayed by a generator process is a
         ProcessFailed(DeviceFailure)); unwrap before deciding.  Drop the
         poisoned kernel and keep draining — the device itself is
         healthy.  Anything that is not a hardware fault is a

@@ -130,31 +130,41 @@ class Host:
         self.devices.append(device)
 
     # -- host-side work ----------------------------------------------------
-    def prep_request(self, work_us: float) -> Event:
+    def prep_request(
+        self, work_us: float, on_done: Callable[[Optional[BaseException]], None]
+    ) -> None:
         """Crash-aware executor-prep CPU occupancy.
 
-        Acquires the serial CPU, holds it for ``work_us`` and releases
-        it.  The returned completion event fails with
-        :class:`HostFailure` if the host is down or crashes while the
-        work is queued or running — the fail-fast path that feeds
-        ``retry_on_failure``.  Wired as an event chain — no generator,
-        no Process, no bootstrap — because the executor layer issues one
-        of these per (node, host) and paper-scale dispatch sweeps create
-        hundreds of thousands of them.
+        Acquires the serial CPU, holds it for ``work_us``, releases it
+        and calls ``on_done(None)`` at that instant.  If the host is down,
+        or crashes while the work is queued or running, ``on_done`` gets
+        :class:`HostFailure` instead, one loop entry later (the fail-fast
+        path that feeds ``retry_on_failure``).  Wired as an event chain
+        — no generator, no Process, no completion Event — because the
+        executor layer issues one of these per (node, host) and
+        paper-scale dispatch sweeps create hundreds of thousands of them.
         """
-        done = Event(self.sim)
         if self.failed:
-            done.fail(HostFailure(self.host_id, "prep on crashed host"))
-            return done
-        state = _PrepState(self, done, work_us)
+            _fail_later(self.sim, on_done, HostFailure(self.host_id, "prep on crashed host"))
+            return
+        state = _PrepState(self, on_done, work_us)
         self._live_preps[state] = None
         # Slot ownership transfers to the _PrepState, which releases it
         # in on_done/abort on every path.
         self.cpu.acquire(state.on_grant)  # repro: noqa[RPR005]
-        return done
 
     def _finish_prep(self, state: "_PrepState") -> None:
         self._live_preps.pop(state, None)
+
+
+def _fail_later(
+    sim: Simulator, on_done: Callable[[Optional[BaseException]], None], cause: BaseException
+) -> None:
+    """Deliver ``on_done(cause)`` through the loop, as a failed Event
+    would: a crash settles every prep it aborts first, in issue order."""
+    ev = Event(sim)
+    ev.callbacks.append(lambda ev: on_done(ev._exc))
+    ev.fail(cause)
 
 
 class _PrepState:
@@ -163,31 +173,39 @@ class _PrepState:
     Mirrors the acquire/hold/release lifecycle of
     ``Resource.using`` as explicit callbacks, plus the crash path: if
     the host dies while this prep is queued or holding the CPU, the
-    completion event fails with :class:`HostFailure` and the CPU slot is
-    returned (a grant that reaches an aborted prep is handed straight
-    back, so a crash can never leak the serial CPU).
+    prep settles with :class:`HostFailure` and the CPU slot is returned
+    (a grant that reaches an aborted prep is handed straight back, so a
+    crash can never leak the serial CPU).
     """
 
-    __slots__ = ("host", "done", "work_us", "holding")
+    __slots__ = ("host", "on_settled", "work_us", "holding", "settled")
 
-    def __init__(self, host: Host, done: Event, work_us: float):
+    def __init__(
+        self,
+        host: Host,
+        on_settled: Callable[[Optional[BaseException]], None],
+        work_us: float,
+    ):
         self.host = host
-        self.done = done
+        self.on_settled = on_settled
         self.work_us = work_us
         self.holding = False
+        self.settled = False
 
     def on_grant(self, exc: Optional[BaseException]) -> None:
         host = self.host
-        if self.done.triggered:
+        if self.settled:
             # Aborted (crash) while queued.  A grant that nevertheless
             # arrived reserved a slot for a dead prep: hand it back.
             if exc is None:
                 host.cpu.release()
             return
         if exc is not None:
-            # Queued waiter failed by Host.crash via cpu.fail_waiters.
+            # Queued waiter failed by Host.crash via cpu.fail_waiters
+            # (already a loop entry of its own).
             host._finish_prep(self)
-            self.done.fail(exc)
+            self.settled = True
+            self.on_settled(exc)
             return
         self.holding = True
         if self.work_us > 0:
@@ -205,10 +223,11 @@ class _PrepState:
         host = self.host
         host._finish_prep(self)
         host.cpu.release()
-        if not self.done.triggered:
-            # Completion notification: the only waiter is the executor's
-            # prep barrier, which reacts at this same instant either way.
-            self.done.succeed_inline(None)
+        if not self.settled:
+            # Completion notification: the caller's prep barrier reacts
+            # at this same instant, so it runs inline.
+            self.settled = True
+            self.on_settled(None)
 
     def abort(self, cause: BaseException) -> None:
         host = self.host
@@ -216,5 +235,6 @@ class _PrepState:
         if self.holding:
             self.holding = False
             host.cpu.release()
-        if not self.done.triggered:
-            self.done.fail(cause)
+        if not self.settled:
+            self.settled = True
+            _fail_later(host.sim, self.on_settled, cause)

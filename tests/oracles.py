@@ -11,23 +11,42 @@ no production path that selects it:
   per call and the dataclass-ordered sort, the reference for
   :meth:`repro.resilience.FaultSchedule.poisson_device_failures`.
 
+* :func:`launch_processes` — PARALLEL dispatch with one generator
+  ``Process`` per node (:func:`run_node`, with :func:`prep` gathering
+  one completion Event per host in an ``AllOf``) and per data-moving
+  edge (:func:`feed_node`, :func:`one_transfer`), the reference for
+  the event chains of :mod:`repro.core.dispatch`.
+
 ``test_fluid_solver.py`` swaps the solver in (by patching
 ``repro.net.fabric.ScopedFluidSolver``) and asserts byte-identical
 results; ``test_resilience.py`` compares the fault schedules event for
-event.  The timer queue needs no oracle: :class:`repro.sim.TimerQueue`
+event; ``test_dispatch_chain.py`` patches
+``ProgramExecution._launch`` with :func:`launch_processes` and compares
+results and per-node completion times.  The timer queue needs no oracle: :class:`repro.sim.TimerQueue`
 is itself the plain ``(when, seq)`` heap, and ``test_timer_queue.py``
 checks it against a sorted list of the live entries.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Generator, Iterable
 
 import numpy as np
 
+from repro.core.ir import TransferRoute
+from repro.core.object_store import MemorySpace
 from repro.resilience import FaultEvent, FaultKind
+from repro.sim import Event
 
-__all__ = ["DenseFluidSolver", "scalar_poisson_device_failures"]
+__all__ = [
+    "DenseFluidSolver",
+    "feed_node",
+    "launch_processes",
+    "one_transfer",
+    "prep",
+    "run_node",
+    "scalar_poisson_device_failures",
+]
 
 _INF = float("inf")
 
@@ -205,3 +224,110 @@ class DenseFluidSolver:
             self._run_completions(now)
             return
         self.timer.schedule(best)
+
+
+# -- PARALLEL dispatch, one generator Process per node and per edge ----------
+def launch_processes(execution, feeds, nodes) -> None:
+    """``ProgramExecution._launch`` as processes: one feeder per node in
+    ``feeds``, then one per node in ``nodes``, each bootstrapped through
+    the zero-delay FIFO."""
+    for node in feeds:
+        execution.sim.process(feed_node(execution, node))
+    for node in nodes:
+        execution.sim.process(run_node(execution, node))
+
+
+def _prep_event(host, work_us: float) -> Event:
+    done = Event(host.sim)
+
+    def settle(exc) -> None:
+        if exc is None:
+            done.succeed_inline(None)
+        else:
+            done.fail(exc)
+
+    host.prep_request(work_us, settle)
+    return done
+
+
+def prep(ex) -> Generator:
+    """``NodeExecutor`` prep: one completion Event per host plus the
+    allocation, gathered by an ``AllOf``."""
+    group = ex.node.group
+    fn = ex.node.computation
+    per_host_us = ex.config.executor_prep_us + ex.config.host_launch_work_us
+    host_events = [_prep_event(host, per_host_us) for host in group.hosts]
+    handle, alloc_ready = ex.store.allocate(
+        nbytes_per_shard=fn.output_nbytes_per_shard(),
+        n_shards=group.n_logical,
+        owner=ex.owner,
+        group=group,
+        space=MemorySpace.HBM,
+    )
+    ex.output_handle = handle
+    try:
+        yield ex.sim.all_of(host_events + [alloc_ready])
+    except BaseException:
+        ex.store.discard(handle)
+        ex.output_handle = None
+        raise
+    ex.prep_done = True
+
+
+def run_node(execution, node) -> Generator:
+    """Prep, submit, wait for the grant, enqueue, then the PCIe wait."""
+    ex = execution._executors[node.node_id]
+    try:
+        prep_start = execution.sim.now
+        yield from prep(ex)
+        execution._trace_prep(node, prep_start)
+        execution._attach_result_handles(node.node_id)
+        scheduler, req = execution._submit(node)
+        yield req.grant
+    except Exception as exc:  # noqa: BLE001 - grant evicted / prep lost
+        execution._node_lost(ex, exc)
+        return
+    ex.enqueue(gate=execution._gates.get(node.node_id))
+    req.enqueued_ack.succeed(None)
+    ex.all_kernels_done.add_callback(lambda ev: scheduler.complete(req))
+    pcie = ex.pcie_cost_us()
+    if pcie > 0:
+        yield execution.sim.timeout(pcie)
+
+
+def feed_node(execution, node) -> Generator:
+    """Wait for every incoming transfer, then open the node's gate."""
+    gate = execution._gates[node.node_id]
+    transfers = [
+        execution.sim.process(
+            one_transfer(execution, spec, execution._node_done[spec.src_node], node)
+        )
+        for spec in node.incoming
+    ]
+    try:
+        yield execution.sim.all_of(transfers)
+    except Exception as exc:  # noqa: BLE001 - producer lost
+        if not gate.triggered:
+            gate.fail(exc)
+        return
+    if not gate.triggered:
+        gate.succeed(None)
+
+
+def one_transfer(execution, spec, producer_done: Event, node) -> Generator:
+    yield producer_done
+    if spec.route is TransferRoute.LOCAL or spec.nbytes == 0:
+        return
+    src_group = execution.low.node(spec.src_node).group
+    if spec.route is TransferRoute.ICI:
+        per_shard = max(1, spec.nbytes // max(1, src_group.n_logical))
+        yield execution.sim.timeout(
+            src_group.island.ici.transfer_time_us(
+                src_group.devices[0], node.group.devices[0], per_shard
+            )
+        )
+    else:
+        per_host = max(1, spec.nbytes // max(1, src_group.n_hosts_logical))
+        yield execution.system.transport.send(
+            src_group.hosts[0], node.group.hosts[0], per_host
+        )

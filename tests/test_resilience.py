@@ -859,36 +859,39 @@ class TestHostCrashPrepPath:
     def test_prep_on_crashed_host_fails_fast(self, sim, small_cluster):
         host = small_cluster.hosts[0]
         host.crash()
-        done = host.prep_request(10.0)
+        settled = []
+        host.prep_request(10.0, settled.append)
+        assert settled == []  # delivered through the loop, not inline
         sim.run(detect_deadlock=False)
-        assert done.triggered and not done.ok
+        assert len(settled) == 1 and isinstance(settled[0], HostFailure)
 
     def test_queued_prep_fails_when_host_crashes(self, sim, small_cluster):
         host = small_cluster.hosts[0]
         sim.process(host.cpu.using(sim, 100.0))  # occupies the serial CPU
-        queued = host.prep_request(10.0)
+        settled = []
+        host.prep_request(10.0, settled.append)
         sim.timeout(5.0).add_callback(lambda ev: host.crash())
         sim.run(detect_deadlock=False)
-        assert queued.triggered and not queued.ok
+        assert len(settled) == 1 and isinstance(settled[0], HostFailure)
         assert host.cpu.queue_len == 0  # no ghost waiter left behind
 
     def test_crash_interrupts_in_flight_prep(self, sim, small_cluster):
         host = small_cluster.hosts[0]
-        done = host.prep_request(100.0)  # holding the CPU when the crash hits
+        settled = []
+        host.prep_request(100.0, settled.append)  # holding the CPU at the crash
         sim.timeout(50.0).add_callback(lambda ev: host.crash())
         sim.run(detect_deadlock=False)
-        assert done.triggered and not done.ok
+        assert len(settled) == 1 and isinstance(settled[0], HostFailure)
         assert host.preps_aborted == 1
         assert host.cpu.in_use == 0  # the slot was released on abort
 
     def test_crash_aborts_holding_and_queued_preps(self, sim, small_cluster):
         """One prep holds the CPU and two queue behind it: the crash
-        aborts all three and fails their completions in issue order."""
+        aborts all three and fails them in issue order."""
         host = small_cluster.hosts[0]
-        preps = [host.prep_request(100.0) for _ in range(3)]
         failed = []
-        for i, done in enumerate(preps):
-            done.add_callback(lambda ev, i=i: failed.append((i, ev._exc)))
+        for i in range(3):
+            host.prep_request(100.0, lambda exc, i=i: failed.append((i, exc)))
         sim.timeout(50.0).add_callback(lambda ev: host.crash())
         sim.run(detect_deadlock=False)
         assert host.preps_aborted == 3

@@ -15,6 +15,8 @@ from types import SimpleNamespace
 import pytest
 
 from repro.config import SystemConfig
+from repro.core.system import PathwaysSystem
+from repro.hw.cluster import ClusterSpec
 from repro.hw.host import Host
 from repro.net.fabric import Fabric, _RouteClass
 from repro.net.transport import Transport
@@ -30,6 +32,7 @@ from repro.sim import (
     sanitize_from_env,
 )
 from repro.workloads.churn import run_churn
+from repro.xla.computation import scalar_allreduce_add
 
 
 class TestFlagPlumbing:
@@ -235,6 +238,36 @@ class TestFabricAndTransportInvariants:
         transport._in_flight[0] = {stuck: None}
         with pytest.raises(UnsettledWaitersError, match="m0"):
             sim.run()
+
+
+class TestSchedulerInvariants:
+    def _paused_island_submission(self):
+        system = PathwaysSystem.build(ClusterSpec(islands=((1, 2),), name="paused"))
+        client = system.client("c")
+        devs = system.make_virtual_device_set().add_slice(tpu_devices=2)
+        step = client.wrap(scalar_allreduce_add(2, 10.0, name="step"), devices=devs)
+        system.scheduler_for(devs.group.island).pause()
+        execution = client.submit(step.solo_program, (0.0,), compute_values=False)
+        return system, execution
+
+    def test_node_on_paused_island_is_reported(self, monkeypatch):
+        """The node's prep lands and its gang waits for a grant the
+        paused island never gives: the drain-end sweep names it."""
+        monkeypatch.setenv("REPRO_SIM_SANITIZE", "1")
+        system, execution = self._paused_island_submission()
+        with pytest.raises(
+            UnsettledWaitersError,
+            match=re.escape(f"scheduler[0] (paused) drained with 1 gang(s) never "
+                            f"granted or evicted: {execution.name}:"),
+        ):
+            system.sim.run()
+
+    def test_paused_island_drains_silently_unsanitized(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SIM_SANITIZE", "0")
+        system, execution = self._paused_island_submission()
+        system.sim.run()
+        assert not execution.done.triggered
+        assert system.scheduler_for(system.cluster.islands[0]).stats().pending == 1
 
 
 class TestScheduleNeutrality:

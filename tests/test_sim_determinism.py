@@ -208,10 +208,10 @@ def _schedule_digest(schedule) -> str:
 #: Identical across PYTHONHASHSEED values; update only for a change that
 #: deliberately alters simulated behaviour, and say so in its description.
 GOLDEN_DIGESTS = {
-    "churn": "d534090ec436456cecafbc41caf62f6f3f04c73d238666e55101dc4844828331",
-    "contended_fabric": "99e87783244237cb10b0b632ad71274a0737df3da395203998fbe5a65e66f963",
-    "ecmp_reroute": "ca8adaa0c5656f45a8032d08a2d906c7e8477be99fc16572f1c0f23fb611f15a",
-    "serving": "cf1bf4db0b6fa9d6fccc7604c55f8c2c7cc82fba0bf36343a0a4bb2d9e0658b8",
+    "churn": "f5cdaca6dd377a95236a1269da477007f0994c73ebd99f11bdc139b14a6f6e26",
+    "contended_fabric": "812dff79fa6753e0918a554097debfebd99c8f824da2464e5b3a49e3dfcb7ef3",
+    "ecmp_reroute": "1cd358ce361f9a93bcdd97cd3514ea2728893ff02a5ef5b2b65cf99fa2ebca4e",
+    "serving": "2384dc4e7206529d5fbe1036f012522ccc07ba17c36c569f081c20b63165af60",
 }
 
 _GOLDEN_RUNS = {
