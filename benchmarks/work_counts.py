@@ -11,9 +11,9 @@ seed 0.  Usage (from the repository root)::
     python3 benchmarks/work_counts.py --size smoke --update
 
 The counts come from the records of ``benchmarks/e2e/run.py --trace 1
---seconds 0 --out DIR`` (``--records DIR`` checks records already
-written).  Every count is a machine-independent integer or ratio, so the
-check is exact; a mismatch names the size, the workload and the counter.
+--seconds 0 --out DIR``.  Every count is a machine-independent integer
+or ratio, so the check is exact; a mismatch names the size, the
+workload and the counter.
 Wall clock and the per-layer ``calls_in`` (cProfile call counts of
 builtins can differ between Python versions) are not pinned.  A change
 that moves a count updates the pins with ``--update`` and says why.
@@ -113,25 +113,16 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--size", choices=("smoke", "full"), default="smoke")
     parser.add_argument("--workload", help="check one workload (default: all four)")
     parser.add_argument(
-        "--records", metavar="DIR",
-        help="read existing run.py --trace 1 records instead of running",
-    )
-    parser.add_argument(
         "--update", action="store_true", help="rewrite the pins from this run",
     )
     args = parser.parse_args(argv)
 
-    if args.records:
-        got = read_records(args.records)
-    else:
-        with tempfile.TemporaryDirectory(prefix="work_counts_") as tmp:
-            status = run_e2e(args.size, args.workload, tmp)
-            if status != 0:
-                print(f"benchmarks/e2e/run.py exited with {status}", file=sys.stderr)
-                return 1
-            got = read_records(tmp)
-    if args.workload:
-        got = {k: v for k, v in got.items() if k == args.workload}
+    with tempfile.TemporaryDirectory(prefix="work_counts_") as tmp:
+        status = run_e2e(args.size, args.workload, tmp)
+        if status != 0:
+            print(f"benchmarks/e2e/run.py exited with {status}", file=sys.stderr)
+            return 1
+        got = read_records(tmp)
     if not got:
         print("no traced seed-0 records to check", file=sys.stderr)
         return 1
