@@ -7,7 +7,7 @@ the fabric, scheduler and dispatch counters of each e2e workload at
 seed 0.  Usage (from the repository root)::
 
     python3 benchmarks/work_counts.py --size smoke
-    python3 benchmarks/work_counts.py --size full --workload dispatch
+    python3 benchmarks/work_counts.py --size full
     python3 benchmarks/work_counts.py --size smoke --update
 
 The counts come from the records of ``benchmarks/e2e/run.py --trace 1
@@ -66,14 +66,13 @@ def read_records(directory: str) -> dict[str, dict]:
     return out
 
 
-def run_e2e(size: str, workload: str | None, out_dir: str) -> int:
-    """Write traced seed-0 records for ``size`` into ``out_dir``."""
+def run_e2e(size: str, out_dir: str) -> int:
+    """Write traced seed-0 records of every workload for ``size`` into
+    ``out_dir``."""
     cmd = [
         sys.executable, E2E_RUN, "--trace", "1", "--seconds", "0",
         "--seed", str(SEED), "--size", size, "--out", out_dir,
     ]
-    if workload:
-        cmd += ["--workload", workload]
     return subprocess.run(cmd, stdout=subprocess.DEVNULL).returncode
 
 
@@ -81,12 +80,15 @@ def diff_counts(size: str, pinned: dict, got: dict) -> list[str]:
     """Every difference between pinned and measured counts, named by
     size, workload and counter."""
     out = []
-    for workload in sorted(got):
+    for workload in sorted(set(pinned) | set(got)):
         want = pinned.get(workload)
+        have = got.get(workload)
         if want is None:
             out.append(f"{size} {workload}: no pinned work counts (run --update)")
             continue
-        have = got[workload]
+        if have is None:
+            out.append(f"{size} {workload}: pinned, but no traced record was measured")
+            continue
         for name in sorted(set(want) | set(have)):
             if name not in have:
                 out.append(f"{size} {workload} {name}: pinned {want[name]}, not measured")
@@ -111,14 +113,13 @@ def main(argv: list[str]) -> int:
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
     parser.add_argument("--size", choices=("smoke", "full"), default="smoke")
-    parser.add_argument("--workload", help="check one workload (default: all four)")
     parser.add_argument(
         "--update", action="store_true", help="rewrite the pins from this run",
     )
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory(prefix="work_counts_") as tmp:
-        status = run_e2e(args.size, args.workload, tmp)
+        status = run_e2e(args.size, tmp)
         if status != 0:
             print(f"benchmarks/e2e/run.py exited with {status}", file=sys.stderr)
             return 1
@@ -129,7 +130,7 @@ def main(argv: list[str]) -> int:
 
     pins = load_pins()
     if args.update:
-        pins.setdefault(args.size, {}).update(got)
+        pins[args.size] = got
         with open(PINS_FILE, "w", encoding="utf-8") as f:
             f.write(json.dumps(pins, indent=1, sort_keys=True) + "\n")
         print(f"updated {args.size} work counts for {', '.join(sorted(got))}")

@@ -659,7 +659,10 @@ class _NodeChain:
     callback of the one before: no generator, no Process, no per-host
     completion Event.  Success runs inline at the instant its input
     lands; a lost prep or an evicted grant fails the node's
-    ``all_kernels_done`` (the retry path's loss signal).
+    ``all_kernels_done`` (the retry path's loss signal).  Until the
+    kernels are enqueued or the node is lost, the chain sits in the
+    simulator's live-chain registry, so a prep or grant that never
+    settles is a :class:`~repro.sim.DeadlockError` at drain end.
     """
 
     __slots__ = ("execution", "node", "ex", "prep_start", "scheduler", "req")
@@ -669,13 +672,20 @@ class _NodeChain:
         self.node = node
         self.ex = execution._executors[node.node_id]
 
+    @property
+    def name(self) -> str:
+        return f"node {self.execution.name}:{self.node.label}"
+
     def start(self) -> None:
-        self.prep_start = self.execution.sim.now
+        sim = self.execution.sim
+        sim._live_chains[self] = None
+        self.prep_start = sim.now
         self.ex.prep(self.on_prepped)
 
     def on_prepped(self, exc: Optional[BaseException]) -> None:
         execution = self.execution
         if exc is not None:
+            execution.sim._live_chains.pop(self, None)
             execution._node_lost(self.ex, exc)
             return
         node = self.node
@@ -685,6 +695,7 @@ class _NodeChain:
         self.req.grant.add_callback(self.on_grant)
 
     def on_grant(self, ev: Event) -> None:
+        self.execution.sim._live_chains.pop(self, None)
         if ev._exc is not None:
             self.execution._node_lost(self.ex, ev._exc)
             return
@@ -706,7 +717,10 @@ class _Feed:
     A lost producer or a lost transfer *fails* the gate rather than
     leaving it silent: the gated kernel at the head of its device queue
     is released with the failure instead of wedging the whole
-    (non-preemptible) queue behind it forever.
+    (non-preemptible) queue behind it forever.  The feed sits in the
+    simulator's live-chain registry until every edge has landed or been
+    lost, so an edge whose producer never settles is a
+    :class:`~repro.sim.DeadlockError` at drain end.
     """
 
     __slots__ = ("execution", "node", "gate", "remaining")
@@ -717,19 +731,31 @@ class _Feed:
         self.gate = execution._gates[node.node_id]
         self.remaining = len(node.incoming)
 
+    @property
+    def name(self) -> str:
+        return f"feed {self.execution.name}:{self.node.label}"
+
     def start(self) -> None:
-        node_done = self.execution._node_done
+        execution = self.execution
+        execution.sim._live_chains[self] = None
+        node_done = execution._node_done
         for spec in self.node.incoming:
             node_done[spec.src_node].add_callback(_Transfer(self, spec).on_producer)
 
     def landed(self) -> None:
-        self.remaining -= 1
+        self._edge_settled()
         if self.remaining == 0 and not self.gate.triggered:
             self.gate.succeed(None)
 
     def fail(self, exc: BaseException) -> None:
         if not self.gate.triggered:
             self.gate.fail(exc)
+        self._edge_settled()
+
+    def _edge_settled(self) -> None:
+        self.remaining -= 1
+        if self.remaining == 0:
+            self.execution.sim._live_chains.pop(self, None)
 
 
 class _Transfer:

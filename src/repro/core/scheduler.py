@@ -291,9 +291,10 @@ class IslandScheduler:
 
     def _sanitizer_problems(self) -> list[tuple[str, str]]:
         """Drain-end invariant: no gang may end pending with its grant
-        unsettled.  A dispatched node waits on its grant as a callback,
-        not as a process, so a node stuck there is reported here rather
-        than in a :class:`~repro.sim.DeadlockError`."""
+        unsettled.  A dispatched node stuck there is already a
+        :class:`~repro.sim.DeadlockError` (its chain is still
+        registered); this also covers gangs submitted directly and runs
+        with deadlock detection off."""
         stuck = [req.node_label for req in self._pending if not req.grant.triggered]
         if not stuck:
             return []

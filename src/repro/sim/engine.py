@@ -62,7 +62,8 @@ LazyName = Union[str, Callable[[], str]]
 
 
 class DeadlockError(RuntimeError):
-    """Raised by :meth:`Simulator.run` when processes remain blocked.
+    """Raised by :meth:`Simulator.run` when processes (or the callback
+    chains that stand in for them) remain blocked.
 
     This is not merely defensive: the paper's central gang-scheduling
     argument is that *without* a consistent enqueue order, non-preemptible
@@ -769,6 +770,11 @@ class Simulator:
         # drain-end stuck scan walk processes in spawn order — a hash
         # set would iterate by object address (RPR002).
         self._live_processes: dict[Process, None] = {}
+        #: Callback chains that stand in for non-daemon processes (a
+        #: PARALLEL dispatch's node chains and edge feeds): registered,
+        #: insertion-ordered, while unsettled, and reported by the same
+        #: deadlock checks.  Each has a ``name``.
+        self._live_chains: dict[Any, None] = {}
         #: (now, delay) -> Timeout coalescing cache (see shared_timeout).
         self._shared_timeouts: dict[tuple[float, float], Timeout] = {}
         #: Lazily-created shared completed event (see granted()).
@@ -932,7 +938,7 @@ class Simulator:
                     raise DeadlockError(
                         f"event {waited.name!r} can never trigger: queue drained "
                         f"at t={self._now:.3f}us",
-                        list(self._live_processes),
+                        [*self._live_processes, *self._live_chains],
                     )
                 processed += 1
                 if log is not None:
@@ -950,14 +956,16 @@ class Simulator:
         """Run until the queue drains or ``until`` (µs) is reached.
 
         Returns the final simulation time.  If the queue drains while
-        processes are still blocked and ``detect_deadlock`` is set,
-        raises :class:`DeadlockError` naming the stuck processes.
+        processes or callback chains are still blocked and
+        ``detect_deadlock`` is set, raises :class:`DeadlockError` naming
+        them.
         """
         if not self._drain(until, None):
             # Cut short at ``until`` with work still pending: blocked
             # processes are expected, not deadlocked.
             return self._now
         stuck = [p for p in self._live_processes if not p.daemon]
+        stuck.extend(self._live_chains)
         if detect_deadlock and stuck:
             blocked = sorted(stuck, key=lambda p: p.name)
             names = ", ".join(p.name for p in blocked[:8])

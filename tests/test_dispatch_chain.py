@@ -28,6 +28,7 @@ from repro.core.system import PathwaysSystem
 from repro.hw.cluster import ClusterSpec
 from repro.hw.device import DeviceFailure
 from repro.resilience import RecoveryManager
+from repro.sim import DeadlockError
 from repro.xla.computation import scalar_allreduce_add
 
 
@@ -191,3 +192,57 @@ class TestPrepOnFailedDevice:
         assert victim not in devs.group.devices
         ex.release_results()
         assert all(d.hbm.used == 0 for d in system.cluster.devices if d is not victim)
+
+
+class TestStalledChains:
+    """A node chain or edge feed that never settles is a deadlock, as a
+    blocked node or feeder process was, with the sanitizer on or off."""
+
+    @pytest.mark.parametrize("sanitize", ["0", "1"])
+    def test_output_allocation_never_granted(self, monkeypatch, sanitize):
+        monkeypatch.setenv("REPRO_SIM_SANITIZE", sanitize)
+        system = PathwaysSystem.build(ClusterSpec(islands=((1, 2),), name="full"))
+        client = system.client("c")
+        devs = system.make_virtual_device_set().add_slice(tpu_devices=2)
+        step = client.wrap(scalar_allreduce_add(2, 10.0, name="step"), devices=devs)
+        hbm = devs.group.devices[1].hbm
+        assert hbm.alloc(hbm.free).triggered  # held for the whole run
+        ex = client.submit(step.solo_program, (0.0,), compute_values=False)
+        with pytest.raises(DeadlockError) as info:
+            system.sim.run()
+        assert [b.name for b in info.value.blocked] == [
+            f"node {ex.name}:{node.label}" for node in ex.low.nodes
+        ]
+        assert hbm.queue_len == 1
+        assert not ex.done.triggered
+
+    @pytest.mark.parametrize("sanitize", ["0", "1"])
+    def test_feed_whose_producer_never_runs(self, monkeypatch, sanitize):
+        """The producer waits on a paused island; its consumer on the
+        other island is granted and enqueued behind its gate, and the
+        DCN edge's feed waits for the producer."""
+        monkeypatch.setenv("REPRO_SIM_SANITIZE", sanitize)
+        system = PathwaysSystem.build(
+            ClusterSpec(islands=((1, 2), (1, 2)), name="stalled")
+        )
+        client = system.client("c")
+        first = system.make_virtual_device_set().add_slice(tpu_devices=2, island_id=0)
+        second = system.make_virtual_device_set().add_slice(tpu_devices=2, island_id=1)
+        f = client.wrap(scalar_allreduce_add(2, 10.0, name="f"), devices=first)
+        g = client.wrap(scalar_allreduce_add(2, 10.0, name="g"), devices=second)
+
+        @client.program
+        def two(v):
+            return g(f(v))
+
+        program = two.trace(np.float32(0.0))
+        system.scheduler_for(first.group.island).pause()
+        ex = client.submit(program, (0.0,), compute_values=False)
+        with pytest.raises(DeadlockError) as info:
+            system.sim.run()
+        producer, consumer = ex.low.nodes
+        assert [spec.route for spec in consumer.incoming] == [TransferRoute.DCN]
+        assert [b.name for b in info.value.blocked] == [
+            f"feed {ex.name}:{consumer.label}",
+            f"node {ex.name}:{producer.label}",
+        ]

@@ -21,6 +21,7 @@ from repro.hw.host import Host
 from repro.net.fabric import Fabric, _RouteClass
 from repro.net.transport import Transport
 from repro.sim import (
+    DeadlockError,
     DoubleTriggerError,
     LeakedCapacityError,
     PendingTimeoutReadError,
@@ -252,7 +253,8 @@ class TestSchedulerInvariants:
 
     def test_node_on_paused_island_is_reported(self, monkeypatch):
         """The node's prep lands and its gang waits for a grant the
-        paused island never gives: the drain-end sweep names it."""
+        paused island never gives: the drain-end sweep names it (with
+        deadlock detection off, which would name the node first)."""
         monkeypatch.setenv("REPRO_SIM_SANITIZE", "1")
         system, execution = self._paused_island_submission()
         with pytest.raises(
@@ -260,12 +262,14 @@ class TestSchedulerInvariants:
             match=re.escape(f"scheduler[0] (paused) drained with 1 gang(s) never "
                             f"granted or evicted: {execution.name}:"),
         ):
-            system.sim.run()
+            system.sim.run(detect_deadlock=False)
 
-    def test_paused_island_drains_silently_unsanitized(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_SANITIZE", "0")
+    @pytest.mark.parametrize("sanitize", ["0", "1"])
+    def test_node_on_paused_island_is_a_deadlock(self, monkeypatch, sanitize):
+        monkeypatch.setenv("REPRO_SIM_SANITIZE", sanitize)
         system, execution = self._paused_island_submission()
-        system.sim.run()
+        with pytest.raises(DeadlockError, match=re.escape(f"node {execution.name}:")):
+            system.sim.run()
         assert not execution.done.triggered
         assert system.scheduler_for(system.cluster.islands[0]).stats().pending == 1
 

@@ -44,6 +44,8 @@ def test_diff_names_size_workload_and_counter():
     assert msg == "smoke dispatch sim.engine.events: pinned 100, got 99"
     (missing,) = work_counts.diff_counts("smoke", {}, got)
     assert "dispatch" in missing and "no pinned work counts" in missing
+    (unmeasured,) = work_counts.diff_counts("smoke", pinned, {})
+    assert unmeasured == "smoke dispatch: pinned, but no traced record was measured"
 
 
 def test_smoke_work_counts_hold():
