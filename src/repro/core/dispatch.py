@@ -261,7 +261,7 @@ class ProgramExecution:
             except Exception as exc:  # noqa: BLE001 - fresh fault or fatal
                 if unwrap_fault(exc) is not None:
                     # A fresh fault (device loss or host crash, possibly
-                    # wrapped in ProcessFailed/Interrupt) struck during
+                    # wrapped in ProcessFailed) struck during
                     # the replay itself (e.g. sequential dispatch waits
                     # on nodes inline).  Feed it back into the loop so
                     # the remaining max_attempts budget applies, exactly

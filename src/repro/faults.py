@@ -18,8 +18,8 @@ class FaultError(RuntimeError):
     in-flight message loss).
 
     Fault exceptions frequently arrive *wrapped* — a failed transfer
-    process delivers ``ProcessFailed(DeviceFailure)``, an interrupted
-    prep ``ProcessFailed(Interrupt(HostFailure))`` — so code deciding
+    process delivers ``ProcessFailed(DeviceFailure)``, a process a host
+    crash escaped from ``ProcessFailed(HostFailure)`` — so code deciding
     "is this a survivable peer loss?" must use :func:`unwrap_fault`
     rather than a bare ``isinstance``.
     """
@@ -28,8 +28,8 @@ class FaultError(RuntimeError):
 def unwrap_fault(exc: Optional[BaseException]) -> Optional["FaultError"]:
     """The :class:`FaultError` inside ``exc``'s cause chain, if any.
 
-    Walks both explicit ``.cause`` attributes (``ProcessFailed``,
-    ``Interrupt``) and implicit ``__cause__`` chaining.
+    Walks both explicit ``.cause`` attributes (``ProcessFailed``) and
+    implicit ``__cause__`` chaining.
     """
     seen: set[int] = set()
     while exc is not None and id(exc) not in seen:

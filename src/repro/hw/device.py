@@ -182,8 +182,8 @@ class CollectiveRendezvous:
     same instant and runs the same kernel duration, so one shared
     timeout replaces a per-device timeout — the dominant event count of
     a detailed gang.  A device that fails *after* the wire phase aborts
-    only its own kernel (its drain loop is interrupted directly); the
-    surviving peers' completion still fires.
+    only its own kernel (in :meth:`Device.fail`); the surviving peers'
+    completion still fires.
     """
 
     def __init__(
@@ -294,8 +294,8 @@ class CollectiveRendezvous:
         surviving devices would block at the rendezvous forever — the
         exact wedge fault recovery must prevent.  After the wire phase
         the rendezvous is past aborting: the failing device's own kernel
-        is aborted by its drain-loop interrupt, and surviving peers
-        complete their compute phase normally.
+        is aborted by :meth:`Device.fail`, and surviving peers complete
+        their compute phase normally.
         """
         if self._wire_done:
             return

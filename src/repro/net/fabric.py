@@ -72,10 +72,10 @@ import re
 import zlib
 from collections import deque
 from operator import attrgetter, itemgetter
-from typing import Deque, Optional, TYPE_CHECKING
+from typing import Callable, Deque, Optional, TYPE_CHECKING
 
 from repro.config import SystemConfig
-from repro.sim import Event, Simulator
+from repro.sim import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hw.host import Host
@@ -222,19 +222,19 @@ class Link:
 
 
 class _Flow:
-    """One fluid flow: identity and completion event.  Its progress
+    """One fluid flow: identity and completion callback.  Its progress
     lives in the route class keyed by ``route`` (the parallel ``rem``
     list).  The flow holds the route tuple, not the class, so a dropped
     class and its members form no reference cycle and are freed
     without the cyclic garbage collector."""
 
-    __slots__ = ("key", "route", "nbytes", "ev", "seq")
+    __slots__ = ("key", "route", "nbytes", "on_done", "seq")
 
-    def __init__(self, key, route: tuple, nbytes: int, ev: Event, seq: int):
+    def __init__(self, key, route: tuple, nbytes: int, on_done, seq: int):
         self.key = key
         self.route = route
         self.nbytes = nbytes
-        self.ev = ev
+        self.on_done = on_done
         #: Start order — the deterministic tie-break for same-instant
         #: completions and eviction reports.
         self.seq = seq
@@ -315,7 +315,7 @@ class ScopedFluidSolver:
         self.calendar: list = []
 
     # -- membership ------------------------------------------------------
-    def start(self, key, route: list[Link], nbytes: int, ev: Event) -> None:
+    def start(self, key, route: list[Link], nbytes: int, on_done) -> None:
         now = self.sim._now
         self.seq += 1
         rkey = tuple(route)
@@ -334,7 +334,7 @@ class ScopedFluidSolver:
                 x = cls.rate * elapsed
                 cls.rem = [r - x for r in cls.rem]
                 cls.at = now
-        flow = _Flow(key, rkey, nbytes, ev, self.seq)
+        flow = _Flow(key, rkey, nbytes, on_done, self.seq)
         cls.flows.append(flow)
         cls.rem.append(float(nbytes))
         self.flows[key] = flow
@@ -399,6 +399,7 @@ class ScopedFluidSolver:
 
     def _run_completions(self, now: float) -> None:
         due = self._collect_due(now)
+        done: list[_Flow] = []
         while due:
             self.completed += len(due)
             flows = self.flows
@@ -409,14 +410,17 @@ class ScopedFluidSolver:
                     link.fluid_exit()
                     link.bytes_carried += nbytes
                     link.flows_completed += 1
-                if not flow.ev.triggered:
-                    flow.ev.succeed(None)
+            done += due
             self._membership_changed([f.route for f in due], now)
             # Survivors' rates only rose, so a projection can land on
             # ``now`` again (float dust): complete those too, this
             # instant, exactly like the historical synchronous path.
             due = self._collect_due(now)
         self._settle_timer(now)
+        # Called back last, in completion order: the solver is settled
+        # and its timer re-armed before any callback arms a timer.
+        for flow in done:
+            flow.on_done()
 
     def _settle_timer(self, now: float) -> None:
         """Re-arm the next-finish timer after any membership change."""
@@ -675,19 +679,23 @@ class Fabric:
         return [self.nic_tx(src), up_tx, spine, up_rx, self.nic_rx(dst)]
 
     # -- the fluid fair-share engine ----------------------------------------
-    def start_flow(self, key, route: list[Link], nbytes: int) -> Event:
-        """Start one fluid flow across ``route``; returns its completion.
+    def start_flow(
+        self, key, route: list[Link], nbytes: int, on_done: Callable[[], None]
+    ) -> None:
+        """Start one fluid flow across ``route``; ``on_done()`` runs
+        inline once it has drained (before this returns for a zero-byte
+        or empty-route flow), never for an aborted flow.
 
-        The flow progresses at the min over its links of
-        ``bandwidth / flows_on_link``, maintained by the
-        :class:`ScopedFluidSolver` (see the module docstring).
+        ``on_done`` may arm timers but must not start or abort flows:
+        it runs inside the solver's completion pass.  The flow
+        progresses at the min over its links of ``bandwidth /
+        flows_on_link``, maintained by the :class:`ScopedFluidSolver`
+        (see the module docstring).
         """
-        ev = Event(self.sim)
         if nbytes <= 0 or not route:
-            ev.succeed(None)
-            return ev
-        self._solver.start(key, route, nbytes, ev)
-        return ev
+            on_done()
+            return
+        self._solver.start(key, route, nbytes, on_done)
 
     def abort_flow(self, key) -> bool:
         """Remove one fluid flow, releasing its share on every link."""

@@ -23,7 +23,9 @@ Two cost models share the API:
 * **contended fabric** (``net_contention=True``): the message is one
   fluid flow over its :class:`~repro.net.fabric.Fabric` route, sharing
   every link fairly with whatever else is crossing it — host NIC tx/rx,
-  the island uplinks, the spine.
+  the island uplinks, the spine — driven by a :class:`_Traversal` the
+  fabric calls back when the flow drains.  Crash, timeout and park
+  deadline abort either kind through ``Message._state.abort``.
 
 Both paths exist because they finish concurrent sends differently.  Two
 equal sends from one host hold the fast path's capacity-1 NIC in turn
@@ -34,13 +36,12 @@ paper's dispatch and pipeline figures are calibrated on the first.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Generator, Optional, Sequence, TYPE_CHECKING
+from typing import Callable, Generator, Optional, Sequence, TYPE_CHECKING, Union
 
 from repro.config import SystemConfig
 from repro.faults import FaultError
-from repro.sim import Event, Interrupt, Simulator
+from repro.sim import Event, Simulator
 from repro.stats import Stats
 
 from repro.net.fabric import Fabric, Link
@@ -50,8 +51,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.hw.host import Host
 
 __all__ = ["Message", "MessageLost", "Transport", "TransportStats"]
-
-_message_ids = itertools.count(1)
 
 # _SendState phases (uncontended fast path).
 _QUEUED = 0        # waiting for the sender's NIC
@@ -97,31 +96,38 @@ class Message(Event):
 
     __slots__ = (
         "msg_id", "src", "dst", "nbytes", "sent_at_us", "route",
-        "flow_seq", "on_wire", "reroutes", "_state", "_proc",
+        "flow_seq", "on_wire", "reroutes", "_state",
     )
 
-    def __init__(self, sim: Simulator, src: "Host", dst: "Host", nbytes: int):
+    def __init__(
+        self, sim: Simulator, src: "Host", dst: "Host", nbytes: int, msg_id: int
+    ):
         super().__init__(sim)
-        self.msg_id = next(_message_ids)
+        #: Per-transport send number (loopbacks included).
+        self.msg_id = msg_id
         self.src = src
         self.dst = dst
         self.nbytes = nbytes
         self.sent_at_us = sim.now
         self.route: list[Link] = []
-        #: Per-transport flow sequence number, the ECMP hash input.
-        #: Deliberately not :attr:`msg_id` (a process-global counter that
-        #: drifts across runs in one interpreter) so path choices are
-        #: identical run to run.
+        #: Per-transport flow sequence number, the ECMP hash input: it
+        #: counts contended sends only, so loopbacks and sends to a dead
+        #: host do not move later path choices.
         self.flow_seq = 0
         #: True once the message has fully left the sender's NIC (it is
         #: propagating): a *sender* crash no longer loses it.
         self.on_wire = False
         #: Times this message switched to a new route after a hop died.
         self.reroutes = 0
-        #: Uncontended-path state machine; None on the contended path.
-        self._state: Optional[_SendState] = None
-        #: Contended-path traversal process; None on the fast path.
-        self._proc = None
+        #: The send's state machine while tracked, with ``abort(cause)``:
+        #: a :class:`_SendState` on the fast path, a :class:`_Traversal`
+        #: on the fabric.  None for loopback and dead-endpoint sends.
+        self._state: Union[_SendState, _Traversal, None] = None
+
+    @property
+    def name(self) -> str:
+        """Built on demand: only logs and reports read it."""
+        return f"msg#{self.msg_id} h{self.src.host_id}->h{self.dst.host_id}"
 
     @property
     def in_flight(self) -> bool:
@@ -195,14 +201,132 @@ class _SendState:
         self.msg.fail(cause)
 
 
-class _Reroute:
-    """Interrupt cause handed to a traversal whose hop just died;
-    ``remaining`` is the flow's unsent bytes at eviction."""
+class _Traversal:
+    """Contended send lifecycle as explicit callbacks.
 
-    __slots__ = ("remaining",)
+    The message is one fluid flow holding its whole route.  A hop death
+    mid-flow calls :meth:`reroute` with the unsent bytes, which restart
+    over a surviving path; with *no* path left the message parks until
+    a restore.  Only a dead endpoint NIC loses it.  Until the message
+    settles the traversal sits in the simulator's live-chain registry,
+    so a send parked forever is a :class:`~repro.sim.DeadlockError`.
+    """
 
-    def __init__(self, remaining: float):
-        self.remaining = remaining
+    __slots__ = ("transport", "msg", "remaining")
+
+    def __init__(self, transport: "Transport", msg: Message):
+        self.transport = transport
+        self.msg = msg
+        #: Unsent bytes: the size of the next flow this send starts.
+        self.remaining = float(msg.nbytes)
+        transport.sim._live_chains[self] = None
+
+    @property
+    def name(self) -> str:
+        return f"send {self.msg.name}"
+
+    def advance(self) -> None:
+        """Start the flow over a viable route, or park or lose the
+        message when none exists."""
+        msg = self.msg
+        transport = self.transport
+        fabric = transport.fabric
+        while True:
+            if not msg.route:
+                route = fabric.route(msg.src, msg.dst, msg.flow_seq)
+                if route is None:
+                    self._park()
+                    return
+                msg.route = route
+            down = next((link for link in msg.route if not link.up), None)
+            if down is None:
+                break
+            if down.kind == "nic":
+                # The endpoint rule: fabrics survive link loss, not a
+                # dead NIC.
+                self.abort(MessageLost(msg, f"endpoint NIC {down.name} is down", "link-down"))
+                return
+            # Empty when no path survives: the loop top then parks.
+            msg.route = fabric.route(msg.src, msg.dst, msg.flow_seq) or []
+            if msg.route:
+                msg.reroutes += 1
+                transport.reroutes += 1
+                tr = transport.sim.tracer
+                if tr is not None:
+                    tr.instant(
+                        f"reroute:msg#{msg.msg_id}",
+                        "net.reroute",
+                        track="net",
+                        args={"down": down.name, "reroutes": msg.reroutes},
+                    )
+        fabric.start_flow(msg, msg.route, self.remaining, self.on_flow_done)
+
+    def on_flow_done(self) -> None:
+        # The flow spans the whole route (sender NIC included) until it
+        # drains, so the message is on the wire only from here.
+        self.msg.on_wire = True
+        self.transport.sim.timeout(
+            self.transport.config.dcn_latency_us
+        ).add_callback(self.on_delivered)
+
+    def on_delivered(self, ev: Event) -> None:
+        msg = self.msg
+        if not msg.triggered:  # else lost while propagating
+            self.transport.sim._live_chains.pop(self, None)
+            msg.succeed(None)
+
+    def reroute(self, remaining: float) -> None:
+        """A hop of the flow died; ``remaining`` is its unsent bytes."""
+        if not self.msg.triggered:
+            self.remaining = remaining
+            self.advance()
+
+    def _park(self) -> None:
+        """Wait for a link restore (no surviving path right now)."""
+        transport = self.transport
+        msg = self.msg
+        park = Event(transport.sim)
+        park.callbacks.append(self.on_unparked)
+        transport._parked[msg] = park
+        transport.messages_parked += 1
+        tr = transport.sim.tracer
+        if tr is not None:
+            tr.instant(
+                f"park:msg#{msg.msg_id}",
+                "net.park",
+                track="net",
+                args={"src": msg.src.name, "dst": msg.dst.name},
+            )
+        deadline = transport.config.net_park_deadline_us
+        if deadline > 0:
+            transport.sim.timeout(deadline).add_callback(
+                lambda ev: self._on_park_deadline(park)
+            )
+
+    def _on_park_deadline(self, park: Event) -> None:
+        # Park-token guard: only the episode that armed this timer may
+        # kill the message — a restore-then-repark is a *new* episode
+        # with its own deadline.
+        if self.transport._parked.get(self.msg) is park:
+            reason = "parked past the wait-for-restore deadline"
+            self.abort(MessageLost(self.msg, reason, "park-deadline"))
+
+    def on_unparked(self, park: Event) -> None:
+        """A restore made a route viable again: retry (unless the
+        message was aborted since, which unparked it)."""
+        if self.transport._parked.pop(self.msg, None) is park:
+            self.advance()
+
+    def abort(self, cause: BaseException) -> None:
+        msg = self.msg
+        if msg.triggered:
+            return
+        transport = self.transport
+        # Any phase: flowing (frees its share), parked or propagating.
+        transport.fabric.abort_flow(msg)
+        transport._parked.pop(msg, None)
+        transport.sim._live_chains.pop(self, None)
+        msg.fail(cause)
 
 
 @dataclass(frozen=True)
@@ -282,31 +406,41 @@ class Transport:
         #: Losses bucketed by :attr:`MessageLost.category`.
         self.lost_by_reason: dict[str, int] = {}
         #: Messages currently parked (no surviving path), in park order,
-        #: each mapped to the restore event its traversal waits on.
+        #: each mapped to the restore event whose callback resumes its
+        #: traversal.
         self._parked: dict[Message, Event] = {}
+        #: Per-transport send number (see :attr:`Message.msg_id`).
+        self._next_msg_id = 0
         #: Per-transport ECMP flow sequence (see :attr:`Message.flow_seq`).
         self._next_flow_seq = 0
-        #: In-flight messages per endpoint host id (crash invalidation).
-        #: Inner dicts are insertion-ordered sets: crash invalidation
-        #: walks messages in send order, keeping schedules deterministic
-        #: (a hash set would iterate by object address).
-        self._in_flight: dict[int, dict[Message, None]] = {}
+        #: In-flight messages per endpoint host id (crash invalidation),
+        #: each mapped to its send number.  Inner dicts are
+        #: insertion-ordered: crash invalidation walks messages in send
+        #: order, keeping schedules deterministic (a hash set would
+        #: iterate by object address).
+        self._in_flight: dict[int, dict[Message, int]] = {}
         #: Hosts whose crash listener is installed.
         self._watched: set[int] = set()
         self._loss_listeners: list[Callable[[Message, BaseException], None]] = []
         if sim.sanitize and sim.sanitizer is not None:
             sim.sanitizer.watch(self)
 
+    def _unsettled(self) -> list[Message]:
+        """Tracked messages neither delivered nor failed, each once (a
+        message is tracked under both endpoints), in send order."""
+        live = {
+            msg: order
+            for tracked in self._in_flight.values()
+            for msg, order in tracked.items()
+            if not msg.triggered
+        }
+        return sorted(live, key=live.__getitem__)
+
     def _sanitizer_problems(self) -> list[tuple[str, str]]:
         """Drain-end invariant: no message may end neither delivered nor
         failed — an undelivered survivor is a sender that will wait
         forever (the transport-level lost wakeup)."""
-        stranded = [
-            msg
-            for tracked in self._in_flight.values()
-            for msg in tracked
-            if not msg.triggered
-        ]
+        stranded = self._unsettled()
         if not stranded:
             return []
         names = ", ".join(m.name for m in stranded[:8])
@@ -341,12 +475,6 @@ class Transport:
         (capped at the config's ``net_util_window_us``); counters are
         cumulative regardless.
         """
-        in_flight = {
-            msg.msg_id
-            for tracked in self._in_flight.values()
-            for msg in tracked
-            if not msg.triggered
-        }
         return TransportStats(
             messages_sent=self.messages_sent,
             bytes_sent=self.bytes_sent,
@@ -356,7 +484,7 @@ class Transport:
             retransmits=self.retransmits,
             loopback_messages=self.loopback_messages,
             loopback_bytes=self.loopback_bytes,
-            in_flight=len(in_flight),
+            in_flight=len(self._unsettled()),
             reroutes=self.reroutes,
             messages_parked=self.messages_parked,
             parked_now=len(self._parked),
@@ -384,7 +512,8 @@ class Transport:
         while it is in flight (or ``timeout_us`` elapses first).
         Loopback (src is dst) skips the network entirely.
         """
-        msg = Message(self.sim, src, dst, nbytes)
+        self._next_msg_id += 1
+        msg = Message(self.sim, src, dst, nbytes, self._next_msg_id)
         if src is dst:
             self.loopback_messages += 1
             self.loopback_bytes += nbytes
@@ -405,7 +534,7 @@ class Transport:
             # None (no surviving middle path) becomes the empty route:
             # the traversal recomputes it and parks until a restore.
             msg.route = self.fabric.route(src, dst, msg.flow_seq) or []
-            msg._proc = self.sim.process(self._traverse(msg))
+            msg._state = _Traversal(self, msg)
         else:
             msg._state = _SendState(self, msg)
             # Slot ownership transfers to the _SendState (see its abort).
@@ -416,6 +545,9 @@ class Transport:
             self.sim.timeout(timeout_us).add_callback(
                 lambda ev, m=msg: self._on_timeout(m)
             )
+        if self.contended:
+            # After the timeout: the flow's timer keeps its later seq.
+            msg._state.advance()
         return msg
 
     def rpc(self, src: "Host", dst: "Host", nbytes: int = 256) -> Message:
@@ -522,7 +654,8 @@ class Transport:
 
         ``name`` is the stable link name (``spine[p1]``, ``uplink_tx[i0]``,
         ``nic_rx[h3]``, ...).  Every flow crossing the link is evicted
-        with exact capacity release and its traversal re-routes: onto a
+        with exact capacity release, and one zero-delay entry later each
+        victim's traversal re-routes, in flow start order: onto a
         surviving path (resuming with its remaining bytes), parked until
         a restore when no path survives, or — endpoint NIC death only —
         failed with :class:`MessageLost`.  Returns the victim count.
@@ -530,9 +663,15 @@ class Transport:
         if self.fabric is None:
             raise RuntimeError("transport has no fabric to fail links on")
         victims = self.fabric.take_down(self.fabric.link_by_name(name))
-        for msg, remaining in victims:
-            # A live flow's traversal is always waiting on that flow.
-            msg._proc.interrupt(_Reroute(remaining))
+        if victims:
+
+            def reroute(ev: Event) -> None:
+                for msg, remaining in victims:
+                    msg._state.reroute(remaining)
+
+            kick = Event(self.sim, name="reroute")
+            kick.callbacks.append(reroute)
+            kick.succeed()
         return len(victims)
 
     def restore_link(self, name: str) -> bool:
@@ -555,122 +694,6 @@ class Transport:
         return True
 
     # -- internals -----------------------------------------------------------
-    def _traverse(self, msg: Message) -> Generator:
-        """Contended traversal across the route, then propagation.
-
-        The message is one fluid flow holding its whole route,
-        progressing at the bottleneck share.  The loop is the reroute
-        engine: a hop death mid-flow interrupts the traversal with
-        :class:`_Reroute`, the route is recomputed over surviving paths
-        and the flow restarts with its remaining bytes, and when *no*
-        path survives the message parks until a link restore.  Only a
-        dead endpoint NIC loses the message.
-        """
-        fabric = self.fabric
-        remaining = float(msg.nbytes)
-        while not msg.triggered:
-            if not msg.route:
-                new = fabric.route(msg.src, msg.dst, msg.flow_seq)
-                if new is None:
-                    ok = yield from self._park(msg)
-                    if not ok:
-                        return
-                    continue
-                msg.route = new
-            down = next((link for link in msg.route if not link.up), None)
-            if down is not None:
-                if down.kind == "nic":
-                    # The endpoint rule: fabrics survive link loss, not
-                    # a dead NIC.
-                    msg.fail(
-                        MessageLost(
-                            msg, f"endpoint NIC {down.name} is down", "link-down"
-                        )
-                    )
-                    return
-                new = fabric.route(msg.src, msg.dst, msg.flow_seq)
-                if new is None:
-                    msg.route = []
-                    continue  # no surviving path: park at the loop top
-                msg.route = new
-                msg.reroutes += 1
-                self.reroutes += 1
-                tr = self.sim.tracer
-                if tr is not None:
-                    tr.instant(
-                        f"reroute:msg#{msg.msg_id}",
-                        "net.reroute",
-                        track="net",
-                        args={"down": down.name, "reroutes": msg.reroutes},
-                    )
-                continue
-            try:
-                yield fabric.start_flow(msg, msg.route, remaining)
-            except Interrupt as intr:
-                if isinstance(intr.cause, _Reroute):
-                    remaining = intr.cause.remaining
-                    continue
-                return  # crash/timeout abort: the message already failed
-            # The flow spans the whole route (sender NIC included) until
-            # completion, so the message is on the wire only once the
-            # flow has fully drained.
-            msg.on_wire = True
-            break
-        if msg.triggered:
-            return
-        yield self.sim.timeout(self.config.dcn_latency_us)
-        if not msg.triggered:
-            msg.succeed(None)
-
-    def _park(self, msg: Message) -> Generator:
-        """Wait parked for a link restore (no surviving path right now).
-
-        Returns True when a restore made a route viable again (the
-        traversal retries), False when the message was failed meanwhile
-        (park deadline, endpoint crash, timeout).
-        """
-        park = Event(self.sim)
-        self._parked[msg] = park
-        self.messages_parked += 1
-        tr = self.sim.tracer
-        if tr is not None:
-            tr.instant(
-                f"park:msg#{msg.msg_id}",
-                "net.park",
-                track="net",
-                args={"src": msg.src.name, "dst": msg.dst.name},
-            )
-        deadline = self.config.net_park_deadline_us
-        if deadline > 0:
-            self.sim.timeout(deadline).add_callback(
-                lambda ev, m=msg, p=park: self._on_park_deadline(m, p)
-            )
-        try:
-            yield park
-        except Interrupt as intr:
-            return isinstance(intr.cause, _Reroute)  # else: abort won
-        except MessageLost:
-            return False
-        finally:
-            if self._parked.get(msg) is park:
-                del self._parked[msg]
-        return True
-
-    def _on_park_deadline(self, msg: Message, park: Event) -> None:
-        # Park-token guard: only the episode that armed this timer may
-        # be killed by it — a restore-then-repark message is a *new*
-        # episode with its own deadline.
-        if self._parked.get(msg) is not park or msg.triggered:
-            return
-        self._abort(
-            msg,
-            MessageLost(
-                msg,
-                "parked past the wait-for-restore deadline",
-                "park-deadline",
-            ),
-        )
-
     def _collective_wire(self, hosts: list, nbytes: int):
         def _proc() -> Generator:
             root = hosts[0]
@@ -685,7 +708,7 @@ class Transport:
 
     def _track(self, msg: Message) -> None:
         for host in (msg.src, msg.dst):
-            self._in_flight.setdefault(host.host_id, {})[msg] = None
+            self._in_flight.setdefault(host.host_id, {})[msg] = msg.msg_id
             if host.host_id not in self._watched:
                 self._watched.add(host.host_id)
                 host.add_crash_listener(self.fail_in_flight)
@@ -693,7 +716,6 @@ class Transport:
 
     def _on_settled(self, ev: Event) -> None:
         msg: Message = ev  # tracked events are always Messages
-        self._parked.pop(msg, None)
         for host in (msg.src, msg.dst):
             in_flight = self._in_flight.get(host.host_id)
             if in_flight is not None:
@@ -744,17 +766,7 @@ class Transport:
 
     def _abort(self, msg: Message, cause: MessageLost) -> None:
         """Fail one in-flight message, releasing all held capacity."""
-        if msg.triggered:
-            return
-        if msg._state is not None:
-            msg._state.abort(cause)
-            return
-        # Not on the fast path, so the message is a fabric flow.
-        self.fabric.abort_flow(msg)
-        proc = msg._proc
-        if proc is not None and not proc.triggered:
-            proc.interrupt(cause)
-        msg.fail(cause)
+        msg._state.abort(cause)
 
     def _settle_lost(self, msg: Message, cause: BaseException) -> None:
         """Fail a message whose NIC wait was failed underneath it."""

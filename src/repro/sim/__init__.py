@@ -18,7 +18,6 @@ from repro.sim.engine import (
     AnyOf,
     DeadlockError,
     Event,
-    Interrupt,
     Process,
     ProcessFailed,
     Settled,
@@ -45,7 +44,6 @@ __all__ = [
     "DeadlockError",
     "DoubleTriggerError",
     "Event",
-    "Interrupt",
     "LeakedCapacityError",
     "PendingTimeoutReadError",
     "Process",

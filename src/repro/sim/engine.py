@@ -41,7 +41,6 @@ __all__ = [
     "DeadlockError",
     "DoubleTriggerError",
     "Event",
-    "Interrupt",
     "PendingTimeoutReadError",
     "Process",
     "ProcessFailed",
@@ -82,14 +81,6 @@ class ProcessFailed(RuntimeError):
     def __init__(self, process: "Process", cause: BaseException):  # noqa: D107
         super().__init__(f"process {process.name!r} failed: {cause!r}")
         self.process = process
-        self.cause = cause
-
-
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`."""
-
-    def __init__(self, cause: Any = None):  # noqa: D107
-        super().__init__(cause)
         self.cause = cause
 
 
@@ -498,7 +489,8 @@ class _Bootstrap:
 
     def _process_callbacks(self) -> None:
         p = self.process
-        if not p._started and p._value is _PENDING and p._exc is None:
+        # A process cancelled before its first step has already settled.
+        if p._value is _PENDING and p._exc is None:
             p._step()
 
 
@@ -512,7 +504,7 @@ class Process(Event):
     wait on each other.
     """
 
-    __slots__ = ("generator", "_waiting_on", "daemon", "cancelled", "_started")
+    __slots__ = ("generator", "_waiting_on", "daemon", "cancelled")
 
     def __init__(
         self,
@@ -534,9 +526,6 @@ class Process(Event):
         self.daemon = daemon
         #: True once :meth:`cancel` has stopped the process.
         self.cancelled = False
-        #: True once the generator has been driven (or pre-empted by an
-        #: interrupt/cancel before its first step).
-        self._started = False
         sim._live_processes[self] = None
         # Bootstrap: start the generator at the current simulation moment
         # (no intermediate init event; the loop entry calls _step).
@@ -565,18 +554,6 @@ class Process(Event):
         # generator yields *next*.
         self._waiting_on = None
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if self._value is not _PENDING or self._exc is not None:
-            return
-        self._detach()
-        # A process interrupted before its bootstrap ran never starts
-        # normally: the Interrupt is thrown into the fresh generator.
-        self._started = True
-        kick = Event(self.sim)
-        kick.callbacks.append(lambda ev: self._step(throw=Interrupt(cause)))
-        kick.succeed()
-
     def cancel(self, value: Any = None) -> None:
         """Stop the process without raising into it (fault injection's
         cancellable-process path).
@@ -589,7 +566,6 @@ class Process(Event):
         if self._value is not _PENDING or self._exc is not None:
             return
         self._detach()
-        self._started = True
         self.generator.close()
         self.sim._live_processes.pop(self, None)
         self.cancelled = True
@@ -610,7 +586,6 @@ class Process(Event):
 
     def _step(self, value: Any = None, throw: Optional[BaseException] = None) -> None:
         self._waiting_on = None
-        self._started = True
         try:
             if throw is not None:
                 target = self.generator.throw(throw)
@@ -771,7 +746,8 @@ class Simulator:
         # set would iterate by object address (RPR002).
         self._live_processes: dict[Process, None] = {}
         #: Callback chains that stand in for non-daemon processes (a
-        #: PARALLEL dispatch's node chains and edge feeds): registered,
+        #: PARALLEL dispatch's node chains and edge feeds, contended
+        #: sends): registered,
         #: insertion-ordered, while unsettled, and reported by the same
         #: deadlock checks.  Each has a ``name``.
         self._live_chains: dict[Any, None] = {}

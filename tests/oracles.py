@@ -79,16 +79,16 @@ class _Flow:
     """One fluid flow with its own rate, sync time and projection."""
 
     __slots__ = (
-        "key", "route", "remaining", "nbytes", "ev", "rate", "seq",
+        "key", "route", "remaining", "nbytes", "on_done", "rate", "seq",
         "synced_at", "finish_at",
     )
 
-    def __init__(self, key, route, nbytes: int, ev, seq: int, now: float):
+    def __init__(self, key, route, nbytes: int, on_done, seq: int, now: float):
         self.key = key
         self.route = route
         self.remaining = float(nbytes)
         self.nbytes = nbytes
-        self.ev = ev
+        self.on_done = on_done
         self.rate = 0.0
         #: Start order: the same-instant completion tie-break.
         self.seq = seq
@@ -161,10 +161,10 @@ class DenseFluidSolver:
             self._update_flow(flow, now)
 
     # -- membership ------------------------------------------------------
-    def start(self, key, route, nbytes: int, ev) -> None:
+    def start(self, key, route, nbytes: int, on_done) -> None:
         now = self.sim._now
         self.seq += 1
-        self.flows[key] = _Flow(key, route, nbytes, ev, self.seq, now)
+        self.flows[key] = _Flow(key, route, nbytes, on_done, self.seq, now)
         self.peak_flows = max(self.peak_flows, len(self.flows))
         for link in route:
             link.fluid_enter()
@@ -201,6 +201,7 @@ class DenseFluidSolver:
 
     def _run_completions(self, now: float) -> None:
         due = self._collect_due(now)
+        done = []
         while due:
             self.completed += len(due)
             for flow in due:
@@ -209,11 +210,12 @@ class DenseFluidSolver:
                     link.fluid_exit()
                     link.bytes_carried += flow.nbytes
                     link.flows_completed += 1
-                if not flow.ev.triggered:
-                    flow.ev.succeed(None)
+            done += due
             self._membership_changed(now)
             due = self._collect_due(now)
         self._settle_timer(now)
+        for flow in done:
+            flow.on_done()
 
     def _settle_timer(self, now: float) -> None:
         if not self.flows:

@@ -36,6 +36,10 @@ from repro.stats import FabricStats
 from repro.workloads.netload import run_flow_fleet, run_net_congestion
 
 
+def _ignore() -> None:
+    """Completion callback for a flow whose completion is not observed."""
+
+
 def _solver(cls):
     """Every Fabric built inside the block runs ``cls`` as its solver."""
     return mock.patch.object(fabric_module, "ScopedFluidSolver", cls)
@@ -128,9 +132,9 @@ def _run_fabric_scenario(solver, ops, hosts=_HOSTS):
                     continue
                 key = next_key = next_key + 1
                 routes[key] = tuple(route)
-                ev = fabric.start_flow(key, route, op[3])
-                ev.add_callback(
-                    lambda ev, k=key: deliveries.append((k, sim.now))
+                fabric.start_flow(
+                    key, route, op[3],
+                    lambda k=key: deliveries.append((k, sim.now)),
                 )
                 peak_class = max(peak_class, len(live_on(routes[key])))
             elif op[0] == "abort":
@@ -355,7 +359,7 @@ class TestRouteClassLifecycle:
     def test_one_class_per_distinct_route(self):
         sim, fabric, routes = self._fabric()
         for key, name in enumerate("aabacb"):
-            fabric.start_flow(key, list(routes[name]), 10_000 + key)
+            fabric.start_flow(key, list(routes[name]), 10_000 + key, _ignore)
         solver = fabric._solver
         assert list(solver.classes) == [routes["a"], routes["b"], routes["c"]]
         sizes = [[f.key for f in c.flows] for c in solver.classes.values()]
@@ -369,7 +373,7 @@ class TestRouteClassLifecycle:
     def test_class_removed_with_its_last_member(self):
         sim, fabric, routes = self._fabric()
         for key, name in enumerate("aab"):
-            fabric.start_flow(key, list(routes[name]), 50_000)
+            fabric.start_flow(key, list(routes[name]), 50_000, _ignore)
         solver = fabric._solver
         assert fabric.abort_flow(2)  # "b"'s only member
         assert routes["b"] not in solver.classes
@@ -384,7 +388,9 @@ class TestRouteClassLifecycle:
     def test_drain_leaves_no_class_and_no_link_index(self):
         sim, fabric, routes = self._fabric()
         for key in range(30):
-            fabric.start_flow(key, list(routes["abc"[key % 3]]), 4096 * (1 + key % 4))
+            fabric.start_flow(
+                key, list(routes["abc"[key % 3]]), 4096 * (1 + key % 4), _ignore
+            )
         victims = fabric.take_down(fabric.link_by_name("nic_tx[h0]"))
         assert [key for key, _ in victims] == [k for k in range(30) if k % 3 != 1]
         fabric.restore_link(fabric.link_by_name("nic_tx[h0]"))
@@ -419,7 +425,7 @@ class TestTimerHygiene:
     def test_one_live_timer_despite_churn(self, solver):
         sim, fabric, route = self._fabric(solver)
         for key in range(50):
-            fabric.start_flow(key, route, 10_000 + key)
+            fabric.start_flow(key, route, 10_000 + key, _ignore)
             # Every start re-projects the next finish; a leaked timer
             # per change would make this grow linearly.
             assert sim.stats().pending_timers == 1
@@ -433,7 +439,7 @@ class TestTimerHygiene:
     def test_abort_all_cancels_the_timer(self, solver):
         sim, fabric, route = self._fabric(solver)
         for key in range(10):
-            fabric.start_flow(key, route, 50_000)
+            fabric.start_flow(key, route, 50_000, _ignore)
         assert sim.stats().pending_timers == 1
         for key in range(10):
             assert fabric.abort_flow(key)
@@ -446,7 +452,7 @@ class TestTimerHygiene:
 class TestFabricStats:
     def test_snapshot_is_frozen_and_serializable(self):
         sim, fabric, route = TestTimerHygiene._fabric()
-        fabric.start_flow("a", route, 10_000)
+        fabric.start_flow("a", route, 10_000, _ignore)
         sim.run()
         snap = fabric.stats()
         assert isinstance(snap, FabricStats)

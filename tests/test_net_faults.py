@@ -33,7 +33,8 @@ from repro.resilience import (
     FaultSchedule,
     RecoveryManager,
 )
-from repro.sim import Simulator
+from repro.sim import DeadlockError, Simulator
+from repro.sim.sanitize import UnsettledWaitersError
 
 TWIN = ClusterSpec(islands=((2, 4), (2, 4)), name="twin")
 
@@ -490,6 +491,134 @@ class TestSanitizerWithLinkFaults:
         sim.run()
         assert msg.triggered and msg._exc is None
         assert not cluster.fabric.link_by_name("spine[p1]").up
+
+
+class TestTraversalFaultPaths:
+    """Fault paths of the contended send's state machine: park, crash,
+    timeout, simultaneous take-downs, and the zero-byte flow."""
+
+    @pytest.mark.parametrize("sanitize", [False, True])
+    def test_message_parked_forever_is_a_deadlock(self, sanitize):
+        """With no park deadline and no restore, the parked send is the
+        one blocked entry the deadlock check names."""
+        sim, cluster, transport = _twin(
+            spine_paths=1, sanitize=sanitize, net_park_deadline_us=0.0
+        )
+        src, dst = _endpoints(cluster)
+        transport.fail_link("spine")
+        msg = transport.send(src, dst, 1 << 20)
+        with pytest.raises(DeadlockError) as err:
+            sim.run()
+        assert [entry.name for entry in err.value.blocked] == [f"send {msg.name}"]
+        assert msg.name == "msg#1 h0->h2"
+
+    def test_stranded_message_reported_once_by_name(self):
+        """The drain-end sweep lists a stranded message once (it is
+        tracked under both endpoints) and by name."""
+        sim, cluster, transport = _twin(
+            spine_paths=1, sanitize=True, net_park_deadline_us=0.0
+        )
+        src, dst = _endpoints(cluster)
+        transport.fail_link("spine")
+        first = transport.send(src, dst, 1 << 20)
+        second = transport.send(dst, src, 1 << 20)
+        with pytest.raises(UnsettledWaitersError) as err:
+            sim.run(detect_deadlock=False)
+        assert (
+            "transport drained with 2 in-flight message(s) neither delivered "
+            f"nor failed: {first.name}, {second.name}"
+        ) in str(err.value)
+        assert transport.stats().in_flight == 2
+
+    def test_host_crash_while_parked_loses_for_good(self):
+        sim, cluster, transport = _twin(spine_paths=1)
+        src, dst = _endpoints(cluster)
+        transport.fail_link("spine")
+        msg = transport.send(src, dst, 1 << 20)
+        observed = {}
+
+        def drill():
+            yield sim.timeout(100.0)
+            dst.crash()
+            yield sim.timeout(100.0)
+            observed["parked"] = transport.stats().parked_now
+            assert transport.restore_link("spine")
+
+        sim.process(drill())
+        sim.run()
+        assert observed == {"parked": 0}
+        assert isinstance(msg._exc, MessageLost)
+        assert msg._exc.category == "host-crash"
+        s = transport.stats()
+        assert s.lost_by_reason == {"host-crash": 1}
+        assert s.messages_parked == 1 and s.parked_now == 0
+        assert s.messages_delivered == 0 and s.in_flight == 0
+        assert cluster.fabric.active_flows == 0
+
+    def test_delivery_timeout_fires_while_parked(self):
+        sim, cluster, transport = _twin(spine_paths=1)
+        src, dst = _endpoints(cluster)
+        transport.fail_link("spine")
+        msg = transport.send(src, dst, 1 << 20, timeout_us=500.0)
+        lost_at = []
+        msg.add_callback(lambda ev: lost_at.append(sim.now))
+
+        def drill():
+            yield sim.timeout(1_000.0)
+            transport.restore_link("spine")
+
+        sim.process(drill())
+        sim.run()
+        assert lost_at == [500.0]
+        assert msg._exc.category == "timeout"
+        s = transport.stats()
+        assert s.lost_by_reason == {"timeout": 1}
+        assert s.messages_parked == 1 and s.parked_now == 0
+        assert s.messages_delivered == 0
+        assert cluster.fabric.stats().flows_started == 0
+
+    def test_two_links_down_at_one_instant(self):
+        """Two spine paths fail in one instant: each take-down's victims
+        reroute after both are down, all onto the last path."""
+        sim, cluster, transport = _twin(spine_paths=3)
+        a, b = cluster.islands[0].hosts, cluster.islands[1].hosts
+        msgs = [
+            transport.send(a[i % 2], b[(i // 2) % 2], (2 + i) << 20)
+            for i in range(8)
+        ]
+        done = {}
+        for i, msg in enumerate(msgs):
+            msg.add_callback(lambda ev, i=i: done.setdefault(i, sim.now))
+
+        def drill():
+            yield sim.timeout(300.0)
+            transport.fail_link("spine[p0]")
+            transport.fail_link("spine[p1]")
+
+        sim.process(drill())
+        sim.run()
+        assert [m.reroutes for m in msgs] == [0, 0, 1, 1, 1, 1, 1, 0]
+        assert transport.reroutes == 5
+        assert {m.route[2].name for m in msgs} == {"spine[p2]"}
+        assert [done[i] for i in range(8)] == [
+            711.0886399999999, 1046.63296, 1382.17728, 1633.83552,
+            1605.8734933333333, 1913.4557866666667, 2137.152,
+            2221.0380800000003,
+        ]
+        assert transport.stats().messages_lost == 0
+        assert cluster.fabric.idle
+
+    def test_zero_byte_send_pays_only_latency(self):
+        sim, cluster, transport = _twin(spine_paths=2)
+        src, dst = _endpoints(cluster)
+        msg = transport.send(src, dst, 0)
+        sim.run()
+        assert msg.ok and msg.on_wire
+        assert sim.now == transport.config.dcn_latency_us
+        s = transport.stats()
+        assert s.messages_delivered == 1 and s.bytes_delivered == 0
+        assert cluster.fabric.stats().flows_started == 0
+        assert cluster.fabric.idle
 
 
 class TestPickIslandDeterminism:

@@ -1,6 +1,6 @@
 """Tests for the fault-tolerance & elasticity subsystem.
 
-Covers the whole failure path: engine cancel/interrupt delivery, device
+Covers the whole failure path: engine process cancellation, device
 failure semantics (kernel abort, gang release, fail-fast enqueue,
 restart), scheduler eviction & preemption pause/resume, healthy-aware
 slice (re)binding, checkpoint cost accounting, fault schedules, and the
@@ -33,12 +33,12 @@ from repro.resilience import (
     RecoveryManager,
 )
 from repro.resilience.faults import _DRAW_BLOCK
-from repro.sim import Interrupt, Simulator
+from repro.sim import Simulator
 from repro.workloads.churn import run_churn
 from repro.xla.computation import scalar_allreduce_add
 
 
-# -- engine: cancellable processes & interrupt delivery ---------------------
+# -- engine: cancellable processes -----------------------------------------
 
 
 class TestEngineCancellation:
@@ -69,37 +69,6 @@ class TestEngineCancellation:
         proc.cancel()
         assert not proc.cancelled
         assert proc.value == 42
-
-    def test_interrupt_discards_stale_resume_value(self, sim):
-        """An interrupt racing an already-triggered wait target must not
-        leak the stale value into the process's *next* yield."""
-        from repro.sim import Store
-
-        store = Store(sim)
-        got = []
-
-        def consumer():
-            try:
-                item = yield store.get()
-                got.append(("item", item))
-            except Interrupt as intr:
-                got.append(("interrupt", intr.cause))
-                # The next wait must receive the timeout's value, not
-                # the stale store item.
-                val = yield sim.timeout(5.0, value="fresh")
-                got.append(("after", val))
-
-        proc = sim.process(consumer())
-
-        def racer():
-            yield sim.timeout(1.0)
-            # Trigger the getter and interrupt at the same timestamp.
-            store.put("stale")
-            proc.interrupt("fault")
-
-        sim.process(racer())
-        sim.run()
-        assert got == [("interrupt", "fault"), ("after", "fresh")]
 
 
 # -- device failure semantics ----------------------------------------------

@@ -192,7 +192,7 @@ class TestFabricAndTransportInvariants:
         fabric = Fabric(sim, SystemConfig())
         hosts = [SimpleNamespace(host_id=i, island_id=0) for i in range(2)]
         route = fabric.route(hosts[0], hosts[1])
-        fabric.start_flow("a", route, 10_000)
+        fabric.start_flow("a", route, 10_000, lambda: None)
         sim.run()
         assert fabric.idle and not fabric._solver.classes
         return sim, fabric, route

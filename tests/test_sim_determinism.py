@@ -209,9 +209,9 @@ def _schedule_digest(schedule) -> str:
 #: deliberately alters simulated behaviour, and say so in its description.
 GOLDEN_DIGESTS = {
     "churn": "f5cdaca6dd377a95236a1269da477007f0994c73ebd99f11bdc139b14a6f6e26",
-    "contended_fabric": "812dff79fa6753e0918a554097debfebd99c8f824da2464e5b3a49e3dfcb7ef3",
-    "ecmp_reroute": "1cd358ce361f9a93bcdd97cd3514ea2728893ff02a5ef5b2b65cf99fa2ebca4e",
-    "serving": "2384dc4e7206529d5fbe1036f012522ccc07ba17c36c569f081c20b63165af60",
+    "contended_fabric": "6df45846d9eff19ab4875185effcacaf251fb77cdda29e33471b69c9a4d4ebe9",
+    "ecmp_reroute": "eea76c232aa30327c38f6626a4edefcc1546ac0d1e9a7b23c4d0783a3c62d9d6",
+    "serving": "a8485f98b20fe429b6ca720e6722b76004d4ca0a31c90f8bd054565c8ec418a3",
 }
 
 _GOLDEN_RUNS = {

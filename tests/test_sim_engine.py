@@ -6,7 +6,6 @@ import pytest
 
 from repro.sim import (
     DeadlockError,
-    Interrupt,
     ProcessFailed,
     Simulator,
 )
@@ -132,35 +131,6 @@ class TestProcess:
         p = sim.process(waiter())
         sim.run()
         assert p.value == "caught ValueError"
-
-    def test_interrupt(self, sim):
-        def sleeper():
-            try:
-                yield sim.timeout(100.0)
-            except Interrupt as i:
-                return f"interrupted:{i.cause}@{sim.now}"
-            return "slept"
-
-        p = sim.process(sleeper())
-
-        def interrupter():
-            yield sim.timeout(5.0)
-            p.interrupt("wakeup")
-
-        sim.process(interrupter())
-        sim.run()
-        # The process observed the interrupt at t=5, not after its sleep.
-        assert p.value == "interrupted:wakeup@5.0"
-
-    def test_interrupt_after_completion_is_noop(self, sim):
-        def quick():
-            yield sim.timeout(1.0)
-            return 1
-
-        p = sim.process(quick())
-        sim.run()
-        p.interrupt()  # must not raise
-        assert p.value == 1
 
 
 class TestComposites:
