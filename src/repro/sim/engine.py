@@ -747,9 +747,8 @@ class Simulator:
         self._live_processes: dict[Process, None] = {}
         #: Callback chains that stand in for non-daemon processes (a
         #: PARALLEL dispatch's node chains and edge feeds, contended
-        #: sends): registered,
-        #: insertion-ordered, while unsettled, and reported by the same
-        #: deadlock checks.  Each has a ``name``.
+        #: sends): registered, insertion-ordered, while unsettled, and
+        #: reported by the same deadlock checks.  Each has a ``name``.
         self._live_chains: dict[Any, None] = {}
         #: (now, delay) -> Timeout coalescing cache (see shared_timeout).
         self._shared_timeouts: dict[tuple[float, float], Timeout] = {}

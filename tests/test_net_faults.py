@@ -33,8 +33,7 @@ from repro.resilience import (
     FaultSchedule,
     RecoveryManager,
 )
-from repro.sim import DeadlockError, Simulator
-from repro.sim.sanitize import UnsettledWaitersError
+from repro.sim import DeadlockError, Simulator, UnsettledWaitersError
 
 TWIN = ClusterSpec(islands=((2, 4), (2, 4)), name="twin")
 
