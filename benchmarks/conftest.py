@@ -30,7 +30,7 @@ def fail_on_resilience_warnings():
 
     See :mod:`repro.testing` for why this records instead of escalating:
     the CI smoke job must fail on dropped notices / missed drain
-    deadlines even when they fire inside daemon sim processes.
+    deadlines even when they fire inside simulation callbacks.
     """
     with record_warnings() as caught:
         yield

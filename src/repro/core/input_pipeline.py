@@ -18,7 +18,7 @@ batch_preprocess_us``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator
+from typing import Generator, Optional
 
 from repro.hw.host import Host
 from repro.sim import Event, Simulator, Store
@@ -62,12 +62,8 @@ class InputPipeline:
             for h in hosts
         ]
         for host, store in zip(hosts, self._shards):
-            sim.process(
-                self._producer(host, store),
-                name=lambda host=host: f"{name}:producer@{host.name}",
-                daemon=True,
-            )
-        sim.process(self._assembler(), name=lambda: f"{name}:assembler", daemon=True)
+            self._produce(host, store)
+        self._assemble()
 
     @property
     def shard_cost_us(self) -> float:
@@ -79,17 +75,31 @@ class InputPipeline:
         """Minimum time between ready batches (hosts work in parallel)."""
         return self.shard_cost_us
 
-    def _producer(self, host: Host, out: Store) -> Generator:
-        while not self._stop:
-            yield from host.cpu.using(self.sim, self.shard_cost_us)
-            yield out.put(object())
+    def _produce(self, host: Host, out: Store) -> None:
+        """One shard: hold the host CPU for the shard cost, put the
+        shard, then start the next (until stopped)."""
+        if not self._stop:
+            host.prep_request(
+                self.shard_cost_us, lambda exc: self._on_shard(host, out, exc)
+            )
 
-    def _assembler(self) -> Generator:
-        while not self._stop:
-            # A global batch is ready when every host's shard arrived.
-            yield self.sim.all_of([s.get() for s in self._shards])
-            yield self.buffer.put(object())
-            self.stats.batches_produced += 1
+    def _on_shard(self, host: Host, out: Store, exc: Optional[BaseException]) -> None:
+        if exc is None:  # a crashed host's producer stops
+            out.put(object()).add_callback(lambda ev: self._produce(host, out))
+
+    def _assemble(self) -> None:
+        """A global batch is ready when every host's shard arrived."""
+        if not self._stop:
+            self.sim.all_of([s.get() for s in self._shards]).add_callback(
+                self._on_shards
+            )
+
+    def _on_shards(self, ev: Event) -> None:
+        self.buffer.put(object()).add_callback(self._on_buffered)
+
+    def _on_buffered(self, ev: Event) -> None:
+        self.stats.batches_produced += 1
+        self._assemble()
 
     def next_batch(self) -> Generator:
         """Consume one batch; accounts stall time.  ``yield from`` this."""

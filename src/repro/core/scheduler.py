@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Generator, Optional, Protocol
+from typing import Optional, Protocol
 
 from repro.config import SystemConfig
 from repro.hw.device import DeviceFailure
 from repro.hw.topology import Island
-from repro.sim import Event, Simulator, Store
+from repro.sim import Event, Simulator, TimerHandle
 
 __all__ = [
     "DeadlineExceeded",
@@ -81,6 +82,9 @@ class GangRequest:
     submitted_us: float = 0.0
     granted_us: float = 0.0
     seq: int = field(default_factory=lambda: next(_request_seq))
+    #: Armed at submit when there is a deadline; cancelled once the
+    #: request leaves pending.
+    deadline_timer: Optional[TimerHandle] = field(default=None, repr=False)
 
 
 class SchedulingPolicy(Protocol):
@@ -179,18 +183,16 @@ class IslandScheduler:
       time — this is what makes proportional share (Figure 9)
       enforceable at millisecond timescales.
 
-    Messages reach the grant loop through its mailbox, with one
-    exception.  A control message (everything but a submission: evict,
-    readmit, done, expire, pause, resume, drain, undrain) is applied on
-    delivery when the loop is parked on an empty mailbox and nothing is
-    pending: no earlier message is still in flight, and with no pending
-    request there is nothing the message could make grantable, so a
-    wake would only apply it and park again.  In every other state it
-    queues, so the loop sees it in arrival order at its next check: an
-    ``evict`` mid-grant must still purge the gang being granted once
-    its kernels are appended.  Submissions (``req``) always take the
-    mailbox hop, so the policy picks among everything that arrived
-    before the loop woke.
+    The loop is a callback state machine: *idle*, *wake queued* or
+    *granting* (a grant deciding or awaiting its ack).  Idle, a control
+    message (evict, readmit, done, expire, pause, resume, drain,
+    undrain) with nothing pending is applied on delivery, since there
+    is nothing it could make grantable; any other message joins the
+    inbox and queues one wake entry.  The wake applies the inbox in
+    arrival order and grants, so the policy picks among every
+    same-instant submission.  A message that arrives while a grant is
+    in progress is applied after its ack: an ``evict`` mid-grant still
+    purges the gang being granted.
     """
 
     def __init__(
@@ -204,15 +206,24 @@ class IslandScheduler:
         self.island = island
         self.config = config
         self.policy: SchedulingPolicy = policy if policy is not None else FifoPolicy()
-        self._incoming: Store = Store(sim, name=f"sched_in[{island.island_id}]")
+        #: Messages awaiting the loop, in arrival order.
+        self._inbox: deque[tuple[str, object]] = deque()
+        #: False while idle: no wake queued, no grant in progress.
+        self._busy = False
+        #: Queues the wake entry, then times each grant decision.
+        self._timer = sim.timer_handle(
+            self._on_timer, name=lambda: f"scheduler[{island.island_id}]"
+        )
+        #: The request spending ``scheduler_decision_us`` on the loop.
+        self._deciding: Optional[GangRequest] = None
         self._pending: list[GangRequest] = []
         self._outstanding: dict[int, int] = {}
-        #: Granted-but-unfinished requests by seq -> live device ids.
-        #: This is the authoritative admission-control record: a
-        #: ``complete`` for a request no longer here (evicted, or its
-        #: device was readmitted after a restart) is stale and must not
-        #: touch the fresh counters.
-        self._live_grants: dict[int, tuple[int, ...]] = {}
+        #: Granted-but-unfinished requests by seq.  This is the
+        #: authoritative admission-control record: a ``complete`` for a
+        #: request no longer here (evicted, or its device was readmitted
+        #: after a restart) is stale and must not touch the fresh
+        #: counters.
+        self._live_grants: dict[int, GangRequest] = {}
         self.decisions = 0
         self.evictions = 0
         self.deadline_evictions = 0
@@ -227,9 +238,6 @@ class IslandScheduler:
         self._drain_waiters: list[Event] = []
         if sim.sanitize and sim.sanitizer is not None:
             sim.sanitizer.watch(self)
-        self._proc = sim.process(
-            self._run(), name=lambda: f"scheduler[{island.island_id}]", daemon=True
-        )
 
     def submit(
         self,
@@ -249,7 +257,8 @@ class IslandScheduler:
         the request is still pending when the deadline passes, it leaves
         the queue through the eviction path and its grant fails with
         :class:`DeadlineExceeded`.  Granted gangs are never killed by
-        their deadline — non-preemptible devices are already running them.
+        their deadline — non-preemptible devices are already running
+        them — so the timer is cancelled once the gang leaves pending.
         """
         req = GangRequest(
             client=client,
@@ -262,12 +271,13 @@ class IslandScheduler:
             deadline_at_us=deadline_at_us,
             submitted_us=self.sim.now,
         )
-        self._incoming.push(("req", req))
+        self._deliver("req", req)
         if deadline_at_us is not None:
-            delay = max(0.0, deadline_at_us - self.sim.now)
-            self.sim.timeout(delay).add_callback(
-                lambda ev, r=req: self._deliver("expire", r)
+            now = self.sim.now
+            req.deadline_timer = self.sim.timer_handle(
+                lambda timer, r=req: self._deliver("expire", r)
             )
+            req.deadline_timer.schedule(now + max(0.0, deadline_at_us - now))
         return req
 
     def complete(self, req: GangRequest) -> None:
@@ -290,20 +300,30 @@ class IslandScheduler:
         )
 
     def _sanitizer_problems(self) -> list[tuple[str, str]]:
-        """Drain-end invariant: no gang may end pending with its grant
-        unsettled.  A dispatched node stuck there is already a
-        :class:`~repro.sim.DeadlockError` (its chain is still
-        registered); this also covers gangs submitted directly and runs
-        with deadlock detection off."""
+        """Drain-end invariants: no gang may end pending with its grant
+        unsettled, and none may end granted but never completed or
+        purged (a leaked admission slot).  A dispatched node stuck
+        pending is already a :class:`~repro.sim.DeadlockError` (its
+        chain is still registered); this also covers gangs submitted
+        directly and runs with deadlock detection off."""
+        problems = []
+        name = f"scheduler[{self.island.island_id}]"
         stuck = [req.node_label for req in self._pending if not req.grant.triggered]
-        if not stuck:
-            return []
-        state = " (paused)" if self._paused else ""
-        return [(
-            "waiters",
-            f"scheduler[{self.island.island_id}]{state} drained with "
-            f"{len(stuck)} gang(s) never granted or evicted: {', '.join(stuck)}",
-        )]
+        if stuck:
+            state = " (paused)" if self._paused else ""
+            problems.append((
+                "waiters",
+                f"{name}{state} drained with {len(stuck)} gang(s) never "
+                f"granted or evicted: {', '.join(stuck)}",
+            ))
+        if self._live_grants:
+            live = [req.node_label for req in self._live_grants.values()]
+            problems.append((
+                "grants",
+                f"{name} drained with {len(live)} gang(s) granted but never "
+                f"completed or purged: {', '.join(live)}",
+            ))
+        return problems
 
     # -- fault tolerance ----------------------------------------------------
     def evict_device(self, device_id: int) -> None:
@@ -317,11 +337,8 @@ class IslandScheduler:
         ``retry_on_failure`` path after the resource manager remaps its
         virtual slice.
 
-        Takes effect before this returns when the grant loop is parked
-        with nothing pending (see the class docstring); otherwise the
-        loop applies it at its next check, after any grant in progress
-        is acknowledged, so a gang being granted on the device is still
-        purged.
+        A gang being granted on the device when this arrives is purged
+        once its ack is in (see the class docstring).
         """
         self._deliver("evict", device_id)
 
@@ -332,11 +349,6 @@ class IslandScheduler:
         Without this, a ``complete`` for a gang granted *before* the
         eviction can race work granted *after* the restart and corrupt
         the fresh counters (over-admitting past the queue depth).
-
-        Applied before this returns under the same rule as
-        :meth:`evict_device`.  With requests pending it queues instead:
-        freeing the device may make one grantable, and only the loop
-        grants.
         """
         self._deliver("readmit", device_id)
 
@@ -386,12 +398,21 @@ class IslandScheduler:
 
     # -- internals -----------------------------------------------------
     def _deliver(self, kind: str, payload) -> None:
-        """Apply a control message now if the loop is parked on an empty
-        mailbox with nothing pending, else queue it (class docstring)."""
-        if not self._pending and self._incoming.getters_waiting:
+        """Apply a control message now if the loop is idle with nothing
+        pending, else queue it, waking an idle loop (class docstring)."""
+        if self._busy:
+            self._inbox.append((kind, payload))
+        elif kind != "req" and not self._pending:
             self._apply(kind, payload)
         else:
-            self._incoming.push((kind, payload))
+            self._inbox.append((kind, payload))
+            self._busy = True
+            self._timer.schedule(self.sim.now)
+
+    @staticmethod
+    def _cancel_deadline(req: GangRequest) -> None:
+        if req.deadline_timer is not None:
+            req.deadline_timer.cancel()
 
     def _eligible(self, req: GangRequest) -> bool:
         depth = self.config.scheduler_queue_depth
@@ -418,10 +439,10 @@ class IslandScheduler:
         live = self._live_grants
         if not live:
             return
-        for seq, devices in list(live.items()):
-            if device_id in devices:
+        for seq, req in list(live.items()):
+            if device_id in req.device_ids:
                 del live[seq]
-                self._release(tuple(d for d in devices if d != device_id))
+                self._release(tuple(d for d in req.device_ids if d != device_id))
 
     def _apply(self, kind: str, payload) -> None:
         # Fault traffic first: under churn nearly every message is an
@@ -433,6 +454,7 @@ class IslandScheduler:
                 doomed = [r for r in self._pending if device_id in r.device_ids]
                 for req in doomed:
                     self._pending.remove(req)
+                    self._cancel_deadline(req)
                     self.evictions += 1
                     if not req.grant.triggered:
                         req.grant.fail(
@@ -448,6 +470,7 @@ class IslandScheduler:
                 # remap onto a non-draining island instead of wedging on
                 # a grant that will never come.
                 self.rejected_draining += 1
+                self._cancel_deadline(payload)
                 if not payload.grant.triggered:
                     device = payload.device_ids[0] if payload.device_ids else -1
                     payload.grant.fail(
@@ -460,13 +483,13 @@ class IslandScheduler:
                 return
             self._pending.append(payload)
         elif kind == "done":
-            devices = self._live_grants.pop(payload.seq, None)
-            if devices is None:
+            req = self._live_grants.pop(payload.seq, None)
+            if req is None:
                 # Granted before an eviction/readmit of one of its
                 # devices: the counters were already settled then.
                 self.stale_completions += 1
             else:
-                self._release(devices)
+                self._release(req.device_ids)
                 tr = self.sim.tracer
                 if tr is not None:
                     tr.complete(
@@ -478,7 +501,7 @@ class IslandScheduler:
                         args={
                             "client": payload.client,
                             "program": payload.program,
-                            "devices": len(devices),
+                            "devices": len(req.device_ids),
                         },
                     )
             self._check_drained()
@@ -524,59 +547,73 @@ class IslandScheduler:
             if not ev.triggered:
                 ev.succeed(None)
 
-    def _drain_incoming(self) -> None:
-        while True:
-            ok, item = self._incoming.try_get()
-            if not ok:
-                break
-            self._apply(*item)
+    def _pump(self, ack: Optional[Event] = None) -> None:
+        """Apply the inbox, then start the next grant, or go idle when
+        nothing is grantable.  Runs on the wake entry and on each ack.
 
-    def _run(self) -> Generator:
-        while True:
-            kind, req = yield self._incoming.get()
-            self._apply(kind, req)
-            self._drain_incoming()
-            # Draining does not stop this loop: requests admitted before
-            # the drain still grant in order; only new submissions are
-            # rejected (in ``_apply``).  An empty pending list would only
-            # break below, with no yield.
-            while not self._paused and self._pending:
-                if getattr(self.policy, "picks_first_eligible", False):
-                    # FIFO fast path: _pending is in arrival (seq) order,
-                    # so the first eligible entry is the policy's pick.
-                    choice = None
-                    for r in self._pending:
-                        if self._eligible(r):
-                            choice = r
-                            break
-                    if choice is None:
-                        break
-                else:
-                    eligible = [r for r in self._pending if self._eligible(r)]
-                    if not eligible:
-                        break
-                    choice = self.policy.pick(eligible)
-                self._pending.remove(choice)
-                if self.config.scheduler_decision_us > 0:
-                    yield self.sim.timeout(self.config.scheduler_decision_us)
-                self.decisions += 1
-                for d in choice.device_ids:
-                    self._outstanding[d] = self._outstanding.get(d, 0) + 1
-                self._live_grants[choice.seq] = choice.device_ids
-                choice.granted_us = self.sim.now
-                tr = self.sim.tracer
-                if tr is not None:
-                    tr.complete(
-                        f"pend:{choice.node_label}",
-                        "sched.pending",
-                        choice.submitted_us,
-                        choice.granted_us,
-                        track=f"sched/island{self.island.island_id}",
-                        args={"client": choice.client, "program": choice.program},
-                    )
-                choice.grant.succeed(None)
-                # Serialize: the winner must finish appending its kernels
-                # before anyone else is granted, preserving a single
-                # global enqueue order on this island.
-                yield choice.enqueued_ack
-                self._drain_incoming()
+        Draining does not stop granting: requests admitted before the
+        drain still grant in order; only new submissions are rejected
+        (in ``_apply``)."""
+        inbox = self._inbox
+        while inbox:
+            self._apply(*inbox.popleft())
+        choice = self._pick()
+        if choice is None:
+            self._busy = False
+        elif self.config.scheduler_decision_us > 0:
+            self._deciding = choice
+            self._timer.schedule(self.sim.now + self.config.scheduler_decision_us)
+        else:
+            self._grant(choice)
+
+    def _pick(self) -> Optional[GangRequest]:
+        """Take the policy's choice among the eligible pending requests
+        off the pending list (None when paused or nothing is eligible)."""
+        if self._paused or not self._pending:
+            return None
+        if getattr(self.policy, "picks_first_eligible", False):
+            # FIFO fast path: _pending is in arrival (seq) order, so the
+            # first eligible entry is the policy's pick.
+            for choice in self._pending:
+                if self._eligible(choice):
+                    break
+            else:
+                return None
+        else:
+            eligible = [r for r in self._pending if self._eligible(r)]
+            if not eligible:
+                return None
+            choice = self.policy.pick(eligible)
+        self._pending.remove(choice)
+        self._cancel_deadline(choice)
+        return choice
+
+    def _on_timer(self, timer: TimerHandle) -> None:
+        """The wake entry, or the end of a grant decision."""
+        choice, self._deciding = self._deciding, None
+        if choice is None:
+            self._pump()
+        else:
+            self._grant(choice)
+
+    def _grant(self, choice: GangRequest) -> None:
+        self.decisions += 1
+        for d in choice.device_ids:
+            self._outstanding[d] = self._outstanding.get(d, 0) + 1
+        self._live_grants[choice.seq] = choice
+        choice.granted_us = self.sim.now
+        tr = self.sim.tracer
+        if tr is not None:
+            tr.complete(
+                f"pend:{choice.node_label}",
+                "sched.pending",
+                choice.submitted_us,
+                choice.granted_us,
+                track=f"sched/island{self.island.island_id}",
+                args={"client": choice.client, "program": choice.program},
+            )
+        choice.grant.succeed(None)
+        # Serialize: the winner must finish appending its kernels before
+        # anyone else is granted, preserving a single global enqueue
+        # order on this island.
+        choice.enqueued_ack.add_callback(self._pump)

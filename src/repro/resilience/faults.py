@@ -8,8 +8,8 @@ hand-written (tests) or drawn from seeded exponential inter-arrival
 distributions (:meth:`FaultSchedule.poisson_device_failures`), which is
 how the recovery-overhead benchmark sweeps MTBF.
 
-The :class:`FaultInjector` is a daemon process that walks the schedule
-and hands each event to the :class:`~repro.resilience.recovery.RecoveryManager`.
+The :class:`FaultInjector` walks the schedule on one timer and hands
+each event to the :class:`~repro.resilience.recovery.RecoveryManager`.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import bisect
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
-from typing import Generator, Iterable, Iterator, TYPE_CHECKING
+from typing import Iterable, Iterator, TYPE_CHECKING
 
 import numpy as np
 
@@ -230,19 +230,28 @@ class FaultSchedule:
 
 
 class FaultInjector:
-    """Daemon process delivering a schedule to the recovery manager."""
+    """Delivers a schedule to the recovery manager.
+
+    One timer walks the schedule: each firing injects every fault due
+    at that instant, then re-arms for the next.  The first firing is at
+    the current instant, and takes the schedule as it stands then, so
+    faults added before the run are delivered.
+    """
 
     def __init__(self, recovery: "RecoveryManager", schedule: FaultSchedule):
         self.recovery = recovery
         self.schedule = schedule
         self.injected: list[FaultEvent] = []
-        self._proc = recovery.sim.process(
-            self._run(), name="fault-injector", daemon=True
-        )
+        #: Set while the timer is armed for the next fault: it is
+        #: injected when the timer fires, without re-reading the clock.
+        self._due = False
+        sim = recovery.sim
+        self._timer = sim.timer_handle(self._fire, name="fault-injector")
+        self._timer.schedule(sim.now)
 
     def stop(self) -> None:
-        """Cancel any not-yet-injected faults (engine cancel path)."""
-        self._proc.cancel()
+        """Cancel any not-yet-injected faults."""
+        self._timer.cancel()
 
     def stats(self):
         """Frozen injector snapshot (unified ``repro.stats`` protocol)."""
@@ -258,16 +267,22 @@ class FaultInjector:
             injected_by_kind=by_kind,
         )
 
-    def _run(self) -> Generator:
+    def _fire(self, timer) -> None:
         sim = self.recovery.sim
-        timeout = sim.timeout
         inject = self.recovery.inject
         record = self.injected.append
+        events = self.schedule.events
         self.schedule._injecting = True
-        for event in self.schedule:
-            delay = event.at_us - sim._now
-            if delay > 0:
-                yield timeout(delay)
+        due, self._due = self._due, False
+        for i in range(len(self.injected), len(events)):
+            event = events[i]
+            if not due:
+                delay = event.at_us - sim._now
+                if delay > 0:
+                    self._due = True
+                    timer.schedule(sim._now + delay)
+                    return
+            due = False
             inject(event)
             record(event)
             tr = sim.tracer

@@ -25,7 +25,7 @@ training does.
 
 from __future__ import annotations
 
-from typing import Generator, Optional, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.system import PathwaysSystem
@@ -84,7 +84,8 @@ class Autoscaler:
         self._candidates: list[int] = []
         if system.elastic is not None:
             system.elastic.register(self)
-        self.proc = self.sim.process(self._run(), daemon=True)
+        self._timer = self.sim.timer_handle(self._on_tick, name="autoscaler")
+        self._timer.schedule(self.sim.now + interval_us)
 
     # -- elastic-workload protocol (ElasticController callbacks) -------------
     def notify_capacity(self, island_id: int, reason: str) -> None:
@@ -108,10 +109,9 @@ class Autoscaler:
         self.sim.all_of(events).add_callback(_vacated)
 
     # -- the control loop -----------------------------------------------------
-    def _run(self) -> Generator:
-        while True:
-            yield self.sim.timeout(self.interval_us)
-            self._tick()
+    def _on_tick(self, timer) -> None:
+        self._tick()
+        timer.schedule(self.sim.now + self.interval_us)
 
     def _tick(self) -> None:
         rset = self.replicas

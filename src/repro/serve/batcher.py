@@ -21,19 +21,32 @@ as one gang-scheduled inference program on the replica's slice:
 
 from __future__ import annotations
 
-from typing import Generator, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
 from repro.serve.frontend import REJECT_EVICTED
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.dispatch import ProgramExecution
     from repro.serve.frontend import Frontend, Request
     from repro.serve.replicas import Replica
 
 __all__ = ["ContinuousBatcher"]
 
+#: What the loop waits on.
+_TOP = "top"            # a request, or every in-flight batch of a retiring replica
+_WINDOW = "window"      # a full batch, the window's close, or a retire
+_SLOT = "slot"          # the oldest in-flight batch
+_BACKOFF = "backoff"    # the rebind backoff
+_RETIRED = "retired"
+
 
 class ContinuousBatcher:
-    """The per-replica batching loop (a daemon simulation process)."""
+    """The per-replica batching loop, as a callback state machine.
+
+    The loop runs until it has to wait, and resumes on what it waits
+    on: :meth:`wake` (a request arrived, or the replica is retiring), a
+    finished batch, or its window or backoff timer.
+    """
 
     def __init__(
         self,
@@ -52,49 +65,78 @@ class ContinuousBatcher:
         #: Wait between submission attempts while the replica's slice is
         #: mid-remap with no healthy capacity bound yet.
         self.rebind_backoff_us = rebind_backoff_us
-        self.proc = self.sim.process(self._run(), daemon=True)
+        self._state = _TOP
+        #: The in-flight batch a full double buffer waits on.
+        self._oldest: Optional["ProgramExecution"] = None
+        #: When the open coalescing window closes.
+        self._closes_at = 0.0
+        #: The coalescing window's close, or the rebind backoff.
+        self._timer = self.sim.timer_handle(
+            self._on_timer, name=lambda: f"batcher[{replica.name}]"
+        )
+
+    def wake(self) -> None:
+        """A request was queued, or the replica started retiring."""
+        if self._state is _TOP or self._state is _WINDOW:
+            self._run()
 
     # -- the loop ------------------------------------------------------------
-    def _run(self) -> Generator:
+    def _run(self) -> None:
+        """Run the loop from its state until it has to wait again."""
         sim = self.sim
         replica = self.replica
+        queue = replica.queue
+        state = self._state
         while True:
-            if replica.retiring and not replica.queue:
-                # Graceful shrink: everything admitted finishes first.
-                while replica.in_flight:
-                    yield replica.in_flight[0]  # settled markers never fail
-                replica.rset._finalize_retire(replica)
-                return
-            if not replica.queue:
-                replica.wakeup = sim.event()
-                yield replica.wakeup
-                replica.wakeup = None
-                continue
-            # The coalescing window: wait for a full batch or the clock,
-            # whichever first.  A retire signal closes it early so the
-            # drain cannot stall behind a slow trickle of arrivals.
-            if self.max_wait_us > 0 and len(replica.queue) < self.max_batch:
-                closes_at = sim.now + self.max_wait_us
-                window = sim.timeout(self.max_wait_us)
-                while (
-                    len(replica.queue) < self.max_batch
-                    and sim.now < closes_at
+            if state is _WINDOW:
+                # The window closes on a full batch or the clock.  A
+                # retire signal closes it early so the drain cannot
+                # stall behind a slow trickle of arrivals.
+                if (
+                    len(queue) < self.max_batch
+                    and sim.now < self._closes_at
                     and not replica.retiring
                 ):
-                    replica.wakeup = sim.event()
-                    yield sim.any_of([replica.wakeup, window])
-                    replica.wakeup = None
-            # Double-buffer bound: block until a slot frees up.
-            while len(replica.in_flight) >= self.max_in_flight:
-                yield replica.in_flight[0]
-            if not replica.vslice.bound:
-                # Mid-remap after a failure with no capacity rebound
-                # yet: hold the queue, retry shortly.
-                yield sim.timeout(self.rebind_backoff_us)
-                continue
-            batch = self._take_batch()
-            if batch:
-                self._submit(batch)
+                    if not self._timer.armed:
+                        self._timer.schedule(self._closes_at)
+                    break
+                self._timer.cancel()
+                state = _SLOT
+            if state is _SLOT:
+                # Double-buffer bound: wait until a slot frees up.
+                if len(replica.in_flight) >= self.max_in_flight:
+                    self._oldest = replica.in_flight[0]
+                    break
+                if not replica.vslice.bound:
+                    # Mid-remap after a failure with no capacity
+                    # rebound yet: hold the queue, retry shortly.
+                    state = _BACKOFF
+                    self._timer.schedule(sim.now + self.rebind_backoff_us)
+                    break
+                batch = self._take_batch()
+                if batch:
+                    self._submit(batch)
+            # The top of the loop.
+            state = _TOP
+            if replica.retiring and not queue:
+                # Graceful shrink: everything admitted finishes first.
+                if not replica.in_flight:
+                    state = _RETIRED
+                    replica.rset._finalize_retire(replica)
+                break
+            if not queue:
+                break
+            if self.max_wait_us > 0 and len(queue) < self.max_batch:
+                self._closes_at = sim.now + self.max_wait_us
+                state = _WINDOW
+            else:
+                state = _SLOT
+        self._state = state
+
+    def _on_timer(self, timer) -> None:
+        if self._state is _BACKOFF:
+            self._state = _TOP
+        self._run()
 
     def _take_batch(self) -> list["Request"]:
         replica = self.replica
@@ -137,20 +179,14 @@ class ContinuousBatcher:
             # path analyzer can attribute the batch's prep span.
             for r in batch:
                 r.batch_label = execution.name
-        # The settled marker is what the loop (and the retire path)
-        # waits on: unlike `finished`, it can never raise.
-        marker = sim.all_settled([execution.finished])
-        replica.in_flight.append(marker)
+        replica.in_flight.append(execution)
         execution.finished.add_callback(
-            lambda ev, b=batch, m=marker, e=execution: self._on_batch_done(
-                ev, b, m, e
-            )
+            lambda ev, b=batch, e=execution: self._on_batch_done(ev, b, e)
         )
 
-    def _on_batch_done(self, ev, batch, marker, execution) -> None:
+    def _on_batch_done(self, ev, batch, execution) -> None:
         replica = self.replica
-        if marker in replica.in_flight:
-            replica.in_flight.remove(marker)
+        replica.in_flight.remove(execution)
         replica.in_flight_requests -= len(batch)
         execution.release_results()
         if ev._exc is None:
@@ -180,3 +216,6 @@ class ContinuousBatcher:
                     "replica": replica.name,
                 },
             )
+        state = self._state
+        if state is _TOP or (state is _SLOT and execution is self._oldest):
+            self._run()

@@ -29,6 +29,7 @@ from repro.xla.computation import CompiledFunction
 from repro.xla.shapes import TensorSpec
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.dispatch import ProgramExecution
     from repro.core.system import PathwaysSystem
     from repro.hw.host import Host
     from repro.serve.frontend import Frontend, Request
@@ -51,12 +52,9 @@ class Replica:
         #: different replicas must not serialize on one client).
         self.client = rset.system.client(self.name)
         self.queue: Deque["Request"] = deque()
-        #: Settled markers, one per in-flight batch (oldest first).
-        self.in_flight: list[Event] = []
+        #: In-flight batch executions (oldest first).
+        self.in_flight: list["ProgramExecution"] = []
         self.in_flight_requests = 0
-        #: The batcher's wait event while it is blocked on an empty
-        #: queue or a filling window; :meth:`wake` fires it.
-        self.wakeup: Optional[Event] = None
         self.active = False
         self.retiring = False
         self.retired: Optional[Event] = None
@@ -89,11 +87,7 @@ class Replica:
 
     def enqueue(self, req: "Request") -> None:
         self.queue.append(req)
-        self.wake()
-
-    def wake(self) -> None:
-        if self.wakeup is not None and not self.wakeup.triggered:
-            self.wakeup.succeed(None)
+        self.batcher.wake()
 
     # -- cost model ---------------------------------------------------------
     def compute_time_us(self, tokens: int) -> float:
@@ -368,7 +362,8 @@ class ReplicaSet:
         if not replica.retiring:
             replica.retiring = True
             self._record_width()  # it left the routable pool now
-            replica.wake()
+            if replica.batcher is not None:
+                replica.batcher.wake()
         return replica.retired
 
     def _finalize_retire(self, replica: Replica) -> None:

@@ -1,21 +1,22 @@
 """Discrete-event simulation kernel.
 
-A small, deterministic, generator-based discrete-event simulator in the
-style of SimPy.  All Pathways components (hosts, devices, networks,
-schedulers) are simulated processes scheduled by :class:`Simulator`.
+A small, deterministic discrete-event simulator in the style of SimPy.
+Pathways components (hosts, devices, networks, schedulers) are
+generator processes or callback state machines scheduled by
+:class:`Simulator`.
 
 The kernel is deliberately minimal: events, processes, timeouts,
 cancellable re-armable timers (:class:`TimerHandle`, which also carries
-recurring clocks: the action re-arms it), composite events
-(:class:`AllOf` / :class:`AnyOf`), counted resources, FIFO stores, and
-deadlock detection (the simulator can report which processes are blocked
-when the event queue drains while work remains).  Future timers wait in
-one ``(time, seq)`` binary heap, :class:`TimerQueue`.
+recurring clocks and service loops: the action re-arms it), composite
+events (:class:`AllOf` / :class:`Settled`), counted resources, FIFO
+stores, and deadlock detection (the simulator reports which processes
+and callback chains are blocked when the event queue drains while work
+remains).  Future timers wait in one ``(time, seq)`` binary heap,
+:class:`TimerQueue`.
 """
 
 from repro.sim.engine import (
     AllOf,
-    AnyOf,
     DeadlockError,
     Event,
     Process,
@@ -40,7 +41,6 @@ from repro.sim.sanitize import (
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "DeadlockError",
     "DoubleTriggerError",
     "Event",

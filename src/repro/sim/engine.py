@@ -37,7 +37,6 @@ from repro.sim.sanitize import (
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "DeadlockError",
     "DoubleTriggerError",
     "Event",
@@ -404,35 +403,6 @@ class AllOf(Event):
         self.succeed([ev._value for ev in self._events])
 
 
-class AnyOf(Event):
-    """Triggers when the first constituent event triggers.
-
-    Value is ``(index, value)`` of the first event to fire.
-    """
-
-    __slots__ = ("_events",)
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        self.sim = sim
-        self._name = ""
-        self._value = _PENDING
-        self._exc = None
-        self.callbacks = []
-        self._events = list(events)
-        if not self._events:
-            raise ValueError("AnyOf requires at least one event")
-        for idx, ev in enumerate(self._events):
-            ev.add_callback(lambda e, i=idx: self._on_child(i, e))
-
-    def _on_child(self, idx: int, ev: Event) -> None:
-        if self._value is not _PENDING or self._exc is not None:
-            return
-        if ev._exc is None:
-            self.succeed((idx, ev._value))
-        else:
-            self.fail(ev._exc)
-
-
 class Settled(Event):
     """Fires once every input has triggered *either way* — success or
     failure.  Never fails itself; value is ``None``.
@@ -488,10 +458,7 @@ class _Bootstrap:
         return f"start:{self.process.name}"
 
     def _process_callbacks(self) -> None:
-        p = self.process
-        # A process cancelled before its first step has already settled.
-        if p._value is _PENDING and p._exc is None:
-            p._step()
+        self.process._step()
 
 
 class Process(Event):
@@ -501,31 +468,19 @@ class Process(Event):
     the yielded event triggers, receiving the event's value (or having
     the event's exception thrown into it).  A process is itself an event
     that triggers with the generator's return value, so processes can
-    wait on each other.
+    wait on each other.  Every process is expected to finish: one still
+    blocked when the queues drain is reported as a deadlock.
     """
 
-    __slots__ = ("generator", "_waiting_on", "daemon", "cancelled")
+    __slots__ = ("generator",)
 
-    def __init__(
-        self,
-        sim: "Simulator",
-        generator: Generator,
-        name: LazyName = "",
-        daemon: bool = False,
-    ):
+    def __init__(self, sim: "Simulator", generator: Generator, name: LazyName = ""):
         self.sim = sim
         self._name = name
         self._value = _PENDING
         self._exc = None
         self.callbacks = []
         self.generator = generator
-        self._waiting_on: Optional[Event] = None
-        #: Daemon processes are service loops (device queues, schedulers)
-        #: that legitimately idle forever; they are exempt from deadlock
-        #: detection.
-        self.daemon = daemon
-        #: True once :meth:`cancel` has stopped the process.
-        self.cancelled = False
         sim._live_processes[self] = None
         # Bootstrap: start the generator at the current simulation moment
         # (no intermediate init event; the loop entry calls _step).
@@ -540,52 +495,14 @@ class Process(Event):
             n = self._name = n()
         return n
 
-    def _detach(self) -> None:
-        """Stop listening to whatever this process was waiting on."""
-        target = self._waiting_on
-        if target is not None and target.callbacks is not None:
-            try:
-                target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-        # Even if the wait target already triggered (its value is in
-        # flight), clearing _waiting_on makes the late _resume a no-op —
-        # otherwise the stale value would be sent into whatever the
-        # generator yields *next*.
-        self._waiting_on = None
-
-    def cancel(self, value: Any = None) -> None:
-        """Stop the process without raising into it (fault injection's
-        cancellable-process path).
-
-        The generator is closed (its ``finally`` blocks run), the process
-        leaves deadlock accounting, and the process event *succeeds* with
-        ``value`` so waiters observe a clean shutdown rather than a
-        failure.
-        """
-        if self._value is not _PENDING or self._exc is not None:
-            return
-        self._detach()
-        self.generator.close()
-        self.sim._live_processes.pop(self, None)
-        self.cancelled = True
-        self.succeed(value)
-
     # -- internals -----------------------------------------------------
     def _resume(self, ev: Event) -> None:
-        if (
-            self._waiting_on is not ev
-            or self._value is not _PENDING
-            or self._exc is not None
-        ):
-            return
         if ev._exc is None:
             self._step(value=ev._value)
         else:
             self._step(throw=ev._exc)
 
     def _step(self, value: Any = None, throw: Optional[BaseException] = None) -> None:
-        self._waiting_on = None
         try:
             if throw is not None:
                 target = self.generator.throw(throw)
@@ -605,7 +522,6 @@ class Process(Event):
             self.sim._live_processes.pop(self, None)
             self.fail(ProcessFailed(self, exc))
             return
-        self._waiting_on = target
         callbacks = target.callbacks
         if callbacks is None:
             self._resume(target)
@@ -745,10 +661,10 @@ class Simulator:
         # drain-end stuck scan walk processes in spawn order — a hash
         # set would iterate by object address (RPR002).
         self._live_processes: dict[Process, None] = {}
-        #: Callback chains that stand in for non-daemon processes (a
-        #: PARALLEL dispatch's node chains and edge feeds, contended
-        #: sends): registered, insertion-ordered, while unsettled, and
-        #: reported by the same deadlock checks.  Each has a ``name``.
+        #: Callback chains that stand in for processes (a PARALLEL
+        #: dispatch's node chains and edge feeds, contended sends):
+        #: registered, insertion-ordered, while unsettled, and reported
+        #: by the same deadlock checks.  Each has a ``name``.
         self._live_chains: dict[Any, None] = {}
         #: (now, delay) -> Timeout coalescing cache (see shared_timeout).
         self._shared_timeouts: dict[tuple[float, float], Timeout] = {}
@@ -835,16 +751,11 @@ class Simulator:
         disarmed; see :class:`TimerHandle`)."""
         return TimerHandle(self, action, name=name)
 
-    def process(
-        self, generator: Generator, name: LazyName = "", daemon: bool = False
-    ) -> Process:
-        return Process(self, generator, name=name, daemon=daemon)
+    def process(self, generator: Generator, name: LazyName = "") -> Process:
+        return Process(self, generator, name=name)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     def all_settled(self, events: Iterable[Event]) -> Settled:
         """An event that fires once every input has triggered *either
@@ -939,8 +850,7 @@ class Simulator:
             # Cut short at ``until`` with work still pending: blocked
             # processes are expected, not deadlocked.
             return self._now
-        stuck = [p for p in self._live_processes if not p.daemon]
-        stuck.extend(self._live_chains)
+        stuck = [*self._live_processes, *self._live_chains]
         if detect_deadlock and stuck:
             blocked = sorted(stuck, key=lambda p: p.name)
             names = ", ".join(p.name for p in blocked[:8])

@@ -2,8 +2,8 @@
 
 :class:`Resource` is a counted semaphore with FIFO granting — used for
 host CPUs and NICs and a client's controller thread.  :class:`Store` is
-an unbounded-or-bounded FIFO queue of items — used for scheduler
-mailboxes, PLAQUE channel shards and input-pipeline buffers.
+an unbounded-or-bounded FIFO queue of items — used for PLAQUE channel
+shards and input-pipeline buffers.
 
 Both grant strictly in request order, which keeps the simulation
 deterministic and models the paper's FIFO hardware queues faithfully.
@@ -194,28 +194,6 @@ class Store:
 
     def __len__(self) -> int:
         return len(self._items)
-
-    @property
-    def getters_waiting(self) -> int:
-        """Consumers blocked in :meth:`get`.  Non-zero only while the
-        store is empty: an item arriving then goes straight to a getter."""
-        return len(self._getters)
-
-    def push(self, item: Any) -> None:
-        """Fire-and-forget :meth:`put` for unbounded stores.
-
-        Skips the acceptance event entirely (hot message paths — the
-        gang scheduler's mailbox — never wait on a put).  Raises on a
-        bounded store at capacity, where acceptance genuinely blocks.
-        """
-        if self._getters:
-            self._getters.popleft().succeed(item)
-            return
-        if self.capacity is not None and len(self._items) >= self.capacity:
-            raise RuntimeError(
-                f"{self.name}: push on a full bounded store (use put)"
-            )
-        self._items.append(item)
 
     def put(self, item: Any) -> Event:
         sim = self.sim

@@ -79,7 +79,7 @@ class SimStats(Stats):
     pending_timers: int
     #: Zero-delay events waiting in the immediate FIFO.
     immediate_depth: int
-    #: Live (unfinished) processes, daemons included.
+    #: Live (unfinished) generator processes.
     live_processes: int
 
 

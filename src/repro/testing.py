@@ -2,11 +2,11 @@
 
 Fault-path degradations in :mod:`repro.resilience` (dropped preemption
 notices, missed drain deadlines, undrainable islands) emit
-``UserWarning``s.  Many of them fire inside daemon simulation processes
-(the fault injector), where a warnings-filter ``error::`` escalation
-would only kill the daemon silently — so the conftests record every
-warning per test with :func:`record_warnings` and fail afterwards on
-whatever :func:`resilience_warnings` keeps.  Both suites share the
+``UserWarning``s.  Many of them fire inside simulation callbacks (the
+fault injector's timer), where a warnings-filter ``error::`` escalation
+would abort the run at the fault instead of reporting it — so the
+conftests record every warning per test with :func:`record_warnings`
+and fail afterwards on whatever :func:`resilience_warnings` keeps.  Both suites share the
 detection rule through this module so it cannot drift between them.
 """
 

@@ -211,8 +211,8 @@ def run_churn(
 
     injector = None
     if mtbf_us is not None:
-        # Horizon generously covers the run; the injector idles (daemon)
-        # once the drivers finish.
+        # Horizon generously covers the run; once the drivers finish,
+        # stop() cancels the faults still scheduled.
         ideal_us = steps_per_client * compute_time_us
         horizon_us = ideal_us * horizon_slack
         all_ids = [d.device_id for d in system.cluster.devices]

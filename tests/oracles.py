@@ -17,29 +17,39 @@ no production path that selects it:
   edge (:func:`feed_node`, :func:`one_transfer`), the reference for
   the event chains of :mod:`repro.core.dispatch`.
 
+* :class:`MailboxScheduler` — the island grant loop as one generator
+  ``Process`` reading a mailbox, the reference for the callback state
+  machine of :class:`repro.core.scheduler.IslandScheduler`.
+
 ``test_fluid_solver.py`` swaps the solver in (by patching
 ``repro.net.fabric.ScopedFluidSolver``) and asserts byte-identical
 results; ``test_resilience.py`` compares the fault schedules event for
 event; ``test_dispatch_chain.py`` patches
 ``ProgramExecution._launch`` with :func:`launch_processes` and compares
-results and per-node completion times.  The timer queue needs no oracle: :class:`repro.sim.TimerQueue`
+results and per-node completion times; ``test_scheduler_oracle.py``
+runs random timed scripts against both schedulers.  The timer queue
+needs no oracle: :class:`repro.sim.TimerQueue`
 is itself the plain ``(when, seq)`` heap, and ``test_timer_queue.py``
 checks it against a sorted list of the live entries.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Generator, Iterable
 
 import numpy as np
 
 from repro.core.ir import TransferRoute
 from repro.core.object_store import MemorySpace
+from repro.core.scheduler import DeadlineExceeded, GangRequest
+from repro.hw.device import DeviceFailure
 from repro.resilience import FaultEvent, FaultKind
 from repro.sim import Event
 
 __all__ = [
     "DenseFluidSolver",
+    "MailboxScheduler",
     "feed_node",
     "launch_processes",
     "one_transfer",
@@ -333,3 +343,202 @@ def one_transfer(execution, spec, producer_done: Event, node) -> Generator:
         yield execution.system.transport.send(
             src_group.hosts[0], node.group.hosts[0], per_host
         )
+
+
+# -- the island grant loop as a generator reading a mailbox ------------------
+class _Mailbox:
+    """An unbounded FIFO with blocking ``get`` and a count of blocked
+    getters."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.items: deque = deque()
+        self.getters: deque = deque()
+
+    def push(self, item) -> None:
+        if self.getters:
+            self.getters.popleft().succeed(item)
+        else:
+            self.items.append(item)
+
+    def get(self) -> Event:
+        if self.items:
+            return self.sim.completed(self.items.popleft())
+        ev = Event(self.sim)
+        self.getters.append(ev)
+        return ev
+
+
+class MailboxScheduler:
+    """``IslandScheduler`` as one generator ``Process`` on a mailbox.
+
+    A control message is applied on delivery when the loop is parked on
+    an empty mailbox with nothing pending, and queued otherwise; a
+    submission always takes the mailbox hop.  Each deadline is a plain
+    Timeout that fires even after the gang left pending.  The loop never
+    finishes: run the simulator with ``detect_deadlock=False``.
+    """
+
+    def __init__(self, sim, config, policy):
+        self.sim = sim
+        self.config = config
+        self.policy = policy
+        self._incoming = _Mailbox(sim)
+        self._pending: list[GangRequest] = []
+        self._outstanding: dict[int, int] = {}
+        self._live_grants: dict[int, tuple[int, ...]] = {}
+        self.decisions = 0
+        self.evictions = 0
+        self.deadline_evictions = 0
+        self.stale_completions = 0
+        self.rejected_draining = 0
+        self._paused = False
+        self._draining = False
+        self._drain_waiters: list[Event] = []
+        sim.process(self._run(), name="mailbox-scheduler")
+
+    def submit(self, client, program, node_label, cost_us=1.0, device_ids=(),
+               deadline_at_us=None) -> GangRequest:
+        req = GangRequest(
+            client=client, program=program, node_label=node_label,
+            grant=self.sim.event(), enqueued_ack=self.sim.event(),
+            cost_us=cost_us, device_ids=tuple(device_ids),
+            deadline_at_us=deadline_at_us, submitted_us=self.sim.now,
+        )
+        self._incoming.push(("req", req))
+        if deadline_at_us is not None:
+            delay = max(0.0, deadline_at_us - self.sim.now)
+            self.sim.timeout(delay).add_callback(
+                lambda ev, r=req: self._deliver("expire", r)
+            )
+        return req
+
+    def complete(self, req) -> None:
+        self._deliver("done", req)
+
+    def evict_device(self, device_id) -> None:
+        self._deliver("evict", device_id)
+
+    def readmit_device(self, device_id) -> None:
+        self._deliver("readmit", device_id)
+
+    def pause(self) -> None:
+        self._deliver("pause", None)
+
+    def resume(self) -> None:
+        self._deliver("resume", None)
+
+    def drain(self) -> Event:
+        drained = self.sim.event()
+        self._deliver("drain", drained)
+        return drained
+
+    def undrain(self) -> None:
+        self._deliver("undrain", None)
+
+    @property
+    def in_flight(self) -> int:
+        return len(self._live_grants)
+
+    def _deliver(self, kind, payload) -> None:
+        if not self._pending and self._incoming.getters:
+            self._apply(kind, payload)
+        else:
+            self._incoming.push((kind, payload))
+
+    def _eligible(self, req) -> bool:
+        depth = self.config.scheduler_queue_depth
+        return all(self._outstanding.get(d, 0) < depth for d in req.device_ids)
+
+    def _release(self, device_ids) -> None:
+        for d in device_ids:
+            remaining = self._outstanding.get(d, 0) - 1
+            if remaining > 0:
+                self._outstanding[d] = remaining
+            else:
+                self._outstanding.pop(d, None)
+
+    def _purge_device(self, device_id) -> None:
+        self._outstanding.pop(device_id, None)
+        for seq, devices in list(self._live_grants.items()):
+            if device_id in devices:
+                del self._live_grants[seq]
+                self._release(tuple(d for d in devices if d != device_id))
+
+    def _apply(self, kind, payload) -> None:
+        if kind == "evict":
+            self._purge_device(payload)
+            for req in [r for r in self._pending if payload in r.device_ids]:
+                self._pending.remove(req)
+                self.evictions += 1
+                req.grant.fail(DeviceFailure(payload, f"evicted {req.node_label}"))
+            self._check_drained()
+        elif kind == "readmit":
+            self._purge_device(payload)
+            self._check_drained()
+        elif kind == "req":
+            if self._draining:
+                self.rejected_draining += 1
+                device = payload.device_ids[0] if payload.device_ids else -1
+                payload.grant.fail(DeviceFailure(device, "draining"))
+                return
+            self._pending.append(payload)
+        elif kind == "done":
+            devices = self._live_grants.pop(payload.seq, None)
+            if devices is None:
+                self.stale_completions += 1
+            else:
+                self._release(devices)
+            self._check_drained()
+        elif kind == "expire":
+            if payload in self._pending:
+                self._pending.remove(payload)
+                self.deadline_evictions += 1
+                payload.grant.fail(
+                    DeadlineExceeded(payload.node_label, payload.deadline_at_us)
+                )
+                self._check_drained()
+        elif kind == "pause":
+            self._paused = True
+        elif kind == "resume":
+            self._paused = False
+        elif kind == "drain":
+            self._draining = True
+            self._drain_waiters.append(payload)
+            self._check_drained()
+        elif kind == "undrain":
+            self._draining = False
+
+    def _check_drained(self) -> None:
+        if not self._draining or self._live_grants or self._pending:
+            return
+        waiters, self._drain_waiters = self._drain_waiters, []
+        for ev in waiters:
+            if not ev.triggered:
+                ev.succeed(None)
+
+    def _drain_incoming(self) -> None:
+        while self._incoming.items:
+            self._apply(*self._incoming.items.popleft())
+
+    def _run(self) -> Generator:
+        while True:
+            kind, payload = yield self._incoming.get()
+            self._apply(kind, payload)
+            self._drain_incoming()
+            while not self._paused and self._pending:
+                eligible = [r for r in self._pending if self._eligible(r)]
+                if not eligible:
+                    break
+                choice = self.policy.pick(eligible)
+                self._pending.remove(choice)
+                if self.config.scheduler_decision_us > 0:
+                    yield self.sim.timeout(self.config.scheduler_decision_us)
+                self.decisions += 1
+                for d in choice.device_ids:
+                    self._outstanding[d] = self._outstanding.get(d, 0) + 1
+                self._live_grants[choice.seq] = choice.device_ids
+                choice.granted_us = self.sim.now
+                choice.grant.succeed(None)
+                yield choice.enqueued_ack
+                self._drain_incoming()

@@ -12,7 +12,7 @@ from repro.core.scheduler import (
     ProportionalSharePolicy,
 )
 from repro.hw.topology import Island
-from repro.sim import Simulator
+from repro.sim import Simulator, UnbalancedGrantError
 
 
 def make_scheduler(sim, policy=None, config=None):
@@ -298,6 +298,23 @@ class TestDeadlineEviction:
         sim.run()
         assert done["ok"] and sched.deadline_evictions == 0
 
+    def test_granted_gang_cancels_its_deadline_timer(self, sim):
+        """Regression: the deadline timer outlived the grant, so the run
+        only ended at the deadline, long after the gang completed."""
+        sched = make_scheduler(sim)
+        req = sched.submit("c", "p", "n", device_ids=(0,), deadline_at_us=1_000.0)
+
+        def unit():
+            yield req.grant
+            req.enqueued_ack.succeed(None)
+            yield sim.timeout(20.0)
+            sched.complete(req)
+
+        sim.process(unit())
+        sim.run()
+        assert sim.now == req.granted_us + 20.0
+        assert sim.stats().pending_timers == 0
+
     def test_client_deadline_threads_to_execution(self):
         """client.submit(deadline_us=...) bounds a whole execution's
         time-to-grant; an expired gang abandons the execution (it is
@@ -527,8 +544,8 @@ class TestDeadlineDrainInterplay:
 
 class TestControlDelivery:
     """Control messages apply on delivery only while the grant loop is
-    parked on an empty mailbox with nothing pending; otherwise they queue
-    and the loop applies them at its next check."""
+    idle with nothing pending; otherwise they queue and the loop applies
+    them at its next check."""
 
     def _granted(self, sim, sched, devices, client="a"):
         req = sched.submit(client, "p", f"{client}-node", device_ids=devices)
@@ -543,13 +560,16 @@ class TestControlDelivery:
     def test_evict_while_parked_applies_before_returning(self, sim):
         sched = make_scheduler(sim)
         req = self._granted(sim, sched, (0, 1))
-        sim.run()
+        # The gang stays granted: cut the drains short of a far timer
+        # (no drain-end sweep while it is live).
+        sim.timeout(1_000.0)
+        sim.run(until=500.0)
         assert sched.in_flight == 1
         processed = sim.events_processed
         sched.evict_device(0)
         # Settled before evict_device returned: no loop wake needed.
         assert sched.in_flight == 0
-        sim.run()
+        sim.run(until=600.0)
         assert sim.events_processed == processed
         sched.complete(req)
         sim.run()
@@ -571,6 +591,15 @@ class TestControlDelivery:
         sim.run()
         assert sched.stale_completions == 1
 
+    def test_granted_but_never_completed_gang_is_reported(self):
+        """Drain-end sweep: a granted gang never completed or purged holds
+        its admission slots forever (a leaked slot)."""
+        sim = Simulator(sanitize=True)
+        sched = make_scheduler(sim)
+        self._granted(sim, sched, (0, 1))
+        with pytest.raises(UnbalancedGrantError, match="a-node"):
+            sim.run()
+
     def test_readmit_with_pending_work_wakes_the_loop(self, sim):
         # Depth 1 and device 0 held: "b" is pending but ineligible while
         # the loop is parked.  The readmit frees device 0; applied on
@@ -585,7 +614,9 @@ class TestControlDelivery:
         # and the loop is parked.
         sim.run(until=readmit_at - 1.0)
         assert not b.grant.triggered and sched.stats().pending == 1
-        sim.run()
+        # "b" stays granted: cut the drain short of its completion.
+        sim.timeout(2 * readmit_at).add_callback(lambda ev: sched.complete(b))
+        sim.run(until=2 * readmit_at - 1.0)
         assert b.grant.triggered
         assert b.granted_us == readmit_at + cfg.scheduler_decision_us
         assert sched.in_flight == 1

@@ -157,7 +157,7 @@ class TestCollectives:
                 [k.done for k in []]
             )  # pragma: no cover - placeholder
 
-        # Track completion through a non-daemon process.
+        # Track completion through a process.
         def waiter():
             yield coll_x._done
 

@@ -38,39 +38,6 @@ from repro.workloads.churn import run_churn
 from repro.xla.computation import scalar_allreduce_add
 
 
-# -- engine: cancellable processes -----------------------------------------
-
-
-class TestEngineCancellation:
-    def test_cancel_stops_process_cleanly(self, sim):
-        log = []
-
-        def worker():
-            try:
-                yield sim.timeout(100.0)
-                log.append("finished")
-            finally:
-                log.append("cleanup")
-
-        proc = sim.process(worker())
-        sim.timeout(10.0).add_callback(lambda ev: proc.cancel("preempted"))
-        sim.run()
-        assert log == ["cleanup"]
-        assert proc.cancelled and proc.ok
-        assert proc.value == "preempted"
-
-    def test_cancel_after_completion_is_noop(self, sim):
-        def worker():
-            yield sim.timeout(1.0)
-            return 42
-
-        proc = sim.process(worker())
-        sim.run()
-        proc.cancel()
-        assert not proc.cancelled
-        assert proc.value == 42
-
-
 # -- device failure semantics ----------------------------------------------
 
 
@@ -530,6 +497,23 @@ class TestFaultSchedule:
             (60.0, d1), (100.0, d0)
         ]
 
+    def test_stop_leaves_no_timer_behind(self, small_system):
+        # Regression: stop() only detached the injector's loop, so its
+        # pending timeout still fired and advanced the clock to 50 ms.
+        sim = small_system.sim
+        recovery = RecoveryManager(small_system)
+        d0, d1 = (d.device_id for d in small_system.cluster.devices[:2])
+        schedule = FaultSchedule().device_failure(1_000.0, d0).device_failure(
+            50_000.0, d1
+        )
+        injector = FaultInjector(recovery, schedule)
+        sim.run(until=10_000.0)
+        injector.stop()
+        sim.run()
+        assert sim.now == 10_000.0
+        assert sim.stats().pending_timers == 0
+        assert [e.target for e in injector.injected] == [d0]
+
 
 # -- end-to-end recovery -----------------------------------------------------
 
@@ -966,6 +950,7 @@ class TestSchedulerReadmit:
             sched.complete(reqs["b"])
             yield sim.timeout(50.0)
             assert "c" in grants
+            sched.complete(reqs["c"])
 
         sim.process(scenario())
         sim.run()

@@ -309,7 +309,7 @@ class TestRetireAndDrain:
         for _ in range(4):
             frontend.submit_from(host, 24, 8, 100_000.0)
         all_done = frontend.close()
-        # The autoscaler tick is a perpetual daemon timer, so drive to
+        # The autoscaler tick is a perpetual timer, so drive to
         # the drained-and-served condition rather than loop exhaustion.
         system.sim.run_until_triggered(system.sim.all_of([all_done, handback]))
         assert handback.triggered

@@ -163,21 +163,6 @@ class TestComposites:
         sim.run(detect_deadlock=False)
         assert combined.triggered and not combined.ok
 
-    def test_any_of_returns_first(self, sim):
-        def proc():
-            t1 = sim.timeout(10.0, value="slow")
-            t2 = sim.timeout(2.0, value="fast")
-            idx, val = yield sim.any_of([t1, t2])
-            return idx, val
-
-        p = sim.process(proc())
-        sim.run()
-        assert p.value == (1, "fast")
-
-    def test_any_of_empty_rejected(self, sim):
-        with pytest.raises(ValueError):
-            sim.any_of([])
-
 
 class TestRun:
     def test_run_until_stops_clock(self, sim):
@@ -210,13 +195,6 @@ class TestRun:
         sim.process(stuck(), name="stuckproc")
         with pytest.raises(DeadlockError, match="stuckproc"):
             sim.run()
-
-    def test_daemon_exempt_from_deadlock(self, sim):
-        def service():
-            yield sim.event("never")
-
-        sim.process(service(), name="svc", daemon=True)
-        sim.run()  # must not raise
 
     def test_deadlock_reports_blocked_processes(self, sim):
         def stuck():
