@@ -191,7 +191,9 @@ class PathwaysClient:
         With ``retry_on_failure`` the execution supervises its nodes and,
         on a device loss, waits for the system's RecoveryManager to remap
         its slices, then replays the nodes not covered by ``checkpoint``.
-        Resilient drivers wait on ``execution.finished``.
+        Either way, drivers wait on ``execution.done``.  The controller
+        pass starts here; no process is created unless the execution
+        runs SEQUENTIAL or recovers from a loss.
 
         ``deadline_us`` (relative to submission) bounds time-to-grant:
         gangs still queued on their island scheduler when the deadline
@@ -211,8 +213,7 @@ class PathwaysClient:
             checkpoint=checkpoint,
             deadline_us=deadline_us,
         )
-        sim = self.system.sim
-        sim.process(execution.run())
+        execution.start()
         self.programs_submitted += 1
         return execution
 
@@ -223,8 +224,7 @@ class PathwaysClient:
         tests).  In-simulation drivers use :meth:`submit` instead.
         """
         execution = self.submit(program, args)
-        done = execution.done
-        self.system.sim.run_until_triggered(done)
+        self.system.sim.run_until_triggered(execution.done)
         return execution.results()
 
     # -- in-simulation driver loops (used by benchmarks) -------------------------

@@ -1,6 +1,6 @@
 """Sequential vs. parallel asynchronous dispatch (paper §4.5, Figure 4).
 
-A :class:`ProgramExecution` drives one run of a lowered program:
+A :class:`ProgramExecution` runs one lowered program:
 
 * **client/controller work** — per-program fan-out on the submitting
   client's serial controller thread (the single-controller cost that
@@ -13,16 +13,17 @@ A :class:`ProgramExecution` drives one run of a lowered program:
   simulation.
 
 In ``PARALLEL`` mode, prep for *all* regular nodes runs concurrently and
-the controller sends a single subgraph message per island.  Each node
-then runs as an event chain (:class:`_NodeChain`: prep barrier, gang
-submit, grant, enqueue) and each data-moving edge as another
-(:class:`_Feed`, :class:`_Transfer`): callbacks, not generator
-processes, because paper-scale sweeps dispatch hundreds of thousands
-of nodes.  In
-``SEQUENTIAL`` mode (the Figure 4a strawman and the fallback for
-irregular nodes), the controller walks the graph: node *k+1*'s dispatch
-begins only after node *k*'s enqueue is acknowledged and its output
-handles have travelled back over DCN.
+the controller sends a single subgraph message per island.  The pass is
+a callback chain on the controller thread; each node then runs as an
+event chain (:class:`_NodeChain`: prep barrier, gang submit, grant,
+enqueue) and each edge as another (:class:`_Feed`, :class:`_Transfer`):
+callbacks, not generator processes, because paper-scale sweeps dispatch
+hundreds of thousands of nodes.  In ``SEQUENTIAL`` mode (the Figure 4a
+strawman and the fallback for irregular nodes), a generator process
+walks the graph: node *k+1*'s dispatch begins only after node *k*'s
+enqueue is acknowledged and its output handles have travelled back over
+DCN.  A loss recovery also runs as a process.  Either way, the
+execution's one completion event is :attr:`ProgramExecution.done`.
 """
 
 from __future__ import annotations
@@ -122,19 +123,16 @@ class ProgramExecution:
         #: Fires once the controller has enqueued everything and holds
         #: the output handles (what an OpByOp client waits for).
         self.handles_ready: Event = self.sim.event()
-        #: Retry mode only: fires when every node has completed (after
-        #: any replays), or fails with :class:`ExecutionAbandoned`.
-        #: Resilient drivers wait on this instead of :attr:`done`, whose
-        #: constituent events are replaced across replays.
-        self.finished: Event = self.sim.event()
+        #: Fires once every node of the current attempt has completed
+        #: (with ``retry_on_failure``, not before the controller pass
+        #: ends).  Fails with the first lost node's exception, or, with
+        #: ``retry_on_failure``, only with :class:`ExecutionAbandoned`.
+        self.done: Event = self.sim.event()
         #: Per-result futures (logical buffers in the object store).
         self.result_futures: list[PathwaysFuture] = []
         self._executors: dict[int, NodeExecutor] = {}
         self._node_values: dict[int, tuple[np.ndarray, ...]] = {}
         self._node_done: dict[int, Event] = {}
-        #: Cached :attr:`done` barrier for the current attempt;
-        #: invalidated when replays swap ``_node_done`` events.
-        self._done_cache: Optional[Event] = None
         self._gates: dict[int, Event] = {}
         #: Completion time per node, for checkpoint-relative replay.
         self._completed_at: dict[int, float] = {}
@@ -142,6 +140,14 @@ class ProgramExecution:
         #: (sequential dispatch stops early on a failure; undispatched
         #: nodes have no in-flight work to quiesce).
         self._dispatched: set[int] = set()
+        #: Nodes of the current attempt not yet completed.
+        self._remaining = 0
+        #: The current attempt's first loss (retry mode); cleared when
+        #: the replay pass starts.
+        self._loss: Optional[BaseException] = None
+        #: A controller pass is running.
+        self._in_pass = False
+        self._span = None
 
         for node in low.nodes:
             ex = NodeExecutor(
@@ -158,35 +164,29 @@ class ProgramExecution:
         for node_id, _ in low.source.results:
             handle = self._executors[node_id].output_handle  # None until prep
             fut = PathwaysFuture(
-                self.sim,
-                handle if handle is not None else _placeholder_handle(node_id),
+                handle if handle is not None else _placeholder_handle(node_id)
             )
             self.result_futures.append(fut)
 
     # -- public --------------------------------------------------------------
-    @property
-    def done(self) -> Event:
-        """Completion barrier over the current attempt's node events.
-
-        Cached per attempt: repeated access (drivers poll, the retry
-        loop re-yields it) must not rebuild an AllOf — and re-register a
-        callback per node — every time.  Replays invalidate the cache
-        when they swap ``_node_done`` events.
-        """
-        cached = self._done_cache
-        if cached is None:
-            cached = self._done_cache = self.sim.all_of(
-                list(self._node_done.values())
-            )
-        return cached
-
     def results(self):
         """Logical results, repacked into the user's return structure."""
         flat = [f.value() for f in self.result_futures]
         return unflatten(self.low.source.result_treedef, flat)
 
-    # -- the controller-side driver process -----------------------------------
-    def run(self) -> Generator:
+    # -- the controller-side driver -------------------------------------------
+    def start(self) -> None:
+        """Begin the first controller pass (``PathwaysClient.submit``).
+
+        A PARALLEL pass is a callback chain: the controller grant, the
+        planning timeout, the subgraph message's DCN timeout, then the
+        node chains start and the controller is released.  A SEQUENTIAL
+        pass and a loss recovery run as generator processes.  Until the
+        first pass ends, and with ``retry_on_failure`` until :attr:`done`
+        settles, the execution sits in the simulator's live-chain
+        registry, so a pass that never ends is a
+        :class:`~repro.sim.DeadlockError` at drain end.
+        """
         # Parallel scheduling is only sound for regular compiled
         # functions; with any irregular node the controller cannot plan
         # ahead and falls back to the traditional model (paper §4.5).
@@ -195,9 +195,8 @@ class ProgramExecution:
         ):
             self.mode = DispatchMode.SEQUENTIAL
         tr = self.sim.tracer
-        span = None
         if tr is not None:
-            span = tr.begin(
+            self._span = tr.begin(  # repro: noqa[RPR007] closed when done settles
                 f"exec:{self.name}",
                 "dispatch.exec",
                 track=f"client/{self.client.name}",
@@ -208,129 +207,128 @@ class ProgramExecution:
                     "nodes": len(self.low.nodes),
                 },
             )
-        try:
-            yield from self._drive()
-        finally:
-            if tr is not None:
-                tr.end(span)
+        self.sim._live_chains[self] = None
+        self._pass(self.low.nodes, first=True)
 
-    def _drive(self) -> Generator:
-        failure: Optional[BaseException] = None
-        try:
-            yield from self._dispatch_once(self.low.nodes, first=True)
-        except Exception as exc:  # noqa: BLE001 - sequential-mode loss
-            if not self.retry_on_failure:
-                # Settle every externally-visible event before surfacing
-                # the loss, so non-resilient waiters (OpByOp clients on
-                # handles_ready, run_and_wait on done) observe the
-                # failure instead of wedging forever.
-                self._abort_unsettled(exc)
-                raise
-            failure = exc
-        self.system.programs_dispatched += 1
-        if not self.handles_ready.triggered:
-            self.handles_ready.succeed(None)
-        if not self.retry_on_failure:
-            return
-
-        # Fault-tolerant supervision: wait for every node; on a device
-        # loss, recover (remap + re-lower) and replay the lost nodes.
-        while True:
-            if failure is None:
-                try:
-                    yield self.done
-                except Exception as exc:  # noqa: BLE001 - loss triggers replay
-                    failure = exc
-            if failure is None:
-                self.finished.succeed(None)
-                return
-            if (
-                self.attempts >= self.max_attempts
-                or self.system.recovery is None
-                or unwrap_fault(failure) is None
-            ):
-                # Out of budget, no recovery attached, or the loss is not
-                # a hardware fault at all (e.g. DeadlineExceeded —
-                # replaying would just expire again): abandon.
-                self.client.executions_abandoned += 1
-                self.finished.fail(ExecutionAbandoned(self.name, self.attempts, failure))
-                return
-            cause, failure = failure, None
-            try:
-                yield from self._recover_and_replay(cause)
-            except Exception as exc:  # noqa: BLE001 - fresh fault or fatal
-                if unwrap_fault(exc) is not None:
-                    # A fresh fault (device loss or host crash, possibly
-                    # wrapped in ProcessFailed) struck during
-                    # the replay itself (e.g. sequential dispatch waits
-                    # on nodes inline).  Feed it back into the loop so
-                    # the remaining max_attempts budget applies, exactly
-                    # as in parallel mode.
-                    failure = exc
-                else:  # remap exhausted, etc.
-                    self.client.executions_abandoned += 1
-                    self.finished.fail(
-                        ExecutionAbandoned(self.name, self.attempts, exc)
-                    )
-                    return
-
-    def _dispatch_once(self, nodes: list[LowLevelNode], first: bool) -> Generator:
+    def _pass(self, nodes: list[LowLevelNode], first: bool) -> None:
         """One controller pass over ``nodes`` (all of them on the first
         attempt; the lost subset on replays)."""
         self.attempts += 1
+        self._loss = None
+        self._remaining = len(nodes)
+        self._in_pass = True
+        # Released when the pass ends.
+        self.client.controller.acquire(functools.partial(self._plan, nodes, first))  # repro: noqa[RPR005]
+
+    def _plan(self, nodes: list[LowLevelNode], first: bool, exc=None) -> None:
+        """The controller thread is ours.  PARALLEL: one planning pass
+        over the whole subgraph (the fan-out work Figure 6 measures),
+        then one subgraph-describing message per island (minimizes
+        traffic, paper §4.5)."""
+        if self.mode is DispatchMode.SEQUENTIAL:
+            self.sim.process(
+                self._sequential_pass(nodes, first),
+                name=lambda: f"sequential {self.name}",
+            )
+            return
         cfg = self.config
         n_nodes = len(nodes)
         hosts = self.low.total_hosts_logical
-        yield self.client.controller.request()
-        try:
-            if self.mode is DispatchMode.PARALLEL:
-                # Controller fan-out work, serialized on this client's
-                # controller thread: one planning pass over the whole
-                # subgraph.  This is the quantity Figure 6 measures.
-                controller_us = (
-                    cfg.coordinator_base_us
-                    + cfg.coordinator_work_per_host_us * hosts
-                    + cfg.cpp_dispatch_us * n_nodes
-                    + cfg.coordinator_node_per_host_us * n_nodes * hosts
-                )
-                yield self.sim.timeout(controller_us)
-                yield from self._dispatch_parallel(nodes, seed_args=first)
-            else:
-                yield from self._dispatch_sequential(nodes, seed_args=first)
-        finally:
-            self.client.controller.release()
+        controller_us = (
+            cfg.coordinator_base_us
+            + cfg.coordinator_work_per_host_us * hosts
+            + cfg.cpp_dispatch_us * n_nodes
+            + cfg.coordinator_node_per_host_us * n_nodes * hosts
+        )
+        self.sim.timeout(controller_us).add_callback(
+            functools.partial(self._send_subgraph, nodes, first)
+        )
 
-    # -- parallel asynchronous dispatch ----------------------------------------
-    def _dispatch_parallel(self, nodes: list[LowLevelNode], seed_args: bool = True) -> Generator:
-        # One subgraph-describing message per island (minimizes traffic,
-        # paper §4.5); the controller does not wait for completions.
-        yield self.sim.timeout(self.config.dcn_latency_us)
-        feeds = self._wire_dataflow(nodes, seed_args=seed_args)
+    def _send_subgraph(self, nodes: list[LowLevelNode], first: bool, ev: Event) -> None:
+        self.sim.timeout(self.config.dcn_latency_us).add_callback(
+            functools.partial(self._hand_off, nodes, first)
+        )
+
+    def _hand_off(self, nodes: list[LowLevelNode], first: bool, ev: Event) -> None:
+        """The subgraph message has landed: start the edge feeds and the
+        node chains island-side, and release the controller thread
+        without waiting for completions."""
+        feeds = self._wire_dataflow(nodes, seed_args=first)
         self._dispatched.update(node.node_id for node in nodes)
-        # The controller thread is released as soon as the subgraph
-        # message is out; the node chains run island-side.
         self._launch(feeds, nodes)
+        self.client.controller.release()
+        self._pass_ended(first)
 
     def _launch(self, feeds: list[LowLevelNode], nodes: list[LowLevelNode]) -> None:
-        """Start the edge feeders of ``feeds``, then the chains of
-        ``nodes``, in one loop entry.
+        """Start the edge feeds of ``feeds``, then the chains of ``nodes``."""
+        for node in feeds:
+            _Feed(self, node).start()
+        for node in nodes:
+            _NodeChain(self, node).start()
 
-        The entry takes the place in the zero-delay FIFO of the first
-        per-node bootstrap a generator process would have queued, and
-        starts everything in the order those bootstraps ran.
-        """
-        if not (feeds or nodes):
+    def _sequential_pass(self, nodes: list[LowLevelNode], first: bool) -> Generator:
+        failure: Optional[BaseException] = None
+        try:
+            yield from self._dispatch_sequential(nodes, seed_args=first)
+        except Exception as exc:  # noqa: BLE001 - sequential-mode loss
+            failure = exc
+        self.client.controller.release()
+        self._pass_ended(first, failure)
+
+    def _pass_ended(self, first: bool, failure: Optional[BaseException] = None) -> None:
+        """The controller pass is over; ``failure`` is what stopped a
+        sequential pass early."""
+        self._in_pass = False
+        if first:
+            if failure is not None and not self.retry_on_failure:
+                # Settle every externally-visible event, so non-resilient
+                # waiters (OpByOp clients on handles_ready, run_and_wait
+                # on done) observe the failure instead of wedging forever.
+                self._abort_unsettled(failure)
+            else:
+                self.system.programs_dispatched += 1
+                if not self.handles_ready.triggered:
+                    self.handles_ready.succeed(None)
+        if not self.retry_on_failure:
+            self.sim._live_chains.pop(self, None)
             return
+        if failure is not None and self._loss is None:
+            self._loss = failure
+        self._supervise()
 
-        def start(ev: Event) -> None:
-            for node in feeds:
-                _Feed(self, node).start()
-            for node in nodes:
-                _NodeChain(self, node).start()
+    def _supervise(self) -> None:
+        """Retry mode, no pass running: settle :attr:`done`, or recover
+        (remap + re-lower) and replay the lost nodes.  While a recovery
+        runs, ``_loss`` stays set, so the failed attempt's other losses
+        do not start another."""
+        loss = self._loss
+        if loss is None:
+            if self._remaining == 0:
+                self._settle_done(None)
+            return
+        if (
+            self.attempts >= self.max_attempts
+            or self.system.recovery is None
+            or unwrap_fault(loss) is None
+        ):
+            # Out of budget, no recovery attached, or the loss is not a
+            # hardware fault at all (e.g. DeadlineExceeded — replaying
+            # would just expire again): abandon.
+            self.client.executions_abandoned += 1
+            self._settle_done(ExecutionAbandoned(self.name, self.attempts, loss))
+            return
+        self.sim.process(self._recover(loss), name=lambda: f"recover {self.name}")
 
-        kick = self.sim.event()
-        kick.callbacks.append(start)
-        kick.succeed()
+    def _settle_done(self, exc: Optional[BaseException]) -> None:
+        """Settle :attr:`done` and close the ``exec:`` span."""
+        if exc is None:
+            self.done.succeed(None)
+        else:
+            self.done.fail(exc)
+        if not self._in_pass:
+            self.sim._live_chains.pop(self, None)
+        if self._span is not None:
+            self.sim.tracer.end(self._span)
 
     def _submit(self, node: LowLevelNode):
         """Hand a prepped node to its island's gang scheduler."""
@@ -419,30 +417,16 @@ class ProgramExecution:
     def _wire_dataflow(
         self, nodes: list[LowLevelNode], seed_args: bool = True
     ) -> list[LowLevelNode]:
-        """Create gates for inter-node edges; returns the nodes whose
-        edges move data, for :meth:`_launch` to start their feeders.
+        """Create gates for inter-node edges; returns the nodes that have
+        incoming edges, for :meth:`_launch` to start their feeds.
 
         On replay attempts ``nodes`` is the lost subset: their gates and
         transfers are rebuilt against the (possibly pre-triggered)
         completion events of preserved producers.
         """
-        feeds = []
-        for node in nodes:
-            if node.incoming:
-                self._gates[node.node_id] = self.sim.event()
-        for node in nodes:
-            if not node.incoming:
-                continue
-            if all(
-                spec.route is TransferRoute.LOCAL or spec.nbytes == 0
-                for spec in node.incoming
-            ):
-                # Fast path: no data actually moves (same-group edges),
-                # so the gate opens directly off the producers' completion
-                # — no per-edge transfer, no feeder.
-                self._wire_local_gate(node)
-            else:
-                feeds.append(node)
+        feeds = [node for node in nodes if node.incoming]
+        for node in feeds:
+            self._gates[node.node_id] = self.sim.event()
         # Arg values seed the logical evaluation.
         if seed_args and self.compute_values:
             arg_nodes = self.low.source.arg_nodes
@@ -451,38 +435,20 @@ class ProgramExecution:
         # Node completion triggers value computation + refcount release.
         for node in nodes:
             self._node_done[node.node_id].add_callback(
-                lambda ev, n=node: self._on_node_done(n, ev)
+                functools.partial(self._on_node_done, node)
             )
         return feeds
 
-    def _wire_local_gate(self, node: LowLevelNode) -> None:
-        """Open ``node``'s gate when all (local, zero-byte) producers
-        settle — the no-data-movement analogue of :class:`_Feed`.
-
-        Failure semantics match the feeder: a lost producer *fails* the
-        gate so the gated kernel at the head of its device queue is
-        released with the failure instead of wedging the queue.
-        """
-        gate = self._gates[node.node_id]
-        producers = [self._node_done[spec.src_node] for spec in node.incoming]
-        barrier = producers[0] if len(producers) == 1 else self.sim.all_of(producers)
-
-        def _open(ev: Event, gate: Event = gate) -> None:
-            if gate.triggered:
-                return
-            if ev._exc is not None:
-                gate.fail(ev._exc)
-            else:
-                gate.succeed(None)
-
-        barrier.add_callback(_open)
-
     # -- completion bookkeeping ----------------------------------------------
-    def _on_node_done(self, node: LowLevelNode, ev: Optional[Event] = None) -> None:
-        if ev is not None and not ev.ok:
-            # The node was lost, not completed: no values, no releases —
-            # the replay path rebuilds it.
-            return
+    def _on_node_done(self, node: LowLevelNode, ev: Event) -> None:
+        exc = ev._exc
+        if exc is None:
+            # A lost node has no values and no releases: the replay path
+            # rebuilds it.
+            self._record_completion(node)
+        self._node_settled(exc)
+
+    def _record_completion(self, node: LowLevelNode) -> None:
         self._completed_at[node.node_id] = self.sim.now
         self.system.computations_executed += 1
         if self.compute_values and node.computation.fn is not None:
@@ -530,6 +496,22 @@ class ProgramExecution:
                 )
             )
 
+    def _node_settled(self, exc: Optional[BaseException]) -> None:
+        """Count one node of the current attempt in, or record its loss."""
+        if exc is None:
+            self._remaining -= 1
+            if self._remaining == 0 and not (self.retry_on_failure and self._in_pass):
+                self._settle_done(None)
+        elif not self.retry_on_failure:
+            if not self.done.triggered:
+                self._settle_done(exc)
+        elif self._loss is None:
+            # Handled now, or when the running pass ends.  The attempt's
+            # later losses, during the pass or the recovery, join this one.
+            self._loss = exc
+            if not self._in_pass:
+                self._supervise()
+
     def _note_deadline(self, exc: BaseException) -> None:
         """Record a deadline eviction as a typed per-client rejection.
 
@@ -551,7 +533,7 @@ class ProgramExecution:
             if not ev.triggered:
                 ev.fail(exc)
 
-    def _recover_and_replay(self, cause: BaseException) -> Generator:
+    def _recover(self, cause: BaseException) -> Generator:
         """The ``retry_on_failure`` path (paper's operability story):
 
         1. quiesce — wait until every dispatched node of the failed
@@ -564,7 +546,6 @@ class ProgramExecution:
            executors and are re-dispatched; checkpointed nodes keep their
            results (their restore cost is paid here).
         """
-        recovery = self.system.recovery
         tr = self.sim.tracer
         if tr is not None:
             tr.instant(
@@ -577,7 +558,15 @@ class ProgramExecution:
         yield self.sim.all_settled(
             [self._node_done[nid] for nid in sorted(self._dispatched)]
         )
-        yield from recovery.recover_program(self)
+        try:
+            yield from self.system.recovery.recover_program(self)
+        except Exception as exc:  # noqa: BLE001 - fresh fault or fatal
+            # A fresh fault (device loss or host crash, possibly wrapped
+            # in ProcessFailed) goes back through the attempt budget;
+            # anything else (remap exhausted, etc.) abandons.
+            self._loss = exc
+            self._supervise()
+            return
 
         # Re-lower onto the remapped slices (same node ids: lowering is
         # deterministic over the same source graph).
@@ -620,10 +609,7 @@ class ProgramExecution:
             self._node_done[node.node_id] = ex.all_kernels_done
             self._completed_at.pop(node.node_id, None)
             self._node_values.pop(node.node_id, None)
-        # The cached `done` barrier watches the lost attempt's events;
-        # the next access must rebuild it over the fresh ones.
-        self._done_cache = None
-        yield from self._dispatch_once(replay, first=False)
+        self._pass(replay, first=False)
 
     def _attach_result_handles(self, node_id: int) -> None:
         """Point result futures at the now-allocated output handles."""

@@ -34,7 +34,7 @@ Typical wiring::
     FaultInjector(recovery, schedule)
     execution = client.submit(program, args, retry_on_failure=True,
                               checkpoint=ckpt)
-    # drivers wait on execution.finished
+    # drivers wait on execution.done
 """
 
 from repro.resilience.checkpoint import CheckpointManager

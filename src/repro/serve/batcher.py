@@ -180,7 +180,7 @@ class ContinuousBatcher:
             for r in batch:
                 r.batch_label = execution.name
         replica.in_flight.append(execution)
-        execution.finished.add_callback(
+        execution.done.add_callback(
             lambda ev, b=batch, e=execution: self._on_batch_done(ev, b, e)
         )
 

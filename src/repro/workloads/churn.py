@@ -91,7 +91,7 @@ def _resilient_driver(
             checkpoint=ckpt,
         )
         try:
-            yield execution.finished
+            yield execution.done
         except ExecutionAbandoned:
             stats["abandoned"] += 1
             break

@@ -140,7 +140,7 @@ def _prober(
             max_attempts=16,
         )
         try:
-            yield execution.finished if resilient else execution.done
+            yield execution.done
         except Exception:  # noqa: BLE001 - abandoned probe
             stats["failures"] += 1
         else:

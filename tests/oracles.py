@@ -21,13 +21,22 @@ no production path that selects it:
   ``Process`` reading a mailbox, the reference for the callback state
   machine of :class:`repro.core.scheduler.IslandScheduler`.
 
+* :func:`patch_driver` — each ``ProgramExecution`` driven by one
+  generator ``Process`` (:func:`run_execution`): controller passes,
+  supervision and loss recovery inline, ``done`` settled as an
+  ``AllOf`` over the nodes' completion events without
+  ``retry_on_failure`` and by the driver with it.  The reference for
+  the callback driver of :mod:`repro.core.dispatch`.
+
 ``test_fluid_solver.py`` swaps the solver in (by patching
 ``repro.net.fabric.ScopedFluidSolver``) and asserts byte-identical
 results; ``test_resilience.py`` compares the fault schedules event for
 event; ``test_dispatch_chain.py`` patches
 ``ProgramExecution._launch`` with :func:`launch_processes` and compares
-results and per-node completion times; ``test_scheduler_oracle.py``
-runs random timed scripts against both schedulers.  The timer queue
+results and per-node completion times, and ``test_execution_driver.py``
+runs random DAGs under random faults through both drivers;
+``test_scheduler_oracle.py`` runs random timed scripts against both
+schedulers.  The timer queue
 needs no oracle: :class:`repro.sim.TimerQueue`
 is itself the plain ``(when, seq)`` heap, and ``test_timer_queue.py``
 checks it against a sorted list of the live entries.
@@ -40,20 +49,26 @@ from typing import Generator, Iterable
 
 import numpy as np
 
+from repro.core.dispatch import DispatchMode, ExecutionAbandoned, ProgramExecution
+from repro.core.executor import NodeExecutor
 from repro.core.ir import TransferRoute
 from repro.core.object_store import MemorySpace
 from repro.core.scheduler import DeadlineExceeded, GangRequest
-from repro.hw.device import DeviceFailure
+from repro.hw.device import DeviceFailure, unwrap_fault
 from repro.resilience import FaultEvent, FaultKind
 from repro.sim import Event
 
 __all__ = [
     "DenseFluidSolver",
     "MailboxScheduler",
+    "dispatch_once",
     "feed_node",
     "launch_processes",
     "one_transfer",
+    "patch_driver",
     "prep",
+    "recover_and_replay",
+    "run_execution",
     "run_node",
     "scalar_poisson_device_failures",
 ]
@@ -343,6 +358,135 @@ def one_transfer(execution, spec, producer_done: Event, node) -> Generator:
         yield execution.system.transport.send(
             src_group.hosts[0], node.group.hosts[0], per_host
         )
+
+
+# -- the execution driver as one generator Process ---------------------------
+def patch_driver(mp) -> None:
+    """Drive every ``ProgramExecution`` by :func:`run_execution`
+    (``mp`` is a ``pytest.MonkeyPatch``)."""
+    mp.setattr(
+        ProgramExecution, "start", lambda self: self.sim.process(run_execution(self))
+    )
+    mp.setattr(ProgramExecution, "_node_settled", lambda self, exc: None)
+
+
+def _mirror(barrier: Event, done: Event) -> None:
+    def settle(ev: Event) -> None:
+        if ev._exc is None:
+            done.succeed(None)
+        else:
+            done.fail(ev._exc)
+
+    barrier.add_callback(settle)
+
+
+def run_execution(execution) -> Generator:
+    """The driver: one pass over every node, then, with
+    ``retry_on_failure``, wait for the nodes and recover and replay
+    after each loss."""
+    ex = execution
+    if ex.mode is DispatchMode.PARALLEL and any(
+        not node.computation.is_regular for node in ex.low.nodes
+    ):
+        ex.mode = DispatchMode.SEQUENTIAL
+    if not ex.retry_on_failure:
+        _mirror(ex.sim.all_of(list(ex._node_done.values())), ex.done)
+    failure = None
+    try:
+        yield from dispatch_once(ex, ex.low.nodes, first=True)
+    except Exception as exc:  # noqa: BLE001 - sequential-mode loss
+        if not ex.retry_on_failure:
+            ex._abort_unsettled(exc)
+            raise
+        failure = exc
+    ex.system.programs_dispatched += 1
+    if not ex.handles_ready.triggered:
+        ex.handles_ready.succeed(None)
+    if not ex.retry_on_failure:
+        return
+    while True:
+        if failure is None:
+            try:
+                yield ex.sim.all_of(list(ex._node_done.values()))
+            except Exception as exc:  # noqa: BLE001 - loss triggers replay
+                failure = exc
+        if failure is None:
+            ex.done.succeed(None)
+            return
+        if (
+            ex.attempts >= ex.max_attempts
+            or ex.system.recovery is None
+            or unwrap_fault(failure) is None
+        ):
+            ex.client.executions_abandoned += 1
+            ex.done.fail(ExecutionAbandoned(ex.name, ex.attempts, failure))
+            return
+        cause, failure = failure, None
+        try:
+            yield from recover_and_replay(ex, cause)
+        except Exception as exc:  # noqa: BLE001 - fresh fault or fatal
+            if unwrap_fault(exc) is not None:
+                failure = exc
+            else:
+                ex.client.executions_abandoned += 1
+                ex.done.fail(ExecutionAbandoned(ex.name, ex.attempts, exc))
+                return
+
+
+def dispatch_once(ex, nodes, first: bool) -> Generator:
+    """One controller pass, holding the controller thread throughout."""
+    ex.attempts += 1
+    cfg = ex.config
+    hosts = ex.low.total_hosts_logical
+    yield ex.client.controller.request()
+    try:
+        if ex.mode is DispatchMode.PARALLEL:
+            yield ex.sim.timeout(
+                cfg.coordinator_base_us
+                + cfg.coordinator_work_per_host_us * hosts
+                + cfg.cpp_dispatch_us * len(nodes)
+                + cfg.coordinator_node_per_host_us * len(nodes) * hosts
+            )
+            yield ex.sim.timeout(cfg.dcn_latency_us)
+            feeds = ex._wire_dataflow(nodes, seed_args=first)
+            ex._dispatched.update(node.node_id for node in nodes)
+            ex._launch(feeds, nodes)
+        else:
+            yield from ex._dispatch_sequential(nodes, seed_args=first)
+    finally:
+        ex.client.controller.release()
+
+
+def recover_and_replay(ex, cause) -> Generator:
+    """Quiesce, recover, re-lower, then replay the nodes the checkpoint
+    does not cover."""
+    yield ex.sim.all_settled([ex._node_done[nid] for nid in sorted(ex._dispatched)])
+    yield from ex.system.recovery.recover_program(ex)
+    ex.low = ex.client.lower(ex.low.source)
+    ckpt = ex.checkpoint
+    preserved = set()
+    if ckpt is not None:
+        cut = ckpt.last_checkpoint_us
+        preserved = {nid for nid, t in ex._completed_at.items() if t <= cut}
+    replay = [n for n in ex.low.nodes if n.node_id not in preserved]
+    if ckpt is not None and replay:
+        restore_us = ckpt.restore_cost_us()
+        if restore_us > 0:
+            yield ex.sim.timeout(restore_us)
+    ex._dispatched = set(preserved)
+    for node in replay:
+        old = ex._executors.get(node.node_id)
+        if old is not None and old.output_handle is not None and old.prep_done:
+            ex.system.object_store.discard(old.output_handle)
+        fresh = NodeExecutor(
+            ex.sim, ex.config, ex.system.object_store, node,
+            owner=ex.client.name, program=ex.low.name,
+        )
+        ex._executors[node.node_id] = fresh
+        ex._node_done[node.node_id] = fresh.all_kernels_done
+        ex._completed_at.pop(node.node_id, None)
+        ex._node_values.pop(node.node_id, None)
+    yield from dispatch_once(ex, replay, first=False)
 
 
 # -- the island grant loop as a generator reading a mailbox ------------------

@@ -353,7 +353,7 @@ class TestDeadlineEviction:
                 deadline_us=1_000.0,
             )
             try:
-                yield bounded.finished
+                yield bounded.done
             except ExecutionAbandoned as exc:
                 results["abandoned"] = exc
             yield hog.done

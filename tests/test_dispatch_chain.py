@@ -143,7 +143,7 @@ class TestDeadlineEvictions:
                 deadline_us=1_000.0,
             )
             try:
-                yield bounded.finished
+                yield bounded.done
             except ExecutionAbandoned as exc:
                 results["abandoned"] = exc
             results["execution"] = bounded
@@ -186,8 +186,8 @@ class TestPrepOnFailedDevice:
         ex = client.submit(
             step.solo_program, (0.0,), compute_values=False, retry_on_failure=True
         )
-        system.sim.run_until_triggered(ex.finished, limit=1e7)
-        assert ex.finished.ok
+        system.sim.run_until_triggered(ex.done, limit=1e7)
+        assert ex.done.ok
         assert ex.attempts == 2
         assert victim not in devs.group.devices
         ex.release_results()

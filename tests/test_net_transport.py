@@ -522,8 +522,8 @@ class TestDispatchRouteLossRecovery:
         execution = client.submit(
             program, (arr,), compute_values=False, retry_on_failure=True
         )
-        system.sim.run_until_triggered(execution.finished)
-        assert execution.finished.ok
+        system.sim.run_until_triggered(execution.done)
+        assert execution.done.ok
         assert system.transport.messages_lost >= 1
         assert recovery.messages_lost >= 1
         assert execution.attempts >= 2  # the lost node really replayed
@@ -577,8 +577,8 @@ class TestDispatchRouteLossRecovery:
         execution = client.submit(
             program, (arr,), compute_values=False, retry_on_failure=True
         )
-        system.sim.run_until_triggered(execution.finished)
-        assert execution.finished.ok
+        system.sim.run_until_triggered(execution.done)
+        assert execution.done.ok
         assert system.transport.messages_lost >= 1
         assert system.cluster.fabric.idle  # no link capacity leaked
 

@@ -539,8 +539,8 @@ class TestRetryOnFailure:
         ex = client.submit(
             step.solo_program, (0.0,), compute_values=False, retry_on_failure=True
         )
-        small_system.sim.run_until_triggered(ex.finished, limit=1e7)
-        assert ex.finished.ok
+        small_system.sim.run_until_triggered(ex.done, limit=1e7)
+        assert ex.done.ok
         assert ex.attempts == 2
         assert recovery.programs_recovered == 1
         assert devs.version == 2  # remapped once
@@ -558,8 +558,8 @@ class TestRetryOnFailure:
             step.solo_program, (0.0,), compute_values=False, retry_on_failure=True
         )
         with pytest.raises(ExecutionAbandoned):
-            small_system.sim.run_until_triggered(ex.finished, limit=1e7)
-        assert ex.finished.triggered and not ex.finished.ok
+            small_system.sim.run_until_triggered(ex.done, limit=1e7)
+        assert ex.done.triggered and not ex.done.ok
 
     def test_island_preemption_waits_and_replays(self):
         system = PathwaysSystem.build(ClusterSpec(islands=((1, 4),), name="solo"))
@@ -572,8 +572,8 @@ class TestRetryOnFailure:
         ex = client.submit(
             step.solo_program, (0.0,), compute_values=False, retry_on_failure=True
         )
-        system.sim.run_until_triggered(ex.finished, limit=1e8)
-        assert ex.finished.ok
+        system.sim.run_until_triggered(ex.done, limit=1e8)
+        assert ex.done.ok
         # The retry could only land after the preemption ended.
         assert system.sim.now > 31_000.0
         assert recovery.preemptions == 1
@@ -594,8 +594,8 @@ class TestRetryOnFailure:
         ex = client.submit(
             step.solo_program, (0.0,), compute_values=False, retry_on_failure=True
         )
-        system.sim.run_until_triggered(ex.finished, limit=1e7)
-        assert ex.finished.ok
+        system.sim.run_until_triggered(ex.done, limit=1e7)
+        assert ex.done.ok
         # Elasticity: the slice migrated to the other island rather than
         # waiting out the (long) preemption.
         assert devs.group.island.island_id != home
@@ -638,8 +638,8 @@ class TestRetryMultiNode:
         ex = client.submit(
             program, (scalar,), compute_values=False, retry_on_failure=True,
         )
-        system.sim.run_until_triggered(ex.finished, limit=1e8)
-        assert ex.finished.ok
+        system.sim.run_until_triggered(ex.done, limit=1e8)
+        assert ex.done.ok
         assert ex.attempts >= 2
         # The consumer island's devices survived the poisoned gate.
         assert all(not d.failed for d in two_island_system.cluster.islands[1].devices)
@@ -699,8 +699,8 @@ class TestRetryMultiNode:
         ex = client.submit(
             program, (scalar,), compute_values=False, retry_on_failure=True,
         )
-        system.sim.run_until_triggered(ex.finished, limit=1e8)
-        assert ex.finished.ok
+        system.sim.run_until_triggered(ex.done, limit=1e8)
+        assert ex.done.ok
         assert ex.attempts >= 2
 
     def test_sequential_mode_double_fault_uses_attempt_budget(self, small_system):
@@ -719,8 +719,8 @@ class TestRetryMultiNode:
             step.solo_program, (0.0,), compute_values=False,
             retry_on_failure=True, max_attempts=8, mode=DispatchMode.SEQUENTIAL,
         )
-        small_system.sim.run_until_triggered(ex.finished, limit=1e8)
-        assert ex.finished.ok
+        small_system.sim.run_until_triggered(ex.done, limit=1e8)
+        assert ex.done.ok
         assert ex.attempts >= 2
 
 
@@ -779,8 +779,8 @@ class TestHbmWaiterCancellation:
         small_system.sim.timeout(5_000.0).add_callback(
             lambda ev: recovery.fail_device(victim)
         )
-        small_system.sim.run_until_triggered(ex.finished, limit=1e7)
-        assert ex.finished.ok
+        small_system.sim.run_until_triggered(ex.done, limit=1e7)
+        assert ex.done.ok
         assert victim.hbm.cancellations >= 1
         assert victim.device_id not in [d.device_id for d in devs.group.devices]
 
@@ -800,7 +800,7 @@ class TestHbmWaiterCancellation:
         small_system.sim.timeout(5_000.0).add_callback(
             lambda ev: recovery.fail_device(victim)
         )
-        small_system.sim.run_until_triggered(ex.finished, limit=1e7)
+        small_system.sim.run_until_triggered(ex.done, limit=1e7)
         ex.release_results()
         # The aborted attempt's partial grants were returned; only the
         # hog remains on the victim.
@@ -871,8 +871,8 @@ class TestHostCrashPrepPath:
         ex = client.submit(
             step.solo_program, (0.0,), compute_values=False, retry_on_failure=True
         )
-        system.sim.run_until_triggered(ex.finished, limit=1e8)
-        assert ex.finished.ok
+        system.sim.run_until_triggered(ex.done, limit=1e8)
+        assert ex.done.ok
         assert ex.attempts >= 2
         assert host.preps_aborted >= 1
         surviving_hosts = {d.host.host_id for d in devs.group.devices}
@@ -906,8 +906,8 @@ class TestHostCrashPrepPath:
             step.solo_program, (0.0,), compute_values=False,
             retry_on_failure=True, mode=DispatchMode.SEQUENTIAL,
         )
-        system.sim.run_until_triggered(ex.finished, limit=1e8)
-        assert ex.finished.ok
+        system.sim.run_until_triggered(ex.done, limit=1e8)
+        assert ex.done.ok
         assert ex.attempts >= 3
 
 
@@ -1172,8 +1172,8 @@ class TestDrainVsKill:
                 step.solo_program, (0.0,), compute_values=False,
                 retry_on_failure=True,
             )
-            system.sim.run_until_triggered(ex.finished, limit=1e7)
-        assert ex.finished.ok
+            system.sim.run_until_triggered(ex.done, limit=1e7)
+        assert ex.done.ok
         assert recovery.remaps >= 1
         assert devs.island_id is None           # unpinned by recovery
         assert devs.group.island.island_id == 0  # migrated off the drain

@@ -208,10 +208,10 @@ def _schedule_digest(schedule) -> str:
 #: Identical across PYTHONHASHSEED values; update only for a change that
 #: deliberately alters simulated behaviour, and say so in its description.
 GOLDEN_DIGESTS = {
-    "churn": "83ee604f5d38e71bbe1d894ec9e09c02224f39513d2e92d163d5e42e55b3a7da",
-    "contended_fabric": "594f6b1400c7430a580f207cc2257496ebbef3c0432079d0e8b8215dbbabb27e",
-    "ecmp_reroute": "24b7a428122007dec2872c9f85b318754be366733180fae15faa8529c7769db6",
-    "serving": "bcfa6c766c19ebd242a07d2e87958c804cc6a4dc9f183e6d772291f0a05a3603",
+    "churn": "f3f71801fd12c01d4a5a6f6f59b0ae0c493727cb2895e4b0915e44f5caec2557",
+    "contended_fabric": "efa12f3e5f0a2a8762aa8de364fc2cadbe6bac5999343a468b52e63f2f48f41b",
+    "ecmp_reroute": "ee499fafca39f81c00e5a2dfd2c509c800569e216dfa04e1a95ce48dc90352a0",
+    "serving": "a57823c858183936633c759fcf9d16f2d1e8463b6b73798a6c6925b302059794",
 }
 
 _GOLDEN_RUNS = {
