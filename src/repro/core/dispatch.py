@@ -289,12 +289,11 @@ class ProgramExecution:
                 self.system.programs_dispatched += 1
                 if not self.handles_ready.triggered:
                     self.handles_ready.succeed(None)
-        if not self.retry_on_failure:
-            self.sim._live_chains.pop(self, None)
-            return
-        if failure is not None and self._loss is None:
-            self._loss = failure
-        self._supervise()
+        if self.retry_on_failure:
+            if failure is not None and self._loss is None:
+                self._loss = failure
+            self._supervise()
+        self._retire_if_idle()
 
     def _supervise(self) -> None:
         """Retry mode, no pass running: settle :attr:`done`, or recover
@@ -306,6 +305,12 @@ class ProgramExecution:
             if self._remaining == 0:
                 self._settle_done(None)
             return
+        # Nodes the failed pass never dispatched will not settle on their
+        # own; fail them so the feeds waiting on them leave the live-chain
+        # registry (``_loss`` is set, so this starts no other recovery).
+        for nid, ev in self._node_done.items():
+            if nid not in self._dispatched and not ev.triggered:
+                ev.fail(loss)
         if (
             self.attempts >= self.max_attempts
             or self.system.recovery is None
@@ -325,10 +330,16 @@ class ProgramExecution:
             self.done.succeed(None)
         else:
             self.done.fail(exc)
-        if not self._in_pass:
-            self.sim._live_chains.pop(self, None)
+        self._retire_if_idle()
         if self._span is not None:
             self.sim.tracer.end(self._span)
+
+    def _retire_if_idle(self) -> None:
+        """Leave the live-chain registry: the execution is live while a
+        pass runs and, with ``retry_on_failure``, until :attr:`done`
+        settles."""
+        if not self._in_pass and (self.done.triggered or not self.retry_on_failure):
+            self.sim._live_chains.pop(self, None)
 
     def _submit(self, node: LowLevelNode):
         """Hand a prepped node to its island's gang scheduler."""

@@ -413,6 +413,9 @@ def run_execution(execution) -> Generator:
         if failure is None:
             ex.done.succeed(None)
             return
+        for nid, ev in ex._node_done.items():
+            if nid not in ex._dispatched and not ev.triggered:
+                ev.fail(failure)
         if (
             ex.attempts >= ex.max_attempts
             or ex.system.recovery is None

@@ -153,6 +153,7 @@ class TestDriverOracle:
     @settings(max_examples=25, deadline=None)
     def test_random_faults_match_the_process_driver(self, scn):
         got = _run(scn)
+        assert got["run"] is None
         with pytest.MonkeyPatch.context() as mp:
             oracles.patch_driver(mp)
             want = _run(scn)
@@ -195,6 +196,28 @@ class TestContract:
         system.sim.run()
         assert execution.done.ok and execution.attempts == 1
         assert created == []
+
+    def test_sequential_replay_drains_after_a_loss_at_the_first_node(self):
+        # The first node's loss leaves the other two undispatched; the
+        # third node's feed waits on the second, which the failed pass
+        # never ran.  The replay must still leave nothing live.
+        system, client, program = _chain(3)
+        clean = client.submit(program, (0.0,), mode=DispatchMode.SEQUENTIAL)
+        system.sim.run()
+        first_done = min(clean._completed_at.values())
+
+        system, client, program = _chain(3)
+        recovery = RecoveryManager(system)
+        execution = client.submit(
+            program, (0.0,), mode=DispatchMode.SEQUENTIAL, retry_on_failure=True
+        )
+        victim = execution.low.nodes[0].group.devices[0]
+        # Mid-kernel: each step runs for 100 us.
+        system.sim.timeout(first_done - 50.0).add_callback(
+            lambda ev: recovery.fail_device(victim)
+        )
+        system.sim.run()
+        assert execution.done.ok and execution.attempts == 2
 
     def test_sequential_done_fires_at_the_last_node_before_the_handle_trip(self):
         system, client, program = _chain(3)
