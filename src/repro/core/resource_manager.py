@@ -97,7 +97,24 @@ class ResourceManager:
         returning (``"repair"``, ``"restore"``, ``"preemption-end"``) —
         the signals elastic scale-up grows on.
         """
+        # A subscriber must hear every repair at its instant: no device
+        # may stay cold while one is attached.
+        for isl in self._islands.values():
+            if isl._fault_clock is not None:
+                isl._fault_clock.warm(isl.devices)
         self._capacity_listeners.append(fn)
+
+    @property
+    def has_capacity_subscribers(self) -> bool:
+        return bool(self._capacity_listeners)
+
+    def bound_device_ids(self) -> set[int]:
+        """Ids of every device in a bound slice's group."""
+        return {
+            d.device_id
+            for s in self._bound.values() if s.bound
+            for d in s.group.devices
+        }
 
     def capacity_changed(self, reason: str, island_id: int) -> None:
         """Notify subscribers that usable capacity changed."""
@@ -244,6 +261,8 @@ class ResourceManager:
                 n_hosts_logical=n_hosts_logical,
             )
         self._cursor[island.island_id] = self._cursor.get(island.island_id, 0) + n
+        if island._fault_clock is not None:
+            island._fault_clock.warm(group.devices)
         vslice.bind(group)
         self._bound[vslice.slice_id] = vslice
         return group
@@ -251,7 +270,10 @@ class ResourceManager:
     def release_slice(self, vslice: VirtualSlice) -> None:
         island_id = vslice.group.island.island_id if vslice.bound else None
         self._bound.pop(vslice.slice_id, None)
-        vslice.unbind()
+        group = vslice.unbind()
+        if group is not None and group.island._fault_clock is not None:
+            # Devices left quiescent by their last slice turn cold.
+            group.island._fault_clock.settle(group.devices)
         if island_id is not None:
             for fn in list(self._release_listeners):
                 fn(island_id)

@@ -260,6 +260,9 @@ class IslandScheduler:
         their deadline — non-preemptible devices are already running
         them — so the timer is cancelled once the gang leaves pending.
         """
+        clock = self.island._fault_clock
+        if clock is not None:
+            clock.warm_ids(device_ids)
         req = GangRequest(
             client=client,
             program=program,
@@ -382,6 +385,24 @@ class IslandScheduler:
     def undrain(self) -> None:
         """Resume granting after a drain (island handed back / kept)."""
         self._deliver("undrain", None)
+
+    @property
+    def stalled(self) -> bool:
+        """Idle with requests pending that nothing can grant yet: any
+        control message, even an evict naming no gang, wakes the loop."""
+        return not self._busy and bool(self._pending)
+
+    def named_device_ids(self) -> set[int]:
+        """Devices a queued, pending, deciding or granted gang names,
+        or that still hold granted-work accounting."""
+        reqs = [*self._pending, *self._live_grants.values()]
+        reqs += [p for kind, p in self._inbox if kind == "req"]
+        if self._deciding is not None:
+            reqs.append(self._deciding)
+        named = set(self._outstanding)
+        for req in reqs:
+            named.update(req.device_ids)
+        return named
 
     @property
     def paused(self) -> bool:
@@ -559,6 +580,11 @@ class IslandScheduler:
             self._apply(*inbox.popleft())
         choice = self._pick()
         if choice is None:
+            clock = self.island._fault_clock
+            if self._pending and clock is not None:
+                # About to stall: a fault on any device of the island
+                # would then wake the loop, so none of them may stay cold.
+                clock.warm(self.island.devices)
             self._busy = False
         elif self.config.scheduler_decision_us > 0:
             self._deciding = choice

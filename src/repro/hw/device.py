@@ -81,6 +81,8 @@ class HbmAllocator:
         self._waiters: Deque[tuple[Event, int]] = deque()
         self.peak_used = 0
         self.cancellations = 0
+        if sim.sanitize and sim.sanitizer is not None:
+            sim.sanitizer.watch(self)
 
     @property
     def free(self) -> int:
@@ -98,7 +100,10 @@ class HbmAllocator:
                 f"{self.name}: request of {nbytes} bytes exceeds HBM capacity "
                 f"{self.capacity}"
             )
-        if self.device is not None and self.device.failed:
+        device = self.device
+        if device is not None and device.fault_clock is not None:
+            device.fault_clock.warm((device,))
+        if device is not None and device.failed:
             # Fail fast, mirroring enqueue-to-failed-device semantics: a
             # grant on a dead core would otherwise queue forever.
             ev = self.sim.event()
@@ -114,6 +119,24 @@ class HbmAllocator:
         ev = self.sim.event()
         self._waiters.append((ev, nbytes))
         return ev
+
+    def _sanitizer_problems(self) -> list[tuple[str, str]]:
+        """Drain-end invariants: no waiter may be left queued, and the
+        reservation stays within ``0 <= used <= capacity``."""
+        problems = []
+        if self._waiters:
+            problems.append((
+                "waiters",
+                f"{self.name} drained with {len(self._waiters)} allocation(s) "
+                "never granted or failed",
+            ))
+        if not 0 <= self.used <= self.capacity:
+            problems.append((
+                "capacity",
+                f"{self.name} drained with {self.used} bytes reserved of "
+                f"{self.capacity}",
+            ))
+        return problems
 
     def _grant(self, ev: Event, nbytes: int) -> None:
         self.used += nbytes
@@ -398,6 +421,11 @@ class Device:
         self.failed = False
         self.fail_count = 0
         self.kernels_aborted = 0
+        #: Set while the device is *cold*: it holds no live state, so a
+        #: fault injector owes it transitions it applies lazily (see
+        #: :class:`~repro.resilience.FaultInjector`).  Every touch warms
+        #: it first, which brings ``failed`` up to date.
+        self.fault_clock = None
         self._drain_next()
 
     @property
@@ -406,6 +434,8 @@ class Device:
 
     def enqueue(self, kernel: Kernel) -> Event:
         """Append a kernel to the FIFO; returns the kernel's done event."""
+        if self.fault_clock is not None:
+            self.fault_clock.warm((self,))
         if self.failed:
             # Fail fast: work sent to a dead device is lost immediately
             # (its gang peers are released too), never silently queued.
@@ -421,6 +451,8 @@ class Device:
     def fail(self, reason: str = "device failure") -> None:
         """Take the device down: abort the in-flight kernel, drop the
         queue, and stop the drain loop until :meth:`restart`."""
+        if self.fault_clock is not None:
+            self.fault_clock.warm((self,))
         if self.failed:
             return
         self.failed = True
@@ -453,6 +485,8 @@ class Device:
         reclaimed by the object store's discard path, keeping the strict
         alloc/free invariants intact).
         """
+        if self.fault_clock is not None:
+            self.fault_clock.warm((self,))
         if not self.failed:
             return
         self.failed = False
@@ -461,6 +495,32 @@ class Device:
         self._waiting_on = None
         self._phase = None
         self._drain_next()
+
+    def held_state(self) -> Optional[str]:
+        """The live state a fault here would touch: a running or queued
+        kernel, an HBM waiter or a crashed host (None when quiescent)."""
+        if self._current is not None:
+            return f"running kernel {self._current.tag or 'kernel'!r}"
+        if self._queue:
+            return f"{len(self._queue)} queued kernel(s)"
+        if self.hbm.queue_len:
+            return f"{self.hbm.queue_len} HBM waiter(s)"
+        if self.host is not None and self.host.failed:
+            return f"host {self.host.name} down"
+        return None
+
+    def apply_idle_fault(self, down: bool) -> None:
+        """Fail (``down``) or repair a quiescent device: exactly the
+        state :meth:`fail` or :meth:`restart` leaves on a device with no
+        kernel, no queue and no HBM waiter, without their abort and
+        drain work."""
+        if down:
+            self.failed = True
+            self.fail_count += 1
+            self._idle = False
+        else:
+            self.failed = False
+            self._idle = True
 
     def _abort_kernel(self, kernel: Optional[Kernel], cause: BaseException) -> None:
         if kernel is None:

@@ -71,6 +71,9 @@ class Island:
         self.ici = ICI(sim, config, island_id)
         self.hosts: list[Host] = []
         self.devices: list[Device] = []
+        #: The fault injector that may owe this island's cold devices
+        #: lazily applied transitions (None without one).
+        self._fault_clock = None
         mesh = Mesh.near_square(n_hosts * devices_per_host)
         self.mesh = mesh
         for h in range(n_hosts):
@@ -98,7 +101,11 @@ class Island:
 
     @property
     def healthy_devices(self) -> list[Device]:
-        """Devices currently able to accept work (resilience layer)."""
+        """Devices currently able to accept work (resilience layer).
+
+        Brings the fault state of cold devices up to ``sim.now`` first."""
+        if self._fault_clock is not None:
+            self._fault_clock.catch_up()
         return [d for d in self.devices if not d.failed]
 
     @property

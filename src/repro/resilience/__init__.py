@@ -7,7 +7,8 @@ wedging the gang-scheduled enqueue order.  This subsystem makes
 failure/recovery a first-class workload dimension of the simulator:
 
 * :mod:`repro.resilience.faults` — deterministic fault schedules
-  (hand-written or seeded Poisson MTBF draws) and the injector process;
+  (hand-written or seeded Poisson MTBF draws) and the injector, which
+  applies faults on idle devices without loop entries;
 * :mod:`repro.resilience.checkpoint` — periodic program-state
   snapshot/restore cost model over PCIe + DCN;
 * :mod:`repro.resilience.recovery` — central detection, scheduler

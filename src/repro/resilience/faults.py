@@ -8,21 +8,31 @@ hand-written (tests) or drawn from seeded exponential inter-arrival
 distributions (:meth:`FaultSchedule.poisson_device_failures`), which is
 how the recovery-overhead benchmark sweeps MTBF.
 
-The :class:`FaultInjector` walks the schedule on one timer and hands
-each event to the :class:`~repro.resilience.recovery.RecoveryManager`.
+The :class:`FaultInjector` delivers the schedule to the
+:class:`~repro.resilience.recovery.RecoveryManager`: faults that can
+touch live state on loop entries, at their instants, and faults and
+repairs on idle (*cold*) devices lazily, caught up from the frozen
+schedule whenever something reads device health.
 """
 
 from __future__ import annotations
 
 import bisect
+import heapq
+import math
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
-from typing import Iterable, Iterator, TYPE_CHECKING
+from typing import Iterable, Iterator, Optional, TYPE_CHECKING
 
 import numpy as np
 
+from repro.sim import TimerHandle
+from repro.sim.sanitize import WarmDeviceError
+
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.hw.device import Device
     from repro.resilience.recovery import RecoveryManager
 
 __all__ = ["FaultEvent", "FaultInjector", "FaultKind", "FaultSchedule"]
@@ -55,6 +65,9 @@ class FaultKind(Enum):
     ISLAND_PREEMPTION = "island_preemption"
     LINK_DOWN = "link_down"
     LINK_RESTORE = "link_restore"
+
+
+_DEVICE_FAILURE = FaultKind.DEVICE_FAILURE
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -232,26 +245,101 @@ class FaultSchedule:
 class FaultInjector:
     """Delivers a schedule to the recovery manager.
 
-    One timer walks the schedule: each firing injects every fault due
-    at that instant, then re-arms for the next.  The first firing is at
-    the current instant, and takes the schedule as it stands then, so
-    faults added before the run are delivered.
+    Most device faults hit a *cold* device: one in no bound slice's
+    group, with no running or queued kernel, no HBM waiter and no
+    island-scheduler request, grant or admission count naming it, whose
+    host is up, on an island whose scheduler is not stalled, while the
+    resource manager has no capacity subscribers.  On such a device
+    :meth:`RecoveryManager.fail_device` and ``repair_device`` change
+    only its up/down state and three counters, and the schedule is
+    frozen, so that state is a pure function of time.  The injector
+    applies those transitions *lazily*: :meth:`catch_up` walks the
+    schedule with one cursor, and a heap of owed repairs, up to
+    ``sim.now``, with no loop entry of their own.
+
+    The rest is delivered *eagerly*, at the instant a timer walking the
+    whole schedule would deliver it: every other fault kind through
+    :meth:`RecoveryManager.inject`, and device faults and repairs on
+    warm devices through ``fail_device`` and ``repair_device``.  One
+    timer is armed at the next eager fault; a repair owed to a warm
+    device that falls before it gets a timer named like the repair
+    timeout eager delivery arms.  A device fault landing before its
+    device's previous repair (or after a permanent loss) is always
+    eager, and so are the fault and the repair holding the schedule's
+    last transition, so ``sim.run()`` still ends there.
+
+    A device turns warm before any touch (slice bind, gang submit,
+    ``Device.enqueue``, ``HbmAllocator.alloc``, ``Device.fail`` or
+    ``restart``, a scheduler stall, a capacity subscriber), each of
+    which catches up first.  It turns cold again when its last slice is
+    released, or after one of its own eager transitions, if quiescent
+    then; the first injector entry classifies every device.  Anything
+    else that reads ``Device.failed`` of a device that may be cold must
+    call :meth:`catch_up` first; ``Island.healthy_devices``,
+    :attr:`injected`, :meth:`stats` and the ``RecoveryManager``
+    counters do.
     """
 
     def __init__(self, recovery: "RecoveryManager", schedule: FaultSchedule):
         self.recovery = recovery
         self.schedule = schedule
-        self.injected: list[FaultEvent] = []
-        #: Set while the timer is armed for the next fault: it is
-        #: injected when the timer fires, without re-reading the clock.
-        self._due = False
+        self._injected: list[FaultEvent] = []
+        #: Per schedule entry, set up by the first firing: the instant a
+        #: timer walking the whole schedule delivers it, and whether it
+        #: is always delivered eagerly.
+        self._shot_us: Optional[array] = None
+        self._forced: Optional[bytearray] = None
+        #: The entry holding the schedule's last transition.
+        self._last = -1
+        #: Devices this injector may hold cold, by id.
+        self._devices: dict[int, Device] = {}
+        #: Next schedule entry to deliver, and the end of the entries
+        #: after it last found lazy (a warmed device may undo that).
+        self._cursor = 0
+        self._lazy_upto = 0
+        #: ``(instant, schedule index)`` of every owed repair, and the
+        #: instants of those owed to warm devices, by schedule index.
+        self._owed: list[tuple[float, int]] = []
+        self._warm_owed: dict[int, float] = {}
+        #: Set while the schedule is being walked: hooks re-entered from
+        #: an eager delivery neither catch up nor re-arm.
+        self._walking = False
         sim = recovery.sim
         self._timer = sim.timer_handle(self._fire, name="fault-injector")
+        #: Timers for repairs owed to warm devices, by repair duration
+        #: (each is named like that duration's repair timeout).
+        self._repair_timers: dict[float, TimerHandle] = {}
         self._timer.schedule(sim.now)
 
+    @property
+    def injected(self) -> list[FaultEvent]:
+        """Faults delivered so far, in schedule order."""
+        self.catch_up()
+        return self._injected
+
     def stop(self) -> None:
-        """Cancel any not-yet-injected faults."""
-        self._timer.cancel()
+        """Cancel any not-yet-injected faults.
+
+        Repairs of faults already delivered still land at their times,
+        and afterwards nothing in the system refers to the injector."""
+        self.catch_up()
+        for timer in (self._timer, *self._repair_timers.values()):
+            timer.cancel()
+            timer.action = _stopped
+        if self.recovery._fault_clock is not self:
+            return
+        events = self.schedule.events
+        for at, index in sorted(self._owed):
+            self._repair_timer(events[index], at)
+        self._owed, self._warm_owed = [], {}
+        for device in self._devices.values():
+            device.fault_clock = None
+        for island in self.recovery.system.cluster.islands:
+            if island._fault_clock is self:
+                island._fault_clock = None
+        self.recovery._fault_clock = None
+        self._devices = {}
+        self._shot_us = self._forced = None
 
     def stats(self):
         """Frozen injector snapshot (unified ``repro.stats`` protocol)."""
@@ -262,38 +350,307 @@ class FaultInjector:
             by_kind[event.kind.value] = by_kind.get(event.kind.value, 0) + 1
         return FaultInjectorStats(
             scheduled=len(self.schedule),
-            injected=len(self.injected),
-            remaining=len(self.schedule) - len(self.injected),
+            injected=len(self._injected),
+            remaining=len(self.schedule) - len(self._injected),
             injected_by_kind=by_kind,
         )
 
+    # -- device classification ------------------------------------------------
+    def catch_up(self) -> None:
+        """Apply every lazy transition due by ``sim.now``."""
+        if not self._walking and self._shot_us is not None:
+            self._walk(False)
+
+    def warm(self, devices: Iterable[Device]) -> None:
+        """Catch up, then deliver every later transition of ``devices``
+        eagerly: they are about to hold live state."""
+        cold = [d for d in devices if d.fault_clock is self]
+        if cold:
+            self.catch_up()
+            self._warm(cold)
+            if not self._walking:
+                self._rearm()
+
+    def warm_ids(self, device_ids: Iterable[int]) -> None:
+        """:meth:`warm` by device id (gang submissions name ids)."""
+        get = self._devices.get
+        self.warm([d for d in map(get, device_ids) if d is not None])
+
+    def settle(self, devices: Iterable[Device]) -> None:
+        """Re-classify ``devices`` after a transition or a release:
+        quiescent ones turn cold, the rest warm."""
+        known = self._devices
+        cold, warm = set(), []
+        for device, held in self._held_states(
+            [d for d in devices if d.device_id in known]
+        ):
+            if held is None:
+                if device.fault_clock is not self:
+                    device.fault_clock = self
+                    cold.add(device.device_id)
+            elif device.fault_clock is self:
+                warm.append(device)
+        if cold and self._warm_owed:
+            events = self.schedule.events
+            for index in [
+                i for i in self._warm_owed
+                if events[i].target in cold and i != self._last
+            ]:
+                del self._warm_owed[index]
+        if warm:
+            self._warm(warm)
+        if (cold or warm) and not self._walking:
+            self._rearm()
+
+    def _held_states(self, devices: list[Device]):
+        """``(device, the live state it holds or None)`` per device."""
+        system = self.recovery.system
+        rm = system.resource_manager
+        if rm.has_capacity_subscribers:
+            return [(d, "capacity subscribers attached") for d in devices]
+        bound = rm.bound_device_ids()
+        islands = system.cluster.islands
+        named: dict[int, Optional[set[int]]] = {}
+        out = []
+        for device in devices:
+            held = device.held_state()
+            if held is None:
+                island_id = device.island_id
+                if island_id not in named:
+                    scheduler = system.scheduler_for(islands[island_id])
+                    named[island_id] = (
+                        None if scheduler.stalled else scheduler.named_device_ids()
+                    )
+                names = named[island_id]
+                if device.device_id in bound:
+                    held = "a bound slice"
+                elif names is None:
+                    held = f"a stalled scheduler on island {island_id}"
+                elif device.device_id in names:
+                    held = "a scheduler request, grant or admission count"
+            out.append((device, held))
+        return out
+
+    def _warm(self, devices: list[Device]) -> None:
+        """Mark ``devices`` warm: their owed repairs become eager."""
+        for device in devices:
+            device.fault_clock = None
+        self._lazy_upto = 0
+        if self._owed:
+            ids = {d.device_id for d in devices}
+            events = self.schedule.events
+            for at, index in self._owed:
+                if events[index].target in ids:
+                    self._warm_owed[index] = at
+
+    def _repair_timer(self, event: FaultEvent, at: float) -> None:
+        """The repair timeout eager delivery arms for ``event``: same
+        instant, same name, and no reference to the injector."""
+        recovery = self.recovery
+        device = self._devices[event.target]
+        repair_us = event.repair_us
+        recovery.sim.timer_handle(
+            lambda _timer: recovery.repair_device(device),
+            name=lambda: f"timeout({repair_us:g})",
+        ).schedule(at)
+
+    # -- the walk ------------------------------------------------------------------
     def _fire(self, timer) -> None:
-        sim = self.recovery.sim
-        inject = self.recovery.inject
-        record = self.injected.append
+        if self._shot_us is None:
+            self._start()
+        self._walk(True)
+        self._rearm()
+
+    def _start(self) -> None:
+        """First firing: time the schedule and classify every device."""
+        recovery = self.recovery
+        schedule = self.schedule
+        schedule._injecting = True
+        events = schedule.events
+        n = len(events)
+        shot = array("d", bytes(8 * n))
+        forced = bytearray(n)
+        ends: dict[int, float] = {}
+        last, last_at = -1, -math.inf
+        t = recovery.sim.now
+        for i, event in enumerate(events):
+            at = event.at_us
+            if at - t > 0:
+                # The instant ``timer.schedule(now + delay)`` arms.
+                t = t + (at - t)
+            shot[i] = t
+            if event.kind is _DEVICE_FAILURE:
+                repair_us = event.repair_us
+                end = t + repair_us if repair_us > 0 else math.inf
+                prev = ends.get(event.target)
+                if (prev is not None and t <= prev) or end <= t:
+                    forced[i] = 1
+                if prev is None or end > prev:
+                    ends[event.target] = end
+                final = t if end == math.inf else end
+                if final >= last_at:
+                    last, last_at = i, final
+        if last >= 0:
+            forced[last] = 1
+        self._shot_us, self._forced, self._last = shot, forced, last
+        if recovery._fault_clock is not None:
+            return  # another injector already holds devices cold
+        recovery._fault_clock = self
+        cluster = recovery.system.cluster
+        for island in cluster.islands:
+            island._fault_clock = self
+        self._devices = {d.device_id: d for d in cluster.devices}
+        for device, held in self._held_states(cluster.devices):
+            if held is None:
+                device.fault_clock = self
+
+    def _walk(self, deliver: bool) -> None:
+        """Apply the transitions due by ``sim.now`` in schedule order:
+        lazy ones in place, eager ones when ``deliver``, else stop at
+        the first eager one (its own entry at this instant is due)."""
+        recovery = self.recovery
+        sim = recovery.sim
+        now = sim._now
+        shot = self._shot_us
+        owed = self._owed
+        i = self._cursor
+        n = len(shot)
+        if (i >= n or shot[i] > now) and (not owed or owed[0][0] > now):
+            return
         events = self.schedule.events
-        self.schedule._injecting = True
-        due, self._due = self._due, False
-        for i in range(len(self.injected), len(events)):
+        forced = self._forced
+        warm_owed = self._warm_owed
+        devices = self._devices
+        get = devices.get
+        pop, push = heapq.heappop, heapq.heappush
+        record = self._injected.append
+        tr = sim.tracer
+        check = self._check_cold if sim.sanitize else None
+        failed = repaired = 0
+        self._walking = True
+        try:
+            while True:
+                # The next transition: an owed repair, or the next fault.
+                at = shot[i] if i < n else math.inf
+                if owed and owed[0][0] < at:
+                    at, index = owed[0]
+                    if at > now:
+                        break
+                    if index in warm_owed:
+                        if not deliver:
+                            break
+                        pop(owed)
+                        del warm_owed[index]
+                        recovery.repair_device(devices[events[index].target])
+                        continue
+                    pop(owed)
+                    event = events[index]
+                    device = devices[event.target]
+                    if check is not None:
+                        check(device, event, at)
+                    if device.failed:
+                        device.apply_idle_fault(False)
+                        repaired += 1
+                    continue
+                if at > now:
+                    break
+                event = events[i]
+                device = None
+                if event.kind is _DEVICE_FAILURE:
+                    device = get(event.target)
+                if device is not None and device.fault_clock is self and not forced[i]:
+                    if check is not None:
+                        check(device, event, at)
+                    if not device.failed:
+                        device.apply_idle_fault(True)
+                        failed += 1
+                    if event.repair_us > 0:
+                        push(owed, (at + event.repair_us, i))
+                elif not deliver:
+                    break
+                elif device is not None:
+                    self._cursor = i + 1
+                    recovery.fail_device(device, reason="injected fault")
+                    if event.repair_us > 0:
+                        push(owed, (at + event.repair_us, i))
+                        if device.fault_clock is not self or i == self._last:
+                            warm_owed[i] = at + event.repair_us
+                else:
+                    self._cursor = i + 1
+                    recovery.inject(event)
+                i += 1
+                record(event)
+                if tr is not None:
+                    tr.instant(
+                        f"fault:{event.kind.value}",
+                        "fault.injected",
+                        ts_us=at,
+                        track="faults",
+                        args={
+                            "kind": event.kind.value,
+                            "target": event.link or event.target,
+                            "repair_us": event.repair_us,
+                        },
+                    )
+        finally:
+            self._cursor = i
+            self._walking = False
+            recovery._epoch += failed
+            recovery._device_failures += failed
+            recovery._repairs += repaired
+
+    def _rearm(self) -> None:
+        """Arm the timer at the next fault that is not lazy, and a repair
+        timer at each earlier repair owed to a warm device."""
+        shot = self._shot_us
+        events = self.schedule.events
+        forced = self._forced
+        get = self._devices.get
+        n = len(shot)
+        i = max(self._cursor, self._lazy_upto)
+        while i < n and not forced[i]:
             event = events[i]
-            if not due:
-                delay = event.at_us - sim._now
-                if delay > 0:
-                    self._due = True
-                    timer.schedule(sim._now + delay)
-                    return
-            due = False
-            inject(event)
-            record(event)
-            tr = sim.tracer
-            if tr is not None:
-                tr.instant(
-                    f"fault:{event.kind.value}",
-                    "fault.injected",
-                    track="faults",
-                    args={
-                        "kind": event.kind.value,
-                        "target": event.link or event.target,
-                        "repair_us": event.repair_us,
-                    },
+            if event.kind is not _DEVICE_FAILURE:
+                break
+            device = get(event.target)
+            if device is None or device.fault_clock is not self:
+                break
+            i += 1
+        self._lazy_upto = i
+        if i < n:
+            self._timer.schedule(shot[i])
+            horizon = shot[i]
+        else:
+            self._timer.cancel()
+            horizon = math.inf
+        due: dict[float, float] = {}
+        for index, at in self._warm_owed.items():
+            if at < horizon:
+                repair_us = events[index].repair_us
+                if at < due.get(repair_us, math.inf):
+                    due[repair_us] = at
+        timers = self._repair_timers
+        for repair_us, timer in timers.items():
+            if repair_us not in due:
+                timer.cancel()
+        for repair_us, at in due.items():
+            timer = timers.get(repair_us)
+            if timer is None:
+                timer = timers[repair_us] = self.recovery.sim.timer_handle(
+                    self._fire, name=lambda r=repair_us: f"timeout({r:g})"
                 )
+            timer.schedule(at)
+
+    def _check_cold(self, device: Device, event: FaultEvent, at: float) -> None:
+        """Sanitizer: a lazily applied transition must find its device
+        still cold."""
+        [(_, held)] = self._held_states([device])
+        if held is not None:
+            raise WarmDeviceError(
+                f"fault at {event.at_us:.3f}us (transition at {at:.3f}us) "
+                f"applied lazily to {device.name}, which held {held}"
+            )
+
+
+def _stopped(timer) -> None:  # pragma: no cover - a stopped timer never fires
+    pass

@@ -18,6 +18,14 @@ handled *centrally* —
 
 Attaching a manager sets ``system.recovery``; there is at most one per
 system.
+
+While a :class:`~repro.resilience.faults.FaultInjector` holds devices
+cold, it applies their faults and repairs itself, without a loop entry,
+and folds them into :attr:`RecoveryManager.epoch`,
+``device_failures`` and ``repairs``.  Those counters and every fault
+operation here catch the injector up first, and the operations hand the
+devices they touched back to it afterwards (``_settle``), which decides
+whether each stays warm or turns cold.
 """
 
 from __future__ import annotations
@@ -61,14 +69,17 @@ class RecoveryManager:
         #: (e.g. during an island preemption).
         self.retry_backoff_us = retry_backoff_us
         self.max_remap_attempts = max_remap_attempts
-        #: Bumped on every injected fault; slice versions are the
-        #: per-client signal, this is the global one.
-        self.epoch = 0
-        self.device_failures = 0
+        #: Behind :attr:`epoch`, :attr:`device_failures`, :attr:`repairs`.
+        self._epoch = 0
+        self._device_failures = 0
         self.host_crashes = 0
         self.preemptions = 0
         self.link_faults = 0
-        self.repairs = 0
+        self._repairs = 0
+        #: The fault injector applying transitions on cold devices
+        #: lazily, while one runs: fault operations catch it up first
+        #: and re-classify the devices they touched afterwards.
+        self._fault_clock = None
         self.remaps = 0
         self.programs_recovered = 0
         #: In-flight DCN messages lost to crashes/timeouts: the transport
@@ -77,6 +88,36 @@ class RecoveryManager:
         self.messages_lost = 0
         system.transport.add_loss_listener(self._on_message_lost)
         system.recovery = self
+
+    # -- counters that include lazily applied faults ------------------------
+    @property
+    def epoch(self) -> int:
+        """Bumped on every injected fault; slice versions are the
+        per-client signal, this is the global one."""
+        self._catch_up()
+        return self._epoch
+
+    @property
+    def device_failures(self) -> int:
+        self._catch_up()
+        return self._device_failures
+
+    @property
+    def repairs(self) -> int:
+        self._catch_up()
+        return self._repairs
+
+    def _catch_up(self) -> None:
+        if self._fault_clock is not None:
+            self._fault_clock.catch_up()
+
+    def _warm(self, devices) -> None:
+        if self._fault_clock is not None:
+            self._fault_clock.warm(devices)
+
+    def _settle(self, devices) -> None:
+        if self._fault_clock is not None:
+            self._fault_clock.settle(devices)
 
     def stats(self):
         """Frozen fault-handling snapshot (unified ``repro.stats`` protocol)."""
@@ -145,51 +186,59 @@ class RecoveryManager:
     # -- primitive fault operations -----------------------------------------
     def fail_device(self, device: Device, reason: str = "device failure") -> None:
         """Take one device down and evict its pending grants."""
+        self._catch_up()
         if device.failed:
             return
-        self.epoch += 1
-        self.device_failures += 1
+        self._epoch += 1
+        self._device_failures += 1
         device.fail(reason)
         island = self.system.cluster.islands[device.island_id]
         self.system.scheduler_for(island).evict_device(device.device_id)
+        self._settle((device,))
 
     def repair_device(self, device: Device) -> None:
+        self._catch_up()
         if not device.failed:
             return
         if device.host is not None and device.host.failed:
             # A device cannot come back while its host is down; the
             # host's restore will restart it.
             return
-        self.repairs += 1
+        self._repairs += 1
         device.restart()
         self._readmit(device)
         self.system.resource_manager.capacity_changed("repair", device.island_id)
+        self._settle((device,))
 
     def crash_host(self, host: Host) -> None:
         """A host dies, taking all its PCIe-attached devices with it."""
+        self._warm(host.devices)
         if host.failed:
             return
-        self.epoch += 1
+        self._epoch += 1
         self.host_crashes += 1
         island = self.system.cluster.islands[host.island_id]
         scheduler = self.system.scheduler_for(island)
         host.crash()
         for device in host.devices:
             scheduler.evict_device(device.device_id)
+        self._settle(host.devices)
 
     def restore_host(self, host: Host) -> None:
+        self._warm(host.devices)
         if not host.failed:
             return
-        self.repairs += 1
+        self._repairs += 1
         host.restore()
         for device in host.devices:
             self._readmit(device)
         self.system.resource_manager.capacity_changed("restore", host.island_id)
+        self._settle(host.devices)
 
     def take_link_down(self, link: str) -> int:
         """Fail one fabric link; flows reroute, park, or (endpoint NIC
         death only) are lost.  Returns the evicted-flow count."""
-        self.epoch += 1
+        self._epoch += 1
         self.link_faults += 1
         return self.system.transport.fail_link(link)
 
@@ -197,7 +246,7 @@ class RecoveryManager:
         """Bring a downed fabric link back, waking parked flows."""
         restored = self.system.transport.restore_link(link)
         if restored:
-            self.repairs += 1
+            self._repairs += 1
         return restored
 
     def preempt_island(self, island_id: int, duration_us: float) -> None:
@@ -207,22 +256,26 @@ class RecoveryManager:
         granting resumes."""
         island = self.system.cluster.islands[island_id]
         scheduler = self.system.scheduler_for(island)
-        self.epoch += 1
+        self._warm(island.devices)
+        self._epoch += 1
         self.preemptions += 1
         scheduler.pause()
         for device in island.devices:
             device.fail("island preemption")
             scheduler.evict_device(device.device_id)
+        self._settle(island.devices)
 
         def _resume() -> None:
+            self._warm(island.devices)
             for device in island.devices:
                 device.restart()
                 scheduler.readmit_device(device.device_id)
             scheduler.resume()
-            self.repairs += 1
+            self._repairs += 1
             self.system.resource_manager.capacity_changed(
                 "preemption-end", island_id
             )
+            self._settle(island.devices)
 
         self._after(duration_us, _resume)
 

@@ -36,6 +36,7 @@ from repro.sim.sanitize import (
     SimSanitizer,
     UnbalancedGrantError,
     UnsettledWaitersError,
+    WarmDeviceError,
     sanitize_from_env,
 )
 
@@ -59,5 +60,6 @@ __all__ = [
     "TimerQueue",
     "UnbalancedGrantError",
     "UnsettledWaitersError",
+    "WarmDeviceError",
     "sanitize_from_env",
 ]

@@ -31,7 +31,10 @@ What is checked:
   resources such as host NICs and CPUs (:class:`UnbalancedGrantError`),
   and fabric links still carrying or queueing traffic
   (:class:`LeakedCapacityError`, the per-link residual behind
-  ``fabric.idle``).
+  ``fabric.idle``), HBM allocations still queued or reservations out of
+  ``[0, capacity]``;
+* every device fault or repair a fault injector applies lazily finds its
+  device still cold (:class:`WarmDeviceError`).
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ __all__ = [
     "SimSanitizer",
     "UnbalancedGrantError",
     "UnsettledWaitersError",
+    "WarmDeviceError",
     "sanitize_from_env",
 ]
 
@@ -93,6 +97,13 @@ class LeakedCapacityError(SanitizerError):
     """Fabric link capacity is still occupied at drain end — an abort
     path failed to release a flow's share (the ``fabric.idle``
     invariant, per link)."""
+
+
+class WarmDeviceError(SanitizerError):
+    """A fault injector applied a device transition lazily, without a
+    loop entry, to a device that held live state (a kernel, an HBM
+    waiter, a bound slice, a scheduler request): the device should have
+    been warmed before it was touched."""
 
 
 _TRUTHY = frozenset({"1", "true", "yes", "on"})

@@ -21,6 +21,11 @@ no production path that selects it:
   ``Process`` reading a mailbox, the reference for the callback state
   machine of :class:`repro.core.scheduler.IslandScheduler`.
 
+* :class:`EagerFaultInjector` — one timer walking the whole fault
+  schedule, delivering every fault through
+  :meth:`RecoveryManager.inject` with one repair timeout each, the
+  reference for the lazy :class:`repro.resilience.FaultInjector`.
+
 * :func:`patch_driver` — each ``ProgramExecution`` driven by one
   generator ``Process`` (:func:`run_execution`): controller passes,
   supervision and loss recovery inline, ``done`` settled as an
@@ -35,6 +40,8 @@ event; ``test_dispatch_chain.py`` patches
 ``ProgramExecution._launch`` with :func:`launch_processes` and compares
 results and per-node completion times, and ``test_execution_driver.py``
 runs random DAGs under random faults through both drivers;
+``test_fault_fuzz.py`` runs random churn scenarios under both fault
+injectors;
 ``test_scheduler_oracle.py`` runs random timed scripts against both
 schedulers.  The timer queue
 needs no oracle: :class:`repro.sim.TimerQueue`
@@ -60,6 +67,7 @@ from repro.sim import Event
 
 __all__ = [
     "DenseFluidSolver",
+    "EagerFaultInjector",
     "MailboxScheduler",
     "dispatch_once",
     "feed_node",
@@ -689,3 +697,73 @@ class MailboxScheduler:
                 choice.grant.succeed(None)
                 yield choice.enqueued_ack
                 self._drain_incoming()
+
+
+class EagerFaultInjector:
+    """Delivers a schedule to the recovery manager, every fault on a
+    loop entry.
+
+    One timer walks the schedule: each firing injects every fault due
+    at that instant, then re-arms for the next.  The first firing is at
+    the current instant, and takes the schedule as it stands then, so
+    faults added before the run are delivered.
+    """
+
+    def __init__(self, recovery, schedule):
+        self.recovery = recovery
+        self.schedule = schedule
+        self.injected: list[FaultEvent] = []
+        #: Set while the timer is armed for the next fault: it is
+        #: injected when the timer fires, without re-reading the clock.
+        self._due = False
+        sim = recovery.sim
+        self._timer = sim.timer_handle(self._fire, name="fault-injector")
+        self._timer.schedule(sim.now)
+
+    def stop(self) -> None:
+        """Cancel any not-yet-injected faults."""
+        self._timer.cancel()
+
+    def stats(self):
+        from repro.stats import FaultInjectorStats
+
+        by_kind: dict[str, int] = {}
+        for event in self.injected:
+            by_kind[event.kind.value] = by_kind.get(event.kind.value, 0) + 1
+        return FaultInjectorStats(
+            scheduled=len(self.schedule),
+            injected=len(self.injected),
+            remaining=len(self.schedule) - len(self.injected),
+            injected_by_kind=by_kind,
+        )
+
+    def _fire(self, timer) -> None:
+        sim = self.recovery.sim
+        inject = self.recovery.inject
+        record = self.injected.append
+        events = self.schedule.events
+        self.schedule._injecting = True
+        due, self._due = self._due, False
+        for i in range(len(self.injected), len(events)):
+            event = events[i]
+            if not due:
+                delay = event.at_us - sim._now
+                if delay > 0:
+                    self._due = True
+                    timer.schedule(sim._now + delay)
+                    return
+            due = False
+            inject(event)
+            record(event)
+            tr = sim.tracer
+            if tr is not None:
+                tr.instant(
+                    f"fault:{event.kind.value}",
+                    "fault.injected",
+                    track="faults",
+                    args={
+                        "kind": event.kind.value,
+                        "target": event.link or event.target,
+                        "repair_us": event.repair_us,
+                    },
+                )

@@ -208,7 +208,7 @@ def _schedule_digest(schedule) -> str:
 #: Identical across PYTHONHASHSEED values; update only for a change that
 #: deliberately alters simulated behaviour, and say so in its description.
 GOLDEN_DIGESTS = {
-    "churn": "f3f71801fd12c01d4a5a6f6f59b0ae0c493727cb2895e4b0915e44f5caec2557",
+    "churn": "bee95a977bb9354512d50b759b4abb54f63e350c85a68ef111f881d066b3fe4c",
     "contended_fabric": "efa12f3e5f0a2a8762aa8de364fc2cadbe6bac5999343a468b52e63f2f48f41b",
     "ecmp_reroute": "ee499fafca39f81c00e5a2dfd2c509c800569e216dfa04e1a95ce48dc90352a0",
     "serving": "a57823c858183936633c759fcf9d16f2d1e8463b6b73798a6c6925b302059794",
