@@ -6,8 +6,10 @@ loop entry, catching their state up from the frozen schedule whenever
 something reads it.  The oracle (``tests/oracles.py``) delivers every
 fault on a loop entry with one repair timeout each.  Random churn
 scenarios, with hand-written host crashes, preemptions and overlapping
-device faults on top of the Poisson schedule, must give the same
-results, counters, delivery order and final time under both, and the
+device faults on top of the Poisson schedule and one-byte HBM
+allocations on random devices (idle ones included), must give the same
+results, counters, allocation outcomes, delivery order and final time
+under both, and the
 lazy run's schedule must be the oracle's with only injector shots and
 repair timeouts left out.
 
@@ -25,7 +27,7 @@ import re
 import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -66,7 +68,7 @@ def _jitter(k: int) -> float:
 def churn_scenarios(draw):
     n_clients = draw(st.integers(1, 3))
     slice_devices = draw(st.sampled_from([2, 4]))
-    extra = []
+    extra, probes = [], []
     for k in range(draw(st.integers(0, 3))):
         at = draw(st.integers(1, 60)) * 1_000.0 + _jitter(2 * k)
         kind = draw(st.sampled_from(["host", "preempt", "overlap"]))
@@ -86,6 +88,7 @@ def churn_scenarios(draw):
             device = draw(st.integers(0, 15))
             repair = draw(st.sampled_from([5_000.0, 9_000.0]))
             extra.append(FaultEvent(at, FaultKind.DEVICE_FAILURE, device, repair))
+            probes.append((at + 0.25, device))
             extra.append(FaultEvent(
                 at + draw(st.integers(1, 4)) * 1_000.0 + _jitter(2 * k + 1),
                 FaultKind.DEVICE_FAILURE, device,
@@ -96,6 +99,14 @@ def churn_scenarios(draw):
         st.integers(1, 2),
         st.sampled_from([2, 4]),
     ))
+    # Outside touches: one-byte HBM allocations on any device, idle
+    # ones included, as a client staging a buffer would make (and one
+    # just after each hand-written device fault, above).
+    probes += [
+        (draw(st.integers(1, 60)) * 1_000.0 + _jitter(10 + k),
+         draw(st.integers(0, 15)))
+        for k in range(draw(st.integers(0, 3)))
+    ]
     return {
         "kwargs": dict(
             n_clients=n_clients,
@@ -112,18 +123,40 @@ def churn_scenarios(draw):
             add_island_at=grow,
         ),
         "extra": extra,
+        "probes": probes,
     }
+
+
+def _probe(device, seen: list) -> None:
+    """Allocate one byte on ``device``'s HBM and give it back; record
+    whether the allocation failed, was granted or had to queue."""
+    hbm = device.hbm
+    ev = hbm.alloc(1)
+    if ev._exc is not None:
+        seen.append((device.sim.now, device.device_id, "failed"))
+    elif ev.triggered:
+        hbm.free_bytes(1)
+        seen.append((device.sim.now, device.device_id, "granted"))
+    else:
+        hbm.cancel(ev)
+        seen.append((device.sim.now, device.device_id, "queued"))
 
 
 def _run(scenario: dict, injector_cls) -> dict:
     """One churn scenario under ``injector_cls``; everything the two
     injectors must agree on."""
-    made = []
+    made, probed = [], []
 
     def make(recovery, schedule):
         events = [*schedule.events, *scenario["extra"]]
         injector = injector_cls(recovery, FaultSchedule(events))
         made.append(injector)
+        sim = recovery.sim
+        for at, device_id in scenario["probes"]:
+            device = recovery.system.cluster.device(device_id)
+            sim.timeout(at).add_callback(
+                lambda _ev, d=device: _probe(d, probed)
+            )
         return injector
 
     with pytest.MonkeyPatch.context() as m:
@@ -141,6 +174,7 @@ def _run(scenario: dict, injector_cls) -> dict:
         "injector": injector.stats(),
         "injected": [dataclasses.astuple(e) for e in injector.injected],
         "now": system.sim.now,
+        "probed": probed,
         "log": [
             (t, re.sub(r"#\d+", "#N", name)) for t, name in system.sim.schedule_log
         ],
@@ -170,13 +204,31 @@ def _removed_entries(lazy: list, eager: list) -> list:
     return removed
 
 
+#: Always run: an idle device fails (lazily), is touched by an HBM
+#: allocation at once, and fails again before its repair lands.
+_IDLE_TOUCH = {
+    "kwargs": dict(
+        n_clients=1, steps_per_client=4, compute_time_us=1_000.0,
+        slice_devices=2, n_hosts=4, devices_per_host=4, mtbf_us=120_000.0,
+        repair_us=12_000.0, checkpoint_interval_us=None, state_bytes=1 << 20,
+        seed=1, add_island_at=None,
+    ),
+    "extra": [
+        FaultEvent(2_000.371, FaultKind.DEVICE_FAILURE, 15, 5_000.0),
+        FaultEvent(4_000.4441, FaultKind.DEVICE_FAILURE, 15, 4_000.0),
+    ],
+    "probes": [(2_000.621, 15)],
+}
+
+
 @settings(max_examples=EXAMPLES, deadline=None)
+@example(scenario=_IDLE_TOUCH)
 @given(scenario=churn_scenarios())
 def test_lazy_injector_matches_the_eager_oracle(scenario):
     lazy = _run(scenario, FaultInjector)
     eager = _run(scenario, oracles.EagerFaultInjector)
     for key in ("result", "recovery", "injector", "injected", "now",
-                "drained", "drained_now", "drained_recovery"):
+                "probed", "drained", "drained_now", "drained_recovery"):
         assert lazy[key] == eager[key], key
     repair_names = {
         f"timeout({e[3]:g})" for e in eager["injected"] if e[3] > 0
