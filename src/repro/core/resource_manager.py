@@ -9,7 +9,7 @@ to be added and removed dynamically").
 
 from __future__ import annotations
 
-from typing import Callable, Generator
+from typing import Callable, Generator, Optional
 
 from repro.config import SystemConfig
 from repro.core.placement import DeviceGroup
@@ -104,12 +104,11 @@ class ResourceManager:
                 isl._fault_clock.warm(isl.devices)
         self._capacity_listeners.append(fn)
 
-    @property
-    def has_capacity_subscribers(self) -> bool:
-        return bool(self._capacity_listeners)
-
-    def bound_device_ids(self) -> set[int]:
-        """Ids of every device in a bound slice's group."""
+    def held_device_ids(self) -> Optional[set[int]]:
+        """Ids of the devices a bound slice's group holds; None (every
+        device) while capacity subscribers are attached."""
+        if self._capacity_listeners:
+            return None
         return {
             d.device_id
             for s in self._bound.values() if s.bound

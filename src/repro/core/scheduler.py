@@ -386,15 +386,14 @@ class IslandScheduler:
         """Resume granting after a drain (island handed back / kept)."""
         self._deliver("undrain", None)
 
-    @property
-    def stalled(self) -> bool:
-        """Idle with requests pending that nothing can grant yet: any
-        control message, even an evict naming no gang, wakes the loop."""
-        return not self._busy and bool(self._pending)
-
-    def named_device_ids(self) -> set[int]:
-        """Devices a queued, pending, deciding or granted gang names,
-        or that still hold granted-work accounting."""
+    def held_device_ids(self) -> Optional[set[int]]:
+        """Devices a queued, pending, deciding or granted gang names, or
+        that still hold granted-work accounting.  None (every device of
+        the island) while stalled — idle with requests pending that
+        nothing can grant yet — since then any control message, even an
+        evict naming no gang, wakes the loop."""
+        if not self._busy and self._pending:
+            return None
         reqs = [*self._pending, *self._live_grants.values()]
         reqs += [p for kind, p in self._inbox if kind == "req"]
         if self._deciding is not None:

@@ -26,6 +26,7 @@ from repro.core.resource_manager import ResourceManager
 from repro.core.scheduler import FifoPolicy, IslandScheduler, SchedulingPolicy
 from repro.core.virtual_device import VirtualDeviceSet
 from repro.hw.cluster import Cluster, ClusterSpec, make_cluster
+from repro.hw.device import Device
 from repro.hw.topology import Island
 from repro.sim import Simulator
 
@@ -117,6 +118,35 @@ class PathwaysSystem:
 
     def scheduler_for(self, island: Island) -> IslandScheduler:
         return self._schedulers[island.island_id]
+
+    def device_holders(self, devices: list[Device]) -> list[Optional[str]]:
+        """Per device, the live state a fault there would touch (None
+        when nothing holds it): a kernel, an HBM waiter or a down host
+        (:meth:`Device.held_state`), a bound slice or a capacity
+        subscriber, or its island scheduler naming it or stalled."""
+        held = self.resource_manager.held_device_ids()
+        named: dict[int, Optional[set[int]]] = {}
+        out: list[Optional[str]] = []
+        for device in devices:
+            holder = device.held_state()
+            if holder is not None:
+                pass
+            elif held is None:
+                holder = "capacity subscribers attached"
+            elif device.device_id in held:
+                holder = "a bound slice"
+            else:
+                island_id = device.island_id
+                if island_id not in named:
+                    island = self.cluster.islands[island_id]
+                    named[island_id] = self.scheduler_for(island).held_device_ids()
+                names = named[island_id]
+                if names is None:
+                    holder = f"a stalled scheduler on island {island_id}"
+                elif device.device_id in names:
+                    holder = "a scheduler request, grant or admission count"
+            out.append(holder)
+        return out
 
     def add_island(
         self,

@@ -101,9 +101,9 @@ class HbmAllocator:
                 f"{self.capacity}"
             )
         device = self.device
-        if device is not None and device.fault_clock is not None:
-            device.fault_clock.warm((device,))
-        if device is not None and device.failed:
+        if device is not None:
+            device._touch()
+        if device is not None and device._failed:
             # Fail fast, mirroring enqueue-to-failed-device semantics: a
             # grant on a dead core would otherwise queue forever.
             ev = self.sim.event()
@@ -418,13 +418,13 @@ class Device:
         self._start_us = 0.0
         self.busy_us = 0.0          # time spent executing kernels
         self.kernels_run = 0
-        self.failed = False
+        self._failed = False
         self.fail_count = 0
         self.kernels_aborted = 0
         #: Set while the device is *cold*: it holds no live state, so a
         #: fault injector owes it transitions it applies lazily (see
-        #: :class:`~repro.resilience.FaultInjector`).  Every touch warms
-        #: it first, which brings ``failed`` up to date.
+        #: :class:`~repro.resilience.FaultInjector`).  Reading
+        #: :attr:`failed` catches them up; every touch warms it first.
         self.fault_clock = None
         self._drain_next()
 
@@ -432,11 +432,24 @@ class Device:
     def name(self) -> str:
         return f"d{self.device_id}"
 
-    def enqueue(self, kernel: Kernel) -> Event:
-        """Append a kernel to the FIFO; returns the kernel's done event."""
+    @property
+    def failed(self) -> bool:
+        """Whether the device is down, with every fault and repair due
+        by now applied."""
+        if self.fault_clock is not None:
+            self.fault_clock.catch_up()
+        return self._failed
+
+    def _touch(self) -> None:
+        """About to hold live state (a kernel, an HBM request, a fault
+        transition): a cold device turns warm, caught up, first."""
         if self.fault_clock is not None:
             self.fault_clock.warm((self,))
-        if self.failed:
+
+    def enqueue(self, kernel: Kernel) -> Event:
+        """Append a kernel to the FIFO; returns the kernel's done event."""
+        self._touch()
+        if self._failed:
             # Fail fast: work sent to a dead device is lost immediately
             # (its gang peers are released too), never silently queued.
             self._abort_kernel(kernel, DeviceFailure(self.device_id, "enqueue to failed device"))
@@ -451,11 +464,10 @@ class Device:
     def fail(self, reason: str = "device failure") -> None:
         """Take the device down: abort the in-flight kernel, drop the
         queue, and stop the drain loop until :meth:`restart`."""
-        if self.fault_clock is not None:
-            self.fault_clock.warm((self,))
-        if self.failed:
+        self._touch()
+        if self._failed:
             return
-        self.failed = True
+        self._failed = True
         self.fail_count += 1
         # Detach from whatever phase event we were waiting on (its
         # late firing is ignored via the _waiting_on guard).
@@ -485,11 +497,10 @@ class Device:
         reclaimed by the object store's discard path, keeping the strict
         alloc/free invariants intact).
         """
-        if self.fault_clock is not None:
-            self.fault_clock.warm((self,))
-        if not self.failed:
+        self._touch()
+        if not self._failed:
             return
-        self.failed = False
+        self._failed = False
         self._queue = deque()
         self._current = None
         self._waiting_on = None
@@ -509,18 +520,20 @@ class Device:
             return f"host {self.host.name} down"
         return None
 
-    def apply_idle_fault(self, down: bool) -> None:
+    def apply_idle_fault(self, down: bool) -> bool:
         """Fail (``down``) or repair a quiescent device: exactly the
         state :meth:`fail` or :meth:`restart` leaves on a device with no
         kernel, no queue and no HBM waiter, without their abort and
-        drain work."""
+        drain work.  Returns whether the device changed state."""
+        if self._failed is down:
+            return False
+        self._failed = down
         if down:
-            self.failed = True
             self.fail_count += 1
             self._idle = False
         else:
-            self.failed = False
             self._idle = True
+        return True
 
     def _abort_kernel(self, kernel: Optional[Kernel], cause: BaseException) -> None:
         if kernel is None:
@@ -552,7 +565,7 @@ class Device:
     def _drain_next(self) -> None:
         """Pop and start the next kernel, or go idle until one arrives
         (enqueue restarts an idle device inline — no wakeup event)."""
-        if self.failed:
+        if self._failed:
             return
         if not self._queue:
             self._idle = True

@@ -103,10 +103,11 @@ class Island:
     def healthy_devices(self) -> list[Device]:
         """Devices currently able to accept work (resilience layer).
 
-        Brings the fault state of cold devices up to ``sim.now`` first."""
+        Catches a fault injector up once, then reads each device's state
+        as it stands (``Device.failed`` would catch up per device)."""
         if self._fault_clock is not None:
             self._fault_clock.catch_up()
-        return [d for d in self.devices if not d.failed]
+        return [d for d in self.devices if not d._failed]
 
     @property
     def n_healthy(self) -> int:

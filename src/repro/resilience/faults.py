@@ -28,7 +28,6 @@ from typing import Iterable, Iterator, Optional, TYPE_CHECKING
 
 import numpy as np
 
-from repro.sim import TimerHandle
 from repro.sim.sanitize import WarmDeviceError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -245,39 +244,37 @@ class FaultSchedule:
 class FaultInjector:
     """Delivers a schedule to the recovery manager.
 
-    Most device faults hit a *cold* device: one in no bound slice's
-    group, with no running or queued kernel, no HBM waiter and no
-    island-scheduler request, grant or admission count naming it, whose
-    host is up, on an island whose scheduler is not stalled, while the
-    resource manager has no capacity subscribers.  On such a device
+    Most device faults hit a *cold* device: one nothing holds (see
+    :meth:`PathwaysSystem.device_holders`: no kernel, HBM waiter or
+    down host, no bound slice or capacity subscriber, no island
+    scheduler naming it or stalled).  On such a device
     :meth:`RecoveryManager.fail_device` and ``repair_device`` change
     only its up/down state and three counters, and the schedule is
     frozen, so that state is a pure function of time.  The injector
     applies those transitions *lazily*: :meth:`catch_up` walks the
     schedule with one cursor, and a heap of owed repairs, up to
-    ``sim.now``, with no loop entry of their own.
+    ``sim.now``, with no loop entry of their own.  At a shared instant
+    repairs run before faults, as the repair timeout eager delivery
+    arms is armed before the timer of any later fault.
 
     The rest is delivered *eagerly*, at the instant a timer walking the
     whole schedule would deliver it: every other fault kind through
     :meth:`RecoveryManager.inject`, and device faults and repairs on
     warm devices through ``fail_device`` and ``repair_device``.  One
-    timer is armed at the next eager fault; a repair owed to a warm
-    device that falls before it gets a timer named like the repair
-    timeout eager delivery arms.  A device fault landing before its
-    device's previous repair (or after a permanent loss) is always
+    timer is armed at the next eager fault, another at the earliest
+    repair owed to a warm device.  A device fault landing at or before
+    its device's previous repair (or after a permanent loss) is always
     eager, and so are the fault and the repair holding the schedule's
     last transition, so ``sim.run()`` still ends there.
 
-    A device turns warm before any touch (slice bind, gang submit,
-    ``Device.enqueue``, ``HbmAllocator.alloc``, ``Device.fail`` or
-    ``restart``, a scheduler stall, a capacity subscriber), each of
-    which catches up first.  It turns cold again when its last slice is
-    released, or after one of its own eager transitions, if quiescent
-    then; the first injector entry classifies every device.  Anything
-    else that reads ``Device.failed`` of a device that may be cold must
-    call :meth:`catch_up` first; ``Island.healthy_devices``,
-    :attr:`injected`, :meth:`stats` and the ``RecoveryManager``
-    counters do.
+    A device turns warm, caught up, before any touch
+    (``Device.enqueue``, ``fail`` or ``restart``, ``HbmAllocator.alloc``,
+    slice bind, gang submit, a scheduler stall, a capacity subscriber).
+    It turns cold again when its last slice is released, or after one
+    of its own eager transitions, if quiescent then; the first injector
+    entry classifies every device.  Reading ``Device.failed`` catches
+    up; so do ``Island.healthy_devices``, :attr:`injected`,
+    :meth:`stats` and the ``RecoveryManager`` counters.
     """
 
     def __init__(self, recovery: "RecoveryManager", schedule: FaultSchedule):
@@ -305,10 +302,10 @@ class FaultInjector:
         #: an eager delivery neither catch up nor re-arm.
         self._walking = False
         sim = recovery.sim
+        #: Armed at the next eager fault, and at the earliest repair
+        #: owed to a warm device.
         self._timer = sim.timer_handle(self._fire, name="fault-injector")
-        #: Timers for repairs owed to warm devices, by repair duration
-        #: (each is named like that duration's repair timeout).
-        self._repair_timers: dict[float, TimerHandle] = {}
+        self._repair_timer = sim.timer_handle(self._fire, name="fault-repair")
         self._timer.schedule(sim.now)
 
     @property
@@ -323,14 +320,14 @@ class FaultInjector:
         Repairs of faults already delivered still land at their times,
         and afterwards nothing in the system refers to the injector."""
         self.catch_up()
-        for timer in (self._timer, *self._repair_timers.values()):
+        for timer in (self._timer, self._repair_timer):
             timer.cancel()
             timer.action = _stopped
         if self.recovery._fault_clock is not self:
             return
         events = self.schedule.events
         for at, index in sorted(self._owed):
-            self._repair_timer(events[index], at)
+            self._repair_after_stop(events[index], at)
         self._owed, self._warm_owed = [], {}
         for device in self._devices.values():
             device.fault_clock = None
@@ -404,32 +401,7 @@ class FaultInjector:
 
     def _held_states(self, devices: list[Device]):
         """``(device, the live state it holds or None)`` per device."""
-        system = self.recovery.system
-        rm = system.resource_manager
-        if rm.has_capacity_subscribers:
-            return [(d, "capacity subscribers attached") for d in devices]
-        bound = rm.bound_device_ids()
-        islands = system.cluster.islands
-        named: dict[int, Optional[set[int]]] = {}
-        out = []
-        for device in devices:
-            held = device.held_state()
-            if held is None:
-                island_id = device.island_id
-                if island_id not in named:
-                    scheduler = system.scheduler_for(islands[island_id])
-                    named[island_id] = (
-                        None if scheduler.stalled else scheduler.named_device_ids()
-                    )
-                names = named[island_id]
-                if device.device_id in bound:
-                    held = "a bound slice"
-                elif names is None:
-                    held = f"a stalled scheduler on island {island_id}"
-                elif device.device_id in names:
-                    held = "a scheduler request, grant or admission count"
-            out.append((device, held))
-        return out
+        return zip(devices, self.recovery.system.device_holders(devices))
 
     def _warm(self, devices: list[Device]) -> None:
         """Mark ``devices`` warm: their owed repairs become eager."""
@@ -443,15 +415,13 @@ class FaultInjector:
                 if events[index].target in ids:
                     self._warm_owed[index] = at
 
-    def _repair_timer(self, event: FaultEvent, at: float) -> None:
-        """The repair timeout eager delivery arms for ``event``: same
-        instant, same name, and no reference to the injector."""
+    def _repair_after_stop(self, event: FaultEvent, at: float) -> None:
+        """A timer repairing ``event``'s device at ``at``, with no
+        reference to the injector."""
         recovery = self.recovery
         device = self._devices[event.target]
-        repair_us = event.repair_us
         recovery.sim.timer_handle(
-            lambda _timer: recovery.repair_device(device),
-            name=lambda: f"timeout({repair_us:g})",
+            lambda _timer: recovery.repair_device(device), name="fault-repair"
         ).schedule(at)
 
     # -- the walk ------------------------------------------------------------------
@@ -532,7 +502,7 @@ class FaultInjector:
             while True:
                 # The next transition: an owed repair, or the next fault.
                 at = shot[i] if i < n else math.inf
-                if owed and owed[0][0] < at:
+                if owed and owed[0][0] <= at:
                     at, index = owed[0]
                     if at > now:
                         break
@@ -548,8 +518,7 @@ class FaultInjector:
                     device = devices[event.target]
                     if check is not None:
                         check(device, event, at)
-                    if device.failed:
-                        device.apply_idle_fault(False)
+                    if device.apply_idle_fault(False):
                         repaired += 1
                     continue
                 if at > now:
@@ -561,8 +530,7 @@ class FaultInjector:
                 if device is not None and device.fault_clock is self and not forced[i]:
                     if check is not None:
                         check(device, event, at)
-                    if not device.failed:
-                        device.apply_idle_fault(True)
+                    if device.apply_idle_fault(True):
                         failed += 1
                     if event.repair_us > 0:
                         push(owed, (at + event.repair_us, i))
@@ -600,8 +568,8 @@ class FaultInjector:
             recovery._repairs += repaired
 
     def _rearm(self) -> None:
-        """Arm the timer at the next fault that is not lazy, and a repair
-        timer at each earlier repair owed to a warm device."""
+        """Arm one timer at the next fault that is not lazy, and the
+        other at the earliest repair owed to a warm device."""
         shot = self._shot_us
         events = self.schedule.events
         forced = self._forced
@@ -619,27 +587,12 @@ class FaultInjector:
         self._lazy_upto = i
         if i < n:
             self._timer.schedule(shot[i])
-            horizon = shot[i]
         else:
             self._timer.cancel()
-            horizon = math.inf
-        due: dict[float, float] = {}
-        for index, at in self._warm_owed.items():
-            if at < horizon:
-                repair_us = events[index].repair_us
-                if at < due.get(repair_us, math.inf):
-                    due[repair_us] = at
-        timers = self._repair_timers
-        for repair_us, timer in timers.items():
-            if repair_us not in due:
-                timer.cancel()
-        for repair_us, at in due.items():
-            timer = timers.get(repair_us)
-            if timer is None:
-                timer = timers[repair_us] = self.recovery.sim.timer_handle(
-                    self._fire, name=lambda r=repair_us: f"timeout({r:g})"
-                )
-            timer.schedule(at)
+        if self._warm_owed:
+            self._repair_timer.schedule(min(self._warm_owed.values()))
+        else:
+            self._repair_timer.cancel()
 
     def _check_cold(self, device: Device, event: FaultEvent, at: float) -> None:
         """Sanitizer: a lazily applied transition must find its device

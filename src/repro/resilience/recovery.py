@@ -22,10 +22,12 @@ system.
 While a :class:`~repro.resilience.faults.FaultInjector` holds devices
 cold, it applies their faults and repairs itself, without a loop entry,
 and folds them into :attr:`RecoveryManager.epoch`,
-``device_failures`` and ``repairs``.  Those counters and every fault
-operation here catch the injector up first, and the operations hand the
-devices they touched back to it afterwards (``_settle``), which decides
-whether each stays warm or turns cold.
+``device_failures`` and ``repairs``.  Those counters catch the injector
+up first, as ``Device.failed`` does; the host and island operations
+warm all their devices in one batch before touching them, and every
+fault operation hands the devices it touched back to the injector
+afterwards (``_settle``), which decides whether each stays warm or
+turns cold.
 """
 
 from __future__ import annotations
@@ -186,7 +188,6 @@ class RecoveryManager:
     # -- primitive fault operations -----------------------------------------
     def fail_device(self, device: Device, reason: str = "device failure") -> None:
         """Take one device down and evict its pending grants."""
-        self._catch_up()
         if device.failed:
             return
         self._epoch += 1
@@ -197,7 +198,6 @@ class RecoveryManager:
         self._settle((device,))
 
     def repair_device(self, device: Device) -> None:
-        self._catch_up()
         if not device.failed:
             return
         if device.host is not None and device.host.failed:

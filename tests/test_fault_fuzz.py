@@ -52,15 +52,18 @@ from repro.workloads import churn
 
 EXAMPLES = int(os.environ.get("REPRO_FAULT_FUZZ_EXAMPLES", "25"))
 
+
 def _jitter(k: int) -> float:
     """A distinct fractional offset for the ``k``-th hand-written time.
 
     Lazy delivery arms the injector's timer at a different moment than
     a timer walking the whole schedule, so a fault at the *exact*
-    instant of another entry (say a recovery backoff timed from an
-    earlier fault) may run on either side of it.  Offsets that differ
-    per time and are not sums of round config constants keep such
-    ties out of the comparison."""
+    instant of a loop entry that is not a fault or repair (say a
+    recovery backoff timed from an earlier fault) may run on either
+    side of it.  Offsets that differ per time and are not sums of round
+    config constants keep such ties out of the comparison.  Ties inside
+    the schedule (a fault at another fault's repair instant) have one
+    order, and are drawn on purpose."""
     return 0.371 + 0.0731 * k
 
 
@@ -71,8 +74,23 @@ def churn_scenarios(draw):
     extra, probes = [], []
     for k in range(draw(st.integers(0, 3))):
         at = draw(st.integers(1, 60)) * 1_000.0 + _jitter(2 * k)
-        kind = draw(st.sampled_from(["host", "preempt", "overlap"]))
-        if kind == "host":
+        kind = draw(st.sampled_from(["host", "preempt", "overlap", "tie"]))
+        if kind == "tie":
+            # A device fault, then its host crashes or its island is
+            # preempted at the exact instant its repair lands.
+            device = draw(st.integers(0, 15))
+            repair = draw(st.sampled_from([5_000.0, 9_000.0]))
+            extra.append(FaultEvent(at, FaultKind.DEVICE_FAILURE, device, repair))
+            if draw(st.booleans()):
+                extra.append(FaultEvent(
+                    at + repair, FaultKind.HOST_CRASH, device // 4,
+                    draw(st.sampled_from([0.0, 7_000.0])),
+                ))
+            else:
+                extra.append(FaultEvent(
+                    at + repair, FaultKind.ISLAND_PREEMPTION, 0, 3_000.0
+                ))
+        elif kind == "host":
             extra.append(FaultEvent(
                 at, FaultKind.HOST_CRASH, draw(st.integers(0, 3)),
                 draw(st.sampled_from([0.0, 7_000.0, 30_000.0])),
@@ -84,13 +102,15 @@ def churn_scenarios(draw):
             ))
         else:
             # A device fault, then another on the same device before
-            # its repair lands.
+            # its repair lands or at the exact instant it does.
             device = draw(st.integers(0, 15))
             repair = draw(st.sampled_from([5_000.0, 9_000.0]))
             extra.append(FaultEvent(at, FaultKind.DEVICE_FAILURE, device, repair))
             probes.append((at + 0.25, device))
+            again = draw(st.sampled_from([1, 2, 3, 4, None]))
             extra.append(FaultEvent(
-                at + draw(st.integers(1, 4)) * 1_000.0 + _jitter(2 * k + 1),
+                at + repair if again is None
+                else at + again * 1_000.0 + _jitter(2 * k + 1),
                 FaultKind.DEVICE_FAILURE, device,
                 draw(st.sampled_from([0.0, 4_000.0])),
             ))
@@ -190,13 +210,18 @@ def _run(scenario: dict, injector_cls) -> dict:
     return out
 
 
-def _removed_entries(lazy: list, eager: list) -> list:
+def _removed_entries(lazy: list, eager: list, repair_names: set) -> list:
     """The entries of ``eager`` missing from ``lazy``, if ``lazy`` is a
-    subsequence of it (same times, same order); else fail."""
+    subsequence of it (same times, same order; the lazy injector's
+    ``fault-repair`` timer stands for a repair timeout at its instant);
+    else fail."""
     removed = []
     j = 0
     for entry in eager:
-        if j < len(lazy) and lazy[j] == entry:
+        if j < len(lazy) and (
+            lazy[j] == entry
+            or lazy[j] == (entry[0], "fault-repair") and entry[1] in repair_names
+        ):
             j += 1
         else:
             removed.append(entry)
@@ -233,7 +258,7 @@ def test_lazy_injector_matches_the_eager_oracle(scenario):
     repair_names = {
         f"timeout({e[3]:g})" for e in eager["injected"] if e[3] > 0
     }
-    for _, name in _removed_entries(lazy["log"], eager["log"]):
+    for _, name in _removed_entries(lazy["log"], eager["log"], repair_names):
         assert name == "fault-injector" or name in repair_names, name
 
 
@@ -285,6 +310,56 @@ class TestContract:
         assert [e.target for e in injector.injected] == [d0.device_id]
         assert recovery.device_failures == 1 and recovery.repairs == 1
         assert not d0.failed and not d1.failed
+
+    @pytest.mark.parametrize(
+        "second, down, want",
+        [
+            # The device fails again at its own repair instant: repaired,
+            # then down for the second repair.
+            ("device", [(5_999.0, True), (6_000.5, True), (10_999.0, True),
+                        (11_000.5, False)],
+             dict(device_failures=2, repairs=2, fail_count=2)),
+            # Its host crashes at that instant: repaired, then taken down
+            # with the host until the host's restore.
+            ("host", [(5_999.0, True), (6_000.5, True), (8_999.0, True),
+                      (9_000.5, False)],
+             dict(device_failures=1, repairs=2, fail_count=2)),
+            # Its island is preempted at that instant: the same, until the
+            # preemption ends.
+            ("preempt", [(5_999.0, True), (6_000.5, True), (7_999.0, True),
+                         (8_000.5, False)],
+             dict(device_failures=1, repairs=2, fail_count=2)),
+        ],
+    )
+    def test_a_fault_at_a_repair_instant_lands_after_it(
+        self, small_system, second, down, want
+    ):
+        """A repair timeout is armed when its fault is delivered, before
+        the injector re-arms for a later fault, so at a shared instant
+        the repair runs first."""
+        sim = small_system.sim
+        recovery = RecoveryManager(small_system)
+        d0 = small_system.cluster.devices[0]
+        schedule = FaultSchedule().device_failure(
+            1_000.0, d0.device_id, repair_us=5_000.0
+        )
+        if second == "device":
+            schedule.device_failure(6_000.0, d0.device_id, repair_us=5_000.0)
+        elif second == "host":
+            schedule.host_crash(6_000.0, d0.host.host_id, repair_us=3_000.0)
+        else:
+            schedule.island_preemption(6_000.0, d0.island_id, 2_000.0)
+        FaultInjector(recovery, schedule)
+        seen = []
+        for at, _ in down:
+            sim.timeout(at).add_callback(
+                lambda _ev: seen.append((sim.now, d0.failed))
+            )
+        sim.run()
+        assert seen == down
+        assert recovery.device_failures == want["device_failures"]
+        assert recovery.repairs == want["repairs"]
+        assert d0.fail_count == want["fail_count"]
 
     def test_traced_fault_instants(self):
         from repro.telemetry import Tracer
