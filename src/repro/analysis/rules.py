@@ -454,7 +454,7 @@ class TimeoutTriggeredRule(Rule):
 # RPR005 — acquire without a guaranteed release
 # --------------------------------------------------------------------------
 
-_ACQUIRE_METHODS = frozenset({"request", "acquire"})
+_ACQUIRE_METHODS = frozenset({"acquire"})
 
 
 class AcquireReleaseRule(Rule):

@@ -46,7 +46,6 @@ class SystemConfig:
     # --- Datacenter network (DCN) ---------------------------------------
     dcn_latency_us: float = 40.0          # one RPC / message latency
     dcn_bandwidth_gbps: float = 12.5      # GB/s per host NIC
-    dcn_batch_window_us: float = 5.0      # coalescing window for same-host msgs
 
     # --- Routed fabric (repro.net) ---------------------------------------
     #: Model per-link contention on the DCN fabric.  Off by default: the

@@ -287,13 +287,25 @@ class ProgramExecution:
                 self._abort_unsettled(failure)
             else:
                 self.system.programs_dispatched += 1
-                if not self.handles_ready.triggered:
-                    self.handles_ready.succeed(None)
+                self._settle_handles_ready(None)
         if self.retry_on_failure:
             if failure is not None and self._loss is None:
                 self._loss = failure
             self._supervise()
         self._retire_if_idle()
+
+    def _settle_handles_ready(self, exc: Optional[BaseException]) -> None:
+        """Settle :attr:`handles_ready`: through the loop when something
+        waits on it (an OpByOp client), inline at no cost otherwise."""
+        ev = self.handles_ready
+        if ev.triggered:
+            return
+        if ev.callbacks:
+            _settle(ev, exc)
+        elif exc is None:
+            ev.succeed_inline(None)
+        else:
+            ev.fail_inline(exc)
 
     def _supervise(self) -> None:
         """Retry mode, no pass running: settle :attr:`done`, or recover
@@ -538,8 +550,7 @@ class ProgramExecution:
         """Fail every not-yet-settled completion event of this execution
         (fatal non-retry loss: in-flight nodes have settled or will via
         kernel aborts; undispatched nodes never will on their own)."""
-        if not self.handles_ready.triggered:
-            self.handles_ready.fail(exc)
+        self._settle_handles_ready(exc)
         for ev in self._node_done.values():
             if not ev.triggered:
                 ev.fail(exc)

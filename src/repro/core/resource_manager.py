@@ -9,7 +9,7 @@ to be added and removed dynamically").
 
 from __future__ import annotations
 
-from typing import Callable, Generator, Optional
+from typing import Callable, Optional
 
 from repro.config import SystemConfig
 from repro.core.placement import DeviceGroup
@@ -301,9 +301,5 @@ class ResourceManager:
         if cost <= 0:
             done.succeed(None)
         else:
-            def _compile() -> Generator:
-                yield self.sim.timeout(cost)
-                done.succeed(None)
-
-            self.sim.process(_compile(), name=lambda: f"compile:{fn.name}")
+            self.sim.timeout(cost).add_callback(lambda ev: done.succeed(None))
         return done

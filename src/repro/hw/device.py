@@ -217,7 +217,6 @@ class CollectiveRendezvous:
         name: str = "",
         compute_us: float = 0.0,
         launch_us: float = 0.0,
-        wire_fn: Optional[Callable[[], Event]] = None,
     ):
         if participants < 1:
             raise ValueError("collective needs at least one participant")
@@ -226,14 +225,6 @@ class CollectiveRendezvous:
         self.expected = participants
         self.duration_us = duration_us
         self.compute_us = compute_us
-        #: Dynamic wire phase: called once every participant has joined;
-        #: the returned event's completion (or failure — e.g. a
-        #: cross-island transfer lost to a host crash) replaces the fixed
-        #: ``duration_us`` timeout.  This is how congestion-aware
-        #: cross-island collectives route their gather/scatter traffic
-        #: through the contended fabric (``Transport.make_cross_island_
-        #: collective``).
-        self.wire_fn = wire_fn
         #: Per-device kernel-launch latency folded into the completion
         #: (joins happen at queue-head time, uniformly ``launch_us``
         #: early, so the completion timeout covers launch + wire +
@@ -270,24 +261,14 @@ class CollectiveRendezvous:
             # wire time, plus the folded compute phase if any.  A device
             # can still fail *during* the wire time, in which case the
             # abort wins and this completion is dropped.
-            if self.wire_fn is not None:
-                # The wire phase is real (contended) network traffic: a
-                # lost transfer fails the whole gang into recovery.
-                self.wire_fn().add_callback(self._finish_wire)
-            else:
-                self.sim.timeout(self.launch_us + self.duration_us).add_callback(
-                    self._finish_wire
-                )
+            self.sim.timeout(self.launch_us + self.duration_us).add_callback(
+                self._finish_wire
+            )
         return self._done
 
     def _finish_wire(self, ev: Event) -> None:
         if self._done.triggered:
             return  # aborted during the wire phase
-        if ev._exc is not None:
-            # A dynamic wire phase failed (e.g. MessageLost): release
-            # every participant with the fault instead of wedging them.
-            self._done.fail(ev._exc)
-            return
         self._wire_done = True
         if self.compute_us > 0:
             self.sim.timeout(self.compute_us).add_callback(self._finish_compute)

@@ -37,7 +37,7 @@ paper's dispatch and pipeline figures are calibrated on the first.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Generator, Optional, Sequence, TYPE_CHECKING, Union
+from typing import Callable, Optional, TYPE_CHECKING, Union
 
 from repro.config import SystemConfig
 from repro.faults import FaultError
@@ -47,7 +47,6 @@ from repro.stats import Stats
 from repro.net.fabric import Fabric, Link
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.hw.device import CollectiveRendezvous
     from repro.hw.host import Host
 
 __all__ = ["Message", "MessageLost", "Transport", "TransportStats"]
@@ -188,7 +187,7 @@ class _SendState:
         msg = self.msg
         self.phase = _SETTLED
         if not msg.triggered:
-            msg.succeed(None)
+            msg.succeed_inline(None)
 
     def abort(self, cause: BaseException) -> None:
         if self.msg.triggered:
@@ -273,7 +272,7 @@ class _Traversal:
         msg = self.msg
         if not msg.triggered:  # else lost while propagating
             self.transport.sim._live_chains.pop(self, None)
-            msg.succeed(None)
+            msg.succeed_inline(None)
 
     def reroute(self, remaining: float) -> None:
         """A hop of the flow died; ``remaining`` is its unsent bytes."""
@@ -371,7 +370,7 @@ class TransportStats(Stats):
 
 
 class Transport:
-    """Uniform cross-host send/rpc/bulk/collective API over the fabric.
+    """Uniform cross-host send API over the fabric.
 
     With ``fabric=None`` (or ``config.net_contention=False``) behaves as
     the historical point-to-point DCN cost model; with contention on,
@@ -437,21 +436,30 @@ class Transport:
         return sorted(live, key=live.__getitem__)
 
     def _sanitizer_problems(self) -> list[tuple[str, str]]:
-        """Drain-end invariant: no message may end neither delivered nor
+        """Drain-end invariants: no message may end neither delivered nor
         failed — an undelivered survivor is a sender that will wait
-        forever (the transport-level lost wakeup)."""
+        forever (the transport-level lost wakeup) — and every message
+        sent was counted delivered or lost exactly once (loopbacks are
+        in neither count; a stranded message is reported above)."""
+        problems = []
         stranded = self._unsettled()
-        if not stranded:
-            return []
-        names = ", ".join(m.name for m in stranded[:8])
-        more = "" if len(stranded) <= 8 else f" (+{len(stranded) - 8} more)"
-        return [
-            (
+        if stranded:
+            names = ", ".join(m.name for m in stranded[:8])
+            more = "" if len(stranded) <= 8 else f" (+{len(stranded) - 8} more)"
+            problems.append((
                 "waiters",
                 f"transport drained with {len(stranded)} in-flight "
                 f"message(s) neither delivered nor failed: {names}{more}",
-            )
-        ]
+            ))
+        settled = self.messages_delivered + self.messages_lost + len(stranded)
+        if settled != self.messages_sent:
+            problems.append((
+                "conservation",
+                f"transport drained with {self.messages_sent} message(s) "
+                f"sent but {self.messages_delivered} delivered + "
+                f"{self.messages_lost} lost + {len(stranded)} in flight",
+            ))
+        return problems
 
     # -- mode & cost model -------------------------------------------------
     @property
@@ -569,58 +577,35 @@ class Transport:
         window in which a crashed endpoint can restore).  The returned
         event succeeds with the number of attempts used, or fails with
         the final :class:`MessageLost` once ``max_attempts`` is spent.
+        A callback chain: the first attempt is sent at once, and each
+        later step runs from the settle or backoff it waited on.
         """
+        if max_attempts < 1:
+            raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
         done = Event(self.sim)
+        attempt = 0
 
-        def _proc() -> Generator:
-            last: Optional[BaseException] = None
-            for attempt in range(1, max_attempts + 1):
-                try:
-                    yield self.send(src, dst, nbytes, timeout_us=timeout_us)
-                except MessageLost as exc:
-                    last = exc
-                    self.retransmits += 1
-                    backoff = self.config.net_retransmit_backoff_us
-                    if backoff > 0:
-                        yield self.sim.timeout(backoff)
-                    continue
+        def send(last: Optional[BaseException] = None) -> None:
+            nonlocal attempt
+            if attempt == max_attempts:
+                done.fail(last)
+                return
+            attempt += 1
+            self.send(src, dst, nbytes, timeout_us=timeout_us).add_callback(settled)
+
+        def settled(msg: Event) -> None:
+            if msg._exc is None:
                 done.succeed(attempt)
                 return
-            done.fail(last)
+            self.retransmits += 1
+            backoff = self.config.net_retransmit_backoff_us
+            if backoff > 0:
+                self.sim.timeout(backoff).add_callback(lambda ev: send(msg._exc))
+            else:
+                send(msg._exc)
 
-        self.sim.process(_proc())
+        send()
         return done
-
-    def make_cross_island_collective(
-        self,
-        participants: int,
-        hosts: Sequence["Host"],
-        nbytes_per_host: int,
-        name: str = "",
-        compute_us: float = 0.0,
-    ) -> "CollectiveRendezvous":
-        """A gang rendezvous whose wire phase is real fabric traffic.
-
-        Once every participant joins, the collective runs as a gather to
-        ``hosts[0]`` followed by a scatter back — every transfer
-        contending on the island uplinks like any other message.  An
-        endpoint crash mid-collective aborts the rendezvous with the
-        :class:`MessageLost`, releasing the surviving gang members into
-        the recovery path instead of wedging them.
-        """
-        from repro.hw.device import CollectiveRendezvous
-
-        hosts = list(hosts)
-        if not hosts:
-            raise ValueError("collective needs at least one host")
-        return CollectiveRendezvous(
-            self.sim,
-            participants,
-            duration_us=0.0,
-            name=name,
-            compute_us=compute_us,
-            wire_fn=lambda: self._collective_wire(hosts, nbytes_per_host),
-        )
 
     # -- failure integration -------------------------------------------------
     def fail_in_flight(self, host: "Host", reason: str = "host crash") -> int:
@@ -694,18 +679,6 @@ class Transport:
         return True
 
     # -- internals -----------------------------------------------------------
-    def _collective_wire(self, hosts: list, nbytes: int):
-        def _proc() -> Generator:
-            root = hosts[0]
-            gather = [self.send(h, root, nbytes) for h in hosts[1:]]
-            if gather:
-                yield self.sim.all_of(gather)
-            scatter = [self.send(root, h, nbytes) for h in hosts[1:]]
-            if scatter:
-                yield self.sim.all_of(scatter)
-
-        return self.sim.process(_proc())
-
     def _track(self, msg: Message) -> None:
         for host in (msg.src, msg.dst):
             self._in_flight.setdefault(host.host_id, {})[msg] = msg.msg_id

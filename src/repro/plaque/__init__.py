@@ -1,8 +1,8 @@
 """PLAQUE-like sharded dataflow coordination substrate.
 
 The paper relies on PLAQUE, a closed-source Google dataflow engine, for
-all cross-host coordination (§4.3).  This package implements the three
-properties Pathways requires of its substrate, from scratch:
+all cross-host coordination (§4.3).  Pathways requires three properties
+of its substrate; this package implements the first two:
 
 1. **Compact sharded representation** — one dataflow node per *sharded*
    computation; a chain A -> B of N-shard computations is 4 nodes
@@ -12,17 +12,16 @@ properties Pathways requires of its substrate, from scratch:
    detects when a shard's inputs are complete even when only a dynamic
    subset of source shards sends (:mod:`repro.plaque.progress`,
    :mod:`repro.plaque.channels`).
-3. **Low-latency critical-path messaging with batching** — messages to
-   the same host inside a small window coalesce into one DCN send
-   (:mod:`repro.plaque.channels`).
+3. **Low-latency critical-path messaging** — control messages ride the
+   routed transport (:mod:`repro.net`), one send each; the paper's
+   same-host batching is not modelled.
 """
 
 from repro.plaque.graph import EdgeKind, ShardedEdge, ShardedGraph, ShardedNode
 from repro.plaque.progress import ProgressTracker
-from repro.plaque.channels import BatchingDcnChannel, ShardedChannel
+from repro.plaque.channels import ShardedChannel
 
 __all__ = [
-    "BatchingDcnChannel",
     "EdgeKind",
     "ProgressTracker",
     "ShardedChannel",

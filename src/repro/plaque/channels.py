@@ -1,31 +1,21 @@
-"""Runtime channels: tagged tuples and DCN message batching.
+"""Runtime channels: tagged tuples on a sharded edge.
 
 :class:`ShardedChannel` is the runtime realization of one sharded edge:
 producers put tuples tagged with a destination shard; consumers get a
 per-shard stream plus the :class:`~repro.plaque.progress.ProgressTracker`
 completion signal.
-
-:class:`BatchingDcnChannel` implements the substrate requirement that
-messages "destined for the same host [are batched] when high throughput
-is required" while critical messages still go out with low latency
-(paper §4.3): sends within a small window to the same destination host
-coalesce into one message on the routed transport (:mod:`repro.net`); a
-zero window degenerates to eager sends.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator, Optional
+from typing import Any, Optional
 
-from repro.config import SystemConfig
-from repro.hw.host import Host
-from repro.net import Transport
 from repro.sim import Event, Simulator, Store
 
 from repro.plaque.progress import ProgressTracker
 
-__all__ = ["BatchingDcnChannel", "ShardedChannel"]
+__all__ = ["ShardedChannel"]
 
 
 @dataclass(frozen=True)
@@ -89,90 +79,3 @@ class ShardedChannel:
 
     def shard_complete(self, dst_shard: int) -> Event:
         return self.progress.shard_complete(dst_shard)
-
-
-def _settle_arrival(arrival: Event, sent: Event) -> None:
-    """Mirror a transport message's outcome onto a channel arrival event
-    (delivery succeeds it; a lost message — host crash — fails it)."""
-    if arrival.triggered:
-        return
-    if sent._exc is not None:
-        arrival.fail(sent._exc)
-    else:
-        arrival.succeed(None)
-
-
-class BatchingDcnChannel:
-    """Coalesces small control messages to the same destination host.
-
-    The first message to a destination opens a window of
-    ``config.dcn_batch_window_us``; everything queued for that host
-    within the window rides one transport send (one routed message —
-    batching amortizes per-message latency *and* fabric load).  Each
-    message's ``deliver`` callback runs on arrival.  Statistics expose
-    the batching ratio so the test suite can assert amortization
-    actually happens.
-    """
-
-    def __init__(
-        self, sim: Simulator, transport: Transport, config: SystemConfig, src: Host
-    ):
-        self.sim = sim
-        self.transport = transport
-        self.config = config
-        self.src = src
-        self._pending: dict[int, list[tuple[int, Event]]] = {}
-        self._dst_hosts: dict[int, Host] = {}
-        self.logical_messages = 0
-        self.physical_messages = 0
-
-    def send(self, dst: Host, nbytes: int = 256) -> Event:
-        """Queue a message; returns its arrival event."""
-        arrival = self.sim.event(
-            name=lambda: f"batched:{self.src.name}->{dst.name}"
-        )
-        self.logical_messages += 1
-        window = self.config.dcn_batch_window_us
-        if window <= 0 or dst is self.src:
-            self.physical_messages += 1
-            self.transport.send(self.src, dst, nbytes).add_callback(
-                lambda ev: _settle_arrival(arrival, ev)
-            )
-            return arrival
-        key = dst.host_id
-        if key not in self._pending:
-            self._pending[key] = [(nbytes, arrival)]
-            self._dst_hosts[key] = dst
-            self.sim.process(
-                self._flush_later(key), name=lambda: f"dcnbatch:{key}"
-            )
-        else:
-            self._pending[key].append((nbytes, arrival))
-        return arrival
-
-    def _flush_later(self, key: int) -> Generator:
-        yield self.sim.timeout(self.config.dcn_batch_window_us)
-        batch = self._pending.pop(key)
-        dst = self._dst_hosts.pop(key)
-        total = sum(nb for nb, _ in batch)
-        self.physical_messages += 1
-        done = self.transport.send(self.src, dst, total)
-        try:
-            yield done
-        except Exception as exc:  # noqa: BLE001 - message lost (host crash)
-            # Every coalesced message rode the lost send: fail all their
-            # arrivals so waiters observe the loss instead of wedging.
-            for _, arrival in batch:
-                if not arrival.triggered:
-                    arrival.fail(exc)
-            return
-        for _, arrival in batch:
-            if not arrival.triggered:
-                arrival.succeed(None)
-
-    @property
-    def batching_ratio(self) -> float:
-        """Logical messages per physical DCN send (>= 1)."""
-        if self.physical_messages == 0:
-            return 1.0
-        return self.logical_messages / self.physical_messages

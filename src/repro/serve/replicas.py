@@ -19,7 +19,7 @@ drain/handback discipline.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Generator, Optional, TYPE_CHECKING
+from typing import Deque, Optional, TYPE_CHECKING
 
 from repro.core.virtual_device import VirtualSlice
 from repro.models.transformer import TransformerConfig
@@ -314,8 +314,14 @@ class ReplicaSet:
         self.replicas.append(replica)
         if initial:
             self._activate_now(replica)
+        elif self.weights_bytes > 0:
+            # Ship the model weights to the replica's lead host; the
+            # transfer contends on the fabric like any other traffic.
+            self.system.transport.send(
+                self.frontend.host, replica.lead_host, self.weights_bytes
+            ).add_callback(lambda ev: self._spun_up(replica, ev._exc))
         else:
-            self.sim.process(self._activate(replica))
+            self._spun_up(replica, None)
         return replica
 
     def _activate_now(self, replica: Replica) -> None:
@@ -323,22 +329,14 @@ class ReplicaSet:
         replica.batcher = ContinuousBatcher(self.frontend, replica)
         self._record_width()
 
-    def _activate(self, replica: Replica) -> Generator:
-        # Ship the model weights to the replica's lead host; the
-        # transfer contends on the fabric like any other traffic.
-        if self.weights_bytes > 0:
-            try:
-                yield self.system.transport.send(
-                    self.frontend.host, replica.lead_host, self.weights_bytes
-                )
-            except Exception:  # noqa: BLE001 - MessageLost / endpoint crash
-                # Spin-up failed: unwind rather than leave a zombie in
-                # the pool (it would block growth and wedge drains).
-                self._finalize_retire(replica)
-                return
-        if replica.retiring:
-            # Retired (e.g. its island started draining) while the
-            # weights were in flight: hand the hardware straight back.
+    def _spun_up(self, replica: Replica, exc: Optional[BaseException]) -> None:
+        """Runtime growth's weights transfer settled (``exc`` when it was
+        lost, e.g. to an endpoint crash)."""
+        if exc is not None or replica.retiring:
+            # A failed spin-up unwinds rather than leave a zombie in the
+            # pool (it would block growth and wedge drains); a replica
+            # retired while its weights were in flight (e.g. its island
+            # started draining) hands the hardware straight back.
             self._finalize_retire(replica)
             return
         self.scale_ups += 1

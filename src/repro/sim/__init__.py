@@ -29,6 +29,7 @@ from repro.sim.engine import (
 )
 from repro.sim.resources import Resource, Store
 from repro.sim.sanitize import (
+    ConservationError,
     DoubleTriggerError,
     LeakedCapacityError,
     PendingTimeoutReadError,
@@ -42,6 +43,7 @@ from repro.sim.sanitize import (
 
 __all__ = [
     "AllOf",
+    "ConservationError",
     "DeadlockError",
     "DoubleTriggerError",
     "Event",

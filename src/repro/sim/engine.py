@@ -166,6 +166,18 @@ class Event:
         if self._value is not _PENDING or self._exc is not None:
             raise DoubleTriggerError(f"event {self.name!r} already triggered")
         self._value = value
+        return self._run_inline()
+
+    def fail_inline(self, exc: BaseException) -> "Event":
+        """:meth:`succeed_inline` for a failure."""
+        if self._value is not _PENDING or self._exc is not None:
+            raise DoubleTriggerError(f"event {self.name!r} already triggered")
+        self._exc = exc
+        return self._run_inline()
+
+    def _run_inline(self) -> "Event":
+        # Not _process_callbacks: that is the loop entry, and tools that
+        # count loop entries wrap it.
         callbacks, self.callbacks = self.callbacks, None
         if callbacks:
             for fn in callbacks:

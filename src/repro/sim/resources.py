@@ -5,14 +5,14 @@ host CPUs and NICs and a client's controller thread.  :class:`Store` is
 an unbounded-or-bounded FIFO queue of items — used for PLAQUE channel
 shards and input-pipeline buffers.
 
-Both grant strictly in request order, which keeps the simulation
+Both grant strictly in arrival order, which keeps the simulation
 deterministic and models the paper's FIFO hardware queues faithfully.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Generator, Optional, Union
+from typing import Any, Callable, Deque, Optional
 
 from repro.sim.engine import Event, Simulator
 from repro.sim.sanitize import UnbalancedGrantError
@@ -23,14 +23,14 @@ __all__ = ["Resource", "Store"]
 class Resource:
     """A counted resource granting up to ``capacity`` concurrent holders.
 
-    ``request()`` returns an :class:`Event` that triggers when the slot is
-    granted; the holder must later call ``release()`` exactly once.  The
-    ``using()`` helper wraps the acquire/hold/release pattern::
+    ``acquire(on_grant)`` calls ``on_grant(None)`` once a slot is held;
+    the holder must later call ``release()`` exactly once::
 
-        def task(sim, cpu):
-            yield from cpu.using(sim, work_us=10.0)
-
-    ``acquire(on_grant)`` is the callback form; both share one FIFO.
+        def hold(sim, cpu, work_us):
+            def on_grant(exc):
+                if exc is None:
+                    sim.timeout(work_us).add_callback(lambda ev: cpu.release())
+            cpu.acquire(on_grant)
     """
 
     def __init__(
@@ -52,8 +52,8 @@ class Resource:
         #: leave this False — only stranded *waiters* are flagged then.
         self.leak_check = leak_check
         self._in_use = 0
-        #: request() events and acquire() callbacks, in arrival order.
-        self._waiters: Deque[Union[Event, Callable]] = deque()
+        #: Queued acquire() callbacks, in arrival order.
+        self._waiters: Deque[Callable[[Optional[BaseException]], None]] = deque()
         #: Cumulative busy time integral, for utilization reporting.
         self._busy_accum = 0.0
         self._last_change = 0.0
@@ -92,19 +92,6 @@ class Resource:
         else:
             self._waiters.append(on_grant)
 
-    def request(self) -> Event:
-        sim = self.sim
-        if self._in_use < self.capacity and not self._waiters:
-            # Uncontended acquisition: grant inline with a completed
-            # event (no loop entry); the holder proceeds at the same
-            # simulated instant either way.
-            self._account()
-            self._in_use += 1
-            return sim.completed(self)
-        ev = Event(sim)
-        self._waiters.append(ev)
-        return ev
-
     def fail_waiters(self, cause: BaseException) -> int:
         """Fail every queued (not-yet-granted) acquisition with ``cause``.
 
@@ -115,15 +102,12 @@ class Resource:
         """
         n = len(self._waiters)
         while self._waiters:
-            waiter = self._waiters.popleft()
-            if not isinstance(waiter, Event):
-                # Deferred like a failed request(): the owner (Host.crash)
-                # settles its own state first, in its own order.
-                ev = Event(self.sim)
-                ev.add_callback(lambda ev, on_grant=waiter: on_grant(ev._exc))
-                waiter = ev
-            if not waiter.triggered:
-                waiter.fail(cause)
+            on_grant = self._waiters.popleft()
+            # Deferred through the loop: the owner (Host.crash) settles
+            # its own state first, in its own order.
+            ev = Event(self.sim)
+            ev.add_callback(lambda ev, on_grant=on_grant: on_grant(ev._exc))
+            ev.fail(cause)
         return n
 
     def release(self) -> None:
@@ -134,18 +118,14 @@ class Resource:
         self._account()
         if self._waiters:
             # Hand the slot directly to the next waiter: in_use unchanged.
-            waiter = self._waiters.popleft()
-            if isinstance(waiter, Event):
-                waiter.succeed(self)
-            else:
-                waiter(None)
+            self._waiters.popleft()(None)
         else:
             self._in_use -= 1
 
     def _sanitizer_problems(self) -> list[tuple[str, str]]:
         """Drain-end invariants for the sim-sanitizer sweep."""
         problems: list[tuple[str, str]] = []
-        pending = sum(not isinstance(w, Event) or not w.triggered for w in self._waiters)
+        pending = len(self._waiters)
         if pending:
             problems.append(
                 (
@@ -163,15 +143,6 @@ class Resource:
                 )
             )
         return problems
-
-    def using(self, sim: Simulator, work_us: float) -> Generator:
-        """Acquire, hold for ``work_us``, release.  ``yield from`` this."""
-        yield self.request()
-        try:
-            if work_us > 0:
-                yield sim.timeout(work_us)
-        finally:
-            self.release()
 
 
 class Store:

@@ -32,7 +32,8 @@ What is checked:
   and fabric links still carrying or queueing traffic
   (:class:`LeakedCapacityError`, the per-link residual behind
   ``fabric.idle``), HBM allocations still queued or reservations out of
-  ``[0, capacity]``;
+  ``[0, capacity]``, and transports whose messages sent differ from
+  those delivered plus those lost (:class:`ConservationError`);
 * every device fault or repair a fault injector applies lazily finds its
   device still cold (:class:`WarmDeviceError`).
 """
@@ -46,6 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
 
 __all__ = [
+    "ConservationError",
     "DoubleTriggerError",
     "LeakedCapacityError",
     "PendingTimeoutReadError",
@@ -99,6 +101,11 @@ class LeakedCapacityError(SanitizerError):
     invariant, per link)."""
 
 
+class ConservationError(SanitizerError):
+    """Counts that must balance at drain end do not: a transport's
+    messages sent differ from those delivered plus those lost."""
+
+
 class WarmDeviceError(SanitizerError):
     """A fault injector applied a device transition lazily, without a
     loop entry, to a device that held live state (a kernel, an HBM
@@ -119,10 +126,11 @@ class SimSanitizer:
 
     Objects self-register via :meth:`watch` on first instrumented use
     and expose ``_sanitizer_problems() -> list[tuple[str, str]]`` where
-    the first element is a category key (``"waiters"``, ``"grants"``,
-    ``"capacity"``).  The registry is an insertion-ordered dict keyed by
-    object identity, so sweep order — and therefore which error fires
-    first — is deterministic for a deterministic program.
+    the first element is a category key (``"waiters"``, ``"capacity"``,
+    ``"grants"``, ``"conservation"``).  The registry is an
+    insertion-ordered dict keyed by object identity, so sweep order —
+    and therefore which error fires first — is deterministic for a
+    deterministic program.
     """
 
     #: category key -> error class, in report-priority order.
@@ -130,6 +138,7 @@ class SimSanitizer:
         ("waiters", UnsettledWaitersError),
         ("capacity", LeakedCapacityError),
         ("grants", UnbalancedGrantError),
+        ("conservation", ConservationError),
     )
 
     def __init__(self) -> None:

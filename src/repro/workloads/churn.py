@@ -56,6 +56,7 @@ class ChurnResult:
     faults_injected: int
     recoveries: int
     remaps: int
+    checkpoints_taken: int = 0
     #: Devices added mid-run by elastic scale-up (0 when disabled).
     devices_added: int = 0
     per_client_steps: dict[str, int] = field(default_factory=dict)
@@ -293,6 +294,7 @@ def run_churn(
         useful_steps=sum(s["done"] for s in stats.values()),
         replayed_steps=sum(s["replayed"] for s in stats.values()),
         checkpoint_overhead_us=sum(c.overhead_us for c in checkpoints),
+        checkpoints_taken=sum(c.checkpoints_taken for c in checkpoints),
         faults_injected=len(injector.injected) if injector is not None else 0,
         recoveries=recovery_stats.programs_recovered,
         remaps=recovery_stats.remaps,

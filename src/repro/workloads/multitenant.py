@@ -162,7 +162,13 @@ def run_jax_multitenant(
         in_flight = []
         for _ in range(iters_per_client):
             jitter = rng.exponential(config.jax_straggler_sigma_us, size=n_hosts).max()
-            yield from dispatch_thread.using(sim, config.python_dispatch_us + jitter)
+            granted = sim.event()
+            dispatch_thread.acquire(lambda exc, ev=granted: ev.succeed_inline())
+            yield granted
+            try:
+                yield sim.timeout(config.python_dispatch_us + jitter)
+            finally:
+                dispatch_thread.release()
             yield sim.timeout(config.pcie_latency_us + config.host_launch_work_us)
             kernel = Kernel(
                 sim,

@@ -6,6 +6,8 @@ def leak_on_success(cpu, work):
 
 
 def leak_on_exception(sim, cpu, work_us):
-    yield cpu.request()
+    granted = sim.event()
+    cpu.acquire(lambda exc: granted.succeed_inline())
+    yield granted
     yield sim.timeout(work_us)
     cpu.release()  # happy path only: an interrupt above leaks the slot

@@ -2,7 +2,9 @@
 
 
 def hold(sim, cpu, work_us):
-    yield cpu.request()
+    granted = sim.event()
+    cpu.acquire(lambda exc: granted.succeed_inline())
+    yield granted
     try:
         yield sim.timeout(work_us)
     finally:

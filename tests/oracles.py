@@ -26,6 +26,14 @@ no production path that selects it:
   :meth:`RecoveryManager.inject` with one repair timeout each, the
   reference for the lazy :class:`repro.resilience.FaultInjector`.
 
+* :func:`send_reliable` — one generator ``Process`` per reliable send,
+  the reference for the callback chain of
+  :meth:`repro.net.Transport.send_reliable`.
+
+* :func:`request` — an Event for a :meth:`repro.sim.Resource.acquire`
+  grant, with the timing of the retired ``Resource.request()``: what
+  the generator drivers here ``yield`` to take a slot.
+
 * :func:`patch_driver` — each ``ProgramExecution`` driven by one
   generator ``Process`` (:func:`run_execution`): controller passes,
   supervision and loss recovery inline, ``done`` settled as an
@@ -43,7 +51,8 @@ runs random DAGs under random faults through both drivers;
 ``test_fault_fuzz.py`` runs random churn scenarios under both fault
 injectors;
 ``test_scheduler_oracle.py`` runs random timed scripts against both
-schedulers.  The timer queue
+schedulers; ``test_net_transport.py`` runs random reliable sends under
+endpoint crashes through both send paths.  The timer queue
 needs no oracle: :class:`repro.sim.TimerQueue`
 is itself the plain ``(when, seq)`` heap, and ``test_timer_queue.py``
 checks it against a sorted list of the live entries.
@@ -52,7 +61,7 @@ checks it against a sorted list of the live entries.
 from __future__ import annotations
 
 from collections import deque
-from typing import Generator, Iterable
+from typing import Generator, Iterable, Optional
 
 import numpy as np
 
@@ -62,8 +71,9 @@ from repro.core.ir import TransferRoute
 from repro.core.object_store import MemorySpace
 from repro.core.scheduler import DeadlineExceeded, GangRequest
 from repro.hw.device import DeviceFailure, unwrap_fault
+from repro.net import MessageLost
 from repro.resilience import FaultEvent, FaultKind
-from repro.sim import Event
+from repro.sim import Event, Resource
 
 __all__ = [
     "DenseFluidSolver",
@@ -76,9 +86,11 @@ __all__ = [
     "patch_driver",
     "prep",
     "recover_and_replay",
+    "request",
     "run_execution",
     "run_node",
     "scalar_poisson_device_failures",
+    "send_reliable",
 ]
 
 _INF = float("inf")
@@ -369,6 +381,51 @@ def one_transfer(execution, spec, producer_done: Event, node) -> Generator:
 
 
 # -- the execution driver as one generator Process ---------------------------
+def request(res: Resource) -> Event:
+    """An Event that succeeds once ``res`` grants a slot (fails if the
+    wait is failed).  An uncontended grant is already processed, so a
+    process yielding it resumes inline; a contended grant or a failed
+    wait settles through the loop."""
+    ev = Event(res.sim)
+
+    def on_grant(exc) -> None:
+        if exc is not None:
+            ev.fail(exc)
+        elif queued:
+            ev.succeed(res)
+        else:
+            ev.succeed_inline(res)
+
+    queued = False
+    res.acquire(on_grant)
+    queued = True
+    return ev
+
+
+def send_reliable(transport, src, dst, nbytes, timeout_us=None, max_attempts=8) -> Event:
+    """A send that retransmits after loss or timeout, as one process."""
+    done = Event(transport.sim)
+
+    def _proc() -> Generator:
+        last: Optional[BaseException] = None
+        for attempt in range(1, max_attempts + 1):
+            try:
+                yield transport.send(src, dst, nbytes, timeout_us=timeout_us)
+            except MessageLost as exc:
+                last = exc
+                transport.retransmits += 1
+                backoff = transport.config.net_retransmit_backoff_us
+                if backoff > 0:
+                    yield transport.sim.timeout(backoff)
+                continue
+            done.succeed(attempt)
+            return
+        done.fail(last)
+
+    transport.sim.process(_proc())
+    return done
+
+
 def patch_driver(mp) -> None:
     """Drive every ``ProgramExecution`` by :func:`run_execution`
     (``mp`` is a ``pytest.MonkeyPatch``)."""
@@ -449,7 +506,7 @@ def dispatch_once(ex, nodes, first: bool) -> Generator:
     ex.attempts += 1
     cfg = ex.config
     hosts = ex.low.total_hosts_logical
-    yield ex.client.controller.request()
+    yield request(ex.client.controller)
     try:
         if ex.mode is DispatchMode.PARALLEL:
             yield ex.sim.timeout(

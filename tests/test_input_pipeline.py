@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from oracles import request
 
 from repro.core.input_pipeline import InputPipeline, run_training_with_input
 from repro.hw.cluster import ClusterSpec, make_cluster
@@ -78,7 +79,9 @@ class TestInputPipeline:
 
         def dispatcher():
             for _ in range(10):
-                yield from host.cpu.using(sim, 50.0)
+                yield request(host.cpu)
+                yield sim.timeout(50.0)
+                host.cpu.release()
 
         proc = sim.process(dispatcher())
         sim.run_until_triggered(proc)

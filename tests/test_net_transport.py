@@ -11,11 +11,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
 
 from repro.config import DEFAULT_CONFIG
 from repro.core.system import PathwaysSystem
 from repro.hw.cluster import ClusterSpec, make_cluster
-from repro.net import MessageLost
+from repro.net import MessageLost, Transport
 from repro.resilience import FaultSchedule, FaultInjector, RecoveryManager
 from repro.sim import Simulator
 from repro.xla.computation import CompiledFunction
@@ -232,7 +236,7 @@ class TestUncontendedRouteLoss:
         lost by the crash listener's fail_in_flight, with its reason."""
         dcn = small_cluster.transport
         a, b = small_cluster.hosts[:2]
-        assert a.nic.request().triggered
+        a.nic.acquire(lambda exc: None)  # held by something not a message
         sim.timeout(100.0).add_callback(lambda ev: a.nic.release())
         msg = dcn.send(a, b, 1_250_000)
         sim.timeout(5.0).add_callback(lambda ev: a.crash())
@@ -352,6 +356,70 @@ class TestReliableSend:
         assert dcn.retransmits == 3
 
 
+def _reliable_run(send_reliable, contended, nbytes, timeout_us, max_attempts,
+                  backoff, background, faults):
+    """One reliable send from island 0 to island 1 behind ``background``
+    plain sends from the same host, under endpoint crash/restore
+    ``faults``; returns what the equivalence test compares."""
+    config = DEFAULT_CONFIG.with_overrides(
+        net_contention=contended, net_retransmit_backoff_us=backoff
+    )
+    sim = Simulator()
+    cluster = make_cluster(
+        sim, ClusterSpec(islands=((2, 1), (2, 1)), name="rel"), config=config
+    )
+    transport = cluster.transport
+    src, dst = cluster.islands[0].hosts[0], cluster.islands[1].hosts[0]
+    for who, at, down_for in faults:
+        host = src if who == "src" else dst
+        sim.timeout(at).add_callback(lambda ev, h=host: h.crash())
+        sim.timeout(at + down_for).add_callback(lambda ev, h=host: h.restore())
+    for _ in range(background):
+        transport.send(src, dst, nbytes)
+    done = send_reliable(
+        transport, src, dst, nbytes, timeout_us=timeout_us, max_attempts=max_attempts
+    )
+    settled = []
+
+    def record(ev):
+        outcome = ev._value if ev._exc is None else ev._exc.category
+        settled.append((sim.now, ev._exc is None, outcome))
+
+    done.add_callback(record)
+    sim.run()
+    return settled, transport.retransmits, dict(transport.lost_by_reason)
+
+
+class TestReliableSendChain:
+    """The callback chain of ``Transport.send_reliable`` against the
+    generator it replaced (``oracles.send_reliable``).  Crashes start at
+    1us or later: a crash at the call instant would run before the
+    generator's first send (its process starts one loop entry later)
+    but after the chain's."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        contended=st.booleans(),
+        nbytes=st.integers(min_value=1, max_value=8 * MB),
+        timeout_us=st.one_of(st.none(), st.floats(min_value=20.0, max_value=3_000.0)),
+        max_attempts=st.integers(min_value=1, max_value=5),
+        backoff=st.sampled_from([0.0, 150.0, 500.0]),
+        background=st.integers(min_value=0, max_value=2),
+        faults=st.lists(
+            st.tuples(
+                st.sampled_from(["src", "dst"]),
+                st.floats(min_value=1.0, max_value=3_000.0),
+                st.floats(min_value=1.0, max_value=2_000.0),
+            ),
+            max_size=3,
+        ),
+    )
+    def test_chain_matches_generator(self, **draw):
+        chain = _reliable_run(Transport.send_reliable, **draw)
+        assert chain == _reliable_run(oracles.send_reliable, **draw)
+        assert chain[0], "the reliable send never settled"
+
+
 class TestContendedRouteLoss:
     def test_crash_mid_flow_releases_every_hop(self, sim, contended_cluster):
         transport = contended_cluster.transport
@@ -379,57 +447,6 @@ class TestContendedRouteLoss:
         assert isinstance(outcome["exc"], MessageLost)
         assert isinstance(trailing._exc, MessageLost)
         assert fabric.idle and fabric.active_flows == 0
-
-
-class TestCrossIslandCollective:
-    def test_gather_scatter_completes_over_fabric(self, sim, contended_cluster):
-        transport = contended_cluster.transport
-        hosts = [
-            contended_cluster.islands[0].hosts[0],
-            contended_cluster.islands[1].hosts[0],
-        ]
-        coll = transport.make_cross_island_collective(
-            participants=2, hosts=hosts, nbytes_per_host=10 * MB
-        )
-        done = [coll.join(), coll.join()]
-        sim.run_until_triggered(sim.all_of(done))
-        cfg = contended_cluster.config
-        # Gather then scatter, each one bottlenecked flow + latency.
-        leg = 10 * MB / cfg.dcn_bytes_per_us + cfg.dcn_latency_us
-        assert sim.now == pytest.approx(2 * leg, rel=1e-6)
-        assert contended_cluster.fabric.idle
-
-    def test_crash_mid_collective_releases_participants(self, sim, contended_cluster):
-        transport = contended_cluster.transport
-        src_island, dst_island = contended_cluster.islands
-        hosts = [src_island.hosts[0], dst_island.hosts[0]]
-        coll = transport.make_cross_island_collective(
-            participants=2, hosts=hosts, nbytes_per_host=100 * MB
-        )
-        waits = [coll.join(), coll.join()]
-        failures = []
-
-        def watcher(ev):
-            try:
-                yield ev
-            except Exception as exc:  # noqa: BLE001
-                failures.append(exc)
-
-        def crasher():
-            yield sim.timeout(500.0)
-            dst_island.hosts[0].crash()
-
-        for ev in waits:
-            sim.process(watcher(ev))
-        sim.process(crasher())
-        sim.run(detect_deadlock=False)
-        assert len(failures) == 2  # every gang member released, not wedged
-        from repro.faults import unwrap_fault
-
-        assert all(
-            isinstance(unwrap_fault(exc), MessageLost) for exc in failures
-        )
-        assert contended_cluster.fabric.idle
 
 
 class TestObjectStoreFetch:
@@ -627,60 +644,6 @@ class TestReviewRegressions:
         sim.run_until_triggered(msg)
         assert msg.ok
         assert transport.messages_lost == 0
-
-    def test_batching_channel_propagates_loss_eagerly(self, sim, config, small_cluster):
-        from repro.plaque.channels import BatchingDcnChannel
-
-        cfg = config.with_overrides(dcn_batch_window_us=0.0)
-        a, b = small_cluster.hosts[:2]
-        chan = BatchingDcnChannel(sim, small_cluster.transport, cfg, a)
-        arrival = chan.send(b, nbytes=10 * MB)
-        outcome = {}
-
-        def watcher():
-            try:
-                yield arrival
-            except MessageLost as exc:
-                outcome["exc"] = exc
-
-        def crasher():
-            yield sim.timeout(100.0)
-            b.crash()
-
-        sim.process(watcher())
-        sim.process(crasher())
-        sim.run(detect_deadlock=False)
-        assert isinstance(outcome["exc"], MessageLost)
-
-    def test_batching_channel_fails_whole_batch_on_loss(
-        self, sim, config, small_cluster
-    ):
-        """A lost coalesced send must fail every rider's arrival (not
-        strand them forever behind a dead flush process)."""
-        from repro.plaque.channels import BatchingDcnChannel
-
-        a, b = small_cluster.hosts[:2]
-        chan = BatchingDcnChannel(sim, small_cluster.transport, config, a)
-        arrivals = [chan.send(b, nbytes=5 * MB) for _ in range(3)]
-        failures = []
-
-        def watcher(ev):
-            try:
-                yield ev
-            except MessageLost as exc:
-                failures.append(exc)
-
-        def crasher():
-            # Window is 5us; the 15 MiB batched send serializes ~1258us.
-            yield sim.timeout(200.0)
-            b.crash()
-
-        for ev in arrivals:
-            sim.process(watcher(ev))
-        sim.process(crasher())
-        sim.run(detect_deadlock=False)
-        assert len(failures) == 3
-        assert chan.physical_messages == 1
 
     def test_fetch_skips_dst_resident_shards(self, sim, contended_config):
         system = PathwaysSystem.build(

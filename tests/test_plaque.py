@@ -6,9 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import DEFAULT_CONFIG
-from repro.hw.cluster import ClusterSpec, make_cluster
-from repro.plaque.channels import BatchingDcnChannel, ShardedChannel
+from repro.plaque.channels import ShardedChannel
 from repro.plaque.graph import EdgeKind, ShardedGraph
 from repro.plaque.progress import ProgressTracker
 from repro.sim import Simulator
@@ -187,45 +185,3 @@ class TestShardedChannel:
         assert not ch.shard_complete(0).triggered
         ch.punctuate(1, 0)
         assert ch.shard_complete(0).triggered
-
-
-class TestBatchingDcnChannel:
-    def _make(self, sim, window=None):
-        config = DEFAULT_CONFIG if window is None else DEFAULT_CONFIG.with_overrides(
-            dcn_batch_window_us=window
-        )
-        cluster = make_cluster(sim, ClusterSpec(islands=((2, 1),)), config=config)
-        src, dst = cluster.hosts
-        return BatchingDcnChannel(sim, cluster.transport, config, src), dst
-
-    def test_messages_in_window_batch(self, sim):
-        chan, dst = self._make(sim)
-        arrivals = [chan.send(dst, 256) for _ in range(10)]
-        sim.run_until_triggered(sim.all_of(arrivals))
-        assert chan.logical_messages == 10
-        assert chan.physical_messages == 1
-        assert chan.batching_ratio == 10.0
-
-    def test_zero_window_sends_eagerly(self, sim):
-        chan, dst = self._make(sim, window=0.0)
-        arrivals = [chan.send(dst, 256) for _ in range(5)]
-        sim.run_until_triggered(sim.all_of(arrivals))
-        assert chan.physical_messages == 5
-
-    def test_batching_adds_bounded_latency(self, sim):
-        chan, dst = self._make(sim)
-        ev = chan.send(dst, 256)
-        sim.run_until_triggered(ev)
-        config = DEFAULT_CONFIG
-        assert sim.now <= config.dcn_batch_window_us + config.dcn_latency_us + 1.0
-
-    def test_separate_windows_for_spaced_messages(self, sim):
-        chan, dst = self._make(sim)
-
-        def proc():
-            yield chan.send(dst, 256)
-            yield sim.timeout(1000.0)
-            yield chan.send(dst, 256)
-
-        sim.run_until_triggered(sim.process(proc()))
-        assert chan.physical_messages == 2

@@ -820,7 +820,9 @@ class TestHostCrashPrepPath:
 
     def test_queued_prep_fails_when_host_crashes(self, sim, small_cluster):
         host = small_cluster.hosts[0]
-        sim.process(host.cpu.using(sim, 100.0))  # occupies the serial CPU
+        host.cpu.acquire(  # occupies the serial CPU
+            lambda exc: sim.timeout(100.0).add_callback(lambda ev: host.cpu.release())
+        )
         settled = []
         host.prep_request(10.0, settled.append)
         sim.timeout(5.0).add_callback(lambda ev: host.crash())

@@ -16,11 +16,12 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.core.system import PathwaysSystem
-from repro.hw.cluster import ClusterSpec
+from repro.hw.cluster import ClusterSpec, make_cluster
 from repro.hw.host import Host
 from repro.net.fabric import Fabric, _RouteClass
 from repro.net.transport import Transport
 from repro.sim import (
+    ConservationError,
     DeadlockError,
     DoubleTriggerError,
     LeakedCapacityError,
@@ -120,7 +121,7 @@ class TestResourceInvariants:
     def test_leaked_grant_detected(self):
         sim = Simulator(sanitize=True)
         nic = Resource(sim, capacity=1, name="nic", leak_check=True)
-        assert nic.request().triggered
+        nic.acquire(lambda exc: None)
         with pytest.raises(UnbalancedGrantError, match="nic"):
             sim.run()
 
@@ -129,7 +130,7 @@ class TestResourceInvariants:
         which of many hosts' NICs was left held."""
         sim = Simulator(sanitize=True)
         host = Host(sim, SystemConfig(), host_id=3, island_id=0)
-        assert host.nic.request().triggered
+        host.nic.acquire(lambda exc: None)
         with pytest.raises(UnbalancedGrantError, match=r"'nic\[h3\]'"):
             sim.run()
 
@@ -138,14 +139,14 @@ class TestResourceInvariants:
         leak-checked resources are grant-audited."""
         sim = Simulator(sanitize=True)
         pool = Resource(sim, capacity=2, name="pool")
-        assert pool.request().triggered
+        pool.acquire(lambda exc: None)
         sim.run()
 
     def test_stranded_waiter_detected(self):
         sim = Simulator(sanitize=True)
         pool = Resource(sim, capacity=1, name="pool")
-        assert pool.request().triggered
-        pool.request()  # queued forever: the holder never releases
+        pool.acquire(lambda exc: None)
+        pool.acquire(lambda exc: None)  # queued forever: the holder never releases
         with pytest.raises(UnsettledWaitersError, match="lost wakeup"):
             sim.run()
 
@@ -158,11 +159,8 @@ class TestResourceInvariants:
         sim = Simulator(sanitize=True)
         cpu = Resource(sim, capacity=1, name="cpu", leak_check=True)
 
-        def worker():
-            yield from cpu.using(sim, 10.0)
-
-        sim.process(worker())
-        sim.process(worker())
+        for _ in range(2):
+            cpu.acquire(lambda exc: sim.timeout(10.0).add_callback(lambda ev: cpu.release()))
         sim.run()
         assert sim.now == 20.0
         assert sim.sanitizer.sweeps == 1
@@ -171,7 +169,7 @@ class TestResourceInvariants:
         """Cut short at ``until``, held slots are expected, not leaks."""
         sim = Simulator(sanitize=True)
         nic = Resource(sim, capacity=1, name="nic", leak_check=True)
-        assert nic.request().triggered
+        nic.acquire(lambda exc: None)
         sim.timeout(100.0)
         assert sim.run(until=50.0) == 50.0
 
@@ -238,6 +236,44 @@ class TestFabricAndTransportInvariants:
         stuck = _Stuck()
         transport._in_flight[0] = {stuck: None}
         with pytest.raises(UnsettledWaitersError, match="m0"):
+            sim.run()
+
+    @staticmethod
+    def _send_drill():
+        """Three sends on a sanitized two-host cluster: one delivered,
+        one lost to the receiver's crash, one loopback."""
+        sim = Simulator(sanitize=True)
+        cluster = make_cluster(sim, ClusterSpec(islands=((2, 1),)))
+        transport = cluster.transport
+        a, b = cluster.hosts
+        transport.send(a, b, 1_000)
+        transport.send(a, b, 10_000_000)  # still serializing at the crash
+        transport.send(a, a, 1_000)
+        sim.timeout(100.0).add_callback(lambda ev: b.crash())
+        return sim, transport
+
+    def test_message_counts_balance_at_drain(self):
+        sim, transport = self._send_drill()
+        sim.run()
+        assert transport.messages_sent == 2 and transport.loopback_messages == 1
+        assert transport.messages_delivered == 1 and transport.messages_lost == 1
+
+    @pytest.mark.parametrize("counter", ["messages_delivered", "messages_lost"])
+    def test_broken_message_count_detected(self, monkeypatch, counter):
+        """Mutation: a settle path that forgets its count breaks
+        sent == delivered + lost, and the drain-end sweep says so."""
+        settled = Transport._on_settled
+
+        def forgetful(self, ev):
+            settled(self, ev)
+            if counter == "messages_delivered" and ev._exc is None:
+                self.messages_delivered -= 1
+            elif counter == "messages_lost" and ev._exc is not None:
+                self.messages_lost -= 1
+
+        monkeypatch.setattr(Transport, "_on_settled", forgetful)
+        sim, _ = self._send_drill()
+        with pytest.raises(ConservationError, match=r"2 message\(s\) sent but"):
             sim.run()
 
 

@@ -70,9 +70,11 @@ class TestGoldenEventOrder:
     def test_two_runs_identical_schedule(self, sanitize):
         first, r1 = _golden_run()
         second, r2 = _golden_run()
-        # The scenario actually exercised the engine (most work now runs
-        # inline inside loop entries, so the entry count is modest).
-        assert len(first) > 300
+        # The scenario did the work it exists for.  Most of that work
+        # runs inline inside loop entries, so the floor is on faults,
+        # recoveries and checkpoints, not on the entry count.
+        assert r1.faults_injected >= 10 and r1.recoveries >= 3
+        assert r1.checkpoints_taken >= 4
         assert first == second
         assert r1.elapsed_us == r2.elapsed_us
         assert r1.useful_steps == r2.useful_steps
@@ -208,10 +210,10 @@ def _schedule_digest(schedule) -> str:
 #: Identical across PYTHONHASHSEED values; update only for a change that
 #: deliberately alters simulated behaviour, and say so in its description.
 GOLDEN_DIGESTS = {
-    "churn": "bee95a977bb9354512d50b759b4abb54f63e350c85a68ef111f881d066b3fe4c",
-    "contended_fabric": "efa12f3e5f0a2a8762aa8de364fc2cadbe6bac5999343a468b52e63f2f48f41b",
-    "ecmp_reroute": "ee499fafca39f81c00e5a2dfd2c509c800569e216dfa04e1a95ce48dc90352a0",
-    "serving": "a57823c858183936633c759fcf9d16f2d1e8463b6b73798a6c6925b302059794",
+    "churn": "b6585c16030d057f618b275fc8164c893e19523a1549abe263756d0a6c8f591e",
+    "contended_fabric": "0804bd253aad50901da3ea2404a05e7df1dd7fe2af03bd76935c9b5029a0bf41",
+    "ecmp_reroute": "2520cb4792ae3fc858115fe757eea80b270766eec17d4cc40cd5d416db3cf64f",
+    "serving": "55fee94db4f9dc8eb1f695bc7c486cbde85d3815cead7f83d82d1197ea2893fa",
 }
 
 _GOLDEN_RUNS = {

@@ -40,14 +40,12 @@ def test_resource_never_exceeds_capacity(capacity, works):
     res = Resource(sim, capacity=capacity)
     max_seen = [0]
 
-    def worker(w):
-        yield res.request()
+    def hold(w):
         max_seen[0] = max(max_seen[0], res.in_use)
-        yield sim.timeout(w)
-        res.release()
+        sim.timeout(w).add_callback(lambda ev: res.release())
 
     for w in works:
-        sim.process(worker(w))
+        res.acquire(lambda exc, w=w: hold(w))
     sim.run()
     assert max_seen[0] <= capacity
     assert res.in_use == 0

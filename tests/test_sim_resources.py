@@ -9,31 +9,41 @@ from repro.sim.sanitize import UnsettledWaitersError
 from repro.workloads.microbench import run_pathways
 
 
+def _take(res):
+    """Acquire a slot, asserting it is granted at once."""
+    granted = []
+    res.acquire(granted.append)
+    assert granted == [None]
+
+
 class TestResource:
     def test_grant_within_capacity_is_immediate(self, sim):
         res = Resource(sim, capacity=2)
-        assert res.request().triggered
-        assert res.request().triggered
+        _take(res)
+        _take(res)
         assert res.in_use == 2
 
     def test_excess_requests_queue(self, sim):
         res = Resource(sim, capacity=1)
-        res.request()
-        second = res.request()
-        assert not second.triggered
+        _take(res)
+        second = []
+        res.acquire(second.append)
+        assert not second
         assert res.queue_len == 1
         res.release()
-        assert second.triggered
+        assert second == [None]
         assert res.in_use == 1
 
     def test_fifo_grant_order(self, sim):
         res = Resource(sim, capacity=1)
-        res.request()
-        waiters = [res.request() for _ in range(3)]
+        _take(res)
+        granted = []
+        for i in range(3):
+            res.acquire(lambda exc, i=i: granted.append(i))
         res.release()
-        assert waiters[0].triggered and not waiters[1].triggered
+        assert granted == [0]
         res.release()
-        assert waiters[1].triggered and not waiters[2].triggered
+        assert granted == [0, 1]
 
     def test_release_idle_rejected(self, sim):
         res = Resource(sim, capacity=1)
@@ -44,53 +54,31 @@ class TestResource:
         with pytest.raises(ValueError):
             Resource(sim, capacity=0)
 
-    def test_using_holds_for_duration(self, sim):
+    def test_acquire_holds_for_duration(self, sim):
         res = Resource(sim, capacity=1)
         spans = []
 
-        def worker(name):
+        def hold(name):
             start = sim.now
-            yield from res.using(sim, 10.0)
-            spans.append((name, start, sim.now))
 
-        sim.process(worker("a"))
-        sim.process(worker("b"))
+            def release(ev):
+                res.release()
+                spans.append((name, start, sim.now))
+
+            res.acquire(lambda exc: sim.timeout(10.0).add_callback(release))
+
+        hold("a")
+        hold("b")
         sim.run()
         # b cannot start until a releases: completion at 10 then 20.
         assert spans == [("a", 0.0, 10.0), ("b", 0.0, 20.0)]
 
     def test_busy_time_accounting(self, sim):
         res = Resource(sim, capacity=2)
-
-        def worker():
-            yield from res.using(sim, 10.0)
-
-        sim.process(worker())
-        sim.process(worker())
+        for _ in range(2):
+            res.acquire(lambda exc: sim.timeout(10.0).add_callback(lambda ev: res.release()))
         sim.run()
         assert res.busy_time() == pytest.approx(20.0)
-
-    def test_using_releases_on_exception(self, sim):
-        res = Resource(sim, capacity=1)
-
-        def bad():
-            gen = res.using(sim, 10.0)
-            yield next(gen)
-            raise RuntimeError("boom")
-            yield  # pragma: no cover
-
-        # Manually verify release on generator close (finally clause).
-        def worker():
-            try:
-                yield from bad()
-            except RuntimeError:
-                pass
-
-        sim.process(worker())
-        sim.run(detect_deadlock=False)
-        # The direct request below should not hang behind a leaked hold.
-        ev = res.request()
-        assert ev.triggered or res.in_use <= 1
 
 
 class TestAcquire:
@@ -115,23 +103,9 @@ class TestAcquire:
         assert res.in_use == 1 and res.queue_len == 0
         assert sim.events_processed == 1  # the timeout; the grant adds none
 
-    def test_request_and_acquire_waiters_share_one_fifo(self, sim):
-        res = Resource(sim, capacity=1)
-        res.request()
-        first = res.request()
-        acquired = []
-        res.acquire(acquired.append)
-        last = res.request()
-        res.release()
-        assert first.triggered and not acquired and not last.triggered
-        res.release()
-        assert acquired == [None] and not last.triggered
-        res.release()
-        assert last.triggered and res.queue_len == 0
-
     def test_fail_waiters_defers_on_grant_to_the_loop(self, sim):
         res = Resource(sim, capacity=1)
-        res.request()
+        _take(res)
         seen = []
         res.acquire(seen.append)
         cause = RuntimeError("gone")
@@ -144,7 +118,7 @@ class TestAcquire:
     def test_sanitizer_reports_stranded_acquire_waiter(self):
         sim = Simulator(sanitize=True)
         pool = Resource(sim, capacity=1, name="pool")
-        pool.request()
+        _take(pool)
         pool.acquire(lambda exc: None)  # queued forever: never released
         with pytest.raises(UnsettledWaitersError, match="lost wakeup"):
             sim.run()
@@ -153,7 +127,7 @@ class TestAcquire:
         """Work-count pin: each host's queued preps take the CPU inside
         release(), adding no loop entry and leaving simulated time as is."""
         result = run_pathways("chained", 4, devices_per_host=4, n_calls=4)
-        assert result.sim_events == 4_622
+        assert result.sim_events == 4_617
         assert result.sim_elapsed_us == 22319.000075
 
 
