@@ -11,8 +11,9 @@ the owner of its first callback.  Usage (from the repository root)::
 A kind prints as ``Class <- owner``.  The owner is the callback's
 qualified name (``Class.method`` for a bound method); a ``Process``
 resume and a process bootstrap are counted under the generator's name,
-a timer shot under its handle's action, and ``-`` marks an entry with
-no callbacks.  The ledger wraps the loop's three entry types from
+a timer shot under its handle's action, a gang's rendezvous release
+as ``CollectiveRendezvous <- release``, and ``-`` marks an entry with
+no callbacks.  The ledger wraps the loop's four entry types from
 outside while it runs, so it costs nothing when not in use; its total
 equals the workload's ``sim.engine.events``.
 """
@@ -46,9 +47,12 @@ def owner(fn) -> str:
 
 def entry_kind(entry) -> str:
     """``Class <- owner`` of one loop entry, read before it runs."""
+    from repro.hw.device import CollectiveRendezvous
     from repro.sim.engine import _Bootstrap, _TimerShot
 
     cls = type(entry).__name__
+    if isinstance(entry, CollectiveRendezvous):
+        return f"{cls} <- release"
     if isinstance(entry, _Bootstrap):
         return f"{cls} <- {entry.process.generator.__qualname__}"
     if isinstance(entry, _TimerShot):
@@ -62,18 +66,20 @@ def count_entries(run, on_entry=None) -> collections.Counter:
 
     ``on_entry(kind)``, when given, also sees each entry in loop order.
     """
+    from repro.hw import device
     from repro.sim import engine
 
     counts: collections.Counter = collections.Counter()
-    classes = (engine.Event, engine._TimerShot, engine._Bootstrap)
+    classes = (engine.Event, engine._TimerShot, engine._Bootstrap, device.CollectiveRendezvous)
     originals = {cls: cls.__dict__["_process_callbacks"] for cls in classes}
 
     def wrap(original):
         def counted(entry):
-            kind = entry_kind(entry)
-            counts[kind] += 1
-            if on_entry is not None:
-                on_entry(kind)
+            if not getattr(entry, "_silent", False):  # not a loop entry
+                kind = entry_kind(entry)
+                counts[kind] += 1
+                if on_entry is not None:
+                    on_entry(kind)
             original(entry)
 
         return counted

@@ -14,9 +14,9 @@ dispatch runs prep for many nodes concurrently and only serializes the
 (cheap) enqueues through the scheduler's global order.
 
 Prep is a callback barrier, not a generator: :meth:`NodeExecutor.prep`
-counts the node's host preps (:meth:`~repro.hw.host.Host.prep_request`)
-and its HBM allocation directly, with no per-host completion Event and
-no ``AllOf``.  The last part to land calls the dispatcher back inline,
+counts the node's host preps (:func:`~repro.hw.host.prep_hosts`) and
+its HBM allocation directly, with no per-host completion Event and no
+``AllOf``.  The last part to land calls the dispatcher back inline,
 at the same instant; a failure (host crash, failed device) rolls the
 allocation back first.  A host crash delivers its failures one loop
 entry later, so the crash settles every prep it aborts in issue order
@@ -31,6 +31,7 @@ from repro.config import SystemConfig
 from repro.core.ir import LowLevelNode
 from repro.core.object_store import MemorySpace, ObjectHandle, ShardedObjectStore
 from repro.hw.device import CollectiveRendezvous, Kernel
+from repro.hw.host import prep_hosts
 from repro.sim import Event, Simulator
 
 __all__ = ["NodeExecutor"]
@@ -83,8 +84,7 @@ class NodeExecutor:
         # Every host prep plus the allocation, so the barrier cannot
         # settle before the allocation below is requested.
         self._prep_parts = len(group.hosts) + 1
-        for host in group.hosts:
-            host.prep_request(per_host_us, self._on_prep_part)
+        prep_hosts(group.hosts, per_host_us, self._on_prep_part)
         # Output buffers: per-shard bytes reserved on every (simulated)
         # device of the group — this is where HBM back-pressure bites.
         handle, alloc_ready = self.store.allocate(
@@ -100,7 +100,7 @@ class NodeExecutor:
     def _on_alloc(self, ev: Event) -> None:
         self._on_prep_part(ev._exc)
 
-    def _on_prep_part(self, exc: Optional[BaseException]) -> None:
+    def _on_prep_part(self, exc: Optional[BaseException], parts: int = 1) -> None:
         on_done = self._on_prepped
         if on_done is None:
             return  # already failed: later parts land on a settled barrier
@@ -112,8 +112,8 @@ class NodeExecutor:
             self.output_handle = None
             on_done(exc)
             return
-        self._prep_parts -= 1
-        if self._prep_parts == 0:
+        self._prep_parts -= parts
+        if self._prep_parts <= 0:
             self._on_prepped = None
             self.prep_done = True
             on_done(None)

@@ -23,6 +23,7 @@ from typing import Generator, Optional
 import numpy as np
 
 from repro.core.placement import DeviceGroup
+from repro.hw.device import free_hbm, reserve_hbm
 from repro.sim import Event, Simulator
 
 __all__ = ["MemorySpace", "ObjectHandle", "ShardedObjectStore"]
@@ -63,7 +64,8 @@ class ShardedObjectStore:
     def __init__(self, sim: Simulator):
         self.sim = sim
         self._objects: dict[int, ObjectHandle] = {}
-        #: Per-object HBM grant events, one per simulated device: the
+        #: Per-object HBM grant events, one per simulated device, for
+        #: allocations that did not reserve every shard at once: the
         #: exact rollback record for allocations aborted mid-grant (a
         #: failed device cancels its waiters; peers that already granted
         #: must be freed, peers still queued must be cancelled).
@@ -101,14 +103,13 @@ class ShardedObjectStore:
         if space is MemorySpace.HBM:
             if group is None:
                 raise ValueError("HBM allocation requires a device group")
-            grants = [(dev, dev.hbm.alloc(nbytes_per_shard)) for dev in group.devices]
-            self._hbm_grants[handle.object_id] = grants
-            granted = self.sim.granted()
-            if all(ev is granted for _, ev in grants):
+            if reserve_hbm(group.devices, nbytes_per_shard):
                 # Every shard reserved instantly (the common uncontended
-                # case): no barrier needed at all.
-                ready = granted
+                # case): no grant record, no barrier; _free frees them all.
+                ready = self.sim.granted()
             else:
+                grants = [(dev, dev.hbm.alloc(nbytes_per_shard)) for dev in group.devices]
+                self._hbm_grants[handle.object_id] = grants
                 ready = self.sim.all_of([ev for _, ev in grants])
         else:
             ready = self.sim.event()
@@ -145,8 +146,7 @@ class ShardedObjectStore:
                 else:
                     dev.hbm.cancel(ev)
         elif handle.space is MemorySpace.HBM and handle.group is not None:
-            for dev in handle.group.devices:
-                dev.hbm.free_bytes(handle.nbytes_per_shard)
+            free_hbm(handle.group.devices, handle.nbytes_per_shard)
         self._objects.pop(handle.object_id, None)
 
     # -- cross-host movement ---------------------------------------------------

@@ -202,6 +202,8 @@ class IslandScheduler:
         config: SystemConfig,
         policy: Optional[SchedulingPolicy] = None,
     ):
+        if config.scheduler_queue_depth < 1:
+            raise ValueError(f"scheduler_queue_depth {config.scheduler_queue_depth} < 1")
         self.sim = sim
         self.island = island
         self.config = config
@@ -218,6 +220,9 @@ class IslandScheduler:
         self._deciding: Optional[GangRequest] = None
         self._pending: list[GangRequest] = []
         self._outstanding: dict[int, int] = {}
+        #: Devices at ``scheduler_queue_depth`` outstanding grants: a
+        #: request is eligible when it names none of them.
+        self._saturated: set[int] = set()
         #: Granted-but-unfinished requests by seq.  This is the
         #: authoritative admission-control record: a ``complete`` for a
         #: request no longer here (evicted, or its device was readmitted
@@ -434,15 +439,6 @@ class IslandScheduler:
         if req.deadline_timer is not None:
             req.deadline_timer.cancel()
 
-    def _eligible(self, req: GangRequest) -> bool:
-        depth = self.config.scheduler_queue_depth
-        outstanding = self._outstanding
-        get = outstanding.get
-        for d in req.device_ids:
-            if get(d, 0) >= depth:
-                return False
-        return True
-
     def _release(self, device_ids: tuple[int, ...]) -> None:
         for d in device_ids:
             remaining = self._outstanding.get(d, 0) - 1
@@ -450,12 +446,15 @@ class IslandScheduler:
                 self._outstanding[d] = remaining
             else:
                 self._outstanding.pop(d, None)
+            if remaining < self.config.scheduler_queue_depth:
+                self._saturated.discard(d)
 
     def _purge_device(self, device_id: int) -> None:
         """Forget granted-work accounting involving ``device_id``; the
         surviving devices of affected gangs are released too (their
         kernels were aborted by the collective release)."""
         self._outstanding.pop(device_id, None)
+        self._saturated.discard(device_id)
         live = self._live_grants
         if not live:
             return
@@ -600,12 +599,12 @@ class IslandScheduler:
             # FIFO fast path: _pending is in arrival (seq) order, so the
             # first eligible entry is the policy's pick.
             for choice in self._pending:
-                if self._eligible(choice):
+                if self._saturated.isdisjoint(choice.device_ids):
                     break
             else:
                 return None
         else:
-            eligible = [r for r in self._pending if self._eligible(r)]
+            eligible = [r for r in self._pending if self._saturated.isdisjoint(r.device_ids)]
             if not eligible:
                 return None
             choice = self.policy.pick(eligible)
@@ -624,7 +623,9 @@ class IslandScheduler:
     def _grant(self, choice: GangRequest) -> None:
         self.decisions += 1
         for d in choice.device_ids:
-            self._outstanding[d] = self._outstanding.get(d, 0) + 1
+            n = self._outstanding[d] = self._outstanding.get(d, 0) + 1
+            if n >= self.config.scheduler_queue_depth:
+                self._saturated.add(d)
         self._live_grants[choice.seq] = choice
         choice.granted_us = self.sim.now
         tr = self.sim.tracer

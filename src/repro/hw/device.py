@@ -157,7 +157,8 @@ class HbmAllocator:
                 f"{self.name}: freeing {nbytes} bytes but only {self.used} in use"
             )
         self.used -= nbytes
-        self._grant_scan()
+        if self._waiters:
+            self._grant_scan()
 
     def cancel(self, ev: Event, cause: Optional[BaseException] = None) -> bool:
         """Remove one queued waiter and re-run the FIFO grant scan.
@@ -192,6 +193,33 @@ class HbmAllocator:
         return n
 
 
+def reserve_hbm(devices: list["Device"], nbytes: int) -> bool:
+    """Reserve ``nbytes`` on every device in one pass, the fault clock
+    warmed once, when each would grant at once; else reserve nothing
+    and return False (then per-device :meth:`HbmAllocator.alloc`)."""
+    for device in devices:
+        if device.fault_clock is not None:
+            device.fault_clock.warm(devices)
+            break
+    for i, device in enumerate(devices):
+        hbm = device.hbm
+        used = hbm.used + nbytes
+        if device._failed or hbm._waiters or not hbm.used <= used <= hbm.capacity:
+            for prior in devices[:i]:
+                prior.hbm.used -= nbytes
+            return False
+        hbm.used = used
+        if used > hbm.peak_used:
+            hbm.peak_used = used
+    return True
+
+
+def free_hbm(devices: list["Device"], nbytes: int) -> None:
+    """Free what :func:`reserve_hbm` reserved."""
+    for device in devices:
+        device.hbm.free_bytes(nbytes)
+
+
 class CollectiveRendezvous:
     """Barrier + timed completion shared by one collective instance.
 
@@ -201,13 +229,21 @@ class CollectiveRendezvous:
     runs on the dedicated interconnect, devices stay occupied).
 
     ``compute_us`` folds the gang's (identical) post-collective compute
-    phase into the same completion event: everyone is released at the
-    same instant and runs the same kernel duration, so one shared
-    timeout replaces a per-device timeout — the dominant event count of
-    a detailed gang.  A device that fails *after* the wire phase aborts
-    only its own kernel (in :meth:`Device.fail`); the surviving peers'
-    completion still fires.
+    phase, and ``launch_us`` the per-device kernel launch before it,
+    into the same release.  The rendezvous is its own timer-queue entry,
+    named as the timeout it stands for: the last join arms it for the
+    wire end, where it re-arms itself for the compute end -- in the
+    queue's order, without a loop entry of its own -- and the release
+    settles ``_done``, inline when nothing else is due at that instant.
+    A device that fails *after* the wire phase aborts only its own
+    kernel (in :meth:`Device.fail`); the surviving peers' completion
+    still fires.
     """
+
+    #: Timer-queue entry protocol: never cancelled, and silent (not an
+    #: event) while its firing only re-arms it.
+    _dead = False
+    _silent = False
 
     def __init__(
         self,
@@ -220,15 +256,13 @@ class CollectiveRendezvous:
     ):
         if participants < 1:
             raise ValueError("collective needs at least one participant")
+        if min(duration_us, compute_us, launch_us) < 0:
+            raise ValueError(f"negative collective time in {duration_us, compute_us, launch_us}")
         self.sim = sim
-        self.name = name or "collective"
+        self.label = name or "collective"
         self.expected = participants
         self.duration_us = duration_us
         self.compute_us = compute_us
-        #: Per-device kernel-launch latency folded into the completion
-        #: (joins happen at queue-head time, uniformly ``launch_us``
-        #: early, so the completion timeout covers launch + wire +
-        #: compute — one wait instead of three per device).
         self.launch_us = launch_us
         self._joined = 0
         #: Set once the wire phase has completed: a later abort must not
@@ -238,46 +272,46 @@ class CollectiveRendezvous:
         #: Post-release compute phase shared by the gang when
         #: ``compute_us`` is not used (see :meth:`shared_delay`).
         self._shared_delay: Optional[Event] = None
+        #: The armed timeout's delay (the entry's name).
+        self.delay = 0.0
 
     @property
-    def joined(self) -> int:
-        return self._joined
-
-    @property
-    def aborted(self) -> bool:
-        return self._done.triggered and not self._done.ok
+    def name(self) -> str:
+        return f"timeout({self.delay:g})"
 
     def join(self) -> Event:
         self._joined += 1
-        if self.aborted:
+        if self._done._exc is not None:
             # A participant died; late joiners observe the failure too.
             return self._done
         if self._joined > self.expected:
             raise RuntimeError(
-                f"{self.name}: {self._joined} joins for {self.expected} participants"
+                f"{self.label}: {self._joined} joins for {self.expected} participants"
             )
         if self._joined == self.expected:
-            # Everyone arrived; complete after the (folded launch +)
-            # wire time, plus the folded compute phase if any.  A device
-            # can still fail *during* the wire time, in which case the
-            # abort wins and this completion is dropped.
-            self.sim.timeout(self.launch_us + self.duration_us).add_callback(
-                self._finish_wire
-            )
+            # Everyone arrived: the (folded launch +) wire phase starts.
+            # A device can still fail during it, and then the abort wins.
+            sim = self.sim
+            self.delay = self.launch_us + self.duration_us
+            when = sim._now + self.delay
+            self._silent = self.compute_us > 0 and when > sim._now
+            sim._at(when, self)
         return self._done
 
-    def _finish_wire(self, ev: Event) -> None:
+    def _process_callbacks(self) -> None:
+        """The armed timeout fires: the wire end, then the release."""
+        sim = self.sim
         if self._done.triggered:
             return  # aborted during the wire phase
-        self._wire_done = True
-        if self.compute_us > 0:
-            self.sim.timeout(self.compute_us).add_callback(self._finish_compute)
+        if not self._wire_done and self.compute_us > 0:
+            self._wire_done = True
+            self._silent = False
+            self.delay = self.compute_us
+            sim._at(sim._now + self.compute_us, self)
+        elif sim._immediate or sim._queue.min_when <= sim._now:
+            self._done.succeed(None)  # what is already due runs first
         else:
-            self._done.succeed(None)
-
-    def _finish_compute(self, ev: Event) -> None:
-        if not self._done.triggered:
-            self._done.succeed(None)
+            self._done.succeed_inline(None)
 
     def shared_delay(self, duration_us: float) -> Event:
         """One timeout shared by the whole gang's compute phase.
@@ -358,11 +392,14 @@ class Device:
 
     The drain loop is an explicit event-chain state machine rather than
     a generator process: devices are the single hottest activity of a
-    paper-scale sweep (one wait per gate / launch / collective phase per
-    kernel on every core), and direct callbacks skip the whole
+    paper-scale sweep, and direct callbacks skip the whole
     generator-resume trampoline.  The phases mirror the old process
     loop: pop (or idle-wait) → gate → launch → collective/compute →
-    complete → next.
+    complete → next.  A gang moves through them together: the devices
+    waiting on one event (a gate, a rendezvous release, a shared launch
+    or compute timeout) share one callback that walks them in
+    registration order (:class:`_Waiters`), so a phase costs one
+    callback per gang, not one per device.
     """
 
     def __init__(
@@ -429,7 +466,8 @@ class Device:
 
     def enqueue(self, kernel: Kernel) -> Event:
         """Append a kernel to the FIFO; returns the kernel's done event."""
-        self._touch()
+        if self.fault_clock is not None:
+            self._touch()
         if self._failed:
             # Fail fast: work sent to a dead device is lost immediately
             # (its gang peers are released too), never silently queued.
@@ -523,25 +561,22 @@ class Device:
         kernel.abort(cause)
 
     # -- the drain state machine -------------------------------------------
-    def _await(self, ev: Event, phase: Callable[[Optional[Event]], None]) -> bool:
-        """Mirror of ``yield ev``: defer ``phase`` until ``ev`` is
-        processed by the loop.  Returns False when ``ev`` has already
-        been processed — the caller continues inline, exactly like a
-        generator resuming off an already-processed event."""
+    def _await(self, ev: Event, phase: Callable[[Optional[Event]], None]) -> None:
+        """Mirror of ``yield ev``: run ``phase(ev)`` once ``ev`` is
+        processed by the loop — now, when it already has been, exactly
+        like a generator resuming off an already-processed event."""
         callbacks = ev.callbacks
         if callbacks is None:
-            return False
+            phase(ev)
+            return
         self._waiting_on = ev
         self._phase = phase
-        callbacks.append(self._on_phase_event)
-        return True
-
-    def _on_phase_event(self, ev: Event) -> None:
-        if self._waiting_on is not ev:
-            return  # stale registration (device failed/restarted since)
-        self._waiting_on = None
-        phase, self._phase = self._phase, None
-        phase(ev)
+        if callbacks and type(callbacks[-1]) is _Waiters:
+            # Only consecutive waiters share a callback, so the order of
+            # everything registered on ev is unchanged.
+            callbacks[-1].append(self)
+        else:
+            callbacks.append(_Waiters((self,)))
 
     def _drain_next(self) -> None:
         """Pop and start the next kernel, or go idle until one arrives
@@ -551,17 +586,13 @@ class Device:
         if not self._queue:
             self._idle = True
             return
-        kernel = self._queue.popleft()
-        self._current = kernel
-        gate = kernel.gate
-        if gate is not None:
+        kernel = self._current = self._queue.popleft()
+        if kernel.gate is None:
+            self._after_gate(None)
+        else:
             # Head-of-line blocking: nothing behind this kernel can run
             # until its inputs arrive.
-            if self._await(gate, self._after_gate):
-                return
-            self._after_gate(gate)
-        else:
-            self._after_gate(None)
+            self._await(kernel.gate, self._after_gate)
 
     def _after_gate(self, gate: Optional[Event]) -> None:
         if gate is not None and gate._exc is not None:
@@ -569,59 +600,51 @@ class Device:
             return
         collective = self._current.collective
         if collective is not None and collective.launch_us > 0:
-            # Launch folded into the rendezvous completion: join now
+            # Launch folded into the rendezvous release: join now
             # (uniformly launch_us early for every member, so the last
             # joiner still determines the same completion time) and
             # account the busy window from the post-launch instant.
-            self._start_us = self.sim.now + collective.launch_us
-            join = collective.join()
-            if self._await(join, self._after_collective):
-                return
-            self._after_collective(join)
+            self._start_us = self.sim._now + collective.launch_us
+            self._join(collective)
             return
+        # Gang-synchronized devices hit their launch phase at the same
+        # instant: coalesce into one shared timeout.
         launch = self.config.kernel_launch_us
         if launch > 0:
-            # Gang-synchronized devices hit their launch phase at the
-            # same instant: coalesce into one shared timeout.
-            if self._await(self.sim.shared_timeout(launch), self._after_launch):
-                return
-        self._after_launch(None)
+            self._await(self.sim.shared_timeout(launch), self._after_launch)
+        else:
+            self._after_launch(None)
 
     def _after_launch(self, ev: Optional[Event]) -> None:
         kernel = self._current
-        self._start_us = self.sim.now
-        collective = kernel.collective
-        if collective is not None:
-            # join() covers the compute phase too when the rendezvous
-            # was built with compute_us (one wait, one shared timeout
-            # for the whole gang).
-            join = collective.join()
-            if self._await(join, self._after_collective):
-                return
-            self._after_collective(join)
+        self._start_us = self.sim._now
+        if kernel.collective is not None:
+            self._join(kernel.collective)
         elif kernel.duration_us > 0:
-            if self._await(self.sim.timeout(kernel.duration_us), self._complete):
-                return
-            self._complete(None)  # pragma: no cover - fresh timeout is pending
+            self._await(self.sim.timeout(kernel.duration_us), self._complete)
         else:
             self._complete(None)
+
+    def _join(self, collective: CollectiveRendezvous) -> None:
+        # The release covers the compute phase too when the rendezvous
+        # folds it (compute_us); else the gang's shared compute timeout
+        # follows it.
+        unfolded = self._current.duration_us > 0 and collective.compute_us <= 0
+        self._await(collective.join(), self._after_collective if unfolded else self._complete)
 
     def _after_collective(self, ev: Event) -> None:
         if ev._exc is not None:
             self._peer_fault(ev._exc)
             return
         kernel = self._current
-        collective = kernel.collective
-        if kernel.duration_us > 0 and collective.compute_us <= 0:
-            if self._await(
-                collective.shared_delay(kernel.duration_us), self._complete
-            ):
-                return
-        self._complete(None)
+        self._await(kernel.collective.shared_delay(kernel.duration_us), self._complete)
 
     def _complete(self, ev: Optional[Event]) -> None:
+        if ev is not None and ev._exc is not None:
+            self._peer_fault(ev._exc)  # released from an aborted rendezvous
+            return
         kernel, self._current = self._current, None
-        end = self.sim.now
+        end = self.sim._now
         self.busy_us += end - self._start_us
         self.kernels_run += 1
         tr = self.sim.tracer
@@ -661,3 +684,18 @@ class Device:
         if self.sim.now <= 0:
             return 0.0
         return min(1.0, self.busy_us / self.sim.now)
+
+
+class _Waiters(list):
+    """Devices waiting on one Event, in registration order: their one
+    shared callback resumes each one's phase in turn, skipping a device
+    that failed or restarted since it registered."""
+
+    __slots__ = ()
+
+    def __call__(self, ev: Event) -> None:
+        for device in self:
+            if device._waiting_on is ev:
+                device._waiting_on = None
+                phase, device._phase = device._phase, None
+                phase(ev)

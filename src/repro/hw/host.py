@@ -17,7 +17,7 @@ where ``retry_on_failure`` catches it.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from repro.config import SystemConfig
 from repro.sim import Event, Resource, Simulator
@@ -133,28 +133,32 @@ class Host:
     def prep_request(
         self, work_us: float, on_done: Callable[[Optional[BaseException]], None]
     ) -> None:
-        """Crash-aware executor-prep CPU occupancy.
+        """:func:`prep_hosts` on this host alone: ``on_done(exc)`` once."""
+        prep_hosts((self,), work_us, lambda exc, parts=1: on_done(exc))
 
-        Acquires the serial CPU, holds it for ``work_us``, releases it
-        and calls ``on_done(None)`` at that instant.  If the host is down,
-        or crashes while the work is queued or running, ``on_done`` gets
-        :class:`HostFailure` instead, one loop entry later (the fail-fast
-        path that feeds ``retry_on_failure``).  Wired as an event chain
-        — no generator, no Process, no completion Event — because the
-        executor layer issues one of these per (node, host) and
-        paper-scale dispatch sweeps create hundreds of thousands of them.
-        """
-        if self.failed:
-            _fail_later(self.sim, on_done, HostFailure(self.host_id, "prep on crashed host"))
-            return
-        state = _PrepState(self, on_done, work_us)
-        self._live_preps[state] = None
+
+def prep_hosts(
+    hosts: Iterable[Host], work_us: float, on_parts: Callable[..., None]
+) -> None:
+    """Crash-aware executor-prep CPU occupancy on every host of a group.
+
+    Acquires each serial CPU, holds it for ``work_us``, releases it and
+    reports ``on_parts(None, n)`` for the ``n`` hosts done at that
+    instant.  If a host is down, or crashes while the work is queued or
+    running, ``on_parts`` gets :class:`HostFailure` for it instead, one
+    loop entry later (the fail-fast path that feeds
+    ``retry_on_failure``).  An event chain, with no completion Event:
+    dispatch sweeps issue hundreds of thousands of these.
+    """
+    for host in hosts:
+        if host.failed:
+            _fail_later(host.sim, on_parts, HostFailure(host.host_id, "prep on crashed host"))
+            continue
+        state = _PrepState(host, on_parts, work_us)
+        host._live_preps[state] = None
         # Slot ownership transfers to the _PrepState, which releases it
-        # in on_done/abort on every path.
-        self.cpu.acquire(state.on_grant)  # repro: noqa[RPR005]
-
-    def _finish_prep(self, state: "_PrepState") -> None:
-        self._live_preps.pop(state, None)
+        # in its _PrepBatch or in abort, on every path.
+        host.cpu.acquire(state.on_grant)  # repro: noqa[RPR005]
 
 
 def _fail_later(
@@ -168,14 +172,14 @@ def _fail_later(
 
 
 class _PrepState:
-    """In-flight :meth:`Host.prep_request` bookkeeping.
+    """One host's share of a :func:`prep_hosts` call.
 
-    Mirrors the acquire/hold/release lifecycle of
-    ``Resource.using`` as explicit callbacks, plus the crash path: if
-    the host dies while this prep is queued or holding the CPU, the
-    prep settles with :class:`HostFailure` and the CPU slot is returned
-    (a grant that reaches an aborted prep is handed straight back, so a
-    crash can never leak the serial CPU).
+    The acquire/hold/release lifecycle of a CPU slot as explicit
+    callbacks, plus the crash path: if the host dies while this prep is
+    queued or holding the CPU, the prep settles with
+    :class:`HostFailure` and the CPU slot is returned (a grant that
+    reaches an aborted prep is handed straight back, so a crash can
+    never leak the serial CPU).
     """
 
     __slots__ = ("host", "on_settled", "work_us", "holding", "settled")
@@ -183,7 +187,7 @@ class _PrepState:
     def __init__(
         self,
         host: Host,
-        on_settled: Callable[[Optional[BaseException]], None],
+        on_settled: Callable[..., None],
         work_us: float,
     ):
         self.host = host
@@ -203,38 +207,52 @@ class _PrepState:
         if exc is not None:
             # Queued waiter failed by Host.crash via cpu.fail_waiters
             # (already a loop entry of its own).
-            host._finish_prep(self)
+            host._live_preps.pop(self, None)
             self.settled = True
             self.on_settled(exc)
             return
         self.holding = True
+        callbacks = None
         if self.work_us > 0:
             # Identical prep work fans out to every host of a group at
-            # the same instant; share the completion timeout.
-            host.sim.shared_timeout(self.work_us).add_callback(self.on_done)
+            # the same instant: share the completion timeout, and one
+            # callback for consecutive grants of the same caller.
+            callbacks = host.sim.shared_timeout(self.work_us).callbacks
+        last = callbacks[-1] if callbacks else None
+        if callbacks is None:
+            _PrepBatch((self,))(None)
+        elif type(last) is _PrepBatch and last[0].on_settled == self.on_settled:
+            last.append(self)
         else:
-            self.on_done(None)
-
-    def on_done(self, ev: Optional[Event]) -> None:
-        if not self.holding:
-            # Aborted (crash) while holding: CPU already released there.
-            return
-        self.holding = False
-        host = self.host
-        host._finish_prep(self)
-        host.cpu.release()
-        if not self.settled:
-            # Completion notification: the caller's prep barrier reacts
-            # at this same instant, so it runs inline.
-            self.settled = True
-            self.on_settled(None)
+            callbacks.append(_PrepBatch((self,)))
 
     def abort(self, cause: BaseException) -> None:
         host = self.host
-        host._finish_prep(self)
+        host._live_preps.pop(self, None)
         if self.holding:
             self.holding = False
             host.cpu.release()
         if not self.settled:
             self.settled = True
             _fail_later(host.sim, self.on_settled, cause)
+
+
+class _PrepBatch(list):
+    """Preps of one caller holding their CPUs until the same instant, in
+    grant order: one callback releases each CPU in turn (a queued prep
+    takes it inside the release) and then settles their parts."""
+
+    __slots__ = ()
+
+    def __call__(self, ev: Optional[Event]) -> None:
+        parts = 0
+        for state in self:
+            if state.holding:  # else aborted (crash): CPU already released
+                state.holding = False
+                state.settled = True
+                state.host._live_preps.pop(state, None)
+                state.host.cpu.release()
+                parts += 1
+        if parts:
+            # The caller's prep barrier reacts at this same instant.
+            self[0].on_settled(None, parts)

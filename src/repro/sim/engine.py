@@ -100,6 +100,7 @@ class Event:
     #: attribute: a cheap constant read for the overwhelming majority
     #: of events that can never be cancelled.
     _dead = False
+    _silent = False  # see ``Simulator._drain``; never set on an Event
 
     def __init__(self, sim: "Simulator", name: LazyName = ""):
         self.sim = sim
@@ -225,7 +226,7 @@ class Timeout(Event):
         self._exc = None
         self.callbacks = []
         self.delay = delay
-        sim._schedule_at(self, delay)
+        sim._at(sim._now + delay, self)
 
     @property
     def name(self) -> str:
@@ -257,6 +258,7 @@ class _TimerShot:
     """
 
     __slots__ = ("handle", "_dead")
+    _silent = False
 
     def __init__(self, handle: "TimerHandle"):
         self.handle = handle
@@ -335,14 +337,8 @@ class TimerHandle:
         self.rearms += 1
         shot = self._shot = _TimerShot(self)
         self.when = when
-        sim = self.sim
-        if when <= sim._now:
-            self._queued = False
-            sim._immediate.append(shot)
-        else:
-            self._queued = True
-            sim._seq += 1
-            sim._queue.push(when, sim._seq, shot)
+        self._queued = when > self.sim._now
+        self.sim._at(when, shot)
 
     def cancel(self) -> None:
         """Disarm; a no-op when not armed."""
@@ -682,7 +678,7 @@ class Simulator:
         self._shared_timeouts: dict[tuple[float, float], Timeout] = {}
         #: Lazily-created shared completed event (see granted()).
         self._granted: Optional[Event] = None
-        #: Total events processed by the loop.
+        #: Total events processed by the loop (silent entries excluded).
         self.events_processed = 0
         #: ``(time, name)`` per processed event when ``log_schedule``.
         self.schedule_log: Optional[list[tuple[float, str]]] = (
@@ -776,15 +772,16 @@ class Simulator:
         return Settled(self, events)
 
     # -- scheduling --------------------------------------------------------
-    def _schedule_at(self, event: Event, delay: float) -> None:
-        when = self._now + delay
+    def _at(self, when: float, entry: Any) -> None:
+        """Queue ``entry`` (anything with ``name``, ``_dead``,
+        ``_silent`` and ``_process_callbacks``) at absolute time
+        ``when``.  A time not after now (a zero or sub-resolution delay)
+        joins the zero-delay FIFO, keeping the sequence order exact."""
         if when <= self._now:
-            # Sub-resolution delay (or float rounding): behaves like a
-            # zero-delay trigger, keeping the sequence order exact.
-            self._immediate.append(event)
+            self._immediate.append(entry)
         else:
             self._seq += 1
-            self._queue.push(when, self._seq, event)
+            self._queue.push(when, self._seq, entry)
 
     # -- execution -----------------------------------------------------
     def _drain(self, until: Optional[float], waited: Optional[Event]) -> bool:
@@ -824,6 +821,11 @@ class Simulator:
                         )
                     when, _, event = queue_pop()
                     self._now = when
+                    if event._silent:
+                        # A timer re-arming itself in the queue's order
+                        # (a rendezvous's wire end): not an event.
+                        event._process_callbacks()
+                        continue
                 elif immediate:
                     if waited is not None and self._now > limit:
                         raise TimeoutError(

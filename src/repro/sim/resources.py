@@ -69,7 +69,7 @@ class Resource:
         return len(self._waiters)
 
     def _account(self) -> None:
-        now = self.sim.now
+        now = self.sim._now
         self._busy_accum += self._in_use * (now - self._last_change)
         self._last_change = now
 

@@ -41,6 +41,14 @@ no production path that selects it:
   ``retry_on_failure`` and by the driver with it.  The reference for
   the callback driver of :mod:`repro.core.dispatch`.
 
+* :func:`patch_device_drain` — every device drains with one
+  ``_on_phase_event`` callback per device per wait, each rendezvous
+  arms a wire timeout and then a compute timeout
+  (:class:`CollectiveRendezvous`), each host prep settles on its own
+  callback and each shard's HBM is one allocator call.  The reference
+  for the gang-granular phases of :mod:`repro.hw.device`,
+  :mod:`repro.hw.host` and :mod:`repro.core.object_store`.
+
 ``test_fluid_solver.py`` swaps the solver in (by patching
 ``repro.net.fabric.ScopedFluidSolver``) and asserts byte-identical
 results; ``test_resilience.py`` compares the fault schedules event for
@@ -52,7 +60,8 @@ runs random DAGs under random faults through both drivers;
 injectors;
 ``test_scheduler_oracle.py`` runs random timed scripts against both
 schedulers; ``test_net_transport.py`` runs random reliable sends under
-endpoint crashes through both send paths.  The timer queue
+endpoint crashes through both send paths; ``test_device_drain.py`` runs
+random gangs under device and host faults through both drains.  The timer queue
 needs no oracle: :class:`repro.sim.TimerQueue`
 is itself the plain ``(when, seq)`` heap, and ``test_timer_queue.py``
 checks it against a sorted list of the live entries.
@@ -65,17 +74,25 @@ from typing import Generator, Iterable, Optional
 
 import numpy as np
 
+import repro.core.executor as executor_module
+import repro.hw.device as device_module
+from repro.baselines import multi_controller
+from repro.core import object_store
 from repro.core.dispatch import DispatchMode, ExecutionAbandoned, ProgramExecution
 from repro.core.executor import NodeExecutor
 from repro.core.ir import TransferRoute
-from repro.core.object_store import MemorySpace
+from repro.core.object_store import MemorySpace, ObjectHandle, ShardedObjectStore
 from repro.core.scheduler import DeadlineExceeded, GangRequest
-from repro.hw.device import DeviceFailure, unwrap_fault
+from repro.hw.device import Device, DeviceFailure, unwrap_fault
+from repro.hw.host import Host, HostFailure
+from repro.models import data_parallel
 from repro.net import MessageLost
 from repro.resilience import FaultEvent, FaultKind
 from repro.sim import Event, Resource
+from repro.workloads import multitenant
 
 __all__ = [
+    "CollectiveRendezvous",
     "DenseFluidSolver",
     "EagerFaultInjector",
     "MailboxScheduler",
@@ -83,6 +100,7 @@ __all__ = [
     "feed_node",
     "launch_processes",
     "one_transfer",
+    "patch_device_drain",
     "patch_driver",
     "prep",
     "recover_and_replay",
@@ -824,3 +842,308 @@ class EagerFaultInjector:
                         "repair_us": event.repair_us,
                     },
                 )
+
+
+class CollectiveRendezvous:
+    """The gang rendezvous with one timeout per phase: the wire timeout
+    armed at the last join, then the compute timeout armed when it
+    fires, each settling ``_done`` through the loop.  The reference for
+    :class:`repro.hw.device.CollectiveRendezvous`."""
+
+    def __init__(
+        self,
+        sim,
+        participants: int,
+        duration_us: float,
+        name: str = "",
+        compute_us: float = 0.0,
+        launch_us: float = 0.0,
+    ):
+        if participants < 1:
+            raise ValueError("collective needs at least one participant")
+        self.sim = sim
+        self.name = name or "collective"
+        self.expected = participants
+        self.duration_us = duration_us
+        self.compute_us = compute_us
+        self.launch_us = launch_us
+        self._joined = 0
+        #: Set once the wire phase has completed: a later abort must not
+        #: release the surviving peers' compute phase with a failure.
+        self._wire_done = False
+        self._done = sim.event()
+        self._shared_delay: Optional[Event] = None
+
+    @property
+    def aborted(self) -> bool:
+        return self._done.triggered and not self._done.ok
+
+    def join(self) -> Event:
+        self._joined += 1
+        if self.aborted:
+            return self._done
+        if self._joined > self.expected:
+            raise RuntimeError(
+                f"{self.name}: {self._joined} joins for {self.expected} participants"
+            )
+        if self._joined == self.expected:
+            self.sim.timeout(self.launch_us + self.duration_us).add_callback(
+                self._finish_wire
+            )
+        return self._done
+
+    def _finish_wire(self, ev: Event) -> None:
+        if self._done.triggered:
+            return  # aborted during the wire phase
+        self._wire_done = True
+        if self.compute_us > 0:
+            self.sim.timeout(self.compute_us).add_callback(self._finish_compute)
+        else:
+            self._done.succeed(None)
+
+    def _finish_compute(self, ev: Event) -> None:
+        if not self._done.triggered:
+            self._done.succeed(None)
+
+    def shared_delay(self, duration_us: float) -> Event:
+        delay = self._shared_delay
+        if delay is None:
+            delay = self._shared_delay = self.sim.timeout(duration_us)
+        return delay
+
+    def abort(self, cause: BaseException) -> None:
+        if self._wire_done:
+            return
+        if not self._done.triggered:
+            self._done.fail(cause)
+
+
+class _PerDeviceDrain:
+    """:class:`repro.hw.device.Device`'s drain phases with one
+    ``_on_phase_event`` callback per device per wait (installed by
+    :func:`patch_device_drain`)."""
+
+    def _await(self, ev: Event, phase) -> bool:
+        callbacks = ev.callbacks
+        if callbacks is None:
+            return False
+        self._waiting_on = ev
+        self._phase = phase
+        callbacks.append(self._on_phase_event)
+        return True
+
+    def _on_phase_event(self, ev: Event) -> None:
+        if self._waiting_on is not ev:
+            return  # stale registration (device failed/restarted since)
+        self._waiting_on = None
+        phase, self._phase = self._phase, None
+        phase(ev)
+
+    def _drain_next(self) -> None:
+        if self._failed:
+            return
+        if not self._queue:
+            self._idle = True
+            return
+        kernel = self._queue.popleft()
+        self._current = kernel
+        gate = kernel.gate
+        if gate is not None:
+            if self._await(gate, self._after_gate):
+                return
+            self._after_gate(gate)
+        else:
+            self._after_gate(None)
+
+    def _after_gate(self, gate: Optional[Event]) -> None:
+        if gate is not None and gate._exc is not None:
+            self._peer_fault(gate._exc)
+            return
+        collective = self._current.collective
+        if collective is not None and collective.launch_us > 0:
+            self._start_us = self.sim.now + collective.launch_us
+            join = collective.join()
+            if self._await(join, self._after_collective):
+                return
+            self._after_collective(join)
+            return
+        launch = self.config.kernel_launch_us
+        if launch > 0:
+            if self._await(self.sim.shared_timeout(launch), self._after_launch):
+                return
+        self._after_launch(None)
+
+    def _after_launch(self, ev: Optional[Event]) -> None:
+        kernel = self._current
+        self._start_us = self.sim.now
+        collective = kernel.collective
+        if collective is not None:
+            join = collective.join()
+            if self._await(join, self._after_collective):
+                return
+            self._after_collective(join)
+        elif kernel.duration_us > 0:
+            if self._await(self.sim.timeout(kernel.duration_us), self._complete):
+                return
+            self._complete(None)
+        else:
+            self._complete(None)
+
+    def _after_collective(self, ev: Event) -> None:
+        if ev._exc is not None:
+            self._peer_fault(ev._exc)
+            return
+        kernel = self._current
+        collective = kernel.collective
+        if kernel.duration_us > 0 and collective.compute_us <= 0:
+            if self._await(
+                collective.shared_delay(kernel.duration_us), self._complete
+            ):
+                return
+        self._complete(None)
+
+    def _complete(self, ev: Optional[Event]) -> None:
+        kernel, self._current = self._current, None
+        end = self.sim.now
+        self.busy_us += end - self._start_us
+        self.kernels_run += 1
+        tr = self.sim.tracer
+        if tr is not None:
+            tr.complete(
+                kernel.tag or kernel.program or "kernel",
+                "kernel",
+                self._start_us,
+                end,
+                track=f"device{self.device_id}",
+                args={"device": self.device_id, "program": kernel.program},
+            )
+        done = kernel.done
+        if not done.triggered:
+            done.succeed_inline(None)
+        self._drain_next()
+
+
+def _fail_later(sim, on_done, cause: BaseException) -> None:
+    ev = Event(sim)
+    ev.callbacks.append(lambda ev: on_done(ev._exc))
+    ev.fail(cause)
+
+
+class _PrepState:
+    """In-flight per-host prep: its own completion callback on the
+    shared prep timeout, releasing the CPU and settling its one part."""
+
+    __slots__ = ("host", "on_settled", "work_us", "holding", "settled")
+
+    def __init__(self, host, on_settled, work_us: float):
+        self.host = host
+        self.on_settled = on_settled
+        self.work_us = work_us
+        self.holding = False
+        self.settled = False
+
+    def on_grant(self, exc: Optional[BaseException]) -> None:
+        host = self.host
+        if self.settled:
+            if exc is None:
+                host.cpu.release()
+            return
+        if exc is not None:
+            host._finish_prep(self)
+            self.settled = True
+            self.on_settled(exc)
+            return
+        self.holding = True
+        if self.work_us > 0:
+            host.sim.shared_timeout(self.work_us).add_callback(self.on_done)
+        else:
+            self.on_done(None)
+
+    def on_done(self, ev: Optional[Event]) -> None:
+        if not self.holding:
+            return
+        self.holding = False
+        host = self.host
+        host._finish_prep(self)
+        host.cpu.release()
+        if not self.settled:
+            self.settled = True
+            self.on_settled(None)
+
+    def abort(self, cause: BaseException) -> None:
+        host = self.host
+        host._finish_prep(self)
+        if self.holding:
+            self.holding = False
+            host.cpu.release()
+        if not self.settled:
+            self.settled = True
+            _fail_later(host.sim, self.on_settled, cause)
+
+
+def _prep_request(host, work_us: float, on_done) -> None:
+    """``Host.prep_request``: one :class:`_PrepState` per host."""
+    if host.failed:
+        _fail_later(host.sim, on_done, HostFailure(host.host_id, "prep on crashed host"))
+        return
+    state = _PrepState(host, on_done, work_us)
+    host._live_preps[state] = None
+    host.cpu.acquire(state.on_grant)  # repro: noqa[RPR005]
+
+
+def _prep_hosts(hosts, work_us: float, on_parts) -> None:
+    """``prep_hosts`` as one :func:`_prep_request` per host."""
+    for host in hosts:
+        host.prep_request(work_us, on_parts)
+
+
+def _allocate(self, nbytes_per_shard, n_shards, owner, group=None, space=MemorySpace.HBM):
+    """``ShardedObjectStore.allocate`` with one ``HbmAllocator.alloc``
+    per device, every grant recorded."""
+    handle = ObjectHandle(
+        object_id=next(object_store._object_ids),
+        nbytes_total=nbytes_per_shard * n_shards,
+        nbytes_per_shard=nbytes_per_shard,
+        n_shards=n_shards,
+        space=space,
+        owner=owner,
+        group=group,
+    )
+    self._objects[handle.object_id] = handle
+    self.allocations += 1
+    if space is MemorySpace.HBM:
+        if group is None:
+            raise ValueError("HBM allocation requires a device group")
+        grants = [(dev, dev.hbm.alloc(nbytes_per_shard)) for dev in group.devices]
+        self._hbm_grants[handle.object_id] = grants
+        granted = self.sim.granted()
+        if all(ev is granted for _, ev in grants):
+            ready = granted
+        else:
+            ready = self.sim.all_of([ev for _, ev in grants])
+    else:
+        ready = self.sim.event()
+        ready.succeed(None)
+    return handle, ready
+
+
+def patch_device_drain(mp) -> None:
+    """Run every device, rendezvous, host prep and HBM allocation the
+    per-device way: :class:`_PerDeviceDrain`'s phases on ``Device``,
+    this module's :class:`CollectiveRendezvous` wherever one is built,
+    one :class:`_PrepState` callback per host and one allocator call per
+    device (``mp`` is a ``pytest.MonkeyPatch``)."""
+    for name, fn in vars(_PerDeviceDrain).items():
+        if callable(fn):
+            mp.setattr(Device, name, fn, raising=False)
+    for module in (
+        device_module, executor_module, multitenant, multi_controller, data_parallel,
+    ):
+        mp.setattr(module, "CollectiveRendezvous", CollectiveRendezvous)
+    mp.setattr(Host, "prep_request", _prep_request)
+    mp.setattr(
+        Host, "_finish_prep", lambda host, state: host._live_preps.pop(state, None),
+        raising=False,
+    )
+    mp.setattr(executor_module, "prep_hosts", _prep_hosts)
+    mp.setattr(ShardedObjectStore, "allocate", _allocate)

@@ -620,3 +620,12 @@ class TestControlDelivery:
         assert b.grant.triggered
         assert b.granted_us == readmit_at + cfg.scheduler_decision_us
         assert sched.in_flight == 1
+
+
+@pytest.mark.parametrize("depth", [0, -1])
+def test_queue_depth_below_one_is_rejected(depth):
+    """At depth 0 no device could ever take a grant (every gang would
+    wait forever); the scheduler refuses the configuration up front."""
+    cfg = DEFAULT_CONFIG.with_overrides(scheduler_queue_depth=depth)
+    with pytest.raises(ValueError, match="scheduler_queue_depth"):
+        make_scheduler(Simulator(), config=cfg)

@@ -51,7 +51,7 @@ _CONTROL = st.tuples(
 _SCRIPTS = st.tuples(
     st.sampled_from(["fifo", "share", "edf"]),
     st.sampled_from([0.0, 2.0, 4.0, 4.0]),  # scheduler_decision_us
-    st.sampled_from([1, 2]),  # scheduler_queue_depth
+    st.sampled_from([1, 2, 3]),  # scheduler_queue_depth (3 is the default)
     st.lists(st.one_of(_SUBMIT, _CONTROL), min_size=4, max_size=24),
 )
 

@@ -210,10 +210,10 @@ def _schedule_digest(schedule) -> str:
 #: Identical across PYTHONHASHSEED values; update only for a change that
 #: deliberately alters simulated behaviour, and say so in its description.
 GOLDEN_DIGESTS = {
-    "churn": "b6585c16030d057f618b275fc8164c893e19523a1549abe263756d0a6c8f591e",
-    "contended_fabric": "0804bd253aad50901da3ea2404a05e7df1dd7fe2af03bd76935c9b5029a0bf41",
-    "ecmp_reroute": "2520cb4792ae3fc858115fe757eea80b270766eec17d4cc40cd5d416db3cf64f",
-    "serving": "55fee94db4f9dc8eb1f695bc7c486cbde85d3815cead7f83d82d1197ea2893fa",
+    "churn": "69c8ea97041cb91a675b695512f3113e70958562dc23e723151ac99069ff7b95",
+    "contended_fabric": "662ed24290cee654c81cd8722b4441eb24441e629c5372543aaf6d528a9d88f1",
+    "ecmp_reroute": "3a52900e353e1734e1ac038d1287a5ec33bfe8f5398a619348e5c49b35e244d2",
+    "serving": "2985e9f82e2454225449fb4c161f1bfde093a9072cd47d0fa938f00451e6532d",
 }
 
 _GOLDEN_RUNS = {

@@ -127,7 +127,7 @@ class TestAcquire:
         """Work-count pin: each host's queued preps take the CPU inside
         release(), adding no loop entry and leaving simulated time as is."""
         result = run_pathways("chained", 4, devices_per_host=4, n_calls=4)
-        assert result.sim_events == 4_617
+        assert result.sim_events == 3_593
         assert result.sim_elapsed_us == 22319.000075
 
 
