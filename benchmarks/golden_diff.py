@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Golden-schedule diff: did a change only remove loop entries?
 
-Runs the four golden scenarios of ``tests/test_sim_determinism.py``
-(churn, contended_fabric, ecmp_reroute, serving) in this checkout and in
-``PARENT_DIR``, each with its own ``src/`` and test module, and checks
-that every schedule of this checkout is a *subsequence* of the parent's
-at identical times: the kept loop entries run in the same order at the
-same simulated instants, and the change only removed entries.  Usage
-(from the repository root)::
+Runs the five golden scenarios of ``tests/test_sim_determinism.py``
+(churn, contended_fabric, ecmp_reroute, serving, sequential) in this
+checkout and in ``PARENT_DIR``, each with its own ``src/`` and test
+module, and checks that every schedule of this checkout is a
+*subsequence* of the parent's at identical times: the kept loop entries
+run in the same order at the same simulated instants, and the change
+only removed entries.  A golden the parent's test module does not
+define yet runs this checkout's scenario on the parent's ``src/``.
+Usage (from the repository root)::
 
     python3 benchmarks/golden_diff.py PARENT_DIR
 
@@ -29,17 +31,19 @@ from collections import Counter
 from typing import Optional
 
 REPO_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-GOLDENS = ("churn", "contended_fabric", "ecmp_reroute", "serving")
+GOLDENS = ("churn", "contended_fabric", "ecmp_reroute", "serving", "sequential")
 
-#: Run in a child process per checkout: prints ``{golden: [[t, name], ...]}``.
+#: Run in a child process per checkout: prints ``{golden: [[t, name], ...]}``
+#: for the named goldens the test module in ``argv[1]`` defines.
 _DUMP = """
 import json, sys
-sys.path.insert(0, "tests")
+sys.path.insert(0, sys.argv[1])
 import test_sim_determinism as g
 out = {}
-for name in sys.argv[1:]:
-    schedule, _ = g._GOLDEN_RUNS[name]()
-    out[name] = [[t, entry] for t, _, entry in schedule]
+for name in sys.argv[2:]:
+    if name in g._GOLDEN_RUNS:
+        schedule, _ = g._GOLDEN_RUNS[name]()
+        out[name] = [[t, entry] for t, _, entry in schedule]
 json.dump(out, sys.stdout)
 """
 
@@ -70,11 +74,16 @@ def subsequence_diff(
     return None, removed
 
 
-def dump_schedules(checkout: str) -> dict[str, list[Entry]]:
-    """The golden schedules of one checkout, as ``(time, name)`` lists."""
+def dump_schedules(
+    checkout: str, names=GOLDENS, tests: Optional[str] = None
+) -> dict[str, list[Entry]]:
+    """The golden schedules of one checkout, as ``(time, name)`` lists:
+    the scenarios of the test module in ``tests`` (default: the
+    checkout's own) run on the checkout's ``src/``."""
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
+    tests = tests or os.path.join(checkout, "tests")
     proc = subprocess.run(
-        [sys.executable, "-c", _DUMP, *GOLDENS],
+        [sys.executable, "-c", _DUMP, tests, *names],
         cwd=checkout, env=env, capture_output=True, text=True,
     )
     if proc.returncode != 0:
@@ -108,8 +117,15 @@ def main(argv: list[str]) -> int:
         "--child", default=REPO_DIR, help="checkout of the change (default: this one)",
     )
     args = parser.parse_args(argv)
-    parent = dump_schedules(os.path.abspath(args.parent_dir))
-    child = dump_schedules(os.path.abspath(args.child))
+    parent_dir, child_dir = map(os.path.abspath, (args.parent_dir, args.child))
+    parent = dump_schedules(parent_dir)
+    child = dump_schedules(child_dir)
+    new = [name for name in GOLDENS if name not in parent]
+    if new:
+        print(f"new goldens, run on the parent's src/: {', '.join(new)}")
+        parent.update(
+            dump_schedules(parent_dir, new, tests=os.path.join(child_dir, "tests"))
+        )
     ok = [report(name, parent[name], child[name]) for name in GOLDENS]
     return 0 if all(ok) else 1
 

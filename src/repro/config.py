@@ -112,7 +112,6 @@ class SystemConfig:
     #: (not FIFO arrival) controls device-time shares.
     scheduler_queue_depth: int = 3
     executor_prep_us: float = 25.0               # per-node host prep (alloc, etc.)
-    sequential_node_overhead_us: float = 0.0     # extra per-node cost, seq. dispatch
 
     # --- Multi-controller (JAX-like) baseline ------------------------------
     jax_straggler_sigma_us: float = 30.0         # per-host dispatch jitter scale

@@ -192,8 +192,9 @@ class PathwaysClient:
         on a device loss, waits for the system's RecoveryManager to remap
         its slices, then replays the nodes not covered by ``checkpoint``.
         Either way, drivers wait on ``execution.done``.  The controller
-        pass starts here; no process is created unless the execution
-        runs SEQUENTIAL or recovers from a loss.
+        pass starts here, PARALLEL or SEQUENTIAL, as a callback chain;
+        no process is created unless the execution recovers from a
+        loss.
 
         ``deadline_us`` (relative to submission) bounds time-to-grant:
         gangs still queued on their island scheduler when the deadline

@@ -12,17 +12,19 @@ A :class:`ProgramExecution` runs one lowered program:
 * **logical values** — real numpy results computed alongside the timing
   simulation.
 
-In ``PARALLEL`` mode, prep for *all* regular nodes runs concurrently and
-the controller sends a single subgraph message per island.  The pass is
-a callback chain on the controller thread; each node then runs as an
-event chain (:class:`_NodeChain`: prep barrier, gang submit, grant,
-enqueue) and each edge as another (:class:`_Feed`, :class:`_Transfer`):
-callbacks, not generator processes, because paper-scale sweeps dispatch
-hundreds of thousands of nodes.  In ``SEQUENTIAL`` mode (the Figure 4a
-strawman and the fallback for irregular nodes), a generator process
-walks the graph: node *k+1*'s dispatch begins only after node *k*'s
-enqueue is acknowledged and its output handles have travelled back over
-DCN.  A loss recovery also runs as a process.  Either way, the
+Only the controller's planning differs between the two modes.  In
+``PARALLEL`` mode, prep for *all* regular nodes runs concurrently and
+the controller sends a single subgraph message per island.  In
+``SEQUENTIAL`` mode (the Figure 4a strawman and the fallback for
+irregular nodes), the controller walks the graph
+(:class:`_SequentialPass`): node *k+1*'s dispatch begins only after
+node *k* has completed and its output handles have travelled back over
+DCN.  Either pass is a callback chain on the controller thread, and
+either starts the same per-node event chain (:class:`_NodeChain`: prep
+barrier, gang submit, grant, enqueue); each edge runs as another
+(:class:`_Feed`, :class:`_Transfer`): callbacks, not generator
+processes, because paper-scale sweeps dispatch hundreds of thousands of
+nodes.  Only a loss recovery runs as a process.  Either way, the
 execution's one completion event is :attr:`ProgramExecution.done`.
 """
 
@@ -132,7 +134,6 @@ class ProgramExecution:
         self.result_futures: list[PathwaysFuture] = []
         self._executors: dict[int, NodeExecutor] = {}
         self._node_values: dict[int, tuple[np.ndarray, ...]] = {}
-        self._node_done: dict[int, Event] = {}
         self._gates: dict[int, Event] = {}
         #: Completion time per node, for checkpoint-relative replay.
         self._completed_at: dict[int, float] = {}
@@ -150,7 +151,7 @@ class ProgramExecution:
         self._span = None
 
         for node in low.nodes:
-            ex = NodeExecutor(
+            self._executors[node.node_id] = NodeExecutor(
                 self.sim,
                 self.config,
                 system.object_store,
@@ -158,8 +159,6 @@ class ProgramExecution:
                 owner=client.name,
                 program=low.name,
             )
-            self._executors[node.node_id] = ex
-            self._node_done[node.node_id] = ex.all_kernels_done
 
         for node_id, _ in low.source.results:
             handle = self._executors[node_id].output_handle  # None until prep
@@ -181,11 +180,12 @@ class ProgramExecution:
         A PARALLEL pass is a callback chain: the controller grant, the
         planning timeout, the subgraph message's DCN timeout, then the
         node chains start and the controller is released.  A SEQUENTIAL
-        pass and a loss recovery run as generator processes.  Until the
-        first pass ends, and with ``retry_on_failure`` until :attr:`done`
-        settles, the execution sits in the simulator's live-chain
-        registry, so a pass that never ends is a
-        :class:`~repro.sim.DeadlockError` at drain end.
+        pass is a callback chain too, one node at a time
+        (:class:`_SequentialPass`); only a loss recovery runs as a
+        generator process.  Until the first pass ends, and with
+        ``retry_on_failure`` until :attr:`done` settles, the execution
+        sits in the simulator's live-chain registry, so a pass that
+        never ends is a :class:`~repro.sim.DeadlockError` at drain end.
         """
         # Parallel scheduling is only sound for regular compiled
         # functions; with any irregular node the controller cannot plan
@@ -224,12 +224,10 @@ class ProgramExecution:
         """The controller thread is ours.  PARALLEL: one planning pass
         over the whole subgraph (the fan-out work Figure 6 measures),
         then one subgraph-describing message per island (minimizes
-        traffic, paper §4.5)."""
+        traffic, paper §4.5).  SEQUENTIAL: one node at a time."""
         if self.mode is DispatchMode.SEQUENTIAL:
-            self.sim.process(
-                self._sequential_pass(nodes, first),
-                name=lambda: f"sequential {self.name}",
-            )
+            self._launch(self._wire_dataflow(nodes, seed_args=first), [])
+            _SequentialPass(self, nodes, first).next_node()
             return
         cfg = self.config
         n_nodes = len(nodes)
@@ -256,7 +254,6 @@ class ProgramExecution:
         feeds = self._wire_dataflow(nodes, seed_args=first)
         self._dispatched.update(node.node_id for node in nodes)
         self._launch(feeds, nodes)
-        self.client.controller.release()
         self._pass_ended(first)
 
     def _launch(self, feeds: list[LowLevelNode], nodes: list[LowLevelNode]) -> None:
@@ -266,18 +263,10 @@ class ProgramExecution:
         for node in nodes:
             _NodeChain(self, node).start()
 
-    def _sequential_pass(self, nodes: list[LowLevelNode], first: bool) -> Generator:
-        failure: Optional[BaseException] = None
-        try:
-            yield from self._dispatch_sequential(nodes, seed_args=first)
-        except Exception as exc:  # noqa: BLE001 - sequential-mode loss
-            failure = exc
-        self.client.controller.release()
-        self._pass_ended(first, failure)
-
     def _pass_ended(self, first: bool, failure: Optional[BaseException] = None) -> None:
-        """The controller pass is over; ``failure`` is what stopped a
-        sequential pass early."""
+        """The controller pass is over: release the controller thread.
+        ``failure`` is what stopped a sequential pass early."""
+        self.client.controller.release()
         self._in_pass = False
         if first:
             if failure is not None and not self.retry_on_failure:
@@ -300,12 +289,10 @@ class ProgramExecution:
         ev = self.handles_ready
         if ev.triggered:
             return
-        if ev.callbacks:
-            _settle(ev, exc)
-        elif exc is None:
-            ev.succeed_inline(None)
+        if exc is None:
+            (ev.succeed if ev.callbacks else ev.succeed_inline)(None)
         else:
-            ev.fail_inline(exc)
+            (ev.fail if ev.callbacks else ev.fail_inline)(exc)
 
     def _supervise(self) -> None:
         """Retry mode, no pass running: settle :attr:`done`, or recover
@@ -320,9 +307,9 @@ class ProgramExecution:
         # Nodes the failed pass never dispatched will not settle on their
         # own; fail them so the feeds waiting on them leave the live-chain
         # registry (``_loss`` is set, so this starts no other recovery).
-        for nid, ev in self._node_done.items():
-            if nid not in self._dispatched and not ev.triggered:
-                ev.fail(loss)
+        for nid, ex in self._executors.items():
+            if nid not in self._dispatched and not ex.all_kernels_done.triggered:
+                ex.all_kernels_done.fail(loss)
         if (
             self.attempts >= self.max_attempts
             or self.system.recovery is None
@@ -373,53 +360,6 @@ class ProgramExecution:
         if not ex.all_kernels_done.triggered:
             ex.all_kernels_done.fail(exc)
 
-    # -- sequential dispatch (Figure 4a) ---------------------------------------
-    def _dispatch_sequential(self, nodes: list[LowLevelNode], seed_args: bool = True) -> Generator:
-        """The traditional single-controller model: every node is a
-        standalone dispatch.  The controller cannot plan ahead (it
-        behaves as if resource requirements only become known when the
-        predecessor finishes), so per node it pays a full planning pass,
-        ships the dispatch over DCN, waits for prep, enqueue, *and
-        completion*, and only then turns to the next node."""
-        self._launch(self._wire_dataflow(nodes, seed_args=seed_args), [])
-        cfg = self.config
-        for node in nodes:
-            self._dispatched.add(node.node_id)
-            ex = self._executors[node.node_id]
-            controller_us = (
-                cfg.coordinator_base_us
-                + cfg.coordinator_work_per_host_us * node.group.n_hosts_logical
-                + cfg.cpp_dispatch_us
-            )
-            yield self.sim.timeout(controller_us)
-            yield self.sim.timeout(cfg.dcn_latency_us)  # controller -> host
-            try:
-                prep_start = self.sim.now
-                prepped = self.sim.event()
-                ex.prep(functools.partial(_settle, prepped))
-                yield prepped
-                self._trace_prep(node, prep_start)
-                self._attach_result_handles(node.node_id)
-                scheduler, req = self._submit(node)
-                yield req.grant
-            except Exception as exc:  # noqa: BLE001 - prep lost / grant evicted
-                # Settle the node's completion event before propagating,
-                # or the recovery quiesce would wait on it forever.
-                self._node_lost(ex, exc)
-                raise
-            gate = self._gates.get(node.node_id)
-            ex.enqueue(gate=gate)
-            req.enqueued_ack.succeed(None)
-            ex.all_kernels_done.add_callback(lambda ev, r=req, s=scheduler: s.complete(r))
-            yield self.sim.timeout(ex.pcie_cost_us())
-            # Stall: the controller waits for the computation itself (its
-            # outputs define the "unknown" successor requirements) plus
-            # the handle round trip.
-            yield ex.all_kernels_done
-            yield self.sim.timeout(cfg.dcn_latency_us)  # handles -> controller
-            if cfg.sequential_node_overhead_us > 0:
-                yield self.sim.timeout(cfg.sequential_node_overhead_us)
-
     def _trace_prep(self, node: LowLevelNode, start_us: float) -> None:
         """Emit the host-side prep span; ``args["exec"]`` is the join key
         the critical-path analyzer uses to attribute prep to a served
@@ -457,7 +397,7 @@ class ProgramExecution:
                 self._node_values[arg_node] = (np.asarray(value),)
         # Node completion triggers value computation + refcount release.
         for node in nodes:
-            self._node_done[node.node_id].add_callback(
+            self._executors[node.node_id].all_kernels_done.add_callback(
                 functools.partial(self._on_node_done, node)
             )
         return feeds
@@ -508,10 +448,10 @@ class ProgramExecution:
             # Single consumer (chains): watch its completion directly —
             # no barrier event needed.
             if len(consumers) == 1:
-                remaining: Event = self._node_done[consumers[0].node_id]
+                remaining: Event = self._executors[consumers[0].node_id].all_kernels_done
             else:
                 remaining = self.sim.all_of(
-                    [self._node_done[c.node_id] for c in consumers]
+                    [self._executors[c.node_id].all_kernels_done for c in consumers]
                 )
             remaining.add_callback(
                 lambda ev, h=handle, fr=feeds_result: (
@@ -551,9 +491,9 @@ class ProgramExecution:
         (fatal non-retry loss: in-flight nodes have settled or will via
         kernel aborts; undispatched nodes never will on their own)."""
         self._settle_handles_ready(exc)
-        for ev in self._node_done.values():
-            if not ev.triggered:
-                ev.fail(exc)
+        for ex in self._executors.values():
+            if not ex.all_kernels_done.triggered:
+                ex.all_kernels_done.fail(exc)
 
     def _recover(self, cause: BaseException) -> Generator:
         """The ``retry_on_failure`` path (paper's operability story):
@@ -578,7 +518,7 @@ class ProgramExecution:
                 args={"attempt": self.attempts, "cause": type(cause).__name__},
             )
         yield self.sim.all_settled(
-            [self._node_done[nid] for nid in sorted(self._dispatched)]
+            [self._executors[nid].all_kernels_done for nid in sorted(self._dispatched)]
         )
         try:
             yield from self.system.recovery.recover_program(self)
@@ -619,7 +559,7 @@ class ProgramExecution:
                 # The lost attempt's output buffer: its HBM reservation
                 # is returned so surviving gang devices don't leak.
                 self.system.object_store.discard(old.output_handle)
-            ex = NodeExecutor(
+            self._executors[node.node_id] = NodeExecutor(
                 self.sim,
                 self.config,
                 self.system.object_store,
@@ -627,8 +567,6 @@ class ProgramExecution:
                 owner=self.client.name,
                 program=self.low.name,
             )
-            self._executors[node.node_id] = ex
-            self._node_done[node.node_id] = ex.all_kernels_done
             self._completed_at.pop(node.node_id, None)
             self._node_values.pop(node.node_id, None)
         self._pass(replay, first=False)
@@ -652,39 +590,94 @@ class ProgramExecution:
                 self.system.object_store.release(h)
 
 
-def _settle(ev: Event, exc: Optional[BaseException]) -> None:
-    """A prep barrier's callback as one Event (sequential dispatch)."""
-    if exc is None:
-        ev.succeed(None)
-    else:
-        ev.fail(exc)
+class _SequentialPass:
+    """A SEQUENTIAL controller pass (Figure 4a), as a callback chain.
+
+    The controller cannot plan ahead (it behaves as if resource
+    requirements only become known when the predecessor finishes), so
+    per node it pays a full planning pass, ships the dispatch over DCN
+    and starts the node's :class:`_NodeChain`; once the chain has
+    enqueued the node, it waits out the PCIe writes, *the node's
+    completion* and the handles' trip back over DCN, and only then
+    turns to the next node.  A lost node ends the pass with its failure.
+    """
+
+    __slots__ = ("execution", "nodes", "first")
+
+    def __init__(self, execution: ProgramExecution, nodes: list[LowLevelNode], first: bool):
+        self.execution = execution
+        self.nodes = iter(nodes)
+        self.first = first
+
+    def next_node(self, ev: Optional[Event] = None) -> None:
+        execution = self.execution
+        node = next(self.nodes, None)
+        if node is None:
+            execution._pass_ended(self.first)
+            return
+        execution._dispatched.add(node.node_id)
+        cfg = execution.config
+        controller_us = (
+            cfg.coordinator_base_us
+            + cfg.coordinator_work_per_host_us * node.group.n_hosts_logical
+            + cfg.cpp_dispatch_us
+        )
+        chain = _NodeChain(execution, node, self)
+        # Plan the node, then ship its dispatch to the hosts over DCN.
+        execution.sim.timeout(controller_us).add_callback(
+            lambda ev: execution.sim.timeout(cfg.dcn_latency_us).add_callback(chain.start)
+        )
+
+    def enqueued(self, ex: NodeExecutor) -> None:
+        """The chain enqueued the node: wait out the PCIe writes, then
+        stall on the computation itself (its outputs define the
+        "unknown" successor requirements)."""
+        self.execution.sim.timeout(ex.pcie_cost_us()).add_callback(
+            lambda ev: ex.all_kernels_done.add_callback(self.node_done)
+        )
+
+    def node_done(self, ev: Event) -> None:
+        if ev._exc is not None:
+            self.lost(ev._exc)
+            return
+        execution = self.execution
+        # The output handles travel back to the controller.
+        execution.sim.timeout(execution.config.dcn_latency_us).add_callback(self.next_node)
+
+    def lost(self, exc: BaseException) -> None:
+        self.execution._pass_ended(self.first, exc)
 
 
 class _NodeChain:
-    """One node of a PARALLEL dispatch, as an event chain.
+    """One node of a dispatch, as an event chain.
 
     prep barrier -> gang submit -> grant -> enqueue, each step a
     callback of the one before: no generator, no Process, no per-host
     completion Event.  Success runs inline at the instant its input
     lands; a lost prep or an evicted grant fails the node's
-    ``all_kernels_done`` (the retry path's loss signal).  Until the
-    kernels are enqueued or the node is lost, the chain sits in the
-    simulator's live-chain registry, so a prep or grant that never
-    settles is a :class:`~repro.sim.DeadlockError` at drain end.
+    ``all_kernels_done`` (the retry path's loss signal).  A chain
+    started by a :class:`_SequentialPass` tells it when the node is
+    enqueued or lost.  Until the kernels are enqueued or the node is
+    lost, the chain sits in the simulator's live-chain registry, so a
+    prep or grant that never settles is a
+    :class:`~repro.sim.DeadlockError` at drain end.
     """
 
-    __slots__ = ("execution", "node", "ex", "prep_start", "scheduler", "req")
+    __slots__ = ("execution", "node", "ex", "seq", "prep_start", "scheduler", "req")
 
-    def __init__(self, execution: ProgramExecution, node: LowLevelNode):
+    def __init__(
+        self, execution: ProgramExecution, node: LowLevelNode, seq: Optional[_SequentialPass] = None
+    ):
         self.execution = execution
         self.node = node
         self.ex = execution._executors[node.node_id]
+        self.seq = seq
 
     @property
     def name(self) -> str:
         return f"node {self.execution.name}:{self.node.label}"
 
-    def start(self) -> None:
+    def start(self, ev: Optional[Event] = None) -> None:
         sim = self.execution.sim
         sim._live_chains[self] = None
         self.prep_start = sim.now
@@ -693,8 +686,12 @@ class _NodeChain:
     def on_prepped(self, exc: Optional[BaseException]) -> None:
         execution = self.execution
         if exc is not None:
-            execution.sim._live_chains.pop(self, None)
-            execution._node_lost(self.ex, exc)
+            if self.seq is None:
+                self.lost(exc)
+            else:
+                # A SEQUENTIAL controller hears of a lost prep in a loop
+                # entry of its own, after what the loss queued at this instant.
+                execution.sim.event().fail(exc).add_callback(lambda ev: self.lost(ev._exc))
             return
         node = self.node
         execution._trace_prep(node, self.prep_start)
@@ -703,20 +700,29 @@ class _NodeChain:
         self.req.grant.add_callback(self.on_grant)
 
     def on_grant(self, ev: Event) -> None:
-        self.execution.sim._live_chains.pop(self, None)
         if ev._exc is not None:
-            self.execution._node_lost(self.ex, ev._exc)
+            self.lost(ev._exc)
             return
+        self.execution.sim._live_chains.pop(self, None)
         ex = self.ex
         ex.enqueue(gate=self.execution._gates.get(self.node.node_id))
         ex.all_kernels_done.add_callback(self.on_kernels_done)
+        if self.seq is not None:
+            self.seq.enqueued(ex)
         # The grant loop is parked on this ack; resume it inside the
         # grant's own loop entry.  The PCIe descriptor writes that
-        # follow occupy no shared resource, so nothing waits on them.
+        # follow occupy no shared resource, so the loop never waits on
+        # them (a SEQUENTIAL pass does, above).
         self.req.enqueued_ack.succeed_inline(None)
 
     def on_kernels_done(self, ev: Event) -> None:
         self.scheduler.complete(self.req)
+
+    def lost(self, exc: BaseException) -> None:
+        self.execution.sim._live_chains.pop(self, None)
+        self.execution._node_lost(self.ex, exc)
+        if self.seq is not None:
+            self.seq.lost(exc)
 
 
 class _Feed:
@@ -746,9 +752,9 @@ class _Feed:
     def start(self) -> None:
         execution = self.execution
         execution.sim._live_chains[self] = None
-        node_done = execution._node_done
         for spec in self.node.incoming:
-            node_done[spec.src_node].add_callback(_Transfer(self, spec).on_producer)
+            producer = execution._executors[spec.src_node]
+            producer.all_kernels_done.add_callback(_Transfer(self, spec).on_producer)
 
     def landed(self) -> None:
         self._edge_settled()

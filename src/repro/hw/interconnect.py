@@ -11,7 +11,6 @@ topology-aware :class:`~repro.net.Fabric` (``Cluster.transport`` is one).
 from __future__ import annotations
 
 import math
-from typing import Generator
 
 from repro.config import SystemConfig
 from repro.sim import Simulator
@@ -56,10 +55,3 @@ class ICI:
         # columns of the 2-D torus): ~2*sqrt(n) hops.
         lat = self.config.allreduce_base_us + 2.0 * math.sqrt(n_devices) * self.config.ici_latency_us
         return lat + ring
-
-    # -- simulated actions -------------------------------------------------
-    def transfer(self, src: Device, dst: Device, nbytes: int) -> Generator:
-        """Simulate a device-to-device copy; completes after wire time."""
-        if src.island_id != self.island_id or dst.island_id != self.island_id:
-            raise ValueError("ICI transfer requires both devices on this island")
-        yield self.sim.timeout(self.transfer_time_us(src, dst, nbytes))

@@ -9,7 +9,6 @@ requests (paper §4.1) ask for contiguous sub-meshes of specific shapes.
 from __future__ import annotations
 
 import math
-from typing import Iterator
 
 from repro.config import SystemConfig
 from repro.sim import Simulator
@@ -112,24 +111,3 @@ class Island:
     @property
     def n_healthy(self) -> int:
         return len(self.healthy_devices)
-
-    def host_of(self, device: Device) -> Host:
-        if device.host is None:
-            raise ValueError(f"device {device.name} has no host")
-        return device.host
-
-    def device_slice(self, n: int, offset: int = 0) -> list[Device]:
-        """A contiguous slice of ``n`` devices starting at ``offset``."""
-        if offset + n > self.n_devices:
-            raise ValueError(
-                f"slice of {n} at offset {offset} exceeds island of {self.n_devices}"
-            )
-        return self.devices[offset : offset + n]
-
-    def iter_hosts_of(self, devices: list[Device]) -> Iterator[Host]:
-        seen: set[int] = set()
-        for dev in devices:
-            host = self.host_of(dev)
-            if host.host_id not in seen:
-                seen.add(host.host_id)
-                yield host

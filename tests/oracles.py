@@ -38,8 +38,10 @@ no production path that selects it:
   generator ``Process`` (:func:`run_execution`): controller passes,
   supervision and loss recovery inline, ``done`` settled as an
   ``AllOf`` over the nodes' completion events without
-  ``retry_on_failure`` and by the driver with it.  The reference for
-  the callback driver of :mod:`repro.core.dispatch`.
+  ``retry_on_failure`` and by the driver with it.  A SEQUENTIAL pass
+  is :func:`dispatch_sequential`, one generator walking the nodes with
+  a prep-barrier Event per node.  The reference for the callback
+  driver and the SEQUENTIAL pass of :mod:`repro.core.dispatch`.
 
 * :func:`patch_device_drain` — every device drains with one
   ``_on_phase_event`` callback per device per wait, each rendezvous
@@ -69,6 +71,7 @@ checks it against a sorted list of the live entries.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from typing import Generator, Iterable, Optional
 
@@ -97,6 +100,7 @@ __all__ = [
     "EagerFaultInjector",
     "MailboxScheduler",
     "dispatch_once",
+    "dispatch_sequential",
     "feed_node",
     "launch_processes",
     "one_transfer",
@@ -365,7 +369,9 @@ def feed_node(execution, node) -> Generator:
     gate = execution._gates[node.node_id]
     transfers = [
         execution.sim.process(
-            one_transfer(execution, spec, execution._node_done[spec.src_node], node)
+            one_transfer(
+                execution, spec, execution._executors[spec.src_node].all_kernels_done, node
+            )
         )
         for spec in node.incoming
     ]
@@ -453,6 +459,10 @@ def patch_driver(mp) -> None:
     mp.setattr(ProgramExecution, "_node_settled", lambda self, exc: None)
 
 
+def _all_done(ex) -> list[Event]:
+    return [node_ex.all_kernels_done for node_ex in ex._executors.values()]
+
+
 def _mirror(barrier: Event, done: Event) -> None:
     def settle(ev: Event) -> None:
         if ev._exc is None:
@@ -473,7 +483,7 @@ def run_execution(execution) -> Generator:
     ):
         ex.mode = DispatchMode.SEQUENTIAL
     if not ex.retry_on_failure:
-        _mirror(ex.sim.all_of(list(ex._node_done.values())), ex.done)
+        _mirror(ex.sim.all_of(_all_done(ex)), ex.done)
     failure = None
     try:
         yield from dispatch_once(ex, ex.low.nodes, first=True)
@@ -490,15 +500,15 @@ def run_execution(execution) -> Generator:
     while True:
         if failure is None:
             try:
-                yield ex.sim.all_of(list(ex._node_done.values()))
+                yield ex.sim.all_of(_all_done(ex))
             except Exception as exc:  # noqa: BLE001 - loss triggers replay
                 failure = exc
         if failure is None:
             ex.done.succeed(None)
             return
-        for nid, ev in ex._node_done.items():
-            if nid not in ex._dispatched and not ev.triggered:
-                ev.fail(failure)
+        for nid, node_ex in ex._executors.items():
+            if nid not in ex._dispatched and not node_ex.all_kernels_done.triggered:
+                node_ex.all_kernels_done.fail(failure)
         if (
             ex.attempts >= ex.max_attempts
             or ex.system.recovery is None
@@ -538,15 +548,70 @@ def dispatch_once(ex, nodes, first: bool) -> Generator:
             ex._dispatched.update(node.node_id for node in nodes)
             ex._launch(feeds, nodes)
         else:
-            yield from ex._dispatch_sequential(nodes, seed_args=first)
+            yield from dispatch_sequential(ex, nodes, seed_args=first)
     finally:
         ex.client.controller.release()
+
+
+def _settle(ev: Event, exc: Optional[BaseException]) -> None:
+    """A prep barrier's callback as one Event (sequential dispatch)."""
+    if exc is None:
+        ev.succeed(None)
+    else:
+        ev.fail(exc)
+
+
+def dispatch_sequential(self, nodes, seed_args: bool = True) -> Generator:
+    """The traditional single-controller model: every node is a
+    standalone dispatch.  The controller cannot plan ahead (it
+    behaves as if resource requirements only become known when the
+    predecessor finishes), so per node it pays a full planning pass,
+    ships the dispatch over DCN, waits for prep, enqueue, *and
+    completion*, and only then turns to the next node."""
+    self._launch(self._wire_dataflow(nodes, seed_args=seed_args), [])
+    cfg = self.config
+    for node in nodes:
+        self._dispatched.add(node.node_id)
+        ex = self._executors[node.node_id]
+        controller_us = (
+            cfg.coordinator_base_us
+            + cfg.coordinator_work_per_host_us * node.group.n_hosts_logical
+            + cfg.cpp_dispatch_us
+        )
+        yield self.sim.timeout(controller_us)
+        yield self.sim.timeout(cfg.dcn_latency_us)  # controller -> host
+        try:
+            prep_start = self.sim.now
+            prepped = self.sim.event()
+            ex.prep(functools.partial(_settle, prepped))
+            yield prepped
+            self._trace_prep(node, prep_start)
+            self._attach_result_handles(node.node_id)
+            scheduler, req = self._submit(node)
+            yield req.grant
+        except Exception as exc:  # noqa: BLE001 - prep lost / grant evicted
+            # Settle the node's completion event before propagating,
+            # or the recovery quiesce would wait on it forever.
+            self._node_lost(ex, exc)
+            raise
+        gate = self._gates.get(node.node_id)
+        ex.enqueue(gate=gate)
+        req.enqueued_ack.succeed(None)
+        ex.all_kernels_done.add_callback(lambda ev, r=req, s=scheduler: s.complete(r))
+        yield self.sim.timeout(ex.pcie_cost_us())
+        # Stall: the controller waits for the computation itself (its
+        # outputs define the "unknown" successor requirements) plus
+        # the handle round trip.
+        yield ex.all_kernels_done
+        yield self.sim.timeout(cfg.dcn_latency_us)  # handles -> controller
 
 
 def recover_and_replay(ex, cause) -> Generator:
     """Quiesce, recover, re-lower, then replay the nodes the checkpoint
     does not cover."""
-    yield ex.sim.all_settled([ex._node_done[nid] for nid in sorted(ex._dispatched)])
+    yield ex.sim.all_settled(
+        [ex._executors[nid].all_kernels_done for nid in sorted(ex._dispatched)]
+    )
     yield from ex.system.recovery.recover_program(ex)
     ex.low = ex.client.lower(ex.low.source)
     ckpt = ex.checkpoint
@@ -569,7 +634,6 @@ def recover_and_replay(ex, cause) -> Generator:
             owner=ex.client.name, program=ex.low.name,
         )
         ex._executors[node.node_id] = fresh
-        ex._node_done[node.node_id] = fresh.all_kernels_done
         ex._completed_at.pop(node.node_id, None)
         ex._node_values.pop(node.node_id, None)
     yield from dispatch_once(ex, replay, first=False)

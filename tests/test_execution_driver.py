@@ -1,15 +1,20 @@
 """The execution driver: differential fault fuzz and contract pins.
 
 ``ProgramExecution`` drives each program through callbacks: a PARALLEL
-pass is a timer chain on the controller thread, and only a SEQUENTIAL
-pass or a loss recovery runs as a generator process.  The oracle
+or SEQUENTIAL pass is a timer chain on the controller thread, and only
+a loss recovery runs as a generator process.  The oracle
 (``tests/oracles.py``) drives the same execution with one generator
-``Process`` per execution.  Random DAGs under random faults must give
-the same ``done`` outcome and time, the same ``handles_ready`` time and
-the same attempt and client counts through both drivers.
+``Process`` per execution, with a SEQUENTIAL pass as the generator
+:func:`oracles.dispatch_sequential`.  Random DAGs under random faults
+must give the same ``done`` outcome and time, the same
+``handles_ready`` time and the same attempt and client counts through
+both drivers.  ``REPRO_DRIVER_FUZZ_EXAMPLES`` sets the fuzz budget (25
+by default; CI's benchmark smoke sweep runs 200).
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 import pytest
@@ -26,6 +31,8 @@ from repro.hw.cluster import ClusterSpec
 from repro.resilience import RecoveryManager
 from repro.sim import engine
 from repro.xla.computation import scalar_allreduce_add
+
+EXAMPLES = int(os.environ.get("REPRO_DRIVER_FUZZ_EXAMPLES", "25"))
 
 
 class _Checkpoint:
@@ -150,7 +157,7 @@ _TWO_LOSSES_ONE_RECOVERY = {
 class TestDriverOracle:
     @given(scn=scenarios())
     @example(scn=_TWO_LOSSES_ONE_RECOVERY)
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=EXAMPLES, deadline=None)
     def test_random_faults_match_the_process_driver(self, scn):
         got = _run(scn)
         assert got["run"] is None
@@ -176,26 +183,34 @@ def _chain(n_nodes: int):
     return system, client, program
 
 
+def _processes_created(monkeypatch, mode: DispatchMode, retry: bool) -> list:
+    system, client, program = _chain(3)
+    created = []
+    init = engine.Process.__init__
+
+    def counting_init(self, sim, generator, name=""):
+        created.append(generator.__qualname__)
+        init(self, sim, generator, name)
+
+    monkeypatch.setattr(engine.Process, "__init__", counting_init)
+    execution = client.submit(program, (0.0,), mode=mode, retry_on_failure=retry)
+    system.sim.run()
+    assert execution.done.ok and execution.attempts == 1
+    return created
+
+
 class TestContract:
     @pytest.mark.parametrize("retry", [False, True])
     def test_parallel_execution_without_a_loss_creates_no_process(
         self, monkeypatch, retry
     ):
-        system, client, program = _chain(3)
-        created = []
-        init = engine.Process.__init__
+        assert _processes_created(monkeypatch, DispatchMode.PARALLEL, retry) == []
 
-        def counting_init(self, sim, generator, name=""):
-            created.append(generator.__qualname__)
-            init(self, sim, generator, name)
-
-        monkeypatch.setattr(engine.Process, "__init__", counting_init)
-        execution = client.submit(
-            program, (0.0,), mode=DispatchMode.PARALLEL, retry_on_failure=retry
-        )
-        system.sim.run()
-        assert execution.done.ok and execution.attempts == 1
-        assert created == []
+    @pytest.mark.parametrize("retry", [False, True])
+    def test_sequential_execution_without_a_loss_creates_no_process(
+        self, monkeypatch, retry
+    ):
+        assert _processes_created(monkeypatch, DispatchMode.SEQUENTIAL, retry) == []
 
     def test_sequential_replay_drains_after_a_loss_at_the_first_node(self):
         # The first node's loss leaves the other two undispatched; the
@@ -237,6 +252,4 @@ class TestContract:
         # The pass still holds the controller for the final handle round
         # trip; handles_ready fires when it ends.
         assert at_done["controller_held"] == 1
-        assert handles_at == [
-            at_done["now"] + cfg.dcn_latency_us + cfg.sequential_node_overhead_us
-        ]
+        assert handles_at == [at_done["now"] + cfg.dcn_latency_us]

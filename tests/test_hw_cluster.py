@@ -40,18 +40,6 @@ class TestIsland:
             assert len(host.devices) == 4
         assert all(d.host is not None for d in island.devices)
 
-    def test_device_slice(self, sim, config):
-        island = Island(sim, config, 0, 2, 4)
-        devs = island.device_slice(4, offset=2)
-        assert [d.device_id for d in devs] == [2, 3, 4, 5]
-        with pytest.raises(ValueError):
-            island.device_slice(8, offset=2)
-
-    def test_hosts_of_devices(self, sim, config):
-        island = Island(sim, config, 0, 2, 4)
-        hosts = list(island.iter_hosts_of(island.devices[2:6]))
-        assert [h.host_id for h in hosts] == [0, 1]
-
 
 class TestClusterConfigs:
     def test_config_a(self):
@@ -108,12 +96,6 @@ class TestICI:
         assert far > near
         big = island.ici.transfer_time_us(island.devices[0], island.devices[1], 1 << 30)
         assert big > near
-
-    def test_cross_island_transfer_rejected(self, sim, config):
-        a = Island(sim, config, 0, 1, 2)
-        b = Island(sim, config, 1, 1, 2, first_host_id=1, first_device_id=2)
-        with pytest.raises(ValueError):
-            list(a.ici.transfer(a.devices[0], b.devices[0], 10))
 
 
 class TestDCN:

@@ -18,13 +18,20 @@ from __future__ import annotations
 
 import hashlib
 import re
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from repro.core.dispatch import DispatchMode
+from repro.core.system import PathwaysSystem
+from repro.hw.cluster import ClusterSpec
+from repro.resilience import RecoveryManager
 from repro.sim import Event, Simulator
 from repro.workloads.churn import run_churn
 from repro.workloads.netload import run_net_congestion
 from repro.workloads.serving import run_serving
+from repro.xla.computation import scalar_allreduce_add
 
 #: Small but eventful: 2 resilient tenants, device churn, checkpoints,
 #: remaps — every hot path of the engine fires.
@@ -199,6 +206,63 @@ class TestGoldenServing:
         assert r1.abandoned == 0
 
 
+def _golden_seq_run():
+    """Two tenants' SEQUENTIAL chains gang-scheduled on the same six
+    devices, with ``retry_on_failure``; a shared device fails mid-run
+    (both executions recover and replay) and is repaired later."""
+    system = PathwaysSystem.build(
+        ClusterSpec(islands=((2, 4),), name="golden-seq"), log_schedule=True
+    )
+    recovery = RecoveryManager(system)
+    executions = []
+    for c in range(2):
+        client = system.client(f"tenant{c}")
+        devs = system.make_virtual_device_set().add_slice(tpu_devices=6)
+        step = client.wrap(
+            scalar_allreduce_add(6, 300.0, name=f"step{c}"), devices=devs
+        )
+
+        @client.program
+        def chain(v):
+            for _ in range(4):
+                v = step(v)
+            return v
+
+        executions.append(
+            client.submit(
+                chain.trace(np.float32(0.0)),
+                (0.0,),
+                mode=DispatchMode.SEQUENTIAL,
+                retry_on_failure=True,
+            )
+        )
+    victim = devs.group.devices[1]
+    system.sim.timeout(4_000.0).add_callback(lambda ev: recovery.fail_device(victim))
+    system.sim.timeout(30_000.0).add_callback(
+        lambda ev: recovery.repair_device(victim)
+    )
+    system.sim.run()
+    result = SimpleNamespace(system_handle=system, executions=executions)
+    return _schedule(result), result
+
+
+class TestGoldenSequential:
+    def test_two_runs_identical_schedule(self, sanitize):
+        first, r1 = _golden_seq_run()
+        second, r2 = _golden_seq_run()
+        # Both tenants lost a node to the fault and replayed.
+        for ex in r1.executions:
+            assert ex.done.ok and ex.attempts == 2
+            assert ex.results() == 4.0
+        assert first == second
+        assert [ex.results() for ex in r1.executions] == [
+            ex.results() for ex in r2.executions
+        ]
+        assert [sorted(ex._completed_at.values()) for ex in r1.executions] == [
+            sorted(ex._completed_at.values()) for ex in r2.executions
+        ]
+
+
 def _schedule_digest(schedule) -> str:
     h = hashlib.sha256()
     for t, seq, name in schedule:
@@ -214,6 +278,7 @@ GOLDEN_DIGESTS = {
     "contended_fabric": "662ed24290cee654c81cd8722b4441eb24441e629c5372543aaf6d528a9d88f1",
     "ecmp_reroute": "3a52900e353e1734e1ac038d1287a5ec33bfe8f5398a619348e5c49b35e244d2",
     "serving": "2985e9f82e2454225449fb4c161f1bfde093a9072cd47d0fa938f00451e6532d",
+    "sequential": "34f2be57e41d2065768b51b5f01b9b9b9e85e89f0616ffe93c852db5330d6a9f",
 }
 
 _GOLDEN_RUNS = {
@@ -221,6 +286,7 @@ _GOLDEN_RUNS = {
     "contended_fabric": _golden_net_run,
     "ecmp_reroute": _golden_ecmp_run,
     "serving": _golden_serve_run,
+    "sequential": _golden_seq_run,
 }
 
 
