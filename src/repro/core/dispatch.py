@@ -24,7 +24,7 @@ either starts the same per-node event chain (:class:`_NodeChain`: prep
 barrier, gang submit, grant, enqueue); each edge runs as another
 (:class:`_Feed`, :class:`_Transfer`): callbacks, not generator
 processes, because paper-scale sweeps dispatch hundreds of thousands of
-nodes.  Only a loss recovery runs as a process.  Either way, the
+nodes; so is a loss recovery (:class:`_Recovery`).  Either way, the
 execution's one completion event is :attr:`ProgramExecution.done`.
 """
 
@@ -33,7 +33,7 @@ from __future__ import annotations
 import functools
 import itertools
 from enum import Enum
-from typing import Generator, Optional, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
 import numpy as np
 
@@ -181,8 +181,8 @@ class ProgramExecution:
         planning timeout, the subgraph message's DCN timeout, then the
         node chains start and the controller is released.  A SEQUENTIAL
         pass is a callback chain too, one node at a time
-        (:class:`_SequentialPass`); only a loss recovery runs as a
-        generator process.  Until the first pass ends, and with
+        (:class:`_SequentialPass`), and so is a loss recovery
+        (:class:`_Recovery`).  Until the first pass ends, and with
         ``retry_on_failure`` until :attr:`done` settles, the execution
         sits in the simulator's live-chain registry, so a pass that
         never ends is a :class:`~repro.sim.DeadlockError` at drain end.
@@ -321,7 +321,7 @@ class ProgramExecution:
             self.client.executions_abandoned += 1
             self._settle_done(ExecutionAbandoned(self.name, self.attempts, loss))
             return
-        self.sim.process(self._recover(loss), name=lambda: f"recover {self.name}")
+        _Recovery(self).start(loss)
 
     def _settle_done(self, exc: Optional[BaseException]) -> None:
         """Settle :attr:`done` and close the ``exec:`` span."""
@@ -495,61 +495,11 @@ class ProgramExecution:
             if not ex.all_kernels_done.triggered:
                 ex.all_kernels_done.fail(exc)
 
-    def _recover(self, cause: BaseException) -> Generator:
-        """The ``retry_on_failure`` path (paper's operability story):
-
-        1. quiesce — wait until every dispatched node of the failed
-           attempt has settled (gang peers release via collective abort);
-        2. recover — the system's RecoveryManager detects the failure and
-           remaps the program's virtual slices onto surviving hardware;
-        3. re-lower — placement versions bumped by the remap make the
-           client's lowering cache re-lower onto the new binding;
-        4. replay — nodes not covered by the last checkpoint get fresh
-           executors and are re-dispatched; checkpointed nodes keep their
-           results (their restore cost is paid here).
-        """
-        tr = self.sim.tracer
-        if tr is not None:
-            tr.instant(
-                f"replay:{self.name}",
-                "resilience.replay",
-                track=f"client/{self.client.name}",
-                trace_id=self.name,
-                args={"attempt": self.attempts, "cause": type(cause).__name__},
-            )
-        yield self.sim.all_settled(
-            [self._executors[nid].all_kernels_done for nid in sorted(self._dispatched)]
-        )
-        try:
-            yield from self.system.recovery.recover_program(self)
-        except Exception as exc:  # noqa: BLE001 - fresh fault or fatal
-            # A fresh fault (device loss or host crash, possibly wrapped
-            # in ProcessFailed) goes back through the attempt budget;
-            # anything else (remap exhausted, etc.) abandons.
-            self._loss = exc
-            self._supervise()
-            return
-
-        # Re-lower onto the remapped slices (same node ids: lowering is
-        # deterministic over the same source graph).
-        self.low = self.client.lower(self.low.source)
-
-        ckpt = self.checkpoint
-        if ckpt is not None:
-            cut = ckpt.last_checkpoint_us
-            preserved = {
-                nid for nid, t in self._completed_at.items() if t <= cut
-            }
-        else:
-            preserved = set()
-        replay = [n for n in self.low.nodes if n.node_id not in preserved]
-        if ckpt is not None and replay:
-            restore_us = ckpt.restore_cost_us()
-            if restore_us > 0:
-                yield self.sim.timeout(restore_us)
-
+    def _replay(self, nodes: list[LowLevelNode], preserved: set[int]) -> None:
+        """Give ``nodes`` fresh executors and re-dispatch them; the
+        ``preserved`` nodes keep their results."""
         self._dispatched = set(preserved)
-        for node in replay:
+        for node in nodes:
             old = self._executors.get(node.node_id)
             if (
                 old is not None
@@ -569,7 +519,7 @@ class ProgramExecution:
             )
             self._completed_at.pop(node.node_id, None)
             self._node_values.pop(node.node_id, None)
-        self._pass(replay, first=False)
+        self._pass(nodes, first=False)
 
     def _attach_result_handles(self, node_id: int) -> None:
         """Point result futures at the now-allocated output handles."""
@@ -646,6 +596,132 @@ class _SequentialPass:
 
     def lost(self, exc: BaseException) -> None:
         self.execution._pass_ended(self.first, exc)
+
+
+class _Recovery:
+    """The ``retry_on_failure`` path (the paper's operability story), as
+    a callback chain:
+
+    1. quiesce — a countdown over every dispatched node of the failed
+       attempt, until each has settled (gang peers release via
+       collective abort);
+    2. detect — the :class:`~repro.resilience.RecoveryManager`'s
+       detection latency;
+    3. remap — every placement slice that lost a device (or sits on a
+       draining island) is rebound onto surviving hardware, backing off
+       while no healthy capacity exists, then pays the remap time;
+    4. re-lower — placement versions bumped by the remap make the
+       client's lowering cache re-lower onto the new binding;
+    5. replay — after the checkpoint's restore time, nodes it does not
+       cover get fresh executors and are re-dispatched; checkpointed
+       nodes keep their results.
+
+    A fresh fault or a fatal error while remapping (no healthy capacity
+    after ``max_remap_attempts`` backoffs) goes back through the attempt
+    budget.  The execution stays in the live-chain registry throughout.
+    """
+
+    __slots__ = ("execution", "recovery", "waiting", "slices", "vslice", "attempts")
+
+    def __init__(self, execution: ProgramExecution):
+        self.execution = execution
+        self.recovery = execution.system.recovery
+
+    def start(self, cause: BaseException) -> None:
+        execution = self.execution
+        tr = execution.sim.tracer
+        if tr is not None:
+            tr.instant(
+                f"replay:{execution.name}",
+                "resilience.replay",
+                track=f"client/{execution.client.name}",
+                trace_id=execution.name,
+                args={"attempt": execution.attempts, "cause": type(cause).__name__},
+            )
+        self.waiting = 1
+        for nid in sorted(execution._dispatched):
+            callbacks = execution._executors[nid].all_kernels_done.callbacks
+            if callbacks is not None:
+                self.waiting += 1
+                callbacks.append(self.settled)
+        self.settled(None)
+
+    def settled(self, ev: Optional[Event]) -> None:
+        self.waiting -= 1
+        if self.waiting == 0:
+            self.execution.sim.timeout(self.recovery.detection_us).add_callback(
+                self.detected
+            )
+
+    def detected(self, ev: Event) -> None:
+        placements = self.execution.low.source.placements.values()
+        self.slices = iter({s.slice_id: s for s in placements}.values())
+        self.next_slice()
+
+    def next_slice(self, ev: Optional[Event] = None) -> None:
+        rm = self.execution.system.resource_manager
+        for vslice in self.slices:
+            if vslice.bound and not vslice.needs_remap and not rm.is_draining(
+                vslice.group.island.island_id
+            ):
+                continue
+            if vslice.island_id is not None and rm.is_draining(vslice.island_id):
+                # The pin names hardware that is going away; clients only
+                # hold virtual device names, so recovery may migrate the
+                # slice anywhere (the point of the indirection).
+                vslice.repin(None)
+            self.vslice, self.attempts = vslice, 0
+            self.rebind()
+            return
+        self.recovery.programs_recovered += 1
+        self.relower()
+
+    def rebind(self, ev: Optional[Event] = None) -> None:
+        recovery = self.recovery
+        sim = self.execution.sim
+        try:
+            self.execution.system.resource_manager.rebind_slice(self.vslice)
+        except RuntimeError:
+            self.attempts += 1
+            if self.attempts >= recovery.max_remap_attempts:
+                self.failed(RuntimeError(
+                    f"slice {self.vslice.slice_id}: no healthy capacity after "
+                    f"{self.attempts} remap attempts"
+                ))
+            else:
+                sim.timeout(recovery.retry_backoff_us).add_callback(self.rebind)
+            return
+        except Exception as exc:  # noqa: BLE001 - fatal: abandon
+            self.failed(exc)
+            return
+        recovery.remaps += 1
+        if recovery.remap_us > 0:
+            sim.timeout(recovery.remap_us).add_callback(self.next_slice)
+        else:
+            self.next_slice()
+
+    def failed(self, exc: BaseException) -> None:
+        execution = self.execution
+        execution._loss = exc
+        execution._supervise()
+
+    def relower(self) -> None:
+        execution = self.execution
+        # Same node ids: lowering is deterministic over the same source.
+        execution.low = execution.client.lower(execution.low.source)
+        ckpt = execution.checkpoint
+        preserved: set[int] = set()
+        if ckpt is not None:
+            cut = ckpt.last_checkpoint_us
+            preserved = {nid for nid, t in execution._completed_at.items() if t <= cut}
+        replay = [n for n in execution.low.nodes if n.node_id not in preserved]
+        restore_us = ckpt.restore_cost_us() if ckpt is not None and replay else 0.0
+        if restore_us > 0:
+            execution.sim.timeout(restore_us).add_callback(
+                lambda ev: execution._replay(replay, preserved)
+            )
+        else:
+            execution._replay(replay, preserved)
 
 
 class _NodeChain:
@@ -835,6 +911,9 @@ class _Transfer:
 
 
 def _placeholder_handle(node_id: int) -> ObjectHandle:
+    """A result's handle until its node's output is allocated.  It holds
+    nothing, so it is born freed: releasing the results of an execution
+    abandoned before that node's prep frees nothing."""
     return ObjectHandle(
         object_id=-node_id,
         nbytes_total=0,
@@ -842,4 +921,5 @@ def _placeholder_handle(node_id: int) -> ObjectHandle:
         n_shards=1,
         space=MemorySpace.HOST_DRAM,
         owner="placeholder",
+        freed=True,
     )

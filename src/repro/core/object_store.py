@@ -74,6 +74,12 @@ class ShardedObjectStore:
         self.frees = 0
         self.cross_host_fetches = 0
         self.cross_host_bytes = 0
+        #: Under the sim-sanitizer, every device this store reserved HBM
+        #: on, for the drain-end conservation sweep (None otherwise).
+        self._hbm_devices: Optional[dict] = None
+        if sim.sanitize and sim.sanitizer is not None:
+            self._hbm_devices = {}
+            sim.sanitizer.watch(self)
 
     # -- allocation ---------------------------------------------------------
     def allocate(
@@ -103,6 +109,8 @@ class ShardedObjectStore:
         if space is MemorySpace.HBM:
             if group is None:
                 raise ValueError("HBM allocation requires a device group")
+            if self._hbm_devices is not None:
+                self._hbm_devices.update(dict.fromkeys(group.devices))
             if reserve_hbm(group.devices, nbytes_per_shard):
                 # Every shard reserved instantly (the common uncontended
                 # case): no grant record, no barrier; _free frees them all.
@@ -223,3 +231,36 @@ class ShardedObjectStore:
 
     def __len__(self) -> int:
         return len(self._objects)
+
+    def _sanitizer_problems(self) -> list[tuple[str, str]]:
+        """Drain-end conservation: each allocation is freed or live, and
+        each device's HBM reservation is exactly the shards its live
+        objects were granted there (a restart keeps HBM accounting, so
+        this holds across faults too)."""
+        problems = []
+        live = len(self._objects)
+        if self.allocations - self.frees != live:
+            problems.append((
+                "conservation",
+                f"object store: {self.allocations} allocations - {self.frees} "
+                f"frees != {live} live objects",
+            ))
+        held = dict.fromkeys(self._hbm_devices, 0)
+        for handle in self._objects.values():
+            grants = self._hbm_grants.get(handle.object_id)
+            if grants is not None:
+                devices = [dev for dev, ev in grants if ev.triggered and ev.ok]
+            elif handle.space is MemorySpace.HBM and handle.group is not None:
+                devices = handle.group.devices
+            else:
+                continue
+            for dev in devices:
+                held[dev] += handle.nbytes_per_shard
+        for dev, nbytes in held.items():
+            if dev.hbm.used != nbytes:
+                problems.append((
+                    "conservation",
+                    f"object store: live objects hold {nbytes} bytes on "
+                    f"{dev.name}, whose HBM has {dev.hbm.used} reserved",
+                ))
+        return problems

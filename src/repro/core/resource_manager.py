@@ -9,13 +9,12 @@ to be added and removed dynamically").
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Collection, Optional
 
 from repro.config import SystemConfig
 from repro.core.placement import DeviceGroup
 from repro.core.virtual_device import VirtualSlice
 from repro.hw.cluster import Cluster
-from repro.hw.device import Device
 from repro.hw.topology import Island
 from repro.sim import Event, Simulator
 from repro.xla.compiler import Compiler
@@ -59,6 +58,9 @@ class ResourceManager:
         self._cursor: dict[int, int] = {i: 0 for i in self._islands}
         #: Devices currently bound, per island (for release + accounting).
         self._bound: dict[int, VirtualSlice] = {}
+        #: Bound slices holding each device, by device id (kept by bind
+        #: and release).
+        self._holding: dict[int, int] = {}
         #: Islands mid-drain: excluded from new bindings until handback
         #: completes (or the drain is cancelled).
         self._draining: set[int] = set()
@@ -104,16 +106,12 @@ class ResourceManager:
                 isl._fault_clock.warm(isl.devices)
         self._capacity_listeners.append(fn)
 
-    def held_device_ids(self) -> Optional[set[int]]:
-        """Ids of the devices a bound slice's group holds; None (every
-        device) while capacity subscribers are attached."""
+    def held_device_ids(self) -> Optional[Collection[int]]:
+        """Ids of the devices a bound slice's group holds (a live view);
+        None (every device) while capacity subscribers are attached."""
         if self._capacity_listeners:
             return None
-        return {
-            d.device_id
-            for s in self._bound.values() if s.bound
-            for d in s.group.devices
-        }
+        return self._holding.keys()
 
     def capacity_changed(self, reason: str, island_id: int) -> None:
         """Notify subscribers that usable capacity changed."""
@@ -158,9 +156,8 @@ class ResourceManager:
         return sum(isl.n_devices for isl in self._islands.values())
 
     # -- slice binding ----------------------------------------------------
-    def _pick_island(self, n_devices: int) -> tuple[Island, list[Device]]:
-        """Least-loaded non-draining island with *surviving* capacity,
-        with its healthy-device list (one scan per island per bind).
+    def _pick_island(self, n_devices: int) -> Island:
+        """Least-loaded non-draining island with *surviving* capacity.
 
         Ranked by ``(uplink utilization, cursor, island id)``: the
         congestion signal first — the same
@@ -174,13 +171,10 @@ class ResourceManager:
         history.  Utilization is rounded so float dust cannot flip the
         deterministic tie-break.
         """
-        candidates = []
-        for isl in self._islands.values():
-            if isl.island_id in self._draining:
-                continue
-            healthy = isl.healthy_devices
-            if len(healthy) >= n_devices:
-                candidates.append((isl, healthy))
+        candidates = [
+            isl for isl in self._islands.values()
+            if isl.island_id not in self._draining and isl.n_healthy >= n_devices
+        ]
         if not candidates:
             raise RuntimeError(
                 f"no island can host a slice of {n_devices} devices "
@@ -190,10 +184,10 @@ class ResourceManager:
         fabric = self.cluster.fabric
         return min(
             candidates,
-            key=lambda c: (
-                round(fabric.uplink_utilization(c[0].island_id), 6),
-                self._cursor.get(c[0].island_id, 0),
-                c[0].island_id,
+            key=lambda isl: (
+                round(fabric.uplink_utilization(isl.island_id), 6),
+                self._cursor.get(isl.island_id, 0),
+                isl.island_id,
             ),
         )
 
@@ -201,9 +195,11 @@ class ResourceManager:
         """Assign physical devices to ``vslice`` and bind it.
 
         Only surviving (non-failed) devices are candidates, so a rebind
-        after a fault lands the slice on healthy hardware.  Raises
-        ``RuntimeError`` when no island has enough healthy capacity —
-        recovery retries after repair in that case.
+        after a fault lands the slice on healthy hardware.  Devices are
+        picked by their position among the island's healthy devices
+        (:meth:`Island.healthy_at`).  Raises ``RuntimeError`` when no
+        island has enough healthy capacity — recovery retries after
+        repair in that case.
         """
         if vslice.bound:
             raise RuntimeError(f"slice {vslice.slice_id} already bound")
@@ -216,16 +212,16 @@ class ResourceManager:
                     f"island {vslice.island_id} is draining; repin slice "
                     f"{vslice.slice_id} elsewhere"
                 )
-            healthy = island.healthy_devices
         else:
-            island, healthy = self._pick_island(vslice.n_devices)
+            island = self._pick_island(vslice.n_devices)
         n = vslice.n_devices
-        if n <= self.aggregate_threshold and n <= len(healthy):
+        healthy = island.n_healthy
+        if n <= self.aggregate_threshold and n <= healthy:
             # Detailed: a contiguous run of healthy devices, round-robin
             # offset (identical to the original contiguous slice when
             # nothing has failed).
-            offset = self._cursor[island.island_id] % max(1, len(healthy) - n + 1)
-            devices = healthy[offset : offset + n]
+            offset = self._cursor[island.island_id] % max(1, healthy - n + 1)
+            devices = island.healthy_at(offset, n)
             group = DeviceGroup(island=island, devices=devices, n_logical=n)
         elif not healthy:
             raise RuntimeError(
@@ -236,23 +232,21 @@ class ResourceManager:
             # Aggregate: representative healthy devices spanning hosts.
             per_host = len(island.hosts[0].devices)
             n_hosts_logical = max(1, n // per_host)
-            reps = min(self.max_simulated_per_group, len(healthy), n)
+            reps = min(self.max_simulated_per_group, healthy, n)
             if self.disjoint_aggregate_reps:
                 # Reserve this slice's logical block [cursor, cursor+n)
-                # of the healthy list and spread representatives inside
-                # it — co-located tenants get disjoint simulated cores.
-                base = self._cursor.get(island.island_id, 0) % len(healthy)
-                span = min(n, len(healthy))
-                step = max(1, span // reps)
-                devices = [
-                    healthy[(base + i * step) % len(healthy)] for i in range(reps)
-                ]
+                # of the healthy devices and spread representatives
+                # inside it — co-located tenants get disjoint cores.
+                base = self._cursor.get(island.island_id, 0) % healthy
+                span = min(n, healthy)
+                devices = island.healthy_at(base, reps, max(1, span // reps))
             else:
-                step = max(1, len(healthy) // reps)
-                devices = [healthy[(i * step) % len(healthy)] for i in range(reps)]
+                devices = island.healthy_at(0, reps, max(1, healthy // reps))
             # De-duplicate while preserving order.
             seen: set[int] = set()
-            devices = [d for d in devices if d.device_id not in seen and not seen.add(d.device_id)]
+            devices = [
+                d for d in devices if d.device_id not in seen and not seen.add(d.device_id)
+            ]
             group = DeviceGroup(
                 island=island,
                 devices=devices,
@@ -264,12 +258,22 @@ class ResourceManager:
             island._fault_clock.warm(group.devices)
         vslice.bind(group)
         self._bound[vslice.slice_id] = vslice
+        holding = self._holding
+        for d in group.devices:
+            holding[d.device_id] = holding.get(d.device_id, 0) + 1
         return group
 
     def release_slice(self, vslice: VirtualSlice) -> None:
         island_id = vslice.group.island.island_id if vslice.bound else None
         self._bound.pop(vslice.slice_id, None)
         group = vslice.unbind()
+        if group is not None:
+            holding = self._holding
+            for d in group.devices:
+                if holding[d.device_id] == 1:
+                    del holding[d.device_id]
+                else:
+                    holding[d.device_id] -= 1
         if group is not None and group.island._fault_clock is not None:
             # Devices left quiescent by their last slice turn cold.
             group.island._fault_clock.settle(group.devices)

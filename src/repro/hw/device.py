@@ -437,6 +437,11 @@ class Device:
         self.busy_us = 0.0          # time spent executing kernels
         self.kernels_run = 0
         self._failed = False
+        #: The owning island's up flags (one byte per device, see
+        #: :meth:`Island.healthy_at`) and this device's slot in them:
+        #: every transition sets it.  A bare device flags only itself.
+        self._up = bytearray(b"\x01")
+        self._slot = 0
         self.fail_count = 0
         self.kernels_aborted = 0
         #: Set while the device is *cold*: it holds no live state, so a
@@ -487,6 +492,7 @@ class Device:
         if self._failed:
             return
         self._failed = True
+        self._up[self._slot] = 0
         self.fail_count += 1
         # Detach from whatever phase event we were waiting on (its
         # late firing is ignored via the _waiting_on guard).
@@ -520,6 +526,7 @@ class Device:
         if not self._failed:
             return
         self._failed = False
+        self._up[self._slot] = 1
         self._queue = deque()
         self._current = None
         self._waiting_on = None
@@ -548,9 +555,11 @@ class Device:
             return False
         self._failed = down
         if down:
+            self._up[self._slot] = 0
             self.fail_count += 1
             self._idle = False
         else:
+            self._up[self._slot] = 1
             self._idle = True
         return True
 

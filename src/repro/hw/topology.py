@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.config import SystemConfig
 from repro.sim import Simulator
 
@@ -75,6 +77,9 @@ class Island:
         self._fault_clock = None
         mesh = Mesh.near_square(n_hosts * devices_per_host)
         self.mesh = mesh
+        #: One byte per device, in device order: 1 while it is up (set by
+        #: every device transition).
+        self._up = bytearray(mesh.size)
         for h in range(n_hosts):
             host = Host(sim, config, first_host_id + h, island_id)
             self.hosts.append(host)
@@ -89,6 +94,8 @@ class Island:
                 )
                 host.attach(dev)
                 self.devices.append(dev)
+                dev._up, dev._slot = self._up, idx
+                self._up[idx] = 1
 
     @property
     def n_devices(self) -> int:
@@ -99,15 +106,22 @@ class Island:
         return len(self.hosts)
 
     @property
-    def healthy_devices(self) -> list[Device]:
-        """Devices currently able to accept work (resilience layer).
+    def n_healthy(self) -> int:
+        """Devices currently able to accept work (resilience layer)."""
+        if self._fault_clock is not None:
+            self._fault_clock.catch_up()
+        return self._up.count(1)
+
+    def healthy_at(self, start: int, count: int, step: int = 1) -> list[Device]:
+        """The ``count`` healthy devices at positions ``start``,
+        ``start + step``, ... (wrapping past the last) among the
+        island's healthy devices in device order, picked through the up
+        flags without building that list.
 
         Catches a fault injector up once, then reads each device's state
         as it stands (``Device.failed`` would catch up per device)."""
         if self._fault_clock is not None:
             self._fault_clock.catch_up()
-        return [d for d in self.devices if not d._failed]
-
-    @property
-    def n_healthy(self) -> int:
-        return len(self.healthy_devices)
+        up = np.flatnonzero(np.frombuffer(self._up, dtype=np.uint8))
+        healthy = len(up)
+        return [self.devices[up[(start + i * step) % healthy]] for i in range(count)]

@@ -74,11 +74,15 @@ class ShardedGraph:
         self._nodes: dict[int, ShardedNode] = {}
         self._edges: list[ShardedEdge] = []
         self._next_id = 0
+        #: :meth:`topological_order`, until the graph changes (every
+        #: recovery re-lowers the same program).
+        self._order: Optional[list[int]] = None
 
     # -- construction ------------------------------------------------------
     def _add(self, node: ShardedNode) -> int:
         self._nodes[node.node_id] = node
         self._g.add_node(node.node_id)
+        self._order = None
         return node.node_id
 
     def add_arg(self) -> int:
@@ -120,6 +124,7 @@ class ShardedGraph:
         edge = ShardedEdge(src, dst, src_output, dst_input, kind)
         self._edges.append(edge)
         self._g.add_edge(src, dst)
+        self._order = None
         return edge
 
     # -- queries ------------------------------------------------------------
@@ -153,7 +158,9 @@ class ShardedGraph:
         return sorted(self._g.successors(node_id))
 
     def topological_order(self) -> list[int]:
-        return list(nx.lexicographical_topological_sort(self._g))
+        if self._order is None:
+            self._order = list(nx.lexicographical_topological_sort(self._g))
+        return list(self._order)
 
     def runtime_tuple_count(self) -> int:
         """Total data tuples flowing at runtime (shards per edge).

@@ -12,9 +12,10 @@ handled *centrally* —
 * virtual slices that lost devices are remapped onto surviving hardware
   (bumping their bind version, so client lowering caches transparently
   re-lower);
-* executions running with ``retry_on_failure`` observe the loss, wait
-  for :meth:`recover_program`, and replay lost nodes from the last
-  checkpoint.
+* executions running with ``retry_on_failure`` observe the loss, pay
+  this manager's detection latency, remap their slices with its remap
+  time and backoff, and replay lost nodes from the last checkpoint
+  (``ProgramExecution``'s recovery chain).
 
 Attaching a manager sets ``system.recovery``; there is at most one per
 system.
@@ -34,14 +35,13 @@ from __future__ import annotations
 
 import warnings
 
-from typing import Generator, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 from repro.hw.device import Device
 from repro.hw.host import Host
 from repro.resilience.faults import FaultEvent, FaultKind
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.dispatch import ProgramExecution
     from repro.core.system import PathwaysSystem
 
 __all__ = ["RecoveryManager"]
@@ -63,7 +63,9 @@ class RecoveryManager:
         self.system = system
         self.sim = system.sim
         #: Health-monitor latency: time from fault to the controller
-        #: acting on it (heartbeat / watchdog period).
+        #: acting on it (heartbeat / watchdog period).  This and the
+        #: remap knobs below drive each execution's recovery chain, which
+        #: raises ``RuntimeError`` after ``max_remap_attempts`` backoffs.
         self.detection_us = detection_us
         #: Resource-manager work per slice remap.
         self.remap_us = remap_us
@@ -278,55 +280,6 @@ class RecoveryManager:
             self._settle(island.devices)
 
         self._after(duration_us, _resume)
-
-    # -- program-level recovery ---------------------------------------------
-    def recover_program(self, execution: "ProgramExecution") -> Generator:
-        """Bring an execution's slices back onto healthy hardware.
-
-        Pays the detection latency once, then remaps every placement
-        slice that lost a device, backing off while no healthy capacity
-        exists (repair or preemption end will create some).  Raises
-        ``RuntimeError`` after ``max_remap_attempts`` backoffs.
-        """
-        yield self.sim.timeout(self.detection_us)
-        slices = []
-        seen: set[int] = set()
-        for vslice in execution.low.source.placements.values():
-            if vslice.slice_id not in seen:
-                seen.add(vslice.slice_id)
-                slices.append(vslice)
-        rm = self.system.resource_manager
-        for vslice in slices:
-            on_draining = (
-                vslice.bound
-                and not vslice.needs_remap
-                and rm.is_draining(vslice.group.island.island_id)
-            )
-            if vslice.bound and not vslice.needs_remap and not on_draining:
-                continue
-            if vslice.island_id is not None and rm.is_draining(vslice.island_id):
-                # The pin names hardware that is going away; clients only
-                # hold virtual device names, so recovery may migrate the
-                # slice anywhere (the point of the indirection).
-                vslice.repin(None)
-            attempts = 0
-            while True:
-                try:
-                    rm.rebind_slice(vslice)
-                except RuntimeError:
-                    attempts += 1
-                    if attempts >= self.max_remap_attempts:
-                        raise RuntimeError(
-                            f"slice {vslice.slice_id}: no healthy capacity after "
-                            f"{attempts} remap attempts"
-                        )
-                    yield self.sim.timeout(self.retry_backoff_us)
-                else:
-                    self.remaps += 1
-                    if self.remap_us > 0:
-                        yield self.sim.timeout(self.remap_us)
-                    break
-        self.programs_recovered += 1
 
     # -- helpers -------------------------------------------------------------
     def _on_message_lost(self, message, cause) -> None:

@@ -32,8 +32,10 @@ What is checked:
   and fabric links still carrying or queueing traffic
   (:class:`LeakedCapacityError`, the per-link residual behind
   ``fabric.idle``), HBM allocations still queued or reservations out of
-  ``[0, capacity]``, and transports whose messages sent differ from
-  those delivered plus those lost (:class:`ConservationError`);
+  ``[0, capacity]``, transports whose messages sent differ from those
+  delivered plus those lost, and object stores whose allocations minus
+  frees differ from their live objects or whose live objects' HBM
+  shards differ from a device's reservation (:class:`ConservationError`);
 * every device fault or repair a fault injector applies lazily finds its
   device still cold (:class:`WarmDeviceError`).
 """

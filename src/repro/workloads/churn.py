@@ -212,8 +212,11 @@ def run_churn(
 
     injector = None
     if mtbf_us is not None:
-        # Horizon generously covers the run; once the drivers finish,
-        # stop() cancels the faults still scheduled.
+        # Faults are drawn over ``horizon_slack`` ideal run lengths,
+        # which need not cover the run: in the config-A churn benchmark
+        # (seed 0) the horizon is 10 s but the run lasts 13.74 s, so all
+        # its faults are delivered and the last 3.7 s have none.  Once
+        # the drivers finish, stop() cancels any faults still scheduled.
         ideal_us = steps_per_client * compute_time_us
         horizon_us = ideal_us * horizon_slack
         all_ids = [d.device_id for d in system.cluster.devices]
@@ -227,41 +230,30 @@ def run_churn(
                         rep_factor[d.device_id] = max(
                             rep_factor.get(d.device_id, 1.0), f
                         )
+        schedule = FaultSchedule.poisson_device_failures(
+            mtbf_us=mtbf_us,
+            horizon_us=horizon_us,
+            device_ids=[i for i in all_ids if i not in rep_factor],
+            seed=seed,
+            repair_us=repair_us,
+        )
         if rep_factor:
             # Representatives fail representation_factor times faster,
             # preserving the per-gang fault rate of a fully-detailed
             # simulation; spares keep the nominal per-device MTBF.
-            events = list(
-                FaultSchedule.poisson_device_failures(
-                    mtbf_us=mtbf_us,
-                    horizon_us=horizon_us,
-                    device_ids=[i for i in all_ids if i not in rep_factor],
-                    seed=seed,
-                    repair_us=repair_us,
-                )
-            )
             by_factor: dict[float, list[int]] = {}
             for dev_id, f in rep_factor.items():
                 by_factor.setdefault(f, []).append(dev_id)
-            for k, (f, ids) in enumerate(sorted(by_factor.items())):
-                events.extend(
-                    FaultSchedule.poisson_device_failures(
-                        mtbf_us=mtbf_us / f,
-                        horizon_us=horizon_us,
-                        device_ids=sorted(ids),
-                        seed=seed + 7919 * (k + 1),
-                        repair_us=repair_us,
-                    )
+            schedule = FaultSchedule.merge(schedule, *(
+                FaultSchedule.poisson_device_failures(
+                    mtbf_us=mtbf_us / f,
+                    horizon_us=horizon_us,
+                    device_ids=sorted(ids),
+                    seed=seed + 7919 * (k + 1),
+                    repair_us=repair_us,
                 )
-            schedule = FaultSchedule(events)
-        else:
-            schedule = FaultSchedule.poisson_device_failures(
-                mtbf_us=mtbf_us,
-                horizon_us=horizon_us,
-                device_ids=all_ids,
-                seed=seed,
-                repair_us=repair_us,
-            )
+                for k, (f, ids) in enumerate(sorted(by_factor.items()))
+            ))
         injector = FaultInjector(recovery, schedule)
 
     drivers = []
@@ -295,7 +287,7 @@ def run_churn(
         replayed_steps=sum(s["replayed"] for s in stats.values()),
         checkpoint_overhead_us=sum(c.overhead_us for c in checkpoints),
         checkpoints_taken=sum(c.checkpoints_taken for c in checkpoints),
-        faults_injected=len(injector.injected) if injector is not None else 0,
+        faults_injected=injector.stats().injected if injector is not None else 0,
         recoveries=recovery_stats.programs_recovered,
         remaps=recovery_stats.remaps,
         devices_added=grown["devices"],

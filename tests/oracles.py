@@ -24,7 +24,14 @@ no production path that selects it:
 * :class:`EagerFaultInjector` — one timer walking the whole fault
   schedule, delivering every fault through
   :meth:`RecoveryManager.inject` with one repair timeout each, the
-  reference for the lazy :class:`repro.resilience.FaultInjector`.
+  reference for the lazy :class:`repro.resilience.FaultInjector`; and
+  :func:`fault_layout`, one loop over the schedule's events, the
+  reference for the per-entry columns the lazy injector lays out.
+
+* :func:`healthy_devices` — an island's healthy devices as one scan
+  over its devices, and :func:`bind_choice`, the devices a slice bind
+  picks from that list; the reference for the up flags behind
+  :meth:`repro.hw.Island.healthy_at` and ``n_healthy``.
 
 * :func:`send_reliable` — one generator ``Process`` per reliable send,
   the reference for the callback chain of
@@ -36,7 +43,8 @@ no production path that selects it:
 
 * :func:`patch_driver` — each ``ProgramExecution`` driven by one
   generator ``Process`` (:func:`run_execution`): controller passes,
-  supervision and loss recovery inline, ``done`` settled as an
+  supervision and loss recovery inline (:func:`recover_and_replay`,
+  with the generator :func:`recover_program`), ``done`` settled as an
   ``AllOf`` over the nodes' completion events without
   ``retry_on_failure`` and by the driver with it.  A SEQUENTIAL pass
   is :func:`dispatch_sequential`, one generator walking the nodes with
@@ -63,7 +71,9 @@ injectors;
 ``test_scheduler_oracle.py`` runs random timed scripts against both
 schedulers; ``test_net_transport.py`` runs random reliable sends under
 endpoint crashes through both send paths; ``test_device_drain.py`` runs
-random gangs under device and host faults through both drains.  The timer queue
+random gangs under device and host faults through both drains;
+``test_healthy_set.py`` probes healthy capacity and slice binds under
+random faults against both.  The timer queue
 needs no oracle: :class:`repro.sim.TimerQueue`
 is itself the plain ``(when, seq)`` heap, and ``test_timer_queue.py``
 checks it against a sorted list of the live entries.
@@ -99,15 +109,19 @@ __all__ = [
     "DenseFluidSolver",
     "EagerFaultInjector",
     "MailboxScheduler",
+    "bind_choice",
     "dispatch_once",
     "dispatch_sequential",
+    "fault_layout",
     "feed_node",
+    "healthy_devices",
     "launch_processes",
     "one_transfer",
     "patch_device_drain",
     "patch_driver",
     "prep",
     "recover_and_replay",
+    "recover_program",
     "request",
     "run_execution",
     "run_node",
@@ -140,6 +154,30 @@ def scalar_poisson_device_failures(
                 break
             t += repair_us + float(rng.exponential(mtbf_us))
     return sorted(events)
+
+
+def healthy_devices(island) -> list:
+    """The island's devices that are up, in device order: one scan."""
+    return [d for d in island.devices if not d.failed]
+
+
+def bind_choice(rm, island, n: int) -> list:
+    """The devices ``rm.bind_slice`` gives an ``n``-device slice on
+    ``island``, picked from :func:`healthy_devices`."""
+    healthy = healthy_devices(island)
+    if n <= rm.aggregate_threshold and n <= len(healthy):
+        offset = rm._cursor[island.island_id] % max(1, len(healthy) - n + 1)
+        return healthy[offset : offset + n]
+    reps = min(rm.max_simulated_per_group, len(healthy), n)
+    if rm.disjoint_aggregate_reps:
+        base = rm._cursor.get(island.island_id, 0) % len(healthy)
+        step = max(1, min(n, len(healthy)) // reps)
+        devices = [healthy[(base + i * step) % len(healthy)] for i in range(reps)]
+    else:
+        step = max(1, len(healthy) // reps)
+        devices = [healthy[(i * step) % len(healthy)] for i in range(reps)]
+    seen: set[int] = set()
+    return [d for d in devices if d.device_id not in seen and not seen.add(d.device_id)]
 
 
 class _Flow:
@@ -606,13 +644,63 @@ def dispatch_sequential(self, nodes, seed_args: bool = True) -> Generator:
         yield self.sim.timeout(cfg.dcn_latency_us)  # handles -> controller
 
 
+def recover_program(self, execution) -> Generator:
+    """Bring an execution's slices back onto healthy hardware
+    (``self`` is the system's ``RecoveryManager``).
+
+    Pays the detection latency once, then remaps every placement
+    slice that lost a device, backing off while no healthy capacity
+    exists (repair or preemption end will create some).  Raises
+    ``RuntimeError`` after ``max_remap_attempts`` backoffs.
+    """
+    yield self.sim.timeout(self.detection_us)
+    slices = []
+    seen: set[int] = set()
+    for vslice in execution.low.source.placements.values():
+        if vslice.slice_id not in seen:
+            seen.add(vslice.slice_id)
+            slices.append(vslice)
+    rm = self.system.resource_manager
+    for vslice in slices:
+        on_draining = (
+            vslice.bound
+            and not vslice.needs_remap
+            and rm.is_draining(vslice.group.island.island_id)
+        )
+        if vslice.bound and not vslice.needs_remap and not on_draining:
+            continue
+        if vslice.island_id is not None and rm.is_draining(vslice.island_id):
+            # The pin names hardware that is going away; clients only
+            # hold virtual device names, so recovery may migrate the
+            # slice anywhere (the point of the indirection).
+            vslice.repin(None)
+        attempts = 0
+        while True:
+            try:
+                rm.rebind_slice(vslice)
+            except RuntimeError:
+                attempts += 1
+                if attempts >= self.max_remap_attempts:
+                    raise RuntimeError(
+                        f"slice {vslice.slice_id}: no healthy capacity after "
+                        f"{attempts} remap attempts"
+                    )
+                yield self.sim.timeout(self.retry_backoff_us)
+            else:
+                self.remaps += 1
+                if self.remap_us > 0:
+                    yield self.sim.timeout(self.remap_us)
+                break
+    self.programs_recovered += 1
+
+
 def recover_and_replay(ex, cause) -> Generator:
     """Quiesce, recover, re-lower, then replay the nodes the checkpoint
     does not cover."""
     yield ex.sim.all_settled(
         [ex._executors[nid].all_kernels_done for nid in sorted(ex._dispatched)]
     )
-    yield from ex.system.recovery.recover_program(ex)
+    yield from recover_program(ex.system.recovery, ex)
     ex.low = ex.client.lower(ex.low.source)
     ckpt = ex.checkpoint
     preserved = set()
@@ -906,6 +994,39 @@ class EagerFaultInjector:
                         "repair_us": event.repair_us,
                     },
                 )
+
+
+def fault_layout(events, now: float, device_ids) -> tuple[list, list, int]:
+    """Per event: the instant a timer walking the schedule from ``now``
+    fires at, and whether it is always delivered eagerly (a device fault
+    not on ``device_ids``, at or before its device's latest earlier
+    repair end, after a permanent loss, or with a repair too short to
+    move the clock); and the device fault holding the last transition,
+    which is eager too."""
+    shot, forced = [], []
+    ends: dict = {}
+    last, last_at = -1, -_INF
+    t = now
+    for i, event in enumerate(events):
+        at = event.at_us
+        if at - t > 0:
+            t = t + (at - t)
+        shot.append(t)
+        forced.append(1)
+        if event.kind is not FaultKind.DEVICE_FAILURE:
+            continue
+        end = t + event.repair_us if event.repair_us > 0 else _INF
+        prev = ends.get(event.target)
+        if event.target in device_ids and (prev is None or t > prev) and end > t:
+            forced[i] = 0
+        if prev is None or end > prev:
+            ends[event.target] = end
+        final = t if end == _INF else end
+        if final >= last_at:
+            last, last_at = i, final
+    if last >= 0:
+        forced[last] = 1
+    return shot, forced, last
 
 
 class CollectiveRendezvous:

@@ -62,11 +62,14 @@ def scenarios(draw):
         "fault": draw(
             st.none()
             | st.tuples(
-                st.sampled_from(["device", "host"]),
+                st.sampled_from(["device", "host", "preempt"]),
                 st.floats(0.0, 3000.0),
                 st.integers(0, 63),
             )
         ),
+        # A preemption takes every device of its island: a remap pinned
+        # there backs off until the preemption ends.
+        "preempt_us": draw(st.sampled_from([3_000.0, 4_700.0, 12_000.0])),
     }
 
 
@@ -121,10 +124,13 @@ def _run(scn) -> dict:
             {d for s in slices for d in s.group.devices}, key=lambda d: d.device_id
         )
         victim = used[index % len(used)]
-        fault = (
-            (lambda ev: recovery.fail_device(victim)) if kind == "device"
-            else (lambda ev: recovery.crash_host(victim.host))
-        )
+        fault = {
+            "device": lambda ev: recovery.fail_device(victim),
+            "host": lambda ev: recovery.crash_host(victim.host),
+            "preempt": lambda ev: recovery.preempt_island(
+                victim.island_id, scn["preempt_us"]
+            ),
+        }[kind]
         system.sim.timeout(at_us).add_callback(fault)
     try:
         system.sim.run()
@@ -136,6 +142,8 @@ def _run(scn) -> dict:
         completed_at=dict(execution._completed_at),
         abandoned=client.executions_abandoned,
         dispatched=system.programs_dispatched,
+        remaps=recovery.remaps,
+        recovered=recovery.programs_recovered,
         now=system.sim.now,
     )
     return seen
@@ -151,12 +159,24 @@ _TWO_LOSSES_ONE_RECOVERY = {
     "max_attempts": 2,
     "checkpoint": None,
     "fault": ("device", 0.0, 0),
+    "preempt_us": 3_000.0,
+}
+
+#: The only island is preempted mid-run: the remap finds no healthy
+#: capacity and backs off (from 2,372 us to 7,372 us) until the
+#: preemption has ended (at 4,750 us).
+_REMAP_BACKS_OFF = {
+    **_TWO_LOSSES_ONE_RECOVERY,
+    "max_attempts": 3,
+    "fault": ("preempt", 50.0, 0),
+    "preempt_us": 4_700.0,
 }
 
 
 class TestDriverOracle:
     @given(scn=scenarios())
     @example(scn=_TWO_LOSSES_ONE_RECOVERY)
+    @example(scn=_REMAP_BACKS_OFF)
     @settings(max_examples=EXAMPLES, deadline=None)
     def test_random_faults_match_the_process_driver(self, scn):
         got = _run(scn)

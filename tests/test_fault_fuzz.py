@@ -69,8 +69,14 @@ def _jitter(k: int) -> float:
 
 @st.composite
 def churn_scenarios(draw):
-    n_clients = draw(st.integers(1, 3))
-    slice_devices = draw(st.sampled_from([2, 4]))
+    # Slices above the aggregate threshold bind representative devices
+    # spread over the island; a 24-device slice on a 32-device island
+    # binds 16, whose faults come from the rep-factor-scaled schedule
+    # merged into the spares' (the shape of the churn benchmark).
+    aggregate_threshold = draw(st.sampled_from([2, 64]))
+    slice_devices = draw(st.sampled_from([2, 4] if aggregate_threshold == 64 else [4, 24]))
+    n_hosts = 8 if slice_devices > 16 else 4
+    n_clients = draw(st.integers(1, min(3, 4 * n_hosts // slice_devices)))
     extra, probes = [], []
     for k in range(draw(st.integers(0, 3))):
         at = draw(st.integers(1, 60)) * 1_000.0 + _jitter(2 * k)
@@ -133,7 +139,7 @@ def churn_scenarios(draw):
             steps_per_client=draw(st.integers(3, 8)),
             compute_time_us=1_000.0,
             slice_devices=slice_devices,
-            n_hosts=4,
+            n_hosts=n_hosts,
             devices_per_host=4,
             mtbf_us=draw(st.sampled_from([15_000.0, 40_000.0, 120_000.0])),
             repair_us=draw(st.sampled_from([3_000.0, 12_000.0, 25_000.0])),
@@ -141,6 +147,7 @@ def churn_scenarios(draw):
             state_bytes=1 << 20,
             seed=draw(st.integers(0, 10_000)),
             add_island_at=grow,
+            aggregate_threshold=aggregate_threshold,
         ),
         "extra": extra,
         "probes": probes,
@@ -262,6 +269,57 @@ def test_lazy_injector_matches_the_eager_oracle(scenario):
         assert name == "fault-injector" or name in repair_names, name
 
 
+@st.composite
+def layouts(draw):
+    """A schedule of repeated and overlapping device faults (some on
+    devices the injector does not hold, some with repairs too short to
+    move the clock), host crashes, exact ties, and a start time."""
+    times = st.one_of(
+        st.integers(0, 40).map(float),
+        st.floats(0.0, 40.0, allow_nan=False),
+        st.floats(1e9, 1e9 + 1.0, allow_nan=False),
+    )
+    events = draw(st.lists(
+        st.tuples(times, st.integers(0, 9), st.sampled_from([0.0, 1e-9, 3.0, 25.0]),
+                  st.booleans()),
+        max_size=40,
+    ))
+    schedule = [
+        FaultEvent(at, FaultKind.DEVICE_FAILURE, target, repair) if device
+        else FaultEvent(at, FaultKind.HOST_CRASH, target % 2, repair)
+        for at, target, repair, device in events
+    ]
+    return schedule, draw(st.sampled_from([0.0, 5.0, 1e9]))
+
+
+#: The second fault's shot is ``t + (at - t)``, one ulp off its time,
+#: and the tie after it inherits that shot.
+_ROUNDED_SHOT = ([
+    FaultEvent(10.72157874293449, FaultKind.DEVICE_FAILURE, 0, 3.0),
+    FaultEvent(77.48677759248817, FaultKind.DEVICE_FAILURE, 1, 3.0),
+    FaultEvent(77.48677759248817, FaultKind.DEVICE_FAILURE, 1, 25.0),
+], 0.0)
+
+
+@settings(max_examples=4 * EXAMPLES, deadline=None)
+@example(layout=_ROUNDED_SHOT)
+@given(layout=layouts())
+def test_injector_layout_matches_the_loop(layout):
+    """Shot instants, forced flags and the last transition, laid out
+    with array passes, equal one loop over the events."""
+    events, now = layout
+    system = PathwaysSystem.build(ClusterSpec(islands=((2, 4),), name="s"))
+    recovery = RecoveryManager(system)
+    system.sim._now = now
+    injector = FaultInjector(recovery, FaultSchedule(events))
+    injector._start()
+    sorted_events = injector.schedule.events
+    shot, forced, last = oracles.fault_layout(sorted_events, now, range(8))
+    assert list(injector._shot) == shot
+    assert list(injector._forced) == forced
+    assert injector._last == last
+
+
 # -- contract pins (the eager injector's behaviour) ---------------------------
 
 
@@ -291,7 +349,7 @@ class TestContract:
         assert recovery.repairs == len(events)
         assert recovery.epoch == len(events)
         island = small_system.cluster.islands[0]
-        assert len(island.healthy_devices) == island.n_devices
+        assert island.n_healthy == island.n_devices
 
     def test_a_delivered_fault_is_repaired_after_stop(self, small_system):
         sim = small_system.sim

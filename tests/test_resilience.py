@@ -408,6 +408,56 @@ class TestFaultSchedule:
         assert len(want) > 3 * _DRAW_BLOCK
         assert [_fields(e) for e in got] == [_fields(e) for e in want]
 
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_merged_multi_rate_schedules_match_scalar_oracle(self, seed):
+        """As ``run_churn`` merges the spares' schedule with faster ones
+        for representative devices: one stable sort of the concatenated
+        scalar draws.  The last part repeats the first one's seed on
+        other devices, so every one of its times ties with one there,
+        and the tie keeps argument order."""
+        parts = [
+            (100.0, range(0, 40), seed),
+            (100.0 / 3, range(40, 48), seed + 7919),
+            (100.0 / 8, range(48, 52), seed + 2 * 7919),
+            (100.0, range(200, 240), seed),
+        ]
+        got = FaultSchedule.merge(*(
+            FaultSchedule.poisson_device_failures(
+                mtbf, 20_000.0, ids, seed=s, repair_us=50.0
+            )
+            for mtbf, ids, s in parts
+        ))
+        want = sorted(
+            event
+            for mtbf, ids, s in parts
+            for event in scalar_poisson_device_failures(
+                mtbf, 20_000.0, ids, seed=s, repair_us=50.0
+            )
+        )
+        assert [_fields(e) for e in got] == [_fields(e) for e in want]
+        ties = sum(a.at_us == b.at_us for a, b in zip(want, want[1:]))
+        first = scalar_poisson_device_failures(
+            100.0, 20_000.0, range(40), seed=seed, repair_us=50.0
+        )
+        assert ties >= len(first)
+
+    def test_merge_keeps_added_events(self):
+        """Events added by hand (with notice times and link names) merge
+        with drawn ones as themselves, ties in argument order."""
+        a = (
+            FaultSchedule()
+            .device_failure(5.0, 1, repair_us=2.0)
+            .island_preemption(3.0, 0, 9.0, notice_us=1.0)
+        )
+        b = FaultSchedule.poisson_device_failures(10.0, 50.0, range(3), seed=1)
+        c = FaultSchedule().link_down(5.0, "spine[p0]", repair_us=4.0)
+        merged = FaultSchedule.merge(a, b, c)
+        want = sorted([*a.events, *b.events, *c.events])
+        assert [_fields(e) for e in merged] == [_fields(e) for e in want]
+        added = [e for e in merged.events if e.kind is not FaultKind.DEVICE_FAILURE]
+        assert added == [a.events[0], c.events[0]]
+        assert added[0] is a.events[0] and added[1] is c.events[0]
+
     def test_tied_times_keep_dataclass_sort_order(self):
         rng = random.Random(3)
         events = [

@@ -310,6 +310,70 @@ class TestSchedulerInvariants:
         assert system.scheduler_for(system.cluster.islands[0]).stats().pending == 1
 
 
+class TestObjectStoreConservation:
+    """Every allocation ends freed or live, and each device's HBM holds
+    exactly its live objects' shards, across faults too."""
+
+    def _steps(self, recover: bool):
+        system = PathwaysSystem.build(ClusterSpec(islands=((2, 4),), name="store"))
+        client = system.client("c")
+        devs = system.make_virtual_device_set().add_slice(tpu_devices=4)
+        step = client.wrap(scalar_allreduce_add(4, 100.0, name="step"), devices=devs)
+        if recover:
+            from repro.resilience import RecoveryManager
+
+            recovery = RecoveryManager(system)
+            victim = devs.group.devices[1]
+            system.sim.timeout(50.0).add_callback(lambda ev: recovery.fail_device(victim))
+        executions = [
+            client.submit(step.solo_program, (0.0,), retry_on_failure=recover)
+            for _ in range(3)
+        ]
+        for execution in executions:
+            execution.done.add_callback(lambda ev, e=execution: e.release_results())
+        return system, executions
+
+    @pytest.mark.parametrize("recover", [False, True])
+    def test_balanced_run_is_clean(self, monkeypatch, recover):
+        monkeypatch.setenv("REPRO_SIM_SANITIZE", "1")
+        system, executions = self._steps(recover)
+        system.sim.run()
+        assert all(e.done.ok for e in executions)
+        assert system.object_store.frees == system.object_store.allocations > 0
+
+    def test_a_free_skipping_one_device_is_reported(self, monkeypatch):
+        """A free that leaves one shard's bytes reserved."""
+        monkeypatch.setenv("REPRO_SIM_SANITIZE", "1")
+        system, executions = self._steps(recover=False)
+        store = system.object_store
+        free = type(store)._free
+
+        def leaky_free(self, handle):
+            devices = handle.group.devices
+            handle.group.devices = devices[1:]
+            try:
+                free(self, handle)
+            finally:
+                handle.group.devices = devices
+
+        monkeypatch.setattr(type(store), "_free", leaky_free)
+        with pytest.raises(
+            ConservationError, match=r"live objects hold 0 bytes on d\d+, whose HBM has \d+"
+        ):
+            system.sim.run()
+
+    def test_a_lost_handle_is_reported(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SIM_SANITIZE", "1")
+        system, executions = self._steps(recover=False)
+        system.sim.run()
+        system.object_store.frees += 1
+        system.sim.timeout(1.0)
+        with pytest.raises(
+            ConservationError, match=r"object store: \d+ allocations - \d+ frees != \d+ live"
+        ):
+            system.sim.run()
+
+
 class TestScheduleNeutrality:
     KWARGS = dict(
         n_clients=2,

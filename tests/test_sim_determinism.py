@@ -274,11 +274,11 @@ def _schedule_digest(schedule) -> str:
 #: Identical across PYTHONHASHSEED values; update only for a change that
 #: deliberately alters simulated behaviour, and say so in its description.
 GOLDEN_DIGESTS = {
-    "churn": "69c8ea97041cb91a675b695512f3113e70958562dc23e723151ac99069ff7b95",
-    "contended_fabric": "662ed24290cee654c81cd8722b4441eb24441e629c5372543aaf6d528a9d88f1",
+    "churn": "c027039c2c193e8a2f2c0bb90a9e3f5f480e55bd6651501fe6beaa13d67b0cb6",
+    "contended_fabric": "43483815fe8b425fcef6417ec92604082acffb34defb1d4d82e1b1332765af67",
     "ecmp_reroute": "3a52900e353e1734e1ac038d1287a5ec33bfe8f5398a619348e5c49b35e244d2",
-    "serving": "2985e9f82e2454225449fb4c161f1bfde093a9072cd47d0fa938f00451e6532d",
-    "sequential": "34f2be57e41d2065768b51b5f01b9b9b9e85e89f0616ffe93c852db5330d6a9f",
+    "serving": "832b75ea1c0eb2b0137d38786f57bc745862902d107b35bca1256423cc0123ae",
+    "sequential": "206530071cb3fa63df8d7f2f5b7f2580be0978c9786fcc93201b8405bdfd9ed6",
 }
 
 _GOLDEN_RUNS = {
