@@ -348,7 +348,7 @@ class ProgramExecution:
             program=self.low.name,
             node_label=f"{self.name}:{node.label}",
             cost_us=node.computation.compute_time_us(self.config),
-            device_ids=tuple(d.device_id for d in node.group.devices),
+            device_ids=node.group.device_ids,
             deadline_at_us=self.deadline_at_us,
         )
         return scheduler, req

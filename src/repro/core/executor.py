@@ -30,7 +30,7 @@ from typing import Callable, Optional
 from repro.config import SystemConfig
 from repro.core.ir import LowLevelNode
 from repro.core.object_store import MemorySpace, ObjectHandle, ShardedObjectStore
-from repro.hw.device import CollectiveRendezvous, Kernel
+from repro.hw.device import CollectiveRendezvous, Kernel, enqueue_gang
 from repro.hw.host import prep_hosts
 from repro.sim import Event, Simulator
 
@@ -166,8 +166,7 @@ class NodeExecutor:
             gate=gate,
         )
         kernel.done.add_callback(self._on_kernel_done)
-        for dev in group.devices:
-            dev.enqueue(kernel)
+        enqueue_gang(group.devices, kernel)
         return [kernel]
 
     def _on_kernel_done(self, ev: Event) -> None:

@@ -34,10 +34,14 @@ class DeviceGroup:
     n_logical: int
     hosts: list[Host] = field(default_factory=list)
     n_hosts_logical: int = 0
+    #: The simulated devices' ids, built once: every gang submission
+    #: names them, and the scheduler tells blocked gangs apart by it.
+    device_ids: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.devices:
             raise ValueError("device group needs at least one simulated device")
+        self.device_ids = tuple(d.device_id for d in self.devices)
         if self.n_logical < len(self.devices):
             raise ValueError(
                 f"n_logical={self.n_logical} < simulated devices {len(self.devices)}"

@@ -597,10 +597,17 @@ class IslandScheduler:
             return None
         if getattr(self.policy, "picks_first_eligible", False):
             # FIFO fast path: _pending is in arrival (seq) order, so the
-            # first eligible entry is the policy's pick.
+            # first eligible entry is the policy's pick.  Gangs of one
+            # group share its device-id tuple: once that tuple is found
+            # blocked, the rest of its gangs are skipped unchecked.
+            blocked = None
             for choice in self._pending:
-                if self._saturated.isdisjoint(choice.device_ids):
+                ids = choice.device_ids
+                if ids is blocked:
+                    continue
+                if self._saturated.isdisjoint(ids):
                     break
+                blocked = ids
             else:
                 return None
         else:

@@ -14,12 +14,18 @@ The properties that drive the paper's design are modeled exactly:
   §2, §4.4, Appendix A.5).
 * **HBM capacity** — an allocator with FIFO back-pressure, used by the
   object store (paper §4.6).
+
+A gang's devices that hold identical FIFOs drain as one
+:class:`Lane`: :func:`enqueue_gang` appends a shared kernel once for
+all of them, and the pop, gate wait, rendezvous join and completion run
+once per kernel instead of once per device, with every device's
+counters and busy time exact.  A lone device is the lane of itself.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Optional, TYPE_CHECKING
+from typing import Callable, Deque, Optional, Sequence, TYPE_CHECKING
 
 from repro.config import SystemConfig
 from repro.faults import FaultError, unwrap_fault
@@ -35,6 +41,9 @@ __all__ = [
     "FaultError",
     "HbmAllocator",
     "Kernel",
+    "Lane",
+    "enqueue_gang",
+    "lane_of",
     "unwrap_fault",
 ]
 
@@ -224,7 +233,8 @@ class CollectiveRendezvous:
     """Barrier + timed completion shared by one collective instance.
 
     Each participating device calls :meth:`join` when the collective
-    kernel reaches the head of its queue.  Once every participant has
+    kernel reaches the head of its queue (a lockstep :class:`Lane`
+    joins once for all its members).  Once every participant has
     joined, all are released ``duration_us`` later (the collective itself
     runs on the dedicated interconnect, devices stay occupied).
 
@@ -279,8 +289,9 @@ class CollectiveRendezvous:
     def name(self) -> str:
         return f"timeout({self.delay:g})"
 
-    def join(self) -> Event:
-        self._joined += 1
+    def join(self, n: int = 1) -> Event:
+        """``n`` participants arrive (a lane joins for all its members)."""
+        self._joined += n
         if self._done._exc is not None:
             # A participant died; late joiners observe the failure too.
             return self._done
@@ -382,24 +393,332 @@ class Kernel:
             self.done.fail(cause)
 
 
-class Device:
+class Lane:
+    """Devices in lockstep: identical FIFO contents, drained as one.
+
+    A lane is fed only by :func:`enqueue_gang` calls that append one
+    shared :class:`Kernel` to exactly its members, so every
+    member pops, gates, joins and completes the same kernel at the same
+    instant.  The drain state machine therefore runs once for the set:
+    one pop, one wait per phase (the lane itself is the one callback it
+    registers), one ``join(n)`` on the rendezvous and one completion,
+    however wide the gang.  Per-member statistics stay exact: the lane
+    counts kernels run and aborted since it formed, and keeps one
+    running busy-time sum per distinct starting total of its members,
+    so each member's ``busy_us`` is the float its own sum would be.
+
+    Its phases are pop (or idle-wait) -> gate -> launch ->
+    collective/compute -> complete -> next.  A :class:`Device` is the
+    lane of itself alone, so this is the only drain there is.  A lane
+    of several forms only when all of its members are idle, and splits
+    back into its members (:meth:`_split`) before anything touches one
+    of them alone.
+    """
+
+    #: A shared lane never holds a failed device (a failure splits it
+    #: first); a :class:`Device` shadows this with its own flag.
+    _failed = False
+
+    def __init__(self, sim: Simulator, config: SystemConfig, members: tuple):
+        self.sim = sim
+        self.config = config
+        self.members = members
+        #: The FIFO every member holds.  A plain deque + idle flag: a
+        #: busy lane pops its next kernel synchronously, and an idle one
+        #: is restarted inline by :meth:`_push` -- queueing costs zero
+        #: events per kernel.
+        self._queue: Deque[Kernel] = deque()
+        self._idle = True
+        #: In-flight kernel and the event its next phase waits on.
+        self._current: Optional[Kernel] = None
+        self._waiting_on: Optional[Event] = None
+        self._phase: Optional[Callable[["Lane", Optional[Event]], None]] = None
+        self._start_us = 0.0
+        #: Busy time, one running sum per distinct starting total (see
+        #: ``Device._busy_slot``), and kernels run and aborted since the
+        #: lane formed, each counting for every member.
+        self._busy = [0.0]
+        self._runs = 0
+        self._aborts = 0
+
+    def __call__(self, ev: Event) -> None:
+        """The one callback a waiting lane registers: resume its phase,
+        unless it failed or restarted since it registered."""
+        if self._waiting_on is ev:
+            self._waiting_on = None
+            phase, self._phase = self._phase, None
+            phase(self, ev)
+
+    # -- membership -----------------------------------------------------------
+    def _split(self) -> None:
+        """Hand every member its own copy of the lane's state.
+
+        A split lane stays registered where it waits, now resuming its
+        members there in order (:meth:`_forward`): the one callback
+        becomes theirs at the same position, so callback order and the
+        schedule do not change.
+        """
+        busy, queue = self._busy, self._queue
+        for device in self.members:
+            device._lane = device
+            device._busy = [busy[device._busy_slot]]
+            device._busy_slot = 0
+            device._runs0 += self._runs
+            device._aborts0 += self._aborts
+            device._queue = deque(queue)
+            device._idle = self._idle
+            device._current = self._current
+            device._start_us = self._start_us
+            device._waiting_on = self._waiting_on
+            device._phase = self._phase
+        self._phase = Lane._forward
+
+    def _forward(self, ev: Event) -> None:
+        for device in self.members:
+            device(ev)
+
+    def _quiet(self) -> bool:
+        return self._idle
+
+    def _sanitizer_problems(self) -> list[tuple[str, str]]:
+        """Drain-end invariants: an idle lane holds no kernel and no
+        wait, and a lane of several is its members' only drain state
+        (each member points at it and keeps an empty one of its own)."""
+        members = self.members
+        if members[0]._lane is not self:
+            return []  # split: its members drain on their own
+        problems = []
+        name = "+".join(device.name for device in members)
+        if self._idle and (self._current is not None or self._queue or self._waiting_on is not None):
+            problems.append(("lanes", f"lane {name} is idle but holds a kernel or a wait"))
+        if not self._idle and self._waiting_on is None:
+            problems.append(("lanes", f"lane {name} drained with kernel(s) but no wait"))
+        if len(members) > 1:
+            for device in members:
+                if device._lane is not self:
+                    problems.append(("lanes", f"lane {name}: {device.name} left it unsplit"))
+                elif device._queue or device._current is not None or device._waiting_on is not None:
+                    problems.append(("lanes", f"lane {name}: {device.name} holds drain state of its own"))
+        return problems
+
+    # -- the drain state machine -----------------------------------------------
+    def _push(self, kernel: Kernel) -> None:
+        self._queue.append(kernel)
+        if self._idle:
+            self._idle = False
+            self._drain_next()
+
+    def _await(self, ev: Event, phase: Callable[["Lane", Optional[Event]], None]) -> None:
+        """Mirror of ``yield ev``: run ``phase(self, ev)`` once ``ev`` is
+        processed by the loop -- now, when it already has been, exactly
+        like a generator resuming off an already-processed event."""
+        callbacks = ev.callbacks
+        if callbacks is None:
+            phase(self, ev)
+            return
+        self._waiting_on = ev
+        self._phase = phase
+        callbacks.append(self)
+
+    def _drain_next(self) -> None:
+        """Pop and start the next kernel, or go idle until one arrives
+        (:meth:`_push` restarts an idle lane inline -- no wakeup event)."""
+        if self._failed:
+            return
+        if not self._queue:
+            self._idle = True
+            return
+        kernel = self._current = self._queue.popleft()
+        if kernel.gate is None:
+            self._after_gate(None)
+        else:
+            # Head-of-line blocking: nothing behind this kernel can run
+            # until its inputs arrive.
+            self._await(kernel.gate, Lane._after_gate)
+
+    def _after_gate(self, gate: Optional[Event]) -> None:
+        if gate is not None and gate._exc is not None:
+            self._peer_fault(gate._exc)
+            return
+        collective = self._current.collective
+        if collective is not None and collective.launch_us > 0:
+            # Launch folded into the rendezvous release: join now
+            # (uniformly launch_us early for every member, so the last
+            # joiner still determines the same completion time) and
+            # account the busy window from the post-launch instant.
+            self._start_us = self.sim._now + collective.launch_us
+            self._join(collective)
+            return
+        # Gang-synchronized devices hit their launch phase at the same
+        # instant: coalesce into one shared timeout.
+        launch = self.config.kernel_launch_us
+        if launch > 0:
+            self._await(self.sim.shared_timeout(launch), Lane._after_launch)
+        else:
+            self._after_launch(None)
+
+    def _after_launch(self, ev: Optional[Event]) -> None:
+        kernel = self._current
+        self._start_us = self.sim._now
+        if kernel.collective is not None:
+            self._join(kernel.collective)
+        elif kernel.duration_us > 0:
+            self._await(self.sim.timeout(kernel.duration_us), Lane._complete)
+        else:
+            self._complete(None)
+
+    def _join(self, collective: CollectiveRendezvous) -> None:
+        # The release covers the compute phase too when the rendezvous
+        # folds it (compute_us); else the gang's shared compute timeout
+        # follows it.
+        unfolded = self._current.duration_us > 0 and collective.compute_us <= 0
+        self._await(
+            collective.join(len(self.members)),
+            Lane._after_collective if unfolded else Lane._complete,
+        )
+
+    def _after_collective(self, ev: Event) -> None:
+        if ev._exc is not None:
+            self._peer_fault(ev._exc)
+            return
+        kernel = self._current
+        self._await(kernel.collective.shared_delay(kernel.duration_us), Lane._complete)
+
+    def _complete(self, ev: Optional[Event]) -> None:
+        if ev is not None and ev._exc is not None:
+            self._peer_fault(ev._exc)  # released from an aborted rendezvous
+            return
+        kernel, self._current = self._current, None
+        start, end = self._start_us, self.sim._now
+        busy = self._busy
+        for i, total in enumerate(busy):
+            busy[i] = total + (end - start)
+        self._runs += 1
+        tr = self.sim.tracer
+        if tr is not None:
+            for device in self.members:
+                tr.complete(
+                    kernel.tag or kernel.program or "kernel",
+                    "kernel",
+                    start,
+                    end,
+                    track=f"device{device.device_id}",
+                    args={"device": device.device_id, "program": kernel.program},
+                )
+        done = kernel.done
+        if not done.triggered:
+            # Gang-shared kernels complete once, inline (the callbacks
+            # run at the same instant either way).
+            done.succeed_inline(None)
+        self._drain_next()
+
+    def _peer_fault(self, exc: BaseException) -> None:
+        """A *peer* failed: this lane was released from a gang
+        rendezvous (or a gate fed by a dead producer).  The fault may
+        arrive wrapped (a failure relayed by a generator process is a
+        ProcessFailed(DeviceFailure)); unwrap before deciding.  Drop the
+        poisoned kernel and keep draining -- the devices themselves are
+        healthy.  Anything that is not a hardware fault is a
+        programming error: re-raise."""
+        fault = unwrap_fault(exc)
+        if fault is None:
+            raise exc
+        current, self._current = self._current, None
+        self._abort_kernel(current, fault)
+        self._drain_next()
+
+    def _abort_kernel(self, kernel: Optional[Kernel], cause: BaseException) -> None:
+        if kernel is None:
+            return
+        self._aborts += 1
+        kernel.abort(cause)
+
+
+def enqueue_gang(devices: Sequence["Device"], kernel: Kernel) -> None:
+    """Append one kernel to every device of a gang, in order.
+
+    When the devices are exactly one lane's members (in any order), the
+    lane takes the kernel once; when they are all idle, they form that
+    lane first.  Otherwise -- a gang over part of a lane or over busy
+    devices of several -- each device takes it through
+    :meth:`Device.enqueue`, splitting the lanes it touches.
+    """
+    members = tuple(devices)
+    for device in members:
+        if device.fault_clock is not None:
+            device._touch()
+    lane = members[0]._lane
+    if lane.members != members:
+        lane = lane_of(members, _form_lane)
+        if lane is None:
+            for device in members:
+                device.enqueue(kernel)
+            return
+    if lane._failed:
+        members[0].enqueue(kernel)  # a lone failed device: lost at once
+        return
+    lane._push(kernel)
+
+
+def lane_of(members: tuple, form: Callable[[tuple], object]):
+    """The lockstep lane ``members`` -- devices or hosts -- run as.
+
+    That is the lane they make up, which takes their order while it is
+    quiet (their separate drains would resume them in it); or, when all
+    of them are quiet, a new one ``form(members)`` builds after their
+    old lanes split; else None (one member, a repeated member, or busy
+    members of other lanes).
+    """
+    n = len(members)
+    if n == 1 or len(set(members)) != n:
+        return None
+    lane = members[0]._lane
+    if len(lane.members) == n and all(member._lane is lane for member in members):
+        if lane._quiet():
+            lane.members = members
+        return lane
+    if not all(member._lane._quiet() for member in members):
+        return None
+    for member in members:
+        if member._lane is not member:
+            member._lane._split()
+    lane = form(members)
+    sim = lane.sim
+    if sim.sanitize and sim.sanitizer is not None:
+        sim.sanitizer.watch(lane)
+    return lane
+
+
+def _form_lane(members: tuple) -> Lane:
+    """A lane over idle devices, each keeping its statistics."""
+    first = members[0]
+    lane = Lane(first.sim, first.config, members)
+    totals: dict[float, int] = {}
+    for device in members:
+        device._busy_slot = totals.setdefault(device._busy[0], len(totals))
+        device._runs0 += device._runs
+        device._aborts0 += device._aborts
+        device._runs = device._aborts = 0
+        device._lane = lane
+    lane._busy = list(totals)
+    return lane
+
+
+class Device(Lane):
     """A simulated TPU core.
 
-    Work is submitted with :meth:`enqueue`; the device drains its queue
-    strictly in order, one kernel at a time.  The queue is unbounded
-    (matching the deep hardware FIFOs that make asynchronous dispatch
-    possible, Appendix A.2).
+    Work is submitted with :meth:`enqueue` (or, for a gang sharing one
+    kernel, :func:`enqueue_gang`); the device drains its queue strictly
+    in order, one kernel at a time.  The queue is unbounded (matching
+    the deep hardware FIFOs that make asynchronous dispatch possible,
+    Appendix A.2).
 
-    The drain loop is an explicit event-chain state machine rather than
-    a generator process: devices are the single hottest activity of a
-    paper-scale sweep, and direct callbacks skip the whole
-    generator-resume trampoline.  The phases mirror the old process
-    loop: pop (or idle-wait) → gate → launch → collective/compute →
-    complete → next.  A gang moves through them together: the devices
-    waiting on one event (a gate, a rendezvous release, a shared launch
-    or compute timeout) share one callback that walks them in
-    registration order (:class:`_Waiters`), so a phase costs one
-    callback per gang, not one per device.
+    A device is the :class:`Lane` of itself alone.  While it drains in
+    lockstep with its gang, its lane (``_lane``) holds the drain state
+    and its own is empty; anything that touches the device alone --
+    :meth:`enqueue`, :meth:`fail`, :meth:`restart`,
+    :meth:`apply_idle_fault` -- splits that lane first.  ``busy_us``,
+    ``kernels_run`` and ``kernels_aborted`` read through the lane.
     """
 
     def __init__(
@@ -411,8 +730,7 @@ class Device:
         coords: tuple[int, int],
         host: Optional["Host"] = None,
     ):
-        self.sim = sim
-        self.config = config
+        super().__init__(sim, config, (self,))
         self.device_id = device_id
         self.island_id = island_id
         self.coords = coords
@@ -423,19 +741,13 @@ class Device:
             name=f"hbm[d{device_id}]",
             device=self,
         )
-        #: The hardware FIFO.  A plain deque + idle flag: a busy device
-        #: pops its next kernel synchronously, and an idle one is
-        #: restarted inline by :meth:`enqueue` — queueing costs zero
-        #: events per kernel.
-        self._queue: Deque[Kernel] = deque()
-        self._idle = False
-        #: In-flight kernel and the event its next phase waits on.
-        self._current: Optional[Kernel] = None
-        self._waiting_on: Optional[Event] = None
-        self._phase: Optional[Callable[[Optional[Event]], None]] = None
-        self._start_us = 0.0
-        self.busy_us = 0.0          # time spent executing kernels
-        self.kernels_run = 0
+        #: The lane this device drains in: itself, or a lockstep gang's.
+        self._lane: Lane = self
+        #: This device's running sum in its lane's ``_busy``, and its
+        #: kernels run and aborted before the lane formed.
+        self._busy_slot = 0
+        self._runs0 = 0
+        self._aborts0 = 0
         self._failed = False
         #: The owning island's up flags (one byte per device, see
         #: :meth:`Island.healthy_at`) and this device's slot in them:
@@ -443,17 +755,28 @@ class Device:
         self._up = bytearray(b"\x01")
         self._slot = 0
         self.fail_count = 0
-        self.kernels_aborted = 0
         #: Set while the device is *cold*: it holds no live state, so a
         #: fault injector owes it transitions it applies lazily (see
         #: :class:`~repro.resilience.FaultInjector`).  Reading
         #: :attr:`failed` catches them up; every touch warms it first.
         self.fault_clock = None
-        self._drain_next()
 
     @property
     def name(self) -> str:
         return f"d{self.device_id}"
+
+    @property
+    def busy_us(self) -> float:
+        """Time spent executing kernels (µs)."""
+        return self._lane._busy[self._busy_slot]
+
+    @property
+    def kernels_run(self) -> int:
+        return self._runs0 + self._lane._runs
+
+    @property
+    def kernels_aborted(self) -> int:
+        return self._aborts0 + self._lane._aborts
 
     @property
     def failed(self) -> bool:
@@ -473,15 +796,14 @@ class Device:
         """Append a kernel to the FIFO; returns the kernel's done event."""
         if self.fault_clock is not None:
             self._touch()
+        if self._lane is not self:
+            self._lane._split()
         if self._failed:
             # Fail fast: work sent to a dead device is lost immediately
             # (its gang peers are released too), never silently queued.
             self._abort_kernel(kernel, DeviceFailure(self.device_id, "enqueue to failed device"))
             return kernel.done
-        self._queue.append(kernel)
-        if self._idle:
-            self._idle = False
-            self._drain_next()
+        self._push(kernel)
         return kernel.done
 
     # -- failure & recovery -------------------------------------------------
@@ -491,6 +813,8 @@ class Device:
         self._touch()
         if self._failed:
             return
+        if self._lane is not self:
+            self._lane._split()
         self._failed = True
         self._up[self._slot] = 0
         self.fail_count += 1
@@ -535,11 +859,13 @@ class Device:
 
     def held_state(self) -> Optional[str]:
         """The live state a fault here would touch: a running or queued
-        kernel, an HBM waiter or a crashed host (None when quiescent)."""
-        if self._current is not None:
-            return f"running kernel {self._current.tag or 'kernel'!r}"
-        if self._queue:
-            return f"{len(self._queue)} queued kernel(s)"
+        kernel, an HBM waiter or a crashed host (None when quiescent).
+        Reads the device's lane, which it leaves as it is."""
+        lane = self._lane
+        if lane._current is not None:
+            return f"running kernel {lane._current.tag or 'kernel'!r}"
+        if lane._queue:
+            return f"{len(lane._queue)} queued kernel(s)"
         if self.hbm.queue_len:
             return f"{self.hbm.queue_len} HBM waiter(s)"
         if self.host is not None and self.host.failed:
@@ -553,6 +879,8 @@ class Device:
         drain work.  Returns whether the device changed state."""
         if self._failed is down:
             return False
+        if self._lane is not self:
+            self._lane._split()
         self._failed = down
         if down:
             self._up[self._slot] = 0
@@ -563,148 +891,8 @@ class Device:
             self._idle = True
         return True
 
-    def _abort_kernel(self, kernel: Optional[Kernel], cause: BaseException) -> None:
-        if kernel is None:
-            return
-        self.kernels_aborted += 1
-        kernel.abort(cause)
-
-    # -- the drain state machine -------------------------------------------
-    def _await(self, ev: Event, phase: Callable[[Optional[Event]], None]) -> None:
-        """Mirror of ``yield ev``: run ``phase(ev)`` once ``ev`` is
-        processed by the loop — now, when it already has been, exactly
-        like a generator resuming off an already-processed event."""
-        callbacks = ev.callbacks
-        if callbacks is None:
-            phase(ev)
-            return
-        self._waiting_on = ev
-        self._phase = phase
-        if callbacks and type(callbacks[-1]) is _Waiters:
-            # Only consecutive waiters share a callback, so the order of
-            # everything registered on ev is unchanged.
-            callbacks[-1].append(self)
-        else:
-            callbacks.append(_Waiters((self,)))
-
-    def _drain_next(self) -> None:
-        """Pop and start the next kernel, or go idle until one arrives
-        (enqueue restarts an idle device inline — no wakeup event)."""
-        if self._failed:
-            return
-        if not self._queue:
-            self._idle = True
-            return
-        kernel = self._current = self._queue.popleft()
-        if kernel.gate is None:
-            self._after_gate(None)
-        else:
-            # Head-of-line blocking: nothing behind this kernel can run
-            # until its inputs arrive.
-            self._await(kernel.gate, self._after_gate)
-
-    def _after_gate(self, gate: Optional[Event]) -> None:
-        if gate is not None and gate._exc is not None:
-            self._peer_fault(gate._exc)
-            return
-        collective = self._current.collective
-        if collective is not None and collective.launch_us > 0:
-            # Launch folded into the rendezvous release: join now
-            # (uniformly launch_us early for every member, so the last
-            # joiner still determines the same completion time) and
-            # account the busy window from the post-launch instant.
-            self._start_us = self.sim._now + collective.launch_us
-            self._join(collective)
-            return
-        # Gang-synchronized devices hit their launch phase at the same
-        # instant: coalesce into one shared timeout.
-        launch = self.config.kernel_launch_us
-        if launch > 0:
-            self._await(self.sim.shared_timeout(launch), self._after_launch)
-        else:
-            self._after_launch(None)
-
-    def _after_launch(self, ev: Optional[Event]) -> None:
-        kernel = self._current
-        self._start_us = self.sim._now
-        if kernel.collective is not None:
-            self._join(kernel.collective)
-        elif kernel.duration_us > 0:
-            self._await(self.sim.timeout(kernel.duration_us), self._complete)
-        else:
-            self._complete(None)
-
-    def _join(self, collective: CollectiveRendezvous) -> None:
-        # The release covers the compute phase too when the rendezvous
-        # folds it (compute_us); else the gang's shared compute timeout
-        # follows it.
-        unfolded = self._current.duration_us > 0 and collective.compute_us <= 0
-        self._await(collective.join(), self._after_collective if unfolded else self._complete)
-
-    def _after_collective(self, ev: Event) -> None:
-        if ev._exc is not None:
-            self._peer_fault(ev._exc)
-            return
-        kernel = self._current
-        self._await(kernel.collective.shared_delay(kernel.duration_us), self._complete)
-
-    def _complete(self, ev: Optional[Event]) -> None:
-        if ev is not None and ev._exc is not None:
-            self._peer_fault(ev._exc)  # released from an aborted rendezvous
-            return
-        kernel, self._current = self._current, None
-        end = self.sim._now
-        self.busy_us += end - self._start_us
-        self.kernels_run += 1
-        tr = self.sim.tracer
-        if tr is not None:
-            tr.complete(
-                kernel.tag or kernel.program or "kernel",
-                "kernel",
-                self._start_us,
-                end,
-                track=f"device{self.device_id}",
-                args={"device": self.device_id, "program": kernel.program},
-            )
-        done = kernel.done
-        if not done.triggered:
-            # Gang-shared kernels complete once, inline (the callbacks
-            # run at the same instant either way).
-            done.succeed_inline(None)
-        self._drain_next()
-
-    def _peer_fault(self, exc: BaseException) -> None:
-        """A *peer* failed: this device was released from a gang
-        rendezvous (or a gate fed by a dead producer).  The fault may
-        arrive wrapped (a failure relayed by a generator process is a
-        ProcessFailed(DeviceFailure)); unwrap before deciding.  Drop the
-        poisoned kernel and keep draining — the device itself is
-        healthy.  Anything that is not a hardware fault is a
-        programming error: re-raise."""
-        fault = unwrap_fault(exc)
-        if fault is None:
-            raise exc
-        current, self._current = self._current, None
-        self._abort_kernel(current, fault)
-        self._drain_next()
-
     def utilization(self) -> float:
         """Fraction of wall-clock time spent executing kernels so far."""
         if self.sim.now <= 0:
             return 0.0
         return min(1.0, self.busy_us / self.sim.now)
-
-
-class _Waiters(list):
-    """Devices waiting on one Event, in registration order: their one
-    shared callback resumes each one's phase in turn, skipping a device
-    that failed or restarted since it registered."""
-
-    __slots__ = ()
-
-    def __call__(self, ev: Event) -> None:
-        for device in self:
-            if device._waiting_on is ev:
-                device._waiting_on = None
-                phase, device._phase = device._phase, None
-                phase(ev)

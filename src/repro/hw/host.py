@@ -13,18 +13,24 @@ holding) the CPU fails fast with :class:`HostFailure` instead of
 "running" on dead silicon.  That failure cascades into the dispatching
 program exactly like a :class:`~repro.hw.device.DeviceFailure`, which is
 where ``retry_on_failure`` catches it.
+
+The hosts of a group that prep in lockstep share one CPU slot
+(:class:`HostLane`): a prep over all of them takes one grant and one
+release, with every host's CPU busy time exact.  A crash, or anything
+else that touches one member alone, hands each host its own CPU back
+first.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional, Sequence
 
 from repro.config import SystemConfig
 from repro.sim import Event, Resource, Simulator
 
-from repro.hw.device import Device, FaultError
+from repro.hw.device import Device, FaultError, lane_of
 
-__all__ = ["Host", "HostFailure"]
+__all__ = ["Host", "HostFailure", "HostLane", "prep_hosts"]
 
 
 class HostFailure(FaultError):
@@ -41,7 +47,97 @@ class HostFailure(FaultError):
         self.reason = reason
 
 
-class Host:
+class HostLane:
+    """Hosts in lockstep: identical CPU queues, one slot for them all.
+
+    A lane is fed only by :func:`prep_hosts` calls over exactly its
+    members, so every member's serial CPU holds and queues the same
+    preps at the same instants.  One CPU slot (a :class:`_LaneCpu`)
+    therefore stands for every member's: a prep over the lane takes one
+    grant and one release, and its :class:`_PrepState` settles the
+    parts of all members at once.  A :class:`Host` is the lane of
+    itself alone.  A lane of several forms only when all of its members
+    are up with idle CPUs, and splits back into them
+    (:meth:`_split`) before anything touches one of them alone -- a
+    prep over other hosts, :meth:`Host.crash`, or a read of
+    :attr:`Host.cpu`.
+    """
+
+    #: A shared lane never holds a crashed host (a crash splits it
+    #: first); a :class:`Host` shadows this with its own flag.
+    failed = False
+
+    def __init__(self, sim: Simulator, members: tuple, cpu: Resource):
+        self.sim = sim
+        self.members = members
+        #: The serial CPU every member holds.  Leak-checked: every
+        #: grant must be released by drain end -- the sim-sanitizer
+        #: enforces it when enabled.
+        self._cpu = cpu
+        #: In-flight preps (:func:`prep_hosts`), aborted on crash.
+        #: Insertion-ordered (dict-as-set): crash aborts walk these in
+        #: issue order -- a hash set would iterate by object address and
+        #: make the failure schedule nondeterministic.
+        self._live_preps: dict[_PrepState, None] = {}
+
+    def _quiet(self) -> bool:
+        cpu = self._cpu
+        return not (cpu._in_use or cpu._waiters or self._live_preps or self.failed)
+
+    def _split(self) -> None:
+        """Hand every member its own CPU state and prep states.
+
+        Each prep of the lane becomes one per member, in member order:
+        a holding prep takes the lane prep's place in its batch, a
+        queued one its place in each member's CPU queue.
+        """
+        cpu, members = self._cpu, self.members
+        for host in members:
+            own = host._cpu
+            own._in_use = cpu._in_use
+            own._busy_accum = cpu.sums[host._cpu_slot]
+            own._last_change = cpu._last_change
+            host._lane = host
+        # In issue order: the CPU is granted first come first served, so
+        # the prep holding it (if any) comes first, then the queue.
+        for state in self._live_preps:
+            parts = [_PrepState(host, state.on_settled, state.work_us) for host in members]
+            for host, part in zip(members, parts):
+                host._live_preps[part] = None
+                if state.holding:
+                    part.holding = True
+                else:
+                    host._cpu._waiters.append(part.on_grant)
+            if state.holding:
+                batch = state.batch
+                i = next(i for i, s in enumerate(batch) if s is state)
+                batch[i : i + 1] = parts
+        cpu._in_use = 0
+        cpu._waiters.clear()
+        self._live_preps.clear()
+
+    def _sanitizer_problems(self) -> list[tuple[str, str]]:
+        """Drain-end invariants: a lane of several is its members' only
+        CPU state (each member points at it, its own CPU idle), and its
+        CPU is busy exactly while it has preps in flight."""
+        members = self.members
+        if members[0]._lane is not self:
+            return []  # split: its members hold their own CPUs
+        problems = []
+        name = "+".join(host.name for host in members)
+        cpu = self._cpu
+        if bool(cpu._in_use or cpu._waiters) != bool(self._live_preps):
+            problems.append(("lanes", f"host lane {name}: CPU busy {cpu._in_use}/{len(cpu._waiters)} "
+                             f"with {len(self._live_preps)} prep(s) in flight"))
+        for host in members:
+            if host._lane is not self:
+                problems.append(("lanes", f"host lane {name}: {host.name} left it unsplit"))
+            elif host._cpu._in_use or host._cpu._waiters or host._live_preps:
+                problems.append(("lanes", f"host lane {name}: {host.name} holds CPU state of its own"))
+        return problems
+
+
+class Host(HostLane):
     """A machine with a serial CPU, a NIC, and PCIe-attached devices."""
 
     def __init__(
@@ -51,20 +147,17 @@ class Host:
         host_id: int,
         island_id: int,
     ):
-        self.sim = sim
+        super().__init__(
+            sim, (self,), Resource(sim, capacity=1, name=f"cpu[h{host_id}]", leak_check=True)
+        )
         self.config = config
         self.host_id = host_id
         self.island_id = island_id
         self.devices: list[Device] = []
-        #: Serial CPU doing dispatch/prep work.  Leak-checked: every
-        #: grant must be released by drain end (the PR-3 slot-leak bug
-        #: class) — the sim-sanitizer enforces it when enabled.
-        self.cpu = Resource(
-            sim,
-            capacity=1,
-            name=f"cpu[h{host_id}]",
-            leak_check=True,
-        )
+        #: The lane this host's CPU serves in: itself, or a lockstep
+        #: group's; and its running busy-time sum in that lane's CPU.
+        self._lane: HostLane = self
+        self._cpu_slot = 0
         #: NIC egress serialization for DCN sends (leak-checked too).
         self.nic = Resource(
             sim,
@@ -74,11 +167,6 @@ class Host:
         )
         #: Set while the host is crashed; its devices are down with it.
         self.failed = False
-        #: In-flight preps (:meth:`prep_request`), aborted on crash.
-        #: Insertion-ordered (dict-as-set): crash aborts walk these in
-        #: issue order — a hash set would iterate by object address and
-        #: make the failure schedule nondeterministic.
-        self._live_preps: dict[_PrepState, None] = {}
         self.preps_aborted = 0
         #: Crash observers (the transport layer fails in-flight messages
         #: routed through this host's NIC on crash).
@@ -88,19 +176,29 @@ class Host:
     def name(self) -> str:
         return f"h{self.host_id}"
 
+    @property
+    def cpu(self) -> Resource:
+        """This host's serial CPU doing dispatch/prep work (its lane's
+        state handed back to it first)."""
+        if self._lane is not self:
+            self._lane._split()
+        return self._cpu
+
     def crash(self, reason: str = "host crash") -> None:
         """Take the host down: every attached device fails, and the CPU
         becomes unavailable — queued acquisitions and in-flight prep work
         fail fast with :class:`HostFailure`."""
         if self.failed:
             return
+        if self._lane is not self:
+            self._lane._split()
         self.failed = True
         for device in self.devices:
             device.fail(reason)
         cause = HostFailure(self.host_id, reason)
         # Queued CPU waiters first (they would otherwise be granted a
         # slot on the dead CPU), then in-flight holders.
-        self.cpu.fail_waiters(cause)
+        self._cpu.fail_waiters(cause)
         # Sends still queued for the dead NIC can never serialize.
         self.nic.fail_waiters(cause)
         for state in list(self._live_preps):
@@ -137,8 +235,30 @@ class Host:
         prep_hosts((self,), work_us, lambda exc, parts=1: on_done(exc))
 
 
+class _LaneCpu(Resource):
+    """A host lane's serial CPU: one slot standing for each member's.
+
+    Members may join with different busy-time totals, so it keeps one
+    running sum per distinct total (``sums``), each advanced exactly as
+    that member's own CPU would be.
+    """
+
+    def __init__(self, sim: Simulator, name: str, sums: list[float]):
+        super().__init__(sim, capacity=1, name=name, leak_check=True)
+        self.sums = sums
+        self._last_change = sim._now
+
+    def _account(self) -> None:
+        now = self.sim._now
+        step = self._in_use * (now - self._last_change)
+        sums = self.sums
+        for i, total in enumerate(sums):
+            sums[i] = total + step
+        self._last_change = now
+
+
 def prep_hosts(
-    hosts: Iterable[Host], work_us: float, on_parts: Callable[..., None]
+    hosts: Sequence[Host], work_us: float, on_parts: Callable[..., None]
 ) -> None:
     """Crash-aware executor-prep CPU occupancy on every host of a group.
 
@@ -147,18 +267,48 @@ def prep_hosts(
     instant.  If a host is down, or crashes while the work is queued or
     running, ``on_parts`` gets :class:`HostFailure` for it instead, one
     loop entry later (the fail-fast path that feeds
-    ``retry_on_failure``).  An event chain, with no completion Event:
-    dispatch sweeps issue hundreds of thousands of these.
+    ``retry_on_failure``).  When the hosts are exactly one lane's
+    members, or all quiet so that they form one, the lane's one CPU
+    slot does this for all of them.  An event chain, with no completion
+    Event: dispatch sweeps issue hundreds of thousands of these.
     """
-    for host in hosts:
+    members = tuple(hosts)
+    if not members:
+        return
+    lane = members[0]._lane
+    if lane.members != members:
+        lane = lane_of(members, _form_lane)
+    if lane is not None and not lane.failed:
+        _start_prep(lane, work_us, on_parts)
+        return
+    for host in members:
+        if host._lane is not host:
+            host._lane._split()
         if host.failed:
             _fail_later(host.sim, on_parts, HostFailure(host.host_id, "prep on crashed host"))
-            continue
-        state = _PrepState(host, on_parts, work_us)
-        host._live_preps[state] = None
-        # Slot ownership transfers to the _PrepState, which releases it
-        # in its _PrepBatch or in abort, on every path.
-        host.cpu.acquire(state.on_grant)  # repro: noqa[RPR005]
+        else:
+            _start_prep(host, work_us, on_parts)
+
+
+def _start_prep(lane: HostLane, work_us: float, on_parts: Callable[..., None]) -> None:
+    state = _PrepState(lane, on_parts, work_us)
+    lane._live_preps[state] = None
+    # Slot ownership transfers to the _PrepState, which releases it
+    # in its _PrepBatch or in abort, on every path.
+    lane._cpu.acquire(state.on_grant)  # repro: noqa[RPR005]
+
+
+def _form_lane(members: tuple) -> HostLane:
+    """A lane over quiet hosts, each keeping its CPU's busy time."""
+    totals: dict[float, int] = {}
+    for host in members:
+        host._cpu_slot = totals.setdefault(host._cpu._busy_accum, len(totals))
+    sim = members[0].sim
+    cpu = _LaneCpu(sim, "cpu[" + "+".join(host.name for host in members) + "]", list(totals))
+    lane = HostLane(sim, members, cpu)
+    for host in members:
+        host._lane = lane
+    return lane
 
 
 def _fail_later(
@@ -172,42 +322,46 @@ def _fail_later(
 
 
 class _PrepState:
-    """One host's share of a :func:`prep_hosts` call.
+    """One lane's share of a :func:`prep_hosts` call.
 
     The acquire/hold/release lifecycle of a CPU slot as explicit
     callbacks, plus the crash path: if the host dies while this prep is
     queued or holding the CPU, the prep settles with
     :class:`HostFailure` and the CPU slot is returned (a grant that
     reaches an aborted prep is handed straight back, so a crash can
-    never leak the serial CPU).
+    never leak the serial CPU).  A crash splits a lane first, so only a
+    lone host's prep is ever aborted.
     """
 
-    __slots__ = ("host", "on_settled", "work_us", "holding", "settled")
+    __slots__ = ("lane", "on_settled", "work_us", "holding", "settled", "batch")
 
     def __init__(
         self,
-        host: Host,
+        lane: HostLane,
         on_settled: Callable[..., None],
         work_us: float,
     ):
-        self.host = host
+        self.lane = lane
         self.on_settled = on_settled
         self.work_us = work_us
         self.holding = False
         self.settled = False
+        #: The :class:`_PrepBatch` this prep holds its CPU in (where a
+        #: lane's split puts its members' preps instead).
+        self.batch: Optional[_PrepBatch] = None
 
     def on_grant(self, exc: Optional[BaseException]) -> None:
-        host = self.host
+        lane = self.lane
         if self.settled:
             # Aborted (crash) while queued.  A grant that nevertheless
             # arrived reserved a slot for a dead prep: hand it back.
             if exc is None:
-                host.cpu.release()
+                lane._cpu.release()
             return
         if exc is not None:
             # Queued waiter failed by Host.crash via cpu.fail_waiters
             # (already a loop entry of its own).
-            host._live_preps.pop(self, None)
+            lane._live_preps.pop(self, None)
             self.settled = True
             self.on_settled(exc)
             return
@@ -217,30 +371,34 @@ class _PrepState:
             # Identical prep work fans out to every host of a group at
             # the same instant: share the completion timeout, and one
             # callback for consecutive grants of the same caller.
-            callbacks = host.sim.shared_timeout(self.work_us).callbacks
+            callbacks = lane.sim.shared_timeout(self.work_us).callbacks
         last = callbacks[-1] if callbacks else None
-        if callbacks is None:
-            _PrepBatch((self,))(None)
-        elif type(last) is _PrepBatch and last[0].on_settled == self.on_settled:
+        if type(last) is _PrepBatch and last[0].on_settled == self.on_settled:
             last.append(self)
+            self.batch = last
+            return
+        batch = self.batch = _PrepBatch((self,))
+        if callbacks is None:
+            batch(None)
         else:
-            callbacks.append(_PrepBatch((self,)))
+            callbacks.append(batch)
 
     def abort(self, cause: BaseException) -> None:
-        host = self.host
-        host._live_preps.pop(self, None)
+        lane = self.lane
+        lane._live_preps.pop(self, None)
         if self.holding:
             self.holding = False
-            host.cpu.release()
+            lane._cpu.release()
         if not self.settled:
             self.settled = True
-            _fail_later(host.sim, self.on_settled, cause)
+            _fail_later(lane.sim, self.on_settled, cause)
 
 
 class _PrepBatch(list):
     """Preps of one caller holding their CPUs until the same instant, in
     grant order: one callback releases each CPU in turn (a queued prep
-    takes it inside the release) and then settles their parts."""
+    takes it inside the release) and then settles their parts, one per
+    host of each prep's lane."""
 
     __slots__ = ()
 
@@ -250,9 +408,10 @@ class _PrepBatch(list):
             if state.holding:  # else aborted (crash): CPU already released
                 state.holding = False
                 state.settled = True
-                state.host._live_preps.pop(state, None)
-                state.host.cpu.release()
-                parts += 1
+                lane = state.lane
+                lane._live_preps.pop(state, None)
+                lane._cpu.release()
+                parts += len(lane.members)
         if parts:
             # The caller's prep barrier reacts at this same instant.
             self[0].on_settled(None, parts)

@@ -531,7 +531,7 @@ class ElasticDataParallelTrainer:
             program=self.name,
             node_label=f"{self.name}:s{self.steps_done}@i{island.island_id}",
             cost_us=self.step_compute_us(),
-            device_ids=tuple(d.device_id for d in group.devices),
+            device_ids=group.device_ids,
         )
         granted = False
         try:

@@ -31,6 +31,7 @@ from repro.sim.resources import Resource, Store
 from repro.sim.sanitize import (
     ConservationError,
     DoubleTriggerError,
+    LaneStateError,
     LeakedCapacityError,
     PendingTimeoutReadError,
     SanitizerError,
@@ -47,6 +48,7 @@ __all__ = [
     "DeadlockError",
     "DoubleTriggerError",
     "Event",
+    "LaneStateError",
     "LeakedCapacityError",
     "PendingTimeoutReadError",
     "Process",

@@ -37,7 +37,12 @@ What is checked:
   frees differ from their live objects or whose live objects' HBM
   shards differ from a device's reservation (:class:`ConservationError`);
 * every device fault or repair a fault injector applies lazily finds its
-  device still cold (:class:`WarmDeviceError`).
+  device still cold (:class:`WarmDeviceError`);
+* at drain end, every lockstep lane of devices or hosts agrees with its
+  members: an idle lane holds no kernel and no wait, a busy one waits on
+  something, its CPU is busy exactly while preps are in flight, and each
+  member points at the lane and keeps no drain or CPU state of its own
+  (:class:`LaneStateError`).
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "ConservationError",
     "DoubleTriggerError",
+    "LaneStateError",
     "LeakedCapacityError",
     "PendingTimeoutReadError",
     "SanitizerError",
@@ -115,6 +121,13 @@ class WarmDeviceError(SanitizerError):
     been warmed before it was touched."""
 
 
+class LaneStateError(SanitizerError):
+    """A lockstep lane of devices or hosts (:class:`repro.hw.device.Lane`,
+    :class:`repro.hw.host.HostLane`) disagrees with its members or with
+    its own idle flag: a member holds state the lane should, or the lane
+    lost the continuation of the kernel it holds."""
+
+
 _TRUTHY = frozenset({"1", "true", "yes", "on"})
 
 
@@ -141,6 +154,7 @@ class SimSanitizer:
         ("capacity", LeakedCapacityError),
         ("grants", UnbalancedGrantError),
         ("conservation", ConservationError),
+        ("lanes", LaneStateError),
     )
 
     def __init__(self) -> None:

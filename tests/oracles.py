@@ -51,13 +51,15 @@ no production path that selects it:
   a prep-barrier Event per node.  The reference for the callback
   driver and the SEQUENTIAL pass of :mod:`repro.core.dispatch`.
 
-* :func:`patch_device_drain` — every device drains with one
-  ``_on_phase_event`` callback per device per wait, each rendezvous
-  arms a wire timeout and then a compute timeout
-  (:class:`CollectiveRendezvous`), each host prep settles on its own
-  callback and each shard's HBM is one allocator call.  The reference
-  for the gang-granular phases of :mod:`repro.hw.device`,
-  :mod:`repro.hw.host` and :mod:`repro.core.object_store`.
+* :func:`patch_device_drain` — every device drains on its own, with
+  its own FIFO and counters and one ``_on_phase_event`` callback per
+  device per wait, a gang's kernel is one ``enqueue`` per device, each
+  rendezvous arms a wire timeout and then a compute timeout
+  (:class:`CollectiveRendezvous`), each host prep takes its own CPU
+  slot and settles on its own callback, and each shard's HBM is one
+  allocator call.  The reference for the lockstep lanes and
+  gang-granular phases of :mod:`repro.hw.device`, :mod:`repro.hw.host`
+  and :mod:`repro.core.object_store`.
 
 ``test_fluid_solver.py`` swaps the solver in (by patching
 ``repro.net.fabric.ScopedFluidSolver``) and asserts byte-identical
@@ -1104,9 +1106,97 @@ class CollectiveRendezvous:
 
 
 class _PerDeviceDrain:
-    """:class:`repro.hw.device.Device`'s drain phases with one
-    ``_on_phase_event`` callback per device per wait (installed by
-    :func:`patch_device_drain`)."""
+    """:class:`repro.hw.device.Device` draining on its own: its own
+    FIFO, kernel counters and busy time, and one ``_on_phase_event``
+    callback per device per wait (installed by
+    :func:`patch_device_drain`).  Never part of a lane: it reads and
+    writes the device's own drain state and nothing else."""
+
+    busy_us = 0.0
+    kernels_run = 0
+    kernels_aborted = 0
+
+    def enqueue(self, kernel):
+        if self.fault_clock is not None:
+            self._touch()
+        if self._failed:
+            self._abort_kernel(kernel, DeviceFailure(self.device_id, "enqueue to failed device"))
+            return kernel.done
+        self._queue.append(kernel)
+        if self._idle:
+            self._idle = False
+            self._drain_next()
+        return kernel.done
+
+    def fail(self, reason: str = "device failure") -> None:
+        self._touch()
+        if self._failed:
+            return
+        self._failed = True
+        self._up[self._slot] = 0
+        self.fail_count += 1
+        self._waiting_on = None
+        self._phase = None
+        self._idle = False
+        current, self._current = self._current, None
+        queue = self._queue
+        if current is None and not queue and not self.hbm.queue_len:
+            return
+        cause = DeviceFailure(self.device_id, reason)
+        self.hbm.fail_waiters(cause)
+        self._abort_kernel(current, cause)
+        while queue:
+            self._abort_kernel(queue.popleft(), cause)
+
+    def restart(self) -> None:
+        self._touch()
+        if not self._failed:
+            return
+        self._failed = False
+        self._up[self._slot] = 1
+        self._queue = deque()
+        self._current = None
+        self._waiting_on = None
+        self._phase = None
+        self._drain_next()
+
+    def held_state(self) -> Optional[str]:
+        if self._current is not None:
+            return f"running kernel {self._current.tag or 'kernel'!r}"
+        if self._queue:
+            return f"{len(self._queue)} queued kernel(s)"
+        if self.hbm.queue_len:
+            return f"{self.hbm.queue_len} HBM waiter(s)"
+        if self.host is not None and self.host.failed:
+            return f"host {self.host.name} down"
+        return None
+
+    def apply_idle_fault(self, down: bool) -> bool:
+        if self._failed is down:
+            return False
+        self._failed = down
+        if down:
+            self._up[self._slot] = 0
+            self.fail_count += 1
+            self._idle = False
+        else:
+            self._up[self._slot] = 1
+            self._idle = True
+        return True
+
+    def _abort_kernel(self, kernel, cause: BaseException) -> None:
+        if kernel is None:
+            return
+        self.kernels_aborted += 1
+        kernel.abort(cause)
+
+    def _peer_fault(self, exc: BaseException) -> None:
+        fault = unwrap_fault(exc)
+        if fault is None:
+            raise exc
+        current, self._current = self._current, None
+        self._abort_kernel(current, fault)
+        self._drain_next()
 
     def _await(self, ev: Event, phase) -> bool:
         callbacks = ev.callbacks
@@ -1312,15 +1402,23 @@ def _allocate(self, nbytes_per_shard, n_shards, owner, group=None, space=MemoryS
     return handle, ready
 
 
+def _enqueue_gang(devices, kernel) -> None:
+    """``enqueue_gang`` as one :meth:`Device.enqueue` per device."""
+    for device in devices:
+        device.enqueue(kernel)
+
+
 def patch_device_drain(mp) -> None:
     """Run every device, rendezvous, host prep and HBM allocation the
-    per-device way: :class:`_PerDeviceDrain`'s phases on ``Device``,
-    this module's :class:`CollectiveRendezvous` wherever one is built,
-    one :class:`_PrepState` callback per host and one allocator call per
-    device (``mp`` is a ``pytest.MonkeyPatch``)."""
-    for name, fn in vars(_PerDeviceDrain).items():
-        if callable(fn):
-            mp.setattr(Device, name, fn, raising=False)
+    per-device way: :class:`_PerDeviceDrain` on ``Device``, one
+    ``enqueue`` per device of a gang, this module's
+    :class:`CollectiveRendezvous` wherever one is built, one
+    :class:`_PrepState` callback per host and one allocator call per
+    device, so no lane ever forms (``mp`` is a ``pytest.MonkeyPatch``)."""
+    for name, attr in vars(_PerDeviceDrain).items():
+        if not name.startswith("__"):
+            mp.setattr(Device, name, attr, raising=False)
+    mp.setattr(executor_module, "enqueue_gang", _enqueue_gang)
     for module in (
         device_module, executor_module, multitenant, multi_controller, data_parallel,
     ):

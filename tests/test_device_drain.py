@@ -1,24 +1,32 @@
-"""Gang-granular device phases: differential fuzz against the per-device drain.
+"""Lockstep lanes and gang-granular phases: differential fuzz against
+the per-device drain.
 
-Devices sharing a wait (a gate, a rendezvous release, a shared launch or
-compute timeout) resume from one callback that walks them in
-registration order; a rendezvous is one timer-queue entry for its wire
-and compute phases; host preps settling one caller at one instant share
-one callback; a group's HBM is reserved in one pass.  The oracle
-(``oracles.patch_device_drain``) runs the same scenarios one callback
-per device and host, with a wire timeout and then a compute timeout per
-rendezvous and one allocator call per shard.
+A gang's devices that hold the same FIFO drain as one lane: one pop,
+one wait per phase, one ``join(n)`` and one completion for them all; a
+group's hosts prep on one lane CPU slot.  Devices sharing a wait
+resume in registration order; a rendezvous is one timer-queue entry
+for its wire and compute phases; a group's HBM is reserved in one
+pass.  The oracle (``oracles.patch_device_drain``) runs the same
+scenarios one device and one host at a time, with a wire timeout and
+then a compute timeout per rendezvous and one allocator call per shard.
 
-Random gangs of 1-8 devices on hosts shared between gangs -- gated or
-not, with folded or unfolded compute, or plain per-device kernels, each
-with a host prep and an HBM allocation -- run under device failures and
-host crashes on a 0.5 us grid, so faults land before, during and after
-the wire phase and exactly at its end, armed before and after the last
-join.  Both drains must agree on kernel outcomes, prep and allocation
-outcomes, ``busy_us``, ``kernels_run``, ``kernels_aborted``, HBM
-``used``/``peak_used`` and the final time, and the gang-granular
-schedule must be the per-device one with only ``timeout`` and ``event``
-entries left out, every kept entry at its time.
+Random gangs of 1-8 devices on hosts shared between gangs -- one
+shared kernel (folded, unfolded or no rendezvous) enqueued as a gang, or
+distinct per-device kernels with or without a shared rendezvous, each
+with a host prep and an HBM allocation -- run under device failures
+and host crashes on a 0.5 us grid, so faults land before, during and
+after the wire phase and exactly at its end, armed before and after
+the last join.  Device sets are often drawn from a few fixed lanes, in
+any order or as a strict subset or superset, so groups over the same
+devices interleave, lanes split under per-device kernels and wider or
+narrower gangs, and re-form once they drain.  Probes read every
+host's CPU mid-run, which hands a lane's CPU back to its members while
+preps hold or queue for it.  Both drains must agree on kernel
+outcomes, prep and allocation outcomes, ``busy_us``, ``kernels_run``,
+``kernels_aborted``, HBM ``used``/``peak_used``, CPU ``busy_time()``
+and the final time, and the lane schedule must be the per-device one
+with only ``timeout`` and ``event`` entries left out, every kept entry
+at its time.
 
 ``REPRO_DEVICE_FUZZ_EXAMPLES`` sets the fuzz budget (60 by default; CI's
 benchmark smoke sweep runs 200).
@@ -41,9 +49,11 @@ import repro.hw.device as device_module
 from repro.config import DEFAULT_CONFIG
 from repro.core.object_store import MemorySpace, ShardedObjectStore
 from repro.core.placement import DeviceGroup
+from repro.core.resource_manager import ResourceManager
 from repro.hw.device import Device, DeviceFailure, Kernel
 from repro.hw.host import Host
 from repro.sim import Simulator
+from repro.workloads.microbench import run_pathways
 
 EXAMPLES = int(os.environ.get("REPRO_DEVICE_FUZZ_EXAMPLES", "60"))
 
@@ -61,11 +71,20 @@ HBM_BYTES = 4
 GRID = 0.5
 
 
+#: Device sets gangs are often drawn from (in any order, or as a strict
+#: subset or superset), so lanes form, interleave, split and re-form.
+LANES = ((0, 2, 4, 6), (1, 3), (0, 1, 2, 3, 4, 5, 6, 7), (4, 5, 6))
+
+
 @dataclasses.dataclass(frozen=True)
 class Gang:
     devices: tuple[int, ...]
     start: float
-    mode: str  # "folded" | "unfolded" | "plain"
+    #: "folded" | "unfolded": one shared kernel enqueued as a gang;
+    #: "gang-plain": one shared kernel, no rendezvous, as a gang;
+    #: "split": distinct kernels on one rendezvous, one enqueue each;
+    #: "plain": distinct kernels, no rendezvous.
+    mode: str
     launch_us: float
     wire_us: float
     compute_us: float
@@ -84,18 +103,34 @@ class Fault:
 
 
 @st.composite
-def gangs(draw):
-    devices = draw(
-        st.lists(st.integers(0, N_HOSTS * PER_HOST - 1), min_size=1, max_size=8, unique=True)
+def device_sets(draw):
+    any_devices = st.lists(
+        st.integers(0, N_HOSTS * PER_HOST - 1), min_size=1, max_size=8, unique=True
     )
-    start = draw(st.integers(0, 24)) * GRID
+    kind = draw(st.sampled_from(["any", "lane", "lane", "lane", "subset", "superset"]))
+    if kind == "any":
+        return tuple(draw(any_devices))
+    lane = draw(st.sampled_from(LANES))
+    if kind == "lane":
+        return tuple(draw(st.permutations(lane)))
+    if kind == "subset":
+        return tuple(draw(st.lists(st.sampled_from(lane), min_size=1, max_size=len(lane) - 1,
+                                   unique=True)))
+    extra = draw(any_devices)
+    return lane + tuple(d for d in extra if d not in lane)
+
+
+@st.composite
+def gangs(draw):
+    devices = draw(device_sets())
+    start = draw(st.integers(0, 36)) * GRID
     gate = None
     if draw(st.booleans()):
         gate = (start + draw(st.integers(0, 8)) * GRID, draw(st.booleans()))
     return Gang(
         devices=tuple(devices),
         start=start,
-        mode=draw(st.sampled_from(["folded", "unfolded", "plain"])),
+        mode=draw(st.sampled_from(["folded", "folded", "unfolded", "gang-plain", "split", "plain"])),
         launch_us=draw(st.sampled_from([0.0, 1.5])),
         wire_us=draw(st.sampled_from([0.0, 1.0, 2.5])),
         compute_us=draw(st.sampled_from([0.0, 2.0, 3.5])),
@@ -116,8 +151,9 @@ def faults(draw):
 
 
 scenarios = st.tuples(
-    st.lists(gangs(), min_size=1, max_size=6),
+    st.lists(gangs(), min_size=1, max_size=8),
     st.lists(faults(), max_size=4),
+    st.lists(st.integers(0, 48).map(lambda k: k * GRID), max_size=2),
 )
 
 
@@ -126,9 +162,9 @@ def _at(sim, when: float, fn) -> None:
     sim.timeout(when - sim.now).add_callback(lambda ev: fn())
 
 
-def run_scenario(gang_specs, fault_specs) -> dict:
-    """Build the hosts and devices, run every gang and fault, and return
-    what the drain is judged on."""
+def run_scenario(gang_specs, fault_specs, probes=()) -> dict:
+    """Build the hosts and devices, run every gang, fault and probe, and
+    return what the drain is judged on."""
     sim = Simulator(log_schedule=True, sanitize=True)
     config = dataclasses.replace(DEFAULT_CONFIG, hbm_bytes=HBM_BYTES)
     hosts = [Host(sim, config, h, island_id=0) for h in range(N_HOSTS)]
@@ -168,8 +204,11 @@ def run_scenario(gang_specs, fault_specs) -> dict:
             coll = rendezvous(sim, n, spec.wire_us, compute_us=spec.compute_us,
                               launch_us=spec.launch_us)
             kernels = [Kernel(sim, spec.compute_us, collective=coll, gate=gate)] * n
-        else:
+        elif spec.mode in ("unfolded", "gang-plain"):
             coll = rendezvous(sim, n, spec.wire_us) if spec.mode == "unfolded" else None
+            kernels = [Kernel(sim, spec.compute_us, collective=coll, gate=gate)] * n
+        else:
+            coll = rendezvous(sim, n, spec.wire_us) if spec.mode == "split" else None
             kernels = [Kernel(sim, spec.compute_us, collective=coll, gate=gate)
                        for _ in range(n)]
         pending = [len(set(map(id, kernels)))]
@@ -182,8 +221,11 @@ def run_scenario(gang_specs, fault_specs) -> dict:
 
         for k, kernel in enumerate(dict.fromkeys(kernels)):
             kernel.done.add_callback(lambda ev, k=k: settled(ev, k))
-        for dev, kernel in zip(group.devices, kernels):
-            dev.enqueue(kernel)
+        if spec.mode in ("folded", "unfolded", "gang-plain"):
+            executor_module.enqueue_gang(group.devices, kernels[0])
+        else:
+            for dev, kernel in zip(group.devices, kernels):
+                dev.enqueue(kernel)
 
     def fault(spec: Fault) -> None:
         if spec.kind == "device":
@@ -202,6 +244,13 @@ def run_scenario(gang_specs, fault_specs) -> dict:
             _at(sim, spec.at, lambda spec=spec: fault(spec))
         else:
             _at(sim, spec.armed, lambda spec=spec: _at(sim, spec.at, lambda: fault(spec)))
+    def probe() -> None:
+        log.append(["probe", sim.now, [
+            (d.busy_us, d.kernels_run, d.kernels_aborted, d.held_state()) for d in devices
+        ], [(h.cpu.in_use, h.cpu.queue_len, h.cpu.busy_time()) for h in hosts]])
+
+    for at in probes:
+        _at(sim, at, probe)
     # Gangs are enqueued in one global order, so they cannot deadlock.
     for g, spec in sorted(enumerate(gang_specs), key=lambda item: item[1].start):
         _at(sim, spec.start, lambda g=g, spec=spec: launch(g, spec))
@@ -219,11 +268,11 @@ def run_scenario(gang_specs, fault_specs) -> dict:
     }
 
 
-def _compare(gang_specs, fault_specs) -> None:
-    fast = run_scenario(gang_specs, fault_specs)
+def _compare(gang_specs, fault_specs, probes=()) -> None:
+    fast = run_scenario(gang_specs, fault_specs, probes)
     with pytest.MonkeyPatch.context() as mp:
         oracles.patch_device_drain(mp)
-        slow = run_scenario(gang_specs, fault_specs)
+        slow = run_scenario(gang_specs, fault_specs, probes)
     schedule, reference = fast.pop("schedule"), slow.pop("schedule")
     assert fast == slow
     bad, removed = golden_diff.subsequence_diff(reference, schedule)
@@ -235,6 +284,10 @@ FOLDED = Gang((0, 2, 4), 0.0, "folded", 1.5, 2.5, 2.0, None, 1.5, 1)
 #: No launch, wire or compute time of its own: waits on the 1.5 us
 #: kernel-launch timeout only.
 SYNC = Gang((0,), 0.0, "folded", 0.0, 0.0, 0.0, None, 0.0, 0)
+#: A lane over four devices on four hosts, and the same gang once both
+#: have long drained.
+LANE = Gang((0, 2, 4, 6), 0.0, "folded", 1.5, 2.5, 2.0, None, 3.0, 1)
+LATER = dataclasses.replace(LANE, start=16.0)
 
 
 @settings(max_examples=EXAMPLES, deadline=None, derandomize=True)
@@ -251,7 +304,7 @@ SYNC = Gang((0,), 0.0, "folded", 0.0, 0.0, 0.0, None, 0.0, 0)
           [Fault("device", 3, 0.0, 1.5, None)]))
 # Consecutive gangs on shared hosts: queued preps take the CPU in a
 # release and batch at the next instant.
-@example(([FOLDED, dataclasses.replace(FOLDED, devices=(1, 5), mode="unfolded"),
+@example(([FOLDED, dataclasses.replace(FOLDED, devices=(1, 5), mode="split"),
            dataclasses.replace(FOLDED, devices=(4, 6, 0), gate=(3.0, True))], []))
 # Devices and a host prep share one 1.5 us timeout, registered device,
 # prep, device: only consecutive devices may share a callback.
@@ -261,6 +314,31 @@ SYNC = Gang((0,), 0.0, "folded", 0.0, 0.0, 0.0, None, 0.0, 0)
 @example(([dataclasses.replace(SYNC, start=0.5),
            dataclasses.replace(SYNC, devices=(0, 1, 2), start=0.5),
            dataclasses.replace(SYNC, devices=(0, 2), prep_us=1.5)], []))
+# Lanes.  Two groups over one device set, in two orders, interleave.
+@example(([LANE, dataclasses.replace(LANE, devices=(6, 4, 2, 0), start=0.5, mode="unfolded"),
+           dataclasses.replace(LANE, start=1.0, gate=(6.0, True))], [], []))
+# A strict subset, then a strict superset, of a busy lane.
+@example(([LANE, dataclasses.replace(LANE, devices=(0, 2), start=0.5),
+           dataclasses.replace(LANE, devices=(0, 2, 4, 6, 1), start=1.0), LATER], [], []))
+# A distinct kernel sent to one lane member, then the lane re-forms.
+@example(([LANE, Gang((4,), 0.5, "plain", 0.0, 0.0, 2.0, None, 1.5, 0), LATER], [], []))
+# The lane re-forms in the reverse order, then splits under kernels of
+# its first and last members, which resume in that order.
+@example(([LANE, dataclasses.replace(LATER, devices=(6, 4, 2, 0)),
+           Gang((0,), 16.5, "plain", 0.0, 0.0, 2.0, None, 0.0, 0),
+           Gang((6,), 16.5, "plain", 0.0, 0.0, 2.0, None, 0.0, 0)], [], []))
+# Faults while the lane is gated, joined, in the wire or compute phase.
+@example(([dataclasses.replace(LANE, gate=(5.0, True)), LATER],
+          [Fault("device", 2, 0.0, 2.0, 1.0)], []))
+@example(([LANE, dataclasses.replace(LANE, start=0.5)], [Fault("device", 4, 0.0, 2.0, None)], []))
+@example(([LANE, LATER], [Fault("device", 0, 1.0, 3.5, 3.5)], []))
+@example(([LANE, LATER], [Fault("device", 6, 0.0, 6.0, 1.0)], []))
+# A host crash while the lane's CPU is held, then while preps queue for
+# it; probes hand the lane CPU back mid-hold and mid-queue.
+@example(([LANE, dataclasses.replace(LANE, start=0.5), LATER],
+          [Fault("host", 1, 0.0, 1.0, 1.0)], [0.5, 3.5]))
+@example(([LANE, dataclasses.replace(LANE, start=0.0, devices=(2, 0, 6, 4)),
+           dataclasses.replace(LANE, start=0.5)], [Fault("host", 2, 0.0, 2.0, None)], [1.0]))
 def test_gang_drain_matches_per_device_drain(scenario):
     _compare(*scenario)
 
@@ -291,3 +369,24 @@ class TestRendezvousTimings:
         assert kernel.done.ok and dev.kernels_run == 1
         assert dev.busy_us == sim.now - (0.1 + 1.5)
 
+
+
+class TestMemberSymmetry:
+    """Without faults, how many devices stand for an aggregate gang
+    changes no simulated result: the member-independence lanes build on."""
+
+    @staticmethod
+    def _chained(mp, reps: int):
+        init = ResourceManager.__init__
+
+        def with_reps(self, *args, **kwargs):
+            kwargs["max_simulated_per_group"] = reps
+            init(self, *args, **kwargs)
+
+        mp.setattr(ResourceManager, "__init__", with_reps)
+        r = run_pathways("chained", 16, devices_per_host=8, n_calls=4)
+        return r.sim_elapsed_us, r.computations_per_second, r.sim_events
+
+    def test_chained_dispatch_is_independent_of_simulated_members(self, monkeypatch):
+        results = {reps: self._chained(monkeypatch, reps) for reps in (1, 4, 16)}
+        assert results[1] == results[4] == results[16], results

@@ -14,16 +14,18 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.config import SystemConfig
+from repro.config import DEFAULT_CONFIG, SystemConfig
 from repro.core.system import PathwaysSystem
 from repro.hw.cluster import ClusterSpec, make_cluster
-from repro.hw.host import Host
+from repro.hw.device import CollectiveRendezvous, Device, Kernel, enqueue_gang
+from repro.hw.host import Host, prep_hosts
 from repro.net.fabric import Fabric, _RouteClass
 from repro.net.transport import Transport
 from repro.sim import (
     ConservationError,
     DeadlockError,
     DoubleTriggerError,
+    LaneStateError,
     LeakedCapacityError,
     PendingTimeoutReadError,
     Resource,
@@ -372,6 +374,58 @@ class TestObjectStoreConservation:
             ConservationError, match=r"object store: \d+ allocations - \d+ frees != \d+ live"
         ):
             system.sim.run()
+
+
+class TestLaneInvariants:
+    """Lockstep lanes: a lane of several devices or hosts is its
+    members' only drain or CPU state, and an idle lane holds nothing."""
+
+    @staticmethod
+    def _lanes():
+        sim = Simulator(sanitize=True)
+        hosts = [Host(sim, DEFAULT_CONFIG, h, island_id=0) for h in range(2)]
+        devices = []
+        for d, host in enumerate(hosts):
+            devices.append(Device(sim, DEFAULT_CONFIG, d, island_id=0, coords=(d, 0)))
+            host.attach(devices[-1])
+        for _ in range(2):
+            coll = CollectiveRendezvous(sim, 2, 1.0, compute_us=2.0, launch_us=1.5)
+            enqueue_gang(devices, Kernel(sim, 2.0, collective=coll))
+            prep_hosts(hosts, 3.0, lambda exc, parts=1: None)
+        sim.run()
+        return sim, devices, hosts
+
+    def test_drained_lanes_are_clean(self):
+        sim, devices, hosts = self._lanes()
+        lane, host_lane = devices[0]._lane, hosts[0]._lane
+        assert lane is devices[1]._lane and lane.members == tuple(devices)
+        assert host_lane is hosts[1]._lane and host_lane.members == tuple(hosts)
+        assert sim.sanitizer.sweeps == 1
+        assert [d.kernels_run for d in devices] == [2, 2]
+
+    def test_member_holding_its_own_kernel_is_reported(self):
+        sim, devices, _ = self._lanes()
+        devices[1]._queue.append(Kernel(sim, 1.0))
+        with pytest.raises(LaneStateError, match=r"lane d0\+d1: d1 holds drain state"):
+            sim.run()
+
+    def test_idle_lane_holding_a_kernel_is_reported(self):
+        sim, devices, _ = self._lanes()
+        devices[0]._lane._current = Kernel(sim, 1.0)
+        with pytest.raises(LaneStateError, match=r"lane d0\+d1 is idle but holds"):
+            sim.run()
+
+    def test_member_outside_its_lane_is_reported(self):
+        sim, _, hosts = self._lanes()
+        hosts[1]._lane = hosts[1]
+        with pytest.raises(LaneStateError, match=r"host lane h0\+h1: h1 left it unsplit"):
+            sim.run()
+
+    def test_lane_cpu_busy_without_preps_is_reported(self):
+        sim, _, hosts = self._lanes()
+        hosts[0]._lane._live_preps[object()] = None
+        with pytest.raises(LaneStateError, match=r"host lane h0\+h1: CPU busy 0/0 with 1 prep"):
+            sim.run()
 
 
 class TestScheduleNeutrality:
