@@ -2,10 +2,9 @@
 
 All timing constants live here so that calibration against the paper's
 numbers is explicit, auditable, and overridable per experiment.  Units:
-microseconds (time), bytes (size), bytes/us == MB/s*1e-6... concretely we
-use **bytes per microsecond** (1 byte/us = 1 MB/s * 1e0? no: 1 byte/us =
-1e6 bytes/s = 1 MB/s).  To avoid slip-ups, helper properties express
-bandwidths in GB/s.
+microseconds (time), bytes (size) and **bytes per microsecond**
+(bandwidth), where 1 byte/µs = 1 MB/s.  To avoid slip-ups, helper
+properties express bandwidths in GB/s.
 
 Sources for the defaults:
 
@@ -22,7 +21,7 @@ Sources for the defaults:
   16 GB HBM per core (Table 1 setup text).
 * Coordinator fan-out cost: calibrated so the Fig. 6 crossover lands at
   ~2.3 ms for 16 hosts and ~35 ms for 512 hosts, i.e. ~65-70 us of
-  controller work per host per program (see DESIGN.md S5).
+  controller work per host per program.
 """
 
 from __future__ import annotations

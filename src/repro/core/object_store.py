@@ -2,9 +2,9 @@
 
 Each host manages objects whose shards may live in accelerator HBM or in
 host DRAM.  Clients and servers refer to objects by opaque handles, so
-the system can migrate buffers.  Objects carry ownership labels for
-garbage collection on client/program failure, reference counts for
-lifetime management, and their HBM reservations create back-pressure:
+the system can migrate buffers.  Objects carry an owner label (the
+client or program that made them), reference counts for lifetime
+management, and their HBM reservations create back-pressure:
 a computation that cannot allocate output buffers stalls until space
 frees up.
 
@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Generator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -72,8 +72,6 @@ class ShardedObjectStore:
         self._hbm_grants: dict[int, list[tuple]] = {}
         self.allocations = 0
         self.frees = 0
-        self.cross_host_fetches = 0
-        self.cross_host_bytes = 0
         #: Under the sim-sanitizer, every device this store reserved HBM
         #: on, for the drain-end conservation sweep (None otherwise).
         self._hbm_devices: Optional[dict] = None
@@ -157,42 +155,6 @@ class ShardedObjectStore:
             free_hbm(handle.group.devices, handle.nbytes_per_shard)
         self._objects.pop(handle.object_id, None)
 
-    # -- cross-host movement ---------------------------------------------------
-    def fetch_to_host(self, handle: ObjectHandle, dst_host, transport) -> Generator:
-        """Move one (possibly sharded) object's bytes to ``dst_host``.
-
-        Each shard travels from its own host over the routed transport
-        (so cross-island fetches contend on the island uplinks when
-        ``net_contention`` is on), in parallel; the generator completes
-        when every shard has arrived.  A shard host crashing mid-fetch
-        fails the fetch with :class:`~repro.net.MessageLost` — callers on
-        the recovery path replay against the re-produced object.
-        """
-        if handle.freed:
-            raise RuntimeError(f"fetch of freed object {handle.object_id}")
-        if handle.group is None:
-            return  # host-resident object with no placement: nothing moves
-        per_host: dict[int, tuple] = {}
-        for dev in handle.group.devices:
-            host = dev.host
-            if host is None or host is dst_host:
-                # Shards already resident on the destination don't cross
-                # the network (and must not skew the cross-host stats).
-                continue
-            prev = per_host.get(host.host_id)
-            per_host[host.host_id] = (
-                host,
-                (prev[1] if prev else 0) + handle.nbytes_per_shard,
-            )
-        if not per_host:
-            return
-        self.cross_host_fetches += 1
-        sends = []
-        for host, nbytes in per_host.values():
-            self.cross_host_bytes += nbytes
-            sends.append(transport.send(host, dst_host, nbytes))
-        yield self.sim.all_of(sends)
-
     # -- failure cleanup -----------------------------------------------------
     def discard(self, handle: ObjectHandle) -> bool:
         """Forcibly free a buffer lost to a device failure.
@@ -207,27 +169,6 @@ class ShardedObjectStore:
         handle.refcount = 0
         self._free(handle)
         return True
-
-    def collect_owner(self, owner: str) -> int:
-        """Free everything owned by ``owner`` (program/client failure GC).
-
-        Returns the number of objects collected.
-        """
-        doomed = [h for h in self._objects.values() if h.owner == owner]
-        for handle in doomed:
-            handle.refcount = 1
-            self.release(handle)
-        return len(doomed)
-
-    # -- introspection --------------------------------------------------------
-    def live_objects(self, owner: Optional[str] = None) -> list[ObjectHandle]:
-        objs = list(self._objects.values())
-        if owner is not None:
-            objs = [h for h in objs if h.owner == owner]
-        return objs
-
-    def live_bytes(self, owner: Optional[str] = None) -> int:
-        return sum(h.nbytes_total for h in self.live_objects(owner))
 
     def __len__(self) -> int:
         return len(self._objects)

@@ -67,9 +67,6 @@ class PathwaysProgram:
     def n_computations(self) -> int:
         return len(self.graph.compute_nodes())
 
-    def computations(self) -> list[CompiledFunction]:
-        return [n.computation for n in self.graph.compute_nodes()]
-
 
 class ProgramTracer:
     """Records compiled-function calls into a :class:`ShardedGraph`."""

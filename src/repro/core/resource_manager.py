@@ -79,17 +79,6 @@ class ResourceManager:
         self._cursor[island.island_id] = 0
         self.capacity_changed("added", island.island_id)
 
-    def remove_island(self, island_id: int) -> None:
-        in_use = self.bound_slices_on(island_id)
-        if in_use:
-            raise RuntimeError(
-                f"island {island_id} has {len(in_use)} bound slice(s); "
-                "migrate or release them first"
-            )
-        self._islands.pop(island_id)
-        self._cursor.pop(island_id)
-        self._draining.discard(island_id)
-
     # -- capacity events & drain state -------------------------------------
     def subscribe_capacity(self, fn: Callable[[str, int], None]) -> None:
         """Register a listener for capacity-change events.

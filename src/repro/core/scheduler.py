@@ -118,12 +118,10 @@ class ProportionalSharePolicy:
 
     def __init__(self, weights: Optional[dict[str, float]] = None):
         self.weights: dict[str, float] = dict(weights or {})
+        for weight in self.weights.values():
+            if weight <= 0:
+                raise ValueError(f"weight must be positive, got {weight}")
         self._pass: dict[str, float] = {}
-
-    def set_weight(self, client: str, weight: float) -> None:
-        if weight <= 0:
-            raise ValueError(f"weight must be positive, got {weight}")
-        self.weights[client] = weight
 
     def _weight(self, client: str) -> float:
         return self.weights.get(client, 1.0)

@@ -39,10 +39,6 @@ class ClusterSpec:
     def total_devices(self) -> int:
         return sum(h * d for h, d in self.islands)
 
-    @property
-    def total_hosts(self) -> int:
-        return sum(h for h, _ in self.islands)
-
 
 def config_a(n_hosts: int = 512) -> ClusterSpec:
     """Paper configuration A: 4 TPUs per host, single island."""

@@ -94,10 +94,6 @@ class HbmAllocator:
             sim.sanitizer.watch(self)
 
     @property
-    def free(self) -> int:
-        return self.capacity - self.used
-
-    @property
     def queue_len(self) -> int:
         return len(self._waiters)
 

@@ -35,9 +35,6 @@ class T5Entry:
     def name(self) -> str:
         return self.config.name
 
-    def train_flops_per_token(self) -> float:
-        return 6.0 * self.nominal_params
-
 
 def _t5(name: str, n_layers: int, d_model: int, d_ff: int, n_heads: int) -> TransformerConfig:
     return TransformerConfig(

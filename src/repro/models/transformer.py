@@ -53,21 +53,7 @@ class TransformerConfig:
     def params(self) -> int:
         return self.n_total_layers * self.params_per_layer + self.embedding_params
 
-    # -- compute ----------------------------------------------------------
-    def train_flops_per_token(self) -> float:
-        """Forward + backward FLOPs per trained token (6·N rule)."""
-        return 6.0 * self.params
-
-    def forward_flops_per_token(self) -> float:
-        return 2.0 * self.params
-
     # -- inference (the serving subsystem's cost model) --------------------
-    def infer_flops(self, prompt_tokens: int, gen_tokens: int) -> float:
-        """FLOPs of one inference-mode step for a single request:
-        prefill over the prompt plus autoregressive decode, both at the
-        2·N-per-token forward rule (no backward pass)."""
-        return self.forward_flops_per_token() * (prompt_tokens + gen_tokens)
-
     def infer_step_time_us(
         self,
         tokens: int,

@@ -764,9 +764,6 @@ class Fabric:
         link.up = True
         return True
 
-    def down_links(self) -> list[Link]:
-        return [link for link in self.links() if not link.up]
-
     # -- introspection -----------------------------------------------------
     def links(self) -> list[Link]:
         return (

@@ -364,10 +364,6 @@ class TransportStats(Stats):
     #: plus the capacity-leak invariant (None when fabric-less).
     fabric: Optional[object] = None
 
-    @property
-    def max_link_utilization(self) -> float:
-        return max(self.link_utilization.values(), default=0.0)
-
 
 class Transport:
     """Uniform cross-host send API over the fabric.
@@ -557,10 +553,6 @@ class Transport:
             # After the timeout: the flow's timer keeps its later seq.
             msg._state.advance()
         return msg
-
-    def rpc(self, src: "Host", dst: "Host", nbytes: int = 256) -> Message:
-        """A small control-plane message (scheduling, data handles)."""
-        return self.send(src, dst, nbytes)
 
     def send_reliable(
         self,

@@ -80,15 +80,6 @@ class ProgressTracker:
         """
         return self._complete_events[dst_shard]
 
-    def all_complete(self) -> Event:
-        return self.sim.all_of(self._complete_events)
-
-    def is_complete(self, dst_shard: int) -> bool:
-        return not self._outstanding[dst_shard]
-
-    def delivered_count(self, dst_shard: int) -> int:
-        return self._delivered[dst_shard]
-
     def _validate(self, producer: int, dst_shard: int) -> None:
         if not 0 <= producer < self.producers:
             raise IndexError(f"{self.name}: producer {producer} out of range")

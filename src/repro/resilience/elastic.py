@@ -178,12 +178,6 @@ class ElasticController:
         if island_id in self._draining:
             self._maybe_complete_drain(island_id)
 
-    def restore_island(self, island_id: int) -> None:
-        """Reopen a drained island (handback cancelled or capacity
-        returned by the operator): admission resumes and workloads are
-        told to grow back."""
-        self._finish_drain(island_id)
-
     def preemption_notice(
         self, island_id: int, notice_us: float, duration_us: float
     ) -> Event:

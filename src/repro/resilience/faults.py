@@ -248,39 +248,6 @@ class FaultSchedule:
         return self.add(FaultEvent(at_us, FaultKind.LINK_RESTORE, link=link))
 
     @classmethod
-    def poisson_link_flaps(
-        cls,
-        mtbf_us: float,
-        horizon_us: float,
-        links: Iterable[str],
-        seed: int = 0,
-        repair_us: float = 10_000.0,
-    ) -> "FaultSchedule":
-        """Exponential per-link flap inter-arrivals with mean ``mtbf_us``.
-
-        A *flap* is a ``LINK_DOWN`` that self-restores after
-        ``repair_us`` (must be positive: a permanent loss is
-        :meth:`link_down` with ``repair_us=0``).  Deterministic for a
-        given seed, like :meth:`poisson_device_failures`.
-        """
-        if mtbf_us <= 0:
-            raise ValueError(f"mtbf must be positive, got {mtbf_us}")
-        if repair_us <= 0:
-            raise ValueError(f"flap repair time must be positive, got {repair_us}")
-        rng = np.random.default_rng(seed)
-        events: list[FaultEvent] = []
-        for link in links:
-            t = float(rng.exponential(mtbf_us))
-            while t < horizon_us:
-                events.append(
-                    FaultEvent(
-                        t, FaultKind.LINK_DOWN, repair_us=repair_us, link=link
-                    )
-                )
-                t += repair_us + float(rng.exponential(mtbf_us))
-        return cls(events)
-
-    @classmethod
     def poisson_device_failures(
         cls,
         mtbf_us: float,

@@ -2,8 +2,7 @@
 
 :class:`Resource` is a counted semaphore with FIFO granting — used for
 host CPUs and NICs and a client's controller thread.  :class:`Store` is
-an unbounded-or-bounded FIFO queue of items — used for PLAQUE channel
-shards and input-pipeline buffers.
+an unbounded FIFO queue of items — used for PLAQUE channel shards.
 
 Both grant strictly in arrival order, which keeps the simulation
 deterministic and models the paper's FIFO hardware queues faithfully.
@@ -146,52 +145,32 @@ class Resource:
 
 
 class Store:
-    """A FIFO queue of items with blocking ``get`` and optional capacity.
+    """An unbounded FIFO queue of items with blocking ``get``.
 
-    ``put`` returns an event that triggers when the item is accepted
-    (immediately unless the store is full).  ``get`` returns an event
-    that triggers with the oldest item.
+    ``put`` hands the item to the oldest waiting ``get`` or queues it.
+    ``get`` returns an event that triggers with the oldest item.
     """
 
-    def __init__(self, sim: Simulator, capacity: Optional[int] = None, name: str = ""):
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"capacity must be >= 1 or None, got {capacity}")
+    def __init__(self, sim: Simulator, name: str = ""):
         self.sim = sim
-        self.capacity = capacity
         self.name = name or "store"
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
-        self._putters: Deque[tuple[Event, Any]] = deque()
 
     def __len__(self) -> int:
         return len(self._items)
 
-    def put(self, item: Any) -> Event:
-        sim = self.sim
+    def put(self, item: Any) -> None:
         if self._getters:
             # Direct handoff to the oldest waiting consumer.
-            getter = self._getters.popleft()
-            getter.succeed(item)
-            return sim.completed()
-        if self.capacity is None or len(self._items) < self.capacity:
-            # Accepted immediately: a completed event (most callers
-            # never wait on an unbounded put).
+            self._getters.popleft().succeed(item)
+        else:
             self._items.append(item)
-            return sim.completed()
-        ev = Event(sim)
-        self._putters.append((ev, item))
-        return ev
 
     def get(self) -> Event:
-        sim = self.sim
         if self._items:
-            item = self._items.popleft()
-            if self._putters:
-                put_ev, pending = self._putters.popleft()
-                self._items.append(pending)
-                put_ev.succeed(None)
-            return sim.completed(item)
-        ev = Event(sim)
+            return self.sim.completed(self._items.popleft())
+        ev = Event(self.sim)
         self._getters.append(ev)
         return ev
 
@@ -199,9 +178,4 @@ class Store:
         """Non-blocking get: ``(True, item)`` or ``(False, None)``."""
         if not self._items:
             return False, None
-        item = self._items.popleft()
-        if self._putters:
-            put_ev, pending = self._putters.popleft()
-            self._items.append(pending)
-            put_ev.succeed(None)
-        return True, item
+        return True, self._items.popleft()

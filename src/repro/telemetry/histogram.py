@@ -10,7 +10,7 @@ disagree by interpolation scheme.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 __all__ = ["Histogram", "percentile"]
 
@@ -44,10 +44,6 @@ class Histogram:
         self.values.append(value)
         self.total += value
         self._sorted = None
-
-    def observe_many(self, values: Iterable[float]) -> None:
-        for v in values:
-            self.observe(v)
 
     @property
     def count(self) -> int:

@@ -3,8 +3,7 @@
 Counters, gauges, probes (sampled callables), and histograms live in a
 :class:`MetricsRegistry`; a :class:`MetricsSampler` drives periodic
 sampling off one engine :class:`~repro.sim.TimerHandle`, re-armed from
-its own action, producing per-metric ``(sim_time_us, value)`` series
-exportable to JSON/CSV for bench trajectories.
+its own action, producing per-metric ``(sim_time_us, value)`` series.
 
 Unlike span tracing (purely passive), the sampler *does* create sim
 events — one recurring timer — so it is a separate opt-in and is never
@@ -16,7 +15,6 @@ protocol everything else reads.
 
 from __future__ import annotations
 
-import json
 from typing import Callable
 
 from repro.telemetry.histogram import Histogram
@@ -124,35 +122,6 @@ class MetricsRegistry:
 
     def names(self) -> list[str]:
         return sorted(self._series)
-
-    # -- export ------------------------------------------------------------
-    def to_json(self) -> dict:
-        return {
-            "samples": self.samples_taken,
-            "series": {
-                name: [[t, v] for t, v in self._series[name]]
-                for name in sorted(self._series)
-            },
-        }
-
-    def write_json(self, path: str) -> str:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh)
-        return path
-
-    def to_csv(self) -> str:
-        """Long-format CSV (``time_us,metric,value``), rows ordered by
-        metric name then time — deterministic for golden comparisons."""
-        lines = ["time_us,metric,value"]
-        for name in sorted(self._series):
-            for t, v in self._series[name]:
-                lines.append(f"{t!r},{name},{v!r}")
-        return "\n".join(lines) + "\n"
-
-    def write_csv(self, path: str) -> str:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_csv())
-        return path
 
 
 class MetricsSampler:

@@ -38,6 +38,13 @@ from repro.xla.computation import scalar_allreduce_add
 
 __all__ = ["ChurnResult", "run_churn"]
 
+#: Faults are drawn over this many ideal run lengths.  The horizon need
+#: not cover the run: in the config-A churn benchmark (seed 0) it is
+#: 10 s but the run lasts 13.74 s, so all its faults are delivered and
+#: the last 3.7 s have none.  Once the drivers finish, ``stop()``
+#: cancels any faults still scheduled.
+_HORIZON_SLACK = 20.0
+
 
 @dataclass
 class ChurnResult:
@@ -126,10 +133,8 @@ def run_churn(
     seed: int = 0,
     config: SystemConfig = DEFAULT_CONFIG,
     policy: Optional[SchedulingPolicy] = None,
-    horizon_slack: float = 20.0,
     add_island_at: Optional[tuple[float, int, int]] = None,
     aggregate_threshold: int = 64,
-    aggregate_fault_scaling: bool = True,
     log_schedule: bool = False,
 ) -> ChurnResult:
     """N tenants training under device churn on one island.
@@ -149,18 +154,18 @@ def run_churn(
     **Paper-scale aggregate runs** (configs A/B): with ``slice_devices >
     aggregate_threshold`` each tenant's gang is simulated by
     representative devices standing in for ``slice_devices`` logical
-    shards.  Two knobs keep the reliability study faithful:
+    shards.  Two rules keep the reliability study faithful:
 
     * co-located aggregate tenants always bind *disjoint*
       representatives (``disjoint_aggregate_reps``), so they do not
       falsely serialize on shared simulated cores;
-    * ``aggregate_fault_scaling`` divides the representatives'
-      per-device MTBF by their representation factor, preserving the
-      *per-gang* fault arrival rate a fully-detailed simulation of
-      ``slice_devices`` cores would see.  (The scaling is computed from
-      the initial binding; post-remap representative sets keep their
-      original rates — an approximation that is exact until the first
-      migration and conservative after it.)
+    * the representatives' per-device MTBF is divided by their
+      representation factor, preserving the *per-gang* fault arrival
+      rate a fully-detailed simulation of ``slice_devices`` cores would
+      see.  (The scaling is computed from the initial binding;
+      post-remap representative sets keep their original rates — an
+      approximation that is exact until the first migration and
+      conservative after it.)
     """
     if n_clients * slice_devices > n_hosts * devices_per_host:
         raise ValueError(
@@ -212,24 +217,17 @@ def run_churn(
 
     injector = None
     if mtbf_us is not None:
-        # Faults are drawn over ``horizon_slack`` ideal run lengths,
-        # which need not cover the run: in the config-A churn benchmark
-        # (seed 0) the horizon is 10 s but the run lasts 13.74 s, so all
-        # its faults are delivered and the last 3.7 s have none.  Once
-        # the drivers finish, stop() cancels any faults still scheduled.
-        ideal_us = steps_per_client * compute_time_us
-        horizon_us = ideal_us * horizon_slack
+        horizon_us = steps_per_client * compute_time_us * _HORIZON_SLACK
         all_ids = [d.device_id for d in system.cluster.devices]
         rep_factor: dict[int, float] = {}
-        if aggregate_fault_scaling:
-            for _, _, devs, _, _ in tenants:
-                group = devs.group
-                if group.is_aggregate:
-                    f = group.representation_factor
-                    for d in group.devices:
-                        rep_factor[d.device_id] = max(
-                            rep_factor.get(d.device_id, 1.0), f
-                        )
+        for _, _, devs, _, _ in tenants:
+            group = devs.group
+            if group.is_aggregate:
+                f = group.representation_factor
+                for d in group.devices:
+                    rep_factor[d.device_id] = max(
+                        rep_factor.get(d.device_id, 1.0), f
+                    )
         schedule = FaultSchedule.poisson_device_failures(
             mtbf_us=mtbf_us,
             horizon_us=horizon_us,

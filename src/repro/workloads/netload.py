@@ -43,6 +43,14 @@ __all__ = [
     "run_net_congestion",
 ]
 
+#: Gap between one probe program's completion and the next submit.
+_PROBE_INTERVAL_US = 5_000.0
+#: Compute time of each of the probe program's two nodes.
+_PROBE_COMPUTE_US = 200.0
+#: Open-loop arrival window of a flow fleet: much shorter than its
+#: drain time, so thousands of fluid flows are live at once.
+_ARRIVAL_WINDOW_US = 1_000.0
+
 
 @dataclass
 class NetCongestionResult:
@@ -125,7 +133,6 @@ def _prober(
     program,
     arr: np.ndarray,
     n_probes: int,
-    interval_us: float,
     resilient: bool,
     stats: dict,
 ) -> Generator:
@@ -147,8 +154,7 @@ def _prober(
             stats["latencies"].append(sim.now - start)
         finally:
             execution.release_results()
-        if interval_us > 0:
-            yield sim.timeout(interval_us)
+        yield sim.timeout(_PROBE_INTERVAL_US)
 
 
 def run_net_congestion(
@@ -160,16 +166,12 @@ def run_net_congestion(
     duration_us: float = 50_000.0,
     contention: bool = True,
     n_probes: int = 5,
-    probe_interval_us: float = 5_000.0,
     probe_elems: int = 1 << 22,
-    probe_compute_us: float = 200.0,
     crash_sender_at: Optional[float] = None,
     crash_repair_us: float = 8_000.0,
     spine_paths: int = 1,
     link_down_at: Optional[float] = None,
-    link_down: Optional[str] = None,
     link_repair_us: float = 8_000.0,
-    reliable: Optional[bool] = None,
     config: SystemConfig = DEFAULT_CONFIG,
     log_schedule: bool = False,
     tracer=None,
@@ -178,12 +180,12 @@ def run_net_congestion(
     probe tenant dispatches cross-island programs.
 
     ``crash_sender_at`` crashes sender host 0 at that time (restoring
-    ``crash_repair_us`` later); senders then default to reliable
+    ``crash_repair_us`` later); senders then use reliable
     (retransmitting) sends and probes run with ``retry_on_failure``.
 
     ``link_down_at`` schedules a ``LINK_DOWN`` fault (restored
-    ``link_repair_us`` later, 0 = never) against ``link_down`` — default
-    spine path 0 — delivered through the first-class
+    ``link_repair_us`` later, 0 = never) against spine path 0,
+    delivered through the first-class
     :class:`~repro.resilience.FaultInjector` path.  With
     ``spine_paths >= 2`` the drill exercises ECMP reroute-on-failure:
     surviving flows rehash onto the remaining paths and no message whose
@@ -194,8 +196,6 @@ def run_net_congestion(
             f"{n_senders} senders exceed island of {hosts_per_island} hosts"
         )
     crash = crash_sender_at is not None
-    if reliable is None:
-        reliable = crash
     config = config.with_overrides(
         net_contention=contention,
         spine_paths=spine_paths,
@@ -229,7 +229,7 @@ def run_net_congestion(
                 sim.process(
                     _sender_stream(
                         system, src, dst, flow_bytes, duration_us,
-                        reliable, sender_stats[i],
+                        crash, sender_stats[i],
                         stagger_us=s * stream_phase_us,
                     ),
                 )
@@ -248,14 +248,14 @@ def run_net_congestion(
         fa = client.wrap(
             CompiledFunction(
                 "probe_a", (spec,), (spec,), fn=None,
-                n_shards=2, duration_us=probe_compute_us,
+                n_shards=2, duration_us=_PROBE_COMPUTE_US,
             ),
             devices=devs_a,
         )
         fb = client.wrap(
             CompiledFunction(
                 "probe_b", (spec,), (spec,), fn=None,
-                n_shards=2, duration_us=probe_compute_us,
+                n_shards=2, duration_us=_PROBE_COMPUTE_US,
             ),
             devices=devs_b,
         )
@@ -270,7 +270,7 @@ def run_net_congestion(
             sim.process(
                 _prober(
                     system, client, probe_program, arr, n_probes,
-                    probe_interval_us, crash, probe_stats,
+                    crash, probe_stats,
                 ),
             )
         )
@@ -286,7 +286,7 @@ def run_net_congestion(
             )
 
     if link_down_at is not None:
-        target_link = link_down or ("spine" if spine_paths == 1 else "spine[p0]")
+        target_link = "spine" if spine_paths == 1 else "spine[p0]"
         FaultInjector(
             recovery,
             FaultSchedule().link_down(
@@ -367,17 +367,16 @@ def run_flow_fleet(
     hosts: int = 64,
     devices_per_host: int = 1,
     flow_bytes: int = 1 << 20,
-    arrival_window_us: float = 1_000.0,
     config: SystemConfig = DEFAULT_CONFIG,
 ) -> FlowFleetResult:
     """Flow-scale fabric stress: thousands of short concurrent flows.
 
     One island of ``hosts`` hosts, paired off into ``hosts // 2``
     disjoint (sender, receiver) NIC pairs; ``n_flows`` transfers of
-    ``flow_bytes`` each arrive open-loop inside ``arrival_window_us``
-    (a serving-style arrival burst, spread by a fixed multiplicative
-    LCG — deterministic, no RNG state).  The window is much shorter
-    than the drain time, so concurrency climbs to thousands of
+    ``flow_bytes`` each arrive open-loop inside a 1 ms window (a
+    serving-style arrival burst, spread by a fixed multiplicative LCG —
+    deterministic, no RNG state).  The window is much shorter than the
+    drain time, so concurrency climbs to thousands of
     simultaneously-live fluid flows, while the solver's affected set
     per membership change stays the per-pair flow count.
 
@@ -409,7 +408,7 @@ def run_flow_fleet(
                 _fleet_flow(
                     system, i,
                     island_hosts[2 * pair], island_hosts[2 * pair + 1],
-                    flow_bytes, offset * arrival_window_us, deliveries,
+                    flow_bytes, offset * _ARRIVAL_WINDOW_US, deliveries,
                 ),
             )
         )

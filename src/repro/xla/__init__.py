@@ -17,7 +17,7 @@ This package models compiled functions with two coupled facets:
 """
 
 from repro.xla.shapes import DType, TensorSpec
-from repro.xla.sharding import DeviceMesh, Sharding
+from repro.xla.sharding import Sharding
 from repro.xla.computation import CollectiveSpec, CompiledFunction, scalar_allreduce_add
 from repro.xla.compiler import Compiler, fuse
 
@@ -26,7 +26,6 @@ __all__ = [
     "CompiledFunction",
     "Compiler",
     "DType",
-    "DeviceMesh",
     "Sharding",
     "TensorSpec",
     "fuse",

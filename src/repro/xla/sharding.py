@@ -9,7 +9,6 @@ provides the shard math both levels share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -17,31 +16,11 @@ import numpy as np
 
 from repro.xla.shapes import TensorSpec
 
-__all__ = ["DeviceMesh", "Sharding"]
-
-
-@dataclass(frozen=True)
-class DeviceMesh:
-    """An ordered list of device ids a computation is placed on."""
-
-    device_ids: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.device_ids:
-            raise ValueError("mesh must contain at least one device")
-        if len(set(self.device_ids)) != len(self.device_ids):
-            raise ValueError(f"duplicate devices in mesh: {self.device_ids}")
-
-    @property
-    def size(self) -> int:
-        return len(self.device_ids)
-
-    def __iter__(self):
-        return iter(self.device_ids)
+__all__ = ["Sharding"]
 
 
 class Sharding(Enum):
-    """Layout of one logical tensor across a mesh.
+    """Layout of one logical tensor across a computation's devices.
 
     * ``REPLICATED`` — every device holds the full tensor.
     * ``SPLIT_LEADING`` — the leading axis is divided evenly across

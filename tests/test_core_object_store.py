@@ -77,29 +77,3 @@ class TestRefcounting:
         store.release(h1)
         assert store.allocations == 2 and store.frees == 1
         assert len(store) == 1
-
-
-class TestOwnerGc:
-    def test_collect_owner_frees_everything(self, store, group):
-        for _ in range(3):
-            store.allocate(100, 2, owner="failing-client", group=group)
-        store.allocate(100, 2, owner="healthy", group=group)
-        collected = store.collect_owner("failing-client")
-        assert collected == 3
-        assert len(store.live_objects("failing-client")) == 0
-        assert len(store.live_objects("healthy")) == 1
-        # HBM for the failed client's buffers was returned.
-        assert group.devices[0].hbm.used == 100
-
-    def test_collect_owner_ignores_refcounts(self, store, group):
-        handle, _ = store.allocate(100, 2, owner="c", group=group)
-        store.add_ref(handle)
-        store.add_ref(handle)
-        assert store.collect_owner("c") == 1
-        assert handle.freed
-
-    def test_live_bytes(self, store, group):
-        store.allocate(100, 2, owner="a", group=group)
-        store.allocate(50, 2, owner="b", group=group)
-        assert store.live_bytes("a") == 200
-        assert store.live_bytes() == 300

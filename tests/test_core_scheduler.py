@@ -192,9 +192,8 @@ class TestProportionalShare:
         assert burst <= 2
 
     def test_invalid_weight_rejected(self):
-        policy = ProportionalSharePolicy()
         with pytest.raises(ValueError):
-            policy.set_weight("a", 0.0)
+            ProportionalSharePolicy({"a": 0.0})
 
     def test_unknown_client_defaults_to_weight_one(self):
         policy = ProportionalSharePolicy({"known": 2.0})

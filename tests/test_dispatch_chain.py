@@ -206,7 +206,7 @@ class TestStalledChains:
         devs = system.make_virtual_device_set().add_slice(tpu_devices=2)
         step = client.wrap(scalar_allreduce_add(2, 10.0, name="step"), devices=devs)
         hbm = devs.group.devices[1].hbm
-        assert hbm.alloc(hbm.free).triggered  # held for the whole run
+        assert hbm.alloc(hbm.capacity - hbm.used).triggered  # held for the whole run
         ex = client.submit(step.solo_program, (0.0,), compute_values=False)
         with pytest.raises(DeadlockError) as info:
             system.sim.run()

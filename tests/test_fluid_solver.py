@@ -162,7 +162,7 @@ def _run_fabric_scenario(solver, ops, hosts=_HOSTS):
                 victims = fabric.take_down(link)
                 log.append(("down", link.name, victims))
             else:
-                down = fabric.down_links()
+                down = [link for link in fabric.links() if not link.up]
                 if down:
                     fabric.restore_link(down[0])
                     log.append(("restore", down[0].name))

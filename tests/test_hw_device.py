@@ -69,7 +69,7 @@ class TestHbmAllocator:
         hbm = HbmAllocator(sim, capacity_bytes=100)
         ev = hbm.alloc(60)
         assert ev.triggered
-        assert hbm.used == 60 and hbm.free == 40
+        assert hbm.used == 60 and hbm.capacity - hbm.used == 40
         hbm.free_bytes(60)
         assert hbm.used == 0
 

@@ -85,7 +85,7 @@ class TestLinkPrimitives:
         assert not link.up and link.faults == 1
         assert fabric.take_down(link) == []  # already down: no-op
         assert link.faults == 1
-        assert fabric.down_links() == [link]
+        assert [x for x in fabric.links() if not x.up] == [link]
         assert fabric.restore_link(link)
         assert link.up
         assert not fabric.restore_link(link)  # not down: no-op
@@ -394,19 +394,6 @@ class TestFaultScheduleLinks:
         with pytest.raises(ValueError):
             FaultEvent(0.0, FaultKind.HOST_CRASH, 1, link="spine")
 
-    def test_poisson_link_flaps_deterministic(self):
-        links = ["spine[p0]", "spine[p1]"]
-        a = FaultSchedule.poisson_link_flaps(5_000.0, 50_000.0, links, seed=3)
-        b = FaultSchedule.poisson_link_flaps(5_000.0, 50_000.0, links, seed=3)
-        c = FaultSchedule.poisson_link_flaps(5_000.0, 50_000.0, links, seed=4)
-        assert [e.at_us for e in a] == [e.at_us for e in b]
-        assert [e.at_us for e in a] != [e.at_us for e in c]
-        assert all(e.kind is FaultKind.LINK_DOWN and e.repair_us > 0 for e in a)
-        with pytest.raises(ValueError):
-            FaultSchedule.poisson_link_flaps(
-                5_000.0, 50_000.0, links, repair_us=0.0
-            )
-
 
 class TestInjectorAndRecovery:
     def _system(self, **overrides):
@@ -627,10 +614,8 @@ class TestPickIslandDeterminism:
         sim = Simulator()
         cluster = make_cluster(sim, TWIN, config=DEFAULT_CONFIG)
         rm = ResourceManager(sim, cluster, DEFAULT_CONFIG)
-        # Scramble registration history: island 0 re-registered last.
-        island0 = cluster.islands[0]
-        rm.remove_island(0)
-        rm.add_island(island0)
+        # Scramble registration history: island 0 registered last.
+        rm._islands = {1: rm._islands[1], 0: rm._islands[0]}
         assert list(rm._islands) == [1, 0]  # dict order is scrambled...
         group = rm.bind_slice(VirtualSlice(4))
         assert group.island.island_id == 0  # ...but the pick is not

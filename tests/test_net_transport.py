@@ -449,38 +449,6 @@ class TestContendedRouteLoss:
         assert fabric.idle and fabric.active_flows == 0
 
 
-class TestObjectStoreFetch:
-    def test_fetch_to_host_moves_shard_bytes(self, sim, contended_config):
-        system = PathwaysSystem.build(
-            ClusterSpec(islands=((2, 2), (2, 2)), name="fetch"),
-            config=contended_config,
-        )
-        sim = system.sim
-        devs = system.make_virtual_device_set().add_slice(
-            tpu_devices=4, island_id=0
-        )
-        group = devs.group  # add_slice binds eagerly
-        handle, ready = system.object_store.allocate(
-            nbytes_per_shard=1 * MB, n_shards=4, owner="t", group=group
-        )
-        dst = system.cluster.islands[1].hosts[0]
-
-        def fetcher():
-            yield ready
-            yield from system.object_store.fetch_to_host(
-                handle, dst, system.transport
-            )
-
-        proc = sim.process(fetcher())
-        sim.run_until_triggered(proc)
-        store = system.object_store
-        assert store.cross_host_fetches == 1
-        # Two source hosts each shipped their shards' bytes.
-        assert store.cross_host_bytes == 4 * MB
-        assert system.transport.messages_delivered == 2
-        assert system.cluster.fabric.idle
-
-
 def _cross_island_program(system, elems=1 << 22):
     """A two-node program whose edge crosses islands over the DCN."""
     client = system.client("tenant")
@@ -645,30 +613,6 @@ class TestReviewRegressions:
         assert msg.ok
         assert transport.messages_lost == 0
 
-    def test_fetch_skips_dst_resident_shards(self, sim, contended_config):
-        system = PathwaysSystem.build(
-            ClusterSpec(islands=((2, 2),), name="local"), config=contended_config
-        )
-        devs = system.make_virtual_device_set().add_slice(tpu_devices=4)
-        group = devs.group
-        handle, ready = system.object_store.allocate(
-            nbytes_per_shard=1 * MB, n_shards=4, owner="t", group=group
-        )
-        dst = group.devices[0].host  # shards partly resident here already
-
-        def fetcher():
-            yield ready
-            yield from system.object_store.fetch_to_host(
-                handle, dst, system.transport
-            )
-
-        proc = system.sim.process(fetcher())
-        system.sim.run_until_triggered(proc)
-        store = system.object_store
-        # Only the *other* host's shards crossed the network.
-        assert store.cross_host_bytes < 4 * MB
-        assert system.transport.loopback_messages == 0
-
 
 class TestUtilizationSnapshot:
     """The Fabric.utilization / Transport.stats snapshot API (the
@@ -751,7 +695,7 @@ class TestUtilizationSnapshot:
         assert stats.loopback_messages == 1
         assert stats.in_flight == 0
         assert stats.messages_lost == 0
-        assert 0.0 < stats.max_link_utilization <= 1.0
+        assert 0.0 < max(stats.link_utilization.values()) <= 1.0
         assert "spine" in stats.link_utilization
 
     def test_stats_track_in_flight(self, sim, contended_config):

@@ -93,7 +93,7 @@ class TestProgressTracker:
         for p in range(3):
             tracker.deliver(p, 0)
             tracker.deliver(p, 1)
-        assert tracker.is_complete(0) and tracker.is_complete(1)
+        assert tracker.shard_complete(0).triggered and tracker.shard_complete(1).triggered
         assert tracker.shard_complete(0).value == 3
 
     def test_sparse_completion_via_punctuation(self, sim):
@@ -103,23 +103,22 @@ class TestProgressTracker:
         tracker.deliver(1, 0)
         for p in (0, 2, 3):
             tracker.punctuate(p, 0)
-        assert tracker.is_complete(0)
-        assert tracker.delivered_count(0) == 1
+        assert tracker.shard_complete(0).value == 1
 
     def test_incomplete_without_punctuation(self, sim):
         tracker = ProgressTracker(sim, n_dst_shards=1, producers=2)
         tracker.deliver(0, 0)
-        assert not tracker.is_complete(0)
+        assert not tracker.shard_complete(0).triggered
 
     def test_punctuate_all(self, sim):
         tracker = ProgressTracker(sim, n_dst_shards=3, producers=2)
         tracker.punctuate_all(0)
         tracker.punctuate_all(1)
-        assert all(tracker.is_complete(s) for s in range(3))
+        assert all(tracker.shard_complete(s).triggered for s in range(3))
 
     def test_all_complete_event(self, sim):
         tracker = ProgressTracker(sim, n_dst_shards=2, producers=1)
-        combined = tracker.all_complete()
+        combined = sim.all_of([tracker.shard_complete(s) for s in range(2)])
         tracker.deliver(0, 0)
         assert not combined.triggered
         tracker.deliver(0, 1)
@@ -162,7 +161,9 @@ class TestProgressTracker:
                 tracker.punctuate(producer, shard)
             resolved[shard].add(producer)
             for s in range(n_shards):
-                assert tracker.is_complete(s) == (len(resolved[s]) == producers)
+                assert tracker.shard_complete(s).triggered == (
+                    len(resolved[s]) == producers
+                )
 
 
 class TestShardedChannel:

@@ -1196,8 +1196,9 @@ class TestDrainVsKill:
         assert handback.triggered and handback.ok
         assert elastic.handbacks == 1
         assert system.resource_manager.is_draining(1)
-        # Hand the island back: admission resumes, the trainer re-grows.
-        elastic.restore_island(1)
+        # The island's capacity returns: admission resumes, the trainer
+        # re-grows.
+        system.resource_manager.capacity_changed("preemption-end", 1)
         assert not system.resource_manager.is_draining(1)
         result = trainer.run(25)
         assert result.width_history[-1][1] == 2

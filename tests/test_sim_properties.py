@@ -54,18 +54,21 @@ def test_resource_never_exceeds_capacity(capacity, works):
 
 
 @given(
-    capacity=st.integers(min_value=1, max_value=4),
+    gap=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
     items=st.lists(st.integers(), min_size=1, max_size=30),
 )
 @settings(max_examples=60, deadline=None)
-def test_store_preserves_fifo_under_capacity(capacity, items):
+def test_store_preserves_fifo(gap, items):
+    """Items queue (gap < 1) or consumers wait (gap > 1): either way
+    they arrive in put order."""
     sim = Simulator()
-    store = Store(sim, capacity=capacity)
+    store = Store(sim)
     received = []
 
     def producer():
         for item in items:
-            yield store.put(item)
+            store.put(item)
+            yield sim.timeout(gap)
 
     def consumer():
         for _ in items:

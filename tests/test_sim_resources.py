@@ -158,15 +158,6 @@ class TestStore:
             store.put(item)
         assert [g.value for g in getters] == ["a", "b", "c"]
 
-    def test_capacity_blocks_put(self, sim):
-        store = Store(sim, capacity=1)
-        first = store.put("a")
-        second = store.put("b")
-        assert first.triggered and not second.triggered
-        assert store.get().value == "a"
-        assert second.triggered
-        assert store.get().value == "b"
-
     def test_try_get(self, sim):
         store = Store(sim)
         ok, item = store.try_get()
@@ -182,17 +173,13 @@ class TestStore:
         store.put(2)
         assert len(store) == 2
 
-    def test_invalid_capacity(self, sim):
-        with pytest.raises(ValueError):
-            Store(sim, capacity=0)
-
     def test_producer_consumer_pipeline(self, sim):
-        store = Store(sim, capacity=2)
+        store = Store(sim)
         consumed = []
 
         def producer():
             for i in range(5):
-                yield store.put(i)
+                store.put(i)
                 yield sim.timeout(1.0)
 
         def consumer():

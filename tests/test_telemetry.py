@@ -75,7 +75,8 @@ class TestHistogram:
     def test_histogram_agrees_with_function(self):
         h = Histogram()
         vals = [float(v) for v in (5, 1, 9, 3, 7, 2, 8)]
-        h.observe_many(vals)
+        for v in vals:
+            h.observe(v)
         for q in (0.0, 25.0, 50.0, 90.0, 99.0, 100.0):
             assert h.percentile(q) == percentile(vals, q)
         assert h.count == 7
@@ -154,7 +155,8 @@ class TestMetricsRegistry:
         reg.gauge("g").set(7.0)
         depth = [3]
         reg.probe("p", lambda: float(depth[0]))
-        reg.histogram("h").observe_many([1.0, 2.0, 3.0])
+        for v in (1.0, 2.0, 3.0):
+            reg.histogram("h").observe(v)
         reg.sample(10.0)
         depth[0] = 5
         reg.sample(20.0)
@@ -164,23 +166,6 @@ class TestMetricsRegistry:
         assert reg.series("h.count")[-1] == (20.0, 3.0)
         assert reg.series("h.p99")[-1] == (20.0, 3.0)
         assert reg.samples_taken == 2
-
-    def test_exports(self, tmp_path):
-        reg = MetricsRegistry()
-        reg.gauge("x").set(1.5)
-        reg.sample(5.0)
-        doc = reg.to_json()
-        assert doc["samples"] == 1
-        assert doc["series"]["x"] == [[5.0, 1.5]]
-        csv = reg.to_csv()
-        assert csv.splitlines()[0] == "time_us,metric,value"
-        assert "5.0,x,1.5" in csv
-        jpath = reg.write_json(str(tmp_path / "m.json"))
-        cpath = reg.write_csv(str(tmp_path / "m.csv"))
-        with open(jpath, encoding="utf-8") as fh:
-            assert json.load(fh) == doc
-        with open(cpath, encoding="utf-8") as fh:
-            assert fh.read() == csv
 
     def test_sampler_ticks_on_sim_time(self, sim):
         reg = MetricsRegistry()

@@ -11,7 +11,7 @@ from repro.config import DEFAULT_CONFIG
 from repro.xla.compiler import Compiler, fuse
 from repro.xla.computation import CollectiveSpec, CompiledFunction, scalar_allreduce_add
 from repro.xla.shapes import DType, TensorSpec
-from repro.xla.sharding import DeviceMesh, Sharding
+from repro.xla.sharding import Sharding
 
 
 class TestTensorSpec:
@@ -87,13 +87,6 @@ class TestSharding:
         assert Sharding.SPLIT_LEADING.resharding_bytes(spec, 2, 4) == spec.nbytes
         assert Sharding.REPLICATED.resharding_bytes(spec, 2, 4) == 2 * spec.nbytes
         assert Sharding.REPLICATED.resharding_bytes(spec, 4, 2) == 0
-
-    def test_device_mesh_validation(self):
-        with pytest.raises(ValueError):
-            DeviceMesh(())
-        with pytest.raises(ValueError):
-            DeviceMesh((1, 1))
-        assert DeviceMesh((0, 1, 2)).size == 3
 
 
 class TestCompiledFunction:
