@@ -24,7 +24,7 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Type
+from typing import Iterable, Optional
 
 __all__ = [
     "Checker",
@@ -173,12 +173,10 @@ class Rule(ast.NodeVisitor):
 class Checker:
     """Runs a rule set over files/trees and collects violations."""
 
-    def __init__(self, rules: Optional[Sequence[Type[Rule]]] = None):
-        if rules is None:
-            from repro.analysis.rules import ALL_RULES
+    def __init__(self):
+        from repro.analysis.rules import ALL_RULES
 
-            rules = ALL_RULES
-        self.rules = list(rules)
+        self.rules = list(ALL_RULES)
 
     # -- single-source entry points -------------------------------------
     def check_source(

@@ -15,7 +15,7 @@ representative-host aggregation identical to the one
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator
 
 import numpy as np
 
@@ -28,6 +28,9 @@ from repro.xla.computation import CompiledFunction
 
 __all__ = ["MultiControllerJax"]
 
+#: Steps the controller enqueues ahead of device completion.
+_MAX_IN_FLIGHT = 8
+
 
 class MultiControllerJax:
     """Multi-controller execution over one island's devices."""
@@ -37,23 +40,18 @@ class MultiControllerJax:
         sim: Simulator,
         cluster: Cluster,
         config: SystemConfig,
-        group: Optional[DeviceGroup] = None,
-        seed: int = 0,
     ):
         self.sim = sim
         self.cluster = cluster
         self.config = config
         island = cluster.islands[0]
-        if group is None:
-            group = DeviceGroup(
-                island=island,
-                devices=[island.devices[0]],
-                n_logical=island.n_devices,
-                n_hosts_logical=island.n_hosts,
-            )
-        self.group = group
-        self.rng = np.random.default_rng(seed)
-        self.steps_run = 0
+        self.group = DeviceGroup(
+            island=island,
+            devices=[island.devices[0]],
+            n_logical=island.n_devices,
+            n_hosts_logical=island.n_hosts,
+        )
+        self.rng = np.random.default_rng(0)
 
     # -- dispatch cost model --------------------------------------------------
     def dispatch_overhead_us(self) -> float:
@@ -77,19 +75,13 @@ class MultiControllerJax:
         return compute + coll
 
     # -- driver processes -------------------------------------------------
-    def run_steps(
-        self,
-        fn: CompiledFunction,
-        n_steps: int,
-        value: Optional[np.ndarray] = None,
-        max_in_flight: int = 8,
-    ) -> Generator:
+    def run_steps(self, fn: CompiledFunction, n_steps: int) -> Generator:
         """Simulate ``n_steps`` back-to-back executions of ``fn``.
 
         Asynchronous dispatch (Appendix A.2): the controller enqueues up
-        to ``max_in_flight`` steps ahead of device completion, so small
+        to ``_MAX_IN_FLIGHT`` steps ahead of device completion, so small
         dispatch overheads are masked whenever device time dominates.
-        Yields from a simulation process; returns the final logical value.
+        Yields from a simulation process.
         """
         cfg = self.config
         in_flight: list[Event] = []
@@ -121,30 +113,17 @@ class MultiControllerJax:
             for d, k in zip(self.group.devices, kernels):
                 d.enqueue(k)
             in_flight.append(self.sim.all_of([k.done for k in kernels]))
-            if len(in_flight) >= max_in_flight:
+            if len(in_flight) >= _MAX_IN_FLIGHT:
                 yield in_flight.pop(0)
-            self.steps_run += 1
         for ev in in_flight:
             yield ev
-        if value is not None and fn.fn is not None:
-            out = np.asarray(value)
-            for _ in range(n_steps):
-                out = fn.execute(out)[0]
-            return out
-        return None
 
     # -- closed-form throughput (cross-checked against simulation in tests) --
-    def expected_throughput(self, fn: CompiledFunction, fused_len: int = 1) -> float:
-        """Computations/second in steady state, analytically.
-
-        ``fused_len`` > 1 models the Fused variant: one dispatch per
-        ``fused_len`` computations compiled into a single kernel.
-        """
+    def expected_throughput(self, fn: CompiledFunction) -> float:
+        """Computations/second in steady state, analytically."""
         n = max(1, self.group.n_hosts_logical)
         sigma = self.config.jax_straggler_sigma_us
         # E[max of n Exp(sigma)] = sigma * H_n.
         harmonic = sum(1.0 / k for k in range(1, n + 1))
         dispatch = self.config.python_dispatch_us + sigma * harmonic
-        device = fused_len * self.device_time_us(fn)
-        step_us = max(dispatch, device)
-        return fused_len / step_us * 1e6
+        return 1e6 / max(dispatch, self.device_time_us(fn))

@@ -18,7 +18,7 @@ constants in :class:`repro.config.SystemConfig` encode.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator
 
 from repro.config import SystemConfig
 from repro.core.placement import DeviceGroup
@@ -46,21 +46,17 @@ class RayLikeRuntime:
         sim: Simulator,
         cluster: Cluster,
         config: SystemConfig,
-        group: Optional[DeviceGroup] = None,
     ):
         self.sim = sim
         self.cluster = cluster
         self.config = config
         island = cluster.islands[0]
-        if group is None:
-            group = DeviceGroup(
-                island=island,
-                devices=[island.devices[0]],
-                n_logical=island.n_devices,
-                n_hosts_logical=island.n_hosts,
-            )
-        self.group = group
-        self.actor_calls = 0
+        self.group = DeviceGroup(
+            island=island,
+            devices=[island.devices[0]],
+            n_logical=island.n_devices,
+            n_hosts_logical=island.n_hosts,
+        )
 
     # -- cost components -----------------------------------------------------
     def device_time_us(self, fn: CompiledFunction) -> float:
@@ -98,7 +94,6 @@ class RayLikeRuntime:
             yield kernel.done
             yield self.sim.timeout(self.store_put_us(fn.out_specs[0].nbytes))
             yield self.sim.timeout(_RAY_GET_US)
-            self.actor_calls += 1
 
     def run_chained(self, fn: CompiledFunction, chain_len: int, n_calls: int) -> Generator:
         """Chained actor methods passing object refs: the next method in
@@ -113,8 +108,7 @@ class RayLikeRuntime:
                 dev.enqueue(kernel)
                 yield kernel.done
                 yield self.sim.timeout(self.store_put_us(fn.out_specs[0].nbytes))
-                self.actor_calls += 1
-
+    
     def run_fused(self, fn: CompiledFunction, chain_len: int, n_calls: int) -> Generator:
         """One actor method loops over the chain internally."""
         dev = self.group.devices[0]
@@ -126,10 +120,11 @@ class RayLikeRuntime:
                 dev.enqueue(kernel)
                 yield kernel.done
             yield self.sim.timeout(self.store_put_us(fn.out_specs[0].nbytes))
-            self.actor_calls += 1
 
     # -- closed form -------------------------------------------------------
-    def expected_throughput(self, fn: CompiledFunction, variant: str, chain_len: int = 128) -> float:
+    def expected_throughput(self, fn: CompiledFunction, variant: str) -> float:
+        """Computations/second of ``variant``; Fused runs the paper's
+        128-computation chain per call."""
         dev = self.device_time_us(fn)
         put = self.store_put_us(fn.out_specs[0].nbytes)
         call = self.config.ray_actor_call_us
@@ -138,6 +133,6 @@ class RayLikeRuntime:
         if variant == "chained":
             return 1e6 / (call + dev + put)
         if variant == "fused":
-            per_call = call + put + chain_len * (_FUSED_LOOP_US + dev)
-            return chain_len * 1e6 / per_call
+            per_call = call + put + 128 * (_FUSED_LOOP_US + dev)
+            return 128 * 1e6 / per_call
         raise ValueError(f"unknown variant {variant!r}")

@@ -18,7 +18,7 @@ structure (what is paid per-op vs. amortized) is what Figure 5 tests.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator
 
 from repro.config import SystemConfig
 from repro.core.placement import DeviceGroup
@@ -38,23 +38,19 @@ class TfOneRuntime:
         sim: Simulator,
         cluster: Cluster,
         config: SystemConfig,
-        group: Optional[DeviceGroup] = None,
     ):
         self.sim = sim
         self.cluster = cluster
         self.config = config
         island = cluster.islands[0]
-        if group is None:
-            group = DeviceGroup(
-                island=island,
-                devices=[island.devices[0]],
-                n_logical=island.n_devices,
-                n_hosts_logical=island.n_hosts,
-            )
-        self.group = group
+        self.group = DeviceGroup(
+            island=island,
+            devices=[island.devices[0]],
+            n_logical=island.n_devices,
+            n_hosts_logical=island.n_hosts,
+        )
         #: Fetches ride the shared cross-host transport's cost model.
         self.transport = cluster.transport
-        self.session_runs = 0
 
     # -- cost components ---------------------------------------------------
     def graph_serialization_us(self, n_nodes: int) -> float:
@@ -104,7 +100,6 @@ class TfOneRuntime:
             dev.enqueue(kernel)
             yield kernel.done
             yield self.sim.timeout(self.fetch_us(fn.out_specs[0].nbytes))
-            self.session_runs += 1
 
     def run_chained(self, fn: CompiledFunction, chain_len: int, n_calls: int) -> Generator:
         """One ``session.run`` executes a chain; graph cost amortized,
@@ -118,13 +113,11 @@ class TfOneRuntime:
                 dev.enqueue(kernel)
                 yield kernel.done
             yield self.sim.timeout(self.fetch_us(fn.out_specs[0].nbytes))
-            self.session_runs += 1
 
     # -- closed form ----------------------------------------------------------
-    def expected_throughput(self, fn: CompiledFunction, chain_len: int = 1) -> float:
-        """Computations/second, for cross-checking the simulation."""
-        per_call = self.graph_serialization_us(chain_len) + self.fetch_us(
+    def expected_throughput(self, fn: CompiledFunction) -> float:
+        """OpByOp computations/second, for cross-checking the simulation."""
+        per_call = self.graph_serialization_us(1) + self.fetch_us(
             fn.out_specs[0].nbytes
         )
-        per_node = self.barrier_us() + self.device_time_us(fn)
-        return chain_len / (per_call + chain_len * per_node) * 1e6
+        return 1e6 / (per_call + self.barrier_us() + self.device_time_us(fn))

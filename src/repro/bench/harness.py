@@ -60,23 +60,23 @@ def smoke_trim(values: Sequence, keep: int = 3) -> list:
 
 
 def geometric_range(
-    start: int, stop: int, factor: int = 2, smoke_stop: Optional[int] = None
+    start: int, stop: int, smoke_stop: Optional[int] = None
 ) -> list[int]:
-    """[start, start*factor, ...] up to and including stop.
+    """[start, start*2, start*4, ...] up to and including stop.
 
     In smoke mode the range ends at ``smoke_stop`` instead (default:
-    ``start * factor``, i.e. two points), shrinking CI sweeps while
-    keeping the sweep structure intact.
+    ``start * 2``, i.e. two points), shrinking CI sweeps while keeping
+    the sweep structure intact.
     """
-    if start < 1 or factor < 2:
-        raise ValueError("start >= 1 and factor >= 2 required")
+    if start < 1:
+        raise ValueError("start >= 1 required")
     if smoke_mode():
-        stop = min(stop, smoke_stop if smoke_stop is not None else start * factor)
+        stop = min(stop, smoke_stop if smoke_stop is not None else start * 2)
     out = []
     v = start
     while v <= stop:
         out.append(v)
-        v *= factor
+        v *= 2
     return out
 
 

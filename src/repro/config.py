@@ -27,7 +27,6 @@ Sources for the defaults:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
 __all__ = ["SystemConfig", "DEFAULT_CONFIG"]
 
@@ -55,8 +54,6 @@ class SystemConfig:
     #: (processor sharing — concurrent flows split the link bandwidth)
     #: is accepted; ``Fabric`` rejects any other value.
     net_link_sharing: str = "fair"
-    #: Receiver-NIC ingress bandwidth; None mirrors the egress NIC.
-    net_rx_bandwidth_gbps: Optional[float] = None
     #: Shared island uplink to the spine (all the island's cross-island
     #: traffic contends here — the bottleneck the congestion bench
     #: saturates).
@@ -77,15 +74,12 @@ class SystemConfig:
     #: every spine path down) waits parked for a link restore before it
     #: is failed with ``MessageLost`` (0 = park forever).
     net_park_deadline_us: float = 1_000_000.0
-    #: Default in-flight message timeout (0 = no timeout).  Reliable
-    #: sends retransmit after this long without a delivery.
-    net_message_timeout_us: float = 0.0
     #: Backoff between retransmit attempts of a reliable send.
     net_retransmit_backoff_us: float = 500.0
     #: How much per-link busy history the fabric keeps for the
     #: :meth:`repro.net.Fabric.utilization` sliding window — the signal
-    #: the serving autoscaler (and, later, congestion-aware placement)
-    #: reads.  Queries may use any window up to this long.
+    #: serving replica placement (and, later, congestion-aware placement)
+    #: reads.
     net_util_window_us: float = 100_000.0
 
     # --- Inter-chip interconnect (ICI) ----------------------------------
@@ -140,13 +134,6 @@ class SystemConfig:
     @property
     def ici_bytes_per_us(self) -> float:
         return self.ici_bandwidth_gbps * 1e9 / 1e6
-
-    @property
-    def net_rx_bytes_per_us(self) -> float:
-        gbps = self.net_rx_bandwidth_gbps
-        if gbps is None:
-            gbps = self.dcn_bandwidth_gbps
-        return gbps * 1e9 / 1e6
 
     @property
     def net_island_uplink_bytes_per_us(self) -> float:

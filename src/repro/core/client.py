@@ -65,10 +65,10 @@ class PwCallable:
 class TracedProgram:
     """A user function traced into a :class:`PathwaysProgram` (per arg shapes)."""
 
-    def __init__(self, client: "PathwaysClient", user_fn: Callable, name: str = ""):
+    def __init__(self, client: "PathwaysClient", user_fn: Callable):
         self.client = client
         self.user_fn = user_fn
-        self.name = name or getattr(user_fn, "__name__", "program")
+        self.name = getattr(user_fn, "__name__", "program")
         self._cache: dict[tuple, PathwaysProgram] = {}
 
     def trace(self, *args: np.ndarray) -> PathwaysProgram:
@@ -94,14 +94,12 @@ class TracedProgram:
 class PathwaysClient:
     """One tenant of a :class:`~repro.core.system.PathwaysSystem`."""
 
-    def __init__(self, system, name: str = "client", weight: float = 1.0):
+    def __init__(self, system, name: str = "client"):
         self.system = system
         self.name = name
-        self.weight = weight
         #: The client's serial controller thread.
         self.controller = Resource(system.sim, capacity=1, name=f"controller[{name}]")
         self._lowered: dict[int, LowLevelProgram] = {}
-        self.programs_submitted = 0
         #: Typed rejection accounting: executions (counted once each)
         #: that lost a gang to the scheduler's deadline-eviction path
         #: (:class:`~repro.core.scheduler.DeadlineExceeded`).  Callers
@@ -140,13 +138,13 @@ class PathwaysClient:
         duration_us: float,
         spec: TensorSpec,
         name: str = "",
-        out_spec: Optional[TensorSpec] = None,
     ) -> PwCallable:
-        """Convenience: wrap a unary numpy lambda as a compiled function."""
+        """Convenience: wrap a unary, shape-preserving numpy lambda as a
+        compiled function."""
         fn = CompiledFunction(
             name=name or getattr(py_fn, "__name__", "fn"),
             in_specs=(spec,),
-            out_specs=(out_spec if out_spec is not None else spec,),
+            out_specs=(spec,),
             fn=lambda x: (np.asarray(py_fn(x), dtype=np.asarray(x).dtype),),
             n_shards=devices.n_devices,
             duration_us=duration_us,
@@ -215,7 +213,6 @@ class PathwaysClient:
             deadline_us=deadline_us,
         )
         execution.start()
-        self.programs_submitted += 1
         return execution
 
     def run_and_wait(self, program: PathwaysProgram, args: Sequence[np.ndarray]):
@@ -234,21 +231,19 @@ class PathwaysClient:
         program: PathwaysProgram,
         args: Sequence[np.ndarray],
         n_iters: int,
-        mode: Optional[DispatchMode] = None,
-        release: bool = True,
     ):
         """Generator process: submit one execution at a time, waiting for
-        the enqueue + output handles before the next (OpByOp semantics)."""
+        the enqueue + output handles before the next (OpByOp semantics).
+        Each execution's results are released once it is done."""
         sim = self.system.sim
         cfg = self.system.config
         for _ in range(n_iters):
-            execution = self.submit(program, args, mode=mode, compute_values=False)
+            execution = self.submit(program, args, compute_values=False)
             # Client <-> controller handle round trip.
             yield execution.handles_ready
             yield sim.timeout(2 * cfg.dcn_latency_us)
             yield execution.done
-            if release:
-                execution.release_results()
+            execution.release_results()
 
     def drive_pipelined(
         self,
@@ -257,10 +252,10 @@ class PathwaysClient:
         n_iters: int,
         max_in_flight: int = 8,
         mode: Optional[DispatchMode] = None,
-        release: bool = True,
     ):
         """Generator process: keep up to ``max_in_flight`` executions live
-        (idiomatic asynchronous-dispatch usage)."""
+        (idiomatic asynchronous-dispatch usage), releasing each one's
+        results once it is done."""
         in_flight: list[ProgramExecution] = []
         for _ in range(n_iters):
             execution = self.submit(program, args, mode=mode, compute_values=False)
@@ -268,12 +263,10 @@ class PathwaysClient:
             if len(in_flight) >= max_in_flight:
                 oldest = in_flight.pop(0)
                 yield oldest.done
-                if release:
-                    oldest.release_results()
+                oldest.release_results()
         for execution in in_flight:
             yield execution.done
-            if release:
-                execution.release_results()
+            execution.release_results()
 
     # -- internal helpers ------------------------------------------------------
     def _single_node_program(

@@ -52,6 +52,14 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["DispatchMode", "ExecutionAbandoned", "ProgramExecution"]
 
+#: Resource-manager work per slice remap during a loss recovery.
+REMAP_US = 200.0
+#: Wait between remap attempts while no healthy capacity exists (e.g.
+#: during an island preemption).
+RETRY_BACKOFF_US = 5_000.0
+#: Remap attempts before a recovery gives the slice up as unplaceable.
+MAX_REMAP_ATTEMPTS = 10_000
+
 
 class ExecutionAbandoned(RuntimeError):
     """A retrying execution ran out of attempts (or had no recovery)."""
@@ -60,7 +68,6 @@ class ExecutionAbandoned(RuntimeError):
         super().__init__(
             f"execution {name} abandoned after {attempts} attempt(s): {cause!r}"
         )
-        self.execution_name = name
         self.attempts = attempts
         self.cause = cause
 
@@ -156,7 +163,6 @@ class ProgramExecution:
                 self.config,
                 system.object_store,
                 node,
-                owner=client.name,
                 program=low.name,
             )
 
@@ -514,7 +520,6 @@ class ProgramExecution:
                 self.config,
                 self.system.object_store,
                 node,
-                owner=self.client.name,
                 program=self.low.name,
             )
             self._completed_at.pop(node.node_id, None)
@@ -617,7 +622,7 @@ class _Recovery:
        nodes keep their results.
 
     A fresh fault or a fatal error while remapping (no healthy capacity
-    after ``max_remap_attempts`` backoffs) goes back through the attempt
+    after ``MAX_REMAP_ATTEMPTS`` backoffs) goes back through the attempt
     budget.  The execution stays in the live-chain registry throughout.
     """
 
@@ -677,28 +682,24 @@ class _Recovery:
         self.relower()
 
     def rebind(self, ev: Optional[Event] = None) -> None:
-        recovery = self.recovery
         sim = self.execution.sim
         try:
             self.execution.system.resource_manager.rebind_slice(self.vslice)
         except RuntimeError:
             self.attempts += 1
-            if self.attempts >= recovery.max_remap_attempts:
+            if self.attempts >= MAX_REMAP_ATTEMPTS:
                 self.failed(RuntimeError(
                     f"slice {self.vslice.slice_id}: no healthy capacity after "
                     f"{self.attempts} remap attempts"
                 ))
             else:
-                sim.timeout(recovery.retry_backoff_us).add_callback(self.rebind)
+                sim.timeout(RETRY_BACKOFF_US).add_callback(self.rebind)
             return
         except Exception as exc:  # noqa: BLE001 - fatal: abandon
             self.failed(exc)
             return
-        recovery.remaps += 1
-        if recovery.remap_us > 0:
-            sim.timeout(recovery.remap_us).add_callback(self.next_slice)
-        else:
-            self.next_slice()
+        self.recovery.remaps += 1
+        sim.timeout(REMAP_US).add_callback(self.next_slice)
 
     def failed(self, exc: BaseException) -> None:
         execution = self.execution
@@ -920,6 +921,5 @@ def _placeholder_handle(node_id: int) -> ObjectHandle:
         nbytes_per_shard=0,
         n_shards=1,
         space=MemorySpace.HOST_DRAM,
-        owner="placeholder",
         freed=True,
     )

@@ -46,15 +46,14 @@ class NodeExecutor:
         config: SystemConfig,
         store: ShardedObjectStore,
         node: LowLevelNode,
-        owner: str,
-        program: str = "",
+        program: str,
     ):
         self.sim = sim
         self.config = config
         self.store = store
         self.node = node
-        self.owner = owner
-        self.program = program or owner
+        #: The program label every kernel of the node carries.
+        self.program = program
         self.output_handle: Optional[ObjectHandle] = None
         #: True once every host prep and the output allocation landed
         #: (replay reads it to decide whether the buffer is this node's).
@@ -90,7 +89,6 @@ class NodeExecutor:
         handle, alloc_ready = self.store.allocate(
             nbytes_per_shard=fn.output_nbytes_per_shard(),
             n_shards=group.n_logical,
-            owner=self.owner,
             group=group,
             space=MemorySpace.HBM,
         )

@@ -22,11 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
 
 from repro.core.placement import DeviceGroup
 from repro.core.program import PathwaysProgram
-from repro.core.virtual_device import VirtualSlice
 from repro.xla.computation import CompiledFunction
 from repro.xla.sharding import Sharding
 
@@ -121,22 +119,16 @@ def _edge_bytes(src_fn: CompiledFunction, out_index: int) -> int:
     return spec.nbytes
 
 
-def lower(
-    program: PathwaysProgram,
-    default_slice: Optional[VirtualSlice] = None,
-) -> LowLevelProgram:
+def lower(program: PathwaysProgram) -> LowLevelProgram:
     """Run all lowering passes over a traced program."""
     graph = program.graph
 
     # Pass 1: placements -> device groups.
     groups: dict[int, DeviceGroup] = {}
     for node in graph.compute_nodes():
-        vslice = program.placements.get(node.node_id, default_slice)
+        vslice = program.placements.get(node.node_id)
         if vslice is None:
-            raise ValueError(
-                f"{program.name}: node {node.label} has no placement and no "
-                "default slice was provided"
-            )
+            raise ValueError(f"{program.name}: node {node.label} has no placement")
         groups[node.node_id] = vslice.group
 
     # Pass 2: transfers.

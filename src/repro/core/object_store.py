@@ -2,9 +2,8 @@
 
 Each host manages objects whose shards may live in accelerator HBM or in
 host DRAM.  Clients and servers refer to objects by opaque handles, so
-the system can migrate buffers.  Objects carry an owner label (the
-client or program that made them), reference counts for lifetime
-management, and their HBM reservations create back-pressure:
+the system can migrate buffers.  Objects carry reference counts for
+lifetime management, and their HBM reservations create back-pressure:
 a computation that cannot allocate output buffers stalls until space
 frees up.
 
@@ -45,7 +44,6 @@ class ObjectHandle:
     nbytes_per_shard: int
     n_shards: int
     space: MemorySpace
-    owner: str  # client/program label, for failure GC
     group: Optional[DeviceGroup] = None
     value: Optional[np.ndarray] = None  # logical value, once produced
     refcount: int = 1
@@ -84,7 +82,6 @@ class ShardedObjectStore:
         self,
         nbytes_per_shard: int,
         n_shards: int,
-        owner: str,
         group: Optional[DeviceGroup] = None,
         space: MemorySpace = MemorySpace.HBM,
     ) -> tuple[ObjectHandle, Event]:
@@ -99,7 +96,6 @@ class ShardedObjectStore:
             nbytes_per_shard=nbytes_per_shard,
             n_shards=n_shards,
             space=space,
-            owner=owner,
             group=group,
         )
         self._objects[handle.object_id] = handle

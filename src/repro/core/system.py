@@ -181,12 +181,15 @@ class PathwaysSystem:
     def make_virtual_device_set(self) -> VirtualDeviceSet:
         return VirtualDeviceSet(self.resource_manager)
 
-    def client(self, name: str = "client", weight: float = 1.0) -> "PathwaysClient":
+    def client(self, name: str = "client") -> "PathwaysClient":
+        """The client named ``name``, created on first use.  Scheduling
+        weights live in the policy
+        (:class:`~repro.core.scheduler.ProportionalSharePolicy`)."""
         from repro.core.client import PathwaysClient
 
         if name in self._clients:
             return self._clients[name]
-        client = PathwaysClient(self, name=name, weight=weight)
+        client = PathwaysClient(self, name=name)
         self._clients[name] = client
         return client
 

@@ -1,9 +1,10 @@
 """Virtual devices and slices (paper §4.1, Figure 2).
 
-Clients ask for "virtual slices" with shape/locality constraints; the
-resource manager later binds each slice to physical devices.  The layer
-of indirection is the hook for future suspend/resume and migration: user
-programs name virtual devices, never physical ones.
+Clients ask for "virtual slices" of a size, optionally pinned to an
+island; the resource manager later binds each slice to physical
+devices.  The layer of indirection is the hook for future
+suspend/resume and migration: user programs name virtual devices, never
+physical ones.
 """
 
 from __future__ import annotations
@@ -37,22 +38,12 @@ class VirtualDevice:
 class VirtualSlice:
     """A requested set of virtual devices, bindable to physical ones."""
 
-    def __init__(
-        self,
-        n_devices: int,
-        island_id: Optional[int] = None,
-        mesh_shape: Optional[tuple[int, int]] = None,
-    ):
+    def __init__(self, n_devices: int, island_id: Optional[int] = None):
         if n_devices < 1:
             raise ValueError(f"slice needs >= 1 device, got {n_devices}")
-        if mesh_shape is not None and mesh_shape[0] * mesh_shape[1] != n_devices:
-            raise ValueError(
-                f"mesh shape {mesh_shape} does not cover {n_devices} devices"
-            )
         self.slice_id = next(_slice_ids)
         self.n_devices = n_devices
         self.island_id = island_id
-        self.mesh_shape = mesh_shape
         self.tpus = tuple(VirtualDevice(self.slice_id, i) for i in range(n_devices))
         self._group: Optional[DeviceGroup] = None
         #: Bumped on every (re)bind; lowering caches key on it so a
@@ -124,13 +115,10 @@ class VirtualDeviceSet:
         self.slices: list[VirtualSlice] = []
 
     def add_slice(
-        self,
-        tpu_devices: int,
-        island_id: Optional[int] = None,
-        mesh_shape: Optional[tuple[int, int]] = None,
+        self, tpu_devices: int, island_id: Optional[int] = None
     ) -> VirtualSlice:
         """Request (and eagerly bind) a slice of ``tpu_devices`` TPUs."""
-        vslice = VirtualSlice(tpu_devices, island_id=island_id, mesh_shape=mesh_shape)
+        vslice = VirtualSlice(tpu_devices, island_id=island_id)
         self._rm.bind_slice(vslice)
         self.slices.append(vslice)
         return vslice

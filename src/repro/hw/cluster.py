@@ -40,9 +40,9 @@ class ClusterSpec:
         return sum(h * d for h, d in self.islands)
 
 
-def config_a(n_hosts: int = 512) -> ClusterSpec:
-    """Paper configuration A: 4 TPUs per host, single island."""
-    return ClusterSpec(islands=((n_hosts, 4),), name=f"A[{n_hosts}h]")
+def config_a() -> ClusterSpec:
+    """Paper configuration A: 512 hosts of 4 TPUs, single island."""
+    return ClusterSpec(islands=((512, 4),), name="A[512h]")
 
 
 def config_b(n_hosts: int = 64) -> ClusterSpec:

@@ -165,23 +165,20 @@ class HbmAllocator:
         if self._waiters:
             self._grant_scan()
 
-    def cancel(self, ev: Event, cause: Optional[BaseException] = None) -> bool:
+    def cancel(self, ev: Event) -> bool:
         """Remove one queued waiter and re-run the FIFO grant scan.
 
         Without cancellation, a prep blocked on a failed device's grant
         stalls its retry loop forever — and a cancelled head-of-queue
-        request would keep blocking every waiter behind it.  ``cause``
-        (when given) fails the waiter's event so its owner observes the
-        loss; otherwise the event is silently abandoned (the caller
-        already observed a failure elsewhere).  Returns False when the
-        event is not a queued waiter (already granted, or unknown).
+        request would keep blocking every waiter behind it.  The event
+        is silently abandoned (the caller already observed a failure
+        elsewhere).  Returns False when the event is not a queued waiter
+        (already granted, or unknown).
         """
         for i, (waiter, _) in enumerate(self._waiters):
             if waiter is ev:
                 del self._waiters[i]
                 self.cancellations += 1
-                if cause is not None and not ev.triggered:
-                    ev.fail(cause)
                 self._grant_scan()
                 return True
         return False
@@ -724,13 +721,13 @@ class Device(Lane):
         device_id: int,
         island_id: int,
         coords: tuple[int, int],
-        host: Optional["Host"] = None,
     ):
         super().__init__(sim, config, (self,))
         self.device_id = device_id
         self.island_id = island_id
         self.coords = coords
-        self.host = host
+        #: Set by :meth:`Host.attach`.
+        self.host: Optional["Host"] = None
         self.hbm = HbmAllocator(
             sim,
             config.hbm_bytes,

@@ -184,7 +184,7 @@ class Host(HostLane):
             self._lane._split()
         return self._cpu
 
-    def crash(self, reason: str = "host crash") -> None:
+    def crash(self) -> None:
         """Take the host down: every attached device fails, and the CPU
         becomes unavailable — queued acquisitions and in-flight prep work
         fail fast with :class:`HostFailure`."""
@@ -194,8 +194,8 @@ class Host(HostLane):
             self._lane._split()
         self.failed = True
         for device in self.devices:
-            device.fail(reason)
-        cause = HostFailure(self.host_id, reason)
+            device.fail("host crash")
+        cause = HostFailure(self.host_id)
         # Queued CPU waiters first (they would otherwise be granted a
         # slot on the dead CPU), then in-flight holders.
         self._cpu.fail_waiters(cause)

@@ -2,8 +2,8 @@
 
 An *island* is a set of hosts whose devices share an ICI interconnect
 (one TPU pod or slice).  Islands are connected to each other only via
-DCN.  Devices within an island are arranged on a 2-D mesh; virtual-slice
-requests (paper §4.1) ask for contiguous sub-meshes of specific shapes.
+DCN.  Devices within an island are arranged on a 2-D mesh, which gives
+each device its ``coords``.
 """
 
 from __future__ import annotations
@@ -76,7 +76,6 @@ class Island:
         #: lazily applied transitions (None without one).
         self._fault_clock = None
         mesh = Mesh.near_square(n_hosts * devices_per_host)
-        self.mesh = mesh
         #: One byte per device, in device order: 1 while it is up (set by
         #: every device transition).
         self._up = bytearray(mesh.size)

@@ -32,6 +32,9 @@ __all__ = [
     "ElasticRunResult",
 ]
 
+#: How long the elastic trainer takes to notice a replica lost mid-step.
+_DETECTION_US = 1_000.0
+
 
 @dataclass
 class DataParallelResult:
@@ -293,11 +296,6 @@ class ElasticDataParallelTrainer:
         efficiency: float,
         checkpoint,
         n_chunks: int = 4,
-        islands: Optional[list[int]] = None,
-        max_width: Optional[int] = None,
-        detection_us: float = 1_000.0,
-        nominal_params: Optional[int] = None,
-        name: str = "edp",
     ):
         if n_chunks < 1:
             raise ValueError("need >= 1 gradient chunk")
@@ -312,10 +310,8 @@ class ElasticDataParallelTrainer:
         self.efficiency = efficiency
         self.ckpt = checkpoint
         self.n_chunks = n_chunks
-        self.max_width = max_width
-        self.detection_us = detection_us
-        self.params = nominal_params if nominal_params is not None else model.params
-        self.name = name
+        self.params = model.params
+        self.name = "edp"
         #: Set by ElasticController.register().
         self.elastic = None
 
@@ -340,19 +336,14 @@ class ElasticDataParallelTrainer:
         self.step_log: list[tuple[int, int]] = []
 
         rm = system.resource_manager
-        wanted = islands if islands is not None else [
-            isl.island_id
-            for isl in rm.islands
-            if isl.n_healthy >= devices_per_replica
-            and not rm.is_draining(isl.island_id)
-        ]
-        for island_id in wanted:
-            if self.max_width is not None and len(self.replicas) >= self.max_width:
-                break
-            self.replicas.append(self._make_replica(island_id))
+        for isl in rm.islands:
+            if isl.n_healthy >= devices_per_replica and not rm.is_draining(
+                isl.island_id
+            ):
+                self.replicas.append(self._make_replica(isl.island_id))
         if not self.replicas:
             raise RuntimeError(
-                f"{name}: no island can host a replica of "
+                f"{self.name}: no island can host a replica of "
                 f"{devices_per_replica} devices"
             )
 
@@ -468,8 +459,6 @@ class ElasticDataParallelTrainer:
                 self.elastic.vacated(island_id)
         for island_id in sorted(self.pending_grow):
             self.pending_grow.discard(island_id)
-            if self.max_width is not None and len(self.replicas) >= self.max_width:
-                continue
             if any(r.island_id == island_id for r in self.replicas):
                 continue
             if rm.is_draining(island_id):
@@ -617,8 +606,7 @@ class ElasticDataParallelTrainer:
         """A replica died mid-step: drop dead replicas, roll back."""
         self.losses += 1
         rm = self.system.resource_manager
-        if self.detection_us > 0:
-            yield self.sim.timeout(self.detection_us)
+        yield self.sim.timeout(_DETECTION_US)
         survivors = []
         for replica in self.replicas:
             draining = rm.is_draining(replica.island_id)

@@ -29,6 +29,14 @@ from repro.xla.shapes import DType, TensorSpec
 
 __all__ = ["MoeLayerBuilder", "MoeResult"]
 
+#: Cores per expert group and for the router (and combine) group.
+_CORES_PER_EXPERT = 2
+_ROUTER_CORES = 2
+#: Expert capacity over an even split of the batch's tokens.
+_CAPACITY_FACTOR = 1.25
+#: Achieved fraction of peak FLOPs for every MoE computation.
+_EFFICIENCY = 0.4
+
 
 @dataclass
 class MoeResult:
@@ -47,31 +55,21 @@ class MoeLayerBuilder:
         batch_tokens: int,
         d_model: int,
         d_expert: int,
-        cores_per_expert: int = 2,
-        router_cores: int = 2,
-        capacity_factor: float = 1.25,
-        efficiency: float = 0.4,
     ):
         if n_experts < 1:
             raise ValueError("need at least one expert")
-        if capacity_factor <= 0:
-            raise ValueError("capacity factor must be positive")
         self.system = system
         self.n_experts = n_experts
         self.batch_tokens = batch_tokens
         self.d_model = d_model
         self.d_expert = d_expert
-        self.cores_per_expert = cores_per_expert
-        self.router_cores = router_cores
-        self.capacity_factor = capacity_factor
-        self.efficiency = efficiency
         self._program: Optional[PathwaysProgram] = None
 
     # -- cost model -----------------------------------------------------
     @property
     def tokens_per_expert(self) -> int:
         """Expert capacity: even split inflated by the capacity factor."""
-        return int(self.batch_tokens / self.n_experts * self.capacity_factor)
+        return int(self.batch_tokens / self.n_experts * _CAPACITY_FACTOR)
 
     def _router_fn(self) -> CompiledFunction:
         spec = TensorSpec((self.batch_tokens, self.d_model), DType.BF16)
@@ -81,9 +79,9 @@ class MoeLayerBuilder:
             "moe_router",
             (spec,), (spec,),
             fn=None,
-            n_shards=self.router_cores,
-            flops_per_shard=flops / self.router_cores,
-            efficiency=self.efficiency,
+            n_shards=_ROUTER_CORES,
+            flops_per_shard=flops / _ROUTER_CORES,
+            efficiency=_EFFICIENCY,
         )
 
     def _expert_fn(self, e: int) -> CompiledFunction:
@@ -95,9 +93,9 @@ class MoeLayerBuilder:
             f"moe_expert{e}",
             (in_spec,), (in_spec,),
             fn=None,
-            n_shards=self.cores_per_expert,
-            flops_per_shard=flops / self.cores_per_expert,
-            efficiency=self.efficiency,
+            n_shards=_CORES_PER_EXPERT,
+            flops_per_shard=flops / _CORES_PER_EXPERT,
+            efficiency=_EFFICIENCY,
         )
 
     def _combine_fn(self) -> CompiledFunction:
@@ -108,9 +106,9 @@ class MoeLayerBuilder:
             tuple(in_spec for _ in range(self.n_experts)),
             (spec,),
             fn=None,
-            n_shards=self.router_cores,
-            flops_per_shard=2.0 * self.batch_tokens * self.d_model / self.router_cores,
-            efficiency=self.efficiency,
+            n_shards=_ROUTER_CORES,
+            flops_per_shard=2.0 * self.batch_tokens * self.d_model / _ROUTER_CORES,
+            efficiency=_EFFICIENCY,
         )
 
     # -- program construction -------------------------------------------
@@ -121,9 +119,9 @@ class MoeLayerBuilder:
         placements: dict[int, VirtualSlice] = {}
         mk = self.system.make_virtual_device_set
 
-        router_slice = mk().add_slice(tpu_devices=self.router_cores)
+        router_slice = mk().add_slice(tpu_devices=_ROUTER_CORES)
         expert_slices = [
-            mk().add_slice(tpu_devices=self.cores_per_expert)
+            mk().add_slice(tpu_devices=_CORES_PER_EXPERT)
             for _ in range(self.n_experts)
         ]
 

@@ -74,11 +74,11 @@ class SpmdTrainer:
     def step_flops(self) -> float:
         return 6.0 * self.params * self.batch_tokens
 
-    def step_computation(self, name: str = "") -> CompiledFunction:
+    def step_computation(self) -> CompiledFunction:
         """One training step as a single sharded compiled function."""
         out_spec = TensorSpec.scalar()  # the loss
         return CompiledFunction(
-            name=name or f"spmd_step[{self.model.name}x{self.n_devices}]",
+            name=f"spmd_step[{self.model.name}x{self.n_devices}]",
             in_specs=(out_spec,),
             out_specs=(out_spec,),
             fn=None,

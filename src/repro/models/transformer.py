@@ -79,9 +79,9 @@ class TransformerConfig:
         n = params if params is not None else self.params
         return 2.0 * n * tokens / (n_devices * flops_per_us * efficiency)
 
-    def kv_cache_bytes_per_token(self, dtype_bytes: int = 2) -> int:
-        """Per-token KV-cache footprint (keys + values, every layer)."""
-        return 2 * self.n_total_layers * self.d_model * dtype_bytes
+    def kv_cache_bytes_per_token(self) -> int:
+        """Per-token bf16 KV-cache footprint (keys + values, every layer)."""
+        return 2 * self.n_total_layers * self.d_model * 2
 
     # -- partitioning helpers --------------------------------------------
     def stage_params(self, n_stages: int) -> int:

@@ -185,20 +185,16 @@ class Link:
         while log and log[0][1] < horizon:
             log.popleft()
 
-    def busy_fraction(
-        self, window_us: Optional[float] = None, now: Optional[float] = None
-    ) -> float:
-        """Fraction of the trailing window this link carried traffic.
+    def busy_fraction(self, now: Optional[float] = None) -> float:
+        """Fraction of the trailing :attr:`util_window_us` this link
+        carried traffic.
 
-        ``window_us`` is clamped to :attr:`util_window_us` (history is
-        only kept that long) and to the elapsed simulation time, so an
+        The window is clamped to the elapsed simulation time, so an
         early query reports the fraction of time that actually passed.
         """
         if now is None:
             now = self.sim.now
-        window = self.util_window_us if window_us is None else window_us
-        window = min(window, self.util_window_us)
-        lo = max(0.0, now - window)
+        lo = max(0.0, now - self.util_window_us)
         span = now - lo
         if span <= 0:
             return 1.0 if self._busy_since is not None else 0.0
@@ -574,7 +570,7 @@ class Fabric:
         if link is None:
             link = self._nic_rx[host_id] = Link(
                 self.sim,
-                self.config.net_rx_bytes_per_us,
+                self.config.dcn_bytes_per_us,
                 name=f"nic_rx[h{host_id}]",
                 util_window_us=self.config.net_util_window_us,
                 kind="nic",
@@ -866,29 +862,23 @@ class Fabric:
             idle=self.idle,
         )
 
-    def utilization(self, window_us: Optional[float] = None) -> dict[str, float]:
+    def utilization(self) -> dict[str, float]:
         """Per-link busy fraction over the trailing sliding window.
 
         Keys are link names (``nic_tx[h0]``, ``uplink_rx[i1]``,
         ``spine``, ...); values are the fraction of the last
-        ``window_us`` (default, and at most, the config's
-        ``net_util_window_us``) the link spent carrying traffic.  The
-        serving autoscaler reads this to prefer islands with idle
-        uplinks, and it is the seed signal for congestion-aware
-        placement.
+        ``net_util_window_us`` (a config field) the link spent carrying
+        traffic.  It is the seed signal for congestion-aware placement.
         """
         now = self.sim.now
-        return {
-            link.name: link.busy_fraction(window_us, now)
-            for link in self.links()
-        }
+        return {link.name: link.busy_fraction(now) for link in self.links()}
 
-    def uplink_utilization(
-        self, island_id: int, window_us: Optional[float] = None
-    ) -> float:
-        """Busier direction of one island's uplink pair (0.0..1.0)."""
+    def uplink_utilization(self, island_id: int) -> float:
+        """Busier direction of one island's uplink pair (0.0..1.0).  The
+        serving replica set reads this to prefer islands with idle
+        uplinks."""
         now = self.sim.now
         return max(
-            self.uplink_tx(island_id).busy_fraction(window_us, now),
-            self.uplink_rx(island_id).busy_fraction(window_us, now),
+            self.uplink_tx(island_id).busy_fraction(now),
+            self.uplink_rx(island_id).busy_fraction(now),
         )

@@ -472,12 +472,11 @@ class Transport:
         """Observe every in-flight message loss (recovery accounting)."""
         self._loss_listeners.append(fn)
 
-    def stats(self, window_us: Optional[float] = None) -> TransportStats:
+    def stats(self) -> TransportStats:
         """Snapshot the transport counters + per-link utilization.
 
-        ``window_us`` sets the sliding window of the utilization half
-        (capped at the config's ``net_util_window_us``); counters are
-        cumulative regardless.
+        Utilization covers the config's ``net_util_window_us`` sliding
+        window; counters are cumulative.
         """
         return TransportStats(
             messages_sent=self.messages_sent,
@@ -494,7 +493,7 @@ class Transport:
             parked_now=len(self._parked),
             lost_by_reason=dict(self.lost_by_reason),
             link_utilization=(
-                self.fabric.utilization(window_us)
+                self.fabric.utilization()
                 if self.fabric is not None
                 else {}
             ),
@@ -543,8 +542,6 @@ class Transport:
             msg._state = _SendState(self, msg)
             # Slot ownership transfers to the _SendState (see its abort).
             src.nic.acquire(msg._state.on_grant)  # repro: noqa[RPR005]
-        if timeout_us is None and self.config.net_message_timeout_us > 0:
-            timeout_us = self.config.net_message_timeout_us
         if timeout_us is not None and timeout_us > 0:
             self.sim.timeout(timeout_us).add_callback(
                 lambda ev, m=msg: self._on_timeout(m)
@@ -600,7 +597,7 @@ class Transport:
         return done
 
     # -- failure integration -------------------------------------------------
-    def fail_in_flight(self, host: "Host", reason: str = "host crash") -> int:
+    def fail_in_flight(self, host: "Host") -> int:
         """Fail every in-flight message endpointed at ``host``.
 
         Called automatically via the host's crash listener; exposed for
@@ -621,7 +618,7 @@ class Transport:
             doomed.append(msg)
         for msg in doomed:
             self._abort(
-                msg, MessageLost(msg, f"{reason}: {host.name}", "host-crash")
+                msg, MessageLost(msg, f"host crash: {host.name}", "host-crash")
             )
         return len(doomed)
 

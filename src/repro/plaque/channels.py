@@ -9,7 +9,7 @@ completion signal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any
 
 from repro.sim import Event, Simulator, Store
 
@@ -58,11 +58,9 @@ class ShardedChannel:
         self._stores[dst_shard].put(_Tuple(producer, dst_shard, payload, nbytes))
         self.progress.deliver(producer, dst_shard, final=final)
 
-    def punctuate(self, producer: int, dst_shard: Optional[int] = None) -> None:
-        if dst_shard is None:
-            self.progress.punctuate_all(producer)
-        else:
-            self.progress.punctuate(producer, dst_shard)
+    def punctuate(self, producer: int) -> None:
+        """``producer`` sends nothing more to any destination shard."""
+        self.progress.punctuate_all(producer)
 
     def get(self, dst_shard: int) -> Event:
         """Event yielding the next tuple for ``dst_shard``."""

@@ -54,7 +54,6 @@ class CheckpointManager:
         #: Training step covered by the last snapshot.
         self.step = 0
         self.checkpoints_taken = 0
-        self.restores = 0
         self.overhead_us = 0.0
 
     @property
@@ -85,11 +84,10 @@ class CheckpointManager:
         )
 
     # -- driver hooks -------------------------------------------------------
-    def due(self, now: Optional[float] = None) -> bool:
+    def due(self) -> bool:
         if not self.enabled:
             return False
-        now = self.sim.now if now is None else now
-        return now - self.last_checkpoint_us >= self.interval_us
+        return self.sim.now - self.last_checkpoint_us >= self.interval_us
 
     def save(self, step: int) -> Generator:
         """Snapshot after ``step`` completed; charges the driver loop."""
@@ -109,5 +107,4 @@ class CheckpointManager:
         if cost > 0:
             yield self.sim.timeout(cost)
         self.overhead_us += self.sim.now - start
-        self.restores += 1
         return self.step

@@ -13,8 +13,8 @@ handled *centrally* —
   (bumping their bind version, so client lowering caches transparently
   re-lower);
 * executions running with ``retry_on_failure`` observe the loss, pay
-  this manager's detection latency, remap their slices with its remap
-  time and backoff, and replay lost nodes from the last checkpoint
+  this manager's detection latency, remap their slices (a fixed remap
+  time and backoff), and replay lost nodes from the last checkpoint
   (``ProgramExecution``'s recovery chain).
 
 Attaching a manager sets ``system.recovery``; there is at most one per
@@ -54,25 +54,17 @@ class RecoveryManager:
         self,
         system: "PathwaysSystem",
         detection_us: float = 1_000.0,
-        remap_us: float = 200.0,
-        retry_backoff_us: float = 5_000.0,
-        max_remap_attempts: int = 10_000,
     ):
         if system.recovery is not None:
             raise RuntimeError("system already has a RecoveryManager attached")
         self.system = system
         self.sim = system.sim
         #: Health-monitor latency: time from fault to the controller
-        #: acting on it (heartbeat / watchdog period).  This and the
-        #: remap knobs below drive each execution's recovery chain, which
-        #: raises ``RuntimeError`` after ``max_remap_attempts`` backoffs.
+        #: acting on it (heartbeat / watchdog period).  It and the remap
+        #: constants of :mod:`repro.core.dispatch` (``REMAP_US``,
+        #: ``RETRY_BACKOFF_US``, ``MAX_REMAP_ATTEMPTS``) drive each
+        #: execution's recovery chain.
         self.detection_us = detection_us
-        #: Resource-manager work per slice remap.
-        self.remap_us = remap_us
-        #: Wait between remap attempts when no healthy capacity exists
-        #: (e.g. during an island preemption).
-        self.retry_backoff_us = retry_backoff_us
-        self.max_remap_attempts = max_remap_attempts
         #: Behind :attr:`epoch`, :attr:`device_failures`, :attr:`repairs`.
         self._epoch = 0
         self._device_failures = 0

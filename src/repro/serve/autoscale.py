@@ -4,17 +4,18 @@ The :class:`Autoscaler` closes the loop between three signals and the
 replica pool, acting only at batch boundaries (its periodic tick — a
 replica is never resized mid-gang):
 
-* **queue depth** — backlog per routable replica above
-  ``grow_backlog_per_replica`` grows the pool; a backlog at or below
-  ``shrink_backlog_per_replica`` for ``shrink_patience`` consecutive
-  ticks retires the least-loaded replica (down to ``min_replicas``);
+* **queue depth** — backlog per routable replica above one full batch
+  beyond the in-flight window (``max_batch * max_in_flight``) grows the
+  pool; an empty backlog for ``shrink_patience`` consecutive ticks
+  retires the least-loaded replica (down to ``min_replicas``);
 * **capacity events** — the :class:`~repro.resilience.ElasticController`
   forwards resource-manager capacity changes (island added, repair,
   preemption end); those islands are preferred for the next grow;
-* **fabric utilization** — island choice consults the
-  :meth:`~repro.net.fabric.Fabric.utilization` sliding window so new
-  replicas land behind idle uplinks (the congestion-aware-placement
-  seed signal).
+* **fabric utilization** — island choice
+  (:meth:`~repro.serve.replicas.ReplicaSet.pick_island`) consults
+  :meth:`~repro.net.fabric.Fabric.uplink_utilization` over the config's
+  ``net_util_window_us`` sliding window, so new replicas land behind
+  idle uplinks (the congestion-aware-placement seed signal).
 
 The autoscaler also implements the elastic-workload protocol: an island
 drain (:meth:`notify_drain`) retires every replica living there and
@@ -25,7 +26,7 @@ training does.
 
 from __future__ import annotations
 
-from typing import Optional, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.system import PathwaysSystem
@@ -46,10 +47,7 @@ class Autoscaler:
         min_replicas: int = 1,
         max_replicas: int = 4,
         interval_us: float = 5_000.0,
-        grow_backlog_per_replica: Optional[float] = None,
-        shrink_backlog_per_replica: float = 0.0,
         shrink_patience: int = 3,
-        utilization_window_us: Optional[float] = None,
     ):
         if min_replicas < 0 or max_replicas < max(1, min_replicas):
             raise ValueError(
@@ -62,16 +60,12 @@ class Autoscaler:
         self.min_replicas = min_replicas
         self.max_replicas = max_replicas
         self.interval_us = interval_us
-        #: Default grow trigger: one full extra batch of backlog per
-        #: replica beyond what the in-flight window absorbs.
-        self.grow_backlog_per_replica = (
-            grow_backlog_per_replica
-            if grow_backlog_per_replica is not None
-            else float(replicas.max_batch * replicas.max_in_flight)
+        #: Grow trigger: one full extra batch of backlog per replica
+        #: beyond what the in-flight window absorbs.
+        self.grow_backlog_per_replica = float(
+            replicas.max_batch * replicas.max_in_flight
         )
-        self.shrink_backlog_per_replica = shrink_backlog_per_replica
         self.shrink_patience = shrink_patience
-        self.utilization_window_us = utilization_window_us
         #: (time, action, island_id) decision log.
         self.decisions: list[tuple[float, str, int]] = []
         self.elastic = None
@@ -128,10 +122,7 @@ class Autoscaler:
             self._grow()
             self._idle_ticks = 0
             return
-        if (
-            per_replica <= self.shrink_backlog_per_replica
-            and len(active) > self.min_replicas
-        ):
+        if per_replica == 0 and len(active) > self.min_replicas:
             self._idle_ticks += 1
             if self._idle_ticks >= self.shrink_patience:
                 self._shrink(active)

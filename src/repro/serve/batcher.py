@@ -39,6 +39,12 @@ _SLOT = "slot"          # the oldest in-flight batch
 _BACKOFF = "backoff"    # the rebind backoff
 _RETIRED = "retired"
 
+#: Wait between submission attempts while the replica's slice is
+#: mid-remap with no healthy capacity bound yet.
+_REBIND_BACKOFF_US = 1_000.0
+#: Attempts each batch's ``retry_on_failure`` execution gets.
+_MAX_ATTEMPTS = 8
+
 
 class ContinuousBatcher:
     """The per-replica batching loop, as a callback state machine.
@@ -48,12 +54,7 @@ class ContinuousBatcher:
     finished batch, or its window or backoff timer.
     """
 
-    def __init__(
-        self,
-        frontend: "Frontend",
-        replica: "Replica",
-        rebind_backoff_us: float = 1_000.0,
-    ):
+    def __init__(self, frontend: "Frontend", replica: "Replica"):
         self.frontend = frontend
         self.replica = replica
         self.sim = frontend.sim
@@ -61,10 +62,6 @@ class ContinuousBatcher:
         self.max_batch = rset.max_batch
         self.max_wait_us = rset.max_wait_us
         self.max_in_flight = rset.max_in_flight
-        self.max_attempts = rset.max_attempts
-        #: Wait between submission attempts while the replica's slice is
-        #: mid-remap with no healthy capacity bound yet.
-        self.rebind_backoff_us = rebind_backoff_us
         self._state = _TOP
         #: The in-flight batch a full double buffer waits on.
         self._oldest: Optional["ProgramExecution"] = None
@@ -111,7 +108,7 @@ class ContinuousBatcher:
                     # Mid-remap after a failure with no capacity
                     # rebound yet: hold the queue, retry shortly.
                     state = _BACKOFF
-                    self._timer.schedule(sim.now + self.rebind_backoff_us)
+                    self._timer.schedule(sim.now + _REBIND_BACKOFF_US)
                     break
                 batch = self._take_batch()
                 if batch:
@@ -168,7 +165,7 @@ class ContinuousBatcher:
             (),
             compute_values=False,
             retry_on_failure=True,
-            max_attempts=self.max_attempts,
+            max_attempts=_MAX_ATTEMPTS,
             deadline_us=deadline_at - now,
         )
         replica.batches += 1
@@ -200,7 +197,7 @@ class ContinuousBatcher:
             self.frontend.reject_batch(batch, REJECT_EVICTED)
         else:
             outcome = "abandoned"
-            self.frontend.abandon_batch(batch, ev._exc)
+            self.frontend.abandon_batch(batch)
         tr = self.sim.tracer
         if tr is not None:
             tr.complete(

@@ -54,6 +54,9 @@ REJECT_EXPIRED = "expired-in-queue"         # deadline passed before batching
 REJECT_EVICTED = "deadline-evicted"         # scheduler deadline eviction
 REJECT_NET_LOST = "net-lost"                # request/response message lost
 
+#: Wire size of a request's prompt and a response's generated tokens.
+_BYTES_PER_TOKEN = 4
+
 REJECTION_REASONS = (
     REJECT_NO_CAPACITY,
     REJECT_QUEUE_FULL,
@@ -109,20 +112,17 @@ class Frontend:
         system: "PathwaysSystem",
         replicas: "ReplicaSet",
         recorder: Optional[LatencyRecorder] = None,
-        host: Optional["Host"] = None,
         admission: bool = True,
         admission_slack: float = 1.0,
         max_queue_per_replica: int = 64,
-        request_bytes_per_token: int = 4,
-        response_bytes_per_token: int = 4,
     ):
         self.system = system
         self.sim = system.sim
         self.config = system.config
         self.transport = system.transport
         #: The gateway host requests are delivered to (and replica
-        #: weights are shipped from).
-        self.host = host if host is not None else system.cluster.hosts[0]
+        #: weights are shipped from): the cluster's first host.
+        self.host = system.cluster.hosts[0]
         self.replicas = replicas
         replicas.attach_frontend(self)
         self.recorder = recorder if recorder is not None else LatencyRecorder()
@@ -132,8 +132,6 @@ class Frontend:
         self.admission = admission
         self.admission_slack = admission_slack
         self.max_queue_per_replica = max_queue_per_replica
-        self.request_bytes_per_token = request_bytes_per_token
-        self.response_bytes_per_token = response_bytes_per_token
 
         # Outcome accounting: every arrived request ends in exactly one
         # of completed / rejections[reason] / abandoned.
@@ -142,7 +140,6 @@ class Frontend:
         self.completed = 0
         self.abandoned = 0
         self.rejections: dict[str, int] = {}
-        self.last_abandon_cause: Optional[BaseException] = None
         self._outstanding = 0
         self._closing = False
         self._drained: Event = self.sim.event()
@@ -184,7 +181,7 @@ class Frontend:
         )
         self.arrived += 1
         self._outstanding += 1
-        nbytes = max(1, prompt_tokens * self.request_bytes_per_token)
+        nbytes = max(1, prompt_tokens * _BYTES_PER_TOKEN)
         msg = self.transport.send(src_host, self.host, nbytes)
         msg.add_callback(lambda ev, r=req: self._on_request_delivered(ev, r))
         return req
@@ -235,7 +232,7 @@ class Frontend:
         src = replica.lead_host if replica.vslice.bound else self.host
         for req in batch:
             req.done_us = now
-            nbytes = max(1, req.gen_tokens * self.response_bytes_per_token)
+            nbytes = max(1, req.gen_tokens * _BYTES_PER_TOKEN)
             msg = self.transport.send(src, req.src_host, nbytes)
             msg.add_callback(lambda ev, r=req: self._on_response(ev, r))
 
@@ -281,11 +278,10 @@ class Frontend:
         for req in batch:
             self._reject(req, reason)
 
-    def abandon_batch(self, batch: list[Request], cause: BaseException) -> None:
+    def abandon_batch(self, batch: list[Request]) -> None:
         """A batch died to a non-deadline failure — the outcome the
         overload benches assert never happens (recovery replays device
         loss; deadline evictions are typed rejections)."""
-        self.last_abandon_cause = cause
         for req in batch:
             req.abandoned = True
             self.abandoned += 1

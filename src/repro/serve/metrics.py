@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.stats import Stats
-from repro.telemetry.histogram import percentile
+from repro.telemetry.histogram import nearest_rank, percentile
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.serve.frontend import Request
@@ -84,13 +84,14 @@ class LatencyRecorder:
 
     def snapshot(self) -> LatencySnapshot:
         lat = self.latencies
+        ordered = sorted(lat)
         return LatencySnapshot(
             count=len(lat),
             mean_us=sum(lat) / len(lat) if lat else 0.0,
-            p50_us=percentile(lat, 50.0),
-            p95_us=percentile(lat, 95.0),
-            p99_us=percentile(lat, 99.0),
-            max_us=max(lat) if lat else 0.0,
+            p50_us=nearest_rank(ordered, 50.0),
+            p95_us=nearest_rank(ordered, 95.0),
+            p99_us=nearest_rank(ordered, 99.0),
+            max_us=ordered[-1] if ordered else 0.0,
             stage_mean_us={
                 s: (sum(v) / len(v) if v else 0.0)
                 for s, v in self.stages.items()

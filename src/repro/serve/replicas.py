@@ -162,9 +162,7 @@ class ReplicaSet:
         max_batch: int = 8,
         max_wait_us: float = 2_000.0,
         max_in_flight: int = 2,
-        max_attempts: int = 8,
         nominal_params: Optional[int] = None,
-        name: str = "serve",
     ):
         if devices_per_replica < 1:
             raise ValueError("need >= 1 device per replica")
@@ -181,11 +179,11 @@ class ReplicaSet:
         self.max_batch = max_batch
         self.max_wait_us = max_wait_us
         self.max_in_flight = max_in_flight
-        self.max_attempts = max_attempts
         self.params = (
             nominal_params if nominal_params is not None else model.params
         )
-        self.name = name
+        #: Prefix of every replica's (and its client's) name.
+        self.name = "serve"
         self.frontend: Optional["Frontend"] = None
         self.replicas: list[Replica] = []
         self.scale_ups = 0
@@ -250,10 +248,9 @@ class ReplicaSet:
         )
         return self.max_batch * 1e6 / cycle
 
-    def capacity_rps(self, width: Optional[int] = None) -> float:
-        if width is None:
-            width = self.peak_width
-        return width * self.replica_capacity_rps()
+    def capacity_rps(self) -> float:
+        """Capacity at the peak routable width."""
+        return self.peak_width * self.replica_capacity_rps()
 
     # -- growth ---------------------------------------------------------------
     def island_slots(self, island_id: int) -> int:
@@ -261,11 +258,7 @@ class ReplicaSet:
         island = self.system.cluster.islands[island_id]
         return island.n_healthy // self.devices_per_replica
 
-    def pick_island(
-        self,
-        prefer: tuple[int, ...] = (),
-        utilization_window_us: Optional[float] = None,
-    ) -> Optional[int]:
+    def pick_island(self, prefer: tuple[int, ...] = ()) -> Optional[int]:
         """Island for the next replica: capacity first, then idle
         uplinks (the fabric-utilization signal — the seed of
         congestion-aware placement), then fewest resident replicas."""
@@ -281,7 +274,7 @@ class ReplicaSet:
                 continue
             key = (
                 iid not in prefer,
-                round(fabric.uplink_utilization(iid, utilization_window_us), 6),
+                round(fabric.uplink_utilization(iid), 6),
                 len(self.replicas_on(iid)),
                 iid,
             )
@@ -290,12 +283,9 @@ class ReplicaSet:
         return best
 
     def grow(
-        self,
-        island_id: Optional[int] = None,
-        initial: bool = False,
-        prefer: tuple[int, ...] = (),
+        self, initial: bool = False, prefer: tuple[int, ...] = ()
     ) -> Optional[Replica]:
-        """Add one replica (on ``island_id`` or the best-placed island).
+        """Add one replica on the best-placed island (:meth:`pick_island`).
 
         ``initial`` replicas come up with weights preloaded — the pool
         the serving run opens with.  Runtime growth ships the weights
@@ -305,10 +295,9 @@ class ReplicaSet:
         """
         if self.frontend is None:
             raise RuntimeError("attach a Frontend before growing replicas")
+        island_id = self.pick_island(prefer=prefer)
         if island_id is None:
-            island_id = self.pick_island(prefer=prefer)
-            if island_id is None:
-                return None
+            return None
         replica = Replica(self, self._next_idx, island_id)
         self._next_idx += 1
         self.replicas.append(replica)

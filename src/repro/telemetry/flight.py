@@ -30,9 +30,8 @@ __all__ = ["FlightRecorder"]
 class FlightRecorder:
     """Bounded ring of recent span closes/instants; see module docs."""
 
-    def __init__(self, capacity: int = 256, dump_on_loss: bool = True):
+    def __init__(self, capacity: int = 256):
         self.capacity = capacity
-        self.dump_on_loss = dump_on_loss
         self.entries: deque = deque(maxlen=capacity)
         self.dumps = 0
         self._loss_dumped = False
@@ -62,7 +61,7 @@ class FlightRecorder:
             getattr(cause, "category", "other"),
             track="net",
         )
-        if self.dump_on_loss and not self._loss_dumped:
+        if not self._loss_dumped:
             self._loss_dumped = True
             self.dump(reason=f"message loss ({getattr(cause, 'category', 'other')})")
 

@@ -1,7 +1,8 @@
 """Shared quantile/histogram math for every latency consumer.
 
-The nearest-rank percentile here is *the* percentile definition of the
-repo: :class:`~repro.serve.metrics.LatencyRecorder` and the telemetry
+The nearest-rank percentile here (:func:`nearest_rank`, on a sorted
+list) is *the* percentile definition of the repo:
+:class:`~repro.serve.metrics.LatencyRecorder` and the telemetry
 :class:`~repro.telemetry.metrics.MetricsRegistry` both call it, so a
 p99 in a serving table and a p99 in a sampled time-series can never
 disagree by interpolation scheme.
@@ -12,18 +13,23 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-__all__ = ["Histogram", "percentile"]
+__all__ = ["Histogram", "nearest_rank", "percentile"]
+
+
+def nearest_rank(ordered: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile of ``ordered``, already sorted ascending
+    (exact, no interpolation)."""
+    if not ordered:
+        return 0.0
+    if q <= 0.0:
+        return ordered[0]
+    rank = min(len(ordered), max(1, math.ceil(q / 100.0 * len(ordered))))
+    return ordered[rank - 1]
 
 
 def percentile(values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile (exact, no interpolation)."""
-    vals = sorted(values)
-    if not vals:
-        return 0.0
-    if q <= 0.0:
-        return vals[0]
-    rank = min(len(vals), max(1, math.ceil(q / 100.0 * len(vals))))
-    return vals[rank - 1]
+    """Nearest-rank percentile of ``values`` in any order."""
+    return nearest_rank(sorted(values), q)
 
 
 class Histogram:
@@ -64,10 +70,4 @@ class Histogram:
     def percentile(self, q: float) -> float:
         if self._sorted is None:
             self._sorted = sorted(self.values)
-        vals = self._sorted
-        if not vals:
-            return 0.0
-        if q <= 0.0:
-            return vals[0]
-        rank = min(len(vals), max(1, math.ceil(q / 100.0 * len(vals))))
-        return vals[rank - 1]
+        return nearest_rank(self._sorted, q)

@@ -37,8 +37,8 @@ class Counter:
         self.name = name
         self.value = 0.0
 
-    def inc(self, n: float = 1.0) -> None:
-        self.value += n
+    def inc(self) -> None:
+        self.value += 1.0
 
 
 class Gauge:
@@ -150,17 +150,13 @@ class MetricsSampler:
         self._timer.cancel()
 
 
-def standard_probes(
-    registry: MetricsRegistry, system, replicas=None
-) -> MetricsRegistry:
+def standard_probes(registry: MetricsRegistry, system) -> MetricsRegistry:
     """Register the stock fleet signals against a live system:
 
     * ``serve.queue_depth`` — requests admitted but not yet settled,
       summed over frontends;
     * ``net.uplink_utilization`` — max busy fraction over uplink links
       (the congestion-aware-binding signal);
-    * ``serve.replica_width`` — live replicas (when a
-      :class:`~repro.serve.ReplicaSet` is given);
     * ``hw.hbm_resident_bytes`` — HBM bytes held across all devices.
     """
 
@@ -178,8 +174,4 @@ def standard_probes(
     registry.probe("serve.queue_depth", queue_depth)
     registry.probe("net.uplink_utilization", uplink_utilization)
     registry.probe("hw.hbm_resident_bytes", hbm_resident)
-    if replicas is not None:
-        registry.probe(
-            "serve.replica_width", lambda: float(len(replicas.replicas))
-        )
     return registry

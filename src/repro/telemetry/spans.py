@@ -43,7 +43,6 @@ class Span:
         "track",
         "args",
         "span_id",
-        "parent_id",
         "trace_id",
     )
 
@@ -56,7 +55,6 @@ class Span:
         track: str,
         args: Optional[dict],
         span_id: int,
-        parent_id: Optional[int],
         trace_id: Optional[str],
     ):
         self.name = name
@@ -66,7 +64,6 @@ class Span:
         self.track = track
         self.args = args
         self.span_id = span_id
-        self.parent_id = parent_id
         self.trace_id = trace_id
 
     @property
@@ -114,12 +111,10 @@ class Tracer:
         end_us: Optional[float],
         track: str,
         args: Optional[dict],
-        parent_id: Optional[int],
         trace_id: Optional[str],
     ) -> Span:
         span = Span(
-            name, cat, start_us, end_us, track, args,
-            self._next_id, parent_id, trace_id,
+            name, cat, start_us, end_us, track, args, self._next_id, trace_id
         )
         self._next_id += 1
         self.spans.append(span)
@@ -139,16 +134,12 @@ class Tracer:
         end_us: float,
         track: str = "",
         args: Optional[dict] = None,
-        parent: Optional[Span] = None,
         trace_id: Optional[str] = None,
     ) -> Span:
         """One closed interval, recorded after the fact (the dominant
         idiom: sites read timestamps already stamped on the object —
         request/gang/message — and emit passively at settle time)."""
-        return self._append(
-            name, cat, start_us, end_us, track, args,
-            parent.span_id if parent is not None else None, trace_id,
-        )
+        return self._append(name, cat, start_us, end_us, track, args, trace_id)
 
     def instant(
         self,
@@ -161,7 +152,7 @@ class Tracer:
     ) -> Span:
         """A zero-duration marker (reroute, park, loss, fault delivery)."""
         t = ts_us if ts_us is not None else self.now
-        return self._append(name, cat, t, t, track, args, None, trace_id)
+        return self._append(name, cat, t, t, track, args, trace_id)
 
     def begin(
         self,
@@ -169,7 +160,6 @@ class Tracer:
         cat: str,
         track: str = "",
         args: Optional[dict] = None,
-        parent: Optional[Span] = None,
         trace_id: Optional[str] = None,
     ) -> Span:
         """Open a span at ``sim.now``; close with :meth:`end`.
@@ -179,26 +169,16 @@ class Tracer:
         it, because an exception between the two leaves the span open
         and silently truncates the exported trace.
         """
-        return self._append(
-            name, cat, self.now, None, track, args,
-            parent.span_id if parent is not None else None, trace_id,
-        )
+        return self._append(name, cat, self.now, None, track, args, trace_id)
 
-    def end(self, span: Span, end_us: Optional[float] = None) -> None:
-        """Close a span from :meth:`begin`."""
-        span.end_us = end_us if end_us is not None else self.now
+    def end(self, span: Span) -> None:
+        """Close a span from :meth:`begin` at ``sim.now``."""
+        span.end_us = self.now
 
     @contextmanager
-    def span(
-        self,
-        name: str,
-        cat: str,
-        track: str = "",
-        args: Optional[dict] = None,
-        trace_id: Optional[str] = None,
-    ) -> Iterator[Span]:
+    def span(self, name: str, cat: str) -> Iterator[Span]:
         """``with tracer.span(...)``: begin/end with a guaranteed close."""
-        opened = self.begin(name, cat, track=track, args=args, trace_id=trace_id)
+        opened = self.begin(name, cat)
         try:
             yield opened
         finally:
@@ -230,8 +210,6 @@ class Tracer:
             args = dict(span.args) if span.args else {}
             if span.trace_id is not None:
                 args["trace_id"] = span.trace_id
-            if span.parent_id is not None:
-                args["parent_span"] = span.parent_id
             args["span_id"] = span.span_id
             if span.is_instant:
                 events.append(

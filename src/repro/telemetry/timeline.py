@@ -56,11 +56,9 @@ def kernel_span_range(tracer: Tracer) -> tuple[float, float]:
     return (min(k[1] for k in kernels), max(k[2] for k in kernels))
 
 
-def utilization_by_device(
-    tracer: Tracer, window: Optional[tuple[float, float]] = None
-) -> dict[int, float]:
-    """Busy fraction per device over ``window`` (default: kernel range)."""
-    lo, hi = window if window is not None else kernel_span_range(tracer)
+def utilization_by_device(tracer: Tracer) -> dict[int, float]:
+    """Busy fraction per device over the trace's kernel range."""
+    lo, hi = kernel_span_range(tracer)
     devices = kernel_devices(tracer)
     if hi <= lo:
         return {dev: 0.0 for dev in devices}
@@ -94,8 +92,9 @@ def program_share(
     return {prog: t / total for prog, t in sorted(time_by_program.items())}
 
 
-def interleave_granularity_us(tracer: Tracer, device: Optional[int] = None) -> float:
-    """Mean length of a same-program run before the device switches program.
+def interleave_granularity_us(tracer: Tracer) -> float:
+    """Mean length of a same-program run before a device switches
+    program, over every device.
 
     Small values mean fine-grained time-multiplexing (the paper reports
     millisecond scale or less for 4-16 concurrent clients).
@@ -103,12 +102,9 @@ def interleave_granularity_us(tracer: Tracer, device: Optional[int] = None) -> f
     by_device: dict[int, list] = defaultdict(list)
     for k in _kernels(tracer):
         by_device[k[0]].append(k)
-    devices = [device] if device is not None else sorted(by_device)
     run_lengths: list[float] = []
-    for dev in devices:
-        kernels = sorted(by_device.get(dev, ()), key=lambda k: k[1])
-        if not kernels:
-            continue
+    for dev in sorted(by_device):
+        kernels = sorted(by_device[dev], key=lambda k: k[1])
         _, run_start, run_end, run_prog = kernels[0]
         for _, start, end, program in kernels[1:]:
             if program == run_prog:

@@ -10,14 +10,13 @@
 * :mod:`repro.workloads.netload` — cross-island bulk traffic contending
   with probe dispatch on the routed fabric (congestion, route loss).
 * :mod:`repro.workloads.serving` — open-loop online inference traffic
-  (Poisson / bursty / diurnal) through the ``repro.serve`` stack.
+  (Poisson / diurnal) through the ``repro.serve`` stack.
 """
 
 from repro.workloads.churn import ChurnResult, run_churn
 from repro.workloads.netload import NetCongestionResult, run_net_congestion
 from repro.workloads.serving import (
     ServingResult,
-    bursty_arrivals,
     diurnal_arrivals,
     poisson_arrivals,
     run_serving,
@@ -40,7 +39,6 @@ __all__ = [
     "MicrobenchResult",
     "NetCongestionResult",
     "ServingResult",
-    "bursty_arrivals",
     "diurnal_arrivals",
     "poisson_arrivals",
     "run_churn",

@@ -21,7 +21,7 @@ import numpy as np
 from repro.baselines.multi_controller import MultiControllerJax
 from repro.baselines.ray_like import RayLikeRuntime
 from repro.baselines.tf1 import TfOneRuntime
-from repro.config import DEFAULT_CONFIG, SystemConfig
+from repro.config import DEFAULT_CONFIG
 from repro.core.system import DispatchMode, PathwaysSystem
 from repro.hw.cluster import ClusterSpec, make_cluster
 from repro.sim import Simulator
@@ -69,28 +69,25 @@ def run_pathways(
     variant: str,
     n_hosts: int,
     devices_per_host: int = 4,
-    compute_time_us: float = 0.5,
     n_calls: int = 20,
-    config: SystemConfig = DEFAULT_CONFIG,
-    mode: DispatchMode = DispatchMode.PARALLEL,
 ) -> MicrobenchResult:
-    """One Figure 5 / Figure 6 Pathways data point."""
-    system = PathwaysSystem.build(_spec(n_hosts, devices_per_host), config=config)
+    """One Figure 5 / Figure 6 Pathways data point (0.5 us computations)."""
+    system = PathwaysSystem.build(_spec(n_hosts, devices_per_host))
     client = system.client("bench")
     n_devices = n_hosts * devices_per_host
     devs = system.make_virtual_device_set().add_slice(tpu_devices=n_devices)
-    unit = scalar_allreduce_add(n_devices, compute_time_us)
+    unit = scalar_allreduce_add(n_devices, 0.5)
 
     if variant == "opbyop":
         step = client.wrap(unit, devices=devs)
         program = step.solo_program
-        driver = client.drive_op_by_op(program, (0.0,), n_iters=n_calls, mode=mode)
+        driver = client.drive_op_by_op(program, (0.0,), n_iters=n_calls)
         per_call = 1
     elif variant == "fused":
         fused = fuse([unit] * CHAIN_LEN, name="fused_chain")
         step = client.wrap(fused, devices=devs)
         program = step.solo_program
-        driver = client.drive_pipelined(program, (0.0,), n_iters=n_calls, mode=mode)
+        driver = client.drive_pipelined(program, (0.0,), n_iters=n_calls)
         per_call = CHAIN_LEN
     elif variant == "chained":
         step = client.wrap(unit, devices=devs)
@@ -104,7 +101,7 @@ def run_pathways(
 
         program = chain.trace(np.float32(0.0))
         driver = client.drive_pipelined(
-            program, (0.0,), n_iters=n_calls, max_in_flight=2, mode=mode
+            program, (0.0,), n_iters=n_calls, max_in_flight=2
         )
         per_call = CHAIN_LEN
     else:
@@ -126,29 +123,20 @@ def run_pathways(
 
 def run_pathways_pipeline_chain(
     n_stages: int,
-    cores_per_stage: int = 4,
-    compute_time_us: float = 0.5,
     n_calls: int = 10,
-    config: SystemConfig = DEFAULT_CONFIG,
     mode: DispatchMode = DispatchMode.PARALLEL,
 ) -> float:
     """The Figure 7 workload: a chain where every node lives on a
-    *different host* (4 cores each) and data moves over ICI between
-    stages.  Returns computations/second."""
-    system = PathwaysSystem.build(
-        _spec(max(2, n_stages), cores_per_stage), config=config
-    )
+    *different host* (4 cores each, 0.5 us of compute) and data moves
+    over ICI between stages.  Returns computations/second."""
+    system = PathwaysSystem.build(_spec(max(2, n_stages), 4))
     client = system.client("bench")
-    slices = []
-    for s in range(n_stages):
-        slices.append(
-            system.make_virtual_device_set().add_slice(tpu_devices=cores_per_stage)
-        )
+    slices = [
+        system.make_virtual_device_set().add_slice(tpu_devices=4)
+        for _ in range(n_stages)
+    ]
     steps = [
-        client.wrap(
-            scalar_allreduce_add(cores_per_stage, compute_time_us, name=f"stage{s}"),
-            devices=slices[s],
-        )
+        client.wrap(scalar_allreduce_add(4, 0.5, name=f"stage{s}"), devices=slices[s])
         for s in range(n_stages)
     ]
 
@@ -180,16 +168,14 @@ def run_jax(
     devices_per_host: int = 4,
     compute_time_us: float = 0.5,
     n_calls: int = 40,
-    config: SystemConfig = DEFAULT_CONFIG,
-    seed: int = 0,
 ) -> MicrobenchResult:
     """One Figure 5 / 6 JAX data point (OpByOp or Fused; Chained has no
     multi-controller analogue)."""
     if variant not in ("opbyop", "fused"):
         raise ValueError(f"JAX has no {variant!r} variant")
     sim = Simulator()
-    cluster = make_cluster(sim, _spec(n_hosts, devices_per_host), config=config)
-    jax = MultiControllerJax(sim, cluster, config, seed=seed)
+    cluster = make_cluster(sim, _spec(n_hosts, devices_per_host))
+    jax = MultiControllerJax(sim, cluster, DEFAULT_CONFIG)
     n_devices = n_hosts * devices_per_host
     unit = scalar_allreduce_add(n_devices, compute_time_us)
     if variant == "fused":
@@ -216,24 +202,19 @@ def run_jax(
 # TF1 and Ray
 # ---------------------------------------------------------------------------
 
-def run_tf(
-    variant: str,
-    n_hosts: int,
-    devices_per_host: int = 4,
-    compute_time_us: float = 0.5,
-    n_calls: int = 10,
-    config: SystemConfig = DEFAULT_CONFIG,
-) -> MicrobenchResult:
+def run_tf(variant: str, n_hosts: int) -> MicrobenchResult:
+    """TF points: 4 devices per host, 10 calls (OpByOp) or one 128-node
+    chain (Chained) of 0.5 us computations."""
     sim = Simulator()
-    cluster = make_cluster(sim, _spec(n_hosts, devices_per_host), config=config)
-    tf = TfOneRuntime(sim, cluster, config)
-    unit = scalar_allreduce_add(n_hosts * devices_per_host, compute_time_us)
+    cluster = make_cluster(sim, _spec(n_hosts, 4))
+    tf = TfOneRuntime(sim, cluster, DEFAULT_CONFIG)
+    unit = scalar_allreduce_add(n_hosts * 4, 0.5)
     if variant == "opbyop":
-        proc = sim.process(tf.run_op_by_op(unit, n_steps=n_calls), name="tf")
-        total = n_calls
+        proc = sim.process(tf.run_op_by_op(unit, n_steps=10), name="tf")
+        total = 10
     elif variant == "chained":
-        proc = sim.process(tf.run_chained(unit, CHAIN_LEN, n_calls=max(1, n_calls // 8)), name="tf")
-        total = CHAIN_LEN * max(1, n_calls // 8)
+        proc = sim.process(tf.run_chained(unit, CHAIN_LEN, n_calls=1), name="tf")
+        total = CHAIN_LEN
     else:
         raise ValueError(f"TF variant {variant!r} not in the paper's Figure 5")
     start = sim.now
@@ -244,28 +225,23 @@ def run_tf(
     )
 
 
-def run_ray(
-    variant: str,
-    n_hosts: int,
-    devices_per_host: int = 1,
-    compute_time_us: float = 0.5,
-    n_calls: int = 10,
-    config: SystemConfig = DEFAULT_CONFIG,
-) -> MicrobenchResult:
-    """Ray points (the paper ran 1 GPU/host on p3.2xlarge VMs)."""
+def run_ray(variant: str, n_hosts: int) -> MicrobenchResult:
+    """Ray points (the paper ran 1 GPU/host on p3.2xlarge VMs): 10 calls
+    (OpByOp) or one 128-computation call (Chained, Fused) of 0.5 us
+    computations."""
     sim = Simulator()
-    cluster = make_cluster(sim, _spec(n_hosts, devices_per_host), config=config)
-    ray = RayLikeRuntime(sim, cluster, config)
-    unit = scalar_allreduce_add(n_hosts * devices_per_host, compute_time_us)
+    cluster = make_cluster(sim, _spec(n_hosts, 1))
+    ray = RayLikeRuntime(sim, cluster, DEFAULT_CONFIG)
+    unit = scalar_allreduce_add(n_hosts, 0.5)
     if variant == "opbyop":
-        proc = sim.process(ray.run_op_by_op(unit, n_steps=n_calls), name="ray")
-        total = n_calls
+        proc = sim.process(ray.run_op_by_op(unit, n_steps=10), name="ray")
+        total = 10
     elif variant == "chained":
-        proc = sim.process(ray.run_chained(unit, CHAIN_LEN, n_calls=max(1, n_calls // 8)), name="ray")
-        total = CHAIN_LEN * max(1, n_calls // 8)
+        proc = sim.process(ray.run_chained(unit, CHAIN_LEN, n_calls=1), name="ray")
+        total = CHAIN_LEN
     elif variant == "fused":
-        proc = sim.process(ray.run_fused(unit, CHAIN_LEN, n_calls=max(1, n_calls // 8)), name="ray")
-        total = CHAIN_LEN * max(1, n_calls // 8)
+        proc = sim.process(ray.run_fused(unit, CHAIN_LEN, n_calls=1), name="ray")
+        total = CHAIN_LEN
     else:
         raise ValueError(f"unknown variant {variant!r}")
     start = sim.now

@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator, Optional
 
-from repro.config import DEFAULT_CONFIG, SystemConfig
-from repro.core.scheduler import ProportionalSharePolicy, SchedulingPolicy
+from repro.config import DEFAULT_CONFIG
+from repro.core.scheduler import ProportionalSharePolicy
 from repro.core.system import PathwaysSystem
 from repro.hw.cluster import ClusterSpec, make_cluster
 from repro.hw.device import CollectiveRendezvous, Kernel
@@ -52,18 +52,18 @@ def run_pathways_multitenant(
     n_hosts: int = 16,
     devices_per_host: int = 8,
     iters_per_client: int = 10,
-    config: SystemConfig = DEFAULT_CONFIG,
-    policy: Optional[SchedulingPolicy] = None,
     weights: Optional[dict[str, float]] = None,
     with_trace: bool = False,
     aggregate_threshold: int = 64,
     pipelined: bool = False,
-    max_in_flight: int = 6,
     scale_iters_by_weight: bool = False,
 ) -> MultitenantResult:
     """N clients gang-scheduling over all cores of one island.
 
-    ``pipelined=True`` keeps several submissions in flight per client,
+    ``weights`` switches the island schedulers to stride scheduling
+    (:class:`~repro.core.scheduler.ProportionalSharePolicy`) with those
+    per-client shares.  ``pipelined=True`` keeps six submissions in
+    flight per client,
     oversubscribing the island so the scheduling policy (not client
     self-limiting) decides shares — the Figure 9 regime.  The default
     OpByOp drive is the Figure 8 regime.  ``with_trace=True`` attaches a
@@ -72,12 +72,9 @@ def run_pathways_multitenant(
     """
     if n_clients < 1:
         raise ValueError("need at least one client")
-    if weights is not None and policy is None:
-        policy = ProportionalSharePolicy(weights)
     system = PathwaysSystem.build(
         _spec(n_hosts, devices_per_host),
-        config=config,
-        policy=policy,
+        policy=ProportionalSharePolicy(weights) if weights is not None else None,
         tracer=Tracer() if with_trace else None,
         aggregate_threshold=aggregate_threshold,
     )
@@ -103,7 +100,7 @@ def run_pathways_multitenant(
                 step.solo_program,
                 (0.0,),
                 n_iters=n_iters,
-                max_in_flight=max_in_flight,
+                max_in_flight=6,
             )
         else:
             driver_gen = client.drive_op_by_op(
@@ -130,13 +127,11 @@ def run_jax_multitenant(
     n_clients: int,
     compute_time_us: float,
     n_hosts: int = 16,
-    devices_per_host: int = 8,
     iters_per_client: int = 10,
-    config: SystemConfig = DEFAULT_CONFIG,
-    seed: int = 0,
 ) -> MultitenantResult:
     """Multi-controller comparison: clients contend for each host's
-    Python dispatch thread, then enqueue gang computations.
+    Python dispatch thread, then enqueue gang computations over an
+    island of ``n_hosts`` hosts with 8 devices each.
 
     A single representative host/device pair stands in for the symmetric
     SPMD fleet; the dispatch thread serializes all clients (the
@@ -148,12 +143,12 @@ def run_jax_multitenant(
     if n_clients < 1:
         raise ValueError("need at least one client")
     sim = Simulator()
-    cluster = make_cluster(sim, _spec(n_hosts, devices_per_host), config=config)
+    cluster = make_cluster(sim, _spec(n_hosts, 8))
     island = cluster.islands[0]
     device = island.devices[0]
     n_devices = island.n_devices
     dispatch_thread = Resource(sim, capacity=1, name="python")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     coll_us = island.ici.allreduce_time_us(n_devices, 4)
     completed: dict[str, int] = {}
 
@@ -161,15 +156,19 @@ def run_jax_multitenant(
         done = 0
         in_flight = []
         for _ in range(iters_per_client):
-            jitter = rng.exponential(config.jax_straggler_sigma_us, size=n_hosts).max()
+            jitter = rng.exponential(
+                DEFAULT_CONFIG.jax_straggler_sigma_us, size=n_hosts
+            ).max()
             granted = sim.event()
             dispatch_thread.acquire(lambda exc, ev=granted: ev.succeed_inline())
             yield granted
             try:
-                yield sim.timeout(config.python_dispatch_us + jitter)
+                yield sim.timeout(DEFAULT_CONFIG.python_dispatch_us + jitter)
             finally:
                 dispatch_thread.release()
-            yield sim.timeout(config.pcie_latency_us + config.host_launch_work_us)
+            yield sim.timeout(
+                DEFAULT_CONFIG.pcie_latency_us + DEFAULT_CONFIG.host_launch_work_us
+            )
             kernel = Kernel(
                 sim,
                 duration_us=compute_time_us,

@@ -362,18 +362,12 @@ def _fleet_flow(
     deliveries[i] = sim.now
 
 
-def run_flow_fleet(
-    n_flows: int = 2600,
-    hosts: int = 64,
-    devices_per_host: int = 1,
-    flow_bytes: int = 1 << 20,
-    config: SystemConfig = DEFAULT_CONFIG,
-) -> FlowFleetResult:
+def run_flow_fleet(n_flows: int = 2600) -> FlowFleetResult:
     """Flow-scale fabric stress: thousands of short concurrent flows.
 
-    One island of ``hosts`` hosts, paired off into ``hosts // 2``
-    disjoint (sender, receiver) NIC pairs; ``n_flows`` transfers of
-    ``flow_bytes`` each arrive open-loop inside a 1 ms window (a
+    One island of 64 one-device hosts, paired off into 32 disjoint
+    (sender, receiver) NIC pairs; ``n_flows`` transfers of 1 MiB each
+    arrive open-loop inside a 1 ms window (a
     serving-style arrival burst, spread by a fixed multiplicative LCG —
     deterministic, no RNG state).  The window is much shorter than the
     drain time, so concurrency climbs to thousands of
@@ -386,16 +380,13 @@ def run_flow_fleet(
     converging on one bottleneck.  ``deliveries`` carries the exact
     per-flow delivery times for cross-solver equality checks.
     """
-    if hosts < 2 or hosts % 2:
-        raise ValueError(f"hosts must be even and >= 2, got {hosts}")
-    config = config.with_overrides(net_contention=True)
     system = PathwaysSystem.build(
-        ClusterSpec(islands=((hosts, devices_per_host),), name="flowfleet"),
-        config=config,
+        ClusterSpec(islands=((64, 1),), name="flowfleet"),
+        config=DEFAULT_CONFIG.with_overrides(net_contention=True),
     )
     sim = system.sim
     island_hosts = system.cluster.islands[0].hosts
-    n_pairs = hosts // 2
+    n_pairs = 32
     deliveries = [0.0] * n_flows
     procs = []
     for i in range(n_flows):
@@ -408,7 +399,7 @@ def run_flow_fleet(
                 _fleet_flow(
                     system, i,
                     island_hosts[2 * pair], island_hosts[2 * pair + 1],
-                    flow_bytes, offset * _ARRIVAL_WINDOW_US, deliveries,
+                    1 << 20, offset * _ARRIVAL_WINDOW_US, deliveries,
                 ),
             )
         )

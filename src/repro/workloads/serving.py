@@ -10,13 +10,12 @@ them into gang-scheduled inference programs on a
 exactly one typed outcome: completed, rejected (by reason), or —
 asserted never, absent unrecoverable faults — abandoned.
 
-Three arrival shapes:
+Two arrival shapes:
 
 * :func:`poisson_arrivals` — stationary Poisson at ``rate_rps``;
-* :func:`bursty_arrivals` — on/off modulated Poisson (duty-cycled
-  bursts at ``burst_rps`` over a ``base_rps`` floor);
-* :func:`diurnal_arrivals` — a sinusoidal day: trough at t=0, peak at
-  half the period (non-homogeneous Poisson via thinning).
+* :func:`diurnal_arrivals` — a sinusoidal day over the run: trough at
+  the start and end, peak at half-time (non-homogeneous Poisson via
+  thinning).
 
 Deterministic: all randomness flows from the seeded generator.
 """
@@ -24,7 +23,7 @@ Deterministic: all randomness flows from the seeded generator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Generator, Optional
+from typing import Generator, Optional
 
 import numpy as np
 
@@ -38,7 +37,6 @@ from repro.serve import Autoscaler, Frontend, LatencyRecorder, ReplicaSet
 
 __all__ = [
     "ServingResult",
-    "bursty_arrivals",
     "diurnal_arrivals",
     "poisson_arrivals",
     "run_serving",
@@ -64,62 +62,31 @@ def poisson_arrivals(
     return times[times < duration_us]
 
 
-def _thinned(
-    peak_rps: float,
-    rate_at: Callable[[np.ndarray], np.ndarray],
-    duration_us: float,
-    seed: int,
-) -> np.ndarray:
-    """Non-homogeneous Poisson via thinning against ``peak_rps``."""
-    candidates = poisson_arrivals(peak_rps, duration_us, seed=seed)
-    if candidates.size == 0:
-        return candidates
-    rng = np.random.default_rng(seed + 0x5EED)
-    keep = rng.random(candidates.size) * peak_rps < rate_at(candidates)
-    return candidates[keep]
-
-
-def bursty_arrivals(
-    base_rps: float,
-    burst_rps: float,
-    duration_us: float,
-    period_us: float = 100_000.0,
-    duty: float = 0.25,
-    seed: int = 0,
-) -> np.ndarray:
-    """On/off bursts: ``burst_rps`` for the first ``duty`` of each
-    period, ``base_rps`` for the rest."""
-    if burst_rps < base_rps:
-        raise ValueError("burst_rps must be >= base_rps")
-
-    def rate_at(t: np.ndarray) -> np.ndarray:
-        phase = np.mod(t, period_us) / period_us
-        return np.where(phase < duty, burst_rps, base_rps)
-
-    return _thinned(burst_rps, rate_at, duration_us, seed)
-
-
 def diurnal_arrivals(
     mean_rps: float,
     duration_us: float,
     amplitude: float = 0.8,
-    period_us: Optional[float] = None,
     seed: int = 0,
 ) -> np.ndarray:
-    """A sinusoidal "day": rate(t) = mean·(1 − A·cos(2πt/period)).
+    """A sinusoidal "day" over the run:
+    rate(t) = mean·(1 − A·cos(2πt/duration)).
 
-    Trough at t=0 and t=period, peak ``mean·(1+A)`` at half the period;
-    the default period is the whole run (one day per run).
+    Trough at the start and end, peak ``mean·(1+A)`` at half-time.  A
+    non-homogeneous Poisson process, drawn by thinning a Poisson stream
+    at the peak rate.
     """
     if not 0.0 <= amplitude <= 1.0:
         raise ValueError(f"amplitude must be in [0, 1], got {amplitude}")
-    period = period_us if period_us is not None else duration_us
     peak = mean_rps * (1.0 + amplitude)
-
-    def rate_at(t: np.ndarray) -> np.ndarray:
-        return mean_rps * (1.0 - amplitude * np.cos(2.0 * np.pi * t / period))
-
-    return _thinned(peak, rate_at, duration_us, seed)
+    candidates = poisson_arrivals(peak, duration_us, seed=seed)
+    if candidates.size == 0:
+        return candidates
+    rate = mean_rps * (
+        1.0 - amplitude * np.cos(2.0 * np.pi * candidates / duration_us)
+    )
+    rng = np.random.default_rng(seed + 0x5EED)
+    keep = rng.random(candidates.size) * peak < rate
+    return candidates[keep]
 
 
 # -- results ------------------------------------------------------------------
@@ -216,11 +183,7 @@ def run_serving(
     max_replicas: int = 4,
     autoscale_interval_us: float = 5_000.0,
     shrink_patience: int = 3,
-    burst_rps: Optional[float] = None,
-    burst_period_us: float = 100_000.0,
-    burst_duty: float = 0.25,
     diurnal_amplitude: float = 0.8,
-    diurnal_period_us: Optional[float] = None,
     fail_replica_at: Optional[float] = None,
     repair_us: float = 30_000.0,
     contention: bool = True,
@@ -231,9 +194,8 @@ def run_serving(
 ) -> ServingResult:
     """One open-loop serving run; drives the simulator to completion.
 
-    ``arrival`` picks the process: ``"poisson"`` at ``rate_rps``,
-    ``"bursty"`` (``rate_rps`` floor, ``burst_rps`` bursts), or
-    ``"diurnal"`` (mean ``rate_rps``, one sinusoidal day by default).
+    ``arrival`` picks the process: ``"poisson"`` at ``rate_rps``, or
+    ``"diurnal"`` (mean ``rate_rps``, one sinusoidal day over the run).
     ``autoscale`` attaches an :class:`~repro.serve.Autoscaler` between
     ``min_replicas`` (default: the initial width) and ``max_replicas``.
     ``fail_replica_at`` injects a device failure under replica 0 at that
@@ -301,18 +263,9 @@ def run_serving(
     if arrival == "poisson":
         arrivals = poisson_arrivals(rate_rps, duration_us, seed=seed)
         offered_rps = rate_rps
-    elif arrival == "bursty":
-        if burst_rps is None:
-            burst_rps = 4.0 * rate_rps
-        arrivals = bursty_arrivals(
-            rate_rps, burst_rps, duration_us,
-            period_us=burst_period_us, duty=burst_duty, seed=seed,
-        )
-        offered_rps = arrivals.size / (duration_us / 1e6)
     elif arrival == "diurnal":
         arrivals = diurnal_arrivals(
-            rate_rps, duration_us,
-            amplitude=diurnal_amplitude, period_us=diurnal_period_us, seed=seed,
+            rate_rps, duration_us, amplitude=diurnal_amplitude, seed=seed
         )
         offered_rps = arrivals.size / (duration_us / 1e6)
     else:

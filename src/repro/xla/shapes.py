@@ -14,16 +14,15 @@ __all__ = ["DType", "TensorSpec"]
 class DType(Enum):
     """Supported element types (width in bytes)."""
 
-    F32 = ("f32", 4, np.float32)
-    BF16 = ("bf16", 2, np.float32)  # numpy lacks bf16; computed in f32
-    F16 = ("f16", 2, np.float16)
-    I32 = ("i32", 4, np.int32)
-    I8 = ("i8", 1, np.int8)
+    F32 = ("f32", 4)
+    BF16 = ("bf16", 2)
+    F16 = ("f16", 2)
+    I32 = ("i32", 4)
+    I8 = ("i8", 1)
 
-    def __init__(self, label: str, width: int, np_dtype):
+    def __init__(self, label: str, width: int):
         self.label = label
         self.width = width
-        self.np_dtype = np_dtype
 
     def __repr__(self) -> str:
         return f"DType.{self.name}"
@@ -67,12 +66,13 @@ class TensorSpec:
         return tuple(array.shape) == self.shape
 
     @staticmethod
-    def of(array: np.ndarray, dtype: DType = DType.F32) -> "TensorSpec":
-        return TensorSpec(tuple(array.shape), dtype)
+    def of(array: np.ndarray) -> "TensorSpec":
+        """An f32 spec of ``array``'s shape."""
+        return TensorSpec(tuple(array.shape))
 
     @staticmethod
-    def scalar(dtype: DType = DType.F32) -> "TensorSpec":
-        return TensorSpec((), dtype)
+    def scalar() -> "TensorSpec":
+        return TensorSpec(())
 
     def __str__(self) -> str:
         dims = "x".join(str(d) for d in self.shape) or "scalar"

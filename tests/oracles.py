@@ -93,7 +93,14 @@ import repro.core.executor as executor_module
 import repro.hw.device as device_module
 from repro.baselines import multi_controller
 from repro.core import object_store
-from repro.core.dispatch import DispatchMode, ExecutionAbandoned, ProgramExecution
+from repro.core.dispatch import (
+    MAX_REMAP_ATTEMPTS,
+    REMAP_US,
+    RETRY_BACKOFF_US,
+    DispatchMode,
+    ExecutionAbandoned,
+    ProgramExecution,
+)
 from repro.core.executor import NodeExecutor
 from repro.core.ir import TransferRoute
 from repro.core.object_store import MemorySpace, ObjectHandle, ShardedObjectStore
@@ -369,7 +376,6 @@ def prep(ex) -> Generator:
     handle, alloc_ready = ex.store.allocate(
         nbytes_per_shard=fn.output_nbytes_per_shard(),
         n_shards=group.n_logical,
-        owner=ex.owner,
         group=group,
         space=MemorySpace.HBM,
     )
@@ -653,7 +659,7 @@ def recover_program(self, execution) -> Generator:
     Pays the detection latency once, then remaps every placement
     slice that lost a device, backing off while no healthy capacity
     exists (repair or preemption end will create some).  Raises
-    ``RuntimeError`` after ``max_remap_attempts`` backoffs.
+    ``RuntimeError`` after ``MAX_REMAP_ATTEMPTS`` backoffs.
     """
     yield self.sim.timeout(self.detection_us)
     slices = []
@@ -682,16 +688,15 @@ def recover_program(self, execution) -> Generator:
                 rm.rebind_slice(vslice)
             except RuntimeError:
                 attempts += 1
-                if attempts >= self.max_remap_attempts:
+                if attempts >= MAX_REMAP_ATTEMPTS:
                     raise RuntimeError(
                         f"slice {vslice.slice_id}: no healthy capacity after "
                         f"{attempts} remap attempts"
                     )
-                yield self.sim.timeout(self.retry_backoff_us)
+                yield self.sim.timeout(RETRY_BACKOFF_US)
             else:
                 self.remaps += 1
-                if self.remap_us > 0:
-                    yield self.sim.timeout(self.remap_us)
+                yield self.sim.timeout(REMAP_US)
                 break
     self.programs_recovered += 1
 
@@ -720,8 +725,7 @@ def recover_and_replay(ex, cause) -> Generator:
         if old is not None and old.output_handle is not None and old.prep_done:
             ex.system.object_store.discard(old.output_handle)
         fresh = NodeExecutor(
-            ex.sim, ex.config, ex.system.object_store, node,
-            owner=ex.client.name, program=ex.low.name,
+            ex.sim, ex.config, ex.system.object_store, node, program=ex.low.name,
         )
         ex._executors[node.node_id] = fresh
         ex._completed_at.pop(node.node_id, None)
@@ -1372,7 +1376,7 @@ def _prep_hosts(hosts, work_us: float, on_parts) -> None:
         host.prep_request(work_us, on_parts)
 
 
-def _allocate(self, nbytes_per_shard, n_shards, owner, group=None, space=MemorySpace.HBM):
+def _allocate(self, nbytes_per_shard, n_shards, group=None, space=MemorySpace.HBM):
     """``ShardedObjectStore.allocate`` with one ``HbmAllocator.alloc``
     per device, every grant recorded."""
     handle = ObjectHandle(
@@ -1381,7 +1385,6 @@ def _allocate(self, nbytes_per_shard, n_shards, owner, group=None, space=MemoryS
         nbytes_per_shard=nbytes_per_shard,
         n_shards=n_shards,
         space=space,
-        owner=owner,
         group=group,
     )
     self._objects[handle.object_id] = handle

@@ -27,17 +27,19 @@ def measure(sim, proc_gen, per_total):
 
 
 class TestMultiControllerJax:
-    def test_values_computed(self, sim):
+    def test_every_step_runs_one_kernel(self, sim):
         cluster = make(sim)
         jax = MultiControllerJax(sim, cluster, DEFAULT_CONFIG)
         fn = scalar_allreduce_add(8, 1.0)
-        proc = sim.process(jax.run_steps(fn, 5, value=np.float32(0.0)))
+        proc = sim.process(jax.run_steps(fn, 5))
         sim.run_until_triggered(proc)
-        assert proc.value == pytest.approx(5.0)
+        # The representative device stands in for the whole island.
+        assert jax.group.devices == [cluster.islands[0].devices[0]]
+        assert jax.group.devices[0].kernels_run == 5
 
     def test_dispatch_bound_for_tiny_computations(self, sim):
         cluster = make(sim)
-        jax = MultiControllerJax(sim, cluster, DEFAULT_CONFIG, seed=1)
+        jax = MultiControllerJax(sim, cluster, DEFAULT_CONFIG)
         fn = scalar_allreduce_add(8, 0.5)
         tput = measure(sim, jax.run_steps(fn, 50), 50)
         # Bounded by Python dispatch (~120us+) rather than device time.
@@ -45,7 +47,7 @@ class TestMultiControllerJax:
 
     def test_device_bound_for_large_computations(self, sim):
         cluster = make(sim)
-        jax = MultiControllerJax(sim, cluster, DEFAULT_CONFIG, seed=1)
+        jax = MultiControllerJax(sim, cluster, DEFAULT_CONFIG)
         fn = scalar_allreduce_add(8, 5000.0)
         tput = measure(sim, jax.run_steps(fn, 20), 20)
         assert tput == pytest.approx(1e6 / jax.device_time_us(fn), rel=0.05)
@@ -54,7 +56,7 @@ class TestMultiControllerJax:
         def mean_overhead(n_hosts):
             sim = Simulator()
             cluster = make(sim, n_hosts=n_hosts)
-            jax = MultiControllerJax(sim, cluster, DEFAULT_CONFIG, seed=0)
+            jax = MultiControllerJax(sim, cluster, DEFAULT_CONFIG)
             return np.mean([jax.dispatch_overhead_us() for _ in range(300)])
 
         assert mean_overhead(64) > mean_overhead(2)
@@ -62,18 +64,18 @@ class TestMultiControllerJax:
     def test_fused_amortizes_dispatch(self, sim):
         cluster = make(sim)
         config = DEFAULT_CONFIG
-        jax = MultiControllerJax(sim, cluster, config, seed=1)
+        jax = MultiControllerJax(sim, cluster, config)
         unit = scalar_allreduce_add(8, 0.5)
         fused = fuse([unit] * 128)
         t_fused = measure(sim, jax.run_steps(fused, 5), 5 * 128)
         sim2 = Simulator()
-        jax2 = MultiControllerJax(sim2, make(sim2), config, seed=1)
+        jax2 = MultiControllerJax(sim2, make(sim2), config)
         t_unit = measure(sim2, jax2.run_steps(unit, 50), 50)
         assert t_fused > 3 * t_unit
 
     def test_simulation_matches_closed_form(self, sim):
         cluster = make(sim, n_hosts=4)
-        jax = MultiControllerJax(sim, cluster, DEFAULT_CONFIG, seed=3)
+        jax = MultiControllerJax(sim, cluster, DEFAULT_CONFIG)
         fn = scalar_allreduce_add(16, 2000.0)
         measured = measure(sim, jax.run_steps(fn, 30), 30)
         assert measured == pytest.approx(jax.expected_throughput(fn), rel=0.1)

@@ -155,7 +155,7 @@ class TestBackpressureEndToEnd:
         step = client.wrap(big, devices=devs)
         driver = system.sim.process(
             client.drive_op_by_op(step.solo_program, (np.zeros(131072, dtype=np.float32),),
-                                  n_iters=6, release=True)
+                                  n_iters=6)
         )
         system.sim.run_until_triggered(driver)
         assert all(d.hbm.used == 0 for d in system.cluster.devices)

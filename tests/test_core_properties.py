@@ -96,7 +96,7 @@ def test_object_store_hbm_conservation(actions):
             handle = live.pop()
             store.release(handle)
         else:
-            handle, _ = store.allocate(nbytes, 2, owner="fuzz", group=group)
+            handle, _ = store.allocate(nbytes, 2, group=group)
             live.append(handle)
         sim.run()
         expected = sum(h.nbytes_per_shard for h in live)

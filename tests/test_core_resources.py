@@ -25,8 +25,6 @@ class TestVirtualSlice:
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):
             VirtualSlice(0)
-        with pytest.raises(ValueError):
-            VirtualSlice(4, mesh_shape=(3, 2))
 
     def test_group_access_requires_binding(self):
         vslice = VirtualSlice(2)

@@ -190,7 +190,7 @@ def run_scenario(gang_specs, fault_specs, probes=()) -> dict:
                     log.append(["prep", g, sim.now, type(exc).__name__])
 
         executor_module.prep_hosts(group.hosts, spec.prep_us, on_prep)
-        handle, ready = store.allocate(spec.hbm, len(spec.devices), f"g{g}", group, MemorySpace.HBM)
+        handle, ready = store.allocate(spec.hbm, len(spec.devices), group, MemorySpace.HBM)
         ready.add_callback(lambda ev: log.append(["alloc", g, sim.now, type(ev._exc).__name__]))
         gate = None
         if spec.gate is not None:
@@ -235,7 +235,7 @@ def run_scenario(gang_specs, fault_specs, probes=()) -> dict:
                 _at(sim, sim.now + spec.repair_us, dev.restart)
         else:
             host = hosts[spec.target]
-            host.crash("fuzz")
+            host.crash()
             if spec.repair_us is not None:
                 _at(sim, sim.now + spec.repair_us, host.restore)
 

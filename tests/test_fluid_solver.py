@@ -318,8 +318,8 @@ class TestFullScenarioEquivalence:
 
     def test_flow_fleet_deliveries_identical(self):
         with _solver(DenseFluidSolver):
-            dense = run_flow_fleet(n_flows=300, hosts=8)
-        scoped = run_flow_fleet(n_flows=300, hosts=8)
+            dense = run_flow_fleet(n_flows=300)
+        scoped = run_flow_fleet(n_flows=300)
         assert dense.deliveries == scoped.deliveries
         assert dense.elapsed_us == scoped.elapsed_us
         assert dense.events == scoped.events
@@ -464,8 +464,8 @@ class TestFabricStats:
 
     def test_scoped_touches_no_more_than_dense(self):
         with _solver(DenseFluidSolver):
-            dense = run_flow_fleet(n_flows=200, hosts=16)
-        scoped = run_flow_fleet(n_flows=200, hosts=16)
+            dense = run_flow_fleet(n_flows=200)
+        scoped = run_flow_fleet(n_flows=200)
         assert scoped.fabric.flows_touched < dense.fabric.flows_touched
         assert (
             scoped.fabric.flows_touched_per_update
@@ -483,7 +483,7 @@ class TestFabricStats:
         assert scoped.fabric.rate_recomputes <= scoped.fabric.membership_updates
 
     def test_transport_stats_carries_fabric_snapshot(self):
-        r = run_flow_fleet(n_flows=50, hosts=4)
+        r = run_flow_fleet(n_flows=50)
         assert isinstance(r.fabric, FabricStats)
         assert r.fabric.flows_started == 50
         assert r.fabric.peak_concurrent_flows == r.peak_concurrent_flows

@@ -43,7 +43,7 @@ class TestIsland:
 
 class TestClusterConfigs:
     def test_config_a(self):
-        spec = config_a(512)
+        spec = config_a()
         assert spec.total_devices == 2048 and spec.islands == ((512, 4),)
 
     def test_config_b(self):

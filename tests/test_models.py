@@ -68,7 +68,6 @@ class TestTransformerConfig:
 
     def test_kv_cache_bytes_per_token(self):
         assert DECODER_3B.kv_cache_bytes_per_token() == 2 * 62 * 2048 * 2
-        assert DECODER_3B.kv_cache_bytes_per_token(dtype_bytes=4) == 2 * 62 * 2048 * 4
 
 
 class TestSpmd:

@@ -14,10 +14,7 @@ def make_system(n_hosts=5, dph=4):
 
 
 def make_builder(system, n_experts=4, **kw):
-    defaults = dict(
-        batch_tokens=8192, d_model=1024, d_expert=4096,
-        cores_per_expert=2, router_cores=2,
-    )
+    defaults = dict(batch_tokens=8192, d_model=1024, d_expert=4096)
     defaults.update(kw)
     return MoeLayerBuilder(system, n_experts, **defaults)
 
@@ -44,13 +41,12 @@ class TestMoeProgram:
         system = make_system()
         with pytest.raises(ValueError):
             MoeLayerBuilder(system, 0, 1024, 64, 128)
-        with pytest.raises(ValueError):
-            MoeLayerBuilder(system, 2, 1024, 64, 128, capacity_factor=0)
 
     def test_capacity_factor_inflates_expert_tokens(self):
         system = make_system()
-        builder = make_builder(system, n_experts=4, capacity_factor=2.0)
-        assert builder.tokens_per_expert == 8192 // 4 * 2
+        builder = make_builder(system, n_experts=4)
+        # An even split (2,048 tokens) inflated by the 1.25 capacity factor.
+        assert builder.tokens_per_expert == 2560
 
 
 class TestMoeExecution:

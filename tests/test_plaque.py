@@ -184,5 +184,5 @@ class TestShardedChannel:
         ch = ShardedChannel(sim, n_dst_shards=1, producers=2)
         ch.put(0, 0, "x")
         assert not ch.shard_complete(0).triggered
-        ch.punctuate(1, 0)
+        ch.punctuate(1)
         assert ch.shard_complete(0).triggered

@@ -31,7 +31,6 @@ from repro.serve import (
 )
 from repro.telemetry.histogram import percentile
 from repro.workloads.serving import (
-    bursty_arrivals,
     diurnal_arrivals,
     poisson_arrivals,
     run_serving,
@@ -64,18 +63,6 @@ class TestArrivals:
     def test_diurnal_rejects_bad_amplitude(self):
         with pytest.raises(ValueError, match="amplitude"):
             diurnal_arrivals(100.0, 1e6, amplitude=1.5)
-
-    def test_bursty_concentrates_in_duty_window(self):
-        a = bursty_arrivals(
-            100.0, 2000.0, 1_000_000.0, period_us=100_000.0, duty=0.25, seed=2
-        )
-        phase = np.mod(a, 100_000.0) / 100_000.0
-        in_burst = (phase < 0.25).sum()
-        assert in_burst > 0.7 * a.size
-
-    def test_bursty_rejects_inverted_rates(self):
-        with pytest.raises(ValueError, match="burst_rps"):
-            bursty_arrivals(200.0, 100.0, 1e6)
 
 
 class TestPercentile:
@@ -326,8 +313,9 @@ class TestSpinupFailure:
         system = make_serving_system(islands=2)
         frontend, rset = make_stack(system, n_replicas=1)
         victim_island = 1 - rset.replicas[0].island_id
-        grown = rset.grow(island_id=victim_island)
+        grown = rset.grow()  # the island with no replica yet
         assert grown is not None and not grown.active
+        assert grown.island_id == victim_island
         target_host = grown.lead_host
 
         def crash():
@@ -349,7 +337,8 @@ class TestSpinupFailure:
     def test_retire_during_spinup_hands_hardware_back(self):
         system = make_serving_system(islands=2)
         frontend, rset = make_stack(system, n_replicas=1)
-        grown = rset.grow(island_id=1 - rset.replicas[0].island_id)
+        grown = rset.grow()
+        assert grown.island_id == 1 - rset.replicas[0].island_id
         retired = rset.retire(grown)  # before the weights arrive
         advance(system.sim, 20_000.0)
         assert retired.triggered
@@ -391,13 +380,13 @@ class TestAutoscaler:
         assert frontend.completed >= 4
 
     def test_grows_on_backlog_and_shrinks_when_idle(self):
+        """One diurnal day (50..950 rps): the pool grows into the peak
+        and shrinks again as the evening trough empties the queues."""
         r = run_serving(
-            arrival="bursty",
-            rate_rps=50.0,
-            burst_rps=2_000.0,
-            burst_period_us=150_000.0,
-            burst_duty=0.3,
-            duration_us=300_000.0,
+            arrival="diurnal",
+            rate_rps=500.0,
+            diurnal_amplitude=0.9,
+            duration_us=600_000.0,
             islands=3,
             hosts_per_island=1,
             n_replicas=1,

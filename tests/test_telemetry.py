@@ -100,20 +100,20 @@ class TestTracerEnabled:
         tr.bind(sim)
         span = tr.begin("work", "test", track="t0")
         assert span.end_us is None
-        tr.end(span, end_us=5.0)
+        sim.timeout(5.0)
+        sim.run()
+        tr.end(span)
         assert span.duration_us == 5.0
         with tr.span("inner", "test") as s:
             assert s.end_us is None
         assert s.end_us == sim.now
         assert [x.name for x in tr.spans] == ["work", "inner"]
 
-    def test_instant_and_parent_links(self):
+    def test_instants_and_category_view(self):
         tr = Tracer()
-        parent = tr.complete("outer", "test", 0.0, 10.0)
-        child = tr.complete("inner", "test", 2.0, 4.0, parent=parent)
+        outer = tr.complete("outer", "test", 0.0, 10.0)
         mark = tr.instant("tick", "test", ts_us=3.0)
-        assert child.parent_id == parent.span_id
-        assert mark.is_instant and not child.is_instant
+        assert mark.is_instant and not outer.is_instant
         assert tr.by_cat("test") == tr.spans
 
     def test_open_span_closes_at_export(self, sim):
@@ -151,7 +151,8 @@ class TestMetricsRegistry:
     def test_counters_gauges_probes_histograms(self):
         reg = MetricsRegistry()
         reg.counter("c").inc()
-        reg.counter("c").inc(2.0)  # get-or-create returns the same object
+        reg.counter("c").inc()  # get-or-create returns the same object
+        reg.counter("c").inc()
         reg.gauge("g").set(7.0)
         depth = [3]
         reg.probe("p", lambda: float(depth[0]))

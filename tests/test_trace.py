@@ -80,30 +80,31 @@ class TestAnalysis:
         assert util[0] == pytest.approx(1.0)
         assert util[1] == pytest.approx(0.5)
 
-    def test_utilization_with_window(self):
-        util = utilization_by_device(make_trace(), window=(0.0, 15.0))
-        assert util[0] == pytest.approx(1.0)
-        assert util[1] == pytest.approx(1.0)
-
     def test_program_share(self):
         shares = program_share(make_trace())
         assert shares["A"] == pytest.approx(35 / 45)
         assert shares["B"] == pytest.approx(10 / 45)
 
+    def test_program_share_with_window(self):
+        # [0, 15]: A 10 + 15 on devices 0 and 1, B 5 on device 0.
+        shares = program_share(make_trace(), window=(0.0, 15.0))
+        assert shares["A"] == pytest.approx(25 / 30)
+        assert shares["B"] == pytest.approx(5 / 30)
+
     def test_program_share_empty(self):
         assert program_share(Tracer()) == {}
 
     def test_interleave_granularity(self):
-        # Device 0 runs: A(10), B(10), A(10) -> mean run 10.
-        g = interleave_granularity_us(make_trace(), device=0)
-        assert g == pytest.approx(10.0)
+        # Device 0 runs A(10), B(10), A(10); device 1 runs A(15).
+        g = interleave_granularity_us(make_trace())
+        assert g == pytest.approx(45.0 / 4)
 
     def test_granularity_merges_adjacent_same_program(self):
         tr = Tracer()
         kernel(tr, 0, 0.0, 5.0, program="A")
         kernel(tr, 0, 5.0, 10.0, program="A")
         kernel(tr, 0, 10.0, 20.0, program="B")
-        assert interleave_granularity_us(tr, device=0) == pytest.approx(10.0)
+        assert interleave_granularity_us(tr) == pytest.approx(10.0)
 
 
 class TestRender:
