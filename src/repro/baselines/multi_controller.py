@@ -22,18 +22,22 @@ import numpy as np
 from repro.config import SystemConfig
 from repro.core.placement import DeviceGroup
 from repro.hw.cluster import Cluster
-from repro.hw.device import CollectiveRendezvous, Kernel
-from repro.sim import Event, Simulator
+from repro.hw.device import CollectiveRendezvous, Kernel, enqueue_gang
+from repro.sim import Event, Resource, Simulator
 from repro.xla.computation import CompiledFunction
 
 __all__ = ["MultiControllerJax"]
 
-#: Steps the controller enqueues ahead of device completion.
-_MAX_IN_FLIGHT = 8
-
 
 class MultiControllerJax:
-    """Multi-controller execution over one island's devices."""
+    """Multi-controller execution over one island's devices.
+
+    Every :meth:`run_steps` process is one client.  Clients of one
+    runtime share the hosts' Python dispatch thread (serialized, the
+    mechanism limiting JAX's aggregate throughput for tiny computations
+    in §5.2) and its straggler draws, while their enqueued work
+    pipelines on the devices.
+    """
 
     def __init__(
         self,
@@ -45,13 +49,10 @@ class MultiControllerJax:
         self.cluster = cluster
         self.config = config
         island = cluster.islands[0]
-        self.group = DeviceGroup(
-            island=island,
-            devices=[island.devices[0]],
-            n_logical=island.n_devices,
-            n_hosts_logical=island.n_hosts,
-        )
+        self.group = DeviceGroup.representative(island, island.n_devices)
         self.rng = np.random.default_rng(0)
+        #: The hosts' Python dispatch thread.
+        self.dispatch_thread = Resource(sim, capacity=1, name="python")
 
     # -- dispatch cost model --------------------------------------------------
     def dispatch_overhead_us(self) -> float:
@@ -66,54 +67,50 @@ class MultiControllerJax:
         return base + jitter
 
     def device_time_us(self, fn: CompiledFunction) -> float:
-        compute = fn.compute_time_us(self.config)
-        coll = 0.0
-        if fn.collective is not None:
-            coll = fn.collective.count * self.group.island.ici.allreduce_time_us(
-                self.group.n_logical, fn.collective.nbytes
-            )
-        return compute + coll
+        return fn.compute_time_us(self.config) + self.group.collective_us(fn)
 
     # -- driver processes -------------------------------------------------
-    def run_steps(self, fn: CompiledFunction, n_steps: int) -> Generator:
+    def run_steps(
+        self, fn: CompiledFunction, n_steps: int, max_in_flight: int = 8
+    ) -> Generator:
         """Simulate ``n_steps`` back-to-back executions of ``fn``.
 
         Asynchronous dispatch (Appendix A.2): the controller enqueues up
-        to ``_MAX_IN_FLIGHT`` steps ahead of device completion, so small
+        to ``max_in_flight`` steps ahead of device completion, so small
         dispatch overheads are masked whenever device time dominates.
         Yields from a simulation process.
         """
+        sim = self.sim
         cfg = self.config
+        group = self.group
+        thread = self.dispatch_thread
         in_flight: list[Event] = []
         for _ in range(n_steps):
             # Per-step Python dispatch on every controller (parallel
-            # across hosts; straggler folded into the max).
-            yield self.sim.timeout(self.dispatch_overhead_us())
-            yield self.sim.timeout(cfg.pcie_latency_us + cfg.host_launch_work_us)
-            coll_us = 0.0
-            if fn.collective is not None:
-                coll_us = fn.collective.count * self.group.island.ici.allreduce_time_us(
-                    self.group.n_logical, fn.collective.nbytes
-                )
+            # across hosts; straggler folded into the max), drawn before
+            # the client waits for the dispatch thread.
+            dispatch_us = self.dispatch_overhead_us()
+            granted = sim.event()
+            thread.acquire(granted.succeed_inline)
+            yield granted
+            try:
+                yield sim.timeout(dispatch_us)
+            finally:
+                thread.release()
+            yield sim.timeout(cfg.pcie_latency_us + cfg.host_launch_work_us)
             collective = CollectiveRendezvous(
-                self.sim,
-                participants=len(self.group.devices),
-                duration_us=coll_us,
+                sim, participants=len(group.devices), duration_us=group.collective_us(fn)
             )
-            kernels = [
-                Kernel(
-                    self.sim,
-                    duration_us=fn.compute_time_us(cfg),
-                    collective=collective,
-                    tag=fn.name,
-                    program="jax",
-                )
-                for _ in self.group.devices
-            ]
-            for d, k in zip(self.group.devices, kernels):
-                d.enqueue(k)
-            in_flight.append(self.sim.all_of([k.done for k in kernels]))
-            if len(in_flight) >= _MAX_IN_FLIGHT:
+            kernel = Kernel(
+                sim,
+                duration_us=fn.compute_time_us(cfg),
+                collective=collective,
+                tag=fn.name,
+                program="jax",
+            )
+            enqueue_gang(group.devices, kernel)
+            in_flight.append(kernel.done)
+            if len(in_flight) >= max_in_flight:
                 yield in_flight.pop(0)
         for ev in in_flight:
             yield ev

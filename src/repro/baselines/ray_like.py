@@ -33,6 +33,9 @@ __all__ = ["RayLikeRuntime"]
 #: iteration dispatches a PyTorch AllReduce from the actor's Python loop).
 _FUSED_LOOP_US = 150.0
 
+#: Host-side initiation of each NCCL-style collective.
+_HOST_INITIATION_US = 20.0
+
 #: Driver-side ``ray.get`` cost: OpByOp blocks the client on every object
 #: ref; chained execution passes refs actor-to-actor and skips this.
 _RAY_GET_US = 500.0
@@ -51,29 +54,15 @@ class RayLikeRuntime:
         self.cluster = cluster
         self.config = config
         island = cluster.islands[0]
-        self.group = DeviceGroup(
-            island=island,
-            devices=[island.devices[0]],
-            n_logical=island.n_devices,
-            n_hosts_logical=island.n_hosts,
-        )
+        self.group = DeviceGroup.representative(island, island.n_devices)
 
     # -- cost components -----------------------------------------------------
     def device_time_us(self, fn: CompiledFunction) -> float:
         # NCCL-style allreduce initiated by the host (no fused on-chip
         # collectives): same ring model, plus a host-initiation term.
-        coll = (
-            fn.collective.count
-            * (
-                self.group.island.ici.allreduce_time_us(
-                    self.group.n_logical, fn.collective.nbytes
-                )
-                + 20.0
-            )
-            if fn.collective is not None
-            else 0.0
+        return fn.compute_time_us(self.config) + self.group.collective_us(
+            fn, _HOST_INITIATION_US
         )
-        return fn.compute_time_us(self.config) + coll
 
     def store_put_us(self, nbytes: int) -> float:
         """GPU -> DRAM copy + object-store insertion for one result."""

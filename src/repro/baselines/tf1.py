@@ -43,12 +43,7 @@ class TfOneRuntime:
         self.cluster = cluster
         self.config = config
         island = cluster.islands[0]
-        self.group = DeviceGroup(
-            island=island,
-            devices=[island.devices[0]],
-            n_logical=island.n_devices,
-            n_hosts_logical=island.n_hosts,
-        )
+        self.group = DeviceGroup.representative(island, island.n_devices)
         #: Fetches ride the shared cross-host transport's cost model.
         self.transport = cluster.transport
 
@@ -79,15 +74,7 @@ class TfOneRuntime:
         return self.config.dcn_latency_us + self.transport.transfer_time_us(nbytes)
 
     def device_time_us(self, fn: CompiledFunction) -> float:
-        coll = (
-            fn.collective.count
-            * self.group.island.ici.allreduce_time_us(
-                self.group.n_logical, fn.collective.nbytes
-            )
-            if fn.collective is not None
-            else 0.0
-        )
-        return fn.compute_time_us(self.config) + coll
+        return fn.compute_time_us(self.config) + self.group.collective_us(fn)
 
     # -- drivers -----------------------------------------------------------
     def run_op_by_op(self, fn: CompiledFunction, n_steps: int) -> Generator:

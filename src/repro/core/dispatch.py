@@ -226,7 +226,7 @@ class ProgramExecution:
         # Released when the pass ends.
         self.client.controller.acquire(functools.partial(self._plan, nodes, first))  # repro: noqa[RPR005]
 
-    def _plan(self, nodes: list[LowLevelNode], first: bool, exc=None) -> None:
+    def _plan(self, nodes: list[LowLevelNode], first: bool) -> None:
         """The controller thread is ours.  PARALLEL: one planning pass
         over the whole subgraph (the fan-out work Figure 6 measures),
         then one subgraph-describing message per island (minimizes

@@ -130,22 +130,15 @@ class NodeExecutor:
         collective = None
         if fn.collective is not None or len(group.devices) > 1 or group.n_logical > 1:
             # Gang execution: all shards synchronize; collective wire time
-            # is computed from the *logical* gang width.
-            if fn.collective is not None:
-                duration = fn.collective.count * group.island.ici.allreduce_time_us(
-                    group.n_logical, fn.collective.nbytes
-                )
-            else:
-                duration = 0.0  # pure gang sync, no wire time
+            # is computed from the *logical* gang width (none for a pure
+            # gang sync).  The rendezvous release covers the kernel's
+            # compute phase and -- folded here -- the per-device launch
+            # latency: one shared timeout and one wait per device
+            # instead of three.
             collective = CollectiveRendezvous(
                 self.sim,
                 participants=len(group.devices),
-                duration_us=duration,
-                # Fold the gang's identical compute phase — and the
-                # per-device launch latency — into the rendezvous
-                # completion: one shared timeout and one wait per device
-                # instead of three.
-                compute_us=compute_us,
+                duration_us=group.collective_us(fn),
                 launch_us=self.config.kernel_launch_us,
             )
         # One Kernel object — and one completion event — for the whole

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from repro.hw.device import Device
 from repro.hw.host import Host
 from repro.hw.topology import Island
+from repro.xla.computation import CompiledFunction
 
 __all__ = ["DeviceGroup"]
 
@@ -59,6 +60,27 @@ class DeviceGroup:
                 self.n_hosts_logical = max(1, self.n_logical // per_host)
             else:
                 self.n_hosts_logical = len(self.hosts)
+
+    @classmethod
+    def representative(cls, island: Island, n_logical: int) -> "DeviceGroup":
+        """The island's first device standing for an ``n_logical``-core
+        SPMD gang, with the logical hosts that many cores span."""
+        return cls(
+            island=island,
+            devices=[island.devices[0]],
+            n_logical=n_logical,
+            n_hosts_logical=max(1, n_logical // len(island.hosts[0].devices)),
+        )
+
+    def collective_us(self, fn: CompiledFunction, initiation_us: float = 0.0) -> float:
+        """Wire time of ``fn``'s collectives over this gang's *logical*
+        width, each paying ``initiation_us`` on top (0 without any)."""
+        if fn.collective is None:
+            return 0.0
+        return fn.collective.count * (
+            self.island.ici.allreduce_time_us(self.n_logical, fn.collective.nbytes)
+            + initiation_us
+        )
 
     @property
     def is_aggregate(self) -> bool:

@@ -11,7 +11,8 @@ The properties that drive the paper's design are modeled exactly:
   different devices, the devices block forever: the simulation kernel
   reports :class:`~repro.sim.DeadlockError`.  This is the precise failure
   mode that makes centralized gang scheduling a hard requirement (paper
-  §2, §4.4, Appendix A.5).
+  §2, §4.4, Appendix A.5).  The gang's compute phase rides the
+  rendezvous release: one model of a gang step, whoever enqueues it.
 * **HBM capacity** — an allocator with FIFO back-pressure, used by the
   object store (paper §4.6).
 
@@ -229,11 +230,13 @@ class CollectiveRendezvous:
     kernel reaches the head of its queue (a lockstep :class:`Lane`
     joins once for all its members).  Once every participant has
     joined, all are released ``duration_us`` later (the collective itself
-    runs on the dedicated interconnect, devices stay occupied).
+    runs on the dedicated interconnect, devices stay occupied), plus the
+    gang's compute phase.
 
-    ``compute_us`` folds the gang's (identical) post-collective compute
-    phase, and ``launch_us`` the per-device kernel launch before it,
-    into the same release.  The rendezvous is its own timer-queue entry,
+    The compute phase always rides the release: every join brings its
+    kernel's ``duration_us``, which must be the same for all of them.
+    ``launch_us`` folds the per-device kernel launch before the wire
+    phase into it too.  The rendezvous is its own timer-queue entry,
     named as the timeout it stands for: the last join arms it for the
     wire end, where it re-arms itself for the compute end -- in the
     queue's order, without a loop entry of its own -- and the release
@@ -254,27 +257,24 @@ class CollectiveRendezvous:
         participants: int,
         duration_us: float,
         name: str = "",
-        compute_us: float = 0.0,
         launch_us: float = 0.0,
     ):
         if participants < 1:
             raise ValueError("collective needs at least one participant")
-        if min(duration_us, compute_us, launch_us) < 0:
-            raise ValueError(f"negative collective time in {duration_us, compute_us, launch_us}")
+        if min(duration_us, launch_us) < 0:
+            raise ValueError(f"negative collective time in {duration_us, launch_us}")
         self.sim = sim
         self.label = name or "collective"
         self.expected = participants
         self.duration_us = duration_us
-        self.compute_us = compute_us
         self.launch_us = launch_us
+        #: The gang's compute phase, set by the first join.
+        self.compute_us: Optional[float] = None
         self._joined = 0
         #: Set once the wire phase has completed: a later abort must not
         #: release the surviving peers' compute phase with a failure.
         self._wire_done = False
         self._done = sim.event()
-        #: Post-release compute phase shared by the gang when
-        #: ``compute_us`` is not used (see :meth:`shared_delay`).
-        self._shared_delay: Optional[Event] = None
         #: The armed timeout's delay (the entry's name).
         self.delay = 0.0
 
@@ -282,8 +282,16 @@ class CollectiveRendezvous:
     def name(self) -> str:
         return f"timeout({self.delay:g})"
 
-    def join(self, n: int = 1) -> Event:
-        """``n`` participants arrive (a lane joins for all its members)."""
+    def join(self, n: int, compute_us: float) -> Event:
+        """``n`` participants arrive (a lane joins for all its members),
+        each to run ``compute_us`` once the wire phase ends."""
+        if self.compute_us is None:
+            self.compute_us = compute_us
+        elif compute_us != self.compute_us:
+            raise ValueError(
+                f"{self.label}: a join with {compute_us} us of compute after "
+                f"{self.compute_us} us"
+            )
         self._joined += n
         if self._done._exc is not None:
             # A participant died; late joiners observe the failure too.
@@ -298,7 +306,7 @@ class CollectiveRendezvous:
             sim = self.sim
             self.delay = self.launch_us + self.duration_us
             when = sim._now + self.delay
-            self._silent = self.compute_us > 0 and when > sim._now
+            self._silent = compute_us > 0 and when > sim._now
             sim._at(when, self)
         return self._done
 
@@ -316,18 +324,6 @@ class CollectiveRendezvous:
             self._done.succeed(None)  # what is already due runs first
         else:
             self._done.succeed_inline(None)
-
-    def shared_delay(self, duration_us: float) -> Event:
-        """One timeout shared by the whole gang's compute phase.
-
-        The explicit form of ``compute_us`` for callers that build
-        kernels directly: must be called at release time (all callers
-        see the same ``now``).
-        """
-        delay = self._shared_delay
-        if delay is None:
-            delay = self._shared_delay = self.sim.timeout(duration_us)
-        return delay
 
     def abort(self, cause: BaseException) -> None:
         """Release every (current and future) participant with ``cause``.
@@ -400,12 +396,12 @@ class Lane:
     running busy-time sum per distinct starting total of its members,
     so each member's ``busy_us`` is the float its own sum would be.
 
-    Its phases are pop (or idle-wait) -> gate -> launch ->
-    collective/compute -> complete -> next.  A :class:`Device` is the
-    lane of itself alone, so this is the only drain there is.  A lane
-    of several forms only when all of its members are idle, and splits
-    back into its members (:meth:`_split`) before anything touches one
-    of them alone.
+    Its phases are pop (or idle-wait) -> gate -> launch -> compute or
+    collective (whose release covers the compute) -> complete -> next.
+    A :class:`Device` is the lane of itself alone, so this is the only
+    drain there is.  A lane of several forms only when all of its
+    members are idle, and splits back into its members (:meth:`_split`)
+    before anything touches one of them alone.
     """
 
     #: A shared lane never holds a failed device (a failure splits it
@@ -561,21 +557,10 @@ class Lane:
             self._complete(None)
 
     def _join(self, collective: CollectiveRendezvous) -> None:
-        # The release covers the compute phase too when the rendezvous
-        # folds it (compute_us); else the gang's shared compute timeout
-        # follows it.
-        unfolded = self._current.duration_us > 0 and collective.compute_us <= 0
+        # The release covers the kernel's compute phase too.
         self._await(
-            collective.join(len(self.members)),
-            Lane._after_collective if unfolded else Lane._complete,
+            collective.join(len(self.members), self._current.duration_us), Lane._complete
         )
-
-    def _after_collective(self, ev: Event) -> None:
-        if ev._exc is not None:
-            self._peer_fault(ev._exc)
-            return
-        kernel = self._current
-        self._await(kernel.collective.shared_delay(kernel.duration_us), Lane._complete)
 
     def _complete(self, ev: Optional[Event]) -> None:
         if ev is not None and ev._exc is not None:

@@ -196,11 +196,11 @@ class Host(HostLane):
         for device in self.devices:
             device.fail("host crash")
         cause = HostFailure(self.host_id)
-        # Queued CPU waiters first (they would otherwise be granted a
-        # slot on the dead CPU), then in-flight holders.
-        self._cpu.fail_waiters(cause)
-        # Sends still queued for the dead NIC can never serialize.
-        self.nic.fail_waiters(cause)
+        # Nothing queued for the dead CPU or NIC is ever granted: the
+        # preps are aborted below, and the transport's crash listener
+        # aborts the queued sends.
+        self._cpu.fail_waiters()
+        self.nic.fail_waiters()
         for state in list(self._live_preps):
             self.preps_aborted += 1
             state.abort(cause)
@@ -219,7 +219,7 @@ class Host(HostLane):
 
     def add_crash_listener(self, fn: Callable[["Host"], object]) -> None:
         """Run ``fn(host)`` whenever this host crashes (after its CPU and
-        NIC waiters have been failed, so a listener observes the queues
+        NIC queues have been emptied, so a listener observes them
         already settled)."""
         self._crash_listeners.append(fn)
 
@@ -327,10 +327,10 @@ class _PrepState:
     The acquire/hold/release lifecycle of a CPU slot as explicit
     callbacks, plus the crash path: if the host dies while this prep is
     queued or holding the CPU, the prep settles with
-    :class:`HostFailure` and the CPU slot is returned (a grant that
-    reaches an aborted prep is handed straight back, so a crash can
-    never leak the serial CPU).  A crash splits a lane first, so only a
-    lone host's prep is ever aborted.
+    :class:`HostFailure` and a held CPU slot is returned (a queued one
+    is dropped from the dead CPU's queue, so it is never granted and a
+    crash can never leak the serial CPU).  A crash splits a lane first,
+    so only a lone host's prep is ever aborted.
     """
 
     __slots__ = ("lane", "on_settled", "work_us", "holding", "settled", "batch")
@@ -350,21 +350,8 @@ class _PrepState:
         #: lane's split puts its members' preps instead).
         self.batch: Optional[_PrepBatch] = None
 
-    def on_grant(self, exc: Optional[BaseException]) -> None:
+    def on_grant(self) -> None:
         lane = self.lane
-        if self.settled:
-            # Aborted (crash) while queued.  A grant that nevertheless
-            # arrived reserved a slot for a dead prep: hand it back.
-            if exc is None:
-                lane._cpu.release()
-            return
-        if exc is not None:
-            # Queued waiter failed by Host.crash via cpu.fail_waiters
-            # (already a loop entry of its own).
-            lane._live_preps.pop(self, None)
-            self.settled = True
-            self.on_settled(exc)
-            return
         self.holding = True
         callbacks = None
         if self.work_us > 0:

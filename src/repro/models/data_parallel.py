@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator, Optional
 
+from repro.config import SystemConfig
 from repro.core.placement import DeviceGroup
 from repro.core.system import PathwaysSystem
 from repro.core.virtual_device import VirtualSlice
@@ -48,7 +49,48 @@ class DataParallelResult:
         return self.step_time_us / 1e6
 
 
-class DataParallelTrainer:
+class _ReplicaStep:
+    """One replica's step cost, shared by both trainers: forward,
+    backward and apply sharded over ``replica_cores`` cores, and the
+    gradient volume a ring all-reduce moves per replica."""
+
+    config: SystemConfig
+    params: int
+    batch_tokens: int
+    efficiency: float
+    replica_cores: int
+
+    def forward_time_us(self) -> float:
+        flops = 2.0 * self.params * self.batch_tokens
+        return flops / self.replica_cores / (
+            self.config.tpu_flops_per_us * self.efficiency
+        )
+
+    def backward_time_us(self) -> float:
+        return 2.0 * self.forward_time_us()
+
+    def apply_time_us(self) -> float:
+        return 4.0 * self.params / self.replica_cores / (
+            self.config.tpu_flops_per_us * self.efficiency
+        )
+
+    def step_compute_us(self) -> float:
+        return self.forward_time_us() + self.backward_time_us() + self.apply_time_us()
+
+    def grad_exchange_bytes(self, width: int) -> int:
+        """Per-replica DCN volume for the global reduction over ``width``
+        replicas.
+
+        Ring all-reduce moves 2*(K-1)/K of the f32 gradient through each
+        replica's NICs.  For two islands this is ~4 bytes/parameter,
+        matching the paper's 457 GB for the 64B model (Appendix D).
+        """
+        if width < 2:
+            return 0
+        return int(2 * (width - 1) / width * 4 * self.params)
+
+
+class DataParallelTrainer(_ReplicaStep):
     """Data parallelism across islands, model parallelism within."""
 
     def __init__(
@@ -66,7 +108,7 @@ class DataParallelTrainer:
         self.system = system
         self.config = system.config
         self.model = model
-        self.cores_per_island = cores_per_island
+        self.replica_cores = cores_per_island
         self.batch_tokens = batch_tokens_per_island
         self.efficiency = efficiency
         self.n_chunks = n_chunks
@@ -75,40 +117,7 @@ class DataParallelTrainer:
         if len(self.islands) < 1:
             raise ValueError("cluster has no islands")
         # One aggregate gang per island.
-        self.groups = []
-        for isl in self.islands:
-            per_host = len(isl.hosts[0].devices)
-            self.groups.append(
-                DeviceGroup(
-                    island=isl,
-                    devices=[isl.devices[0]],
-                    n_logical=cores_per_island,
-                    n_hosts_logical=max(1, cores_per_island // per_host),
-                )
-            )
-
-    # -- cost components ---------------------------------------------------
-    def forward_time_us(self) -> float:
-        flops = 2.0 * self.params * self.batch_tokens
-        return flops / self.cores_per_island / (
-            self.config.tpu_flops_per_us * self.efficiency
-        )
-
-    def backward_time_us(self) -> float:
-        return 2.0 * self.forward_time_us()
-
-    def grad_exchange_bytes(self) -> int:
-        """Per-island DCN volume for the global reduction.
-
-        Ring all-reduce over K islands moves 2*(K-1)/K of the f32
-        gradient through each island's NICs.  For two islands this is
-        ~4 bytes/parameter, matching the paper's 457 GB for the 64B
-        model (Appendix D).
-        """
-        k = max(1, len(self.islands))
-        if k == 1:
-            return 0
-        return int(2 * (k - 1) / k * 4 * self.params)
+        self.groups = [DeviceGroup.representative(isl, cores_per_island) for isl in self.islands]
 
     # -- the per-island step process -----------------------------------------
     def _island_step(self, idx: int, transfers_done: list[Event]) -> Generator:
@@ -123,7 +132,7 @@ class DataParallelTrainer:
         # moving to the peer island immediately.
         k = len(self.islands)
         chunk_us = self.backward_time_us() / self.n_chunks
-        per_chunk_bytes = self.grad_exchange_bytes() // self.n_chunks
+        per_chunk_bytes = self.grad_exchange_bytes(k) // self.n_chunks
         per_host_bytes = max(1, per_chunk_bytes // max(1, group.n_hosts_logical))
         chunk_events: list[Event] = []
         for c in range(self.n_chunks):
@@ -144,13 +153,7 @@ class DataParallelTrainer:
         peer_idx = (idx - 1) % k
         if k > 1:
             yield transfers_done[peer_idx]
-        apply = Kernel(
-            sim,
-            duration_us=4.0 * self.params / self.cores_per_island
-            / (self.config.tpu_flops_per_us * self.efficiency),
-            tag="apply",
-            program=f"dp{idx}",
-        )
+        apply = Kernel(sim, duration_us=self.apply_time_us(), tag="apply", program=f"dp{idx}")
         dev.enqueue(apply)
         yield apply.done
 
@@ -172,17 +175,11 @@ class DataParallelTrainer:
             ]
             sim.run_until_triggered(sim.all_of(procs))
         step_us = (sim.now - start) / n_steps
-        compute_us = (
-            self.forward_time_us()
-            + self.backward_time_us()
-            + 4.0 * self.params / self.cores_per_island
-            / (self.config.tpu_flops_per_us * self.efficiency)
-        )
         return DataParallelResult(
             step_time_us=step_us,
             tokens_per_second=self.batch_tokens * len(self.islands) / (step_us / 1e6),
-            dcn_bytes_per_island=self.grad_exchange_bytes(),
-            dcn_exposed_us=max(0.0, step_us - compute_us),
+            dcn_bytes_per_island=self.grad_exchange_bytes(len(self.islands)),
+            dcn_exposed_us=max(0.0, step_us - self.step_compute_us()),
         )
 
     def single_island_equivalent_step_us(self) -> float:
@@ -190,7 +187,7 @@ class DataParallelTrainer:
         reference point): same per-core compute, no DCN."""
         k = len(self.islands)
         flops = 6.0 * self.params * self.batch_tokens * k
-        cores = self.cores_per_island * k
+        cores = self.replica_cores * k
         compute = flops / cores / (self.config.tpu_flops_per_us * self.efficiency)
         apply = 4.0 * self.params / cores / (
             self.config.tpu_flops_per_us * self.efficiency
@@ -258,7 +255,7 @@ class ElasticRunResult:
         return min(w for _, w in self.width_history)
 
 
-class ElasticDataParallelTrainer:
+class ElasticDataParallelTrainer(_ReplicaStep):
     """Data-parallel training whose replica count follows the hardware.
 
     Each replica is a virtual slice (bound through the resource manager)
@@ -305,7 +302,7 @@ class ElasticDataParallelTrainer:
         self.sim = system.sim
         self.config = system.config
         self.model = model
-        self.devices_per_replica = devices_per_replica
+        self.replica_cores = devices_per_replica
         self.batch_tokens = batch_tokens_per_replica
         self.efficiency = efficiency
         self.ckpt = checkpoint
@@ -346,29 +343,6 @@ class ElasticDataParallelTrainer:
                 f"{self.name}: no island can host a replica of "
                 f"{devices_per_replica} devices"
             )
-
-    # -- cost components ----------------------------------------------------
-    def forward_time_us(self) -> float:
-        flops = 2.0 * self.params * self.batch_tokens
-        return flops / self.devices_per_replica / (
-            self.config.tpu_flops_per_us * self.efficiency
-        )
-
-    def backward_time_us(self) -> float:
-        return 2.0 * self.forward_time_us()
-
-    def apply_time_us(self) -> float:
-        return 4.0 * self.params / self.devices_per_replica / (
-            self.config.tpu_flops_per_us * self.efficiency
-        )
-
-    def step_compute_us(self) -> float:
-        return self.forward_time_us() + self.backward_time_us() + self.apply_time_us()
-
-    def grad_exchange_bytes(self, width: int) -> int:
-        if width < 2:
-            return 0
-        return int(2 * (width - 1) / width * 4 * self.params)
 
     # -- elastic-workload protocol (called by the ElasticController) ---------
     def notify_capacity(self, island_id: int, reason: str) -> None:
@@ -464,7 +438,7 @@ class ElasticDataParallelTrainer:
             if rm.is_draining(island_id):
                 continue
             island = self.system.cluster.islands[island_id]
-            if island.n_healthy < self.devices_per_replica:
+            if island.n_healthy < self.replica_cores:
                 continue  # a later repair event will retry
             replica = self._make_replica(island_id)
             # The new replica receives current state: one snapshot
@@ -580,6 +554,8 @@ class ElasticDataParallelTrainer:
         tag: str,
         gate: Optional[Event] = None,
     ) -> list[Kernel]:
+        """One kernel per device (the step's loss detection depends on
+        it), on one rendezvous whose release carries their compute."""
         collective = None
         if len(devices) > 1:
             collective = CollectiveRendezvous(
@@ -627,7 +603,7 @@ class ElasticDataParallelTrainer:
 
     # -- helpers ---------------------------------------------------------------
     def _make_replica(self, island_id: int) -> _Replica:
-        vslice = VirtualSlice(self.devices_per_replica, island_id=island_id)
+        vslice = VirtualSlice(self.replica_cores, island_id=island_id)
         self.system.resource_manager.bind_slice(vslice)
         return _Replica(vslice)
 

@@ -149,17 +149,12 @@ class _SendState:
         self.msg = msg
         self.phase = _QUEUED
 
-    def on_grant(self, exc: Optional[BaseException]) -> None:
+    def on_grant(self) -> None:
         msg = self.msg
         if msg.triggered:
-            # Aborted (crash/timeout) while queued.  A slot that was
-            # nevertheless granted would leak: hand it back.
-            if exc is None:
-                msg.src.nic.release()
-            return
-        if exc is not None:
-            # Queued waiter failed by Host.crash via nic.fail_waiters.
-            self.transport._settle_lost(msg, exc)
+            # Aborted (receiver crash/timeout) while queued.  A slot that
+            # was nevertheless granted would leak: hand it back.
+            msg.src.nic.release()
             return
         self._begin_hold()
 
@@ -729,11 +724,3 @@ class Transport:
     def _abort(self, msg: Message, cause: MessageLost) -> None:
         """Fail one in-flight message, releasing all held capacity."""
         msg._state.abort(cause)
-
-    def _settle_lost(self, msg: Message, cause: BaseException) -> None:
-        """Fail a message whose NIC wait was failed underneath it."""
-        if msg.triggered:
-            return
-        if not isinstance(cause, MessageLost):
-            cause = MessageLost(msg, repr(cause), "host-crash")
-        msg.fail(cause)

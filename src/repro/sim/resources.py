@@ -11,7 +11,7 @@ deterministic and models the paper's FIFO hardware queues faithfully.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Optional
+from typing import Any, Callable, Deque
 
 from repro.sim.engine import Event, Simulator
 from repro.sim.sanitize import UnbalancedGrantError
@@ -22,13 +22,12 @@ __all__ = ["Resource", "Store"]
 class Resource:
     """A counted resource granting up to ``capacity`` concurrent holders.
 
-    ``acquire(on_grant)`` calls ``on_grant(None)`` once a slot is held;
-    the holder must later call ``release()`` exactly once::
+    ``acquire(on_grant)`` calls ``on_grant()`` once a slot is held; the
+    holder must later call ``release()`` exactly once::
 
         def hold(sim, cpu, work_us):
-            def on_grant(exc):
-                if exc is None:
-                    sim.timeout(work_us).add_callback(lambda ev: cpu.release())
+            def on_grant():
+                sim.timeout(work_us).add_callback(lambda ev: cpu.release())
             cpu.acquire(on_grant)
     """
 
@@ -52,7 +51,7 @@ class Resource:
         self.leak_check = leak_check
         self._in_use = 0
         #: Queued acquire() callbacks, in arrival order.
-        self._waiters: Deque[Callable[[Optional[BaseException]], None]] = deque()
+        self._waiters: Deque[Callable[[], None]] = deque()
         #: Cumulative busy time integral, for utilization reporting.
         self._busy_accum = 0.0
         self._last_change = 0.0
@@ -77,36 +76,30 @@ class Resource:
         self._account()
         return self._busy_accum
 
-    def acquire(self, on_grant: Callable[[Optional[BaseException]], None]) -> None:
-        """Call ``on_grant(None)`` once a slot is held, then :meth:`release` it.
+    def acquire(self, on_grant: Callable[[], None]) -> None:
+        """Call ``on_grant()`` once a slot is held, then :meth:`release` it.
 
         A contended waiter is granted inside the holder's
-        :meth:`release`: no event, no loop entry.  A waiter failed by
-        :meth:`fail_waiters` gets ``on_grant(cause)`` through the loop.
+        :meth:`release`: no event, no loop entry.
         """
         if self._in_use < self.capacity and not self._waiters:
             self._account()
             self._in_use += 1
-            on_grant(None)
+            on_grant()
         else:
             self._waiters.append(on_grant)
 
-    def fail_waiters(self, cause: BaseException) -> int:
-        """Fail every queued (not-yet-granted) acquisition with ``cause``.
+    def fail_waiters(self) -> int:
+        """Drop every queued (not-yet-granted) acquisition, at once.
 
         Models a serial resource going away (e.g. a crashed host CPU):
-        holders are handled separately by their owner, but queued waiters
-        would otherwise be granted a slot on dead hardware.  Returns how
-        many waiters were failed.
+        queued waiters would otherwise be granted a slot on dead
+        hardware.  No callback runs and no event is made: the waiters'
+        owner settles them itself (a host crash aborts its preps, the
+        transport its queued sends).  Returns how many were dropped.
         """
         n = len(self._waiters)
-        while self._waiters:
-            on_grant = self._waiters.popleft()
-            # Deferred through the loop: the owner (Host.crash) settles
-            # its own state first, in its own order.
-            ev = Event(self.sim)
-            ev.add_callback(lambda ev, on_grant=on_grant: on_grant(ev._exc))
-            ev.fail(cause)
+        self._waiters.clear()
         return n
 
     def release(self) -> None:
@@ -117,7 +110,7 @@ class Resource:
         self._account()
         if self._waiters:
             # Hand the slot directly to the next waiter: in_use unchanged.
-            self._waiters.popleft()(None)
+            self._waiters.popleft()()
         else:
             self._in_use -= 1
 

@@ -3,9 +3,10 @@
 ``run_pathways_multitenant`` drives N independent clients, each
 repeatedly submitting a gang-scheduled computation spanning every core
 of one island, through the shared Pathways schedulers/executors.
-``run_jax_multitenant`` is the multi-controller comparison: clients
-share each host's Python dispatch thread (serialized) and enqueue to the
-same devices.
+``run_jax_multitenant`` is the multi-controller comparison: one
+:class:`~repro.baselines.MultiControllerJax` runtime, whose
+``run_steps`` clients share the hosts' Python dispatch thread
+(serialized) and enqueue to the same devices.
 
 Both return aggregate computations/second; the Pathways runner can also
 return the trace and per-client counts for the fairness figures.
@@ -14,15 +15,16 @@ return the trace and per-client counts for the fairness figures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Optional
 
+from repro.baselines.multi_controller import MultiControllerJax
 from repro.config import DEFAULT_CONFIG
 from repro.core.scheduler import ProportionalSharePolicy
 from repro.core.system import PathwaysSystem
-from repro.hw.cluster import ClusterSpec, make_cluster
-from repro.hw.device import CollectiveRendezvous, Kernel
-from repro.sim import Resource, Simulator
+from repro.hw.cluster import make_cluster
+from repro.sim import Simulator
 from repro.telemetry import Tracer
+from repro.workloads.microbench import _spec
 from repro.xla.computation import scalar_allreduce_add
 
 __all__ = [
@@ -40,10 +42,6 @@ class MultitenantResult:
     aggregate_computations_per_second: float
     per_client_completed: dict[str, int]
     system_handle: Optional[PathwaysSystem] = None  # for trace rendering
-
-
-def _spec(n_hosts: int, devices_per_host: int) -> ClusterSpec:
-    return ClusterSpec(islands=((n_hosts, devices_per_host),), name=f"{n_hosts}h")
 
 
 def run_pathways_multitenant(
@@ -133,61 +131,21 @@ def run_jax_multitenant(
     Python dispatch thread, then enqueue gang computations over an
     island of ``n_hosts`` hosts with 8 devices each.
 
-    A single representative host/device pair stands in for the symmetric
-    SPMD fleet; the dispatch thread serializes all clients (the
-    mechanism limiting JAX's aggregate throughput for tiny computations,
-    §5.2), while enqueued work pipelines on the devices.
+    Each client is one :meth:`MultiControllerJax.run_steps` process on a
+    shared runtime, keeping 4 steps in flight.
     """
-    import numpy as np
-
     if n_clients < 1:
         raise ValueError("need at least one client")
     sim = Simulator()
-    cluster = make_cluster(sim, _spec(n_hosts, 8))
-    island = cluster.islands[0]
-    device = island.devices[0]
-    n_devices = island.n_devices
-    dispatch_thread = Resource(sim, capacity=1, name="python")
-    rng = np.random.default_rng(0)
-    coll_us = island.ici.allreduce_time_us(n_devices, 4)
-    completed: dict[str, int] = {}
-
-    def client_loop(name: str) -> Generator:
-        done = 0
-        in_flight = []
-        for _ in range(iters_per_client):
-            jitter = rng.exponential(
-                DEFAULT_CONFIG.jax_straggler_sigma_us, size=n_hosts
-            ).max()
-            granted = sim.event()
-            dispatch_thread.acquire(lambda exc, ev=granted: ev.succeed_inline())
-            yield granted
-            try:
-                yield sim.timeout(DEFAULT_CONFIG.python_dispatch_us + jitter)
-            finally:
-                dispatch_thread.release()
-            yield sim.timeout(
-                DEFAULT_CONFIG.pcie_latency_us + DEFAULT_CONFIG.host_launch_work_us
-            )
-            kernel = Kernel(
-                sim,
-                duration_us=compute_time_us,
-                collective=CollectiveRendezvous(sim, 1, coll_us),
-                tag="step",
-                program=name,
-            )
-            device.enqueue(kernel)
-            in_flight.append(kernel.done)
-            if len(in_flight) >= 4:
-                yield in_flight.pop(0)
-            done += 1
-        for ev in in_flight:
-            yield ev
-        completed[name] = done
-
+    jax = MultiControllerJax(sim, make_cluster(sim, _spec(n_hosts, 8)), DEFAULT_CONFIG)
+    unit = scalar_allreduce_add(jax.group.n_logical, compute_time_us, name="step")
+    names = [f"client{c}" for c in range(n_clients)]
     drivers = [
-        sim.process(client_loop(f"client{c}"), name=lambda c=c: f"jax:client{c}")
-        for c in range(n_clients)
+        sim.process(
+            jax.run_steps(unit, iters_per_client, max_in_flight=4),
+            name=lambda name=name: f"jax:{name}",
+        )
+        for name in names
     ]
     start = sim.now
     sim.run_until_triggered(sim.all_of(drivers))
@@ -198,5 +156,5 @@ def run_jax_multitenant(
         n_clients=n_clients,
         compute_time_us=compute_time_us,
         aggregate_computations_per_second=total / (elapsed_us / 1e6),
-        per_client_completed=dict(completed),
+        per_client_completed=dict.fromkeys(names, iters_per_client),
     )

@@ -111,7 +111,6 @@ from repro.models import data_parallel
 from repro.net import MessageLost
 from repro.resilience import FaultEvent, FaultKind
 from repro.sim import Event, Resource
-from repro.workloads import multitenant
 
 __all__ = [
     "CollectiveRendezvous",
@@ -452,16 +451,13 @@ def one_transfer(execution, spec, producer_done: Event, node) -> Generator:
 
 # -- the execution driver as one generator Process ---------------------------
 def request(res: Resource) -> Event:
-    """An Event that succeeds once ``res`` grants a slot (fails if the
-    wait is failed).  An uncontended grant is already processed, so a
-    process yielding it resumes inline; a contended grant or a failed
-    wait settles through the loop."""
+    """An Event that succeeds once ``res`` grants a slot.  An
+    uncontended grant is already processed, so a process yielding it
+    resumes inline; a contended grant settles through the loop."""
     ev = Event(res.sim)
 
-    def on_grant(exc) -> None:
-        if exc is not None:
-            ev.fail(exc)
-        elif queued:
+    def on_grant() -> None:
+        if queued:
             ev.succeed(res)
         else:
             ev.succeed_inline(res)
@@ -1037,9 +1033,13 @@ def fault_layout(events, now: float, device_ids) -> tuple[list, list, int]:
 
 class CollectiveRendezvous:
     """The gang rendezvous with one timeout per phase: the wire timeout
-    armed at the last join, then the compute timeout armed when it
-    fires, each settling ``_done`` through the loop.  The reference for
-    :class:`repro.hw.device.CollectiveRendezvous`."""
+    armed at the last join, which settles ``_done`` through the loop
+    and arms the gang's compute timeout (the compute phase its joins
+    bring), whose end settles ``compute_done`` through the loop too.
+    Each participant waits out the compute phase on its own, once
+    released.  The reference for
+    :class:`repro.hw.device.CollectiveRendezvous`, whose release folds
+    that compute phase in."""
 
     def __init__(
         self,
@@ -1047,7 +1047,6 @@ class CollectiveRendezvous:
         participants: int,
         duration_us: float,
         name: str = "",
-        compute_us: float = 0.0,
         launch_us: float = 0.0,
     ):
         if participants < 1:
@@ -1056,21 +1055,23 @@ class CollectiveRendezvous:
         self.name = name or "collective"
         self.expected = participants
         self.duration_us = duration_us
-        self.compute_us = compute_us
         self.launch_us = launch_us
+        self.compute_us = 0.0
         self._joined = 0
         #: Set once the wire phase has completed: a later abort must not
         #: release the surviving peers' compute phase with a failure.
         self._wire_done = False
         self._done = sim.event()
-        self._shared_delay: Optional[Event] = None
+        #: Settled at the end of the gang's compute phase.
+        self.compute_done: Optional[Event] = None
 
     @property
     def aborted(self) -> bool:
         return self._done.triggered and not self._done.ok
 
-    def join(self) -> Event:
+    def join(self, compute_us: float) -> Event:
         self._joined += 1
+        self.compute_us = compute_us
         if self.aborted:
             return self._done
         if self._joined > self.expected:
@@ -1088,19 +1089,9 @@ class CollectiveRendezvous:
             return  # aborted during the wire phase
         self._wire_done = True
         if self.compute_us > 0:
-            self.sim.timeout(self.compute_us).add_callback(self._finish_compute)
-        else:
-            self._done.succeed(None)
-
-    def _finish_compute(self, ev: Event) -> None:
-        if not self._done.triggered:
-            self._done.succeed(None)
-
-    def shared_delay(self, duration_us: float) -> Event:
-        delay = self._shared_delay
-        if delay is None:
-            delay = self._shared_delay = self.sim.timeout(duration_us)
-        return delay
+            done = self.compute_done = self.sim.event()
+            self.sim.timeout(self.compute_us).add_callback(lambda ev: done.succeed(None))
+        self._done.succeed(None)
 
     def abort(self, cause: BaseException) -> None:
         if self._wire_done:
@@ -1241,7 +1232,7 @@ class _PerDeviceDrain:
         collective = self._current.collective
         if collective is not None and collective.launch_us > 0:
             self._start_us = self.sim.now + collective.launch_us
-            join = collective.join()
+            join = collective.join(self._current.duration_us)
             if self._await(join, self._after_collective):
                 return
             self._after_collective(join)
@@ -1257,7 +1248,7 @@ class _PerDeviceDrain:
         self._start_us = self.sim.now
         collective = kernel.collective
         if collective is not None:
-            join = collective.join()
+            join = collective.join(self._current.duration_us)
             if self._await(join, self._after_collective):
                 return
             self._after_collective(join)
@@ -1272,12 +1263,10 @@ class _PerDeviceDrain:
         if ev._exc is not None:
             self._peer_fault(ev._exc)
             return
-        kernel = self._current
-        collective = kernel.collective
-        if kernel.duration_us > 0 and collective.compute_us <= 0:
-            if self._await(
-                collective.shared_delay(kernel.duration_us), self._complete
-            ):
+        compute_done = self._current.collective.compute_done
+        if compute_done is not None:
+            # The compute phase of its own, after the release.
+            if self._await(compute_done, self._complete):
                 return
         self._complete(None)
 
@@ -1321,17 +1310,8 @@ class _PrepState:
         self.holding = False
         self.settled = False
 
-    def on_grant(self, exc: Optional[BaseException]) -> None:
+    def on_grant(self) -> None:
         host = self.host
-        if self.settled:
-            if exc is None:
-                host.cpu.release()
-            return
-        if exc is not None:
-            host._finish_prep(self)
-            self.settled = True
-            self.on_settled(exc)
-            return
         self.holding = True
         if self.work_us > 0:
             host.sim.shared_timeout(self.work_us).add_callback(self.on_done)
@@ -1423,7 +1403,7 @@ def patch_device_drain(mp) -> None:
             mp.setattr(Device, name, attr, raising=False)
     mp.setattr(executor_module, "enqueue_gang", _enqueue_gang)
     for module in (
-        device_module, executor_module, multitenant, multi_controller, data_parallel,
+        device_module, executor_module, multi_controller, data_parallel,
     ):
         mp.setattr(module, "CollectiveRendezvous", CollectiveRendezvous)
     mp.setattr(Host, "prep_request", _prep_request)

@@ -5,15 +5,18 @@ A gang's devices that hold the same FIFO drain as one lane: one pop,
 one wait per phase, one ``join(n)`` and one completion for them all; a
 group's hosts prep on one lane CPU slot.  Devices sharing a wait
 resume in registration order; a rendezvous is one timer-queue entry
-for its wire and compute phases; a group's HBM is reserved in one
-pass.  The oracle (``oracles.patch_device_drain``) runs the same
-scenarios one device and one host at a time, with a wire timeout and
-then a compute timeout per rendezvous and one allocator call per shard.
+for its wire phase and the compute phase every join brings; a group's
+HBM is reserved in one pass.  The oracle
+(``oracles.patch_device_drain``) runs the same scenarios one device and
+one host at a time, with a wire timeout per rendezvous, then each
+device's compute phase on the gang's compute timeout, and one
+allocator call per shard.
 
 Random gangs of 1-8 devices on hosts shared between gangs -- one
-shared kernel (folded, unfolded or no rendezvous) enqueued as a gang, or
-distinct per-device kernels with or without a shared rendezvous, each
-with a host prep and an HBM allocation -- run under device failures
+shared kernel enqueued as a gang, on a rendezvous with or without the
+launch folded in or on none, or distinct per-device kernels with or
+without a shared rendezvous, each with a host prep and an HBM
+allocation -- run under device failures
 and host crashes on a 0.5 us grid, so faults land before, during and
 after the wire phase and exactly at its end, armed before and after
 the last join.  Device sets are often drawn from a few fixed lanes, in
@@ -80,7 +83,9 @@ LANES = ((0, 2, 4, 6), (1, 3), (0, 1, 2, 3, 4, 5, 6, 7), (4, 5, 6))
 class Gang:
     devices: tuple[int, ...]
     start: float
-    #: "folded" | "unfolded": one shared kernel enqueued as a gang;
+    #: "folded" | "unfolded": one shared kernel enqueued as a gang, its
+    #: launch folded into the rendezvous (as the executor builds it) or
+    #: not (as the baselines and trainers do);
     #: "gang-plain": one shared kernel, no rendezvous, as a gang;
     #: "split": distinct kernels on one rendezvous, one enqueue each;
     #: "plain": distinct kernels, no rendezvous.
@@ -201,8 +206,7 @@ def run_scenario(gang_specs, fault_specs, probes=()) -> dict:
         rendezvous = device_module.CollectiveRendezvous
         n = len(spec.devices)
         if spec.mode == "folded":
-            coll = rendezvous(sim, n, spec.wire_us, compute_us=spec.compute_us,
-                              launch_us=spec.launch_us)
+            coll = rendezvous(sim, n, spec.wire_us, launch_us=spec.launch_us)
             kernels = [Kernel(sim, spec.compute_us, collective=coll, gate=gate)] * n
         elif spec.mode in ("unfolded", "gang-plain"):
             coll = rendezvous(sim, n, spec.wire_us) if spec.mode == "unfolded" else None
@@ -346,6 +350,11 @@ def test_gang_drain_matches_per_device_drain(scenario):
 class TestRendezvousTimings:
     @pytest.mark.parametrize("field", ["duration_us", "compute_us", "launch_us"])
     def test_negative_timing_rejected(self, sim, field):
+        if field == "compute_us":
+            # The compute phase a join brings is its kernel's duration.
+            with pytest.raises(ValueError, match="negative kernel duration"):
+                Kernel(sim, -0.5)
+            return
         kwargs = {"duration_us": 1.0, field: -0.5}
         with pytest.raises(ValueError, match="negative collective time"):
             device_module.CollectiveRendezvous(sim, 2, **kwargs)
@@ -356,9 +365,7 @@ class TestRendezvousTimings:
         for the compute timeout."""
         sim = Simulator(log_schedule=True)
         dev = Device(sim, DEFAULT_CONFIG, 0, island_id=0, coords=(0, 0))
-        coll = device_module.CollectiveRendezvous(
-            sim, 1, 0.2, compute_us=0.7, launch_us=1.5
-        )
+        coll = device_module.CollectiveRendezvous(sim, 1, 0.2, launch_us=1.5)
         kernel = Kernel(sim, 0.7, collective=coll)
         sim.timeout(0.1).add_callback(lambda ev: dev.enqueue(kernel))
         sim.run()

@@ -135,9 +135,25 @@ class TestCollectives:
 
     def test_rendezvous_too_many_joins_rejected(self, sim):
         coll = CollectiveRendezvous(sim, participants=1, duration_us=1.0)
-        coll.join()
+        coll.join(1, 2.0)
         with pytest.raises(RuntimeError, match="joins"):
-            coll.join()
+            coll.join(1, 2.0)
+
+    def test_join_with_mismatched_compute_rejected(self, sim):
+        """The release carries one compute phase for the whole gang, so
+        a participant bringing a different one is an error, not ignored."""
+        coll = CollectiveRendezvous(sim, participants=2, duration_us=1.0)
+        coll.join(1, 2.0)
+        with pytest.raises(ValueError, match="compute"):
+            coll.join(1, 3.0)
+
+    def test_mismatched_gang_kernels_rejected(self, sim):
+        dev_a, dev_b = make_device(sim, 0), make_device(sim, 1)
+        coll = CollectiveRendezvous(sim, participants=2, duration_us=1.0)
+        dev_a.enqueue(Kernel(sim, duration_us=2.0, collective=coll))
+        dev_b.enqueue(Kernel(sim, duration_us=3.0, collective=coll))
+        with pytest.raises(ValueError, match="compute"):
+            sim.run()
 
     def test_inconsistent_enqueue_order_deadlocks(self, sim):
         """The paper's core gang-scheduling motivation: two communicating

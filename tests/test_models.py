@@ -197,13 +197,15 @@ class TestDataParallel:
         dp = DataParallelTrainer(system, DECODER_64B, 64, 1 << 17, 0.35,
                                  nominal_params=64_000_000_000)
         # 2 islands: (k-1)/k * 2 * 4B/param = 4 bytes/param.
-        assert dp.grad_exchange_bytes() == pytest.approx(4 * 64e9, rel=0.01)
+        assert dp.grad_exchange_bytes(2) == pytest.approx(4 * 64e9, rel=0.01)
+        assert dp.run(n_steps=1).dcn_bytes_per_island == dp.grad_exchange_bytes(2)
 
     def test_single_island_no_exchange(self):
         system = self._system(k=1)
         dp = DataParallelTrainer(system, DECODER_3B, 64, 1 << 17, 0.35,
                                  nominal_params=P3B)
-        assert dp.grad_exchange_bytes() == 0
+        assert dp.grad_exchange_bytes(1) == 0
+        assert dp.run(n_steps=1).dcn_bytes_per_island == 0
 
     def test_two_island_efficiency_high(self):
         """Figure 12: two islands reach >=95% of the single-island rate

@@ -236,7 +236,7 @@ class TestUncontendedRouteLoss:
         lost by the crash listener's fail_in_flight, with its reason."""
         dcn = small_cluster.transport
         a, b = small_cluster.hosts[:2]
-        a.nic.acquire(lambda exc: None)  # held by something not a message
+        a.nic.acquire(lambda: None)  # held by something not a message
         sim.timeout(100.0).add_callback(lambda ev: a.nic.release())
         msg = dcn.send(a, b, 1_250_000)
         sim.timeout(5.0).add_callback(lambda ev: a.crash())

@@ -871,7 +871,7 @@ class TestHostCrashPrepPath:
     def test_queued_prep_fails_when_host_crashes(self, sim, small_cluster):
         host = small_cluster.hosts[0]
         host.cpu.acquire(  # occupies the serial CPU
-            lambda exc: sim.timeout(100.0).add_callback(lambda ev: host.cpu.release())
+            lambda: sim.timeout(100.0).add_callback(lambda ev: host.cpu.release())
         )
         settled = []
         host.prep_request(10.0, settled.append)

@@ -123,7 +123,7 @@ class TestResourceInvariants:
     def test_leaked_grant_detected(self):
         sim = Simulator(sanitize=True)
         nic = Resource(sim, capacity=1, name="nic", leak_check=True)
-        nic.acquire(lambda exc: None)
+        nic.acquire(lambda: None)
         with pytest.raises(UnbalancedGrantError, match="nic"):
             sim.run()
 
@@ -132,7 +132,7 @@ class TestResourceInvariants:
         which of many hosts' NICs was left held."""
         sim = Simulator(sanitize=True)
         host = Host(sim, SystemConfig(), host_id=3, island_id=0)
-        host.nic.acquire(lambda exc: None)
+        host.nic.acquire(lambda: None)
         with pytest.raises(UnbalancedGrantError, match=r"'nic\[h3\]'"):
             sim.run()
 
@@ -141,14 +141,14 @@ class TestResourceInvariants:
         leak-checked resources are grant-audited."""
         sim = Simulator(sanitize=True)
         pool = Resource(sim, capacity=2, name="pool")
-        pool.acquire(lambda exc: None)
+        pool.acquire(lambda: None)
         sim.run()
 
     def test_stranded_waiter_detected(self):
         sim = Simulator(sanitize=True)
         pool = Resource(sim, capacity=1, name="pool")
-        pool.acquire(lambda exc: None)
-        pool.acquire(lambda exc: None)  # queued forever: the holder never releases
+        pool.acquire(lambda: None)
+        pool.acquire(lambda: None)  # queued forever: the holder never releases
         with pytest.raises(UnsettledWaitersError, match="lost wakeup"):
             sim.run()
 
@@ -162,7 +162,7 @@ class TestResourceInvariants:
         cpu = Resource(sim, capacity=1, name="cpu", leak_check=True)
 
         for _ in range(2):
-            cpu.acquire(lambda exc: sim.timeout(10.0).add_callback(lambda ev: cpu.release()))
+            cpu.acquire(lambda: sim.timeout(10.0).add_callback(lambda ev: cpu.release()))
         sim.run()
         assert sim.now == 20.0
         assert sim.sanitizer.sweeps == 1
@@ -171,7 +171,7 @@ class TestResourceInvariants:
         """Cut short at ``until``, held slots are expected, not leaks."""
         sim = Simulator(sanitize=True)
         nic = Resource(sim, capacity=1, name="nic", leak_check=True)
-        nic.acquire(lambda exc: None)
+        nic.acquire(lambda: None)
         sim.timeout(100.0)
         assert sim.run(until=50.0) == 50.0
 
@@ -389,7 +389,7 @@ class TestLaneInvariants:
             devices.append(Device(sim, DEFAULT_CONFIG, d, island_id=0, coords=(d, 0)))
             host.attach(devices[-1])
         for _ in range(2):
-            coll = CollectiveRendezvous(sim, 2, 1.0, compute_us=2.0, launch_us=1.5)
+            coll = CollectiveRendezvous(sim, 2, 1.0, launch_us=1.5)
             enqueue_gang(devices, Kernel(sim, 2.0, collective=coll))
             prep_hosts(hosts, 3.0, lambda exc, parts=1: None)
         sim.run()

@@ -428,8 +428,8 @@ class TestHotPathPrimitives:
 
         res = Resource(sim, capacity=1)
         grants = []
-        res.acquire(grants.append)
-        res.acquire(grants.append)
+        res.acquire(lambda: grants.append(None))
+        res.acquire(lambda: grants.append(None))
         assert grants == [None] and res.queue_len == 1
         res.release()
         assert grants == [None, None] and res.in_use == 1

@@ -45,7 +45,7 @@ def test_resource_never_exceeds_capacity(capacity, works):
         sim.timeout(w).add_callback(lambda ev: res.release())
 
     for w in works:
-        res.acquire(lambda exc, w=w: hold(w))
+        res.acquire(lambda w=w: hold(w))
     sim.run()
     assert max_seen[0] <= capacity
     assert res.in_use == 0

@@ -12,7 +12,7 @@ from repro.workloads.microbench import run_pathways
 def _take(res):
     """Acquire a slot, asserting it is granted at once."""
     granted = []
-    res.acquire(granted.append)
+    res.acquire(lambda: granted.append(None))
     assert granted == [None]
 
 
@@ -27,7 +27,7 @@ class TestResource:
         res = Resource(sim, capacity=1)
         _take(res)
         second = []
-        res.acquire(second.append)
+        res.acquire(lambda: second.append(None))
         assert not second
         assert res.queue_len == 1
         res.release()
@@ -39,7 +39,7 @@ class TestResource:
         _take(res)
         granted = []
         for i in range(3):
-            res.acquire(lambda exc, i=i: granted.append(i))
+            res.acquire(lambda i=i: granted.append(i))
         res.release()
         assert granted == [0]
         res.release()
@@ -65,7 +65,7 @@ class TestResource:
                 res.release()
                 spans.append((name, start, sim.now))
 
-            res.acquire(lambda exc: sim.timeout(10.0).add_callback(release))
+            res.acquire(lambda: sim.timeout(10.0).add_callback(release))
 
         hold("a")
         hold("b")
@@ -76,26 +76,26 @@ class TestResource:
     def test_busy_time_accounting(self, sim):
         res = Resource(sim, capacity=2)
         for _ in range(2):
-            res.acquire(lambda exc: sim.timeout(10.0).add_callback(lambda ev: res.release()))
+            res.acquire(lambda: sim.timeout(10.0).add_callback(lambda ev: res.release()))
         sim.run()
         assert res.busy_time() == pytest.approx(20.0)
 
 
 class TestAcquire:
-    """The callback form: contended grants run inside release(), while
-    failed waits stay deferred through the loop."""
+    """The callback form: contended grants run inside release(), and a
+    dropped queue makes no loop entry at all."""
 
     def test_contended_acquire_is_granted_inside_release(self, sim):
         res = Resource(sim, capacity=1)
         grants = []
-        res.acquire(lambda exc: grants.append(("first", exc, sim.now)))
-        res.acquire(lambda exc: grants.append(("second", exc, sim.now)))
-        assert grants == [("first", None, 0.0)] and res.queue_len == 1
+        res.acquire(lambda: grants.append(("first", sim.now)))
+        res.acquire(lambda: grants.append(("second", sim.now)))
+        assert grants == [("first", 0.0)] and res.queue_len == 1
 
         def release(ev):
             res.release()
             # Granted before release() returned, at the same instant.
-            assert grants[-1] == ("second", None, 5.0)
+            assert grants[-1] == ("second", 5.0)
 
         sim.timeout(5.0).add_callback(release)
         sim.run()
@@ -103,23 +103,22 @@ class TestAcquire:
         assert res.in_use == 1 and res.queue_len == 0
         assert sim.events_processed == 1  # the timeout; the grant adds none
 
-    def test_fail_waiters_defers_on_grant_to_the_loop(self, sim):
+    def test_fail_waiters_empties_the_queue_at_once(self, sim):
         res = Resource(sim, capacity=1)
         _take(res)
         seen = []
-        res.acquire(seen.append)
-        cause = RuntimeError("gone")
-        assert res.fail_waiters(cause) == 1
+        res.acquire(lambda: seen.append("granted"))
+        assert res.fail_waiters() == 1
         assert seen == [] and res.queue_len == 0
-        sim.run()
-        assert seen == [cause]
-        assert res.in_use == 1  # a failed wait is never granted a slot
+        assert sim.run() == 0.0 and sim.events_processed == 0  # no loop entry
+        res.release()
+        assert seen == [] and res.in_use == 0  # a dropped wait is never granted
 
     def test_sanitizer_reports_stranded_acquire_waiter(self):
         sim = Simulator(sanitize=True)
         pool = Resource(sim, capacity=1, name="pool")
         _take(pool)
-        pool.acquire(lambda exc: None)  # queued forever: never released
+        pool.acquire(lambda: None)  # queued forever: never released
         with pytest.raises(UnsettledWaitersError, match="lost wakeup"):
             sim.run()
 

@@ -279,7 +279,7 @@ class TestFlightRecorder:
         sim = Simulator(sanitize=True, tracer=tr)
         tr.instant("about-to-leak", "test")
         nic = Resource(sim, capacity=1, name="nic", leak_check=True)
-        nic.acquire(lambda exc: None)
+        nic.acquire(lambda: None)
         with pytest.raises(UnbalancedGrantError, match="nic"):
             sim.run()
         err = capsys.readouterr().err
