@@ -65,7 +65,7 @@ def main() -> None:
         for example, expert in enumerate(gates):
             channel.put(
                 shard, int(expert),
-                payload=(shard, example), nbytes=4096, final=False,
+                payload=(shard, example), final=False,
             )
             targets.add(int(expert))
         # Punctuate every expert — including ones that got nothing — so

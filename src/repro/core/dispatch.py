@@ -49,6 +49,7 @@ from repro.sim import Event
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.system import PathwaysSystem
     from repro.core.client import PathwaysClient
+    from repro.config import SystemConfig
 
 __all__ = ["DispatchMode", "ExecutionAbandoned", "ProgramExecution"]
 
@@ -72,6 +73,18 @@ class ExecutionAbandoned(RuntimeError):
         self.cause = cause
 
 _exec_ids = itertools.count(1)
+
+
+def controller_us(cfg: SystemConfig, n_nodes: int, hosts: int) -> float:
+    """A PARALLEL controller pass: planning ``n_nodes`` nodes whose
+    groups span ``hosts`` logical hosts, plus the per-node handle
+    distribution to each of them."""
+    return (
+        cfg.coordinator_base_us
+        + cfg.coordinator_work_per_host_us * hosts
+        + cfg.cpp_dispatch_us * n_nodes
+        + cfg.coordinator_node_per_host_us * n_nodes * hosts
+    )
 
 
 class DispatchMode(Enum):
@@ -235,16 +248,8 @@ class ProgramExecution:
             self._launch(self._wire_dataflow(nodes, seed_args=first), [])
             _SequentialPass(self, nodes, first).next_node()
             return
-        cfg = self.config
-        n_nodes = len(nodes)
-        hosts = self.low.total_hosts_logical
-        controller_us = (
-            cfg.coordinator_base_us
-            + cfg.coordinator_work_per_host_us * hosts
-            + cfg.cpp_dispatch_us * n_nodes
-            + cfg.coordinator_node_per_host_us * n_nodes * hosts
-        )
-        self.sim.timeout(controller_us).add_callback(
+        pass_us = controller_us(self.config, len(nodes), self.low.total_hosts_logical)
+        self.sim.timeout(pass_us).add_callback(
             functools.partial(self._send_subgraph, nodes, first)
         )
 
@@ -885,9 +890,9 @@ class _Transfer:
             # DCN: a host crash mid-transfer fails the message with
             # MessageLost (a FaultError), which fails the gate and feeds
             # the retry_on_failure replay path.
-            per_host = max(1, spec.nbytes // max(1, src_group.n_hosts_logical))
             execution.system.transport.send(
-                src_group.hosts[0], feed.node.group.hosts[0], per_host
+                src_group.hosts[0], feed.node.group.hosts[0],
+                src_group.per_host_bytes(spec.nbytes),
             ).add_callback(self.on_moved)
 
     def on_moved(self, ev: Event) -> None:

@@ -7,11 +7,13 @@ operations between computation shards:
 
 1. ``assign_placements`` — bind every compute node to a physical device
    group (virtual slices are resolved via the resource manager).
-2. ``insert_transfers`` — for every compute->compute edge, decide the
+2. ``insert_transfers`` — for each compute node, read its own in-edges
+   from other compute nodes (in insertion order) and decide each one's
    route (intra-group / ICI within an island / DCN across islands) and
    bytes moved, inserting scatter/gather resharding cost when shard
    counts differ.
-3. ``finalize`` — topologically ordered low-level node list.
+3. ``finalize`` — the compute nodes in the graph's topological order
+   (smallest ready id first), each with its compute predecessors.
 
 The lowered program is cached and re-run cheaply; if the resource
 manager rebinds a virtual slice, the cache key (placement epoch)
@@ -25,6 +27,7 @@ from enum import Enum
 
 from repro.core.placement import DeviceGroup
 from repro.core.program import PathwaysProgram
+from repro.plaque.graph import ShardedEdge, ShardedGraph
 from repro.xla.computation import CompiledFunction
 from repro.xla.sharding import Sharding
 
@@ -92,16 +95,12 @@ class LowLevelProgram:
     result_feeders: set[int] = field(init=False, default_factory=set)
 
     def __post_init__(self) -> None:
-        by_id = self.by_id
-        consumers = self.consumers
-        for n in self.nodes:
-            by_id[n.node_id] = n
-            consumers[n.node_id] = []
-        for n in self.nodes:
-            for p in n.predecessors:
-                consumers[p].append(n)
         graph = self.source.graph
-        for n in self.nodes:
+        for n in self.nodes:  # topological: predecessors come first
+            self.by_id[n.node_id] = n
+            self.consumers[n.node_id] = []
+            for p in n.predecessors:
+                self.consumers[p].append(n)
             self.sorted_in_edges[n.node_id] = sorted(
                 graph.in_edges(n.node_id), key=lambda e: e.dst_input
             )
@@ -114,9 +113,33 @@ class LowLevelProgram:
             raise KeyError(f"no low-level node {node_id}") from None
 
 
-def _edge_bytes(src_fn: CompiledFunction, out_index: int) -> int:
-    spec = src_fn.out_specs[out_index]
-    return spec.nbytes
+def _transfer(
+    graph: ShardedGraph, groups: dict[int, DeviceGroup], edge: ShardedEdge
+) -> TransferSpec:
+    """Route and bytes of one compute->compute edge."""
+    src = graph.node(edge.src)
+    dst = graph.node(edge.dst)
+    src_group = groups[edge.src]
+    dst_group = groups[edge.dst]
+    spec = src.computation.out_specs[edge.src_output]
+    if src_group is dst_group:
+        route, moved = TransferRoute.LOCAL, 0
+    elif src_group.island.island_id == dst_group.island.island_id:
+        route, moved = TransferRoute.ICI, spec.nbytes
+    else:
+        route, moved = TransferRoute.DCN, spec.nbytes
+    if src.n_shards != dst.n_shards and route is TransferRoute.LOCAL:
+        # Same group but resharded: scatter/gather over ICI.
+        route = TransferRoute.ICI
+        moved = Sharding.SPLIT_LEADING.resharding_bytes(spec, src.n_shards, dst.n_shards)
+    return TransferSpec(
+        src_node=edge.src,
+        dst_node=edge.dst,
+        route=route,
+        nbytes=moved,
+        src_output=edge.src_output,
+        dst_input=edge.dst_input,
+    )
 
 
 def lower(program: PathwaysProgram) -> LowLevelProgram:
@@ -131,72 +154,29 @@ def lower(program: PathwaysProgram) -> LowLevelProgram:
             raise ValueError(f"{program.name}: node {node.label} has no placement")
         groups[node.node_id] = vslice.group
 
-    # Pass 2: transfers.
-    transfers: dict[int, list[TransferSpec]] = {nid: [] for nid in groups}
-    for edge in graph.edges():
-        src = graph.node(edge.src)
-        dst = graph.node(edge.dst)
-        if src.kind != "compute" or dst.kind != "compute":
-            continue  # arg/result movement is the client's cost, not lowered
-        src_group = groups[src.node_id]
-        dst_group = groups[dst.node_id]
-        nbytes = _edge_bytes(src.computation, edge.src_output)
-        if src_group is dst_group:
-            route = TransferRoute.LOCAL
-            moved = 0
-        elif src_group.island.island_id == dst_group.island.island_id:
-            route = TransferRoute.ICI
-            moved = nbytes
-        else:
-            route = TransferRoute.DCN
-            moved = nbytes
-        if src.n_shards != dst.n_shards and route is TransferRoute.LOCAL:
-            # Same group but resharded: scatter/gather over ICI.
-            route = TransferRoute.ICI
-            moved = Sharding.SPLIT_LEADING.resharding_bytes(
-                src.computation.out_specs[edge.src_output],
-                src.n_shards,
-                dst.n_shards,
-            )
-        transfers[dst.node_id].append(
-            TransferSpec(
-                src_node=src.node_id,
-                dst_node=dst.node_id,
-                route=route,
-                nbytes=moved,
-                src_output=edge.src_output,
-                dst_input=edge.dst_input,
-            )
-        )
-
-    # Pass 3: finalize in topological order.
-    order = [
-        nid for nid in graph.topological_order() if graph.node(nid).kind == "compute"
-    ]
+    # Passes 2 and 3: in topological order, each compute node with the
+    # transfers of its compute in-edges (arg/result movement is the
+    # client's cost, not lowered).
     nodes = [
         LowLevelNode(
             node_id=nid,
             computation=graph.node(nid).computation,
             group=groups[nid],
-            incoming=transfers[nid],
-            predecessors=[
-                p for p in graph.predecessors(nid) if graph.node(p).kind == "compute"
+            incoming=[
+                _transfer(graph, groups, e) for e in graph.in_edges(nid) if e.src in groups
             ],
+            predecessors=[p for p in graph.predecessors(nid) if p in groups],
         )
-        for nid in order
+        for nid in graph.topological_order()
+        if nid in groups
     ]
     islands = sorted({g.island.island_id for g in groups.values()})
     # Distinct logical hosts across all groups (controller fan-out width).
-    hosts = 0
-    seen_groups: set[int] = set()
-    for g in groups.values():
-        if id(g) not in seen_groups:
-            seen_groups.add(id(g))
-            hosts += g.n_hosts_logical
+    distinct = {id(g): g for g in groups.values()}.values()
     return LowLevelProgram(
         name=program.name,
         source=program,
         nodes=nodes,
         islands=islands,
-        total_hosts_logical=hosts,
+        total_hosts_logical=sum(g.n_hosts_logical for g in distinct),
     )

@@ -82,6 +82,10 @@ class DeviceGroup:
             + initiation_us
         )
 
+    def per_host_bytes(self, nbytes: int) -> int:
+        """Each logical host's share of ``nbytes`` (at least one byte)."""
+        return max(1, nbytes // max(1, self.n_hosts_logical))
+
     @property
     def is_aggregate(self) -> bool:
         return self.n_logical > len(self.devices)

@@ -60,8 +60,31 @@ class PathwaysProgram:
     placements: dict[int, VirtualSlice]
     arg_nodes: list[int]
     results: list[tuple[int, int]]
-    result_node: int
     result_treedef: Any = None  # nesting structure for repacking
+
+    @classmethod
+    def close(
+        cls,
+        graph: ShardedGraph,
+        placements: dict[int, VirtualSlice],
+        arg_nodes: list[int],
+        results: list[tuple[int, int]],
+        treedef: Any = None,
+    ) -> "PathwaysProgram":
+        """Add ``graph``'s result node, fed by each ``(node, out_index)``
+        of ``results`` in order, validate the graph and wrap it."""
+        result_node = graph.add_result()
+        for node_id, out_index in results:
+            graph.connect(node_id, result_node, src_output=out_index)
+        graph.validate()
+        return cls(
+            name=graph.name,
+            graph=graph,
+            placements=placements,
+            arg_nodes=arg_nodes,
+            results=results,
+            result_treedef=treedef,
+        )
 
     @property
     def n_computations(self) -> int:
@@ -128,24 +151,17 @@ class ProgramTracer:
     def finish(self, outputs: Any) -> PathwaysProgram:
         """Close the trace; ``outputs`` is whatever the user fn returned."""
         flat, treedef = _flatten(outputs)
-        result_node = self.graph.add_result()
-        results: list[tuple[int, int]] = []
         for out in flat:
             if not isinstance(out, TracedTensor):
                 raise TypeError(
                     f"traced program returned non-traced value {type(out).__name__}"
                 )
-            self.graph.connect(out.node_id, result_node, src_output=out.out_index)
-            results.append((out.node_id, out.out_index))
-        self.graph.validate()
-        return PathwaysProgram(
-            name=self.name,
-            graph=self.graph,
-            placements=dict(self.placements),
-            arg_nodes=list(self.arg_nodes),
-            results=results,
-            result_node=result_node,
-            result_treedef=treedef,
+        return PathwaysProgram.close(
+            self.graph,
+            dict(self.placements),
+            list(self.arg_nodes),
+            [(out.node_id, out.out_index) for out in flat],
+            treedef,
         )
 
 

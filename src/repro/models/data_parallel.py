@@ -133,7 +133,7 @@ class DataParallelTrainer(_ReplicaStep):
         k = len(self.islands)
         chunk_us = self.backward_time_us() / self.n_chunks
         per_chunk_bytes = self.grad_exchange_bytes(k) // self.n_chunks
-        per_host_bytes = max(1, per_chunk_bytes // max(1, group.n_hosts_logical))
+        per_host_bytes = group.per_host_bytes(per_chunk_bytes)
         chunk_events: list[Event] = []
         for c in range(self.n_chunks):
             bwd = Kernel(sim, duration_us=chunk_us, tag=f"bwd{c}", program=f"dp{idx}")
@@ -514,7 +514,7 @@ class ElasticDataParallelTrainer(_ReplicaStep):
             # Order fixed on every device queue; release the scheduler.
             req.enqueued_ack.succeed(None)
             per_chunk = self.grad_exchange_bytes(k) // self.n_chunks
-            per_host = max(1, per_chunk // max(1, group.n_hosts_logical))
+            per_host = group.per_host_bytes(per_chunk)
             transfers: list[Event] = []
             yield fwd[0].done
             for chunk in chunks:

@@ -144,18 +144,7 @@ class MoeLayerBuilder:
         for i, node in enumerate(experts):
             graph.connect(node, combine, dst_input=i, kind=EdgeKind.GATHER)
 
-        result = graph.add_result()
-        graph.connect(combine, result)
-        graph.validate()
-        self._program = PathwaysProgram(
-            name=graph.name,
-            graph=graph,
-            placements=placements,
-            arg_nodes=[arg],
-            results=[(combine, 0)],
-            result_node=result,
-            result_treedef=None,
-        )
+        self._program = PathwaysProgram.close(graph, placements, [arg], [(combine, 0)])
         return self._program
 
     # -- measurement ---------------------------------------------------------

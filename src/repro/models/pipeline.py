@@ -174,18 +174,7 @@ class PipelineBuilder:
             graph.connect(bwd[(0, s)], nid)
             applies.append(nid)
 
-        result = graph.add_result()
-        graph.connect(applies[0], result)
-        graph.validate()
-        self._program = PathwaysProgram(
-            name=graph.name,
-            graph=graph,
-            placements=placements,
-            arg_nodes=[arg],
-            results=[(applies[0], 0)],
-            result_node=result,
-            result_treedef=None,
-        )
+        self._program = PathwaysProgram.close(graph, placements, [arg], [(applies[0], 0)])
         return self._program
 
     # -- measurement -----------------------------------------------------------

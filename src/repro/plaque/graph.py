@@ -6,15 +6,20 @@ Compute(B) -> Result`` — four nodes and three edges — *regardless of N*.
 At runtime, N data tuples flow along each edge, one per adjacent shard
 pair.  Contrast :mod:`repro.baselines.tf1`, which materializes M+N nodes
 and M x N edges and pays for it (Figure 5, ablation bench).
+
+The graph is plain Python: per-node in-edge lists plus the edge list in
+insertion order.  Predecessors, the cycle probe and the topological
+order (smallest ready id first, which fixes node and dispatch order)
+are all derived from the in-edges.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional
-
-import networkx as nx
+from typing import Optional
 
 from repro.xla.computation import CompiledFunction
 
@@ -66,41 +71,43 @@ class ShardedEdge:
 
 
 class ShardedGraph:
-    """A DAG of sharded nodes.  Size is O(computations), never O(shards)."""
+    """A DAG of sharded nodes.  Size is O(computations), never O(shards).
+
+    Node ids are assigned in creation order.  A repeated ``(src, dst)``
+    pair, as in ``f(x, x)``, is two edges but one predecessor.
+    """
 
     def __init__(self, name: str = "program"):
         self.name = name
-        self._g = nx.DiGraph()
         self._nodes: dict[int, ShardedNode] = {}
+        #: node id -> its in-edges, in insertion order.
+        self._in: dict[int, list[ShardedEdge]] = {}
         self._edges: list[ShardedEdge] = []
-        self._next_id = 0
+        #: Lowest destination of an edge that points to an older node
+        #: (``src > dst``); no path from ``a`` visits an id below
+        #: ``min(a, _back_floor)``, which bounds the cycle probe.
+        self._back_floor = math.inf
         #: :meth:`topological_order`, until the graph changes (every
         #: recovery re-lowers the same program).
         self._order: Optional[list[int]] = None
 
     # -- construction ------------------------------------------------------
-    def _add(self, node: ShardedNode) -> int:
-        self._nodes[node.node_id] = node
-        self._g.add_node(node.node_id)
+    def _add(self, kind: str, computation: Optional[CompiledFunction] = None) -> int:
+        nid = len(self._nodes)
+        n_shards = 1 if computation is None else computation.n_shards
+        self._nodes[nid] = ShardedNode(nid, kind, computation, n_shards)
+        self._in[nid] = []
         self._order = None
-        return node.node_id
+        return nid
 
     def add_arg(self) -> int:
-        nid = self._next_id
-        self._next_id += 1
-        return self._add(ShardedNode(nid, "arg"))
+        return self._add("arg")
 
     def add_compute(self, computation: CompiledFunction) -> int:
-        nid = self._next_id
-        self._next_id += 1
-        return self._add(
-            ShardedNode(nid, "compute", computation, n_shards=computation.n_shards)
-        )
+        return self._add("compute", computation)
 
     def add_result(self) -> int:
-        nid = self._next_id
-        self._next_id += 1
-        return self._add(ShardedNode(nid, "result"))
+        return self._add("result")
 
     def connect(
         self,
@@ -116,16 +123,37 @@ class ShardedGraph:
             a, b = self._nodes[src], self._nodes[dst]
             kind = EdgeKind.ONE_TO_ONE if a.n_shards == b.n_shards else EdgeKind.SCATTER
         # Only the new edge can close a cycle: src->dst cycles iff dst
-        # already reaches src.  One localized reachability probe instead
-        # of a whole-graph acyclicity pass per edge (tracing a k-node
-        # chain was quadratic in k).
-        if src == dst or nx.has_path(self._g, dst, src):
+        # is src itself or one of its ancestors.
+        if self._is_ancestor(dst, src):
             raise ValueError(f"edge {src}->{dst} would create a cycle")
         edge = ShardedEdge(src, dst, src_output, dst_input, kind)
         self._edges.append(edge)
-        self._g.add_edge(src, dst)
+        self._in[dst].append(edge)
+        if src > dst:
+            self._back_floor = min(self._back_floor, dst)
         self._order = None
         return edge
+
+    def _is_ancestor(self, a: int, b: int) -> bool:
+        """Whether ``a`` is ``b`` or reaches it: a walk up ``b``'s in-edges.
+
+        Every node on a path out of ``a`` has an id of at least
+        ``min(a, _back_floor)``, so older ancestors are not visited:
+        appending a new node's in-edges probes nothing.
+        """
+        floor = min(a, self._back_floor)
+        seen = {b}
+        stack = [b]
+        while stack:
+            v = stack.pop()
+            if v == a:
+                return True
+            for e in self._in[v]:
+                u = e.src
+                if u >= floor and u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        return False
 
     # -- queries ------------------------------------------------------------
     @property
@@ -139,9 +167,6 @@ class ShardedGraph:
     def node(self, node_id: int) -> ShardedNode:
         return self._nodes[node_id]
 
-    def nodes(self) -> Iterator[ShardedNode]:
-        return iter(self._nodes.values())
-
     def compute_nodes(self) -> list[ShardedNode]:
         return [n for n in self._nodes.values() if n.kind == "compute"]
 
@@ -149,17 +174,32 @@ class ShardedGraph:
         return list(self._edges)
 
     def in_edges(self, node_id: int) -> list[ShardedEdge]:
-        return [e for e in self._edges if e.dst == node_id]
+        return list(self._in[node_id])
 
     def predecessors(self, node_id: int) -> list[int]:
-        return sorted(self._g.predecessors(node_id))
-
-    def successors(self, node_id: int) -> list[int]:
-        return sorted(self._g.successors(node_id))
+        return sorted({e.src for e in self._in[node_id]})
 
     def topological_order(self) -> list[int]:
+        """Kahn's sort taking the smallest ready id first."""
         if self._order is None:
-            self._order = list(nx.lexicographical_topological_sort(self._g))
+            n = len(self._nodes)
+            consumers: list[list[int]] = [[] for _ in range(n)]
+            waiting = [0] * n
+            for nid in range(n):
+                preds = self.predecessors(nid)
+                waiting[nid] = len(preds)
+                for p in preds:
+                    consumers[p].append(nid)
+            ready = [nid for nid in range(n) if not waiting[nid]]  # sorted: a heap
+            order: list[int] = []
+            while ready:
+                nid = heapq.heappop(ready)
+                order.append(nid)
+                for c in consumers[nid]:
+                    waiting[c] -= 1
+                    if not waiting[c]:
+                        heapq.heappush(ready, c)
+            self._order = order
         return list(self._order)
 
     def runtime_tuple_count(self) -> int:
@@ -182,7 +222,7 @@ class ShardedGraph:
         """Check structural invariants; raises ValueError on violation."""
         for node in self._nodes.values():
             if node.kind == "compute":
-                if not self.in_edges(node.node_id) and node.computation.in_specs:
+                if not self._in[node.node_id] and node.computation.in_specs:
                     raise ValueError(
                         f"compute node {node.label} expects inputs but has no in-edges"
                     )

@@ -21,6 +21,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Optional, TYPE_CHECKING
 
+from repro.core.dispatch import controller_us
 from repro.core.virtual_device import VirtualSlice
 from repro.models.transformer import TransformerConfig
 from repro.serve.batcher import ContinuousBatcher
@@ -110,10 +111,7 @@ class Replica:
         else:
             hosts = 1
         return (
-            cfg.coordinator_base_us
-            + cfg.coordinator_work_per_host_us * hosts
-            + cfg.cpp_dispatch_us
-            + cfg.coordinator_node_per_host_us * hosts
+            controller_us(cfg, 1, hosts)
             + cfg.dcn_latency_us
             + cfg.executor_prep_us
             + cfg.scheduler_decision_us

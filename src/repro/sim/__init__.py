@@ -8,8 +8,8 @@ generator processes or callback state machines scheduled by
 The kernel is deliberately minimal: events, processes, timeouts,
 cancellable re-armable timers (:class:`TimerHandle`, which also carries
 recurring clocks and service loops: the action re-arms it), composite
-events (:class:`AllOf` / :class:`Settled`), counted resources, FIFO
-stores, and deadlock detection (the simulator reports which processes
+events (:class:`AllOf` / :class:`Settled`), counted resources, and
+deadlock detection (the simulator reports which processes
 and callback chains are blocked when the event queue drains while work
 remains).  Future timers wait in one ``(time, seq)`` binary heap,
 :class:`TimerQueue`.
@@ -27,7 +27,7 @@ from repro.sim.engine import (
     TimerHandle,
     TimerQueue,
 )
-from repro.sim.resources import Resource, Store
+from repro.sim.resources import Resource
 from repro.sim.sanitize import (
     ConservationError,
     DoubleTriggerError,
@@ -58,7 +58,6 @@ __all__ = [
     "Settled",
     "SimSanitizer",
     "Simulator",
-    "Store",
     "Timeout",
     "TimerHandle",
     "TimerQueue",

@@ -1,22 +1,22 @@
 """Shared-resource primitives built on the event kernel.
 
 :class:`Resource` is a counted semaphore with FIFO granting — used for
-host CPUs and NICs and a client's controller thread.  :class:`Store` is
-an unbounded FIFO queue of items — used for PLAQUE channel shards.
-
-Both grant strictly in arrival order, which keeps the simulation
-deterministic and models the paper's FIFO hardware queues faithfully.
+host CPUs and NICs and a client's controller thread.  It grants
+strictly in arrival order, which keeps the simulation deterministic and
+models the paper's FIFO hardware queues faithfully.  (PLAQUE channel
+shards are plain deques in :mod:`repro.plaque.channels`: nothing waits
+on them.)
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque
+from typing import Callable, Deque
 
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.sanitize import UnbalancedGrantError
 
-__all__ = ["Resource", "Store"]
+__all__ = ["Resource"]
 
 
 class Resource:
@@ -135,40 +135,3 @@ class Resource:
                 )
             )
         return problems
-
-
-class Store:
-    """An unbounded FIFO queue of items with blocking ``get``.
-
-    ``put`` hands the item to the oldest waiting ``get`` or queues it.
-    ``get`` returns an event that triggers with the oldest item.
-    """
-
-    def __init__(self, sim: Simulator, name: str = ""):
-        self.sim = sim
-        self.name = name or "store"
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        if self._getters:
-            # Direct handoff to the oldest waiting consumer.
-            self._getters.popleft().succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        if self._items:
-            return self.sim.completed(self._items.popleft())
-        ev = Event(self.sim)
-        self._getters.append(ev)
-        return ev
-
-    def try_get(self) -> tuple[bool, Any]:
-        """Non-blocking get: ``(True, item)`` or ``(False, None)``."""
-        if not self._items:
-            return False, None
-        return True, self._items.popleft()

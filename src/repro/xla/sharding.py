@@ -4,15 +4,12 @@ Pathways' dataflow representation is *sharded*: a computation node spans
 N devices and its logical inputs/outputs are split (or replicated)
 across them.  The client bookkeeps at logical-buffer granularity (paper
 §4.2); shards only appear at the executor/transfer level.  This module
-provides the shard math both levels share.
+provides the shard math both levels share: shapes and bytes, not values.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Sequence
-
-import numpy as np
 
 from repro.xla.shapes import TensorSpec
 
@@ -46,21 +43,6 @@ class Sharding(Enum):
 
     def shard_nbytes(self, spec: TensorSpec, n_shards: int) -> int:
         return self.shard_spec(spec, n_shards).nbytes
-
-    # -- value-level shard math ---------------------------------------------
-    def split(self, array: np.ndarray, n_shards: int) -> list[np.ndarray]:
-        if self is Sharding.REPLICATED or n_shards == 1:
-            return [array] * n_shards
-        if array.shape[0] % n_shards != 0:
-            raise ValueError(
-                f"leading dim {array.shape[0]} not divisible by {n_shards}"
-            )
-        return list(np.split(array, n_shards, axis=0))
-
-    def combine(self, shards: Sequence[np.ndarray]) -> np.ndarray:
-        if self is Sharding.REPLICATED:
-            return shards[0]
-        return np.concatenate(list(shards), axis=0)
 
     def resharding_bytes(
         self, spec: TensorSpec, from_shards: int, to_shards: int

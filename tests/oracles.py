@@ -33,6 +33,13 @@ no production path that selects it:
   picks from that list; the reference for the up flags behind
   :meth:`repro.hw.Island.healthy_at` and ``n_healthy``.
 
+* :func:`graph_in_edges`, :func:`graph_predecessors` and
+  :func:`graph_order` — a :class:`repro.plaque.ShardedGraph`'s in-edges,
+  predecessors and smallest-ready-first topological order by scanning
+  its edge list, and :func:`graph_reaches`, reachability by transitive
+  closure; the references for the graph's per-node in-edge lists and
+  its cycle probe.
+
 * :func:`send_reliable` — one generator ``Process`` per reliable send,
   the reference for the callback chain of
   :meth:`repro.net.Transport.send_reliable`.
@@ -75,7 +82,8 @@ schedulers; ``test_net_transport.py`` runs random reliable sends under
 endpoint crashes through both send paths; ``test_device_drain.py`` runs
 random gangs under device and host faults through both drains;
 ``test_healthy_set.py`` probes healthy capacity and slice binds under
-random faults against both.  The timer queue
+random faults against both; ``test_plaque.py`` draws random ``connect``
+sequences against the graph references.  The timer queue
 needs no oracle: :class:`repro.sim.TimerQueue`
 is itself the plain ``(when, seq)`` heap, and ``test_timer_queue.py``
 checks it against a sorted list of the live entries.
@@ -186,6 +194,48 @@ def bind_choice(rm, island, n: int) -> list:
         devices = [healthy[(i * step) % len(healthy)] for i in range(reps)]
     seen: set[int] = set()
     return [d for d in devices if d.device_id not in seen and not seen.add(d.device_id)]
+
+
+# -- ShardedGraph queries by scanning the edge list ---------------------------
+def graph_in_edges(graph, node_id: int) -> list:
+    """``node_id``'s in-edges: one scan of ``graph.edges()``."""
+    return [e for e in graph.edges() if e.dst == node_id]
+
+
+def graph_predecessors(graph, node_id: int) -> list[int]:
+    """``node_id``'s distinct predecessors, ascending: one scan."""
+    return sorted({e.src for e in graph.edges() if e.dst == node_id})
+
+
+def graph_reaches(n_nodes: int, pairs: Iterable[tuple[int, int]]) -> list[set[int]]:
+    """Transitive closure: ``reach[a]`` holds every node a path leaves
+    ``a`` for (``a`` itself only through a cycle)."""
+    reach: list[set[int]] = [set() for _ in range(n_nodes)]
+    for a, b in pairs:
+        reach[a].add(b)
+    changed = True
+    while changed:
+        changed = False
+        for a in range(n_nodes):
+            grown = reach[a].union(*(reach[b] for b in reach[a]))
+            if grown != reach[a]:
+                reach[a] = grown
+                changed = True
+    return reach
+
+
+def graph_order(graph) -> list[int]:
+    """Topological order: repeatedly place the smallest node whose
+    predecessors are all placed."""
+    placed: list[int] = []
+    left = set(range(graph.n_nodes))
+    while left:
+        nid = min(
+            n for n in left if all(p in placed for p in graph_predecessors(graph, n))
+        )
+        placed.append(nid)
+        left.remove(nid)
+    return placed
 
 
 class _Flow:

@@ -69,6 +69,31 @@ class TestTracer:
                 tracer.record_call(_fn("a"), devs, [arg, arg])
 
 
+    def test_finish_feeds_result_node_in_return_order(self, small_system):
+        devs = small_system.make_virtual_device_set().add_slice(tpu_devices=2)
+        tracer = ProgramTracer()
+        with tracer:
+            arg = tracer.add_arg(TensorSpec((2,)))
+            (x,) = tracer.record_call(_fn("a"), devs, [arg])
+            (y,) = tracer.record_call(_fn("b"), devs, [x])
+        program = tracer.finish((y, [x]))
+        graph = program.graph
+        result = graph.n_nodes - 1
+        assert graph.node(result).kind == "result"
+        assert program.results == [(y.node_id, 0), (x.node_id, 0)]
+        assert [e.src for e in graph.in_edges(result)] == [y.node_id, x.node_id]
+        assert unflatten(program.result_treedef, ["y", "x"]) == ("y", ["x"])
+
+    def test_close_validates(self):
+        from repro.core.program import PathwaysProgram
+        from repro.plaque.graph import ShardedGraph
+
+        g = ShardedGraph()
+        c = g.add_compute(_fn("orphan"))
+        with pytest.raises(ValueError, match="no in-edges"):
+            PathwaysProgram.close(g, {}, [], [(c, 0)])
+
+
 class TestFlatten:
     def test_roundtrip_nested(self):
         obj = (1, (2, 3), [4, (5,)])
@@ -149,6 +174,30 @@ class TestLowering:
         assert labels == ["a", "b"]
         assert low.nodes[1].predecessors == [low.nodes[0].node_id]
 
+    def test_transfers_follow_in_edge_order(self, small_system):
+        """A node's transfers are its in-edges in connect order (here
+        the newer producer first), not sorted by producer."""
+        devs = small_system.make_virtual_device_set().add_slice(tpu_devices=2)
+        other = small_system.make_virtual_device_set().add_slice(tpu_devices=2)
+        spec = TensorSpec((2,))
+        two_in = CompiledFunction(
+            "c", (spec, spec), (spec,), fn=lambda x, y: (x + y,), n_shards=2,
+            duration_us=10.0,
+        )
+        tracer = ProgramTracer()
+        with tracer:
+            arg = tracer.add_arg(spec)
+            (x,) = tracer.record_call(_fn("a"), devs, [arg])
+            (y,) = tracer.record_call(_fn("b"), other, [arg])
+            (z,) = tracer.record_call(two_in, devs, [y, x])
+        low = lower(tracer.finish((z,)))
+        moves = low.node(z.node_id).incoming
+        assert [(m.src_node, m.dst_input) for m in moves] == [
+            (y.node_id, 0), (x.node_id, 1)
+        ]
+        assert [m.route for m in moves] == [TransferRoute.ICI, TransferRoute.LOCAL]
+        assert low.node(z.node_id).predecessors == [x.node_id, y.node_id]
+
     def test_missing_placement_rejected(self):
         tracer = ProgramTracer()
         with tracer:
@@ -166,7 +215,7 @@ class TestLowering:
 
         bad = PathwaysProgram(
             name="bad", graph=g, placements={}, arg_nodes=[a],
-            results=[], result_node=g.add_result(),
+            results=[],
         )
         with pytest.raises(ValueError, match="no placement"):
             lower(bad)

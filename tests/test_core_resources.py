@@ -116,3 +116,16 @@ class TestResourceManager:
         island = small_cluster.islands[0]
         g = DeviceGroup(island=island, devices=island.devices[:2], n_logical=8)
         assert g.is_aggregate and g.representation_factor == 4.0
+
+    def test_per_host_bytes(self, small_cluster):
+        """A DCN move's bytes split over the gang's logical hosts, never
+        below one byte."""
+        from repro.core.placement import DeviceGroup
+
+        island = small_cluster.islands[0]
+        g = DeviceGroup(
+            island=island, devices=island.devices[:2], n_logical=16, n_hosts_logical=4
+        )
+        assert g.per_host_bytes(4_000) == 1_000
+        assert g.per_host_bytes(7) == 1
+        assert g.per_host_bytes(0) == 1

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.plaque.channels import ShardedChannel
@@ -11,6 +11,8 @@ from repro.plaque.graph import EdgeKind, ShardedGraph
 from repro.plaque.progress import ProgressTracker
 from repro.sim import Simulator
 from repro.xla.computation import scalar_allreduce_add
+
+import oracles
 
 
 class TestShardedGraph:
@@ -64,6 +66,17 @@ class TestShardedGraph:
         assert order.index(a) < order.index(c)
         assert order.index(b) < order.index(c)
 
+    def test_topological_order_takes_smallest_ready_id(self):
+        """Ties go to the smallest id, even one created after its rival
+        became ready: 0 -> 3, 2 -> 1 orders 0, 2, 1, 3."""
+        g = ShardedGraph()
+        ids = [g.add_compute(scalar_allreduce_add(1, 1.0)) for _ in range(4)]
+        g.connect(ids[0], ids[3])
+        g.connect(ids[2], ids[1])
+        assert g.topological_order() == [0, 2, 1, 3]
+        g.connect(ids[3], ids[2])
+        assert g.topological_order() == [0, 3, 2, 1]
+
     def test_validate_requires_inputs(self):
         g = ShardedGraph()
         g.add_compute(scalar_allreduce_add(1, 1.0))
@@ -78,13 +91,66 @@ class TestShardedGraph:
         assert g.connect(a, b).kind is EdgeKind.ONE_TO_ONE
         assert g.connect(a, c).kind is EdgeKind.SCATTER
 
-    def test_predecessors_successors(self):
+    def test_repeated_edge_is_one_predecessor(self):
+        """``f(x, x)``: two edges, one predecessor."""
         g = ShardedGraph()
         a = g.add_compute(scalar_allreduce_add(1, 1.0))
         b = g.add_compute(scalar_allreduce_add(1, 1.0))
-        g.connect(a, b)
+        g.connect(a, b, dst_input=0)
+        g.connect(a, b, dst_input=1)
         assert g.predecessors(b) == [a]
-        assert g.successors(a) == [b]
+        assert [e.dst_input for e in g.in_edges(b)] == [0, 1]
+        assert g.topological_order() == [a, b]
+
+    @given(
+        actions=st.lists(
+            st.tuples(
+                st.sampled_from(["edge"] * 10 + ["node", "probe"]),
+                st.integers(0, 63),
+                st.integers(0, 63),
+            ),
+            max_size=40,
+        ),
+        first=st.integers(1, 4),
+    )
+    # A cycle through an older node: 2->0 and 0->1 make 1->2 close it.
+    @example(actions=[("edge", 2, 0), ("edge", 0, 1), ("edge", 1, 2)], first=3)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_queries(self, actions, first):
+        """Random ``connect`` sequences over existing nodes (repeats,
+        edges to older nodes, self-loops and cycle attempts): the cycle
+        check rejects exactly what closes a cycle and leaves no trace,
+        and order, predecessors and in-edges match the edge-list scans."""
+        g = ShardedGraph()
+        fn = scalar_allreduce_add(1, 1.0)
+        for _ in range(first):
+            g.add_compute(fn)
+        pairs: list[tuple[int, int]] = []
+
+        def check_queries():
+            assert g.topological_order() == oracles.graph_order(g)
+            for nid in range(g.n_nodes):
+                assert g.predecessors(nid) == oracles.graph_predecessors(g, nid)
+                assert g.in_edges(nid) == oracles.graph_in_edges(g, nid)
+
+        for action, i, j in actions:
+            if action == "node":
+                g.add_arg()
+            elif action == "probe":
+                check_queries()
+            else:
+                src, dst = i % g.n_nodes, j % g.n_nodes
+                closes = src == dst or src in oracles.graph_reaches(g.n_nodes, pairs)[dst]
+                before = g.edges()
+                if closes:
+                    with pytest.raises(ValueError, match="cycle"):
+                        g.connect(src, dst)
+                    assert g.edges() == before
+                else:
+                    edge = g.connect(src, dst)
+                    assert g.edges() == before + [edge]
+                    pairs.append((src, dst))
+        check_queries()
 
 
 class TestProgressTracker:
@@ -169,16 +235,29 @@ class TestProgressTracker:
 class TestShardedChannel:
     def test_tagged_delivery(self, sim):
         ch = ShardedChannel(sim, n_dst_shards=2, producers=1)
-        ch.put(0, 1, "for-shard-1")
-        ch.put(0, 0, "for-shard-0", final=True)
-        assert ch.get(0).value.payload == "for-shard-0"
-        assert ch.get(1).value.payload == "for-shard-1"
+        ch.put(0, 1, "for-shard-1", final=False)
+        ch.put(0, 0, "for-shard-0")
+        ch.put(0, 1, "for-shard-1-again")
+        assert ch.drain(0) == ["for-shard-0"]
+        assert ch.drain(1) == ["for-shard-1", "for-shard-1-again"]
+        assert ch.drain(0) == ch.drain(1) == []
 
     def test_drain(self, sim):
         ch = ShardedChannel(sim, n_dst_shards=1, producers=2)
         ch.put(0, 0, "a", final=False)
         ch.put(0, 0, "b", final=True)
         assert ch.drain(0) == ["a", "b"]
+
+    @given(puts=st.lists(st.tuples(st.integers(0, 2), st.integers()), max_size=30))
+    @settings(max_examples=60, deadline=None)
+    def test_drain_preserves_put_order(self, puts):
+        """Each shard drains its payloads in put order, whatever the
+        interleaving with other shards."""
+        ch = ShardedChannel(Simulator(), n_dst_shards=3, producers=1)
+        for shard, payload in puts:
+            ch.put(0, shard, payload, final=False)
+        for shard in range(3):
+            assert ch.drain(shard) == [p for s, p in puts if s == shard]
 
     def test_completion_follows_progress(self, sim):
         ch = ShardedChannel(sim, n_dst_shards=1, producers=2)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Resource, Simulator, Store
+from repro.sim import Resource, Simulator
 
 
 @given(delays=st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=40))
@@ -51,35 +51,6 @@ def test_resource_never_exceeds_capacity(capacity, works):
     assert res.in_use == 0
     # Work conservation: total busy time equals the sum of holds.
     assert abs(res.busy_time() - sum(works)) < 1e-6
-
-
-@given(
-    gap=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
-    items=st.lists(st.integers(), min_size=1, max_size=30),
-)
-@settings(max_examples=60, deadline=None)
-def test_store_preserves_fifo(gap, items):
-    """Items queue (gap < 1) or consumers wait (gap > 1): either way
-    they arrive in put order."""
-    sim = Simulator()
-    store = Store(sim)
-    received = []
-
-    def producer():
-        for item in items:
-            store.put(item)
-            yield sim.timeout(gap)
-
-    def consumer():
-        for _ in items:
-            got = yield store.get()
-            received.append(got)
-            yield sim.timeout(1.0)
-
-    sim.process(producer())
-    sim.process(consumer())
-    sim.run()
-    assert received == items
 
 
 @given(n=st.integers(min_value=1, max_value=30))

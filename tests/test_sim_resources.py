@@ -1,10 +1,10 @@
-"""Unit tests for Resource and Store primitives."""
+"""Unit tests for the Resource primitive."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.sim import Resource, Simulator, Store
+from repro.sim import Resource, Simulator
 from repro.sim.sanitize import UnsettledWaitersError
 from repro.workloads.microbench import run_pathways
 
@@ -129,67 +129,3 @@ class TestAcquire:
         assert result.sim_events == 3_593
         assert result.sim_elapsed_us == 22319.000075
 
-
-class TestStore:
-    def test_put_then_get(self, sim):
-        store = Store(sim)
-        store.put("x")
-        got = store.get()
-        assert got.triggered and got.value == "x"
-
-    def test_get_blocks_until_put(self, sim):
-        store = Store(sim)
-        got = store.get()
-        assert not got.triggered
-        store.put("y")
-        assert got.triggered and got.value == "y"
-
-    def test_fifo_item_order(self, sim):
-        store = Store(sim)
-        for item in ("a", "b", "c"):
-            store.put(item)
-        assert [store.get().value for _ in range(3)] == ["a", "b", "c"]
-
-    def test_fifo_getter_order(self, sim):
-        store = Store(sim)
-        getters = [store.get() for _ in range(3)]
-        for item in ("a", "b", "c"):
-            store.put(item)
-        assert [g.value for g in getters] == ["a", "b", "c"]
-
-    def test_try_get(self, sim):
-        store = Store(sim)
-        ok, item = store.try_get()
-        assert not ok and item is None
-        store.put("z")
-        ok, item = store.try_get()
-        assert ok and item == "z"
-
-    def test_len(self, sim):
-        store = Store(sim)
-        assert len(store) == 0
-        store.put(1)
-        store.put(2)
-        assert len(store) == 2
-
-    def test_producer_consumer_pipeline(self, sim):
-        store = Store(sim)
-        consumed = []
-
-        def producer():
-            for i in range(5):
-                store.put(i)
-                yield sim.timeout(1.0)
-
-        def consumer():
-            for _ in range(5):
-                item = yield store.get()
-                consumed.append((item, sim.now))
-                yield sim.timeout(3.0)
-
-        sim.process(producer())
-        sim.process(consumer())
-        sim.run()
-        assert [i for i, _ in consumed] == [0, 1, 2, 3, 4]
-        # Consumer is the bottleneck: items arrive every 3us after warmup.
-        assert consumed[-1][1] == pytest.approx(12.0)

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.config import DEFAULT_CONFIG
 from repro.xla.compiler import Compiler, fuse
@@ -58,28 +56,6 @@ class TestSharding:
     def test_split_scalar_rejected(self):
         with pytest.raises(ValueError):
             Sharding.SPLIT_LEADING.shard_spec(TensorSpec.scalar(), 2)
-
-    def test_split_combine_roundtrip(self):
-        arr = np.arange(24, dtype=np.float32).reshape(8, 3)
-        shards = Sharding.SPLIT_LEADING.split(arr, 4)
-        assert len(shards) == 4 and shards[0].shape == (2, 3)
-        np.testing.assert_array_equal(
-            Sharding.SPLIT_LEADING.combine(shards), arr
-        )
-
-    @given(
-        rows_per_shard=st.integers(1, 8),
-        cols=st.integers(1, 5),
-        n_shards=st.integers(1, 6),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_split_combine_roundtrip_property(self, rows_per_shard, cols, n_shards):
-        arr = np.arange(rows_per_shard * n_shards * cols, dtype=np.float32).reshape(
-            rows_per_shard * n_shards, cols
-        )
-        shards = Sharding.SPLIT_LEADING.split(arr, n_shards)
-        assert all(s.shape[0] == rows_per_shard for s in shards)
-        np.testing.assert_array_equal(Sharding.SPLIT_LEADING.combine(shards), arr)
 
     def test_resharding_bytes(self):
         spec = TensorSpec((8, 4))
