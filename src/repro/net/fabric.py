@@ -43,18 +43,20 @@ a join or leave changes the count on every link of that route, so the
 class rate always changes strictly.  Members therefore move in
 lockstep — they sync at the same instants and subtract the same
 ``rate * elapsed`` each time — and a class keeps one ``rate``, one
-sync time ``at`` and a list of remaining bytes.  Each link keeps the
+sync time ``at`` and its members sorted by remaining bytes.  Float
+subtraction and division are monotone, so lockstep integration keeps
+that order, the head (the first member) finishes first, and the
+members due at any instant are a prefix.  Each link keeps the
 insertion-ordered set of classes crossing it, so a membership change
 re-rates only the *affected* classes (those sharing a link whose count
 changed): one rate evaluation, one list pass and one completion-
-calendar entry per class, keyed on the class head (float subtraction
-and division are monotone, so the member with the least remaining
-bytes finishes first).  The calendar is a heap with lazy invalidation
-and one cancellable :class:`~repro.sim.TimerHandle` fires the next
-completion.  The solver-equivalence tests pin it **byte-identical** —
-the same schedule, not merely equal delivery times — to a per-flow
-reference that recomputes every live flow on every change
-(``tests/oracles.py``).
+calendar entry per class, keyed on the head's finish; a completion
+splits off the due prefix.  The calendar is a heap with lazy
+invalidation and one cancellable :class:`~repro.sim.TimerHandle` fires
+the next completion.  The solver-equivalence tests pin it
+**byte-identical** — the same schedule, not merely equal delivery
+times — to a per-flow reference that recomputes every live flow on
+every change (``tests/oracles.py``).
 
 Aborts are exact — an in-flight message whose endpoint host crashed
 releases all held capacity immediately, the network analogue of the
@@ -70,7 +72,9 @@ from __future__ import annotations
 import heapq
 import re
 import zlib
+from bisect import bisect_right
 from collections import deque
+from itertools import islice
 from operator import attrgetter, itemgetter
 from typing import Callable, Deque, Optional, TYPE_CHECKING
 
@@ -241,7 +245,9 @@ class _RouteClass:
 
     ``rem[i]`` is member ``flows[i]``'s remaining bytes as of ``at``;
     the members' projected finishes are ``at + max(rem[i], 0) / rate``.
-    Only a rate change moves ``at`` or decrements ``rem``.
+    Only a rate change moves ``at`` or decrements ``rem``.  ``rem`` is
+    non-decreasing: every member subtracts the same amount, and a
+    newcomer is inserted after the members with no more bytes left.
     """
 
     __slots__ = ("route", "cid", "flows", "rem", "rate", "at", "epoch", "ver")
@@ -250,7 +256,7 @@ class _RouteClass:
         self.route = route
         #: Its first member's seq: the calendar tie-break between classes.
         self.cid = cid
-        #: Members in start order, and their remaining bytes.
+        #: Members sorted by remaining bytes, and those bytes.
         self.flows: list[_Flow] = []
         self.rem: list[float] = []
         self.rate = 0.0
@@ -331,8 +337,12 @@ class ScopedFluidSolver:
                 cls.rem = [r - x for r in cls.rem]
                 cls.at = now
         flow = _Flow(key, rkey, nbytes, on_done, self.seq)
-        cls.flows.append(flow)
-        cls.rem.append(float(nbytes))
+        # Members stay sorted by remaining bytes; a newcomer goes after
+        # any member with equal bytes.
+        r = float(nbytes)
+        i = bisect_right(cls.rem, r)
+        cls.flows.insert(i, flow)
+        cls.rem.insert(i, r)
         self.flows[key] = flow
         n = len(self.flows)
         if n > self.peak_flows:
@@ -457,7 +467,7 @@ class ScopedFluidSolver:
                         cls.rem = [r - x for r in cls.rem]
                         cls.at = now
                     cls.rate = rate
-                    head = min(cls.rem)
+                    head = cls.rem[0]
                     if head < 0.0:
                         head = 0.0
                     ver = cls.ver = cls.ver + 1
@@ -474,8 +484,9 @@ class ScopedFluidSolver:
 
     def _collect_due(self, now: float) -> list[_Flow]:
         """Pop every class whose head is due and split off its due
-        members; returns them in start order (the same-instant
-        completion tie-break)."""
+        members, a prefix of its sorted list (the projected finish is
+        monotone in remaining bytes); returns them in start order (the
+        same-instant completion tie-break)."""
         cal = self.calendar
         due: list[_Flow] = []
         pop = heapq.heappop
@@ -488,20 +499,18 @@ class ScopedFluidSolver:
             if head[0] > now:
                 break
             pop(cal)
-            flows = cls.flows
-            if len(flows) > 1:
-                at, rate, rem = cls.at, cls.rate, cls.rem
-                hits = [
-                    i for i, r in enumerate(rem)
-                    if at + (r if r > 0.0 else 0.0) / rate <= now
-                ]
-                if len(hits) < len(flows):
-                    for i in reversed(hits):
-                        due.append(flows.pop(i))
-                        del rem[i]
-                    continue
-            # Every member is due (a lone member is its class's head).
-            due.extend(flows)
+            # The head is due; the due members are a prefix.
+            flows, rem = cls.flows, cls.rem
+            at, rate, n = cls.at, cls.rate, 1
+            for r in islice(rem, 1, None):
+                if at + (r if r > 0.0 else 0.0) / rate > now:
+                    break
+                n += 1
+            if n < len(flows):
+                due += flows[:n]
+                del flows[:n], rem[:n]
+                continue
+            due += flows
             self._drop(cls)
         if len(due) > 1:
             due.sort(key=_BY_SEQ)

@@ -12,14 +12,24 @@ engine's "rate unchanged -> skip" set equals the scoped engine's
 unaffected set exactly.  And every flow on one route shares that rate
 and changes it at the same instants, so a route class integrating its
 members in lockstep performs the very float operations the per-flow
-engine performs one flow at a time.  These tests pin the argument at
-the fabric layer (where hypothesis shrinking is cheap), with a stream
-built to grow large classes, and then end to end through the full
-transport scenarios, the fault drills included.
+engine performs one flow at a time.  The class keeps its members
+sorted by remaining bytes, and lockstep keeps them sorted: IEEE
+subtraction is monotone, so ``a <= b`` implies ``a - x <= b - x``,
+and a projected finish ``at + max(r, 0) / rate`` is monotone in ``r``.
+The head is the first member, the due members are a prefix, and
+ordering the due set by start order gives the per-flow engine's
+completion order.  These tests pin the argument at the fabric layer
+(where hypothesis shrinking is cheap), with a stream built to grow
+large classes, and then end to end through the full transport
+scenarios, the fault drills included.
+
+``REPRO_FLUID_FUZZ_EXAMPLES`` sets the budget of both fuzzes (150 and
+100 by default; CI's benchmark smoke sweep runs 500).
 """
 
 from __future__ import annotations
 
+import os
 from types import SimpleNamespace
 from unittest import mock
 
@@ -34,6 +44,8 @@ from repro.net.fabric import Fabric, ScopedFluidSolver
 from repro.sim import Simulator
 from repro.stats import FabricStats
 from repro.workloads.netload import run_flow_fleet, run_net_congestion
+
+EXAMPLES = int(os.environ.get("REPRO_FLUID_FUZZ_EXAMPLES", "0"))
 
 
 def _ignore() -> None:
@@ -84,11 +96,17 @@ _SHARED_LINKS = [
 
 _CLASS_START = st.builds(
     lambda pair, nbytes, delay: ("start", *pair, nbytes, delay),
-    # Mostly one route, one size and zero delays: members pile up, and
-    # equal-size members started together complete as a same-instant tie.
+    # Mostly one route: members pile up.
     st.sampled_from([(0, 1), (0, 1), (0, 1), (1, 0), (0, 2), (1, 2)]),
-    st.sampled_from([1 << 20, 1 << 20, 1 << 20, 65536, 1 << 22]),
-    st.sampled_from([0.0, 0.0, 0.0, 0.0, 1.0, 10.0]),
+    st.one_of(
+        # Equal-size members started together complete as a
+        # same-instant tie.
+        st.sampled_from([1 << 20, 1 << 20, 1 << 20, 65536, 1 << 22]),
+        # Mixed sizes: a newcomer lands at the head, mid-list or tail.
+        st.integers(1 << 16, 1 << 22),
+    ),
+    # Non-zero delays start newcomers into classes already part-drained.
+    st.sampled_from([0.0, 0.0, 0.0, 0.0, 1.0, 10.0, 100.0]),
 )
 
 _CLASS_OPS = st.tuples(
@@ -97,12 +115,34 @@ _CLASS_OPS = st.tuples(
         st.one_of(
             _CLASS_START,
             st.tuples(st.just("abort_head"), st.integers(0, 5), _DELAYS),
+            st.tuples(st.just("abort_member"), st.integers(0, 40), _DELAYS),
             st.tuples(st.just("down_link"), st.sampled_from(_SHARED_LINKS), _DELAYS),
             st.tuples(st.just("restore"), _DELAYS),
         ),
         max_size=30,
     ),
 ).map(lambda parts: parts[0] + parts[1])
+
+
+def _remaining(solver) -> dict:
+    """Live key -> remaining bytes as of its last sync.  Both solvers
+    sync a flow at the same instants to the same bits, so the two
+    views agree."""
+    if isinstance(solver, ScopedFluidSolver):
+        return {
+            f.key: r
+            for c in solver.classes.values()
+            for f, r in zip(c.flows, c.rem)
+        }
+    return {k: f.remaining for k, f in solver.flows.items()}
+
+
+def _assert_sorted(solver) -> None:
+    """Each route class's members stay sorted by remaining bytes."""
+    for cls in solver.classes.values():
+        rem = cls.rem
+        assert len(rem) == len(cls.flows)
+        assert all(a <= b for a, b in zip(rem, rem[1:])), rem
 
 
 def _run_fabric_scenario(solver, ops, hosts=_HOSTS):
@@ -128,15 +168,14 @@ def _run_fabric_scenario(solver, ops, hosts=_HOSTS):
             if op[0] == "start":
                 src, dst = hosts[op[1]], hosts[op[2]]
                 route = fabric.route(src, dst, flow_seq=next_key)
-                if not route or any(not link.up for link in route):
-                    continue
-                key = next_key = next_key + 1
-                routes[key] = tuple(route)
-                fabric.start_flow(
-                    key, route, op[3],
-                    lambda k=key: deliveries.append((k, sim.now)),
-                )
-                peak_class = max(peak_class, len(live_on(routes[key])))
+                if route and all(link.up for link in route):
+                    key = next_key = next_key + 1
+                    routes[key] = tuple(route)
+                    fabric.start_flow(
+                        key, route, op[3],
+                        lambda k=key: deliveries.append((k, sim.now)),
+                    )
+                    peak_class = max(peak_class, len(live_on(routes[key])))
             elif op[0] == "abort":
                 live = list(fabric._solver.flows)
                 if live:
@@ -151,21 +190,34 @@ def _run_fabric_scenario(solver, ops, hosts=_HOSTS):
                 if live_routes:
                     key = live_on(live_routes[op[1] % len(live_routes)])[0]
                     log.append(("abort_head", key, fabric.abort_flow(key)))
+            elif op[0] == "abort_member":
+                # A member of the largest class other than its head:
+                # members sorted by remaining bytes, then start order.
+                by_route: dict = {}
+                for k in fabric._solver.flows:
+                    by_route.setdefault(routes[k], []).append(k)
+                members = max(by_route.values(), key=len, default=[])
+                if len(members) > 1:
+                    rem = _remaining(fabric._solver)
+                    members.sort(key=lambda k: (rem[k], k))
+                    key = members[1 + op[1] % (len(members) - 1)]
+                    log.append(("abort_member", key, fabric.abort_flow(key)))
             elif op[0] in ("down", "down_link"):
                 if op[0] == "down_link":
                     link = fabric.link_by_name(op[1])
                 else:
                     links = fabric.links()
-                    if not links:
-                        continue
-                    link = links[op[1] % len(links)]
-                victims = fabric.take_down(link)
-                log.append(("down", link.name, victims))
+                    link = links[op[1] % len(links)] if links else None
+                if link is not None:
+                    victims = fabric.take_down(link)
+                    log.append(("down", link.name, victims))
             else:
                 down = [link for link in fabric.links() if not link.up]
                 if down:
                     fabric.restore_link(down[0])
                     log.append(("restore", down[0].name))
+            if isinstance(fabric._solver, ScopedFluidSolver):
+                _assert_sorted(fabric._solver)
 
     sim.process(driver())
     sim.run()
@@ -203,7 +255,7 @@ def _assert_identical(dense, scoped):
 
 
 @given(ops=_OPS)
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=EXAMPLES or 150, deadline=None)
 def test_scoped_matches_dense_exactly(ops):
     dense = _run_fabric_scenario(DenseFluidSolver, ops)
     scoped = _run_fabric_scenario(ScopedFluidSolver, ops)
@@ -211,11 +263,12 @@ def test_scoped_matches_dense_exactly(ops):
 
 
 @given(ops=_CLASS_OPS)
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=EXAMPLES or 100, deadline=None)
 def test_large_route_classes_match_per_flow_exactly(ops):
     """Few endpoints, many flows: classes of ten and more members,
-    same-instant completion ties, head aborts, and take-downs of links
-    that two classes share."""
+    newcomers landing anywhere in a class, same-instant completion
+    ties, head and mid-class aborts, and take-downs of links that two
+    classes share."""
     dense = _run_fabric_scenario(DenseFluidSolver, ops, hosts=_FEW_HOSTS)
     scoped = _run_fabric_scenario(ScopedFluidSolver, ops, hosts=_FEW_HOSTS)
     target(float(scoped["peak_class"]), label="peak route-class size")
@@ -246,6 +299,67 @@ def test_large_class_ties_head_abort_and_shared_takedown():
     # The second burst completes as one same-instant tie.
     times = [t for k, t in scoped["deliveries"] if k > 15]
     assert len(times) == 12 and len(set(times)) == 1
+
+
+class _DustProbe(ScopedFluidSolver):
+    """The solver, recording every negative remaining byte count a
+    completion pass sees."""
+
+    dust: list = []
+
+    def _collect_due(self, now):
+        for cls in self.classes.values():
+            _DustProbe.dust.extend(r for r in cls.rem if r < 0.0)
+        return super()._collect_due(now)
+
+
+class TestSortedClassBoundaries:
+    """Pinned streams through the sorted-member edges, each against the
+    per-flow reference."""
+
+    @staticmethod
+    def _pair(ops, scoped=ScopedFluidSolver):
+        dense = _run_fabric_scenario(DenseFluidSolver, ops, hosts=_FEW_HOSTS)
+        result = _run_fabric_scenario(scoped, ops, hosts=_FEW_HOSTS)
+        _assert_identical(dense, result)
+        return result
+
+    def test_smaller_newcomer_becomes_head_and_finishes_first(self):
+        ops = [("start", 0, 1, 1 << 20, 0.0)] * 4 + [
+            ("start", 0, 1, 65536, 10.0),
+        ]
+        deliveries = self._pair(ops)["deliveries"]
+        assert [k for k, _ in deliveries] == [5, 1, 2, 3, 4]
+        assert deliveries[0][1] < deliveries[1][1]
+
+    def test_equal_remaining_newcomer_ties_in_start_order(self):
+        # 2 MB and 4 MB share the NIC at 6,250 B/us: after 80 us the
+        # 2 MB flow has exactly 1.5 MB left, the newcomer's size.
+        ops = [
+            ("start", 0, 1, 2_000_000, 0.0),
+            ("start", 0, 1, 4_000_000, 0.0),
+            ("start", 0, 1, 1_500_000, 80.0),
+        ]
+        deliveries = self._pair(ops)["deliveries"]
+        assert [k for k, _ in deliveries] == [1, 3, 2]
+        assert deliveries[0][1] == deliveries[1][1] < deliveries[2][1]
+
+    def test_float_dust_members_complete_as_one_prefix(self):
+        # Two equal flows share the sender NIC with a short one; the
+        # fourth start lands exactly on their projected finish, so they
+        # integrate a hair past zero and complete at once, ahead of
+        # the newcomer that joined their class.
+        ops = [
+            ("start", 0, 1, 1_000_000, 0.0),
+            ("start", 0, 1, 1_000_000, 0.0),
+            ("start", 0, 2, 65536, 0.0),
+            ("start", 0, 1, 4_000_000, 165.24288),
+        ]
+        _DustProbe.dust = []
+        deliveries = self._pair(ops, scoped=_DustProbe)["deliveries"]
+        assert len(_DustProbe.dust) == 2 and max(_DustProbe.dust) < 0.0
+        assert [k for k, _ in deliveries] == [3, 1, 2, 4]
+        assert deliveries[1][1] == deliveries[2][1] == 165.24288
 
 
 def _scenario_fingerprint(r):
@@ -362,11 +476,11 @@ class TestRouteClassLifecycle:
             fabric.start_flow(key, list(routes[name]), 10_000 + key, _ignore)
         solver = fabric._solver
         assert list(solver.classes) == [routes["a"], routes["b"], routes["c"]]
-        sizes = [[f.key for f in c.flows] for c in solver.classes.values()]
-        assert sizes == [[0, 1, 3], [2, 5], [4]]
-        # Members share one rate; remaining bytes stay parallel.
-        for cls in solver.classes.values():
-            assert len(cls.rem) == len(cls.flows) and cls.rate > 0.0
+        members = [{f.key for f in c.flows} for c in solver.classes.values()]
+        assert members == [{0, 1, 3}, {2, 5}, {4}]
+        # Members share one rate; remaining bytes stay parallel and sorted.
+        _assert_sorted(solver)
+        assert all(c.rate > 0.0 for c in solver.classes.values())
         self._assert_indexed(fabric)
         sim.run()
 
