@@ -9,9 +9,15 @@ module, and checks that every schedule of this checkout is a
 run in the same order at the same simulated instants, and the change
 only removed entries.  A golden the parent's test module does not
 define yet runs this checkout's scenario on the parent's ``src/``.
+With ``--e2e`` it also diffs the seed-0 schedules of the four
+end-to-end workloads (serve, dispatch, fabric, churn) of
+``benchmarks/e2e/workloads.py``, imported read-only from each checkout
+with every simulator logging its loop entries, at ``--size smoke``
+(the default, ~2 s per side) or ``--size full`` (~10 s per side): the
+goldens never stall an island scheduler, the full-size workloads do.
 Usage (from the repository root)::
 
-    python3 benchmarks/golden_diff.py PARENT_DIR
+    python3 benchmarks/golden_diff.py PARENT_DIR [--e2e [--size full]]
 
 ``PARENT_DIR`` is a checkout of the parent commit (``git archive`` or
 ``git clone`` it).  For each golden the tool prints the entry counts
@@ -32,6 +38,7 @@ from typing import Optional
 
 REPO_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDENS = ("churn", "contended_fabric", "ecmp_reroute", "serving", "sequential")
+E2E_WORKLOADS = ("serve", "dispatch", "fabric", "churn")
 
 #: Run in a child process per checkout: prints ``{golden: [[t, name], ...]}``
 #: for the named goldens the test module in ``argv[1]`` defines.
@@ -44,6 +51,34 @@ for name in sys.argv[2:]:
     if name in g._GOLDEN_RUNS:
         schedule, _ = g._GOLDEN_RUNS[name]()
         out[name] = [[t, entry] for t, _, entry in schedule]
+json.dump(out, sys.stdout)
+"""
+
+#: Run in a child process per checkout: prints ``{workload: [[t, name],
+#: ...]}``, the seed-0 schedule at size ``argv[2]`` of each e2e workload
+#: named, from the ``workloads`` module in ``argv[1]``.  Every simulator
+#: the run builds logs its loop entries; execution ids are normalised
+#: as in the goldens.
+_DUMP_E2E = """
+import json, re, sys
+from repro.sim import engine
+sims = []
+init = engine.Simulator.__init__
+def logged(self, *args, **kwargs):
+    init(self, *args, **kwargs)
+    if self.schedule_log is None:
+        self.schedule_log = []
+    sims.append(self)
+engine.Simulator.__init__ = logged
+sys.path.insert(0, sys.argv[1])
+import workloads
+out = {}
+for name in sys.argv[3:]:
+    sims.clear()
+    workloads.WORKLOADS[name](workloads.DEFAULT_SEED, sys.argv[2])
+    out[name] = [
+        [t, re.sub(r"#\\d+", "#N", entry)] for sim in sims for t, entry in sim.schedule_log
+    ]
 json.dump(out, sys.stdout)
 """
 
@@ -74,24 +109,36 @@ def subsequence_diff(
     return None, removed
 
 
+def _dump(checkout: str, script: str, args: list[str]) -> dict[str, list[Entry]]:
+    """Run a dump ``script`` on the checkout's ``src/``; its schedules."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        cwd=checkout, env=env, capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(f"schedule runs failed in {checkout}:\n{proc.stderr}")
+    return {
+        name: [(t, entry) for t, entry in rows]
+        for name, rows in json.loads(proc.stdout).items()
+    }
+
+
 def dump_schedules(
     checkout: str, names=GOLDENS, tests: Optional[str] = None
 ) -> dict[str, list[Entry]]:
     """The golden schedules of one checkout, as ``(time, name)`` lists:
     the scenarios of the test module in ``tests`` (default: the
     checkout's own) run on the checkout's ``src/``."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
-    tests = tests or os.path.join(checkout, "tests")
-    proc = subprocess.run(
-        [sys.executable, "-c", _DUMP, tests, *names],
-        cwd=checkout, env=env, capture_output=True, text=True,
-    )
-    if proc.returncode != 0:
-        raise RuntimeError(f"golden runs failed in {checkout}:\n{proc.stderr}")
-    return {
-        name: [(t, entry) for t, entry in rows]
-        for name, rows in json.loads(proc.stdout).items()
-    }
+    return _dump(checkout, _DUMP, [tests or os.path.join(checkout, "tests"), *names])
+
+
+def dump_e2e_schedules(
+    checkout: str, size: str, names=E2E_WORKLOADS
+) -> dict[str, list[Entry]]:
+    """The seed-0 schedules of the checkout's e2e workloads at ``size``."""
+    bench = os.path.join(checkout, "benchmarks", "e2e")
+    return _dump(checkout, _DUMP_E2E, [bench, size, *names])
 
 
 def report(name: str, parent: list[Entry], child: list[Entry]) -> bool:
@@ -116,6 +163,11 @@ def main(argv: list[str]) -> int:
     parser.add_argument(
         "--child", default=REPO_DIR, help="checkout of the change (default: this one)",
     )
+    parser.add_argument(
+        "--e2e", action="store_true", help="also diff the four e2e workloads at seed 0",
+    )
+    parser.add_argument("--size", choices=("smoke", "full"), default="smoke",
+                        help="e2e workload size (default: smoke)")
     args = parser.parse_args(argv)
     parent_dir, child_dir = map(os.path.abspath, (args.parent_dir, args.child))
     parent = dump_schedules(parent_dir)
@@ -127,6 +179,13 @@ def main(argv: list[str]) -> int:
             dump_schedules(parent_dir, new, tests=os.path.join(child_dir, "tests"))
         )
     ok = [report(name, parent[name], child[name]) for name in GOLDENS]
+    if args.e2e:
+        parent = dump_e2e_schedules(parent_dir, args.size)
+        child = dump_e2e_schedules(child_dir, args.size)
+        ok += [
+            report(f"e2e {name} ({args.size})", parent[name], child[name])
+            for name in E2E_WORKLOADS
+        ]
     return 0 if all(ok) else 1
 
 

@@ -169,7 +169,7 @@ class PathwaysClient:
         )
         low = self._lowered.get(key)
         if low is None:
-            low = lower(program)
+            low = lower(program, self.system.config)
             self._lowered[key] = low
         return low
 

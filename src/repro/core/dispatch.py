@@ -358,7 +358,7 @@ class ProgramExecution:
             client=self.client.name,
             program=self.low.name,
             node_label=f"{self.name}:{node.label}",
-            cost_us=node.computation.compute_time_us(self.config),
+            cost_us=node.compute_time_us,
             device_ids=node.group.device_ids,
             deadline_at_us=self.deadline_at_us,
         )

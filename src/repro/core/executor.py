@@ -77,7 +77,6 @@ class NodeExecutor:
         failure to the dispatching program's retry path.
         """
         group = self.node.group
-        fn = self.node.computation
         per_host_us = self.config.executor_prep_us + self.config.host_launch_work_us
         self._on_prepped = on_done
         # Every host prep plus the allocation, so the barrier cannot
@@ -87,7 +86,7 @@ class NodeExecutor:
         # Output buffers: per-shard bytes reserved on every (simulated)
         # device of the group — this is where HBM back-pressure bites.
         handle, alloc_ready = self.store.allocate(
-            nbytes_per_shard=fn.output_nbytes_per_shard(),
+            nbytes_per_shard=self.node.output_nbytes_per_shard,
             n_shards=group.n_logical,
             group=group,
             space=MemorySpace.HBM,
@@ -124,11 +123,10 @@ class NodeExecutor:
         appends take zero simulated time, which is what makes the
         scheduler's global order authoritative.  Returns the kernels.
         """
-        group = self.node.group
-        fn = self.node.computation
-        compute_us = fn.compute_time_us(self.config)
+        node = self.node
+        group = node.group
         collective = None
-        if fn.collective is not None or len(group.devices) > 1 or group.n_logical > 1:
+        if node.computation.collective is not None or len(group.devices) > 1 or group.n_logical > 1:
             # Gang execution: all shards synchronize; collective wire time
             # is computed from the *logical* gang width (none for a pure
             # gang sync).  The rendezvous release covers the kernel's
@@ -138,7 +136,7 @@ class NodeExecutor:
             collective = CollectiveRendezvous(
                 self.sim,
                 participants=len(group.devices),
-                duration_us=group.collective_us(fn),
+                duration_us=node.collective_us,
                 launch_us=self.config.kernel_launch_us,
             )
         # One Kernel object — and one completion event — for the whole
@@ -150,9 +148,9 @@ class NodeExecutor:
         # fails it, which is the loss signal retry_on_failure needs.
         kernel = Kernel(
             self.sim,
-            duration_us=compute_us,
+            duration_us=node.compute_time_us,
             collective=collective,
-            tag=self.node.label,
+            tag=node.label,
             program=self.program,
             gate=gate,
         )

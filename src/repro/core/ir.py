@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
+from repro.config import SystemConfig
 from repro.core.placement import DeviceGroup
 from repro.core.program import PathwaysProgram
 from repro.plaque.graph import ShardedEdge, ShardedGraph
@@ -59,6 +60,11 @@ class LowLevelNode:
     node_id: int
     computation: CompiledFunction
     group: DeviceGroup
+    #: Costs fixed at lowering, read on every execution: per-shard
+    #: compute, per-shard output bytes, collective wire time.
+    compute_time_us: float
+    output_nbytes_per_shard: int
+    collective_us: float
     incoming: list[TransferSpec] = field(default_factory=list)
     predecessors: list[int] = field(default_factory=list)
 
@@ -142,7 +148,7 @@ def _transfer(
     )
 
 
-def lower(program: PathwaysProgram) -> LowLevelProgram:
+def lower(program: PathwaysProgram, config: SystemConfig) -> LowLevelProgram:
     """Run all lowering passes over a traced program."""
     graph = program.graph
 
@@ -160,8 +166,11 @@ def lower(program: PathwaysProgram) -> LowLevelProgram:
     nodes = [
         LowLevelNode(
             node_id=nid,
-            computation=graph.node(nid).computation,
+            computation=(fn := graph.node(nid).computation),
             group=groups[nid],
+            compute_time_us=fn.compute_time_us(config),
+            output_nbytes_per_shard=fn.output_nbytes_per_shard(),
+            collective_us=groups[nid].collective_us(fn),
             incoming=[
                 _transfer(graph, groups, e) for e in graph.in_edges(nid) if e.src in groups
             ],

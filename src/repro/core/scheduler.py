@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Optional, Protocol
 
@@ -60,7 +60,7 @@ class DeadlineExceeded(RuntimeError):
         self.deadline_at_us = deadline_at_us
 
 
-@dataclass
+@dataclass(eq=False, slots=True)
 class GangRequest:
     """One computation instance awaiting its enqueue turn."""
 
@@ -72,7 +72,7 @@ class GangRequest:
     #: Device-time estimate for this unit; lets proportional share charge
     #: by time consumed rather than unit count.
     cost_us: float = 1.0
-    #: Devices the gang occupies (admission control is per device).
+    #: Devices the gang occupies (admission is counted per tuple).
     device_ids: tuple[int, ...] = ()
     #: Absolute sim-time grant deadline; an ungranted request past it is
     #: evicted with :class:`DeadlineExceeded` (None = wait forever).
@@ -81,14 +81,14 @@ class GangRequest:
     #: read only when a tracer is attached.
     submitted_us: float = 0.0
     granted_us: float = 0.0
-    seq: int = field(default_factory=lambda: next(_request_seq))
+    seq: int = field(default_factory=_request_seq.__next__)
     #: Armed at submit when there is a deadline; cancelled once the
     #: request leaves pending.
     deadline_timer: Optional[TimerHandle] = field(default=None, repr=False)
 
 
 class SchedulingPolicy(Protocol):
-    """Chooses the next request from a non-empty pending list."""
+    """Chooses the next request from the eligible pending ones (any order)."""
 
     def pick(self, pending: list[GangRequest]) -> GangRequest: ...
 
@@ -181,13 +181,25 @@ class IslandScheduler:
       time — this is what makes proportional share (Figure 9)
       enforceable at millisecond timescales.
 
+    Admission counts grants per ``device_ids`` tuple (one per
+    :class:`~repro.core.placement.DeviceGroup`): a tuple sharing no
+    device with another registered tuple saturates exactly when its own
+    count reaches the depth, so a grant or release touches one counter;
+    overlapping tuples are counted per device.  Per-device work happens
+    only when a tuple is first granted (a tuple it overlaps that holds
+    no grant is then forgotten) or starts to overlap a live one.
+
     The loop is a callback state machine: *idle*, *wake queued* or
     *granting* (a grant deciding or awaiting its ack).  Idle, a control
     message (evict, readmit, done, expire, pause, resume, drain,
     undrain) with nothing pending is applied on delivery, since there
-    is nothing it could make grantable; any other message joins the
-    inbox and queues one wake entry.  The wake applies the inbox in
-    arrival order and grants, so the policy picks among every
+    is nothing it could make grantable; so is a submission to a stalled
+    loop (idle, requests pending) naming a saturated device or while
+    paused, since the last pick found nothing and it is no more
+    grantable -- unless its deadline is already due, as its expiry then
+    lands at this instant behind the wake it skips.  Any other message
+    joins the inbox and queues one wake entry.  The wake applies the
+    inbox in arrival order and grants, so the policy picks among every
     same-instant submission.  A message that arrives while a grant is
     in progress is applied after its ack: an ``evict`` mid-grant still
     purges the gang being granted.
@@ -206,18 +218,28 @@ class IslandScheduler:
         self.island = island
         self.config = config
         self.policy: SchedulingPolicy = policy if policy is not None else FifoPolicy()
+        self._first_eligible = getattr(self.policy, "picks_first_eligible", False)
+        self._depth = config.scheduler_queue_depth
+        self._decision_us = config.scheduler_decision_us
         #: Messages awaiting the loop, in arrival order.
         self._inbox: deque[tuple[str, object]] = deque()
         #: False while idle: no wake queued, no grant in progress.
         self._busy = False
-        #: Queues the wake entry, then times each grant decision.
-        self._timer = sim.timer_handle(
-            self._on_timer, name=lambda: f"scheduler[{island.island_id}]"
-        )
+        #: The wake entry, and the end of each grant decision.
+        name = lambda: f"scheduler[{island.island_id}]"  # noqa: E731
+        self._timer = sim.timer_handle(self._pump, name=name)
+        self._decision = sim.timer_handle(self._grant, name=name)
         #: The request spending ``scheduler_decision_us`` on the loop.
         self._deciding: Optional[GangRequest] = None
-        self._pending: list[GangRequest] = []
+        #: Pending requests by device tuple, each in arrival (seq) order.
+        self._pending: dict[tuple[int, ...], deque[GangRequest]] = {}
+        #: Live grants per registered tuple that overlaps no other, and
+        #: per one that does, whose devices are summed in _outstanding.
+        self._grants: dict[tuple[int, ...], int] = {}
+        self._shared: dict[tuple[int, ...], int] = {}
         self._outstanding: dict[int, int] = {}
+        #: Device -> the registered tuples naming it.
+        self._users: dict[int, list[tuple[int, ...]]] = {}
         #: Devices at ``scheduler_queue_depth`` outstanding grants: a
         #: request is eligible when it names none of them.
         self._saturated: set[int] = set()
@@ -275,7 +297,7 @@ class IslandScheduler:
             cost_us=cost_us,
             device_ids=tuple(device_ids),
             deadline_at_us=deadline_at_us,
-            submitted_us=self.sim.now,
+            submitted_us=self.sim._now,
         )
         self._deliver("req", req)
         if deadline_at_us is not None:
@@ -297,7 +319,7 @@ class IslandScheduler:
         return SchedulerStats(
             island_id=self.island.island_id,
             decisions=self.decisions,
-            pending=len(self._pending),
+            pending=sum(map(len, self._pending.values())),
             live_grants=len(self._live_grants),
             evictions=self.evictions,
             deadline_evictions=self.deadline_evictions,
@@ -311,10 +333,12 @@ class IslandScheduler:
         purged (a leaked admission slot).  A dispatched node stuck
         pending is already a :class:`~repro.sim.DeadlockError` (its
         chain is still registered); this also covers gangs submitted
-        directly and runs with deadlock detection off."""
+        directly and runs with deadlock detection off.  The admission
+        counters must equal a per-device recount of the live grants."""
         problems = []
         name = f"scheduler[{self.island.island_id}]"
-        stuck = [req.node_label for req in self._pending if not req.grant.triggered]
+        pending = [req for bucket in self._pending.values() for req in bucket]
+        stuck = [req.node_label for req in pending if not req.grant.triggered]
         if stuck:
             state = " (paused)" if self._paused else ""
             problems.append((
@@ -328,6 +352,25 @@ class IslandScheduler:
                 "grants",
                 f"{name} drained with {len(live)} gang(s) granted but never "
                 f"completed or purged: {', '.join(live)}",
+            ))
+        # Conservation: no admission slot leaked or counted twice.
+        live = Counter(req.device_ids for req in self._live_grants.values())
+        want, got = Counter(), Counter(self._outstanding)
+        for ids, n in live.items():
+            want.update(dict.fromkeys(ids, n))
+        for ids, n in self._grants.items():
+            got.update(dict.fromkeys(ids, n))
+        counted = (
+            {ids: n for ids, n in {**self._grants, **self._shared}.items() if n},
+            {d: n for d, n in got.items() if n},
+            self._saturated,
+        )
+        recount = (dict(live), dict(want), {d for d, n in want.items() if n >= self._depth})
+        if counted != recount:
+            problems.append((
+                "conservation",
+                f"{name} admission counts (per tuple, per device, saturated) "
+                f"{counted} disagree with its live grants' {recount}",
             ))
         return problems
 
@@ -390,18 +433,17 @@ class IslandScheduler:
         self._deliver("undrain", None)
 
     def held_device_ids(self) -> Optional[set[int]]:
-        """Devices a queued, pending, deciding or granted gang names, or
-        that still hold granted-work accounting.  None (every device of
-        the island) while stalled — idle with requests pending that
-        nothing can grant yet — since then any control message, even an
-        evict naming no gang, wakes the loop."""
+        """Devices a queued, pending, deciding or granted gang names.
+        None (every device of the island) while stalled -- idle with
+        requests pending that nothing can grant yet -- since then any
+        control message, even an evict naming no gang, wakes the loop."""
         if not self._busy and self._pending:
             return None
-        reqs = [*self._pending, *self._live_grants.values()]
+        named: set[int] = set().union(*self._pending)
+        reqs = [*self._live_grants.values()]
         reqs += [p for kind, p in self._inbox if kind == "req"]
         if self._deciding is not None:
             reqs.append(self._deciding)
-        named = set(self._outstanding)
         for req in reqs:
             named.update(req.device_ids)
         return named
@@ -421,45 +463,93 @@ class IslandScheduler:
 
     # -- internals -----------------------------------------------------
     def _deliver(self, kind: str, payload) -> None:
-        """Apply a control message now if the loop is idle with nothing
-        pending, else queue it, waking an idle loop (class docstring)."""
+        """Apply a message now if it cannot make anything grantable,
+        else queue it, waking an idle loop (class docstring)."""
         if self._busy:
             self._inbox.append((kind, payload))
-        elif kind != "req" and not self._pending:
+        elif not self._pending and kind != "req":
             self._apply(kind, payload)
+        elif (
+            # Stalled and this request no more grantable; one expiring
+            # now keeps the wake, which must be applied before its expiry.
+            kind == "req" and self._pending and not self._draining
+            and (self._paused or not self._saturated.isdisjoint(payload.device_ids))
+            and (payload.deadline_at_us is None or payload.deadline_at_us > self.sim._now)
+        ):
+            self._pending.setdefault(payload.device_ids, deque()).append(payload)
         else:
             self._inbox.append((kind, payload))
             self._busy = True
-            self._timer.schedule(self.sim.now)
+            self._timer.schedule(self.sim._now)
 
     @staticmethod
     def _cancel_deadline(req: GangRequest) -> None:
         if req.deadline_timer is not None:
             req.deadline_timer.cancel()
 
-    def _release(self, device_ids: tuple[int, ...]) -> None:
-        for d in device_ids:
-            remaining = self._outstanding.get(d, 0) - 1
-            if remaining > 0:
-                self._outstanding[d] = remaining
+    def _count(self, ids: tuple[int, ...], k: int) -> None:
+        """Add ``k`` grants to each device of a shared tuple."""
+        depth = self._depth
+        out = self._outstanding
+        for d in ids:
+            n = out[d] = out.get(d, 0) + k
+            if n >= depth:
+                self._saturated.add(d)
             else:
-                self._outstanding.pop(d, None)
-            if remaining < self.config.scheduler_queue_depth:
                 self._saturated.discard(d)
 
+    def _register(self, ids: tuple[int, ...]) -> None:
+        """First grant of a tuple: record its devices.  A registered
+        tuple it overlaps is forgotten if it holds no grant; otherwise
+        both count per device from now on."""
+        overlaps: dict[tuple[int, ...], None] = {}
+        for d in ids:
+            users = self._users.setdefault(d, [])
+            overlaps.update(dict.fromkeys(users))
+            users.append(ids)
+        shared = ids in overlaps  # it names a device twice
+        for t in overlaps:
+            if t == ids:
+                continue
+            n = self._grants.get(t, self._shared.get(t))
+            if not n:
+                self._forget(t)
+                continue
+            shared = True
+            if t in self._grants:
+                self._shared[t] = self._grants.pop(t)
+                self._count(t, n)
+        (self._shared if shared else self._grants)[ids] = 0
+
+    def _forget(self, ids: tuple[int, ...]) -> None:
+        """Unregister a tuple that holds no grant."""
+        if self._grants.pop(ids, None) is None:
+            del self._shared[ids]
+        for d in ids:
+            self._users[d].remove(ids)
+            if not self._users[d]:
+                del self._users[d]
+
+    def _release(self, ids: tuple[int, ...]) -> None:
+        grants = self._grants
+        if ids in grants:
+            n = grants[ids] = grants[ids] - 1
+            if n == self._depth - 1:
+                self._saturated.difference_update(ids)
+        else:
+            self._shared[ids] -= 1
+            self._count(ids, -1)
+
     def _purge_device(self, device_id: int) -> None:
-        """Forget granted-work accounting involving ``device_id``; the
-        surviving devices of affected gangs are released too (their
-        kernels were aborted by the collective release)."""
-        self._outstanding.pop(device_id, None)
-        self._saturated.discard(device_id)
+        """Drop every live grant naming ``device_id`` (its kernels were
+        aborted by the collective release), decrementing its tuple."""
         live = self._live_grants
         if not live:
             return
         for seq, req in list(live.items()):
             if device_id in req.device_ids:
                 del live[seq]
-                self._release(tuple(d for d in req.device_ids if d != device_id))
+                self._release(req.device_ids)
 
     def _apply(self, kind: str, payload) -> None:
         # Fault traffic first: under churn nearly every message is an
@@ -467,16 +557,13 @@ class IslandScheduler:
         if kind == "evict":
             device_id = payload
             self._purge_device(device_id)
-            if self._pending:
-                doomed = [r for r in self._pending if device_id in r.device_ids]
-                for req in doomed:
-                    self._pending.remove(req)
-                    self._cancel_deadline(req)
-                    self.evictions += 1
-                    if not req.grant.triggered:
-                        req.grant.fail(
-                            DeviceFailure(device_id, f"evicted {req.node_label}")
-                        )
+            hit = [ids for ids in self._pending if device_id in ids]
+            doomed = [req for ids in hit for req in self._pending.pop(ids)]
+            for req in sorted(doomed, key=lambda r: r.seq):
+                self._cancel_deadline(req)
+                self.evictions += 1
+                if not req.grant.triggered:
+                    req.grant.fail(DeviceFailure(device_id, f"evicted {req.node_label}"))
             self._check_drained()
         elif kind == "readmit":
             self._purge_device(payload)
@@ -498,15 +585,15 @@ class IslandScheduler:
                         )
                     )
                 return
-            self._pending.append(payload)
+            self._pending.setdefault(payload.device_ids, deque()).append(payload)
         elif kind == "done":
-            req = self._live_grants.pop(payload.seq, None)
-            if req is None:
+            if payload.seq not in self._live_grants:
                 # Granted before an eviction/readmit of one of its
                 # devices: the counters were already settled then.
                 self.stale_completions += 1
             else:
-                self._release(req.device_ids)
+                del self._live_grants[payload.seq]
+                self._release(payload.device_ids)
                 tr = self.sim.tracer
                 if tr is not None:
                     tr.complete(
@@ -518,17 +605,21 @@ class IslandScheduler:
                         args={
                             "client": payload.client,
                             "program": payload.program,
-                            "devices": len(req.device_ids),
+                            "devices": len(payload.device_ids),
                         },
                     )
-            self._check_drained()
+            if self._draining:
+                self._check_drained()
         elif kind == "expire":
             req = payload
-            if req in self._pending:
+            bucket = self._pending.get(req.device_ids)
+            if bucket is not None and req in bucket:
                 # Same removal path as a device eviction: surviving
                 # requests keep their sequence numbers, so the relative
                 # enqueue order of everything still eligible holds.
-                self._pending.remove(req)
+                bucket.remove(req)
+                if not bucket:
+                    del self._pending[req.device_ids]
                 self.deadline_evictions += 1
                 tr = self.sim.tracer
                 if tr is not None:
@@ -564,7 +655,7 @@ class IslandScheduler:
             if not ev.triggered:
                 ev.succeed(None)
 
-    def _pump(self, ack: Optional[Event] = None) -> None:
+    def _pump(self, trigger=None) -> None:
         """Apply the inbox, then start the next grant, or go idle when
         nothing is grantable.  Runs on the wake entry and on each ack.
 
@@ -574,65 +665,65 @@ class IslandScheduler:
         inbox = self._inbox
         while inbox:
             self._apply(*inbox.popleft())
-        choice = self._pick()
+        pending = self._pending
+        choice = None
+        if pending and not self._paused:
+            # A bucket's requests share one tuple, so it is checked once.
+            saturated = self._saturated
+            if self._first_eligible:
+                # FIFO fast path: each bucket is in arrival (seq) order,
+                # so the eligible head with the smallest seq is the pick.
+                for ids in pending:
+                    if saturated.isdisjoint(ids):
+                        head = pending[ids][0]
+                        if choice is None or head.seq < choice.seq:
+                            choice = head
+            else:
+                eligible = [
+                    req
+                    for ids, bucket in pending.items()
+                    if saturated.isdisjoint(ids)
+                    for req in bucket
+                ]
+                if eligible:
+                    choice = self.policy.pick(eligible)
         if choice is None:
             clock = self.island._fault_clock
-            if self._pending and clock is not None:
+            if pending and clock is not None:
                 # About to stall: a fault on any device of the island
                 # would then wake the loop, so none of them may stay cold.
                 clock.warm(self.island.devices)
             self._busy = False
-        elif self.config.scheduler_decision_us > 0:
-            self._deciding = choice
-            self._timer.schedule(self.sim.now + self.config.scheduler_decision_us)
+            return
+        bucket = pending[choice.device_ids]
+        bucket.remove(choice)
+        if not bucket:
+            del pending[choice.device_ids]
+        if choice.deadline_timer is not None:
+            choice.deadline_timer.cancel()
+        self._deciding = choice
+        if self._decision_us > 0:
+            self._decision.schedule(self.sim._now + self._decision_us)
         else:
-            self._grant(choice)
+            self._grant()
 
-    def _pick(self) -> Optional[GangRequest]:
-        """Take the policy's choice among the eligible pending requests
-        off the pending list (None when paused or nothing is eligible)."""
-        if self._paused or not self._pending:
-            return None
-        if getattr(self.policy, "picks_first_eligible", False):
-            # FIFO fast path: _pending is in arrival (seq) order, so the
-            # first eligible entry is the policy's pick.  Gangs of one
-            # group share its device-id tuple: once that tuple is found
-            # blocked, the rest of its gangs are skipped unchecked.
-            blocked = None
-            for choice in self._pending:
-                ids = choice.device_ids
-                if ids is blocked:
-                    continue
-                if self._saturated.isdisjoint(ids):
-                    break
-                blocked = ids
-            else:
-                return None
-        else:
-            eligible = [r for r in self._pending if self._saturated.isdisjoint(r.device_ids)]
-            if not eligible:
-                return None
-            choice = self.policy.pick(eligible)
-        self._pending.remove(choice)
-        self._cancel_deadline(choice)
-        return choice
-
-    def _on_timer(self, timer: TimerHandle) -> None:
-        """The wake entry, or the end of a grant decision."""
+    def _grant(self, timer=None) -> None:
+        """Grant the deciding request (at the end of its decision)."""
         choice, self._deciding = self._deciding, None
-        if choice is None:
-            self._pump()
-        else:
-            self._grant(choice)
-
-    def _grant(self, choice: GangRequest) -> None:
         self.decisions += 1
-        for d in choice.device_ids:
-            n = self._outstanding[d] = self._outstanding.get(d, 0) + 1
-            if n >= self.config.scheduler_queue_depth:
-                self._saturated.add(d)
+        ids = choice.device_ids
+        grants = self._grants
+        if ids not in grants and ids not in self._shared:
+            self._register(ids)
+        if ids in grants:
+            n = grants[ids] = grants[ids] + 1
+            if n == self._depth:
+                self._saturated.update(ids)
+        else:
+            self._shared[ids] += 1
+            self._count(ids, 1)
         self._live_grants[choice.seq] = choice
-        choice.granted_us = self.sim.now
+        choice.granted_us = self.sim._now
         tr = self.sim.tracer
         if tr is not None:
             tr.complete(

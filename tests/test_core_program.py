@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import DEFAULT_CONFIG
 from repro.core.ir import TransferRoute, lower
 from repro.core.program import ProgramTracer, _flatten, unflatten
 from repro.xla.computation import CompiledFunction
@@ -150,26 +151,26 @@ class TestLowering:
             arg = tracer.add_arg(TensorSpec((2,)))
             (x,) = tracer.record_call(_fn("a"), devs, [arg])
             (y,) = tracer.record_call(_fn("b"), devs, [x])
-        low = lower(tracer.finish((y,)))
+        low = lower(tracer.finish((y,)), DEFAULT_CONFIG)
         moves = low.nodes[1].incoming
         assert len(moves) == 1 and moves[0].route is TransferRoute.LOCAL
         assert moves[0].nbytes == 0
 
     def test_ici_route_across_groups_same_island(self, small_system):
         program = self._trace_two_groups(small_system)
-        low = lower(program)
+        low = lower(program, DEFAULT_CONFIG)
         assert low.nodes[1].incoming[0].route is TransferRoute.ICI
         assert low.nodes[1].incoming[0].nbytes == 8  # f32[2]
 
     def test_dcn_route_across_islands(self, two_island_system):
         program = self._trace_two_groups(two_island_system, cross_island=True)
-        low = lower(program)
+        low = lower(program, DEFAULT_CONFIG)
         assert low.nodes[1].incoming[0].route is TransferRoute.DCN
         assert low.islands == [0, 1]
 
     def test_topological_node_order(self, small_system):
         program = self._trace_two_groups(small_system)
-        low = lower(program)
+        low = lower(program, DEFAULT_CONFIG)
         labels = [n.label for n in low.nodes]
         assert labels == ["a", "b"]
         assert low.nodes[1].predecessors == [low.nodes[0].node_id]
@@ -190,7 +191,7 @@ class TestLowering:
             (x,) = tracer.record_call(_fn("a"), devs, [arg])
             (y,) = tracer.record_call(_fn("b"), other, [arg])
             (z,) = tracer.record_call(two_in, devs, [y, x])
-        low = lower(tracer.finish((z,)))
+        low = lower(tracer.finish((z,)), DEFAULT_CONFIG)
         moves = low.node(z.node_id).incoming
         assert [(m.src_node, m.dst_input) for m in moves] == [
             (y.node_id, 0), (x.node_id, 1)
@@ -218,7 +219,7 @@ class TestLowering:
             results=[],
         )
         with pytest.raises(ValueError, match="no placement"):
-            lower(bad)
+            lower(bad, DEFAULT_CONFIG)
 
     def test_hosts_counted_once_per_group(self, small_system):
         devs = small_system.make_virtual_device_set().add_slice(tpu_devices=4)
@@ -235,6 +236,6 @@ class TestLowering:
             )
             (x,) = tracer.record_call(fn4, devs, [arg])
             (y,) = tracer.record_call(fn4b, devs, [x])
-        low = lower(tracer.finish((y,)))
+        low = lower(tracer.finish((y,)), DEFAULT_CONFIG)
         # Both nodes share one group spanning one host (4 devices/host).
         assert low.total_hosts_logical == 1

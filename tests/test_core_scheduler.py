@@ -449,8 +449,9 @@ class TestDeadlineDrainInterplay:
         # gang no longer blocks it), with no slot accounting left over.
         assert drained["at"] >= 500.0
         assert sched.in_flight == 0
-        assert sched._outstanding == {}
-        assert sched._pending == []
+        assert not sched._saturated
+        assert sched._sanitizer_problems() == []
+        assert sched.stats().pending == 0
 
     def test_slots_stay_consistent_after_drain_cycle(self, sim):
         """After expire-during-drain + undrain, the device's admission

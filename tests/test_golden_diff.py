@@ -1,8 +1,10 @@
-"""The golden-schedule diff's comparison, on synthetic schedules."""
+"""The golden-schedule diff: its comparison on synthetic schedules, and
+its e2e schedule dump."""
 
 from __future__ import annotations
 
 import importlib.util
+import json
 import os
 
 _GOLDEN_DIFF_PY = os.path.join(
@@ -59,3 +61,15 @@ def test_report_names_removed_entries(capsys):
     out = capsys.readouterr().out
     assert "toy: 7 -> 5 entries" in out
     assert "removed     2  event" in out
+
+
+def test_e2e_dump_logs_every_loop_entry():
+    """The e2e dump logs each simulator the workload builds: smoke
+    dispatch's schedule has one entry per pinned loop entry."""
+    pins = os.path.join(os.path.dirname(_GOLDEN_DIFF_PY), "work_counts.json")
+    with open(pins) as f:
+        events = json.load(f)["smoke"]["dispatch"]["sim.engine.events"]
+    schedules = golden_diff.dump_e2e_schedules(golden_diff.REPO_DIR, "smoke", ["dispatch"])
+    times = [t for t, _ in schedules["dispatch"]]
+    assert len(times) == events
+    assert times == sorted(times)

@@ -288,7 +288,9 @@ class TestSchedulerEviction:
         # No slot was leaked: the follow-up is granted promptly, not
         # stuck behind a phantom outstanding entry.
         assert grant_times["b"] <= 100.0 + 3 * DEFAULT_CONFIG.scheduler_decision_us
-        assert sched._outstanding == {}
+        assert sched.in_flight == 0
+        assert not sched._saturated
+        assert sched._sanitizer_problems() == []
 
 
 # -- resource manager: healthy-aware binding --------------------------------
@@ -1028,8 +1030,9 @@ class TestSchedulerReadmit:
         small_system.sim.run()
         # The restarted device is schedulable again with clean books.
         assert "t" in granted
-        assert sched._outstanding == {}
         assert sched.in_flight == 0
+        assert not sched._saturated
+        assert sched._sanitizer_problems() == []
 
     def test_drain_finishes_admitted_and_rejects_new(self, sim):
         cfg = DEFAULT_CONFIG.with_overrides(scheduler_queue_depth=1)
