@@ -65,10 +65,8 @@ def sweep():
     return run_without_scheduler(), run_with_scheduler()
 
 
-def test_ablation_gang_scheduling(benchmark):
-    (no_sched_outcome, stuck), with_sched_tput = benchmark.pedantic(
-        sweep, rounds=1, iterations=1
-    )
+def test_ablation_gang_scheduling():
+    (no_sched_outcome, stuck), with_sched_tput = sweep()
 
     table = Table(
         "Ablation: gang scheduling (4 concurrent collective programs, 8 TPUs)",

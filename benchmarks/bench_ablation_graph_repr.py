@@ -51,8 +51,8 @@ def sweep():
     return rows
 
 
-def test_ablation_graph_representation(benchmark):
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+def test_ablation_graph_representation():
+    rows = sweep()
 
     table = Table(
         f"Ablation: graph representation for an {CHAIN}-node chain",

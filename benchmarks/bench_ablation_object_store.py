@@ -63,8 +63,8 @@ def sweep():
     }
 
 
-def test_ablation_object_store(benchmark):
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
+def test_ablation_object_store():
+    results = sweep()
 
     table = Table(
         "Ablation: data management for a 4 MiB intermediate (steps/s)",

@@ -17,13 +17,12 @@ alternative to abrupt loss:
 
 Expected shape: DP width observably grows after ``add_island``; at every
 preemption rate the drain/handback path yields strictly higher goodput
-than abrupt preemption, and the gap widens with the rate.  Both claims
-hold in smoke mode too (the mechanism, not a calibrated magnitude).
+than abrupt preemption, and the gap widens with the rate.
 """
 
 from __future__ import annotations
 
-from repro.bench.harness import Table, smoke_mode, smoke_trim
+from repro.bench.harness import Table
 from repro.core.system import PathwaysSystem
 from repro.hw.cluster import ClusterSpec
 from repro.models.data_parallel import ElasticDataParallelTrainer
@@ -47,8 +46,7 @@ CKPT_INTERVAL_US = 20_000.0
 STATE_BYTES = 4 << 20
 #: Preemption cycles within the measured horizon (the drain rate sweep).
 RATES = [1, 2, 3]
-STEPS_FULL = 40
-STEPS_SMOKE = 24
+STEPS = 40
 NOTICE_US = 15_000.0
 
 
@@ -112,18 +110,17 @@ def run_preempted(n_steps: int, cycles: int, graceful: bool):
 
 
 def sweep():
-    n_steps = STEPS_SMOKE if smoke_mode() else STEPS_FULL
-    grown = run_scale_up(n_steps)
+    grown = run_scale_up(STEPS)
     rows = []
-    for cycles in smoke_trim(RATES, keep=2):
-        drained = run_preempted(n_steps, cycles, graceful=True)
-        killed = run_preempted(n_steps, cycles, graceful=False)
+    for cycles in RATES:
+        drained = run_preempted(STEPS, cycles, graceful=True)
+        killed = run_preempted(STEPS, cycles, graceful=False)
         rows.append({"cycles": cycles, "drain": drained, "kill": killed})
-    return n_steps, grown, rows
+    return grown, rows
 
 
-def test_elasticity(benchmark):
-    n_steps, grown, rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+def test_elasticity():
+    grown, rows = sweep()
 
     wtable = Table(
         "Elastic scale-up: DP width over one run (island added mid-run)",
@@ -153,19 +150,18 @@ def test_elasticity(benchmark):
         )
     table.show()
 
-    # -- mechanism assertions: hold in smoke AND full mode -------------------
     # DP width observably grows mid-run after add_island.
-    assert grown.useful_steps == n_steps
+    assert grown.useful_steps == STEPS
     assert grown.width_history[0][1] == 1
     assert grown.max_width == 2
     t_grow = next(t for t, w in grown.width_history if w == 2)
     assert 0.0 < t_grow < grown.elapsed_us, grown.width_history
     # Step identity is preserved: every step index executed exactly once.
-    assert [i for i, _ in grown.step_log] == list(range(n_steps))
+    assert [i for i, _ in grown.step_log] == list(range(STEPS))
 
     for row in rows:
         drained, killed = row["drain"], row["kill"]
-        assert drained.useful_steps == n_steps and killed.useful_steps == n_steps
+        assert drained.useful_steps == STEPS and killed.useful_steps == STEPS
         # Graceful drain loses nothing; abrupt preemption rolls back.
         assert drained.rollback_steps == 0, row["cycles"]
         assert killed.losses >= 1, row["cycles"]

@@ -50,8 +50,8 @@ def sweep():
     return rc, rb, system_c
 
 
-def test_fig10_island_pipeline(benchmark):
-    rc, rb, system_c = benchmark.pedantic(sweep, rounds=1, iterations=1)
+def test_fig10_island_pipeline():
+    rc, rb, system_c = sweep()
 
     table = Table(
         "Figure 10: 3B model, S=16 M=64 pipeline (tokens/s)",

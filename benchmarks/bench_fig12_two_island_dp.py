@@ -45,8 +45,8 @@ def sweep():
     }
 
 
-def test_fig12_two_island_data_parallel(benchmark):
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
+def test_fig12_two_island_data_parallel():
+    results = sweep()
 
     table = Table(
         "Figure 12: two-island data parallelism over DCN",

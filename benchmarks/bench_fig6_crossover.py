@@ -8,13 +8,13 @@ the PW/JAX throughput ratio and the measured convergence point.  Paper:
 
 from __future__ import annotations
 
-from repro.bench.harness import Table, full_asserts, smoke_trim
+from repro.bench.harness import Table
 from repro.core.system import PathwaysSystem
 from repro.workloads.microbench import _spec, run_jax
 from repro.xla.computation import scalar_allreduce_add
 
-SWEEP_MS = smoke_trim([0.1, 0.33, 1.0, 2.4, 5.0, 10.0, 20.0, 35.0, 50.0, 100.0], keep=5)
-CONFIGS = smoke_trim([(16, 8, "B"), (512, 4, "A")], keep=1)
+SWEEP_MS = [0.1, 0.33, 1.0, 2.4, 5.0, 10.0, 20.0, 35.0, 50.0, 100.0]
+CONFIGS = [(16, 8, "B"), (512, 4, "A")]
 PARITY = 0.90
 
 
@@ -55,8 +55,8 @@ def convergence_ms(rows):
     return float("inf")
 
 
-def test_fig6_crossover(benchmark):
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
+def test_fig6_crossover():
+    results = sweep()
 
     for (hosts, dph, label), rows in zip(CONFIGS, results.values()):
         table = Table(
@@ -68,20 +68,17 @@ def test_fig6_crossover(benchmark):
         table.show()
 
     conv_b = convergence_ms(results["B"])
-    conv_a = convergence_ms(results["A"]) if full_asserts() else None
+    conv_a = convergence_ms(results["A"])
     table = Table(
         f"Figure 6: convergence (PW >= {PARITY:.0%} of JAX)",
         columns=["config", "convergence (ms)", "paper (ms)"],
     )
     table.add_row("B", conv_b, 2.4)
-    if conv_a is not None:
-        table.add_row("A", conv_a, 35.0)
+    table.add_row("A", conv_a, 35.0)
     table.show()
 
-    # Parity exists at config B even in the smoke sweep (~2.4 ms point).
+    # Parity exists at config B (~2.4 ms point).
     assert conv_b <= 5.0
-    if conv_a is None:
-        return
     # Shape: the parity point grows ~15x from 16 to 512 hosts.
     assert 20.0 <= conv_a <= 100.0
     assert conv_a > 5 * conv_b

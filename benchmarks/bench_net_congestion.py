@@ -20,13 +20,12 @@ previous benchmark could express any of these):
    per-NIC-pair flow count, so flows touched per membership change grow
    with the per-pair population, not the whole fleet.
 
-Scale: config-B-shaped islands (8 TPUs/host); smoke mode trims the
-sweep and shrinks the islands.
+Scale: config-B-shaped islands (8 hosts x 8 TPUs).
 """
 
 from __future__ import annotations
 
-from repro.bench.harness import Table, full_asserts, smoke_mode, smoke_trim
+from repro.bench.harness import Table
 from repro.config import DEFAULT_CONFIG
 from repro.workloads.netload import run_flow_fleet, run_net_congestion
 
@@ -38,29 +37,23 @@ _ECMP_CONFIG = DEFAULT_CONFIG.with_overrides(
 )
 
 
-def _scale():
-    if smoke_mode():
-        return dict(hosts_per_island=4, devices_per_host=4, duration_us=40_000.0)
-    return dict(hosts_per_island=8, devices_per_host=8, duration_us=150_000.0)
+SCALE = dict(hosts_per_island=8, devices_per_host=8, duration_us=150_000.0)
 
 
 def test_goodput_saturates_at_uplink():
-    scale = _scale()
-    sender_counts = smoke_trim([1, 2, 4, 6, 8][: scale["hosts_per_island"] + 1], keep=3)
-    sender_counts = [n for n in sender_counts if n <= scale["hosts_per_island"]]
 
     table = Table(
         "Offered load vs achieved cross-island goodput (uplink-bound)",
         columns=["senders", "offered GB/s", "achieved GB/s", "uplink GB/s", "util"],
     )
     results = []
-    for n in sender_counts:
+    for n in [1, 2, 4, 6, 8]:
         r = run_net_congestion(
             n_senders=n,
             streams=2,
             n_probes=0,
             flow_bytes=8 << 20,
-            **scale,
+            **SCALE,
         )
         results.append(r)
         table.add_row(
@@ -74,27 +67,25 @@ def test_goodput_saturates_at_uplink():
         # the run must leave no capacity behind.
         assert r.achieved_gbps <= r.uplink_gbps * 1.02, r
         assert r.fabric_idle and r.nic_slots_leaked == 0, r
-    if full_asserts():
-        under = [r for r in results if r.offered_gbps <= r.uplink_gbps]
-        over = [r for r in results if r.offered_gbps > r.uplink_gbps]
-        # While the uplink has headroom, goodput tracks offered load...
-        for r in under:
-            assert r.achieved_gbps >= 0.9 * r.offered_gbps, r
-        # ...and saturates at the uplink once oversubscribed.
-        for r in over:
-            assert r.achieved_gbps >= 0.9 * r.uplink_gbps, r
+    under = [r for r in results if r.offered_gbps <= r.uplink_gbps]
+    over = [r for r in results if r.offered_gbps > r.uplink_gbps]
+    # While the uplink has headroom, goodput tracks offered load...
+    for r in under:
+        assert r.achieved_gbps >= 0.9 * r.offered_gbps, r
+    # ...and saturates at the uplink once oversubscribed.
+    for r in over:
+        assert r.achieved_gbps >= 0.9 * r.uplink_gbps, r
 
 
 def test_dispatch_latency_inflation_under_background_traffic():
-    scale = _scale()
-    probes = dict(n_probes=4 if smoke_mode() else 8, probe_elems=1 << 22)
-    base = run_net_congestion(n_senders=0, streams=0, **probes, **scale)
+    probes = dict(n_probes=8, probe_elems=1 << 22)
+    base = run_net_congestion(n_senders=0, streams=0, **probes, **SCALE)
     loaded = run_net_congestion(
-        n_senders=min(4, scale["hosts_per_island"]),
+        n_senders=4,
         streams=2,
         flow_bytes=8 << 20,
         **probes,
-        **scale,
+        **SCALE,
     )
 
     table = Table(
@@ -113,22 +104,19 @@ def test_dispatch_latency_inflation_under_background_traffic():
     assert base.probes_run == probes["n_probes"] and base.probe_failures == 0
     assert loaded.probes_run == probes["n_probes"] and loaded.probe_failures == 0
     # Contention is real: the probe's DCN edge queues behind bulk flows.
-    assert loaded.probe_latency_us > base.probe_latency_us
-    if full_asserts():
-        assert loaded.probe_latency_us > 1.3 * base.probe_latency_us
+    assert loaded.probe_latency_us > 1.3 * base.probe_latency_us
 
 
 def test_host_crash_mid_transfer_recovers_without_leaking_capacity():
-    scale = _scale()
     r = run_net_congestion(
         n_senders=2,
         streams=2,
         flow_bytes=8 << 20,
         n_probes=4,
         probe_elems=1 << 22,
-        crash_sender_at=scale["duration_us"] * 0.25,
-        crash_repair_us=scale["duration_us"] * 0.2,
-        **scale,
+        crash_sender_at=SCALE["duration_us"] * 0.25,
+        crash_repair_us=SCALE["duration_us"] * 0.2,
+        **SCALE,
     )
 
     table = Table(
@@ -157,15 +145,13 @@ def test_host_crash_mid_transfer_recovers_without_leaking_capacity():
 def test_ecmp_goodput_scales_with_spine_paths():
     """Cross-island goodput scales with the ECMP path count when the
     spine tier is the bottleneck (per-flow hashing spreads the load)."""
-    scale = _scale()
-    path_counts = smoke_trim([1, 2, 4], keep=3)
 
     table = Table(
         "ECMP: cross-island goodput vs spine path count (spine-bound)",
         columns=["spine paths", "achieved GB/s", "per-path GB/s", "fabric idle"],
     )
     results = {}
-    for k in path_counts:
+    for k in [1, 2, 4]:
         r = run_net_congestion(
             n_senders=4,
             streams=2,
@@ -173,7 +159,7 @@ def test_ecmp_goodput_scales_with_spine_paths():
             flow_bytes=8 << 20,
             spine_paths=k,
             config=_ECMP_CONFIG,
-            **scale,
+            **SCALE,
         )
         results[k] = r
         table.add_row(k, r.achieved_gbps, r.achieved_gbps / k, r.fabric_idle)
@@ -188,26 +174,24 @@ def test_ecmp_goodput_scales_with_spine_paths():
     # More paths, more goodput — the multipath point of ECMP.
     assert results[2].achieved_gbps >= 1.5 * results[1].achieved_gbps
     assert results[4].achieved_gbps >= 1.3 * results[2].achieved_gbps
-    if full_asserts():
-        # The single path itself saturates (the sweep is spine-bound).
-        assert results[1].achieved_gbps >= 0.9 * spine_gbps
+    # The single path itself saturates (the sweep is spine-bound).
+    assert results[1].achieved_gbps >= 0.9 * spine_gbps
 
 
 def test_spine_failure_rebalances_without_message_loss():
     """A mid-run spine-path failure: surviving flows rehash onto the
     remaining paths (no message whose endpoints are alive is lost) and
     goodput recovers above the single-path floor once restored."""
-    scale = _scale()
     r = run_net_congestion(
         n_senders=4,
         streams=2,
         n_probes=0,
         flow_bytes=8 << 20,
         spine_paths=2,
-        link_down_at=scale["duration_us"] * 0.3,
-        link_repair_us=scale["duration_us"] * 0.3,
+        link_down_at=SCALE["duration_us"] * 0.3,
+        link_repair_us=SCALE["duration_us"] * 0.3,
         config=_ECMP_CONFIG,
-        **scale,
+        **SCALE,
     )
 
     table = Table(
@@ -248,13 +232,11 @@ def test_flow_scale_solver_touches_only_the_affected_set():
     the per-pair population.  Those flows form one route class, rated
     once: at most one rate evaluation per change.
     """
-    counts = smoke_trim([600, 1200, 2400], keep=2)
-
     table = Table(
         "Flow-scale sweep: fluid-solver work per membership change",
         columns=["flows", "peak", "updates", "rates", "touched/upd", "bound"],
     )
-    for n in counts:
+    for n in [600, 1200, 2400]:
         r = run_flow_fleet(n_flows=n)
         fab = r.fabric
         table.add_row(

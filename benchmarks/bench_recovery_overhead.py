@@ -19,7 +19,7 @@ no-checkpoint baseline (which loses the whole run on every loss).
 
 from __future__ import annotations
 
-from repro.bench.harness import Table, smoke_trim
+from repro.bench.harness import Table
 from repro.core.scheduler import ProportionalSharePolicy
 from repro.workloads.churn import run_churn
 
@@ -61,12 +61,10 @@ def _mean_goodput(mtbf_us, checkpoint_interval_us, seeds, policy=None):
 
 
 def sweep():
-    mtbfs = smoke_trim(MTBF_US, keep=3)
-    seeds = smoke_trim(SEEDS, keep=1)
     rows = []
-    for mtbf in mtbfs:
-        no_ckpt, nr = _mean_goodput(mtbf, None, seeds)
-        with_ckpt, cr = _mean_goodput(mtbf, CKPT_INTERVAL_US, seeds)
+    for mtbf in MTBF_US:
+        no_ckpt, nr = _mean_goodput(mtbf, None, SEEDS)
+        with_ckpt, cr = _mean_goodput(mtbf, CKPT_INTERVAL_US, SEEDS)
         rows.append(
             {
                 "mtbf": mtbf,
@@ -82,7 +80,7 @@ def sweep():
         )
 
     # Scheduling policy under churn, at the middle of the sweep.
-    churn_mtbf = mtbfs[min(1, len(mtbfs) - 1)] or 100_000.0
+    churn_mtbf = MTBF_US[1]
     policy_rows = {}
     for label, policy in (
         ("FIFO", None),
@@ -91,24 +89,17 @@ def sweep():
         )),
     ):
         goodput, results = _mean_goodput(
-            churn_mtbf, CKPT_INTERVAL_US, seeds, policy=policy
+            churn_mtbf, CKPT_INTERVAL_US, SEEDS, policy=policy
         )
         policy_rows[label] = (goodput, results[0])
     return rows, policy_rows
 
 
 def paper_scale_sweep():
-    """Goodput vs MTBF at the paper's deployment sizes (aggregate gangs).
-
-    Smoke mode keeps configuration A (the ROADMAP item: 512 hosts,
-    2048 cores) with a trimmed MTBF sweep; full mode adds configuration
-    B and the deeper sweep.
-    """
-    configs = dict(smoke_trim(list(PAPER_CONFIGS.items()), keep=1))
-    mtbfs = smoke_trim(PAPER_MTBF_US, keep=3)
+    """Goodput vs MTBF at the paper's deployment sizes (aggregate gangs)."""
     rows = []
-    for label, (n_hosts, per_host, slice_devices) in configs.items():
-        for mtbf in mtbfs:
+    for label, (n_hosts, per_host, slice_devices) in PAPER_CONFIGS.items():
+        for mtbf in PAPER_MTBF_US:
             r = run_churn(
                 n_clients=3,
                 steps_per_client=PAPER_STEPS,
@@ -135,8 +126,8 @@ def paper_scale_sweep():
     return rows
 
 
-def test_recovery_overhead(benchmark):
-    rows, policy_rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+def test_recovery_overhead():
+    rows, policy_rows = sweep()
 
     table = Table(
         "Recovery overhead: goodput (useful steps/s) vs per-device MTBF "
@@ -191,10 +182,10 @@ def test_recovery_overhead(benchmark):
         assert goodput > 0 and not result.abandoned, label
 
 
-def test_recovery_overhead_paper_scale(benchmark):
+def test_recovery_overhead_paper_scale():
     """The ROADMAP paper-scale item: goodput vs MTBF on config A/B sizes
     with aggregate device groups."""
-    rows = benchmark.pedantic(paper_scale_sweep, rounds=1, iterations=1)
+    rows = paper_scale_sweep()
 
     table = Table(
         "Paper-scale recovery: goodput vs per-device MTBF "

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.harness import Table, full_asserts
+from repro.bench.harness import Table
 from repro.core.system import PathwaysSystem
 from repro.hw.cluster import ClusterSpec
 from repro.models.pipeline import PipelineBuilder
@@ -47,22 +47,17 @@ def run_pipeline(stages, microbatches, cores, batch_tokens):
 
 
 def sweep():
-    results = {
+    return {
         "SPMD-128": run_spmd(),
         "S=4,M=16": run_pipeline(4, 16, 128, BATCH_TOKENS),
+        "S=8,M=32": run_pipeline(8, 32, 128, BATCH_TOKENS),
+        "S=16,M=64": run_pipeline(16, 64, 128, BATCH_TOKENS),
+        "S=16,M=64@512": run_pipeline(16, 64, 512, BATCH_TOKENS * 4),
     }
-    if full_asserts():
-        # The deeper pipelines and the 512-core scale-out are the
-        # expensive half of the table; smoke mode keeps the code path
-        # (SPMD + one pipeline) and skips the rest of the sweep.
-        results["S=8,M=32"] = run_pipeline(8, 32, 128, BATCH_TOKENS)
-        results["S=16,M=64"] = run_pipeline(16, 64, 128, BATCH_TOKENS)
-        results["S=16,M=64@512"] = run_pipeline(16, 64, 512, BATCH_TOKENS * 4)
-    return results
 
 
-def test_table2_pipeline_vs_spmd(benchmark):
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
+def test_table2_pipeline_vs_spmd():
+    results = sweep()
 
     table = Table(
         "Table 2: 3B Transformer LM training throughput (tokens/s)",
@@ -81,8 +76,6 @@ def test_table2_pipeline_vs_spmd(benchmark):
     # Absolute calibration within 10% of the paper.
     for key, tput in results.items():
         assert tput == pytest.approx(PAPER[key], rel=0.10), key
-    if not full_asserts():
-        return
     # Adding stages costs little: S=16 within 5% of S=4.
     assert results["S=16,M=64"] == pytest.approx(results["S=4,M=16"], rel=0.05)
     # Linear scaling to 512 cores.

@@ -1,25 +1,24 @@
 #!/usr/bin/env python3
 """One entrypoint for the whole bench suite.
 
-Discovers every ``benchmarks/bench_*.py`` and runs the selection through
-pytest with smoke mode threaded through a single place, instead of each
-invocation hand-assembling ``REPRO_BENCH_SMOKE`` / ``PYTHONPATH``
-plumbing::
+Discovers every ``benchmarks/bench_*.py`` and runs the selection in one
+pytest process at the paper's scale, with every paper-calibrated
+assertion on::
 
     python benchmarks/run.py --list
-    python benchmarks/run.py --bench serving --smoke
-    python benchmarks/run.py --smoke          # the full CI smoke sweep
-    python benchmarks/run.py --smoke --update-outcomes
+    python benchmarks/run.py --bench serving
+    python benchmarks/run.py                   # every bench, as CI runs it
+    python benchmarks/run.py --update-outcomes
 
 ``--bench`` matches by substring and may repeat.  These benches
 reproduce the paper's figures; how fast the simulator itself runs is
 measured by ``benchmarks/e2e/run.py``.
 
-Smoke runs also check *outcome pins*: every table a bench shows is
+Every run also checks *outcome pins*: every table a bench shows is
 recorded (title, columns, rows; wall-clock columns left out) and
-compared for exact equality with ``bench_outcomes_smoke.json``.
-Simulated time is deterministic, so any difference is a change in what
-was simulated; the report names the bench, table, row and column.
+compared for exact equality with ``bench_outcomes.json``.  Simulated
+time is deterministic, so any difference is a change in what was
+simulated; the report names the bench, table, row and column.
 ``--update-outcomes`` rewrites the pins of the selected benches.
 """
 
@@ -35,7 +34,7 @@ import tempfile
 BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
 REPO_ROOT = os.path.dirname(BENCH_DIR)
 SRC_DIR = os.path.join(REPO_ROOT, "src")
-OUTCOMES_FILE = os.path.join(BENCH_DIR, "bench_outcomes_smoke.json")
+OUTCOMES_FILE = os.path.join(BENCH_DIR, "bench_outcomes.json")
 
 
 def discover() -> dict[str, str]:
@@ -158,14 +157,10 @@ def main(argv: list[str]) -> int:
         "--bench", action="append", default=[], metavar="NAME",
         help="run benches whose name contains NAME (repeatable; default all)",
     )
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="smoke mode: shrunken sweeps, paper-scale asserts skipped",
-    )
     parser.add_argument("--list", action="store_true", help="list benches and exit")
     parser.add_argument(
         "--update-outcomes", action="store_true",
-        help="with --smoke: rewrite the selected benches' outcome pins",
+        help="rewrite the selected benches' outcome pins",
     )
     parser.add_argument(
         "pytest_args", nargs="*",
@@ -178,47 +173,35 @@ def main(argv: list[str]) -> int:
         for name in benches:
             print(name)
         return 0
-    if args.update_outcomes and not args.smoke:
-        parser.error("--update-outcomes needs --smoke (the pins are smoke-size)")
     chosen = select(benches, args.bench)
 
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC_DIR, env.get("PYTHONPATH")) if p
     )
-    if args.smoke:
-        env["REPRO_BENCH_SMOKE"] = "1"
-        fd, recording = tempfile.mkstemp(prefix="bench_outcomes_", suffix=".jsonl")
-        os.close(fd)
+    with tempfile.NamedTemporaryFile(prefix="bench_outcomes_", suffix=".jsonl") as rec:
         # Table.show appends every shown table here (repro.bench.harness).
-        env["REPRO_BENCH_OUTCOMES"] = recording
-
-    failed = []
-    for name, path in chosen.items():
-        print(f"=== bench {name} ===", flush=True)
+        env["REPRO_BENCH_OUTCOMES"] = rec.name
         proc = subprocess.run(
-            [sys.executable, "-m", "pytest", path, "-q", *args.pytest_args],
+            [sys.executable, "-m", "pytest", *chosen.values(), "-q", *args.pytest_args],
             env=env, cwd=REPO_ROOT,
         )
-        if proc.returncode != 0:
-            failed.append(name)
+        got = read_recording(rec.name)
 
+    failed = proc.returncode != 0
     status = 0
-    if args.smoke:
-        got = read_recording(recording)
-        os.remove(recording)
-        if not args.update_outcomes:
-            status = check_outcomes(got, chosen)
-        elif failed:
-            print("outcome pins not updated: a bench failed", file=sys.stderr)
-        else:
-            pins = load_pins()
-            pins.update({name: got.get(name, []) for name in chosen})
-            with open(OUTCOMES_FILE, "w", encoding="utf-8") as f:
-                f.write(dump_outcomes(pins))
-            print(f"updated outcome pins for {len(chosen)} bench(es)")
+    if not args.update_outcomes:
+        status = check_outcomes(got, chosen)
+    elif failed:
+        print("outcome pins not updated: a bench failed", file=sys.stderr)
+    else:
+        pins = load_pins()
+        pins.update({name: got.get(name, []) for name in chosen})
+        with open(OUTCOMES_FILE, "w", encoding="utf-8") as f:
+            f.write(dump_outcomes(pins))
+        print(f"updated outcome pins for {len(chosen)} bench(es)")
     if failed:
-        print(f"FAILED: {', '.join(failed)}", file=sys.stderr)
+        print(f"FAILED: pytest exited {proc.returncode}", file=sys.stderr)
         return 1
     return status
 

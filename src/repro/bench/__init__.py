@@ -1,20 +1,5 @@
-"""Shared benchmark-harness utilities: table/series formatting and
-smoke mode."""
+"""Shared benchmark-harness utilities: table/series formatting."""
 
-from repro.bench.harness import (
-    Series,
-    Table,
-    full_asserts,
-    geometric_range,
-    smoke_mode,
-    smoke_trim,
-)
+from repro.bench.harness import Series, Table, geometric_range
 
-__all__ = [
-    "Series",
-    "Table",
-    "full_asserts",
-    "geometric_range",
-    "smoke_mode",
-    "smoke_trim",
-]
+__all__ = ["Series", "Table", "geometric_range"]

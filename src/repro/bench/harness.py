@@ -1,19 +1,9 @@
-"""Formatting helpers so every bench prints the paper's rows/series,
-plus the CI smoke mode.
-
-Setting ``REPRO_BENCH_SMOKE=1`` in the environment puts the whole bench
-suite into *smoke mode*: sweep ranges shrink (via
-:func:`geometric_range`'s ``smoke_stop`` / :func:`smoke_trim`), and the
-calibrated full-scale assertions are skipped (via :func:`full_asserts`)
-because the paper's numeric claims only hold at full scale.  Every bench
-still executes its complete code path end to end, so figure
-reproductions can never silently rot — the smoke sweep is what CI runs
-on every push.
+"""Formatting helpers so every bench prints the paper's rows/series.
 
 Setting ``REPRO_BENCH_OUTCOMES`` to a file path makes every
 :meth:`Table.show` append the table's simulated cells to that file as
-one JSON line.  ``benchmarks/run.py --smoke`` sets it and compares the
-recording with the pinned ``benchmarks/bench_outcomes_smoke.json``.
+one JSON line.  ``benchmarks/run.py`` sets it and compares the
+recording with the pinned ``benchmarks/bench_outcomes.json``.
 """
 
 from __future__ import annotations
@@ -21,57 +11,19 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from typing import Any, Sequence
 
-__all__ = [
-    "Series",
-    "Table",
-    "full_asserts",
-    "geometric_range",
-    "smoke_mode",
-    "smoke_trim",
-]
+__all__ = ["Series", "Table", "geometric_range"]
 
 
 #: Names the JSON-lines file :meth:`Table.show` records outcomes into.
 OUTCOMES_ENV = "REPRO_BENCH_OUTCOMES"
 
 
-def smoke_mode() -> bool:
-    """True when the suite runs in CI smoke mode (REPRO_BENCH_SMOKE=1)."""
-    return os.environ.get("REPRO_BENCH_SMOKE", "") == "1"
-
-
-def full_asserts() -> bool:
-    """True when the paper-calibrated assertions should be checked.
-
-    Smoke mode shrinks sweeps below the scales where the paper's claims
-    hold, so those assertions are gated on this.
-    """
-    return not smoke_mode()
-
-
-def smoke_trim(values: Sequence, keep: int = 3) -> list:
-    """In smoke mode, keep only the first ``keep`` entries of a sweep."""
-    values = list(values)
-    if smoke_mode():
-        return values[:keep]
-    return values
-
-
-def geometric_range(
-    start: int, stop: int, smoke_stop: Optional[int] = None
-) -> list[int]:
-    """[start, start*2, start*4, ...] up to and including stop.
-
-    In smoke mode the range ends at ``smoke_stop`` instead (default:
-    ``start * 2``, i.e. two points), shrinking CI sweeps while keeping
-    the sweep structure intact.
-    """
+def geometric_range(start: int, stop: int) -> list[int]:
+    """[start, start*2, start*4, ...] up to and including stop."""
     if start < 1:
         raise ValueError("start >= 1 required")
-    if smoke_mode():
-        stop = min(stop, smoke_stop if smoke_stop is not None else start * 2)
     out = []
     v = start
     while v <= stop:

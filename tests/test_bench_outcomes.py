@@ -1,4 +1,4 @@
-"""Outcome pins for the smoke benches: recording, comparison, pin file."""
+"""Outcome pins for the benches: recording, comparison, pin file."""
 
 from __future__ import annotations
 
@@ -81,7 +81,13 @@ def test_diff_reports_missing_and_extra_tables():
 def test_pin_file_covers_every_bench_in_canonical_form():
     with open(run.OUTCOMES_FILE, encoding="utf-8") as f:
         text = f.read()
-    pins = json.loads(text)
+    assert run.dump_outcomes(json.loads(text)) == text
+
+
+def test_every_discovered_bench_has_pinned_tables():
+    """A new bench without pins fails here, not only in the bench run."""
+    pins = run.load_pins()
     assert sorted(pins) == sorted(run.discover())
-    assert all(pins.values()), "every bench shows at least one table"
-    assert run.dump_outcomes(pins) == text
+    for bench, tables in pins.items():
+        assert tables, f"{bench}: no pinned table (run --update-outcomes)"
+        assert all(t["rows"] for t in tables), f"{bench}: a pinned table has no rows"

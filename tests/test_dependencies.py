@@ -107,7 +107,7 @@ def test_guard_flags_undeclared_and_dev_only_imports(tmp_path):
         "[project.optional-dependencies]\n"
         "dev = [\n"
         '    "pytest>=8",  # the test runner\n'
-        '    "pytest-benchmark>=4",\n'
+        '    "hypothesis>=6",\n'
         "]\n"
     )
     for tree in ("src/repro", *SCRIPT_TREES):
@@ -116,7 +116,7 @@ def test_guard_flags_undeclared_and_dev_only_imports(tmp_path):
         "import heapq\nimport numpy as np\nimport networkx as nx\nfrom repro import sim\n"
     )
     (tmp_path / "src/repro/check.py").write_text("import pytest\nfrom . import graph\n")
-    (tmp_path / "tests/oracles.py").write_text("import pytest_benchmark\n")
+    (tmp_path / "tests/oracles.py").write_text("import hypothesis\n")
     (tmp_path / "tests/test_x.py").write_text("def f():\n    import oracles, pytest\n")
     (tmp_path / "examples/demo.py").write_text("import matplotlib.pyplot\n")
     assert undeclared(tmp_path) == [

@@ -32,7 +32,7 @@ with only ``timeout`` and ``event`` entries left out, every kept entry
 at its time.
 
 ``REPRO_DEVICE_FUZZ_EXAMPLES`` sets the fuzz budget (60 by default; CI's
-benchmark smoke sweep runs 200).
+bench job runs 200).
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ a loss recovery runs as a generator process.  The oracle
 must give the same ``done`` outcome and time, the same
 ``handles_ready`` time and the same attempt and client counts through
 both drivers.  ``REPRO_DRIVER_FUZZ_EXAMPLES`` sets the fuzz budget (25
-by default; CI's benchmark smoke sweep runs 200).
+by default; CI's bench job runs 200).
 """
 
 from __future__ import annotations

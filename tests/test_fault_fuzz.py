@@ -15,7 +15,7 @@ repair timeouts left out.
 
 The contract tests pin behaviour the eager injector already had, so
 they pass with either injector.  ``REPRO_FAULT_FUZZ_EXAMPLES`` sets the
-fuzz budget (25 by default; CI's benchmark smoke sweep runs 200).
+fuzz budget (25 by default; CI's bench job runs 200).
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ large classes, and then end to end through the full transport
 scenarios, the fault drills included.
 
 ``REPRO_FLUID_FUZZ_EXAMPLES`` sets the budget of both fuzzes (150 and
-100 by default; CI's benchmark smoke sweep runs 500).
+100 by default; CI's bench job runs 500).
 """
 
 from __future__ import annotations
