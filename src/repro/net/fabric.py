@@ -43,15 +43,17 @@ a join or leave changes the count on every link of that route, so the
 class rate always changes strictly.  Members therefore move in
 lockstep — they sync at the same instants and subtract the same
 ``rate * elapsed`` each time — and a class keeps one ``rate``, one
-sync time ``at`` and its members sorted by remaining bytes.  Float
-subtraction and division are monotone, so lockstep integration keeps
-that order, the head (the first member) finishes first, and the
-members due at any instant are a prefix.  Each link keeps the
-insertion-ordered set of classes crossing it, so a membership change
-re-rates only the *affected* classes (those sharing a link whose count
-changed): one rate evaluation, one list pass and one completion-
-calendar entry per class, keyed on the head's finish; a completion
-splits off the due prefix.  The calendar is a heap with lazy
+sync time ``at`` and its members' remaining bytes, sorted, in one
+float64 buffer.  Float subtraction and division are monotone, so
+lockstep integration keeps that order, the head (the first member)
+finishes first, and the members due at any instant are a prefix.
+Each link keeps the insertion-ordered set of classes crossing it, so
+a membership change re-rates only the *affected* classes (those
+sharing a link whose count changed): one rate evaluation, one in-place
+NumPy subtraction over the buffer (elementwise IEEE arithmetic, bit
+for bit what a per-member loop computes) and one completion-calendar
+entry per class, keyed on the head's finish; a completion splits off
+the due prefix.  The calendar is a heap with lazy
 invalidation and one cancellable :class:`~repro.sim.TimerHandle` fires
 the next completion.  The solver-equivalence tests pin it
 **byte-identical** — the same schedule, not merely equal delivery
@@ -72,11 +74,14 @@ from __future__ import annotations
 import heapq
 import re
 import zlib
+from array import array
 from bisect import bisect_right
 from collections import deque
 from itertools import islice
 from operator import attrgetter, itemgetter
 from typing import Callable, Deque, Optional, TYPE_CHECKING
+
+import numpy as np
 
 from repro.config import SystemConfig
 from repro.sim import Simulator
@@ -164,19 +169,14 @@ class Link:
         return self.fluid_flows == 0
 
     # -- busy-time accounting (the utilization snapshot API) ----------------
-    def _sync_busy(self) -> None:
-        """Fold the carrying/idle transition into the busy log.
-
-        Called after every occupancy change.  A link is *busy* while at
-        least one flow crosses it.
+    def _close_busy(self) -> None:
+        """Fold the busy period the last flow leaving just ended into
+        the busy log.  A link is *busy* while at least one flow crosses
+        it, so only the 0->1 and 1->0 count transitions move the log.
         """
-        now = self.sim.now
-        if self.fluid_flows > 0:
-            if self._busy_since is None:
-                self._busy_since = now
-            return
+        now = self.sim._now
         start, self._busy_since = self._busy_since, None
-        if start is None or now <= start:
+        if now <= start:
             return
         log = self._busy_log
         if log and start <= log[-1][1]:
@@ -211,20 +211,22 @@ class Link:
 
     # -- fluid-flow membership (driven by the fluid solver) -----------------
     def fluid_enter(self) -> None:
-        self.fluid_flows += 1
-        if self.fluid_flows > self.max_concurrency:
-            self.max_concurrency = self.fluid_flows
-        self._sync_busy()
+        n = self.fluid_flows = self.fluid_flows + 1
+        if n > self.max_concurrency:
+            self.max_concurrency = n
+        if n == 1:
+            self._busy_since = self.sim._now
 
     def fluid_exit(self) -> None:
         self.fluid_flows -= 1
-        self._sync_busy()
+        if not self.fluid_flows:
+            self._close_busy()
 
 
 class _Flow:
     """One fluid flow: identity and completion callback.  Its progress
     lives in the route class keyed by ``route`` (the parallel ``rem``
-    list).  The flow holds the route tuple, not the class, so a dropped
+    buffer).  The flow holds the route tuple, not the class, so a dropped
     class and its members form no reference cycle and are freed
     without the cyclic garbage collector."""
 
@@ -248,6 +250,11 @@ class _RouteClass:
     Only a rate change moves ``at`` or decrements ``rem``.  ``rem`` is
     non-decreasing: every member subtracts the same amount, and a
     newcomer is inserted after the members with no more bytes left.
+
+    ``rem`` is one contiguous float64 buffer (``array('d')``), so
+    :func:`_integrate` subtracts from every member in one in-place
+    NumPy operation — elementwise IEEE subtraction, the very bits a
+    per-member loop produces.
     """
 
     __slots__ = ("route", "cid", "flows", "rem", "rate", "at", "epoch", "ver")
@@ -258,7 +265,7 @@ class _RouteClass:
         self.cid = cid
         #: Members sorted by remaining bytes, and those bytes.
         self.flows: list[_Flow] = []
-        self.rem: list[float] = []
+        self.rem = array("d")
         self.rate = 0.0
         #: Last time ``rem`` was integrated.
         self.at = now
@@ -273,6 +280,20 @@ _BY_SEQ = attrgetter("seq")
 _FIRST = itemgetter(0)
 
 
+def _integrate(cls: _RouteClass, now: float) -> None:
+    """Advance every member of ``cls`` to ``now`` at its current rate.
+
+    The NumPy view over ``rem`` lives only inside this call: an
+    exported buffer cannot resize, and members join and leave between
+    integrations.
+    """
+    elapsed = now - cls.at
+    if elapsed > 0.0:
+        view = np.frombuffer(cls.rem)
+        view -= cls.rate * elapsed
+        cls.at = now
+
+
 class ScopedFluidSolver:
     """The fluid fair-share engine over route classes: O(affected
     classes) updates plus a completion calendar.
@@ -280,10 +301,10 @@ class ScopedFluidSolver:
     A membership change re-rates only the classes that share a link
     with the changed route(s) — the only flows whose ``bandwidth /
     count`` inputs moved.  A class whose rate moved integrates all its
-    members in one list pass and pushes one versioned entry, keyed on
-    its head finish, into a heap; superseded entries are invalidated
-    lazily on contact, so the next-finish question is a heap peek
-    instead of a min-scan.
+    members in one vectorized subtraction and pushes one versioned
+    entry, keyed on its head finish, into a heap; superseded entries
+    are invalidated lazily on contact, so the next-finish question is a
+    heap peek instead of a min-scan.
 
     The per-flow arithmetic this replaces survives only as the
     recompute-everything reference in ``tests/oracles.py``; the
@@ -331,11 +352,7 @@ class ScopedFluidSolver:
             # link's count rises), so the walk below re-rates it: the
             # members integrate at the old rate before the newcomer
             # joins at full size.
-            elapsed = now - cls.at
-            if elapsed > 0.0:
-                x = cls.rate * elapsed
-                cls.rem = [r - x for r in cls.rem]
-                cls.at = now
+            _integrate(cls, now)
         flow = _Flow(key, rkey, nbytes, on_done, self.seq)
         # Members stay sorted by remaining bytes; a newcomer goes after
         # any member with equal bytes.
@@ -456,16 +473,16 @@ class ScopedFluidSolver:
                     cls.epoch = epoch
                     touched += len(cls.flows)
                     recomputes += 1
-                    rate = min(hop.bytes_per_us / hop.fluid_flows for hop in cls.route)
+                    rate = _NEVER
+                    for hop in cls.route:
+                        r = hop.bytes_per_us / hop.fluid_flows
+                        if r < rate:
+                            rate = r
                     if rate == cls.rate:
                         # A pure function of unchanged counts: every
                         # member keeps its projection bit for bit.
                         continue
-                    elapsed = now - cls.at
-                    if elapsed > 0.0:
-                        x = cls.rate * elapsed
-                        cls.rem = [r - x for r in cls.rem]
-                        cls.at = now
+                    _integrate(cls, now)
                     cls.rate = rate
                     head = cls.rem[0]
                     if head < 0.0:

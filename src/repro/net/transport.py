@@ -42,6 +42,7 @@ from typing import Callable, Optional, TYPE_CHECKING, Union
 from repro.config import SystemConfig
 from repro.faults import FaultError
 from repro.sim import Event, Simulator
+from repro.sim.engine import _PENDING
 from repro.stats import Stats
 
 from repro.net.fabric import Fabric, Link
@@ -101,13 +102,19 @@ class Message(Event):
     def __init__(
         self, sim: Simulator, src: "Host", dst: "Host", nbytes: int, msg_id: int
     ):
-        super().__init__(sim)
+        # The base Event fields, set inline as Timeout does: a Message
+        # is built on every send.
+        self.sim = sim
+        self._name = ""
+        self._value = _PENDING
+        self._exc = None
+        self.callbacks = []
         #: Per-transport send number (loopbacks included).
         self.msg_id = msg_id
         self.src = src
         self.dst = dst
         self.nbytes = nbytes
-        self.sent_at_us = sim.now
+        self.sent_at_us = sim._now
         self.route: list[Link] = []
         #: Per-transport flow sequence number, the ECMP hash input: it
         #: counts contended sends only, so loopbacks and sends to a dead
@@ -232,7 +239,11 @@ class _Traversal:
                     self._park()
                     return
                 msg.route = route
-            down = next((link for link in msg.route if not link.up), None)
+            down = None
+            for link in msg.route:
+                if not link.up:
+                    down = link
+                    break
             if down is None:
                 break
             if down.kind == "nic":
@@ -407,10 +418,9 @@ class Transport:
         #: each mapped to its send number.  Inner dicts are
         #: insertion-ordered: crash invalidation walks messages in send
         #: order, keeping schedules deterministic (a hash set would
-        #: iterate by object address).
+        #: iterate by object address).  A host has an entry exactly
+        #: when its crash listener is installed.
         self._in_flight: dict[int, dict[Message, int]] = {}
-        #: Hosts whose crash listener is installed.
-        self._watched: set[int] = set()
         self._loss_listeners: list[Callable[[Message, BaseException], None]] = []
         if sim.sanitize and sim.sanitizer is not None:
             sim.sanitizer.watch(self)
@@ -665,18 +675,19 @@ class Transport:
     # -- internals -----------------------------------------------------------
     def _track(self, msg: Message) -> None:
         for host in (msg.src, msg.dst):
-            self._in_flight.setdefault(host.host_id, {})[msg] = msg.msg_id
-            if host.host_id not in self._watched:
-                self._watched.add(host.host_id)
+            tracked = self._in_flight.get(host.host_id)
+            if tracked is None:
+                # First message at this host: its dict and crash
+                # listener come into being together.
+                tracked = self._in_flight[host.host_id] = {}
                 host.add_crash_listener(self.fail_in_flight)
+            tracked[msg] = msg.msg_id
         msg.add_callback(self._on_settled)
 
     def _on_settled(self, ev: Event) -> None:
         msg: Message = ev  # tracked events are always Messages
         for host in (msg.src, msg.dst):
-            in_flight = self._in_flight.get(host.host_id)
-            if in_flight is not None:
-                in_flight.pop(msg, None)
+            self._in_flight[host.host_id].pop(msg, None)
         if ev._exc is None:
             self.messages_delivered += 1
             self.bytes_delivered += msg.nbytes

@@ -12,16 +12,27 @@ engine's "rate unchanged -> skip" set equals the scoped engine's
 unaffected set exactly.  And every flow on one route shares that rate
 and changes it at the same instants, so a route class integrating its
 members in lockstep performs the very float operations the per-flow
-engine performs one flow at a time.  The class keeps its members
-sorted by remaining bytes, and lockstep keeps them sorted: IEEE
-subtraction is monotone, so ``a <= b`` implies ``a - x <= b - x``,
+engine performs one flow at a time: the class subtracts ``rate *
+elapsed`` from its float64 buffer of remaining bytes with one NumPy
+operation, and elementwise IEEE subtraction rounds each member exactly
+as the per-flow ``remaining -= rate * elapsed`` does.  The class keeps
+its members sorted by remaining bytes, and lockstep keeps them sorted:
+IEEE subtraction is monotone, so ``a <= b`` implies ``a - x <= b - x``,
 and a projected finish ``at + max(r, 0) / rate`` is monotone in ``r``.
 The head is the first member, the due members are a prefix, and
 ordering the due set by start order gives the per-flow engine's
 completion order.  These tests pin the argument at the fabric layer
 (where hypothesis shrinking is cheap), with a stream built to grow
-large classes, and then end to end through the full transport
+large classes and one pinned class of 160 members (the e2e ``fabric``
+workload's scale), and then end to end through the full transport
 scenarios, the fault drills included.
+
+Both engines share :class:`~repro.net.fabric.Link`, so equivalence
+alone cannot see a busy-log defect.  Every fabric-layer stream
+therefore also records each flow's lifetime (start to completion,
+abort or eviction) and checks each link's busy fraction, and
+``Fabric.utilization()``, against the union of the lifetimes of the
+flows crossing it.
 
 ``REPRO_FLUID_FUZZ_EXAMPLES`` sets the budget of both fuzzes (150 and
 100 by default; CI's bench job runs 500).
@@ -145,9 +156,41 @@ def _assert_sorted(solver) -> None:
         assert all(a <= b for a, b in zip(rem, rem[1:])), rem
 
 
+def _union_busy(spans, lo: float, hi: float) -> float:
+    """Length of the union of closed ``[start, end]`` spans inside
+    ``[lo, hi]``."""
+    busy, cur = 0.0, None
+    for start, end in sorted(spans):
+        if cur is not None and start <= cur[1]:
+            cur[1] = max(cur[1], end)
+            continue
+        if cur is not None:
+            busy += max(0.0, min(cur[1], hi) - max(cur[0], lo))
+        cur = [start, end]
+    if cur is not None:
+        busy += max(0.0, min(cur[1], hi) - max(cur[0], lo))
+    return busy
+
+
+def _assert_busy_matches_flows(fabric, spans, routes, now) -> None:
+    """Each link's busy fraction is the union of the lifetimes (start to
+    completion, abort or eviction) of the flows crossing it, over the
+    trailing window -- recomputed from the flows alone, so it does not
+    trust the busy log both solvers share through ``Link``."""
+    util = fabric.utilization()
+    for link in fabric.links():
+        lo = max(0.0, now - link.util_window_us)
+        crossing = [spans[k] for k, route in routes.items() if link in route]
+        expected = _union_busy(crossing, lo, now) / (now - lo) if now > lo else 0.0
+        assert abs(link.busy_fraction(now) - expected) <= 1e-12, link.name
+        assert abs(util[link.name] - expected) <= 1e-12, link.name
+
+
 def _run_fabric_scenario(solver, ops, hosts=_HOSTS):
     """Drive one op stream straight into a Fabric; returns the full
-    observable record (deliveries, victims, link counters, schedule)."""
+    observable record (deliveries, victims, link counters, schedule)
+    after checking every link's busy time against the flows' own
+    lifetimes."""
     sim = Simulator(log_schedule=True)
     config = SystemConfig(spine_paths=2)
     with _solver(solver):
@@ -155,7 +198,12 @@ def _run_fabric_scenario(solver, ops, hosts=_HOSTS):
     deliveries: list = []
     log: list = []
     routes: dict = {}  # key -> route tuple, as started
+    spans: dict = {}  # key -> [start, end] instants
     peak_class = 0
+
+    def delivered(key):
+        deliveries.append((key, sim.now))
+        spans[key][1] = sim.now
 
     def live_on(route):
         return [k for k in fabric._solver.flows if routes[k] == route]
@@ -171,9 +219,9 @@ def _run_fabric_scenario(solver, ops, hosts=_HOSTS):
                 if route and all(link.up for link in route):
                     key = next_key = next_key + 1
                     routes[key] = tuple(route)
+                    spans[key] = [sim.now, None]
                     fabric.start_flow(
-                        key, route, op[3],
-                        lambda k=key: deliveries.append((k, sim.now)),
+                        key, route, op[3], lambda k=key: delivered(k)
                     )
                     peak_class = max(peak_class, len(live_on(routes[key])))
             elif op[0] == "abort":
@@ -181,6 +229,7 @@ def _run_fabric_scenario(solver, ops, hosts=_HOSTS):
                 if live:
                     key = live[op[1] % len(live)]
                     log.append(("abort", key, fabric.abort_flow(key)))
+                    spans[key][1] = sim.now
             elif op[0] == "abort_head":
                 # The oldest live member of one route: with equal sizes,
                 # the member whose projection keys its class's entry.
@@ -190,6 +239,7 @@ def _run_fabric_scenario(solver, ops, hosts=_HOSTS):
                 if live_routes:
                     key = live_on(live_routes[op[1] % len(live_routes)])[0]
                     log.append(("abort_head", key, fabric.abort_flow(key)))
+                    spans[key][1] = sim.now
             elif op[0] == "abort_member":
                 # A member of the largest class other than its head:
                 # members sorted by remaining bytes, then start order.
@@ -202,6 +252,7 @@ def _run_fabric_scenario(solver, ops, hosts=_HOSTS):
                     members.sort(key=lambda k: (rem[k], k))
                     key = members[1 + op[1] % (len(members) - 1)]
                     log.append(("abort_member", key, fabric.abort_flow(key)))
+                    spans[key][1] = sim.now
             elif op[0] in ("down", "down_link"):
                 if op[0] == "down_link":
                     link = fabric.link_by_name(op[1])
@@ -211,6 +262,8 @@ def _run_fabric_scenario(solver, ops, hosts=_HOSTS):
                 if link is not None:
                     victims = fabric.take_down(link)
                     log.append(("down", link.name, victims))
+                    for key, _ in victims:
+                        spans[key][1] = sim.now
             else:
                 down = [link for link in fabric.links() if not link.up]
                 if down:
@@ -221,6 +274,7 @@ def _run_fabric_scenario(solver, ops, hosts=_HOSTS):
 
     sim.process(driver())
     sim.run()
+    _assert_busy_matches_flows(fabric, spans, routes, sim.now)
     links = [
         (
             link.name, link.bytes_carried, link.flows_completed,
@@ -299,6 +353,36 @@ def test_large_class_ties_head_abort_and_shared_takedown():
     # The second burst completes as one same-instant tie.
     times = [t for k, t in scoped["deliveries"] if k > 15]
     assert len(times) == 12 and len(set(times)) == 1
+
+
+def test_route_class_at_flow_scale():
+    """One class as large as the e2e fabric workload's (160 members on
+    one NIC pair, joining at distinct instants with mixed sizes): the
+    class partly drains, a mid-class member aborts, then the sender NIC
+    goes down and evicts the rest."""
+    n = 160
+    joins = [
+        ("start", 0, 1, (1 << (16 + 2 * (i % 4))) + 977 * i, 3.0)
+        for i in range(n)
+    ]
+    ops = joins + [
+        ("abort_member", 70, 4000.0),
+        ("down_link", "nic_tx[h0]", 1.0),
+        ("restore", 5.0),
+    ]
+    dense = _run_fabric_scenario(DenseFluidSolver, ops, hosts=_FEW_HOSTS)
+    scoped = _run_fabric_scenario(ScopedFluidSolver, ops, hosts=_FEW_HOSTS)
+    _assert_identical(dense, scoped)
+    assert scoped["peak_class"] >= 150
+    abort, takedown = scoped["log"][0], scoped["log"][1]
+    assert abort[0] == "abort_member" and abort[2] is True
+    assert takedown[1] == "nic_tx[h0]"
+    # Partly drained: some members delivered before the take-down, the
+    # rest evicted with their exact remaining bytes.
+    drained, victims = len(scoped["deliveries"]), takedown[2]
+    assert drained > 20 and len(victims) > 20
+    assert drained + len(victims) + 1 == n
+    assert all(r > 0.0 for _, r in victims)
 
 
 class _DustProbe(ScopedFluidSolver):
