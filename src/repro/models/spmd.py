@@ -120,11 +120,8 @@ class SpmdTrainer:
         devs = system.make_virtual_device_set().add_slice(tpu_devices=self.n_devices)
         step = client.wrap(self.step_computation(), devices=devs)
         program = step.solo_program
-        start = system.sim.now
-        driver = system.sim.process(
+        elapsed_us = system.sim.drain(system.sim.process(
             client.drive_pipelined(program, args=(0.0,), n_iters=n_steps),
             name=lambda: f"train:{self.model.name}",
-        )
-        system.sim.run_until_triggered(driver)
-        elapsed_us = system.sim.now - start
+        ))
         return self.batch_tokens * n_steps / (elapsed_us / 1e6)

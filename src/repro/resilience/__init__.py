@@ -33,9 +33,9 @@ Typical wiring::
         seed=7, repair_us=20_000.0,
     )
     FaultInjector(recovery, schedule)
-    execution = client.submit(program, args, retry_on_failure=True,
-                              checkpoint=ckpt)
-    # drivers wait on execution.done
+    execution = client.submit(program, args, retry_on_failure=True, checkpoint=ckpt)
+    serving = attach_serving(system)      # a whole tenant (repro.workloads)
+    system.sim.drain(system.sim.all_of([execution.done, serving.done]))
 """
 
 from repro.resilience.checkpoint import CheckpointManager

@@ -29,10 +29,10 @@ Wiring::
     recovery = RecoveryManager(system)
     elastic = ElasticController(system)          # attaches as system.elastic
     elastic.register(trainer)                    # an elastic workload
+    serving = attach_serving(system, autoscale=True)   # its autoscaler registers
 
     # graceful preemption, delivered via the fault schedule:
-    schedule.island_preemption(at_us, island_id, duration_us,
-                               notice_us=50_000.0)
+    schedule.island_preemption(at_us, island_id, duration_us, notice_us=50_000.0)
 
 Elastic workloads implement ``notify_capacity(island_id, reason)`` and
 ``notify_drain(island_id)`` (both synchronous, typically just recording

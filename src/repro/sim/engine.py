@@ -895,6 +895,13 @@ class Simulator:
         self._drain(limit, event)
         return event.value
 
+    def drain(self, event: Event) -> float:
+        """:meth:`run_until_triggered` (called once, so a wrapper of it
+        sees one drain); returns the simulated µs until ``event``."""
+        start = self._now
+        self.run_until_triggered(event)
+        return self._now - start
+
     # -- observability ------------------------------------------------------
     def stats(self):
         """Frozen engine snapshot (the unified ``repro.stats`` protocol)."""

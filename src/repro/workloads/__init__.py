@@ -1,22 +1,24 @@
-"""Workload generators for the paper's micro-benchmarks.
+"""Workload generators for the paper's micro-benchmarks and scenarios.
 
 * :mod:`repro.workloads.microbench` — the §5.1 dispatch-overhead
   workload (scalar AllReduce + add) in OpByOp / Chained / Fused variants
   across all four systems (Figures 5, 6, 7).
 * :mod:`repro.workloads.multitenant` — concurrent-client populations
   time-sharing one island (Figures 8, 9).
-* :mod:`repro.workloads.churn` — multi-tenant training under
-  failure/repair churn (the resilience scenario family).
-* :mod:`repro.workloads.netload` — cross-island bulk traffic contending
-  with probe dispatch on the routed fabric (congestion, route loss).
-* :mod:`repro.workloads.serving` — open-loop online inference traffic
-  (Poisson / diurnal) through the ``repro.serve`` stack.
+* :mod:`repro.workloads.churn`, :mod:`repro.workloads.netload` and
+  :mod:`repro.workloads.serving` — training under failure churn,
+  cross-island bulk traffic with a dispatch prober, and open-loop
+  inference.  Each is a tenant: ``attach_training``, ``attach_netload``
+  or ``attach_serving`` puts it on any system and returns a handle with
+  ``done`` and ``result()``, so tenants can share one system and one
+  ``Simulator.drain``; each ``run_*`` builds a system for one tenant.
 """
 
-from repro.workloads.churn import ChurnResult, run_churn
-from repro.workloads.netload import NetCongestionResult, run_net_congestion
+from repro.workloads.churn import ChurnResult, attach_training, run_churn
+from repro.workloads.netload import NetCongestionResult, attach_netload, run_net_congestion
 from repro.workloads.serving import (
     ServingResult,
+    attach_serving,
     diurnal_arrivals,
     poisson_arrivals,
     run_serving,
@@ -39,6 +41,9 @@ __all__ = [
     "MicrobenchResult",
     "NetCongestionResult",
     "ServingResult",
+    "attach_netload",
+    "attach_serving",
+    "attach_training",
     "diurnal_arrivals",
     "poisson_arrivals",
     "run_churn",

@@ -11,14 +11,16 @@ repairs) devices underneath them.  Each client's driver is *resilient*:
   checkpoint and replays the steps since — or from step 0 with
   checkpointing disabled.
 
-``run_churn`` reports *goodput*: first-time useful steps per second of
-wall clock, the quantity the recovery-overhead benchmark sweeps against
-MTBF.
+:func:`attach_training` attaches the clients and their faults to any
+system; ``run_churn`` runs them on one island and reports *goodput*:
+first-time useful steps per second of wall clock, the quantity the
+recovery-overhead benchmark sweeps against MTBF.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Generator, Optional
 
 from repro.config import DEFAULT_CONFIG, SystemConfig
@@ -34,9 +36,10 @@ from repro.resilience import (
     FaultSchedule,
     RecoveryManager,
 )
+from repro.workloads.microbench import gang_step
 from repro.xla.computation import scalar_allreduce_add
 
-__all__ = ["ChurnResult", "run_churn"]
+__all__ = ["ChurnResult", "attach_training", "run_churn"]
 
 #: Faults are drawn over this many ideal run lengths.  The horizon need
 #: not cover the run: in the config-A churn benchmark (seed 0) it is
@@ -48,7 +51,8 @@ _HORIZON_SLACK = 20.0
 
 @dataclass
 class ChurnResult:
-    """Outcome of one churn run."""
+    """Outcome of one churn run.  ``recoveries`` and ``remaps`` are the
+    system's recovery manager's, shared by every tenant."""
 
     n_clients: int
     steps_per_client: int
@@ -78,25 +82,17 @@ class ChurnResult:
 
 
 def _resilient_driver(
-    client: PathwaysClient,
-    program,
-    n_iters: int,
-    devs: VirtualSlice,
-    ckpt: CheckpointManager,
-    stats: dict,
+    client: PathwaysClient, program, n_iters: int, devs: VirtualSlice,
+    ckpt: CheckpointManager, stats: dict,
 ) -> Generator:
     """Train ``n_iters`` steps, rolling back to the last checkpoint
-    whenever the slice is remapped under the loop."""
+    whenever the slice is remapped under the loop; returns the end instant."""
     done = 0
     version = devs.version
     while done < n_iters:
         execution = client.submit(
-            program,
-            (0.0,),
-            compute_values=False,
-            retry_on_failure=True,
-            max_attempts=32,
-            checkpoint=ckpt,
+            program, (0.0,), compute_values=False, retry_on_failure=True,
+            max_attempts=32, checkpoint=ckpt,
         )
         try:
             yield execution.done
@@ -117,6 +113,110 @@ def _resilient_driver(
         if ckpt.due():
             yield from ckpt.save(done)
     stats["done"] = done
+    return client.system.sim.now
+
+
+def attach_training(
+    system: PathwaysSystem,
+    n_clients: int = 3,
+    steps_per_client: int = 30,
+    compute_time_us: float = 2_000.0,
+    slice_devices: int = 4,
+    mtbf_us: Optional[float] = None,
+    repair_us: float = 25_000.0,
+    checkpoint_interval_us: Optional[float] = None,
+    state_bytes: int = 64 << 20,
+    seed: int = 0,
+) -> SimpleNamespace:
+    """Attach ``n_clients`` resilient, checkpointing training clients,
+    each on its own slice, and with ``mtbf_us`` their device faults
+    (:func:`run_churn` documents the parameters; faults need the
+    system's recovery manager).
+
+    Returns a handle: ``done`` triggers once every client's driver has
+    finished; ``result()`` then stops the faults and reports the run.
+    """
+    # Bind every tenant's slice first: the fault schedule needs the
+    # initial representative sets to scale aggregate fault rates.
+    tenants = []
+    stats: dict[str, dict] = {}
+    for c in range(n_clients):
+        name = f"tenant{c}"
+        unit = scalar_allreduce_add(slice_devices, compute_time_us, name=f"step_{name}")
+        client, devs, step = gang_step(system, name, slice_devices, unit)
+        ckpt = CheckpointManager(
+            system, checkpoint_interval_us, state_bytes, name=f"ckpt_{name}"
+        )
+        stats[name] = {"replayed": 0, "abandoned": 0, "done": 0}
+        tenants.append((client, step, devs, ckpt, name))
+    checkpoints = [ckpt for _, _, _, ckpt, _ in tenants]
+
+    injector = None
+    if mtbf_us is not None:
+        horizon_us = steps_per_client * compute_time_us * _HORIZON_SLACK
+        all_ids = [d.device_id for d in system.cluster.devices]
+        rep_factor: dict[int, float] = {}
+        for _, _, devs, _, _ in tenants:
+            group = devs.group
+            if group.is_aggregate:
+                f = group.representation_factor
+                for d in group.devices:
+                    rep_factor[d.device_id] = max(rep_factor.get(d.device_id, 1.0), f)
+        schedule = FaultSchedule.poisson_device_failures(
+            mtbf_us=mtbf_us, horizon_us=horizon_us,
+            device_ids=[i for i in all_ids if i not in rep_factor],
+            seed=seed, repair_us=repair_us,
+        )
+        if rep_factor:
+            # Representatives fail representation_factor times faster,
+            # preserving the per-gang fault rate of a fully-detailed
+            # simulation; spares keep the nominal per-device MTBF.
+            by_factor: dict[float, list[int]] = {}
+            for dev_id, f in rep_factor.items():
+                by_factor.setdefault(f, []).append(dev_id)
+            schedule = FaultSchedule.merge(schedule, *(
+                FaultSchedule.poisson_device_failures(
+                    mtbf_us=mtbf_us / f, horizon_us=horizon_us,
+                    device_ids=sorted(ids), seed=seed + 7919 * (k + 1),
+                    repair_us=repair_us,
+                )
+                for k, (f, ids) in enumerate(sorted(by_factor.items()))
+            ))
+        injector = FaultInjector(system.recovery, schedule)
+
+    sim = system.sim
+    start = sim.now
+    done = sim.all_of([
+        sim.process(
+            _resilient_driver(
+                client, step.solo_program, steps_per_client, devs, ckpt, stats[name]
+            ),
+            name=lambda n=name: f"driver:{n}",
+        )
+        for client, step, devs, ckpt, name in tenants
+    ])
+
+    def result() -> ChurnResult:
+        if injector is not None:
+            injector.stop()
+        rec = system.recovery.stats() if system.recovery is not None else None
+        return ChurnResult(
+            n_clients=n_clients,
+            steps_per_client=steps_per_client,
+            elapsed_us=max(done.value, default=start) - start,
+            useful_steps=sum(s["done"] for s in stats.values()),
+            replayed_steps=sum(s["replayed"] for s in stats.values()),
+            checkpoint_overhead_us=sum(c.overhead_us for c in checkpoints),
+            checkpoints_taken=sum(c.checkpoints_taken for c in checkpoints),
+            faults_injected=injector.stats().injected if injector is not None else 0,
+            recoveries=rec.programs_recovered if rec else 0,
+            remaps=rec.remaps if rec else 0,
+            per_client_steps={name: s["done"] for name, s in stats.items()},
+            abandoned=[name for name, s in stats.items() if s["abandoned"]],
+            system_handle=system,
+        )
+
+    return SimpleNamespace(done=done, result=result)
 
 
 def run_churn(
@@ -175,13 +275,10 @@ def run_churn(
     aggregate = slice_devices > aggregate_threshold
     system = PathwaysSystem.build(
         ClusterSpec(islands=((n_hosts, devices_per_host),), name="churn"),
-        config=config,
-        policy=policy,
-        aggregate_threshold=aggregate_threshold,
-        disjoint_aggregate_reps=aggregate,
-        log_schedule=log_schedule,
+        config=config, policy=policy, aggregate_threshold=aggregate_threshold,
+        disjoint_aggregate_reps=aggregate, log_schedule=log_schedule,
     )
-    recovery = RecoveryManager(system)
+    RecoveryManager(system)
 
     grown = {"devices": 0}
     if add_island_at is not None:
@@ -195,101 +292,11 @@ def run_churn(
 
         system.sim.timeout(grow_at_us).add_callback(_grow)
 
-    # Bind every tenant's slice first: the fault schedule needs the
-    # initial representative sets to scale aggregate fault rates.
-    tenants = []
-    checkpoints = []
-    stats: dict[str, dict] = {}
-    for c in range(n_clients):
-        name = f"tenant{c}"
-        client = system.client(name)
-        devs = system.make_virtual_device_set().add_slice(tpu_devices=slice_devices)
-        unit = scalar_allreduce_add(
-            slice_devices, compute_time_us, name=f"step_{name}"
-        )
-        step = client.wrap(unit, devices=devs)
-        ckpt = CheckpointManager(
-            system, checkpoint_interval_us, state_bytes, name=f"ckpt_{name}"
-        )
-        checkpoints.append(ckpt)
-        stats[name] = {"replayed": 0, "abandoned": 0, "done": 0}
-        tenants.append((client, step, devs, ckpt, name))
-
-    injector = None
-    if mtbf_us is not None:
-        horizon_us = steps_per_client * compute_time_us * _HORIZON_SLACK
-        all_ids = [d.device_id for d in system.cluster.devices]
-        rep_factor: dict[int, float] = {}
-        for _, _, devs, _, _ in tenants:
-            group = devs.group
-            if group.is_aggregate:
-                f = group.representation_factor
-                for d in group.devices:
-                    rep_factor[d.device_id] = max(
-                        rep_factor.get(d.device_id, 1.0), f
-                    )
-        schedule = FaultSchedule.poisson_device_failures(
-            mtbf_us=mtbf_us,
-            horizon_us=horizon_us,
-            device_ids=[i for i in all_ids if i not in rep_factor],
-            seed=seed,
-            repair_us=repair_us,
-        )
-        if rep_factor:
-            # Representatives fail representation_factor times faster,
-            # preserving the per-gang fault rate of a fully-detailed
-            # simulation; spares keep the nominal per-device MTBF.
-            by_factor: dict[float, list[int]] = {}
-            for dev_id, f in rep_factor.items():
-                by_factor.setdefault(f, []).append(dev_id)
-            schedule = FaultSchedule.merge(schedule, *(
-                FaultSchedule.poisson_device_failures(
-                    mtbf_us=mtbf_us / f,
-                    horizon_us=horizon_us,
-                    device_ids=sorted(ids),
-                    seed=seed + 7919 * (k + 1),
-                    repair_us=repair_us,
-                )
-                for k, (f, ids) in enumerate(sorted(by_factor.items()))
-            ))
-        injector = FaultInjector(recovery, schedule)
-
-    drivers = []
-    for client, step, devs, ckpt, name in tenants:
-        drivers.append(
-            system.sim.process(
-                _resilient_driver(
-                    client,
-                    step.solo_program,
-                    steps_per_client,
-                    devs,
-                    ckpt,
-                    stats[name],
-                ),
-                name=lambda n=name: f"driver:{n}",
-            )
-        )
-
-    start = system.sim.now
-    system.sim.run_until_triggered(system.sim.all_of(drivers))
-    elapsed = system.sim.now - start
-    if injector is not None:
-        injector.stop()
-
-    recovery_stats = recovery.stats()
-    return ChurnResult(
-        n_clients=n_clients,
-        steps_per_client=steps_per_client,
-        elapsed_us=elapsed,
-        useful_steps=sum(s["done"] for s in stats.values()),
-        replayed_steps=sum(s["replayed"] for s in stats.values()),
-        checkpoint_overhead_us=sum(c.overhead_us for c in checkpoints),
-        checkpoints_taken=sum(c.checkpoints_taken for c in checkpoints),
-        faults_injected=injector.stats().injected if injector is not None else 0,
-        recoveries=recovery_stats.programs_recovered,
-        remaps=recovery_stats.remaps,
-        devices_added=grown["devices"],
-        per_client_steps={name: s["done"] for name, s in stats.items()},
-        abandoned=[name for name, s in stats.items() if s["abandoned"]],
-        system_handle=system,
+    tenant = attach_training(
+        system, n_clients, steps_per_client, compute_time_us, slice_devices,
+        mtbf_us, repair_us, checkpoint_interval_us, state_bytes, seed,
     )
+    system.sim.drain(tenant.done)
+    result = tenant.result()
+    result.devices_added = grown["devices"]
+    return result

@@ -65,6 +65,14 @@ def _spec(n_hosts: int, devices_per_host: int) -> ClusterSpec:
 # Pathways
 # ---------------------------------------------------------------------------
 
+def gang_step(system: PathwaysSystem, client_name: str, n_devices: int, fn):
+    """``(client, slice, step)``: ``client_name``'s client, a fresh slice
+    of ``n_devices`` and ``fn`` wrapped on it."""
+    client = system.client(client_name)
+    devs = system.make_virtual_device_set().add_slice(tpu_devices=n_devices)
+    return client, devs, client.wrap(fn, devices=devs)
+
+
 def run_pathways(
     variant: str,
     n_hosts: int,
@@ -72,25 +80,19 @@ def run_pathways(
     n_calls: int = 20,
 ) -> MicrobenchResult:
     """One Figure 5 / Figure 6 Pathways data point (0.5 us computations)."""
+    if variant not in ("opbyop", "fused", "chained"):
+        raise ValueError(f"unknown variant {variant!r}")
     system = PathwaysSystem.build(_spec(n_hosts, devices_per_host))
-    client = system.client("bench")
     n_devices = n_hosts * devices_per_host
-    devs = system.make_virtual_device_set().add_slice(tpu_devices=n_devices)
     unit = scalar_allreduce_add(n_devices, 0.5)
-
+    fn = fuse([unit] * CHAIN_LEN, name="fused_chain") if variant == "fused" else unit
+    client, _, step = gang_step(system, "bench", n_devices, fn)
+    per_call = 1 if variant == "opbyop" else CHAIN_LEN
     if variant == "opbyop":
-        step = client.wrap(unit, devices=devs)
-        program = step.solo_program
-        driver = client.drive_op_by_op(program, (0.0,), n_iters=n_calls)
-        per_call = 1
+        driver = client.drive_op_by_op(step.solo_program, (0.0,), n_iters=n_calls)
     elif variant == "fused":
-        fused = fuse([unit] * CHAIN_LEN, name="fused_chain")
-        step = client.wrap(fused, devices=devs)
-        program = step.solo_program
-        driver = client.drive_pipelined(program, (0.0,), n_iters=n_calls)
-        per_call = CHAIN_LEN
-    elif variant == "chained":
-        step = client.wrap(unit, devices=devs)
+        driver = client.drive_pipelined(step.solo_program, (0.0,), n_iters=n_calls)
+    else:
 
         @client.program
         def chain(v):
@@ -103,21 +105,11 @@ def run_pathways(
         driver = client.drive_pipelined(
             program, (0.0,), n_iters=n_calls, max_in_flight=2
         )
-        per_call = CHAIN_LEN
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
 
-    proc = system.sim.process(driver, name="driver")
-    start = system.sim.now
-    system.sim.run_until_triggered(proc)
-    elapsed_us = system.sim.now - start
+    elapsed_us = system.sim.drain(system.sim.process(driver, name="driver"))
     return MicrobenchResult(
-        system="PW",
-        variant=variant,
-        n_hosts=n_hosts,
-        computations_per_second=per_call * n_calls / (elapsed_us / 1e6),
-        sim_events=system.sim.events_processed,
-        sim_elapsed_us=elapsed_us,
+        "PW", variant, n_hosts, per_call * n_calls / (elapsed_us / 1e6),
+        sim_events=system.sim.events_processed, sim_elapsed_us=elapsed_us,
     )
 
 
@@ -151,10 +143,7 @@ def run_pathways_pipeline_chain(
     driver = client.drive_pipelined(
         program, (0.0,), n_iters=n_calls, max_in_flight=4, mode=mode
     )
-    proc = system.sim.process(driver, name="driver")
-    start = system.sim.now
-    system.sim.run_until_triggered(proc)
-    elapsed_us = system.sim.now - start
+    elapsed_us = system.sim.drain(system.sim.process(driver, name="driver"))
     return n_stages * n_calls / (elapsed_us / 1e6)
 
 
@@ -178,23 +167,12 @@ def run_jax(
     jax = MultiControllerJax(sim, cluster, DEFAULT_CONFIG)
     n_devices = n_hosts * devices_per_host
     unit = scalar_allreduce_add(n_devices, compute_time_us)
-    if variant == "fused":
-        fn = fuse([unit] * CHAIN_LEN, name="fused_chain")
-        per_call = CHAIN_LEN
-    else:
-        fn = unit
-        per_call = 1
-    proc = sim.process(jax.run_steps(fn, n_steps=n_calls), name="jax")
-    start = sim.now
-    sim.run_until_triggered(proc)
-    elapsed_us = sim.now - start
+    fn = fuse([unit] * CHAIN_LEN, name="fused_chain") if variant == "fused" else unit
+    per_call = CHAIN_LEN if variant == "fused" else 1
+    elapsed_us = sim.drain(sim.process(jax.run_steps(fn, n_steps=n_calls), name="jax"))
     return MicrobenchResult(
-        system="JAX",
-        variant=variant,
-        n_hosts=n_hosts,
-        computations_per_second=per_call * n_calls / (elapsed_us / 1e6),
-        sim_events=sim.events_processed,
-        sim_elapsed_us=elapsed_us,
+        "JAX", variant, n_hosts, per_call * n_calls / (elapsed_us / 1e6),
+        sim_events=sim.events_processed, sim_elapsed_us=elapsed_us,
     )
 
 
@@ -205,48 +183,36 @@ def run_jax(
 def run_tf(variant: str, n_hosts: int) -> MicrobenchResult:
     """TF points: 4 devices per host, 10 calls (OpByOp) or one 128-node
     chain (Chained) of 0.5 us computations."""
-    sim = Simulator()
-    cluster = make_cluster(sim, _spec(n_hosts, 4))
-    tf = TfOneRuntime(sim, cluster, DEFAULT_CONFIG)
-    unit = scalar_allreduce_add(n_hosts * 4, 0.5)
-    if variant == "opbyop":
-        proc = sim.process(tf.run_op_by_op(unit, n_steps=10), name="tf")
-        total = 10
-    elif variant == "chained":
-        proc = sim.process(tf.run_chained(unit, CHAIN_LEN, n_calls=1), name="tf")
-        total = CHAIN_LEN
-    else:
+    if variant not in ("opbyop", "chained"):
         raise ValueError(f"TF variant {variant!r} not in the paper's Figure 5")
-    start = sim.now
-    sim.run_until_triggered(proc)
-    return MicrobenchResult(
-        "TF", variant, n_hosts, total / ((sim.now - start) / 1e6),
-        sim_events=sim.events_processed, sim_elapsed_us=sim.now - start,
-    )
+    return _run_baseline("TF", TfOneRuntime, 4, variant, n_hosts)
 
 
 def run_ray(variant: str, n_hosts: int) -> MicrobenchResult:
     """Ray points (the paper ran 1 GPU/host on p3.2xlarge VMs): 10 calls
     (OpByOp) or one 128-computation call (Chained, Fused) of 0.5 us
     computations."""
-    sim = Simulator()
-    cluster = make_cluster(sim, _spec(n_hosts, 1))
-    ray = RayLikeRuntime(sim, cluster, DEFAULT_CONFIG)
-    unit = scalar_allreduce_add(n_hosts, 0.5)
-    if variant == "opbyop":
-        proc = sim.process(ray.run_op_by_op(unit, n_steps=10), name="ray")
-        total = 10
-    elif variant == "chained":
-        proc = sim.process(ray.run_chained(unit, CHAIN_LEN, n_calls=1), name="ray")
-        total = CHAIN_LEN
-    elif variant == "fused":
-        proc = sim.process(ray.run_fused(unit, CHAIN_LEN, n_calls=1), name="ray")
-        total = CHAIN_LEN
-    else:
+    if variant not in ("opbyop", "chained", "fused"):
         raise ValueError(f"unknown variant {variant!r}")
-    start = sim.now
-    sim.run_until_triggered(proc)
+    return _run_baseline("Ray", RayLikeRuntime, 1, variant, n_hosts)
+
+
+def _run_baseline(
+    label: str, runtime_cls, devices_per_host: int, variant: str, n_hosts: int
+) -> MicrobenchResult:
+    sim = Simulator()
+    runtime = runtime_cls(
+        sim, make_cluster(sim, _spec(n_hosts, devices_per_host)), DEFAULT_CONFIG
+    )
+    unit = scalar_allreduce_add(n_hosts * devices_per_host, 0.5)
+    if variant == "opbyop":
+        driver, total = runtime.run_op_by_op(unit, n_steps=10), 10
+    elif variant == "chained":
+        driver, total = runtime.run_chained(unit, CHAIN_LEN, n_calls=1), CHAIN_LEN
+    else:
+        driver, total = runtime.run_fused(unit, CHAIN_LEN, n_calls=1), CHAIN_LEN
+    elapsed_us = sim.drain(sim.process(driver, name=label.lower()))
     return MicrobenchResult(
-        "Ray", variant, n_hosts, total / ((sim.now - start) / 1e6),
-        sim_events=sim.events_processed, sim_elapsed_us=sim.now - start,
+        label, variant, n_hosts, total / (elapsed_us / 1e6),
+        sim_events=sim.events_processed, sim_elapsed_us=elapsed_us,
     )

@@ -24,7 +24,7 @@ from repro.core.system import PathwaysSystem
 from repro.hw.cluster import make_cluster
 from repro.sim import Simulator
 from repro.telemetry import Tracer
-from repro.workloads.microbench import _spec
+from repro.workloads.microbench import _spec, gang_step
 from repro.xla.computation import scalar_allreduce_add
 
 __all__ = [
@@ -78,38 +78,27 @@ def run_pathways_multitenant(
     )
     n_devices = n_hosts * devices_per_host
     drivers = []
-    clients = []
     per_client: dict[str, int] = {}
     for c in range(n_clients):
         name = f"client{c}"
-        client = system.client(name)
-        clients.append(client)
         n_iters = iters_per_client
         if scale_iters_by_weight and weights is not None:
             # Give heavier clients proportionally more work so every
             # client stays active for the whole measurement window.
             n_iters = max(1, int(round(iters_per_client * weights.get(name, 1.0))))
         per_client[name] = n_iters
-        devs = system.make_virtual_device_set().add_slice(tpu_devices=n_devices)
-        unit = scalar_allreduce_add(n_devices, compute_time_us, name=f"step_{name}")
-        step = client.wrap(unit, devices=devs)
+        client, _, step = gang_step(
+            system, name, n_devices,
+            scalar_allreduce_add(n_devices, compute_time_us, name=f"step_{name}"),
+        )
         if pipelined:
             driver_gen = client.drive_pipelined(
-                step.solo_program,
-                (0.0,),
-                n_iters=n_iters,
-                max_in_flight=6,
+                step.solo_program, (0.0,), n_iters=n_iters, max_in_flight=6
             )
         else:
-            driver_gen = client.drive_op_by_op(
-                step.solo_program, (0.0,), n_iters=n_iters
-            )
-        drivers.append(
-            system.sim.process(driver_gen, name=lambda n=name: f"driver:{n}")
-        )
-    start = system.sim.now
-    system.sim.run_until_triggered(system.sim.all_of(drivers))
-    elapsed_us = system.sim.now - start
+            driver_gen = client.drive_op_by_op(step.solo_program, (0.0,), n_iters=n_iters)
+        drivers.append(system.sim.process(driver_gen, name=lambda n=name: f"driver:{n}"))
+    elapsed_us = system.sim.drain(system.sim.all_of(drivers))
     total = sum(per_client.values())
     return MultitenantResult(
         system="PW",
@@ -147,9 +136,7 @@ def run_jax_multitenant(
         )
         for name in names
     ]
-    start = sim.now
-    sim.run_until_triggered(sim.all_of(drivers))
-    elapsed_us = sim.now - start
+    elapsed_us = sim.drain(sim.all_of(drivers))
     total = n_clients * iters_per_client
     return MultitenantResult(
         system="JAX",

@@ -17,6 +17,9 @@ interference scenario the routed transport makes expressible:
   ``retry_on_failure``, and the run asserts the fabric ends idle (no
   link capacity leaked).
 
+:func:`attach_netload` attaches the senders and the prober to any
+two-island system; ``run_net_congestion`` adds the crash and link drills.
+
 Deterministic: no random draws — flow and probe schedules are fixed by
 the arguments.
 """
@@ -24,12 +27,15 @@ the arguments.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Generator, Optional
 
 import numpy as np
 
 from repro.config import DEFAULT_CONFIG, SystemConfig
+from repro.core.dispatch import ExecutionAbandoned
 from repro.core.system import PathwaysSystem
+from repro.faults import unwrap_fault
 from repro.hw.cluster import ClusterSpec
 from repro.net import MessageLost
 from repro.resilience import FaultInjector, FaultSchedule, RecoveryManager
@@ -39,6 +45,7 @@ from repro.xla.shapes import TensorSpec
 __all__ = [
     "FlowFleetResult",
     "NetCongestionResult",
+    "attach_netload",
     "run_flow_fleet",
     "run_net_congestion",
 ]
@@ -54,7 +61,9 @@ _ARRIVAL_WINDOW_US = 1_000.0
 
 @dataclass
 class NetCongestionResult:
-    """Outcome of one congestion run."""
+    """Outcome of one congestion run.  Bytes and probes are the tenant's
+    own; the loss, retransmit, reroute, park, link-fault, idle and leak
+    counters are system-wide (every tenant shares the transport)."""
 
     n_senders: int
     #: Aggregate offered load: every sender can offer its full NIC rate.
@@ -75,7 +84,8 @@ class NetCongestionResult:
     #: the no-capacity-leak invariant, asserted after crash scenarios.
     fabric_idle: bool
     nic_slots_leaked: int
-    crash_injected: bool
+    #: Whether the run's drill crashed a sender host.
+    crash_injected: bool = False
     #: ECMP width the run used (``SystemConfig.spine_paths``).
     spine_paths: int = 1
     #: Flows rehashed onto a surviving path after a link fault.
@@ -93,15 +103,10 @@ class NetCongestionResult:
 
 
 def _sender_stream(
-    system: PathwaysSystem,
-    src,
-    dst,
-    flow_bytes: int,
-    horizon_us: float,
-    reliable: bool,
-    stats: dict,
-    stagger_us: float = 0.0,
+    system: PathwaysSystem, src, dst, flow_bytes: int, horizon_us: float,
+    reliable: bool, stats: dict, stagger_us: float,
 ) -> Generator:
+    """Back-to-back sends until ``horizon_us``; returns the end instant."""
     sim = system.sim
     transport = system.transport
     backoff = system.config.net_retransmit_backoff_us
@@ -125,36 +130,134 @@ def _sender_stream(
                 yield sim.timeout(backoff)
             continue
         stats["bytes"] += flow_bytes
+    return sim.now
 
 
 def _prober(
-    system: PathwaysSystem,
-    client,
-    program,
-    arr: np.ndarray,
-    n_probes: int,
-    resilient: bool,
-    stats: dict,
+    system: PathwaysSystem, client, program, arr: np.ndarray, n_probes: int,
+    resilient: bool, stats: dict,
 ) -> Generator:
+    """``n_probes`` probe programs, one interval apart; returns the end instant."""
     sim = system.sim
     for _ in range(n_probes):
         start = sim.now
         execution = client.submit(
-            program,
-            (arr,),
-            compute_values=False,
-            retry_on_failure=resilient,
-            max_attempts=16,
+            program, (arr,), compute_values=False,
+            retry_on_failure=resilient, max_attempts=16,
         )
         try:
             yield execution.done
-        except Exception:  # noqa: BLE001 - abandoned probe
+        except Exception as exc:
+            # A typed outcome or a fault loss fails the probe;
+            # anything else is a bug.
+            if not (isinstance(exc, ExecutionAbandoned) or unwrap_fault(exc)):
+                raise
             stats["failures"] += 1
         else:
             stats["latencies"].append(sim.now - start)
         finally:
             execution.release_results()
         yield sim.timeout(_PROBE_INTERVAL_US)
+    return sim.now
+
+
+def attach_netload(
+    system: PathwaysSystem,
+    n_senders: int = 4,
+    streams: int = 4,
+    flow_bytes: int = 4 << 20,
+    duration_us: float = 50_000.0,
+    n_probes: int = 5,
+    probe_elems: int = 1 << 22,
+    resilient: bool = False,
+) -> SimpleNamespace:
+    """Attach bulk senders on island 0 pushing to island 1, then a
+    cross-island probe client (:func:`run_net_congestion` documents the
+    parameters; ``resilient`` makes senders retransmit and probes retry).
+
+    Returns a handle: ``done`` triggers once every stream has passed its
+    horizon and every probe has run; ``result()`` then reports them.
+    """
+    sim = system.sim
+    config = system.config
+    src_hosts = system.cluster.islands[0].hosts
+    dst_hosts = system.cluster.islands[1].hosts
+    sender_stats = [{"bytes": 0} for _ in range(n_senders)]
+    #: One message's end-to-end pipeline span; spreading a host's
+    #: streams across it keeps its NIC continuously fed.
+    stream_phase_us = flow_bytes / config.dcn_bytes_per_us / max(1, streams)
+    procs = [
+        sim.process(_sender_stream(
+            system, src_hosts[i], dst_hosts[i % len(dst_hosts)], flow_bytes,
+            duration_us, resilient, sender_stats[i], s * stream_phase_us,
+        ))
+        for i in range(n_senders)
+        for s in range(streams)
+    ]
+
+    probe_stats = {"latencies": [], "failures": 0}
+    if n_probes > 0:
+        client = system.client("probe")
+        slices = [
+            system.make_virtual_device_set().add_slice(tpu_devices=2, island_id=i)
+            for i in (0, 1)
+        ]
+        spec = TensorSpec((probe_elems,))
+        fa, fb = (
+            client.wrap(
+                CompiledFunction(
+                    f"probe_{part}", (spec,), (spec,), fn=None,
+                    n_shards=2, duration_us=_PROBE_COMPUTE_US,
+                ),
+                devices=devs,
+            )
+            for part, devs in zip("ab", slices)
+        )
+
+        @client.program
+        def probe(v):
+            return (fb(fa(v)),)
+
+        arr = np.zeros(probe_elems, dtype=np.float32)
+        procs.append(sim.process(_prober(
+            system, client, probe.trace(arr), arr, n_probes, resilient,
+            probe_stats,
+        )))
+    start = sim.now
+    done = sim.all_of(procs)
+
+    def result() -> NetCongestionResult:
+        elapsed = max(done.value, default=start) - start
+        delivered = sum(s["bytes"] for s in sender_stats)
+        latencies = probe_stats["latencies"]
+        net = system.transport.stats()
+        return NetCongestionResult(
+            n_senders=n_senders,
+            offered_gbps=n_senders * config.dcn_bandwidth_gbps,
+            achieved_gbps=(delivered / elapsed / 1000.0) if elapsed > 0 else 0.0,
+            uplink_gbps=config.net_island_uplink_gbps,
+            bytes_delivered=delivered,
+            elapsed_us=elapsed,
+            probe_latency_us=(sum(latencies) / len(latencies)) if latencies else 0.0,
+            probes_run=len(latencies),
+            probe_failures=probe_stats["failures"],
+            messages_lost=net.messages_lost,
+            retransmits=net.retransmits,
+            fabric_idle=net.fabric.idle,
+            nic_slots_leaked=sum(
+                h.nic.in_use + h.nic.queue_len for h in system.cluster.hosts
+            ),
+            spine_paths=config.spine_paths,
+            reroutes=net.reroutes,
+            messages_parked=net.messages_parked,
+            lost_by_reason=net.lost_by_reason,
+            link_faults=system.recovery.stats().link_faults if system.recovery else 0,
+            per_sender_bytes=[s["bytes"] for s in sender_stats],
+            fabric=net.fabric,
+            system_handle=system,
+        )
+
+    return SimpleNamespace(done=done, result=result)
 
 
 def run_net_congestion(
@@ -196,87 +299,21 @@ def run_net_congestion(
             f"{n_senders} senders exceed island of {hosts_per_island} hosts"
         )
     crash = crash_sender_at is not None
-    config = config.with_overrides(
-        net_contention=contention,
-        spine_paths=spine_paths,
-    )
     system = PathwaysSystem.build(
-        ClusterSpec(
-            islands=((hosts_per_island, devices_per_host),) * 2, name="netload"
-        ),
-        config=config,
+        ClusterSpec(islands=((hosts_per_island, devices_per_host),) * 2, name="netload"),
+        config=config.with_overrides(net_contention=contention, spine_paths=spine_paths),
         log_schedule=log_schedule,
         tracer=tracer,
     )
     recovery = RecoveryManager(system, detection_us=200.0)
     sim = system.sim
-    transport = system.transport
-    src_hosts = system.cluster.islands[0].hosts
-    dst_hosts = system.cluster.islands[1].hosts
-
-    sender_stats = [{"bytes": 0} for _ in range(n_senders)]
-    procs = []
-    #: One message's end-to-end pipeline span; spreading a host's
-    #: streams across it keeps its NIC continuously fed.
-    stream_phase_us = (
-        flow_bytes / config.dcn_bytes_per_us / max(1, streams)
+    tenant = attach_netload(
+        system, n_senders, streams, flow_bytes, duration_us, n_probes,
+        probe_elems, resilient=crash,
     )
-    for i in range(n_senders):
-        src = src_hosts[i]
-        dst = dst_hosts[i % len(dst_hosts)]
-        for s in range(streams):
-            procs.append(
-                sim.process(
-                    _sender_stream(
-                        system, src, dst, flow_bytes, duration_us,
-                        crash, sender_stats[i],
-                        stagger_us=s * stream_phase_us,
-                    ),
-                )
-            )
-
-    probe_stats = {"latencies": [], "failures": 0}
-    if n_probes > 0:
-        client = system.client("probe")
-        devs_a = system.make_virtual_device_set().add_slice(
-            tpu_devices=2, island_id=0
-        )
-        devs_b = system.make_virtual_device_set().add_slice(
-            tpu_devices=2, island_id=1
-        )
-        spec = TensorSpec((probe_elems,))
-        fa = client.wrap(
-            CompiledFunction(
-                "probe_a", (spec,), (spec,), fn=None,
-                n_shards=2, duration_us=_PROBE_COMPUTE_US,
-            ),
-            devices=devs_a,
-        )
-        fb = client.wrap(
-            CompiledFunction(
-                "probe_b", (spec,), (spec,), fn=None,
-                n_shards=2, duration_us=_PROBE_COMPUTE_US,
-            ),
-            devices=devs_b,
-        )
-
-        @client.program
-        def probe(v):
-            return (fb(fa(v)),)
-
-        arr = np.zeros(probe_elems, dtype=np.float32)
-        probe_program = probe.trace(arr)
-        procs.append(
-            sim.process(
-                _prober(
-                    system, client, probe_program, arr, n_probes,
-                    crash, probe_stats,
-                ),
-            )
-        )
 
     if crash:
-        victim = src_hosts[0]
+        victim = system.cluster.islands[0].hosts[0]
         sim.timeout(crash_sender_at).add_callback(
             lambda ev: recovery.crash_host(victim)
         )
@@ -287,47 +324,14 @@ def run_net_congestion(
 
     if link_down_at is not None:
         target_link = "spine" if spine_paths == 1 else "spine[p0]"
-        FaultInjector(
-            recovery,
-            FaultSchedule().link_down(
-                link_down_at, target_link, repair_us=link_repair_us
-            ),
-        )
+        FaultInjector(recovery, FaultSchedule().link_down(
+            link_down_at, target_link, repair_us=link_repair_us
+        ))
 
-    start = sim.now
-    sim.run_until_triggered(sim.all_of(procs))
-    elapsed = sim.now - start
-
-    delivered = sum(s["bytes"] for s in sender_stats)
-    latencies = probe_stats["latencies"]
-    net = transport.stats()
-    nic_slots_leaked = sum(
-        h.nic.in_use + h.nic.queue_len for h in system.cluster.hosts
-    )
-    return NetCongestionResult(
-        n_senders=n_senders,
-        offered_gbps=n_senders * config.dcn_bandwidth_gbps,
-        achieved_gbps=(delivered / elapsed / 1000.0) if elapsed > 0 else 0.0,
-        uplink_gbps=config.net_island_uplink_gbps,
-        bytes_delivered=delivered,
-        elapsed_us=elapsed,
-        probe_latency_us=(sum(latencies) / len(latencies)) if latencies else 0.0,
-        probes_run=len(latencies),
-        probe_failures=probe_stats["failures"],
-        messages_lost=net.messages_lost,
-        retransmits=net.retransmits,
-        fabric_idle=net.fabric.idle,
-        nic_slots_leaked=nic_slots_leaked,
-        crash_injected=crash,
-        spine_paths=spine_paths,
-        reroutes=net.reroutes,
-        messages_parked=net.messages_parked,
-        lost_by_reason=net.lost_by_reason,
-        link_faults=recovery.stats().link_faults,
-        per_sender_bytes=[s["bytes"] for s in sender_stats],
-        fabric=net.fabric,
-        system_handle=system,
-    )
+    sim.drain(tenant.done)
+    result = tenant.result()
+    result.crash_injected = crash
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -403,12 +407,12 @@ def run_flow_fleet(n_flows: int = 2600) -> FlowFleetResult:
                 ),
             )
         )
-    sim.run_until_triggered(sim.all_of(procs))
+    elapsed_us = sim.drain(sim.all_of(procs))
     fabric = system.transport.stats().fabric
     return FlowFleetResult(
         n_flows=n_flows,
         peak_concurrent_flows=fabric.peak_concurrent_flows,
-        elapsed_us=sim.now,
+        elapsed_us=elapsed_us,
         events=sim.stats().events_processed,
         deliveries=deliveries,
         fabric=fabric,

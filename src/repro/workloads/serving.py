@@ -1,7 +1,8 @@
 """Open-loop online-serving workload (the repro.serve scenario family).
 
-Arrival-process generators plus ``run_serving``, the driver the serving
-benchmarks and tests build on: an open-loop client population (arrivals
+Arrival-process generators, :func:`attach_serving` (the tenant, on any
+system) and ``run_serving``, the driver the serving benchmarks and tests
+build on: an open-loop client population (arrivals
 do not wait for completions — the defining property of SLO studies)
 pushes requests over the routed fabric into a
 :class:`~repro.serve.frontend.Frontend`, continuous batchers coalesce
@@ -23,6 +24,8 @@ Deterministic: all randomness flows from the seeded generator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from inspect import signature
+from types import SimpleNamespace
 from typing import Generator, Optional
 
 import numpy as np
@@ -37,6 +40,7 @@ from repro.serve import Autoscaler, Frontend, LatencyRecorder, ReplicaSet
 
 __all__ = [
     "ServingResult",
+    "attach_serving",
     "diurnal_arrivals",
     "poisson_arrivals",
     "run_serving",
@@ -92,7 +96,9 @@ def diurnal_arrivals(
 # -- results ------------------------------------------------------------------
 @dataclass
 class ServingResult:
-    """Outcome of one serving run."""
+    """Outcome of one serving tenant: its own frontend's and replica
+    set's, except ``recoveries``, ``messages_lost`` and ``fabric_idle``,
+    which are system-wide (every tenant shares recovery and transport)."""
 
     arrival: str
     offered_rps: float
@@ -124,7 +130,7 @@ class ServingResult:
     scale_ups: int
     scale_downs: int
     width_history: list[tuple[float, int]] = field(default_factory=list)
-    #: Per-client scheduler deadline evictions (typed counter sum).
+    #: Scheduler deadline evictions summed over this tenant's replica clients.
     deadline_rejections: int = 0
     recoveries: int = 0
     messages_lost: int = 0
@@ -136,26 +142,159 @@ class ServingResult:
         return sum(self.rejections.values())
 
 
-# -- the driver ---------------------------------------------------------------
-def _arrival_driver(
-    frontend: Frontend,
-    arrivals: np.ndarray,
-    src_hosts: list,
-    prompt_tokens: int,
-    gen_tokens: int,
-    slo_us: float,
-) -> Generator:
-    sim = frontend.sim
-    for i, t in enumerate(arrivals):
-        delay = float(t) - sim.now
-        if delay > 0:
-            yield sim.timeout(delay)
-        frontend.submit_from(
-            src_hosts[i % len(src_hosts)], prompt_tokens, gen_tokens, slo_us
+# -- the tenant ---------------------------------------------------------------
+def attach_serving(
+    system: PathwaysSystem,
+    arrival: str = "poisson",
+    rate_rps: float = 400.0,
+    duration_us: float = 500_000.0,
+    n_replicas: int = 2,
+    devices_per_replica: int = 4,
+    model: TransformerConfig = DECODER_3B,
+    nominal_params: Optional[int] = None,
+    efficiency: float = 0.5,
+    prompt_tokens: int = 24,
+    gen_tokens: int = 8,
+    slo_us: float = 50_000.0,
+    max_batch: int = 8,
+    max_wait_us: float = 2_000.0,
+    max_in_flight: int = 2,
+    weights_bytes: int = 64 << 20,
+    admission: bool = True,
+    admission_slack: float = 1.0,
+    max_queue_per_replica: int = 64,
+    autoscale: bool = False,
+    min_replicas: Optional[int] = None,
+    max_replicas: int = 4,
+    autoscale_interval_us: float = 5_000.0,
+    shrink_patience: int = 3,
+    diurnal_amplitude: float = 0.8,
+    fail_replica_at: Optional[float] = None,
+    repair_us: float = 30_000.0,
+    seed: int = 0,
+) -> SimpleNamespace:
+    """Attach an open-loop serving tenant: a frontend, its replica set
+    and an arrival process (:func:`run_serving` documents the
+    parameters; the drill needs the system's recovery manager).
+
+    Returns a handle: ``done`` triggers once every request has arrived
+    and settled; ``result()`` then reports the run.
+    """
+    sim = system.sim
+    replicas = ReplicaSet(
+        system, model=model, devices_per_replica=devices_per_replica,
+        tokens_per_request=prompt_tokens + gen_tokens, efficiency=efficiency,
+        weights_bytes=weights_bytes, max_batch=max_batch,
+        max_wait_us=max_wait_us, max_in_flight=max_in_flight,
+        nominal_params=nominal_params,
+    )
+    frontend = Frontend(
+        system, replicas, LatencyRecorder(), admission=admission,
+        admission_slack=admission_slack,
+        max_queue_per_replica=max_queue_per_replica,
+    )
+    for _ in range(n_replicas):
+        if replicas.grow(initial=True) is None:
+            raise RuntimeError("no island slot for an initial replica")
+    if autoscale:
+        Autoscaler(
+            system, frontend, replicas,
+            min_replicas=min_replicas if min_replicas is not None else n_replicas,
+            max_replicas=max_replicas, interval_us=autoscale_interval_us,
+            shrink_patience=shrink_patience,
         )
-    yield frontend.close()
+
+    if arrival == "poisson":
+        arrivals = poisson_arrivals(rate_rps, duration_us, seed=seed)
+        offered_rps = rate_rps
+    elif arrival == "diurnal":
+        arrivals = diurnal_arrivals(
+            rate_rps, duration_us, amplitude=diurnal_amplitude, seed=seed
+        )
+        offered_rps = arrivals.size / (duration_us / 1e6)
+    else:
+        raise ValueError(f"unknown arrival process {arrival!r}")
+
+    if fail_replica_at is not None:
+        recovery = system.recovery
+
+        def _fail(ev) -> None:
+            if not replicas.replicas:
+                return  # the autoscaler emptied the pool; nothing to kill
+            victim = replicas.replicas[0]
+            if victim.vslice.bound:
+                device = victim.vslice.group.devices[0]
+                recovery.fail_device(device, reason="serving replica drill")
+                if repair_us > 0:
+                    sim.timeout(repair_us).add_callback(
+                        lambda e, d=device: recovery.repair_device(d)
+                    )
+
+        sim.timeout(fail_replica_at).add_callback(_fail)
+
+    start = sim.now
+    src_hosts = list(system.cluster.hosts)
+
+    def _arrival_driver() -> Generator:
+        for i, t in enumerate(arrivals):
+            delay = float(t) - sim.now
+            if delay > 0:
+                yield sim.timeout(delay)
+            frontend.submit_from(
+                src_hosts[i % len(src_hosts)], prompt_tokens, gen_tokens, slo_us
+            )
+        yield frontend.close()
+        return sim.now  # the instant the last request settled
+
+    def result() -> ServingResult:
+        sys_stats = system.stats()
+        serve_stats = frontend.stats()
+        snap = serve_stats.latency
+        arrived = serve_stats.arrived
+        return ServingResult(
+            arrival=arrival,
+            offered_rps=offered_rps,
+            duration_us=duration_us,
+            elapsed_us=done.value - start,
+            arrived=arrived,
+            admitted=serve_stats.admitted,
+            completed=serve_stats.completed,
+            rejections=dict(serve_stats.rejections),
+            abandoned=serve_stats.abandoned,
+            slo_us=slo_us,
+            slo_attainment=snap.slo_met / arrived if arrived else 1.0,
+            goodput_rps=snap.slo_met / (duration_us / 1e6),
+            capacity_rps=replicas.capacity_rps() if replicas.replicas else 0.0,
+            p50_us=snap.p50_us,
+            p95_us=snap.p95_us,
+            p99_us=snap.p99_us,
+            mean_us=snap.mean_us,
+            max_us=snap.max_us,
+            stage_mean_us=snap.stage_mean_us,
+            width_min=replicas.min_width,
+            width_peak=replicas.peak_width,
+            scale_ups=replicas.scale_ups,
+            scale_downs=replicas.scale_downs,
+            width_history=list(replicas.width_history),
+            deadline_rejections=sum(
+                c.deadline_rejections for c in sys_stats.clients
+                if c.name.startswith(f"{replicas.name}.")
+            ),
+            recoveries=sys_stats.recovery.programs_recovered if sys_stats.recovery else 0,
+            messages_lost=sys_stats.net.messages_lost,
+            fabric_idle=system.cluster.fabric.idle,
+            system_handle=system,
+        )
+
+    done = sim.process(_arrival_driver())
+    return SimpleNamespace(done=done, result=result)
 
 
+#: The tenant parameters ``run_serving`` passes through by name.
+_TENANT_PARAMS = tuple(signature(attach_serving).parameters)[1:]
+
+
+# -- the driver ---------------------------------------------------------------
 def run_serving(
     arrival: str = "poisson",
     rate_rps: float = 400.0,
@@ -204,137 +343,25 @@ def run_serving(
     attaches a :class:`repro.telemetry.Tracer` (schedule-neutral: the
     run's event schedule is byte-identical with or without it).
     """
+    args = dict(locals())
     total_devices = islands * hosts_per_island * devices_per_host
     if n_replicas * devices_per_replica > total_devices:
         raise ValueError(
             f"{n_replicas} replicas x {devices_per_replica} devices exceed "
             f"the cluster ({total_devices} devices)"
         )
-    config = config.with_overrides(net_contention=contention)
     system = PathwaysSystem.build(
         ClusterSpec(
             islands=((hosts_per_island, devices_per_host),) * islands,
             name="serve",
         ),
-        config=config,
+        config=config.with_overrides(net_contention=contention),
         policy=EarliestDeadlinePolicy(),
         log_schedule=log_schedule,
         tracer=tracer,
     )
-    recovery = RecoveryManager(system, detection_us=500.0)
+    RecoveryManager(system, detection_us=500.0)
     ElasticController(system)
-    sim = system.sim
-
-    replicas = ReplicaSet(
-        system,
-        model=model,
-        devices_per_replica=devices_per_replica,
-        tokens_per_request=prompt_tokens + gen_tokens,
-        efficiency=efficiency,
-        weights_bytes=weights_bytes,
-        max_batch=max_batch,
-        max_wait_us=max_wait_us,
-        max_in_flight=max_in_flight,
-        nominal_params=nominal_params,
-    )
-    recorder = LatencyRecorder()
-    frontend = Frontend(
-        system,
-        replicas,
-        recorder,
-        admission=admission,
-        admission_slack=admission_slack,
-        max_queue_per_replica=max_queue_per_replica,
-    )
-    for _ in range(n_replicas):
-        if replicas.grow(initial=True) is None:
-            raise RuntimeError("no island slot for an initial replica")
-    if autoscale:
-        Autoscaler(
-            system,
-            frontend,
-            replicas,
-            min_replicas=min_replicas if min_replicas is not None else n_replicas,
-            max_replicas=max_replicas,
-            interval_us=autoscale_interval_us,
-            shrink_patience=shrink_patience,
-        )
-
-    if arrival == "poisson":
-        arrivals = poisson_arrivals(rate_rps, duration_us, seed=seed)
-        offered_rps = rate_rps
-    elif arrival == "diurnal":
-        arrivals = diurnal_arrivals(
-            rate_rps, duration_us, amplitude=diurnal_amplitude, seed=seed
-        )
-        offered_rps = arrivals.size / (duration_us / 1e6)
-    else:
-        raise ValueError(f"unknown arrival process {arrival!r}")
-
-    if fail_replica_at is not None:
-        def _fail(ev) -> None:
-            if not replicas.replicas:
-                return  # the autoscaler emptied the pool; nothing to kill
-            victim = replicas.replicas[0]
-            if victim.vslice.bound:
-                device = victim.vslice.group.devices[0]
-                recovery.fail_device(device, reason="serving replica drill")
-                if repair_us > 0:
-                    sim.timeout(repair_us).add_callback(
-                        lambda e, d=device: recovery.repair_device(d)
-                    )
-
-        sim.timeout(fail_replica_at).add_callback(_fail)
-
-    src_hosts = list(system.cluster.hosts)
-    driver = sim.process(
-        _arrival_driver(
-            frontend, arrivals, src_hosts, prompt_tokens, gen_tokens, slo_us
-        ),
-    )
-    start = sim.now
-    sim.run_until_triggered(driver)
-    elapsed = sim.now - start
-
-    # The unified snapshot is the one read path for every counter the
-    # result reports: frontend outcomes, latency aggregates, per-client
-    # rejections, transport losses, and recovery all come from a single
-    # consistent ``system.stats()`` tree.
-    sys_stats = system.stats()
-    serve_stats = sys_stats.serve[0]
-    snap = serve_stats.latency
-    arrived = serve_stats.arrived
-    slo_attainment = snap.slo_met / arrived if arrived else 1.0
-    goodput_rps = snap.slo_met / (duration_us / 1e6)
-    deadline_rejections = sum(c.deadline_rejections for c in sys_stats.clients)
-    return ServingResult(
-        arrival=arrival,
-        offered_rps=offered_rps,
-        duration_us=duration_us,
-        elapsed_us=elapsed,
-        arrived=arrived,
-        admitted=serve_stats.admitted,
-        completed=serve_stats.completed,
-        rejections=dict(serve_stats.rejections),
-        abandoned=serve_stats.abandoned,
-        slo_us=slo_us,
-        slo_attainment=slo_attainment,
-        goodput_rps=goodput_rps,
-        capacity_rps=replicas.capacity_rps() if replicas.replicas else 0.0,
-        p50_us=snap.p50_us,
-        p95_us=snap.p95_us,
-        p99_us=snap.p99_us,
-        mean_us=snap.mean_us,
-        max_us=snap.max_us,
-        stage_mean_us=snap.stage_mean_us,
-        width_min=replicas.min_width,
-        width_peak=replicas.peak_width,
-        scale_ups=replicas.scale_ups,
-        scale_downs=replicas.scale_downs,
-        width_history=list(replicas.width_history),
-        deadline_rejections=deadline_rejections,
-        recoveries=sys_stats.recovery.programs_recovered,
-        messages_lost=sys_stats.net.messages_lost,
-        fabric_idle=system.cluster.fabric.idle,
-        system_handle=system,
-    )
+    tenant = attach_serving(system, **{k: args[k] for k in _TENANT_PARAMS})
+    system.sim.drain(tenant.done)
+    return tenant.result()
