@@ -81,8 +81,8 @@ def main() -> None:
     print("\n== critical paths (python -m repro.telemetry critpath) ==")
     print(render_report(paths, limit=8))
 
-    # The metrics registry: here fed offline from the span stream (in a
-    # live system a MetricsSampler drives it on a recurring sim-time timer).
+    # The metrics registry, fed from the span stream and sampled by hand
+    # (it creates no sim events).
     registry = MetricsRegistry()
     lat = registry.histogram("serve.request_latency_us")
     for span in tracer.by_cat("serve.request"):

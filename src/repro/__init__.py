@@ -7,8 +7,8 @@ XLA-like compiled functions (:mod:`repro.xla`), PLAQUE-like sharded
 dataflow (:mod:`repro.plaque`), the Pathways single-controller runtime
 (:mod:`repro.core`), baseline systems (:mod:`repro.baselines`),
 Transformer workload models (:mod:`repro.models`), and one span stream
-for observability — causal spans, device timelines, metrics
-(:mod:`repro.telemetry`).  How fast the simulator itself runs is
+for observability — causal spans, device utilization and timelines
+from kernel spans, metrics (:mod:`repro.telemetry`).  How fast the simulator itself runs is
 measured by ``benchmarks/e2e/``.
 
 Quick start::

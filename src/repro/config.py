@@ -77,7 +77,7 @@ class SystemConfig:
     #: Backoff between retransmit attempts of a reliable send.
     net_retransmit_backoff_us: float = 500.0
     #: How much per-link busy history the fabric keeps for the
-    #: :meth:`repro.net.Fabric.utilization` sliding window — the signal
+    #: :meth:`repro.net.Fabric.uplink_utilization` sliding window — the signal
     #: serving replica placement (and, later, congestion-aware placement)
     #: reads.
     net_util_window_us: float = 100_000.0

@@ -43,7 +43,6 @@ class PwCallable:
         self.fn = fn
         self.devices = devices
         self._solo_program = None
-        client.system.resource_manager.register_computation(fn)
 
     @property
     def solo_program(self):

@@ -43,7 +43,7 @@ from repro.core.ir import LowLevelNode, LowLevelProgram, TransferRoute
 from repro.core.object_store import MemorySpace, ObjectHandle
 from repro.core.program import unflatten
 from repro.core.scheduler import DeadlineExceeded
-from repro.hw.device import unwrap_fault
+from repro.faults import unwrap_fault
 from repro.sim import Event
 
 if TYPE_CHECKING:  # pragma: no cover

@@ -2,9 +2,8 @@
 
 Owns every device on every island; binds virtual slices to physical
 device groups with a load-spreading heuristic (one-to-one virtual to
-physical); tracks background compilation of registered computations; and
-supports dynamic addition/removal of islands ("backend compute resources
-to be added and removed dynamically").
+physical); and supports dynamic addition/removal of islands ("backend
+compute resources to be added and removed dynamically").
 """
 
 from __future__ import annotations
@@ -16,9 +15,7 @@ from repro.core.placement import DeviceGroup
 from repro.core.virtual_device import VirtualSlice
 from repro.hw.cluster import Cluster
 from repro.hw.topology import Island
-from repro.sim import Event, Simulator
-from repro.xla.compiler import Compiler
-from repro.xla.computation import CompiledFunction
+from repro.sim import Simulator
 
 __all__ = ["ResourceManager"]
 
@@ -50,7 +47,6 @@ class ResourceManager:
         #: it, so multi-tenant paper-scale churn runs simulate disjoint
         #: tenants on disjoint cores instead of falsely contending.
         self.disjoint_aggregate_reps = disjoint_aggregate_reps
-        self.compiler = Compiler()
         self._islands: dict[int, Island] = {
             isl.island_id: isl for isl in cluster.islands
         }
@@ -280,19 +276,3 @@ class ResourceManager:
             # Leave the slice trackable so a later retry can rebind it.
             self._bound[vslice.slice_id] = vslice
             raise
-
-    # -- compilation tracking ---------------------------------------------
-    def register_computation(self, fn: CompiledFunction) -> Event:
-        """Trigger background compilation; event fires when ready.
-
-        Registration returns immediately — servers compile in the
-        background (paper §4.2) — so callers overlap compilation with
-        program construction.
-        """
-        _, cost = self.compiler.lookup(fn)
-        done = self.sim.event(name=lambda: f"compile:{fn.name}")
-        if cost <= 0:
-            done.succeed(None)
-        else:
-            self.sim.timeout(cost).add_callback(lambda ev: done.succeed(None))
-        return done

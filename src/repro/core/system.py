@@ -5,14 +5,15 @@ object store, and one gang scheduler per island, and hands out
 :class:`~repro.core.client.PathwaysClient` instances.  It is the
 public entry point of the library::
 
-    from repro import PathwaysSystem, config_b
+    import numpy as np
+    from repro import PathwaysSystem, TensorSpec, config_b
 
     pw = PathwaysSystem.build(config_b(n_hosts=4))
     client = pw.client("alice")
     devs = pw.make_virtual_device_set().add_slice(tpu_devices=8)
     double = client.wrap_fn(lambda x: x * 2.0, devices=devs, duration_us=50,
                             spec=TensorSpec((2,)))
-    print(client.call(double, np.array([1.0, 2.0])))
+    print(double(np.array([1.0, 2.0], dtype=np.float32)))  # [2. 4.]
 """
 
 from __future__ import annotations
@@ -192,9 +193,6 @@ class PathwaysSystem:
         client = PathwaysClient(self, name=name)
         self._clients[name] = client
         return client
-
-    def mean_utilization(self) -> float:
-        return self.cluster.mean_utilization()
 
     # -- observability -----------------------------------------------------
     def stats(self):

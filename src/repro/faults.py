@@ -2,8 +2,8 @@
 
 Lives outside :mod:`repro.hw` so that leaf subsystems (the network
 transport, the hardware model, resilience) can all raise
-:class:`FaultError` subclasses without import cycles.  The historical
-import path ``repro.hw.device.FaultError`` still works (re-exported).
+:class:`FaultError` subclasses without import cycles.  This is the one
+import path for both names.
 """
 
 from __future__ import annotations

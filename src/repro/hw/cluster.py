@@ -109,12 +109,6 @@ class Cluster:
                 return isl.devices[device_id - base]
         raise KeyError(f"no device {device_id} in cluster {self.spec.name}")
 
-    def mean_utilization(self) -> float:
-        devs = self.devices
-        if not devs or self.sim.now <= 0:
-            return 0.0
-        return sum(d.busy_us for d in devs) / (len(devs) * self.sim.now)
-
 
 def make_cluster(
     sim: Simulator,

@@ -20,7 +20,7 @@ A gang's devices that hold identical FIFOs drain as one
 :class:`Lane`: :func:`enqueue_gang` appends a shared kernel once for
 all of them, and the pop, gate wait, rendezvous join and completion run
 once per kernel instead of once per device, with every device's
-counters and busy time exact.  A lone device is the lane of itself.
+counters exact.  A lone device is the lane of itself.
 """
 
 from __future__ import annotations
@@ -39,13 +39,11 @@ __all__ = [
     "CollectiveRendezvous",
     "Device",
     "DeviceFailure",
-    "FaultError",
     "HbmAllocator",
     "Kernel",
     "Lane",
     "enqueue_gang",
     "lane_of",
-    "unwrap_fault",
 ]
 
 
@@ -392,9 +390,8 @@ class Lane:
     one pop, one wait per phase (the lane itself is the one callback it
     registers), one ``join(n)`` on the rendezvous and one completion,
     however wide the gang.  Per-member statistics stay exact: the lane
-    counts kernels run and aborted since it formed, and keeps one
-    running busy-time sum per distinct starting total of its members,
-    so each member's ``busy_us`` is the float its own sum would be.
+    counts kernels run and aborted since it formed, each counting for
+    every member.
 
     Its phases are pop (or idle-wait) -> gate -> launch -> compute or
     collective (whose release covers the compute) -> complete -> next.
@@ -423,10 +420,8 @@ class Lane:
         self._waiting_on: Optional[Event] = None
         self._phase: Optional[Callable[["Lane", Optional[Event]], None]] = None
         self._start_us = 0.0
-        #: Busy time, one running sum per distinct starting total (see
-        #: ``Device._busy_slot``), and kernels run and aborted since the
-        #: lane formed, each counting for every member.
-        self._busy = [0.0]
+        #: Kernels run and aborted since the lane formed, each counting
+        #: for every member.
         self._runs = 0
         self._aborts = 0
 
@@ -447,11 +442,9 @@ class Lane:
         becomes theirs at the same position, so callback order and the
         schedule do not change.
         """
-        busy, queue = self._busy, self._queue
+        queue = self._queue
         for device in self.members:
             device._lane = device
-            device._busy = [busy[device._busy_slot]]
-            device._busy_slot = 0
             device._runs0 += self._runs
             device._aborts0 += self._aborts
             device._queue = deque(queue)
@@ -534,7 +527,7 @@ class Lane:
             # Launch folded into the rendezvous release: join now
             # (uniformly launch_us early for every member, so the last
             # joiner still determines the same completion time) and
-            # account the busy window from the post-launch instant.
+            # trace the kernel from the post-launch instant.
             self._start_us = self.sim._now + collective.launch_us
             self._join(collective)
             return
@@ -567,13 +560,10 @@ class Lane:
             self._peer_fault(ev._exc)  # released from an aborted rendezvous
             return
         kernel, self._current = self._current, None
-        start, end = self._start_us, self.sim._now
-        busy = self._busy
-        for i, total in enumerate(busy):
-            busy[i] = total + (end - start)
         self._runs += 1
         tr = self.sim.tracer
         if tr is not None:
+            start, end = self._start_us, self.sim._now
             for device in self.members:
                 tr.complete(
                     kernel.tag or kernel.program or "kernel",
@@ -671,14 +661,11 @@ def _form_lane(members: tuple) -> Lane:
     """A lane over idle devices, each keeping its statistics."""
     first = members[0]
     lane = Lane(first.sim, first.config, members)
-    totals: dict[float, int] = {}
     for device in members:
-        device._busy_slot = totals.setdefault(device._busy[0], len(totals))
         device._runs0 += device._runs
         device._aborts0 += device._aborts
         device._runs = device._aborts = 0
         device._lane = lane
-    lane._busy = list(totals)
     return lane
 
 
@@ -695,8 +682,8 @@ class Device(Lane):
     lockstep with its gang, its lane (``_lane``) holds the drain state
     and its own is empty; anything that touches the device alone --
     :meth:`enqueue`, :meth:`fail`, :meth:`restart`,
-    :meth:`apply_idle_fault` -- splits that lane first.  ``busy_us``,
-    ``kernels_run`` and ``kernels_aborted`` read through the lane.
+    :meth:`apply_idle_fault` -- splits that lane first.  ``kernels_run``
+    and ``kernels_aborted`` read through the lane.
     """
 
     def __init__(
@@ -721,9 +708,7 @@ class Device(Lane):
         )
         #: The lane this device drains in: itself, or a lockstep gang's.
         self._lane: Lane = self
-        #: This device's running sum in its lane's ``_busy``, and its
-        #: kernels run and aborted before the lane formed.
-        self._busy_slot = 0
+        #: Kernels run and aborted before the lane formed.
         self._runs0 = 0
         self._aborts0 = 0
         self._failed = False
@@ -742,11 +727,6 @@ class Device(Lane):
     @property
     def name(self) -> str:
         return f"d{self.device_id}"
-
-    @property
-    def busy_us(self) -> float:
-        """Time spent executing kernels (µs)."""
-        return self._lane._busy[self._busy_slot]
 
     @property
     def kernels_run(self) -> int:
@@ -868,9 +848,3 @@ class Device(Lane):
             self._up[self._slot] = 1
             self._idle = True
         return True
-
-    def utilization(self) -> float:
-        """Fraction of wall-clock time spent executing kernels so far."""
-        if self.sim.now <= 0:
-            return 0.0
-        return min(1.0, self.busy_us / self.sim.now)

@@ -16,9 +16,8 @@ where ``retry_on_failure`` catches it.
 
 The hosts of a group that prep in lockstep share one CPU slot
 (:class:`HostLane`): a prep over all of them takes one grant and one
-release, with every host's CPU busy time exact.  A crash, or anything
-else that touches one member alone, hands each host its own CPU back
-first.
+release.  A crash, or anything else that touches one member alone,
+hands each host its own CPU back first.
 """
 
 from __future__ import annotations
@@ -26,9 +25,10 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence
 
 from repro.config import SystemConfig
+from repro.faults import FaultError
 from repro.sim import Event, Resource, Simulator
 
-from repro.hw.device import Device, FaultError, lane_of
+from repro.hw.device import Device, lane_of
 
 __all__ = ["Host", "HostFailure", "HostLane", "prep_hosts"]
 
@@ -52,15 +52,14 @@ class HostLane:
 
     A lane is fed only by :func:`prep_hosts` calls over exactly its
     members, so every member's serial CPU holds and queues the same
-    preps at the same instants.  One CPU slot (a :class:`_LaneCpu`)
-    therefore stands for every member's: a prep over the lane takes one
-    grant and one release, and its :class:`_PrepState` settles the
-    parts of all members at once.  A :class:`Host` is the lane of
-    itself alone.  A lane of several forms only when all of its members
-    are up with idle CPUs, and splits back into them
-    (:meth:`_split`) before anything touches one of them alone -- a
-    prep over other hosts, :meth:`Host.crash`, or a read of
-    :attr:`Host.cpu`.
+    preps at the same instants.  One CPU slot therefore stands for
+    every member's: a prep over the lane takes one grant and one
+    release, and its :class:`_PrepState` settles the parts of all
+    members at once.  A :class:`Host` is the lane of itself alone.  A
+    lane of several forms only when all of its members are up with idle
+    CPUs, and splits back into them (:meth:`_split`) before anything
+    touches one of them alone -- a prep over other hosts,
+    :meth:`Host.crash`, or a read of :attr:`Host.cpu`.
     """
 
     #: A shared lane never holds a crashed host (a crash splits it
@@ -95,8 +94,6 @@ class HostLane:
         for host in members:
             own = host._cpu
             own._in_use = cpu._in_use
-            own._busy_accum = cpu.sums[host._cpu_slot]
-            own._last_change = cpu._last_change
             host._lane = host
         # In issue order: the CPU is granted first come first served, so
         # the prep holding it (if any) comes first, then the queue.
@@ -154,10 +151,8 @@ class Host(HostLane):
         self.host_id = host_id
         self.island_id = island_id
         self.devices: list[Device] = []
-        #: The lane this host's CPU serves in: itself, or a lockstep
-        #: group's; and its running busy-time sum in that lane's CPU.
+        #: The lane this host's CPU serves in: itself, or a lockstep group's.
         self._lane: HostLane = self
-        self._cpu_slot = 0
         #: NIC egress serialization for DCN sends (leak-checked too).
         self.nic = Resource(
             sim,
@@ -235,28 +230,6 @@ class Host(HostLane):
         prep_hosts((self,), work_us, lambda exc, parts=1: on_done(exc))
 
 
-class _LaneCpu(Resource):
-    """A host lane's serial CPU: one slot standing for each member's.
-
-    Members may join with different busy-time totals, so it keeps one
-    running sum per distinct total (``sums``), each advanced exactly as
-    that member's own CPU would be.
-    """
-
-    def __init__(self, sim: Simulator, name: str, sums: list[float]):
-        super().__init__(sim, capacity=1, name=name, leak_check=True)
-        self.sums = sums
-        self._last_change = sim._now
-
-    def _account(self) -> None:
-        now = self.sim._now
-        step = self._in_use * (now - self._last_change)
-        sums = self.sums
-        for i, total in enumerate(sums):
-            sums[i] = total + step
-        self._last_change = now
-
-
 def prep_hosts(
     hosts: Sequence[Host], work_us: float, on_parts: Callable[..., None]
 ) -> None:
@@ -299,12 +272,10 @@ def _start_prep(lane: HostLane, work_us: float, on_parts: Callable[..., None]) -
 
 
 def _form_lane(members: tuple) -> HostLane:
-    """A lane over quiet hosts, each keeping its CPU's busy time."""
-    totals: dict[float, int] = {}
-    for host in members:
-        host._cpu_slot = totals.setdefault(host._cpu._busy_accum, len(totals))
+    """A lane over quiet hosts, sharing one CPU slot."""
     sim = members[0].sim
-    cpu = _LaneCpu(sim, "cpu[" + "+".join(host.name for host in members) + "]", list(totals))
+    name = "cpu[" + "+".join(host.name for host in members) + "]"
+    cpu = Resource(sim, capacity=1, name=name, leak_check=True)
     lane = HostLane(sim, members, cpu)
     for host in members:
         host._lane = lane

@@ -168,7 +168,7 @@ class Link:
         check benches and tests assert after faults."""
         return self.fluid_flows == 0
 
-    # -- busy-time accounting (the utilization snapshot API) ----------------
+    # -- busy-time accounting (the uplink-utilization signal) ---------------
     def _close_busy(self) -> None:
         """Fold the busy period the last flow leaving just ended into
         the busy log.  A link is *busy* while at least one flow crosses
@@ -733,8 +733,8 @@ class Fabric:
         """Resolve a link by its stable name, materializing it if needed.
 
         Accepts ``nic_tx[hN]`` / ``nic_rx[hN]`` / ``uplink_tx[iN]`` /
-        ``uplink_rx[iN]`` / ``spine`` / ``spine[pN]`` — the same names
-        :meth:`utilization` reports — so fault schedules can target
+        ``uplink_rx[iN]`` / ``spine`` / ``spine[pN]`` — the links' own
+        :attr:`Link.name` — so fault schedules can target
         links that have not carried traffic yet.
         """
         m = self._LINK_NAME.match(name)
@@ -887,17 +887,6 @@ class Fabric:
             links_down=sum(1 for link in links if not link.up),
             idle=self.idle,
         )
-
-    def utilization(self) -> dict[str, float]:
-        """Per-link busy fraction over the trailing sliding window.
-
-        Keys are link names (``nic_tx[h0]``, ``uplink_rx[i1]``,
-        ``spine``, ...); values are the fraction of the last
-        ``net_util_window_us`` (a config field) the link spent carrying
-        traffic.  It is the seed signal for congestion-aware placement.
-        """
-        now = self.sim.now
-        return {link.name: link.busy_fraction(now) for link in self.links()}
 
     def uplink_utilization(self, island_id: int) -> float:
         """Busier direction of one island's uplink pair (0.0..1.0).  The

@@ -338,9 +338,7 @@ class _Traversal:
 class TransportStats(Stats):
     """One point-in-time snapshot of the transport (and its fabric).
 
-    ``link_utilization`` is the fabric's sliding-window per-link busy
-    fraction (empty when the transport has no fabric); everything else
-    mirrors the transport's cumulative counters at snapshot time.
+    The counters are the transport's cumulative ones at snapshot time.
     ``lost_by_reason`` buckets every loss by its typed category
     (``"host-crash"``, ``"endpoint-down"``, ``"link-down"``,
     ``"timeout"``, ``"park-deadline"``, ``"other"``) — the robustness
@@ -365,25 +363,24 @@ class TransportStats(Stats):
     #: Messages parked right now (waiting for a restore).
     parked_now: int = 0
     lost_by_reason: dict[str, int] = field(default_factory=dict)
-    link_utilization: dict[str, float] = field(default_factory=dict)
-    #: ``FabricStats`` of the attached fabric — fluid-solver counters
-    #: plus the capacity-leak invariant (None when fabric-less).
+    #: ``FabricStats`` of the fabric — fluid-solver counters plus the
+    #: capacity-leak invariant.
     fabric: Optional[object] = None
 
 
 class Transport:
     """Uniform cross-host send API over the fabric.
 
-    With ``fabric=None`` (or ``config.net_contention=False``) behaves as
-    the historical point-to-point DCN cost model; with contention on,
-    messages cross their routes as fluid flows under link contention.
+    With ``config.net_contention=False`` it behaves as the historical
+    point-to-point DCN cost model; with contention on, messages cross
+    their routes as fluid flows under link contention.
     """
 
     def __init__(
         self,
         sim: Simulator,
         config: SystemConfig,
-        fabric: Optional[Fabric] = None,
+        fabric: Fabric,
     ):
         self.sim = sim
         self.config = config
@@ -465,7 +462,7 @@ class Transport:
     # -- mode & cost model -------------------------------------------------
     @property
     def contended(self) -> bool:
-        return self.fabric is not None and self.config.net_contention
+        return self.config.net_contention
 
     def transfer_time_us(self, nbytes: int) -> float:
         """Zero-load point-to-point cost (the uncontended estimate)."""
@@ -478,11 +475,7 @@ class Transport:
         self._loss_listeners.append(fn)
 
     def stats(self) -> TransportStats:
-        """Snapshot the transport counters + per-link utilization.
-
-        Utilization covers the config's ``net_util_window_us`` sliding
-        window; counters are cumulative.
-        """
+        """Snapshot the transport and fabric counters (cumulative)."""
         return TransportStats(
             messages_sent=self.messages_sent,
             bytes_sent=self.bytes_sent,
@@ -497,12 +490,7 @@ class Transport:
             messages_parked=self.messages_parked,
             parked_now=len(self._parked),
             lost_by_reason=dict(self.lost_by_reason),
-            link_utilization=(
-                self.fabric.utilization()
-                if self.fabric is not None
-                else {}
-            ),
-            fabric=self.fabric.stats() if self.fabric is not None else None,
+            fabric=self.fabric.stats(),
         )
 
     # -- the send paths -----------------------------------------------------
@@ -639,8 +627,6 @@ class Transport:
         a restore when no path survives, or — endpoint NIC death only —
         failed with :class:`MessageLost`.  Returns the victim count.
         """
-        if self.fabric is None:
-            raise RuntimeError("transport has no fabric to fail links on")
         victims = self.fabric.take_down(self.fabric.link_by_name(name))
         if victims:
 
@@ -660,8 +646,6 @@ class Transport:
         route (ECMP rehash included) and resumes with its remaining
         bytes.  Returns False if the link was not down.
         """
-        if self.fabric is None:
-            raise RuntimeError("transport has no fabric to restore links on")
         link = self.fabric.link_by_name(name)
         if not self.fabric.restore_link(link):
             return False

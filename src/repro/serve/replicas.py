@@ -8,9 +8,9 @@ without the serving layer naming physical devices), its own
 cache of inference-mode programs per batch shape.
 
 The :class:`ReplicaSet` spreads replicas across islands (respecting
-per-island capacity slots and preferring idle uplinks via the fabric
-utilization snapshot), pays a weights-load transfer when a replica is
-added at runtime, and retires replicas gracefully: a retiring replica
+per-island capacity slots and preferring idle uplinks via
+:meth:`~repro.net.fabric.Fabric.uplink_utilization`), pays a
+weights-load transfer when a replica is added at runtime, and retires replicas gracefully: a retiring replica
 stops receiving new requests, finishes its queue and in-flight batches,
 then releases its slice — the serving analogue of the PR-2 island
 drain/handback discipline.

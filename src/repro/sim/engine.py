@@ -38,9 +38,7 @@ from repro.sim.sanitize import (
 __all__ = [
     "AllOf",
     "DeadlockError",
-    "DoubleTriggerError",
     "Event",
-    "PendingTimeoutReadError",
     "Process",
     "ProcessFailed",
     "Settled",

@@ -52,9 +52,6 @@ class Resource:
         self._in_use = 0
         #: Queued acquire() callbacks, in arrival order.
         self._waiters: Deque[Callable[[], None]] = deque()
-        #: Cumulative busy time integral, for utilization reporting.
-        self._busy_accum = 0.0
-        self._last_change = 0.0
         if sim.sanitize and sim.sanitizer is not None:
             sim.sanitizer.watch(self)
 
@@ -66,16 +63,6 @@ class Resource:
     def queue_len(self) -> int:
         return len(self._waiters)
 
-    def _account(self) -> None:
-        now = self.sim._now
-        self._busy_accum += self._in_use * (now - self._last_change)
-        self._last_change = now
-
-    def busy_time(self) -> float:
-        """Integral of holders over time (µs·holders) up to now."""
-        self._account()
-        return self._busy_accum
-
     def acquire(self, on_grant: Callable[[], None]) -> None:
         """Call ``on_grant()`` once a slot is held, then :meth:`release` it.
 
@@ -83,7 +70,6 @@ class Resource:
         :meth:`release`: no event, no loop entry.
         """
         if self._in_use < self.capacity and not self._waiters:
-            self._account()
             self._in_use += 1
             on_grant()
         else:
@@ -107,7 +93,6 @@ class Resource:
             raise UnbalancedGrantError(
                 f"release of idle resource {self.name!r}"
             )
-        self._account()
         if self._waiters:
             # Hand the slot directly to the next waiter: in_use unchanged.
             self._waiters.popleft()()

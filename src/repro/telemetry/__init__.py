@@ -10,16 +10,15 @@ Three cooperating parts over one span stream:
   (``python -m repro.telemetry critpath``), and turned into device
   utilization, program shares, interleave granularity and ASCII
   timelines by :mod:`repro.telemetry.timeline`.
-* **Metrics registry** (:class:`MetricsRegistry`,
-  :class:`MetricsSampler`) — counters/gauges/probes/histograms sampled
-  on a recurring sim-time timer into exportable time-series.
+* **Metrics registry** (:class:`MetricsRegistry`) — counters and
+  histograms, fed from the span stream and sampled by hand into
+  exportable time-series.
 * **Flight recorder** (:class:`FlightRecorder`) — a bounded ring of
-  recent observations, dumped automatically on ``SanitizerError`` or
-  the first typed message loss.
+  recent observations, dumped automatically on ``SanitizerError`` (the
+  transport's own ``net.lost`` instants land in it like any other).
 
-Tracing creates **no** sim events (golden schedules are byte-identical
-with tracing on/off); the sampler creates exactly one recurring timer
-and is a separate opt-in.
+None of the three creates sim events: golden schedules are
+byte-identical with telemetry on or off.
 """
 
 from repro.telemetry.critpath import (
@@ -31,22 +30,14 @@ from repro.telemetry.critpath import (
 )
 from repro.telemetry.flight import FlightRecorder
 from repro.telemetry.histogram import Histogram, percentile
-from repro.telemetry.metrics import (
-    Counter,
-    Gauge,
-    MetricsRegistry,
-    MetricsSampler,
-    standard_probes,
-)
+from repro.telemetry.metrics import Counter, MetricsRegistry
 from repro.telemetry.spans import Span, Tracer
 
 __all__ = [
     "Counter",
     "FlightRecorder",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "MetricsSampler",
     "RequestPath",
     "STAGES",
     "Span",
@@ -54,6 +45,5 @@ __all__ = [
     "critical_paths",
     "percentile",
     "render_report",
-    "standard_probes",
     "summarize",
 ]

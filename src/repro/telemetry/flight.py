@@ -3,16 +3,12 @@
 Attached to a :class:`~repro.telemetry.spans.Tracer` (``Tracer(flight=
 FlightRecorder())``), it shadows every span/instant the tracer emits
 into a ``deque(maxlen=capacity)`` — O(capacity) memory no matter how
-long the run — and dumps the ring automatically at the moments a
-post-mortem is worth having:
-
-* a :class:`~repro.sim.sanitize.SanitizerError` at drain time (the
-  engine's natural-drain leak sweep; ``Simulator.run`` dumps before
-  re-raising), which covers drain-leaks too — they *are* typed
-  sanitizer errors;
-* the first typed in-flight message loss, when watching a transport via
-  :meth:`watch_transport` (``MessageLost`` categories: host-crash,
-  link-down, park-deadline, ...).
+long the run — and dumps the ring automatically on a
+:class:`~repro.sim.sanitize.SanitizerError` at drain time (the
+engine's natural-drain leak sweep; ``Simulator.run`` dumps before
+re-raising), which covers drain-leaks too — they *are* typed sanitizer
+errors.  Message losses need no hook of their own: the transport emits
+a ``net.lost`` instant per loss, which the ring records like any other.
 
 Dumping is a plain text render of the last ``capacity`` entries, newest
 last — exactly the context a scheduler-ordering bug report needs.
@@ -34,7 +30,6 @@ class FlightRecorder:
         self.capacity = capacity
         self.entries: deque = deque(maxlen=capacity)
         self.dumps = 0
-        self._loss_dumped = False
 
     # -- feed (called by the tracer on every emission) ---------------------
     def note(
@@ -46,24 +41,6 @@ class FlightRecorder:
         args: Optional[dict] = None,
     ) -> None:
         self.entries.append((t_us, cat, label, track, args))
-
-    # -- transport hook ----------------------------------------------------
-    def watch_transport(self, transport) -> None:
-        """Dump once on the first typed message loss (then keep
-        recording; repeated losses in a crash drill would otherwise spam
-        the console with near-identical rings)."""
-        transport.add_loss_listener(self._on_loss)
-
-    def _on_loss(self, message, cause) -> None:
-        self.note(
-            getattr(message, "sent_at_us", 0.0),
-            "net.lost",
-            getattr(cause, "category", "other"),
-            track="net",
-        )
-        if not self._loss_dumped:
-            self._loss_dumped = True
-            self.dump(reason=f"message loss ({getattr(cause, 'category', 'other')})")
 
     # -- rendering ---------------------------------------------------------
     def render(self) -> str:

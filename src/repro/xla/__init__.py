@@ -19,12 +19,11 @@ This package models compiled functions with two coupled facets:
 from repro.xla.shapes import DType, TensorSpec
 from repro.xla.sharding import Sharding
 from repro.xla.computation import CollectiveSpec, CompiledFunction, scalar_allreduce_add
-from repro.xla.compiler import Compiler, fuse
+from repro.xla.compiler import fuse
 
 __all__ = [
     "CollectiveSpec",
     "CompiledFunction",
-    "Compiler",
     "DType",
     "Sharding",
     "TensorSpec",

@@ -1,27 +1,22 @@
-"""Compilation: caching and fusion of compiled functions.
+"""Fusion of compiled functions.
 
-Two pieces of XLA behaviour matter to the reproduction:
-
-* **Compilation caching** — computations are compiled once in the
-  background when registered with the resource manager (paper §4.2);
-  re-running a program pays no compilation cost.  :class:`Compiler`
-  models the cache (compile cost is charged on miss only).
-* **Fusion** — the "Fused (-F)" micro-benchmark variant JIT-compiles a
-  chain of computations into a single function (paper §5.1).  ``fuse``
-  composes semantics and sums costs, producing one kernel launch where
-  the chained variant produces many.
+The "Fused (-F)" micro-benchmark variant JIT-compiles a chain of
+computations into a single function (paper §5.1).  ``fuse`` composes
+semantics and sums costs, producing one kernel launch where the chained
+variant produces many.  Compilation itself is not modelled: servers
+compile in the background when a computation is registered (paper
+§4.2), off every critical path the reproduction measures.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from repro.xla.computation import CollectiveSpec, CompiledFunction
 
-__all__ = ["Compiler", "fuse"]
+__all__ = ["fuse"]
 
 
 def fuse(functions: Sequence[CompiledFunction], name: str = "") -> CompiledFunction:
@@ -83,32 +78,3 @@ def fuse(functions: Sequence[CompiledFunction], name: str = "") -> CompiledFunct
         in_shardings=fns[0].in_shardings,
         out_shardings=fns[-1].out_shardings,
     )
-
-
-@dataclass
-class Compiler:
-    """A compilation cache keyed by function name.
-
-    ``compile_time_us`` is charged once per distinct function.  The
-    resource manager triggers compilation *in the background* at program
-    registration (paper §4.2), so steady-state runs never see it; the
-    cache statistics let tests assert that.
-    """
-
-    compile_time_us: float = 50_000.0  # 50 ms: XLA JIT is expensive
-    _cache: dict[str, CompiledFunction] = field(default_factory=dict)
-    hits: int = 0
-    misses: int = 0
-
-    def lookup(self, fn: CompiledFunction) -> tuple[CompiledFunction, float]:
-        """Return (executable, compile-cost-to-charge)."""
-        cached = self._cache.get(fn.name)
-        if cached is not None:
-            self.hits += 1
-            return cached, 0.0
-        self.misses += 1
-        self._cache[fn.name] = fn
-        return fn, self.compile_time_us
-
-    def __len__(self) -> int:
-        return len(self._cache)

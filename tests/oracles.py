@@ -113,7 +113,8 @@ from repro.core.executor import NodeExecutor
 from repro.core.ir import TransferRoute
 from repro.core.object_store import MemorySpace, ObjectHandle, ShardedObjectStore
 from repro.core.scheduler import DeadlineExceeded, GangRequest
-from repro.hw.device import Device, DeviceFailure, unwrap_fault
+from repro.faults import unwrap_fault
+from repro.hw.device import Device, DeviceFailure
 from repro.hw.host import Host, HostFailure
 from repro.models import data_parallel
 from repro.net import MessageLost
@@ -1152,12 +1153,11 @@ class CollectiveRendezvous:
 
 class _PerDeviceDrain:
     """:class:`repro.hw.device.Device` draining on its own: its own
-    FIFO, kernel counters and busy time, and one ``_on_phase_event``
+    FIFO and kernel counters, and one ``_on_phase_event``
     callback per device per wait (installed by
     :func:`patch_device_drain`).  Never part of a lane: it reads and
     writes the device's own drain state and nothing else."""
 
-    busy_us = 0.0
     kernels_run = 0
     kernels_aborted = 0
 
@@ -1323,7 +1323,6 @@ class _PerDeviceDrain:
     def _complete(self, ev: Optional[Event]) -> None:
         kernel, self._current = self._current, None
         end = self.sim.now
-        self.busy_us += end - self._start_us
         self.kernels_run += 1
         tr = self.sim.tracer
         if tr is not None:

@@ -7,7 +7,6 @@ import pytest
 from repro.core.resource_manager import ResourceManager
 from repro.core.virtual_device import VirtualSlice
 from repro.hw.topology import Island
-from repro.xla.computation import scalar_allreduce_add
 
 
 @pytest.fixture
@@ -90,16 +89,6 @@ class TestResourceManager:
     def test_duplicate_island_rejected(self, sim, rm, config):
         with pytest.raises(ValueError):
             rm.add_island(rm.islands[0])
-
-    def test_background_compilation(self, sim, rm):
-        fn = scalar_allreduce_add(2, 1.0, name="bg")
-        done = rm.register_computation(fn)
-        assert not done.triggered  # compiles in the background
-        sim.run()
-        assert done.triggered
-        # Second registration is a cache hit: ready immediately.
-        done2 = rm.register_computation(fn)
-        assert done2.triggered
 
     def test_device_group_validation(self, small_cluster):
         from repro.core.placement import DeviceGroup

@@ -229,10 +229,23 @@ class TestClientValidation:
         assert small_system.client("x") is small_system.client("x")
         assert small_system.client("x") is not small_system.client("y")
 
-    def test_compilation_cached_across_runs(self, small_system, vec2):
+
+
+class TestWrapIsFree:
+    """Binding a function schedules nothing: no background work outlives
+    the calls a client makes."""
+
+    def test_wrap_schedules_nothing(self, small_system):
         client = small_system.client()
-        a = wrapped(client, small_system, lambda x: x * 2.0, "cached_fn")
-        a(vec2)
-        a(vec2)
-        compiler = small_system.resource_manager.compiler
-        assert compiler.misses == 1
+        devs = small_system.make_virtual_device_set().add_slice(tpu_devices=2)
+        client.wrap(scalar_allreduce_add(2, 1.0), devices=devs)
+        stats = small_system.sim.stats()
+        assert (stats.pending_timers, stats.immediate_depth) == (0, 0)
+
+    def test_natural_run_ends_at_the_call(self, small_system, vec2):
+        client = small_system.client()
+        double = wrapped(client, small_system, lambda x: x * 2.0, "double")
+        np.testing.assert_allclose(double(vec2), [2.0, 4.0])
+        done_at = small_system.sim.now
+        assert done_at > 0
+        assert small_system.sim.run() == done_at

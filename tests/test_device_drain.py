@@ -25,9 +25,9 @@ devices interleave, lanes split under per-device kernels and wider or
 narrower gangs, and re-form once they drain.  Probes read every
 host's CPU mid-run, which hands a lane's CPU back to its members while
 preps hold or queue for it.  Both drains must agree on kernel
-outcomes, prep and allocation outcomes, ``busy_us``, ``kernels_run``,
-``kernels_aborted``, HBM ``used``/``peak_used``, CPU ``busy_time()``
-and the final time, and the lane schedule must be the per-device one
+outcomes, prep and allocation outcomes, ``kernels_run``,
+``kernels_aborted``, HBM ``used``/``peak_used``, CPU holders and
+queues and the final time, and the lane schedule must be the per-device one
 with only ``timeout`` and ``event`` entries left out, every kept entry
 at its time.
 
@@ -56,6 +56,7 @@ from repro.core.resource_manager import ResourceManager
 from repro.hw.device import Device, DeviceFailure, Kernel
 from repro.hw.host import Host
 from repro.sim import Simulator
+from repro.telemetry import Tracer
 from repro.workloads.microbench import run_pathways
 
 EXAMPLES = int(os.environ.get("REPRO_DEVICE_FUZZ_EXAMPLES", "60"))
@@ -250,8 +251,8 @@ def run_scenario(gang_specs, fault_specs, probes=()) -> dict:
             _at(sim, spec.armed, lambda spec=spec: _at(sim, spec.at, lambda: fault(spec)))
     def probe() -> None:
         log.append(["probe", sim.now, [
-            (d.busy_us, d.kernels_run, d.kernels_aborted, d.held_state()) for d in devices
-        ], [(h.cpu.in_use, h.cpu.queue_len, h.cpu.busy_time()) for h in hosts]])
+            (d.kernels_run, d.kernels_aborted, d.held_state()) for d in devices
+        ], [(h.cpu.in_use, h.cpu.queue_len) for h in hosts]])
 
     for at in probes:
         _at(sim, at, probe)
@@ -263,11 +264,11 @@ def run_scenario(gang_specs, fault_specs, probes=()) -> dict:
         "now": sim.now,
         "log": log,
         "devices": [
-            (d.busy_us, d.kernels_run, d.kernels_aborted, d.fail_count,
+            (d.kernels_run, d.kernels_aborted, d.fail_count,
              d.hbm.used, d.hbm.peak_used, d.hbm.cancellations)
             for d in devices
         ],
-        "hosts": [(h.preps_aborted, h.cpu.in_use, h.cpu.busy_time()) for h in hosts],
+        "hosts": [(h.preps_aborted, h.cpu.in_use) for h in hosts],
         "schedule": list(sim.schedule_log),
     }
 
@@ -363,7 +364,8 @@ class TestRendezvousTimings:
         """Launch + wire and compute end at the float the two timeouts
         reached: ``(join + (launch + wire)) + compute``, one entry named
         for the compute timeout."""
-        sim = Simulator(log_schedule=True)
+        tracer = Tracer()
+        sim = Simulator(log_schedule=True, tracer=tracer)
         dev = Device(sim, DEFAULT_CONFIG, 0, island_id=0, coords=(0, 0))
         coll = device_module.CollectiveRendezvous(sim, 1, 0.2, launch_us=1.5)
         kernel = Kernel(sim, 0.7, collective=coll)
@@ -374,7 +376,8 @@ class TestRendezvousTimings:
             ((0.1 + (1.5 + 0.2)) + 0.7, "timeout(0.7)"),
         ]
         assert kernel.done.ok and dev.kernels_run == 1
-        assert dev.busy_us == sim.now - (0.1 + 1.5)
+        [span] = tracer.by_cat("kernel")
+        assert (span.start_us, span.end_us) == (0.1 + 1.5, sim.now)
 
 
 

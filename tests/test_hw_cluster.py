@@ -8,6 +8,8 @@ from repro.hw.cluster import ClusterSpec, config_a, config_b, config_c, make_clu
 from repro.hw.device import Kernel
 from repro.hw.interconnect import ICI
 from repro.hw.topology import Island, Mesh
+from repro.sim import Simulator
+from repro.telemetry import Tracer
 
 
 class TestMesh:
@@ -70,11 +72,14 @@ class TestClusterConfigs:
         with pytest.raises(KeyError):
             cluster.device(999)
 
-    def test_mean_utilization(self, sim, config):
+    def test_mean_utilization(self, config):
+        tracer = Tracer()
+        sim = Simulator(tracer=tracer)
         cluster = make_cluster(sim, ClusterSpec(islands=((1, 2),)), config=config)
         cluster.devices[0].enqueue(Kernel(sim, duration_us=10.0))
         sim.run()
-        assert 0 < cluster.mean_utilization() <= 0.5
+        busy = sum(span.duration_us for span in tracer.by_cat("kernel"))
+        assert 0 < busy / (len(cluster.devices) * sim.now) <= 0.5
 
 
 class TestICI:

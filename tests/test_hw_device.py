@@ -6,11 +6,17 @@ import pytest
 
 from repro.config import DEFAULT_CONFIG
 from repro.hw.device import CollectiveRendezvous, Device, HbmAllocator, Kernel
-from repro.sim import DeadlockError
+from repro.sim import DeadlockError, Simulator
+from repro.telemetry import Tracer
 
 
 def make_device(sim, device_id=0):
     return Device(sim, DEFAULT_CONFIG, device_id, island_id=0, coords=(0, 0))
+
+
+def kernel_busy_us(tracer):
+    """Device time the kernel spans cover (µs)."""
+    return sum(span.duration_us for span in tracer.by_cat("kernel"))
 
 
 class TestDeviceExecution:
@@ -25,12 +31,14 @@ class TestDeviceExecution:
         # FIFO: short kernel 1 cannot overtake long kernel 0.
         assert done_times[0] < done_times[1] < done_times[2]
 
-    def test_busy_time_accumulates(self, sim):
+    def test_busy_time_accumulates(self):
+        tracer = Tracer()
+        sim = Simulator(tracer=tracer)
         dev = make_device(sim)
         for dur in (5.0, 7.0):
             dev.enqueue(Kernel(sim, duration_us=dur))
         sim.run()
-        assert dev.busy_us == pytest.approx(12.0)
+        assert kernel_busy_us(tracer) == pytest.approx(12.0)
         assert dev.kernels_run == 2
 
     def test_gated_kernel_blocks_queue_head(self, sim):
@@ -55,13 +63,15 @@ class TestDeviceExecution:
         with pytest.raises(ValueError):
             Kernel(sim, duration_us=-1.0)
 
-    def test_utilization(self, sim):
+    def test_utilization(self):
+        tracer = Tracer()
+        sim = Simulator(tracer=tracer)
         dev = make_device(sim)
         dev.enqueue(Kernel(sim, duration_us=10.0))
         sim.run()
         sim.timeout(10.0)
         sim.run()
-        assert 0.4 < dev.utilization() < 0.6
+        assert 0.4 < kernel_busy_us(tracer) / sim.now < 0.6
 
 
 class TestHbmAllocator:

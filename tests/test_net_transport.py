@@ -614,8 +614,13 @@ class TestReviewRegressions:
         assert transport.messages_lost == 0
 
 
+def _utilization(fabric) -> dict[str, float]:
+    """Each link's busy fraction over the trailing window, by name."""
+    return {link.name: link.busy_fraction() for link in fabric.links()}
+
+
 class TestUtilizationSnapshot:
-    """The Fabric.utilization / Transport.stats snapshot API (the
+    """Link busy fractions and the Transport.stats snapshot (the
     autoscaler's signal, seeding congestion-aware placement)."""
 
     def test_idle_fabric_reports_zero(self, contended_cluster):
@@ -623,7 +628,7 @@ class TestUtilizationSnapshot:
         src = contended_cluster.islands[0].hosts[0]
         dst = contended_cluster.islands[1].hosts[0]
         fabric.route(src, dst)  # materialize the links
-        util = fabric.utilization()
+        util = _utilization(fabric)
         assert util and all(v == 0.0 for v in util.values())
 
     def test_saturated_uplink_reports_full(self, sim, contended_config):
@@ -644,7 +649,7 @@ class TestUtilizationSnapshot:
         # Back-to-back flows kept the route busy essentially the whole
         # window; the uplink busy fraction reflects it.
         assert cluster.fabric.uplink_utilization(0) > 0.9
-        util = cluster.fabric.utilization()
+        util = _utilization(cluster.fabric)
         assert util["nic_tx[h0]"] > 0.9
         # The receiving island's uplink_rx carried the same bytes...
         assert util["uplink_rx[i1]"] > 0.9
@@ -665,12 +670,12 @@ class TestUtilizationSnapshot:
 
         proc = sim.process(sender())
         sim.run_until_triggered(proc)
-        busy_now = cluster.fabric.utilization()["nic_tx[h0]"]
+        busy_now = cluster.fabric.nic_tx(a).busy_fraction()
         assert busy_now > 0.5
         # Long after the transfer the window has slid past it entirely.
         sim.process(_idle(sim))
         sim.run()
-        assert cluster.fabric.utilization()["nic_tx[h0]"] == 0.0
+        assert cluster.fabric.nic_tx(a).busy_fraction() == 0.0
 
     def test_transport_stats_snapshot(self, sim, contended_config):
         cluster = make_cluster(
@@ -695,8 +700,9 @@ class TestUtilizationSnapshot:
         assert stats.loopback_messages == 1
         assert stats.in_flight == 0
         assert stats.messages_lost == 0
-        assert 0.0 < max(stats.link_utilization.values()) <= 1.0
-        assert "spine" in stats.link_utilization
+        util = _utilization(cluster.fabric)
+        assert 0.0 < max(util.values()) <= 1.0
+        assert "spine" in util
 
     def test_stats_track_in_flight(self, sim, contended_config):
         cluster = make_cluster(

@@ -230,7 +230,8 @@ class TestFabricAndTransportInvariants:
 
     def test_stranded_in_flight_message_detected(self):
         sim = Simulator(sanitize=True)
-        transport = Transport(sim, SystemConfig())
+        config = SystemConfig()
+        transport = Transport(sim, config, Fabric(sim, config))
         class _Stuck:
             triggered = False
             name = "m0"

@@ -277,8 +277,8 @@ GOLDEN_DIGESTS = {
     "churn": "c027039c2c193e8a2f2c0bb90a9e3f5f480e55bd6651501fe6beaa13d67b0cb6",
     "contended_fabric": "43483815fe8b425fcef6417ec92604082acffb34defb1d4d82e1b1332765af67",
     "ecmp_reroute": "3a52900e353e1734e1ac038d1287a5ec33bfe8f5398a619348e5c49b35e244d2",
-    "serving": "832b75ea1c0eb2b0137d38786f57bc745862902d107b35bca1256423cc0123ae",
-    "sequential": "206530071cb3fa63df8d7f2f5b7f2580be0978c9786fcc93201b8405bdfd9ed6",
+    "serving": "583f4b2da81bcebf4dd861d4e15fcfca6ac6cbba0eedf3c8ff950631f74bc507",
+    "sequential": "39946e6da8e6fca72719ee14084772e650843ab66e3ebdb5f2cab7184189fb08",
 }
 
 _GOLDEN_RUNS = {

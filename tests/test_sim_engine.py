@@ -286,3 +286,49 @@ class TestDrainDedupe:
             b.run(until=horizon, detect_deadlock=False)
         b.run()
         assert a.schedule_log == b.schedule_log
+
+
+class TestTimerHandle:
+    """A recurring clock re-arms its ``TimerHandle`` from its own action
+    (the serving batcher, autoscaler and fault injector all do)."""
+
+    @staticmethod
+    def _clock(sim, period_us, on_tick):
+        def tick(timer):
+            timer.schedule(sim.now + period_us)  # re-arm first: on_tick may cancel
+            on_tick(timer)
+
+        timer = sim.timer_handle(tick, name="clock")
+        timer.schedule(sim.now + period_us)
+        return timer
+
+    def test_stop_from_action(self, sim):
+        seen = []
+
+        def on_tick(timer):
+            seen.append(sim.now)
+            if len(seen) == 3:
+                timer.cancel()
+
+        self._clock(sim, 1.0, on_tick)
+        assert sim.run() == 3.0
+        assert seen == [1.0, 2.0, 3.0]
+
+    def test_stop_discards_pending_occurrence(self, sim):
+        """A cancelled clock must not hold the clock: its queued
+        occurrence leaves the timer queue at once, so ``run()`` ends at
+        the last real event instead of the next tick."""
+        ticks = []
+        clock = self._clock(sim, 1000.0, lambda timer: ticks.append(sim.now))
+        pending = []
+
+        def workload():
+            yield sim.timeout(1500.0)
+            clock.cancel()
+            pending.append(sim.stats().pending_timers)
+            yield sim.timeout(100.0)
+
+        sim.process(workload())
+        assert sim.run() == 1600.0
+        assert pending == [0]
+        assert ticks == [1000.0]

@@ -75,10 +75,23 @@ class TestResource:
 
     def test_busy_time_accounting(self, sim):
         res = Resource(sim, capacity=2)
+        holds = []
+
+        def hold():
+            start = sim.now
+
+            def release(ev):
+                res.release()
+                holds.append((start, sim.now))
+
+            sim.timeout(10.0).add_callback(release)
+
         for _ in range(2):
-            res.acquire(lambda: sim.timeout(10.0).add_callback(lambda ev: res.release()))
+            res.acquire(hold)
         sim.run()
-        assert res.busy_time() == pytest.approx(20.0)
+        # Two slots: both holders run at once, 20 µs·holders in 10 µs.
+        assert holds == [(0.0, 10.0), (0.0, 10.0)]
+        assert sim.now == 10.0
 
 
 class TestAcquire:

@@ -4,7 +4,7 @@ The golden-determinism half of the contract (tracing on/off produces
 byte-identical schedules) is pinned in ``tests/test_sim_determinism.py``
 (``TestGoldenTracing``); this file covers the telemetry machinery
 itself — span capture, Chrome-trace export, the
-sampled metrics registry, post-mortem flight dumps, and the exact-sum
+metrics registry, post-mortem flight dumps, and the exact-sum
 critical-path decomposition plus its CLI.
 """
 
@@ -30,12 +30,10 @@ from repro.telemetry import (
     FlightRecorder,
     Histogram,
     MetricsRegistry,
-    MetricsSampler,
     Tracer,
     critical_paths,
     percentile,
     render_report,
-    standard_probes,
     summarize,
 )
 from repro.telemetry.__main__ import main as telemetry_cli
@@ -148,98 +146,20 @@ class TestTracerEnabled:
 
 
 class TestMetricsRegistry:
-    def test_counters_gauges_probes_histograms(self):
+    def test_counters_and_histograms(self):
         reg = MetricsRegistry()
         reg.counter("c").inc()
         reg.counter("c").inc()  # get-or-create returns the same object
         reg.counter("c").inc()
-        reg.gauge("g").set(7.0)
-        depth = [3]
-        reg.probe("p", lambda: float(depth[0]))
         for v in (1.0, 2.0, 3.0):
             reg.histogram("h").observe(v)
         reg.sample(10.0)
-        depth[0] = 5
+        reg.counter("c").inc()
         reg.sample(20.0)
-        assert reg.series("c") == [(10.0, 3.0), (20.0, 3.0)]
-        assert reg.series("g") == [(10.0, 7.0), (20.0, 7.0)]
-        assert reg.series("p") == [(10.0, 3.0), (20.0, 5.0)]
+        assert reg.series("c") == [(10.0, 3.0), (20.0, 4.0)]
         assert reg.series("h.count")[-1] == (20.0, 3.0)
         assert reg.series("h.p99")[-1] == (20.0, 3.0)
-        assert reg.samples_taken == 2
-
-    def test_sampler_ticks_on_sim_time(self, sim):
-        reg = MetricsRegistry()
-        reg.gauge("t").set(1.0)
-        sampler = MetricsSampler(sim, reg, period_us=10.0)
-        sim.run(until=35.0)  # the sampler re-arms forever; cut at the horizon
-        assert reg.samples_taken == 3  # t=10, 20, 30
-        assert [t for t, _ in reg.series("t")] == [10.0, 20.0, 30.0]
-        sampler.stop()
-
-    def test_standard_probes_scrape_a_live_system(self):
-        system = PathwaysSystem.build(
-            ClusterSpec(islands=((2, 4),), name="probe")
-        )
-        reg = standard_probes(MetricsRegistry(), system)
-        reg.sample(0.0)
-        for name in (
-            "serve.queue_depth",
-            "net.uplink_utilization",
-            "hw.hbm_resident_bytes",
-        ):
-            assert len(reg.series(name)) == 1
-
-
-class TestMetricsSampler:
-    def test_fixed_period(self, sim):
-        reg = MetricsRegistry()
-        reg.gauge("g").set(1.0)
-        sampler = MetricsSampler(sim, reg, period_us=10.0)
-        sim.run(until=55.0, detect_deadlock=False)
-        assert [t for t, _ in reg.series("g")] == [10.0, 20.0, 30.0, 40.0, 50.0]
-        assert reg.samples_taken == 5
-        sampler.stop()
-
-    def test_stop_from_action(self, sim):
-        reg = MetricsRegistry()
-        seen = []
-
-        def probe():
-            seen.append(sim.now)
-            if len(seen) == 3:
-                sampler.stop()
-            return 0.0
-
-        reg.probe("p", probe)
-        sampler = MetricsSampler(sim, reg, period_us=1.0)
-        assert sim.run() == 3.0
-        assert seen == [1.0, 2.0, 3.0]
-        assert reg.samples_taken == 3
-
-    def test_stop_discards_pending_occurrence(self, sim):
-        """A stopped sampler must not hold the clock: its queued
-        occurrence leaves the timer queue at once, so ``run()`` ends at
-        the last real event instead of the next sampling instant."""
-        reg = MetricsRegistry()
-        sampler = MetricsSampler(sim, reg, period_us=1000.0)
-        pending = []
-
-        def workload():
-            yield sim.timeout(1500.0)
-            sampler.stop()
-            pending.append(sim.stats().pending_timers)
-            yield sim.timeout(100.0)
-
-        sim.process(workload())
-        assert sim.run() == 1600.0
-        assert pending == [0]
-        assert reg.samples_taken == 1
-
-    def test_negative_period_rejected(self, sim):
-        for period in (-1.0, 0.0):
-            with pytest.raises(ValueError, match="positive"):
-                MetricsSampler(sim, MetricsRegistry(), period_us=period)
+        assert reg.names() == ["c", "h.count", "h.mean", "h.p99"]
 
 
 class TestFlightRecorder:
@@ -287,12 +207,14 @@ class TestFlightRecorder:
         assert "about-to-leak" in err
         assert fl.dumps == 1
 
-    def test_dump_on_first_typed_message_loss(self, capsys):
-        """watch_transport dumps once on the first loss, then stays quiet."""
+    def test_message_losses_land_in_the_ring(self, capsys):
+        """The transport's own ``net.lost`` instants reach the ring like
+        any other emission; a loss is no reason to dump."""
         from repro.hw.cluster import make_cluster
         from repro.config import DEFAULT_CONFIG
 
-        sim = Simulator()
+        fl = FlightRecorder(capacity=16)
+        sim = Simulator(tracer=Tracer(flight=fl))
         cluster = make_cluster(
             sim,
             ClusterSpec(islands=((2, 2), (2, 2)), name="fl"),
@@ -301,8 +223,6 @@ class TestFlightRecorder:
             ),
         )
         transport = cluster.transport
-        fl = FlightRecorder(capacity=16)
-        fl.watch_transport(transport)
         src = cluster.islands[0].hosts[0]
         dst = cluster.islands[1].hosts[0]
         transport.send(src, dst, 8 << 20)
@@ -316,12 +236,10 @@ class TestFlightRecorder:
 
         sim.process(drill())
         sim.run()
-        err = capsys.readouterr().err
-        assert err.count("flight recorder dump") == 1
-        assert "message loss" in err
-        assert fl.dumps == 1
+        assert "flight recorder dump" not in capsys.readouterr().err
+        assert fl.dumps == 0
         losses = [e for e in fl.entries if e[1] == "net.lost"]
-        assert len(losses) == 2  # both recorded, only the first dumped
+        assert [e[4]["category"] for e in losses] == ["link-down", "link-down"]
 
 
 class TestUnifiedStats:

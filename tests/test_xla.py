@@ -1,4 +1,4 @@
-"""Tests for shapes, sharding, compiled functions, and the compiler."""
+"""Tests for shapes, sharding, compiled functions, and fusion."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.config import DEFAULT_CONFIG
-from repro.xla.compiler import Compiler, fuse
+from repro.xla.compiler import fuse
 from repro.xla.computation import CollectiveSpec, CompiledFunction, scalar_allreduce_add
 from repro.xla.shapes import DType, TensorSpec
 from repro.xla.sharding import Sharding
@@ -156,25 +156,3 @@ class TestFuse:
         f2 = CompiledFunction("b", (spec_b,), (spec_b,), duration_us=1.0)
         with pytest.raises(ValueError, match="mismatch"):
             fuse([f1, f2])
-
-
-class TestCompiler:
-    def test_first_lookup_charges_compile(self):
-        compiler = Compiler(compile_time_us=100.0)
-        fn = scalar_allreduce_add(2, 1.0, name="x")
-        _, cost = compiler.lookup(fn)
-        assert cost == 100.0 and compiler.misses == 1
-
-    def test_second_lookup_is_cached(self):
-        compiler = Compiler(compile_time_us=100.0)
-        fn = scalar_allreduce_add(2, 1.0, name="x")
-        compiler.lookup(fn)
-        _, cost = compiler.lookup(fn)
-        assert cost == 0.0 and compiler.hits == 1
-        assert len(compiler) == 1
-
-    def test_distinct_names_compile_separately(self):
-        compiler = Compiler()
-        compiler.lookup(scalar_allreduce_add(2, 1.0, name="x"))
-        compiler.lookup(scalar_allreduce_add(2, 1.0, name="y"))
-        assert compiler.misses == 2 and len(compiler) == 2
