@@ -53,12 +53,19 @@ sharing a link whose count changed): one rate evaluation, one in-place
 NumPy subtraction over the buffer (elementwise IEEE arithmetic, bit
 for bit what a per-member loop computes) and one completion-calendar
 entry per class, keyed on the head's finish; a completion splits off
-the due prefix.  The calendar is a heap with lazy
-invalidation and one cancellable :class:`~repro.sim.TimerHandle` fires
-the next completion.  The solver-equivalence tests pin it
-**byte-identical** — the same schedule, not merely equal delivery
-times — to a per-flow reference that recomputes every live flow on
-every change (``tests/oracles.py``).
+the due prefix.  The calendar is a heap with lazy invalidation and
+one cancellable :class:`~repro.sim.TimerHandle` fires the next
+completion.  A flow that starts on an empty fabric (most serving
+messages) is the *solo* flow: it runs at its bottleneck link rate, so
+the timer is armed at ``now + nbytes / rate`` directly, with no class,
+buffer, link index or calendar entry.  Anything else that touches the
+solver while it lives (a start, an abort, a take-down) first gives it
+exactly the class and calendar entry the general path would hold, and
+a solo completion moves every counter as the general one does.  The
+solver-equivalence tests pin the solver **byte-identical** — the same
+schedule, not merely equal delivery times — to a per-flow reference
+that recomputes every live flow on every change, and to a route-class
+solver with no solo flow (both in ``tests/oracles.py``).
 
 Aborts are exact — an in-flight message whose endpoint host crashed
 releases all held capacity immediately, the network analogue of the
@@ -226,9 +233,10 @@ class Link:
 class _Flow:
     """One fluid flow: identity and completion callback.  Its progress
     lives in the route class keyed by ``route`` (the parallel ``rem``
-    buffer).  The flow holds the route tuple, not the class, so a dropped
-    class and its members form no reference cycle and are freed
-    without the cyclic garbage collector."""
+    buffer), or in closed form while it is the solver's solo flow.
+    The flow holds the route tuple, not the class, so a dropped class
+    and its members form no reference cycle and are freed without the
+    cyclic garbage collector."""
 
     __slots__ = ("key", "route", "nbytes", "on_done", "seq")
 
@@ -336,12 +344,23 @@ class ScopedFluidSolver:
         #: entries; an entry is live while its version matches the
         #: class's current ``ver``.
         self.calendar: list = []
+        #: The solo flow (one that started on an empty fabric and is
+        #: still alone), its rate and its start instant: it holds no
+        #: class until :meth:`_unsolo`.
+        self.solo: Optional[_Flow] = None
+        self._solo_rate = 0.0
+        self._solo_at = 0.0
 
     # -- membership ------------------------------------------------------
     def start(self, key, route: list[Link], nbytes: int, on_done) -> None:
         now = self.sim._now
         self.seq += 1
         rkey = tuple(route)
+        if not self.flows:
+            self._start_solo(key, rkey, nbytes, on_done, now)
+            return
+        if self.solo is not None:
+            self._unsolo()
         cls = self.classes.get(rkey)
         if cls is None:
             cls = self.classes[rkey] = _RouteClass(rkey, self.seq, now)
@@ -369,10 +388,67 @@ class ScopedFluidSolver:
         self._membership_changed((rkey,), now)
         self._settle_timer(now)
 
+    def _start_solo(self, key, rkey: tuple, nbytes: int, on_done, now: float) -> None:
+        """Start a flow on an empty fabric.  It runs at its bottleneck
+        link rate and finishes at ``now + nbytes / rate``: the very
+        floats, counters and timer arm a fresh class's re-rate walk
+        produces, with no class, buffer, link index or calendar entry."""
+        flow = self.solo = _Flow(key, rkey, nbytes, on_done, self.seq)
+        self.flows[key] = flow
+        self.peak_flows = self.peak_flows or 1
+        for link in rkey:
+            link.fluid_enter()
+        rate = self._solo_rate = min([hop.bytes_per_us / hop.fluid_flows for hop in rkey])
+        self._solo_at = now
+        self.membership_updates += 1
+        self.epoch += 1
+        self.flows_touched += 1
+        self.rate_recomputes += 1
+        finish = now + float(nbytes) / rate
+        if finish > now:
+            self.timer.schedule(finish)
+        else:
+            self._unsolo()
+            self._run_completions(now)
+
+    def _unsolo(self) -> None:
+        """Give the solo flow the class and calendar entry the general
+        path would hold for it: nothing moved since it started."""
+        flow, self.solo = self.solo, None
+        route = flow.route
+        at = self._solo_at
+        cls = self.classes[route] = _RouteClass(route, flow.seq, at)
+        for link in route:
+            link._fluid[cls] = None
+        r = float(flow.nbytes)
+        cls.flows.append(flow)
+        cls.rem.append(r)
+        rate = cls.rate = self._solo_rate
+        cls.epoch = self.epoch
+        cls.ver = 1
+        heapq.heappush(self.calendar, (at + r / rate, cls.cid, 1, cls))
+
+    def _finish_solo(self) -> None:
+        """The general completion of a lone class, step for step."""
+        flow, self.solo = self.solo, None
+        del self.flows[flow.key]
+        self.completed += 1
+        nbytes = flow.nbytes
+        for link in flow.route:
+            link.fluid_exit()
+            link.bytes_carried += nbytes
+            link.flows_completed += 1
+        # Its re-rate walk, which finds no class.
+        self.membership_updates += 1
+        self.epoch += 1
+        flow.on_done()
+
     def abort(self, key) -> bool:
         flow = self.flows.pop(key, None)
         if flow is None:
             return False
+        if flow is self.solo:
+            self._unsolo()
         route = flow.route
         cls = self.classes[route]
         i = cls.flows.index(flow)
@@ -397,6 +473,8 @@ class ScopedFluidSolver:
         synced without a rate change, which keeps every stored
         projection bit-identical to the per-flow arithmetic.
         """
+        if self.solo is not None:
+            self._unsolo()
         now = self.sim._now
         victims = []
         for cls in link._fluid:
@@ -418,7 +496,10 @@ class ScopedFluidSolver:
 
     # -- completion ------------------------------------------------------
     def _on_timer(self, handle) -> None:
-        self._run_completions(self.sim._now)
+        if self.solo is not None:
+            self._finish_solo()
+        else:
+            self._run_completions(self.sim._now)
 
     def _run_completions(self, now: float) -> None:
         due = self._collect_due(now)

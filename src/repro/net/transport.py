@@ -213,13 +213,15 @@ class _Traversal:
     so a send parked forever is a :class:`~repro.sim.DeadlockError`.
     """
 
-    __slots__ = ("transport", "msg", "remaining")
+    __slots__ = ("transport", "msg", "remaining", "deadline")
 
     def __init__(self, transport: "Transport", msg: Message):
         self.transport = transport
         self.msg = msg
         #: Unsent bytes: the size of the next flow this send starts.
         self.remaining = float(msg.nbytes)
+        #: The park-deadline timer, armed only while parked.
+        self.deadline = None
         transport.sim._live_chains[self] = None
 
     @property
@@ -304,23 +306,29 @@ class _Traversal:
             )
         deadline = transport.config.net_park_deadline_us
         if deadline > 0:
-            transport.sim.timeout(deadline).add_callback(
-                lambda ev: self._on_park_deadline(park)
+            # Named and timed as a Timeout; disarmed when this park
+            # episode ends, so a re-park arms a fresh deadline.
+            sim = transport.sim
+            timer = self.deadline = sim.timer_handle(
+                self._on_park_deadline, name=lambda: f"timeout({deadline:g})"
             )
+            timer.schedule(sim._now + deadline)
 
-    def _on_park_deadline(self, park: Event) -> None:
-        # Park-token guard: only the episode that armed this timer may
-        # kill the message — a restore-then-repark is a *new* episode
-        # with its own deadline.
-        if self.transport._parked.get(self.msg) is park:
-            reason = "parked past the wait-for-restore deadline"
-            self.abort(MessageLost(self.msg, reason, "park-deadline"))
+    def _on_park_deadline(self, timer) -> None:
+        reason = "parked past the wait-for-restore deadline"
+        self.abort(MessageLost(self.msg, reason, "park-deadline"))
 
     def on_unparked(self, park: Event) -> None:
         """A restore made a route viable again: retry (unless the
         message was aborted since, which unparked it)."""
         if self.transport._parked.pop(self.msg, None) is park:
+            self._disarm_deadline()
             self.advance()
+
+    def _disarm_deadline(self) -> None:
+        if self.deadline is not None:
+            self.deadline.cancel()
+            self.deadline = None
 
     def abort(self, cause: BaseException) -> None:
         msg = self.msg
@@ -330,6 +338,7 @@ class _Traversal:
         # Any phase: flowing (frees its share), parked or propagating.
         transport.fabric.abort_flow(msg)
         transport._parked.pop(msg, None)
+        self._disarm_deadline()
         transport.sim._live_chains.pop(self, None)
         msg.fail(cause)
 
@@ -536,9 +545,14 @@ class Transport:
             # Slot ownership transfers to the _SendState (see its abort).
             src.nic.acquire(msg._state.on_grant)  # repro: noqa[RPR005]
         if timeout_us is not None and timeout_us > 0:
-            self.sim.timeout(timeout_us).add_callback(
-                lambda ev, m=msg: self._on_timeout(m)
+            # Named and timed as a Timeout, but disarmed on settling: a
+            # delivered message leaves no timer behind.
+            timer = self.sim.timer_handle(
+                lambda h: self._on_timeout(msg),
+                name=lambda: f"timeout({timeout_us:g})",
             )
+            timer.schedule(self.sim._now + timeout_us)
+            msg.add_callback(lambda ev: timer.cancel())
         if self.contended:
             # After the timeout: the flow's timer keeps its later seq.
             msg._state.advance()

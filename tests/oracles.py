@@ -7,6 +7,10 @@ no production path that selects it:
 
 * :class:`DenseFluidSolver` — per-flow rates, every live flow
   recomputed on every membership change;
+* :class:`RouteClassFluidSolver` — the route-class solver with no solo
+  flow: a flow that starts on an empty fabric gets its route class and
+  calendar entry at once, the reference for the solo path of
+  :class:`repro.net.fabric.ScopedFluidSolver`;
 * :func:`scalar_poisson_device_failures` — one scalar exponential draw
   per call and the dataclass-ordered sort, the reference for
   :meth:`repro.resilience.FaultSchedule.poisson_device_failures`.
@@ -92,6 +96,7 @@ checks it against a sorted list of the live entries.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_right
 from collections import deque
 from typing import Generator, Iterable, Optional
 
@@ -118,6 +123,7 @@ from repro.hw.device import Device, DeviceFailure
 from repro.hw.host import Host, HostFailure
 from repro.models import data_parallel
 from repro.net import MessageLost
+from repro.net.fabric import ScopedFluidSolver, _Flow as _ClassFlow, _RouteClass, _integrate
 from repro.resilience import FaultEvent, FaultKind
 from repro.sim import Event, Resource
 
@@ -126,6 +132,7 @@ __all__ = [
     "DenseFluidSolver",
     "EagerFaultInjector",
     "MailboxScheduler",
+    "RouteClassFluidSolver",
     "bind_choice",
     "dispatch_once",
     "dispatch_sequential",
@@ -390,6 +397,38 @@ class DenseFluidSolver:
             self._run_completions(now)
             return
         self.timer.schedule(best)
+
+
+class RouteClassFluidSolver(ScopedFluidSolver):
+    """:class:`~repro.net.fabric.ScopedFluidSolver` with ``start`` as
+    it was before the solo path: every flow joins (or founds) its route
+    class at once, so ``solo`` stays ``None`` and every abort, eviction
+    and completion runs the general route-class code."""
+
+    def start(self, key, route, nbytes: int, on_done) -> None:
+        now = self.sim._now
+        self.seq += 1
+        rkey = tuple(route)
+        cls = self.classes.get(rkey)
+        if cls is None:
+            cls = self.classes[rkey] = _RouteClass(rkey, self.seq, now)
+            for link in rkey:
+                link._fluid[cls] = None
+        else:
+            _integrate(cls, now)
+        flow = _ClassFlow(key, rkey, nbytes, on_done, self.seq)
+        r = float(nbytes)
+        i = bisect_right(cls.rem, r)
+        cls.flows.insert(i, flow)
+        cls.rem.insert(i, r)
+        self.flows[key] = flow
+        n = len(self.flows)
+        if n > self.peak_flows:
+            self.peak_flows = n
+        for link in rkey:
+            link.fluid_enter()
+        self._membership_changed((rkey,), now)
+        self._settle_timer(now)
 
 
 # -- PARALLEL dispatch, one generator Process per node and per edge ----------

@@ -33,8 +33,14 @@ therefore also records each flow's lifetime (start to completion,
 abort or eviction) and checks each link's busy fraction against the
 union of the lifetimes of the flows crossing it.
 
-``REPRO_FLUID_FUZZ_EXAMPLES`` sets the budget of both fuzzes (150 and
-100 by default; CI's bench job runs 500).
+A flow that starts on an empty fabric runs as the solver's *solo*
+flow, with no route class until anything else touches the solver.  The
+route-class-only solver in ``tests/oracles.py`` gives every flow its
+class at once; streams that empty and refill the fabric must match it
+exactly, every ``FabricStats`` counter included.
+
+``REPRO_FLUID_FUZZ_EXAMPLES`` sets the budget of the three fuzzes (150,
+100 and 100 by default; CI's bench job runs 500).
 """
 
 from __future__ import annotations
@@ -47,11 +53,11 @@ import pytest
 from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
-from oracles import DenseFluidSolver
+from oracles import DenseFluidSolver, RouteClassFluidSolver
 from repro.config import SystemConfig
 from repro.net import fabric as fabric_module
 from repro.net.fabric import Fabric, ScopedFluidSolver
-from repro.sim import Simulator
+from repro.sim import LeakedCapacityError, Simulator
 from repro.stats import FabricStats
 from repro.workloads.netload import run_flow_fleet, run_net_congestion
 
@@ -134,6 +140,44 @@ _CLASS_OPS = st.tuples(
 ).map(lambda parts: parts[0] + parts[1])
 
 
+_PAIRS = st.tuples(st.integers(0, 7), st.integers(0, 7))
+
+#: Long gaps drain the fabric between episodes, so most starts find it
+#: empty; serving-sized messages dominate.
+_SOLO_DELAYS = st.sampled_from([0.0, 0.0, 1.0, 1000.0, 1000.0, 5000.0])
+_SOLO_NBYTES = st.sampled_from([4096, 4096, 65536, 1 << 20])
+
+_SOLO_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("start"),
+            st.integers(0, 7), st.integers(0, 7), _SOLO_NBYTES, _SOLO_DELAYS,
+        ),
+        # A start plus a second one at its finish-if-alone instant:
+        # before its completion fires or after, on the same route (None)
+        # or another.
+        st.builds(
+            lambda pair, n, pair2, n2, before, delay: (
+                "chase", *pair, n, pair2, n2, before, delay
+            ),
+            _PAIRS, _SOLO_NBYTES, st.one_of(st.none(), _PAIRS), _SOLO_NBYTES,
+            st.booleans(), _SOLO_DELAYS,
+        ),
+        st.tuples(st.just("abort"), st.integers(0, 3), _SOLO_DELAYS),
+        st.tuples(st.just("down_live"), st.integers(0, 4), _SOLO_DELAYS),
+        st.tuples(st.just("restore"), _SOLO_DELAYS),
+        # One sender answering several hosts at one instant, as a
+        # serving batch's responses do.
+        st.tuples(
+            st.just("burst"),
+            st.integers(0, 7), st.integers(2, 6), _SOLO_NBYTES, _SOLO_DELAYS,
+        ),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
 def _remaining(solver) -> dict:
     """Live key -> remaining bytes as of its last sync.  Both solvers
     sync a flow at the same instants to the same bits, so the two
@@ -196,7 +240,7 @@ def _run_fabric_scenario(solver, ops, hosts=_HOSTS):
     log: list = []
     routes: dict = {}  # key -> route tuple, as started
     spans: dict = {}  # key -> [start, end] instants
-    peak_class = 0
+    peak_class = solo_starts = next_key = 0
 
     def delivered(key):
         deliveries.append((key, sim.now))
@@ -205,22 +249,43 @@ def _run_fabric_scenario(solver, ops, hosts=_HOSTS):
     def live_on(route):
         return [k for k in fabric._solver.flows if routes[k] == route]
 
+    def start(src, dst, nbytes):
+        nonlocal peak_class, solo_starts, next_key
+        route = fabric.route(hosts[src], hosts[dst], flow_seq=next_key)
+        if route and all(link.up for link in route):
+            key = next_key = next_key + 1
+            routes[key] = tuple(route)
+            spans[key] = [sim.now, None]
+            solo_starts += not fabric._solver.flows
+            fabric.start_flow(key, route, nbytes, lambda k=key: delivered(k))
+            peak_class = max(peak_class, len(live_on(routes[key])))
+
     def driver():
-        nonlocal peak_class
-        next_key = 0
         for op in ops:
             yield sim.timeout(op[-1])
             if op[0] == "start":
-                src, dst = hosts[op[1]], hosts[op[2]]
-                route = fabric.route(src, dst, flow_seq=next_key)
-                if route and all(link.up for link in route):
-                    key = next_key = next_key + 1
-                    routes[key] = tuple(route)
-                    spans[key] = [sim.now, None]
-                    fabric.start_flow(
-                        key, route, op[3], lambda k=key: delivered(k)
+                start(*op[1:4])
+            elif op[0] == "chase":
+                src, dst, nbytes, pair, nbytes2, before = op[1:7]
+                route = fabric.route(hosts[src], hosts[dst], flow_seq=next_key)
+                if route:
+                    # Armed before the start, the chaser's entry precedes
+                    # the solver's completion at the same instant.
+                    when = sim.now + float(nbytes) / min(
+                        link.bytes_per_us for link in route
                     )
-                    peak_class = max(peak_class, len(live_on(routes[key])))
+                    chaser = sim.timer_handle(
+                        lambda h, at=pair or (src, dst), n=nbytes2: start(*at, n)
+                    )
+                    if before:
+                        chaser.schedule(when)
+                    start(src, dst, nbytes)
+                    if not before:
+                        chaser.schedule(when)
+            elif op[0] == "burst":
+                src, n, nbytes = op[1:4]
+                for i in range(1, n + 1):
+                    start(src, (src + i) % len(hosts), nbytes)
             elif op[0] == "abort":
                 live = list(fabric._solver.flows)
                 if live:
@@ -250,9 +315,15 @@ def _run_fabric_scenario(solver, ops, hosts=_HOSTS):
                     key = members[1 + op[1] % (len(members) - 1)]
                     log.append(("abort_member", key, fabric.abort_flow(key)))
                     spans[key][1] = sim.now
-            elif op[0] in ("down", "down_link"):
+            elif op[0] in ("down", "down_link", "down_live"):
                 if op[0] == "down_link":
                     link = fabric.link_by_name(op[1])
+                elif op[0] == "down_live":
+                    # A hop of the oldest live flow (the solo flow when
+                    # it is alone).
+                    live = list(fabric._solver.flows)
+                    route = routes[live[0]] if live else ()
+                    link = route[op[1] % len(route)] if route else None
                 else:
                     links = fabric.links()
                     link = links[op[1] % len(links)] if links else None
@@ -290,6 +361,7 @@ def _run_fabric_scenario(solver, ops, hosts=_HOSTS):
         "pending_timers": sim.stats().pending_timers,
         "fabric_stats": fabric.stats(),
         "peak_class": peak_class,
+        "solo_starts": solo_starts,
     }
 
 
@@ -324,6 +396,19 @@ def test_large_route_classes_match_per_flow_exactly(ops):
     scoped = _run_fabric_scenario(ScopedFluidSolver, ops, hosts=_FEW_HOSTS)
     target(float(scoped["peak_class"]), label="peak route-class size")
     _assert_identical(dense, scoped)
+
+
+@given(ops=_SOLO_OPS)
+@settings(max_examples=EXAMPLES or 100, deadline=None)
+def test_solo_flows_match_route_classes_exactly(ops):
+    """Streams that empty and refill the fabric: solo flows chased by a
+    start at their exact finish instant, aborted, evicted by a take-down
+    of one of their links, or joined by a same-instant burst."""
+    oracle = _run_fabric_scenario(RouteClassFluidSolver, ops)
+    solo = _run_fabric_scenario(ScopedFluidSolver, ops)
+    target(float(solo["solo_starts"]), label="starts on an empty fabric")
+    _assert_identical(oracle, solo)
+    assert solo["fabric_stats"] == oracle["fabric_stats"]
 
 
 def test_large_class_ties_head_abort_and_shared_takedown():
@@ -594,6 +679,118 @@ class TestRouteClassLifecycle:
         assert not solver.classes and not solver.flows and not solver.calendar
         assert all(not link._fluid and link.fluid_flows == 0 for link in fabric.links())
         assert fabric.idle
+
+
+class TestSoloFlow:
+    """A flow that starts on an empty fabric holds no route class until
+    anything else touches the solver; from then on the solver holds
+    exactly what the route-class-only solver holds."""
+
+    @staticmethod
+    def _fabric(solver=ScopedFluidSolver, sanitize=False):
+        sim = Simulator(sanitize=sanitize)
+        with _solver(solver):
+            fabric = Fabric(sim, SystemConfig())
+        h0, h1, h4 = _FEW_HOSTS
+        routes = {
+            "same": fabric.route(h0, h1),
+            "shared": fabric.route(h0, h4),  # shares nic_tx[h0]
+            "disjoint": fabric.route(h1, h0),
+        }
+        return sim, fabric, routes
+
+    @staticmethod
+    def _state(solver):
+        """The classes and calendar, field for field (flows by key,
+        routes by link name)."""
+
+        def names(route):
+            return tuple(link.name for link in route)
+
+        classes = [
+            (
+                names(c.route), c.cid, [(f.key, f.seq) for f in c.flows], list(c.rem),
+                c.rate, c.at, c.epoch, c.ver,
+            )
+            for c in solver.classes.values()
+        ]
+        calendar = [(t, cid, ver, names(c.route)) for t, cid, ver, c in solver.calendar]
+        links = {
+            link.name: [names(c.route) for c in link._fluid]
+            for link in solver.fabric.links()
+        }
+        return classes, calendar, links, solver.epoch, solver.timer.when
+
+    def test_lone_flow_holds_no_class(self):
+        sim, fabric, routes = self._fabric()
+        delivered = []
+        fabric.start_flow("a", routes["same"], 65536, lambda: delivered.append(sim.now))
+        solver = fabric._solver
+        assert solver.solo is solver.flows["a"]
+        assert not solver.classes and not solver.calendar
+        assert all(not link._fluid for link in fabric.links())
+        assert [link.fluid_flows for link in routes["same"]] == [1, 1]
+        finish = 65536.0 / min(link.bytes_per_us for link in routes["same"])
+        assert solver.timer.when == finish
+        sim.run()
+        assert delivered == [finish] and solver.solo is None and fabric.idle
+
+    @pytest.mark.parametrize("second", ["same", "shared", "disjoint"])
+    @pytest.mark.parametrize("after_us", [0.0, 2.5])
+    def test_second_start_matches_route_class_solver(self, second, after_us):
+        states = []
+        for solver in (RouteClassFluidSolver, ScopedFluidSolver):
+            sim, fabric, routes = self._fabric(solver)
+            fabric.start_flow("a", routes["same"], 65536, _ignore)
+            sim.run(until=after_us)
+            fabric.start_flow("b", routes[second], 4096, _ignore)
+            assert fabric._solver.solo is None
+            states.append(self._state(fabric._solver))
+            sim.run()
+        assert states[0] == states[1]
+        assert states[0][0]  # the first flow holds its class now
+
+    @pytest.mark.parametrize("touch", ["abort", "evict"])
+    def test_abort_and_eviction_match_route_class_solver(self, touch):
+        outcomes = []
+        for solver in (RouteClassFluidSolver, ScopedFluidSolver):
+            sim, fabric, routes = self._fabric(solver)
+            fabric.start_flow("a", routes["same"], 65536, _ignore)
+            sim.run(until=2.5)
+            if touch == "abort":
+                result = fabric.abort_flow("a")
+            else:
+                result = fabric.take_down(routes["same"][1])
+            outcomes.append((result, self._state(fabric._solver), fabric.stats()))
+            sim.run()
+        assert outcomes[0] == outcomes[1]
+
+    def test_dust_flow_completes_inline_like_route_class_solver(self):
+        """A rerouted flow's remaining bytes can be float dust: at a late
+        enough instant ``now + nbytes / rate == now``, so the flow
+        completes inside ``start`` on both paths."""
+        outcomes = []
+        for solver in (RouteClassFluidSolver, ScopedFluidSolver):
+            sim, fabric, routes = self._fabric(solver)
+            sim.timeout(1000.0)
+            sim.run()
+            done = []
+            fabric.start_flow("a", routes["same"], 1e-10, lambda: done.append(sim.now))
+            assert done == [1000.0] and fabric._solver.solo is None
+            outcomes.append((self._state(fabric._solver), fabric.stats()))
+        assert outcomes[0] == outcomes[1]
+
+    def test_sanitizer_names_a_live_solo_flow(self):
+        """A solo flow left live at drain end (its completion timer lost)
+        is still a leaked flow holding both links."""
+        sim, fabric, routes = self._fabric(sanitize=True)
+        fabric.start_flow("a", routes["same"], 65536, _ignore)
+        fabric._solver.timer.cancel()
+        with pytest.raises(
+            LeakedCapacityError, match=r"1 live fluid flow\(s\): 'a'"
+        ) as err:
+            sim.run()
+        assert "2 fabric link(s) not idle at drain end" in str(err.value)
 
 
 SOLVERS = [DenseFluidSolver, ScopedFluidSolver]

@@ -316,6 +316,55 @@ class TestUncontendedRouteLoss:
         assert a.nic.in_use == 0
 
 
+class TestSettledMessageLeavesNoTimer:
+    """A delivered message disarms its delivery timeout and its park
+    deadline: neither stays queued as a no-op that keeps ``run()``
+    going past the delivery."""
+
+    @staticmethod
+    def _deliver(sim, transport, src, dst, **kwargs):
+        msg = transport.send(src, dst, 4096, **kwargs)
+        delivered = []
+        msg.add_callback(lambda ev: delivered.append(sim.now))
+        return msg, delivered
+
+    @pytest.mark.parametrize("contended", [False, True], ids=["fast", "fabric"])
+    def test_delivery_timeout_is_cancelled(self, contended):
+        sim = Simulator()
+        cfg = DEFAULT_CONFIG.with_overrides(net_contention=contended)
+        cluster = make_cluster(
+            sim, ClusterSpec(islands=((2, 2),), name="net"), config=cfg
+        )
+        a, b = cluster.islands[0].hosts
+        msg, delivered = self._deliver(
+            sim, cluster.transport, a, b, timeout_us=1_000_000.0
+        )
+        end = sim.run()
+        assert msg.ok and delivered == [pytest.approx(40.3, abs=0.05)]
+        assert end == sim.now == delivered[0]
+        assert sim.stats().pending_timers == 0
+
+    def test_park_deadline_is_cancelled(self):
+        sim = Simulator(sanitize=True)
+        cfg = DEFAULT_CONFIG.with_overrides(
+            net_contention=True, net_park_deadline_us=5_000_000.0
+        )
+        cluster = make_cluster(
+            sim, ClusterSpec(islands=((2, 2), (2, 2)), name="net"), config=cfg
+        )
+        transport = cluster.transport
+        transport.fail_link("spine")
+        src, dst = cluster.islands[0].hosts[0], cluster.islands[1].hosts[0]
+        msg, delivered = self._deliver(sim, transport, src, dst)
+        restore = sim.timer_handle(lambda h: transport.restore_link("spine"))
+        restore.schedule(183.6)
+        end = sim.run()
+        assert msg.ok and transport.stats().messages_parked == 1
+        assert delivered == [pytest.approx(223.9, abs=0.05)]
+        assert end == sim.now == delivered[0]
+        assert sim.stats().pending_timers == 0
+
+
 class TestReliableSend:
     def test_retransmit_resolves_after_restore(self, sim, config, small_cluster):
         """Host crash mid-transfer fails the message; retransmit after
