@@ -34,6 +34,9 @@ def run_case(model, params, cores, hosts, batch):
         n_chunks=8, nominal_params=params,
     )
     result = trainer.run(n_steps=2)
+    # The transport moved every byte of the program's DCN edges: each
+    # of an island's logical hosts sends its share, for 2 islands x 2 steps.
+    assert system.transport.bytes_sent * hosts == result.dcn_bytes_per_island * 2 * 2
     single = trainer.single_island_equivalent_step_us()
     return result, single / result.step_time_us
 

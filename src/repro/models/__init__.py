@@ -7,8 +7,8 @@
   2-D-sharded collective-communication model.
 * :mod:`repro.models.pipeline` — GPipe-style pipeline schedules built as
   real multi-node Pathways programs (Table 2, Figure 10).
-* :mod:`repro.models.data_parallel` — cross-island data parallelism with
-  chunked, overlapped DCN gradient reduction (Figure 12).
+* :mod:`repro.models.data_parallel` — cross-island data parallelism, one
+  program per step, with chunked, overlapped DCN gradients (Figure 12).
 """
 
 from repro.models.transformer import (

@@ -1,7 +1,8 @@
 """Cross-island data-parallel training (paper §5.3, Figure 12, Appendix D).
 
 Each island holds one model-parallel replica (the model sharded over the
-island's cores); islands exchange gradients over DCN each step.  The
+island's cores); islands exchange gradients over DCN each step, which
+:class:`DataParallelTrainer` runs as one Pathways program.  The
 transfer is *chunked and overlapped*: as each backward chunk finishes,
 its gradient shard starts moving, so DCN time hides behind the remaining
 backward compute — the mechanism that yields the paper's ~97% scaling
@@ -19,12 +20,15 @@ from dataclasses import dataclass
 from typing import Generator, Optional
 
 from repro.config import SystemConfig
-from repro.core.placement import DeviceGroup
+from repro.core.ir import TransferRoute
+from repro.core.program import PathwaysProgram
 from repro.core.system import PathwaysSystem
 from repro.core.virtual_device import VirtualSlice
 from repro.hw.device import CollectiveRendezvous, Device, DeviceFailure, Kernel
 from repro.models.transformer import TransformerConfig
+from repro.plaque.graph import ShardedGraph
 from repro.sim import Event
+from repro.xla import CompiledFunction, DType, Sharding, TensorSpec
 
 __all__ = [
     "DataParallelTrainer",
@@ -41,8 +45,9 @@ _DETECTION_US = 1_000.0
 class DataParallelResult:
     step_time_us: float
     tokens_per_second: float
-    dcn_bytes_per_island: int
-    dcn_exposed_us: float        # step time not hidden by compute
+    dcn_bytes_per_island: int    # what the program's DCN edges move
+    #: Step time compute does not cover: exposed DCN transfer plus dispatch.
+    exposed_us: float
 
     @property
     def step_time_s(self) -> float:
@@ -91,7 +96,7 @@ class _ReplicaStep:
 
 
 class DataParallelTrainer(_ReplicaStep):
-    """Data parallelism across islands, model parallelism within."""
+    """Data parallelism across islands, model parallelism within; one program per step."""
 
     def __init__(
         self,
@@ -116,70 +121,65 @@ class DataParallelTrainer(_ReplicaStep):
         self.islands = system.cluster.islands
         if len(self.islands) < 1:
             raise ValueError("cluster has no islands")
-        # One aggregate gang per island.
-        self.groups = [DeviceGroup.representative(isl, cores_per_island) for isl in self.islands]
+        self._program: Optional[PathwaysProgram] = None
 
-    # -- the per-island step process -----------------------------------------
-    def _island_step(self, idx: int, transfers_done: list[Event]) -> Generator:
-        sim = self.system.sim
-        group = self.groups[idx]
-        dev = group.devices[0]
-        # Forward pass.
-        fwd = Kernel(sim, duration_us=self.forward_time_us(), tag="fwd", program=f"dp{idx}")
-        dev.enqueue(fwd)
-        yield fwd.done
-        # Backward in chunks; each finished chunk's gradients start
-        # moving to the peer island immediately.
-        k = len(self.islands)
-        chunk_us = self.backward_time_us() / self.n_chunks
-        per_chunk_bytes = self.grad_exchange_bytes(k) // self.n_chunks
-        per_host_bytes = group.per_host_bytes(per_chunk_bytes)
-        chunk_events: list[Event] = []
-        for c in range(self.n_chunks):
-            bwd = Kernel(sim, duration_us=chunk_us, tag=f"bwd{c}", program=f"dp{idx}")
-            dev.enqueue(bwd)
-            yield bwd.done
-            if k > 1:
-                peer = self.groups[(idx + 1) % k]
-                chunk_events.append(
-                    self.system.transport.send(
-                        group.hosts[0], peer.hosts[0], per_host_bytes
-                    )
-                )
-        if chunk_events:
-            yield sim.all_of(chunk_events)
-        transfers_done[idx].succeed(None)
-        # Apply gradients once the *incoming* reduction is complete too.
-        peer_idx = (idx - 1) % k
-        if k > 1:
-            yield transfers_done[peer_idx]
-        apply = Kernel(sim, duration_us=self.apply_time_us(), tag="apply", program=f"dp{idx}")
-        dev.enqueue(apply)
-        yield apply.done
+    def build(self) -> PathwaysProgram:
+        """Per island a forward node, a chain of ``n_chunks`` backward
+        nodes and an apply node behind its own last chunk and every chunk
+        of the previous island in the ring (those edges cross DCN)."""
+        if self._program is not None:
+            return self._program
+        k, n, cores = len(self.islands), self.n_chunks, self.replica_cores
+        # A chunk's gradients: BF16 split over the cores, padded up to whole shards.
+        shard = -(-(self.grad_exchange_bytes(k) // n) // (DType.BF16.width * cores))
+        scalar, grad = TensorSpec.scalar(), TensorSpec((shard * cores,), DType.BF16)
+        layout = {scalar: Sharding.REPLICATED, grad: Sharding.SPLIT_LEADING}
+        graph = ShardedGraph(name=f"dp[{self.model.name}]x{k}c{n}")
+        arg = graph.add_arg()
+        placements: dict[int, VirtualSlice] = {}
+        outs = {arg: scalar}
+
+        def add(name: str, us: float, out: TensorSpec, vslice: VirtualSlice, *srcs: int) -> int:
+            ins = tuple(outs[src] for src in srcs)
+            nid = graph.add_compute(CompiledFunction(
+                f"{name}[{self.model.name}]", ins, (out,), n_shards=cores, duration_us=us,
+                in_shardings=tuple(layout[t] for t in ins), out_shardings=(layout[out],),
+            ))
+            placements[nid], outs[nid] = vslice, out
+            for slot, src in enumerate(srcs):
+                graph.connect(src, nid, dst_input=slot)
+            return nid
+
+        vset = self.system.make_virtual_device_set()
+        vslices = [vset.add_slice(cores, island_id=isl.island_id) for isl in self.islands]
+        chunks: list[list[int]] = []
+        for vslice in vslices:
+            chain = [add("fwd", self.forward_time_us(), scalar, vslice, arg)]
+            for _ in range(n):
+                chain.append(add("bwd", self.backward_time_us() / n, grad, vslice, chain[-1]))
+            chunks.append(chain[1:])
+        applies = [
+            add("apply", self.apply_time_us(), scalar, vslices[i],
+                own[-1], *(chunks[i - 1] if k > 1 else ()))
+            for i, own in enumerate(chunks)
+        ]
+        self._program = PathwaysProgram.close(graph, placements, [arg], [(a, 0) for a in applies])
+        return self._program
 
     # -- measurement ----------------------------------------------------------
     def run(self, n_steps: int = 2) -> DataParallelResult:
-        sim = self.system.sim
-        start = sim.now
-        for _ in range(n_steps):
-            transfers_done = [
-                sim.event(name=lambda i=i: f"grads{i}")
-                for i in range(len(self.islands))
-            ]
-            procs = [
-                sim.process(
-                    self._island_step(i, transfers_done),
-                    name=lambda i=i: f"dp_step{i}",
-                )
-                for i in range(len(self.islands))
-            ]
-            sim.run_until_triggered(sim.all_of(procs))
-        step_us = (sim.now - start) / n_steps
+        program, k, sim = self.build(), len(self.islands), self.system.sim
+        client = self.system.client("dp")
+        step_us = sim.drain(sim.process(
+            client.drive_pipelined(program, (0.0,), n_iters=n_steps, max_in_flight=1),
+            name=lambda: f"train:{program.name}",
+        )) / n_steps
+        edges = [t for node in client.lower(program).nodes for t in node.incoming]
         return DataParallelResult(
             step_time_us=step_us,
-            tokens_per_second=self.batch_tokens * len(self.islands) / (step_us / 1e6),
-            dcn_bytes_per_island=self.grad_exchange_bytes(len(self.islands)),
-            dcn_exposed_us=max(0.0, step_us - self.step_compute_us()),
+            tokens_per_second=self.batch_tokens * k / (step_us / 1e6),
+            dcn_bytes_per_island=sum(t.nbytes for t in edges if t.route is TransferRoute.DCN) // k,
+            exposed_us=max(0.0, step_us - self.step_compute_us()),
         )
 
     def single_island_equivalent_step_us(self) -> float:

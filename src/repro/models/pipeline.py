@@ -185,13 +185,11 @@ class PipelineBuilder:
         """Execute ``n_steps`` pipeline steps; returns measured throughput."""
         program = self.build()
         sim = self.system.sim
-        start = sim.now
-        for _ in range(n_steps):
-            execution = client.submit(program, args=(0.0,), compute_values=False)
-            sim.run_until_triggered(execution.done)
-            execution.release_results()
-        elapsed = sim.now - start
-        step_us = elapsed / n_steps
+        elapsed_us = sim.drain(sim.process(
+            client.drive_pipelined(program, (0.0,), n_iters=n_steps, max_in_flight=1),
+            name=lambda: f"train:{program.name}",
+        ))
+        step_us = elapsed_us / n_steps
         return PipelineResult(
             step_time_us=step_us,
             tokens_per_second=self.batch_tokens / (step_us / 1e6),

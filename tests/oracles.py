@@ -72,6 +72,12 @@ no production path that selects it:
   gang-granular phases of :mod:`repro.hw.device`, :mod:`repro.hw.host`
   and :mod:`repro.core.object_store`.
 
+* :class:`DirectDataParallelTrainer` — the Figure 12 step with no
+  program: per island one generator ``Process`` puts kernels straight
+  onto the island's representative device and sends each gradient
+  chunk with a raw ``transport.send``; the reference for the
+  one-program step of :class:`repro.models.DataParallelTrainer`.
+
 ``test_fluid_solver.py`` swaps the solver in (by patching
 ``repro.net.fabric.ScopedFluidSolver``) and asserts byte-identical
 results; ``test_resilience.py`` compares the fault schedules event for
@@ -87,8 +93,9 @@ endpoint crashes through both send paths; ``test_device_drain.py`` runs
 random gangs under device and host faults through both drains;
 ``test_healthy_set.py`` probes healthy capacity and slice binds under
 random faults against both; ``test_plaque.py`` draws random ``connect``
-sequences against the graph references.  The timer queue
-needs no oracle: :class:`repro.sim.TimerQueue`
+sequences against the graph references; ``test_models.py`` runs random
+data-parallel steps with zero control costs through both trainers.  The
+timer queue needs no oracle: :class:`repro.sim.TimerQueue`
 is itself the plain ``(when, seq)`` heap, and ``test_timer_queue.py``
 checks it against a sorted list of the live entries.
 """
@@ -117,11 +124,13 @@ from repro.core.dispatch import (
 from repro.core.executor import NodeExecutor
 from repro.core.ir import TransferRoute
 from repro.core.object_store import MemorySpace, ObjectHandle, ShardedObjectStore
+from repro.core.placement import DeviceGroup
 from repro.core.scheduler import DeadlineExceeded, GangRequest
 from repro.faults import unwrap_fault
-from repro.hw.device import Device, DeviceFailure
+from repro.hw.device import Device, DeviceFailure, Kernel
 from repro.hw.host import Host, HostFailure
 from repro.models import data_parallel
+from repro.models.data_parallel import DataParallelResult, DataParallelTrainer
 from repro.net import MessageLost
 from repro.net.fabric import ScopedFluidSolver, _Flow as _ClassFlow, _RouteClass, _integrate
 from repro.resilience import FaultEvent, FaultKind
@@ -130,6 +139,7 @@ from repro.sim import Event, Resource
 __all__ = [
     "CollectiveRendezvous",
     "DenseFluidSolver",
+    "DirectDataParallelTrainer",
     "EagerFaultInjector",
     "MailboxScheduler",
     "RouteClassFluidSolver",
@@ -1501,3 +1511,77 @@ def patch_device_drain(mp) -> None:
     )
     mp.setattr(executor_module, "prep_hosts", _prep_hosts)
     mp.setattr(ShardedObjectStore, "allocate", _allocate)
+
+
+class DirectDataParallelTrainer(DataParallelTrainer):
+    """The Figure 12 step as direct kernels on one representative device
+    per island, with raw DCN sends and no controller, scheduler, prep or
+    program (the same constructor; it binds no slice)."""
+
+    def __init__(self, system, *args, **kwargs):
+        super().__init__(system, *args, **kwargs)
+        self.islands = system.cluster.islands
+        self.groups = [
+            DeviceGroup.representative(isl, self.replica_cores) for isl in self.islands
+        ]
+
+    def _island_step(self, idx: int, transfers_done: list[Event]) -> Generator:
+        sim = self.system.sim
+        group = self.groups[idx]
+        dev = group.devices[0]
+        # Forward pass.
+        fwd = Kernel(sim, duration_us=self.forward_time_us(), tag="fwd", program=f"dp{idx}")
+        dev.enqueue(fwd)
+        yield fwd.done
+        # Backward in chunks; each finished chunk's gradients start
+        # moving to the peer island immediately.
+        k = len(self.islands)
+        chunk_us = self.backward_time_us() / self.n_chunks
+        per_chunk_bytes = self.grad_exchange_bytes(k) // self.n_chunks
+        per_host_bytes = group.per_host_bytes(per_chunk_bytes)
+        chunk_events: list[Event] = []
+        for c in range(self.n_chunks):
+            bwd = Kernel(sim, duration_us=chunk_us, tag=f"bwd{c}", program=f"dp{idx}")
+            dev.enqueue(bwd)
+            yield bwd.done
+            if k > 1:
+                peer = self.groups[(idx + 1) % k]
+                chunk_events.append(
+                    self.system.transport.send(
+                        group.hosts[0], peer.hosts[0], per_host_bytes
+                    )
+                )
+        if chunk_events:
+            yield sim.all_of(chunk_events)
+        transfers_done[idx].succeed(None)
+        # Apply gradients once the *incoming* reduction is complete too.
+        peer_idx = (idx - 1) % k
+        if k > 1:
+            yield transfers_done[peer_idx]
+        apply = Kernel(sim, duration_us=self.apply_time_us(), tag="apply", program=f"dp{idx}")
+        dev.enqueue(apply)
+        yield apply.done
+
+    def run(self, n_steps: int = 2) -> DataParallelResult:
+        sim = self.system.sim
+        start = sim.now
+        for _ in range(n_steps):
+            transfers_done = [
+                sim.event(name=lambda i=i: f"grads{i}")
+                for i in range(len(self.islands))
+            ]
+            procs = [
+                sim.process(
+                    self._island_step(i, transfers_done),
+                    name=lambda i=i: f"dp_step{i}",
+                )
+                for i in range(len(self.islands))
+            ]
+            sim.run_until_triggered(sim.all_of(procs))
+        step_us = (sim.now - start) / n_steps
+        return DataParallelResult(
+            step_time_us=step_us,
+            tokens_per_second=self.batch_tokens * len(self.islands) / (step_us / 1e6),
+            dcn_bytes_per_island=self.grad_exchange_bytes(len(self.islands)),
+            exposed_us=max(0.0, step_us - self.step_compute_us()),
+        )

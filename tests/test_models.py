@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+import os
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import DEFAULT_CONFIG
 from repro.core.system import PathwaysSystem
@@ -18,7 +23,29 @@ from repro.models.transformer import (
     TransformerConfig,
 )
 
+import oracles
+
 P3B = 3_000_000_000
+
+#: Every control cost a program pays and a direct-kernel step does not:
+#: the controller pass, the subgraph message, scheduler decisions,
+#: executor prep and launch, PCIe descriptor writes.
+ZERO_CONTROL = dataclasses.replace(
+    DEFAULT_CONFIG,
+    coordinator_base_us=0.0,
+    coordinator_work_per_host_us=0.0,
+    coordinator_node_per_host_us=0.0,
+    cpp_dispatch_us=0.0,
+    scheduler_decision_us=0.0,
+    executor_prep_us=0.0,
+    pcie_latency_us=0.0,
+    host_launch_work_us=0.0,
+    dcn_latency_us=0.0,
+)
+
+#: Examples per run of the differential data-parallel fuzz (CI's long
+#: budget sets ``REPRO_DP_FUZZ_EXAMPLES``).
+DP_FUZZ_EXAMPLES = int(os.environ.get("REPRO_DP_FUZZ_EXAMPLES", "0")) or 100
 
 
 class TestTransformerConfig:
@@ -186,6 +213,23 @@ class TestPipeline:
         assert sys_c.cluster.transport.bytes_sent > 0  # really crossed islands
 
 
+@st.composite
+def _dp_configs(draw):
+    """(islands, cores per island, chunks, steps, parameters).  Half the
+    draws make the parameter count a multiple of islands x chunks x
+    cores, so the chunks usually split into whole BF16 shards; the rest
+    add an offset that usually needs padding."""
+    k = draw(st.integers(1, 4))
+    cores = 8 * draw(st.integers(1, 8))
+    n_chunks = draw(st.integers(1, 8))
+    n_steps = draw(st.integers(1, 3))
+    # At most 2e9 parameters: every chunk of a step fits one core's HBM.
+    unit = k * n_chunks * cores
+    params = unit * draw(st.integers(1, 2_000_000_000 // unit - 1))
+    params += draw(st.one_of(st.just(0), st.integers(1, unit - 1)))
+    return k, cores, n_chunks, n_steps, params
+
+
 class TestDataParallel:
     def _system(self, k=2):
         return PathwaysSystem.build(
@@ -198,7 +242,12 @@ class TestDataParallel:
                                  nominal_params=64_000_000_000)
         # 2 islands: (k-1)/k * 2 * 4B/param = 4 bytes/param.
         assert dp.grad_exchange_bytes(2) == pytest.approx(4 * 64e9, rel=0.01)
-        assert dp.run(n_steps=1).dcn_bytes_per_island == dp.grad_exchange_bytes(2)
+        res = dp.run(n_steps=2)
+        # The program's DCN edges carry the ring volume ...
+        assert res.dcn_bytes_per_island == dp.grad_exchange_bytes(2)
+        # ... and the transport moved all of it, each logical host its share.
+        hosts = next(iter(dp.build().placements.values())).group.n_hosts_logical
+        assert system.transport.bytes_sent * hosts == res.dcn_bytes_per_island * 2 * 2
 
     def test_single_island_no_exchange(self):
         system = self._system(k=1)
@@ -230,6 +279,62 @@ class TestDataParallel:
     def test_invalid_chunks(self):
         with pytest.raises(ValueError):
             DataParallelTrainer(self._system(), DECODER_3B, 8, 1024, 0.3, n_chunks=0)
+
+    @staticmethod
+    def _padding_bound(cores, k, n_chunks, n_steps):
+        """Transport bytes and step time a padded gradient chunk may add
+        over the exact one: under two BF16 elements per shard per chunk."""
+        extra_bytes = n_chunks * 2 * cores
+        return k * n_steps * extra_bytes, extra_bytes / ZERO_CONTROL.dcn_bytes_per_us
+
+    def _both(self, k, cores, n_chunks, n_steps, params):
+        """Run one configuration through the program trainer and the
+        direct-kernel oracle, each on its own zero-control-cost system."""
+        out = []
+        for cls in (DataParallelTrainer, oracles.DirectDataParallelTrainer):
+            system = PathwaysSystem.build(
+                ClusterSpec(islands=((8, 8),) * k), config=ZERO_CONTROL
+            )
+            dp = cls(system, DECODER_3B, cores, 1 << 14, 0.35,
+                     n_chunks=n_chunks, nominal_params=params)
+            res = dp.run(n_steps=n_steps)
+            transport = system.transport
+            out.append((dp, res, transport.messages_sent, transport.bytes_sent))
+        return out
+
+    @settings(max_examples=DP_FUZZ_EXAMPLES, deadline=None)
+    @given(config=_dp_configs())
+    def test_program_step_matches_direct_kernels(self, config):
+        """With every control cost at zero, the one-program step takes
+        the direct-kernel step's time and sends its messages and bytes;
+        a chunk padded up to whole shards adds only its padding."""
+        k, cores, n_chunks, n_steps, params = config
+        (dp, new, new_msgs, new_bytes), (_, old, old_msgs, old_bytes) = self._both(
+            k, cores, n_chunks, n_steps, params
+        )
+        assert new_msgs == old_msgs
+        exact = dp.grad_exchange_bytes(k) // n_chunks
+        if new.dcn_bytes_per_island == exact * n_chunks:
+            assert new.step_time_us == old.step_time_us
+            assert new_bytes == old_bytes
+        else:
+            max_bytes, max_us = self._padding_bound(cores, k, n_chunks, n_steps)
+            assert 0 <= new_bytes - old_bytes <= max_bytes
+            assert old.step_time_us <= new.step_time_us <= old.step_time_us + max_us
+
+    def test_padded_gradient_chunk_runs(self):
+        """A gradient chunk that does not split into whole BF16 shards is
+        padded; the step still runs and moves at most the padding more."""
+        k, cores, n_chunks, n_steps = 2, 24, 3, 2
+        (dp, new, new_msgs, new_bytes), (_, old, old_msgs, old_bytes) = self._both(
+            k, cores, n_chunks, n_steps, 1_000_003
+        )
+        exact = dp.grad_exchange_bytes(k) // n_chunks
+        assert 0 < new.dcn_bytes_per_island // n_chunks - exact < 2 * cores
+        assert new_msgs == old_msgs == k * n_chunks * n_steps
+        max_bytes, max_us = self._padding_bound(cores, k, n_chunks, n_steps)
+        assert 0 < new_bytes - old_bytes <= max_bytes
+        assert old.step_time_us <= new.step_time_us <= old.step_time_us + max_us
 
 
 class TestT5Table:
