@@ -56,7 +56,6 @@ def run_without_scheduler(n_programs=4, n_steps=5):
 def run_with_scheduler():
     res = run_pathways_multitenant(
         4, 330.0, n_hosts=2, devices_per_host=4, iters_per_client=5,
-        aggregate_threshold=64,
     )
     return res.aggregate_computations_per_second
 

@@ -76,11 +76,6 @@ class SystemConfig:
     net_park_deadline_us: float = 1_000_000.0
     #: Backoff between retransmit attempts of a reliable send.
     net_retransmit_backoff_us: float = 500.0
-    #: How much per-link busy history the fabric keeps for the
-    #: :meth:`repro.net.Fabric.uplink_utilization` sliding window — the signal
-    #: serving replica placement (and, later, congestion-aware placement)
-    #: reads.
-    net_util_window_us: float = 100_000.0
 
     # --- Inter-chip interconnect (ICI) ----------------------------------
     ici_latency_us: float = 1.0           # per hop

@@ -34,7 +34,6 @@ class PathwaysFuture:
 
     def resolve(self, value: Optional[np.ndarray]) -> None:
         """Mark the buffer as produced (called by the executor layer)."""
-        self.handle.value = value
         self._value = value
         self.is_ready = True
 

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-import numpy as np
-
 from repro.core.placement import DeviceGroup
 from repro.hw.device import free_hbm, reserve_hbm
 from repro.sim import Event, Simulator
@@ -45,7 +43,6 @@ class ObjectHandle:
     n_shards: int
     space: MemorySpace
     group: Optional[DeviceGroup] = None
-    value: Optional[np.ndarray] = None  # logical value, once produced
     refcount: int = 1
     freed: bool = False
 

@@ -3,15 +3,20 @@
 A :class:`DeviceGroup` is the physical realization of a virtual slice:
 the set of devices a gang-scheduled computation occupies.
 
-Fidelity knob: a group can be *detailed* (every logical core is a
-simulated :class:`~repro.hw.Device`) or *aggregate* (a few representative
-devices stand in for ``n_logical`` symmetric SPMD shards, with collective
-and host-fan-out costs still computed from the logical counts).  SPMD
-gangs are symmetric by construction, so aggregation changes no schedule
+Fidelity: a group can be *detailed* (every logical core is a simulated
+:class:`~repro.hw.Device`) or *aggregate* (a few representative devices
+stand in for ``n_logical`` symmetric SPMD shards, with collective and
+host-fan-out costs still computed from the logical counts).  SPMD gangs
+are symmetric by construction, so aggregation changes no schedule
 decision — it only removes redundant identical events, which is what
 makes the 2048-core sweeps of Figures 5/6 tractable in pure Python.
 Detailed groups are used wherever per-core behaviour matters (pipelines,
-traces, gang-scheduling tests).
+traces, gang-scheduling tests).  The choice is fixed, not a knob: the
+resource manager binds slices of up to ``AGGREGATE_THRESHOLD`` devices
+detailed and larger ones aggregate, with at most ``MAX_REPRESENTATIVES``
+representatives drawn from the slice's own block of the island, so
+co-located aggregate slices never share a simulated core
+(:mod:`repro.core.resource_manager`).
 """
 
 from __future__ import annotations

@@ -17,36 +17,22 @@ from repro.hw.cluster import Cluster
 from repro.hw.topology import Island
 from repro.sim import Simulator
 
-__all__ = ["ResourceManager"]
+__all__ = ["AGGREGATE_THRESHOLD", "MAX_REPRESENTATIVES", "ResourceManager"]
+
+#: Slices larger than this are simulated with representative devices
+#: (see :mod:`repro.core.placement`).
+AGGREGATE_THRESHOLD = 64
+#: At most this many representative devices stand for an aggregate slice.
+MAX_REPRESENTATIVES = 16
 
 
 class ResourceManager:
     """Global allocator of physical devices to virtual slices."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        cluster: Cluster,
-        config: SystemConfig,
-        aggregate_threshold: int = 64,
-        max_simulated_per_group: int = 16,
-        disjoint_aggregate_reps: bool = False,
-    ):
+    def __init__(self, sim: Simulator, cluster: Cluster, config: SystemConfig):
         self.sim = sim
         self.cluster = cluster
         self.config = config
-        #: Slices larger than this are simulated with representative
-        #: devices (see :mod:`repro.core.placement`).
-        self.aggregate_threshold = aggregate_threshold
-        self.max_simulated_per_group = max_simulated_per_group
-        #: Co-located aggregate slices normally all sample the same
-        #: island-spanning representatives (fine for one big slice, the
-        #: historical behaviour the calibrated figure sweeps assume).
-        #: With this flag each aggregate slice reserves its own logical
-        #: block of the healthy list and picks representatives inside
-        #: it, so multi-tenant paper-scale churn runs simulate disjoint
-        #: tenants on disjoint cores instead of falsely contending.
-        self.disjoint_aggregate_reps = disjoint_aggregate_reps
         self._islands: dict[int, Island] = {
             isl.island_id: isl for isl in cluster.islands
         }
@@ -201,7 +187,7 @@ class ResourceManager:
             island = self._pick_island(vslice.n_devices)
         n = vslice.n_devices
         healthy = island.n_healthy
-        if n <= self.aggregate_threshold and n <= healthy:
+        if n <= AGGREGATE_THRESHOLD and n <= healthy:
             # Detailed: a contiguous run of healthy devices, round-robin
             # offset (identical to the original contiguous slice when
             # nothing has failed).
@@ -214,24 +200,17 @@ class ResourceManager:
                 f"slice {vslice.slice_id}"
             )
         else:
-            # Aggregate: representative healthy devices spanning hosts.
+            # Aggregate: the slice reserves its logical block
+            # [cursor, cursor+n) of the healthy devices and spreads its
+            # representatives inside it, so co-located aggregate slices
+            # simulate disjoint cores instead of falsely contending.
             per_host = len(island.hosts[0].devices)
             n_hosts_logical = max(1, n // per_host)
-            reps = min(self.max_simulated_per_group, healthy, n)
-            if self.disjoint_aggregate_reps:
-                # Reserve this slice's logical block [cursor, cursor+n)
-                # of the healthy devices and spread representatives
-                # inside it — co-located tenants get disjoint cores.
-                base = self._cursor.get(island.island_id, 0) % healthy
-                span = min(n, healthy)
-                devices = island.healthy_at(base, reps, max(1, span // reps))
-            else:
-                devices = island.healthy_at(0, reps, max(1, healthy // reps))
-            # De-duplicate while preserving order.
-            seen: set[int] = set()
-            devices = [
-                d for d in devices if d.device_id not in seen and not seen.add(d.device_id)
-            ]
+            reps = min(MAX_REPRESENTATIVES, healthy, n)
+            base = self._cursor.get(island.island_id, 0) % healthy
+            span = min(n, healthy)
+            # reps * step <= healthy, so the picks never wrap onto each other.
+            devices = island.healthy_at(base, reps, max(1, span // reps))
             group = DeviceGroup(
                 island=island,
                 devices=devices,

@@ -43,19 +43,11 @@ class PathwaysSystem:
         cluster: Cluster,
         config: SystemConfig = DEFAULT_CONFIG,
         policy: Optional[SchedulingPolicy] = None,
-        aggregate_threshold: int = 64,
-        disjoint_aggregate_reps: bool = False,
     ):
         self.sim = sim
         self.cluster = cluster
         self.config = config
-        self.resource_manager = ResourceManager(
-            sim,
-            cluster,
-            config,
-            aggregate_threshold=aggregate_threshold,
-            disjoint_aggregate_reps=disjoint_aggregate_reps,
-        )
+        self.resource_manager = ResourceManager(sim, cluster, config)
         self.object_store = ShardedObjectStore(sim)
         #: Policy islands are created with (None -> per-island FIFO);
         #: runtime-added islands inherit it so elastic growth never
@@ -87,8 +79,6 @@ class PathwaysSystem:
         spec: ClusterSpec,
         config: SystemConfig = DEFAULT_CONFIG,
         policy: Optional[SchedulingPolicy] = None,
-        aggregate_threshold: int = 64,
-        disjoint_aggregate_reps: bool = False,
         log_schedule: bool = False,
         tracer=None,
     ) -> "PathwaysSystem":
@@ -102,14 +92,7 @@ class PathwaysSystem:
         """
         sim = Simulator(log_schedule=log_schedule, tracer=tracer)
         cluster = make_cluster(sim, spec, config=config)
-        return PathwaysSystem(
-            sim,
-            cluster,
-            config=config,
-            policy=policy,
-            aggregate_threshold=aggregate_threshold,
-            disjoint_aggregate_reps=disjoint_aggregate_reps,
-        )
+        return PathwaysSystem(sim, cluster, config=config, policy=policy)
 
     # -- components -------------------------------------------------------
     @property

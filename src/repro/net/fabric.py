@@ -96,17 +96,22 @@ from repro.sim import Simulator
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hw.host import Host
 
-__all__ = ["Fabric", "Link", "ScopedFluidSolver"]
+__all__ = ["Fabric", "Link", "ScopedFluidSolver", "Uplink"]
 
 #: "Never finishes": the next-finish answer of an empty calendar.
 _NEVER = float("inf")
+
+#: How far back :meth:`Uplink.busy_fraction` looks (µs); older busy
+#: intervals are dropped so the log stays bounded.
+UTIL_WINDOW_US = 100_000.0
 
 
 class Link:
     """One fabric hop: a bandwidth capacity plus accounting.
 
     The :class:`Fabric`'s fluid solver drives progress; this object
-    holds the capacity, the live-flow count and the busy-time log.
+    holds the capacity, the live-flow count and its counters.  Only an
+    island uplink (an :class:`Uplink`) also keeps a busy log.
     """
 
     __slots__ = (
@@ -114,7 +119,6 @@ class Link:
         "name",
         "kind",
         "up",
-        "faults",
         "bytes_per_us",
         "bytes_carried",
         "flows_completed",
@@ -122,9 +126,6 @@ class Link:
         "max_concurrency",
         "fluid_flows",
         "_fluid",
-        "util_window_us",
-        "_busy_since",
-        "_busy_log",
     )
 
     def __init__(
@@ -132,7 +133,6 @@ class Link:
         sim: Simulator,
         bytes_per_us: float,
         name: str = "",
-        util_window_us: float = 100_000.0,
         kind: str = "link",
     ):
         if bytes_per_us <= 0:
@@ -145,8 +145,6 @@ class Link:
         #: False while the link is failed; a down link carries nothing
         #: (take-down evicts all occupancy) and no new flow starts on it.
         self.up = True
-        #: Times this link has been taken down.
-        self.faults = 0
         self.bytes_per_us = bytes_per_us
         self.bytes_carried = 0
         self.flows_completed = 0
@@ -160,13 +158,6 @@ class Link:
         #: eviction both iterate this, so a hash set here would feed the
         #: schedule from object addresses (RPR002).
         self._fluid: dict = {}
-        #: How far back :meth:`busy_fraction` can look; older busy
-        #: intervals are dropped so the log stays bounded.
-        self.util_window_us = util_window_us
-        #: Start of the current busy period (None while idle) plus the
-        #: closed [start, end] busy intervals inside the window.
-        self._busy_since: Optional[float] = None
-        self._busy_log: Deque[list] = deque()
 
     # -- introspection ----------------------------------------------------
     @property
@@ -175,12 +166,37 @@ class Link:
         check benches and tests assert after faults."""
         return self.fluid_flows == 0
 
-    # -- busy-time accounting (the uplink-utilization signal) ---------------
+    # -- fluid-flow membership (driven by the fluid solver) -----------------
+    def fluid_enter(self) -> None:
+        n = self.fluid_flows = self.fluid_flows + 1
+        if n > self.max_concurrency:
+            self.max_concurrency = n
+
+    def fluid_exit(self) -> None:
+        self.fluid_flows -= 1
+
+
+class Uplink(Link):
+    """An island uplink: a :class:`Link` that also logs when it is busy.
+
+    Its :meth:`busy_fraction` is the congestion signal placement reads
+    (:meth:`Fabric.uplink_utilization`).  A link is *busy* while at
+    least one flow crosses it, so only the 0->1 and 1->0 flow-count
+    transitions move the log.
+    """
+
+    __slots__ = ("_busy_since", "_busy_log")
+
+    def __init__(self, sim: Simulator, bytes_per_us: float, name: str):
+        super().__init__(sim, bytes_per_us, name=name, kind="uplink")
+        #: Start of the current busy period (None while idle) plus the
+        #: closed [start, end] busy intervals inside the window.
+        self._busy_since: Optional[float] = None
+        self._busy_log: Deque[list] = deque()
+
     def _close_busy(self) -> None:
         """Fold the busy period the last flow leaving just ended into
-        the busy log.  A link is *busy* while at least one flow crosses
-        it, so only the 0->1 and 1->0 count transitions move the log.
-        """
+        the busy log, dropping intervals older than the window."""
         now = self.sim._now
         start, self._busy_since = self._busy_since, None
         if now <= start:
@@ -192,12 +208,12 @@ class Link:
             log[-1][1] = now
         else:
             log.append([start, now])
-        horizon = now - self.util_window_us
+        horizon = now - UTIL_WINDOW_US
         while log and log[0][1] < horizon:
             log.popleft()
 
     def busy_fraction(self, now: Optional[float] = None) -> float:
-        """Fraction of the trailing :attr:`util_window_us` this link
+        """Fraction of the trailing :data:`UTIL_WINDOW_US` this link
         carried traffic.
 
         The window is clamped to the elapsed simulation time, so an
@@ -205,7 +221,7 @@ class Link:
         """
         if now is None:
             now = self.sim.now
-        lo = max(0.0, now - self.util_window_us)
+        lo = max(0.0, now - UTIL_WINDOW_US)
         span = now - lo
         if span <= 0:
             return 1.0 if self._busy_since is not None else 0.0
@@ -216,12 +232,9 @@ class Link:
             busy += now - max(self._busy_since, lo)
         return min(1.0, busy / span)
 
-    # -- fluid-flow membership (driven by the fluid solver) -----------------
     def fluid_enter(self) -> None:
-        n = self.fluid_flows = self.fluid_flows + 1
-        if n > self.max_concurrency:
-            self.max_concurrency = n
-        if n == 1:
+        Link.fluid_enter(self)
+        if self.fluid_flows == 1:
             self._busy_since = self.sim._now
 
     def fluid_exit(self) -> None:
@@ -633,6 +646,8 @@ class Fabric:
 
     Links are created on first use from the config's bandwidth knobs, so
     islands added at runtime get fabric links with no registration step.
+    Island uplinks are :class:`Uplink` links, the only ones with a busy
+    log: :meth:`uplink_utilization` is the one reader.
     The fabric also runs the fluid fair-share engine
     (:meth:`start_flow` / :meth:`abort_flow`) the contended transport
     sends every message through.
@@ -652,8 +667,8 @@ class Fabric:
             )
         self._nic_tx: dict[int, Link] = {}
         self._nic_rx: dict[int, Link] = {}
-        self._uplink_tx: dict[int, Link] = {}
-        self._uplink_rx: dict[int, Link] = {}
+        self._uplink_tx: dict[int, Uplink] = {}
+        self._uplink_rx: dict[int, Uplink] = {}
         self._spines: list[Link] = []
         self._solver = ScopedFluidSolver(self)
         if sim.sanitize and sim.sanitizer is not None:
@@ -667,7 +682,6 @@ class Fabric:
                 self.sim,
                 self.config.dcn_bytes_per_us,
                 name=f"nic_tx[h{host_id}]",
-                util_window_us=self.config.net_util_window_us,
                 kind="nic",
             )
         return link
@@ -679,7 +693,6 @@ class Fabric:
                 self.sim,
                 self.config.dcn_bytes_per_us,
                 name=f"nic_rx[h{host_id}]",
-                util_window_us=self.config.net_util_window_us,
                 kind="nic",
             )
         return link
@@ -690,27 +703,23 @@ class Fabric:
     def nic_rx(self, host: "Host") -> Link:
         return self._nic_rx_link(host.host_id)
 
-    def uplink_tx(self, island_id: int) -> Link:
+    def uplink_tx(self, island_id: int) -> Uplink:
         link = self._uplink_tx.get(island_id)
         if link is None:
-            link = self._uplink_tx[island_id] = Link(
+            link = self._uplink_tx[island_id] = Uplink(
                 self.sim,
                 self.config.net_island_uplink_bytes_per_us,
-                name=f"uplink_tx[i{island_id}]",
-                util_window_us=self.config.net_util_window_us,
-                kind="uplink",
+                f"uplink_tx[i{island_id}]",
             )
         return link
 
-    def uplink_rx(self, island_id: int) -> Link:
+    def uplink_rx(self, island_id: int) -> Uplink:
         link = self._uplink_rx.get(island_id)
         if link is None:
-            link = self._uplink_rx[island_id] = Link(
+            link = self._uplink_rx[island_id] = Uplink(
                 self.sim,
                 self.config.net_island_uplink_bytes_per_us,
-                name=f"uplink_rx[i{island_id}]",
-                util_window_us=self.config.net_util_window_us,
-                kind="uplink",
+                f"uplink_rx[i{island_id}]",
             )
         return link
 
@@ -725,7 +734,6 @@ class Fabric:
                     # The single-path name stays "spine" so default-config
                     # schedules, stats keys, and goldens are unchanged.
                     name="spine" if k == 1 else f"spine[p{i}]",
-                    util_window_us=self.config.net_util_window_us,
                     kind="spine",
                 )
                 for i in range(k)
@@ -854,7 +862,6 @@ class Fabric:
         if not link.up:
             return []
         link.up = False
-        link.faults += 1
         victims = self._solver.evict_crossing(link)
         for key, _ in victims:
             self._solver.abort(key)
@@ -970,9 +977,9 @@ class Fabric:
         )
 
     def uplink_utilization(self, island_id: int) -> float:
-        """Busier direction of one island's uplink pair (0.0..1.0).  The
-        serving replica set reads this to prefer islands with idle
-        uplinks."""
+        """Busier direction of one island's uplink pair (0.0..1.0).
+        Slice binding and the serving replica set read this to prefer
+        islands with idle uplinks."""
         now = self.sim.now
         return max(
             self.uplink_tx(island_id).busy_fraction(now),

@@ -13,8 +13,8 @@ replica is never resized mid-gang):
   preemption end); those islands are preferred for the next grow;
 * **fabric utilization** — island choice
   (:meth:`~repro.serve.replicas.ReplicaSet.pick_island`) consults
-  :meth:`~repro.net.fabric.Fabric.uplink_utilization` over the config's
-  ``net_util_window_us`` sliding window, so new replicas land behind
+  :meth:`~repro.net.fabric.Fabric.uplink_utilization` over the fabric's
+  ``UTIL_WINDOW_US`` sliding window, so new replicas land behind
   idle uplinks (the congestion-aware-placement seed signal).
 
 The autoscaler also implements the elastic-workload protocol: an island

@@ -234,7 +234,6 @@ def run_churn(
     config: SystemConfig = DEFAULT_CONFIG,
     policy: Optional[SchedulingPolicy] = None,
     add_island_at: Optional[tuple[float, int, int]] = None,
-    aggregate_threshold: int = 64,
     log_schedule: bool = False,
 ) -> ChurnResult:
     """N tenants training under device churn on one island.
@@ -252,13 +251,14 @@ def run_churn(
     island instead of backing off for a repair).
 
     **Paper-scale aggregate runs** (configs A/B): with ``slice_devices >
-    aggregate_threshold`` each tenant's gang is simulated by
+    AGGREGATE_THRESHOLD`` each tenant's gang is simulated by
     representative devices standing in for ``slice_devices`` logical
     shards.  Two rules keep the reliability study faithful:
 
-    * co-located aggregate tenants always bind *disjoint*
-      representatives (``disjoint_aggregate_reps``), so they do not
-      falsely serialize on shared simulated cores;
+    * co-located aggregate tenants bind *disjoint* representatives, as
+      every aggregate slice does
+      (:meth:`~repro.core.resource_manager.ResourceManager.bind_slice`),
+      so they do not falsely serialize on shared simulated cores;
     * the representatives' per-device MTBF is divided by their
       representation factor, preserving the *per-gang* fault arrival
       rate a fully-detailed simulation of ``slice_devices`` cores would
@@ -272,11 +272,9 @@ def run_churn(
             f"{n_clients} clients x {slice_devices} devices exceed the island "
             f"({n_hosts * devices_per_host} devices); churn needs headroom"
         )
-    aggregate = slice_devices > aggregate_threshold
     system = PathwaysSystem.build(
         ClusterSpec(islands=((n_hosts, devices_per_host),), name="churn"),
-        config=config, policy=policy, aggregate_threshold=aggregate_threshold,
-        disjoint_aggregate_reps=aggregate, log_schedule=log_schedule,
+        config=config, policy=policy, log_schedule=log_schedule,
     )
     RecoveryManager(system)
 

@@ -52,7 +52,6 @@ def run_pathways_multitenant(
     iters_per_client: int = 10,
     weights: Optional[dict[str, float]] = None,
     with_trace: bool = False,
-    aggregate_threshold: int = 64,
     pipelined: bool = False,
     scale_iters_by_weight: bool = False,
 ) -> MultitenantResult:
@@ -74,7 +73,6 @@ def run_pathways_multitenant(
         _spec(n_hosts, devices_per_host),
         policy=ProportionalSharePolicy(weights) if weights is not None else None,
         tracer=Tracer() if with_trace else None,
-        aggregate_threshold=aggregate_threshold,
     )
     n_devices = n_hosts * devices_per_host
     drivers = []

@@ -112,7 +112,7 @@ import numpy as np
 import repro.core.executor as executor_module
 import repro.hw.device as device_module
 from repro.baselines import multi_controller
-from repro.core import object_store
+from repro.core import object_store, resource_manager
 from repro.core.dispatch import (
     MAX_REMAP_ATTEMPTS,
     REMAP_US,
@@ -199,17 +199,13 @@ def bind_choice(rm, island, n: int) -> list:
     """The devices ``rm.bind_slice`` gives an ``n``-device slice on
     ``island``, picked from :func:`healthy_devices`."""
     healthy = healthy_devices(island)
-    if n <= rm.aggregate_threshold and n <= len(healthy):
+    if n <= resource_manager.AGGREGATE_THRESHOLD and n <= len(healthy):
         offset = rm._cursor[island.island_id] % max(1, len(healthy) - n + 1)
         return healthy[offset : offset + n]
-    reps = min(rm.max_simulated_per_group, len(healthy), n)
-    if rm.disjoint_aggregate_reps:
-        base = rm._cursor.get(island.island_id, 0) % len(healthy)
-        step = max(1, min(n, len(healthy)) // reps)
-        devices = [healthy[(base + i * step) % len(healthy)] for i in range(reps)]
-    else:
-        step = max(1, len(healthy) // reps)
-        devices = [healthy[(i * step) % len(healthy)] for i in range(reps)]
+    reps = min(resource_manager.MAX_REPRESENTATIVES, len(healthy), n)
+    base = rm._cursor.get(island.island_id, 0) % len(healthy)
+    step = max(1, min(n, len(healthy)) // reps)
+    devices = [healthy[(base + i * step) % len(healthy)] for i in range(reps)]
     seen: set[int] = set()
     return [d for d in devices if d.device_id not in seen and not seen.add(d.device_id)]
 

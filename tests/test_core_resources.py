@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.resource_manager import ResourceManager
+from repro.core.resource_manager import MAX_REPRESENTATIVES, ResourceManager
 from repro.core.virtual_device import VirtualSlice
 from repro.hw.topology import Island
 
@@ -43,13 +43,29 @@ class TestResourceManager:
         from repro.hw.cluster import ClusterSpec, make_cluster
 
         cluster = make_cluster(sim, ClusterSpec(islands=((32, 8),)), config=config)
-        rm = ResourceManager(sim, cluster, config, aggregate_threshold=64)
+        rm = ResourceManager(sim, cluster, config)
         vslice = VirtualSlice(256)
         group = rm.bind_slice(vslice)
         assert group.is_aggregate
         assert group.n_logical == 256
-        assert len(group.devices) <= rm.max_simulated_per_group
+        assert len(group.devices) == MAX_REPRESENTATIVES
         assert group.n_hosts_logical == 32
+
+    def test_colocated_aggregate_slices_get_disjoint_representatives(self):
+        """Two aggregate slices on one island each sample their own
+        block of it, so they never contend on a shared simulated core."""
+        from repro.core.system import PathwaysSystem
+        from repro.hw.cluster import ClusterSpec
+
+        system = PathwaysSystem.build(ClusterSpec(islands=((32, 8),)))
+        rm = system.resource_manager
+        a = rm.bind_slice(VirtualSlice(128))
+        b = rm.bind_slice(VirtualSlice(128))
+        assert a.is_aggregate and b.is_aggregate
+        ids_a = {d.device_id for d in a.devices}
+        ids_b = {d.device_id for d in b.devices}
+        assert len(ids_a) == len(ids_b) == MAX_REPRESENTATIVES
+        assert not ids_a & ids_b
 
     def test_double_bind_rejected(self, rm):
         vslice = VirtualSlice(2)

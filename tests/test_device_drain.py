@@ -48,11 +48,11 @@ from hypothesis import strategies as st
 import oracles
 
 import repro.core.executor as executor_module
+import repro.core.resource_manager as resource_manager
 import repro.hw.device as device_module
 from repro.config import DEFAULT_CONFIG
 from repro.core.object_store import MemorySpace, ShardedObjectStore
 from repro.core.placement import DeviceGroup
-from repro.core.resource_manager import ResourceManager
 from repro.hw.device import Device, DeviceFailure, Kernel
 from repro.hw.host import Host
 from repro.sim import Simulator
@@ -387,13 +387,7 @@ class TestMemberSymmetry:
 
     @staticmethod
     def _chained(mp, reps: int):
-        init = ResourceManager.__init__
-
-        def with_reps(self, *args, **kwargs):
-            kwargs["max_simulated_per_group"] = reps
-            init(self, *args, **kwargs)
-
-        mp.setattr(ResourceManager, "__init__", with_reps)
+        mp.setattr(resource_manager, "MAX_REPRESENTATIVES", reps)
         r = run_pathways("chained", 16, devices_per_host=8, n_calls=4)
         return r.sim_elapsed_us, r.computations_per_second, r.sim_events
 

@@ -32,6 +32,8 @@ from hypothesis import strategies as st
 
 import oracles
 
+from repro.core import resource_manager
+from repro.core.resource_manager import AGGREGATE_THRESHOLD
 from repro.core.system import PathwaysSystem
 from repro.hw.cluster import ClusterSpec
 from repro.hw.device import DeviceFailure
@@ -72,9 +74,12 @@ def churn_scenarios(draw):
     # Slices above the aggregate threshold bind representative devices
     # spread over the island; a 24-device slice on a 32-device island
     # binds 16, whose faults come from the rep-factor-scaled schedule
-    # merged into the spares' (the shape of the churn benchmark).
-    aggregate_threshold = draw(st.sampled_from([2, 64]))
-    slice_devices = draw(st.sampled_from([2, 4] if aggregate_threshold == 64 else [4, 24]))
+    # merged into the spares' (the shape of the churn benchmark).  A
+    # threshold of 2 makes the small slices aggregate too.
+    aggregate_threshold = draw(st.sampled_from([2, AGGREGATE_THRESHOLD]))
+    slice_devices = draw(st.sampled_from(
+        [2, 4] if aggregate_threshold == AGGREGATE_THRESHOLD else [4, 24]
+    ))
     n_hosts = 8 if slice_devices > 16 else 4
     n_clients = draw(st.integers(1, min(3, 4 * n_hosts // slice_devices)))
     extra, probes = [], []
@@ -147,8 +152,8 @@ def churn_scenarios(draw):
             state_bytes=1 << 20,
             seed=draw(st.integers(0, 10_000)),
             add_island_at=grow,
-            aggregate_threshold=aggregate_threshold,
         ),
+        "aggregate_threshold": aggregate_threshold,
         "extra": extra,
         "probes": probes,
     }
@@ -188,6 +193,9 @@ def _run(scenario: dict, injector_cls) -> dict:
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(churn, "FaultInjector", make)
+        m.setattr(
+            resource_manager, "AGGREGATE_THRESHOLD", scenario["aggregate_threshold"]
+        )
         result = churn.run_churn(log_schedule=True, **scenario["kwargs"])
     system = result.system_handle
     [injector] = made
@@ -245,6 +253,7 @@ _IDLE_TOUCH = {
         repair_us=12_000.0, checkpoint_interval_us=None, state_bytes=1 << 20,
         seed=1, add_island_at=None,
     ),
+    "aggregate_threshold": AGGREGATE_THRESHOLD,
     "extra": [
         FaultEvent(2_000.371, FaultKind.DEVICE_FAILURE, 15, 5_000.0),
         FaultEvent(4_000.4441, FaultKind.DEVICE_FAILURE, 15, 4_000.0),

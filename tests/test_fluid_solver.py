@@ -4,7 +4,7 @@ property-style.
 The scoped route-class engine must be *byte-identical* to the dense
 per-flow reference (``tests/oracles.py``, which shares no code with it)
 — not approximately equal: same per-flow delivery times, same link
-counters, same busy fractions, and the same whole-simulation event
+counters, same uplink busy fractions, and the same whole-simulation event
 schedule — for every interleaving of flow starts, aborts, link faults,
 and restores.  The equivalence argument has two parts.  A flow's rate
 is a pure function of its route links' flow counts, so the dense
@@ -27,11 +27,13 @@ large classes and one pinned class of 160 members (the e2e ``fabric``
 workload's scale), and then end to end through the full transport
 scenarios, the fault drills included.
 
-Both engines share :class:`~repro.net.fabric.Link`, so equivalence
-alone cannot see a busy-log defect.  Every fabric-layer stream
-therefore also records each flow's lifetime (start to completion,
-abort or eviction) and checks each link's busy fraction against the
-union of the lifetimes of the flows crossing it.
+Both engines share :class:`~repro.net.fabric.Link` and its
+:class:`~repro.net.fabric.Uplink` subclass, so equivalence alone cannot
+see a busy-log defect.  Every fabric-layer stream therefore also
+records each flow's lifetime (start to completion, abort or eviction)
+and checks each uplink's busy fraction against the union of the
+lifetimes of the flows crossing it; NIC and spine links, which nothing
+reads a busy log from, must hold no busy state.
 
 A flow that starts on an empty fabric runs as the solver's *solo*
 flow, with no route class until anything else touches the solver.  The
@@ -56,7 +58,7 @@ from hypothesis import strategies as st
 from oracles import DenseFluidSolver, RouteClassFluidSolver
 from repro.config import SystemConfig
 from repro.net import fabric as fabric_module
-from repro.net.fabric import Fabric, ScopedFluidSolver
+from repro.net.fabric import Fabric, ScopedFluidSolver, Uplink
 from repro.sim import LeakedCapacityError, Simulator
 from repro.stats import FabricStats
 from repro.workloads.netload import run_flow_fleet, run_net_congestion
@@ -216,12 +218,17 @@ def _union_busy(spans, lo: float, hi: float) -> float:
 
 
 def _assert_busy_matches_flows(fabric, spans, routes, now) -> None:
-    """Each link's busy fraction is the union of the lifetimes (start to
-    completion, abort or eviction) of the flows crossing it, over the
+    """Each uplink's busy fraction is the union of the lifetimes (start
+    to completion, abort or eviction) of the flows crossing it, over the
     trailing window -- recomputed from the flows alone, so it does not
-    trust the busy log both solvers share through ``Link``."""
+    trust the busy log both solvers share through ``Uplink``.  NIC and
+    spine links keep no busy state at all."""
     for link in fabric.links():
-        lo = max(0.0, now - link.util_window_us)
+        if not isinstance(link, Uplink):
+            assert not hasattr(link, "_busy_since"), link.name
+            assert not hasattr(link, "_busy_log"), link.name
+            continue
+        lo = max(0.0, now - fabric_module.UTIL_WINDOW_US)
         crossing = [spans[k] for k, route in routes.items() if link in route]
         expected = _union_busy(crossing, lo, now) / (now - lo) if now > lo else 0.0
         assert abs(link.busy_fraction(now) - expected) <= 1e-12, link.name
@@ -230,7 +237,7 @@ def _assert_busy_matches_flows(fabric, spans, routes, now) -> None:
 def _run_fabric_scenario(solver, ops, hosts=_HOSTS):
     """Drive one op stream straight into a Fabric; returns the full
     observable record (deliveries, victims, link counters, schedule)
-    after checking every link's busy time against the flows' own
+    after checking every uplink's busy time against the flows' own
     lifetimes."""
     sim = Simulator(log_schedule=True)
     config = SystemConfig(spine_paths=2)
@@ -347,7 +354,7 @@ def _run_fabric_scenario(solver, ops, hosts=_HOSTS):
         (
             link.name, link.bytes_carried, link.flows_completed,
             link.flows_aborted, link.max_concurrency, link.up,
-            link.busy_fraction(now=sim.now),
+            link.busy_fraction(now=sim.now) if isinstance(link, Uplink) else None,
         )
         for link in fabric.links()
     ]

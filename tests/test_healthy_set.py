@@ -15,12 +15,15 @@ positions, and the devices a slice bind picks must match the scan.
 from __future__ import annotations
 
 import os
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
 
+from repro.core import resource_manager
+from repro.core.resource_manager import AGGREGATE_THRESHOLD
 from repro.core.system import PathwaysSystem
 from repro.core.virtual_device import VirtualSlice
 from repro.hw.cluster import ClusterSpec
@@ -36,8 +39,7 @@ def scenarios(draw):
         "seed": draw(st.integers(0, 10_000)),
         "mtbf_us": draw(st.sampled_from([10_000.0, 40_000.0])),
         "repair_us": draw(st.sampled_from([0.0, 3_000.0, 15_000.0])),
-        "aggregate_threshold": draw(st.sampled_from([2, 64])),
-        "disjoint": draw(st.booleans()),
+        "aggregate_threshold": draw(st.sampled_from([2, AGGREGATE_THRESHOLD])),
         "hosts": draw(st.lists(
             st.tuples(times, st.integers(0, 3), st.sampled_from([0.0, 9_000.0])),
             max_size=2,
@@ -85,11 +87,14 @@ def _bind(system, size: int, island_index: int, hold_us: float, seen: list) -> N
 @settings(max_examples=EXAMPLES, deadline=None)
 @given(scn=scenarios())
 def test_healthy_set_matches_the_scan(scn):
-    system = PathwaysSystem.build(
-        ClusterSpec(islands=((4, 4),), name="healthy"),
-        aggregate_threshold=scn["aggregate_threshold"],
-        disjoint_aggregate_reps=scn["disjoint"],
-    )
+    with mock.patch.object(
+        resource_manager, "AGGREGATE_THRESHOLD", scn["aggregate_threshold"]
+    ):
+        _run_scenario(scn)
+
+
+def _run_scenario(scn) -> None:
+    system = PathwaysSystem.build(ClusterSpec(islands=((4, 4),), name="healthy"))
     sim = system.sim
     recovery = RecoveryManager(system)
     schedule = FaultSchedule.poisson_device_failures(

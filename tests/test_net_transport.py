@@ -20,6 +20,8 @@ from repro.config import DEFAULT_CONFIG
 from repro.core.system import PathwaysSystem
 from repro.hw.cluster import ClusterSpec, make_cluster
 from repro.net import MessageLost, Transport
+from repro.net import fabric as fabric_module
+from repro.net.fabric import Uplink
 from repro.resilience import FaultSchedule, FaultInjector, RecoveryManager
 from repro.sim import Simulator
 from repro.xla.computation import CompiledFunction
@@ -664,12 +666,16 @@ class TestReviewRegressions:
 
 
 def _utilization(fabric) -> dict[str, float]:
-    """Each link's busy fraction over the trailing window, by name."""
-    return {link.name: link.busy_fraction() for link in fabric.links()}
+    """Each uplink's busy fraction over the trailing window, by name
+    (uplinks are the only links that keep a busy log)."""
+    return {
+        link.name: link.busy_fraction()
+        for link in fabric.links() if isinstance(link, Uplink)
+    }
 
 
 class TestUtilizationSnapshot:
-    """Link busy fractions and the Transport.stats snapshot (the
+    """Uplink busy fractions and the Transport.stats snapshot (the
     autoscaler's signal, seeding congestion-aware placement)."""
 
     def test_idle_fabric_reports_zero(self, contended_cluster):
@@ -699,32 +705,36 @@ class TestUtilizationSnapshot:
         # window; the uplink busy fraction reflects it.
         assert cluster.fabric.uplink_utilization(0) > 0.9
         util = _utilization(cluster.fabric)
-        assert util["nic_tx[h0]"] > 0.9
+        assert util["uplink_tx[i0]"] > 0.9
         # The receiving island's uplink_rx carried the same bytes...
         assert util["uplink_rx[i1]"] > 0.9
         # ...but its egress uplink saw no traffic and stays idle.
         assert cluster.fabric.uplink_tx(1).busy_fraction() == 0.0
         assert cluster.fabric.uplink_utilization(1) > 0.9  # rx side
 
-    def test_sliding_window_forgets_old_traffic(self, sim, contended_config):
-        cfg = contended_config.with_overrides(net_util_window_us=10_000.0)
+    def test_sliding_window_forgets_old_traffic(
+        self, sim, contended_config, monkeypatch
+    ):
+        monkeypatch.setattr(fabric_module, "UTIL_WINDOW_US", 10_000.0)
         cluster = make_cluster(
-            sim, ClusterSpec(islands=((2, 2),), name="net"), config=cfg
+            sim, ClusterSpec(islands=((2, 2), (2, 2)), name="net"),
+            config=contended_config,
         )
         transport = cluster.transport
-        a, b = cluster.islands[0].hosts
+        a = cluster.islands[0].hosts[0]
+        b = cluster.islands[1].hosts[0]
 
         def sender():
             yield transport.send(a, b, 8 * MB)  # ~671us of NIC time
 
         proc = sim.process(sender())
         sim.run_until_triggered(proc)
-        busy_now = cluster.fabric.nic_tx(a).busy_fraction()
+        busy_now = cluster.fabric.uplink_tx(0).busy_fraction()
         assert busy_now > 0.5
         # Long after the transfer the window has slid past it entirely.
         sim.process(_idle(sim))
         sim.run()
-        assert cluster.fabric.nic_tx(a).busy_fraction() == 0.0
+        assert cluster.fabric.uplink_tx(0).busy_fraction() == 0.0
 
     def test_transport_stats_snapshot(self, sim, contended_config):
         cluster = make_cluster(
@@ -751,7 +761,9 @@ class TestUtilizationSnapshot:
         assert stats.messages_lost == 0
         util = _utilization(cluster.fabric)
         assert 0.0 < max(util.values()) <= 1.0
-        assert "spine" in util
+        assert sorted(util) == [
+            "uplink_rx[i0]", "uplink_rx[i1]", "uplink_tx[i0]", "uplink_tx[i1]",
+        ]
 
     def test_stats_track_in_flight(self, sim, contended_config):
         cluster = make_cluster(

@@ -21,9 +21,11 @@ use is code nothing runs):
   not counted).  A call with ``*args`` or ``**kwargs`` counts as passing
   every parameter.  Private classes are out of scope.
 * **Fields.** Every attribute a ``src/`` class assigns on ``self`` must
-  be read somewhere: an attribute load or a string constant spelling it
-  (``__slots__`` entries are not reads).  ``x.a += 1`` is a write, not a
-  read, so a counter that is only ever bumped is flagged.
+  be read somewhere: an attribute load, or a string constant passed to
+  ``getattr``, ``hasattr``, ``setattr``, ``delattr`` or ``attrgetter``.
+  Any other string (a dict key, a trace track, a ``__slots__`` entry)
+  is not a read, and neither is ``x.a += 1``, so a counter that is only
+  ever bumped is flagged even when a string elsewhere spells its name.
 
 All three match by name, not by type: a dead method, parameter or field
 that shares its name with a live one goes unreported.  A name reached
@@ -77,10 +79,6 @@ _ENGINE = "the engine's SimPy-style event API, which its unit tests drive"
 
 #: ``path:qualname(param)`` -> why it stays though nothing passes it.
 PARAM_ALLOWLIST: dict[str, str] = {
-    "core/resource_manager.py:ResourceManager.__init__(max_simulated_per_group)": (
-        "the lane-symmetry test compares runs at 1, 4 and 16 simulated "
-        "devices per group"
-    ),
     "workloads/multitenant.py:run_jax_multitenant(n_hosts)": (
         "the Figure 8 shape tests compare it with run_pathways_multitenant "
         "at the same host count"
@@ -102,10 +100,13 @@ FIELD_ALLOWLIST: dict[str, str] = {
         "the paper's Figure 2 user API (add_slice(...).tpus)"
     ),
     "hw/device.py:Device.fail_count": _OBSERVED,
+    "hw/device.py:DeviceFailure.reason": _OBSERVED,
     "hw/device.py:HbmAllocator.cancellations": _OBSERVED,
     "hw/host.py:Host.preps_aborted": _OBSERVED,
+    "hw/host.py:HostFailure.reason": _OBSERVED,
     "net/fabric.py:Link.bytes_carried": _OBSERVED,
     "net/fabric.py:Link.flows_aborted": _OBSERVED,
+    "net/transport.py:MessageLost.reason": _OBSERVED,
     "serve/replicas.py:Replica.batches": _OBSERVED,
     "serve/replicas.py:Replica.requests_served": _OBSERVED,
     "sim/engine.py:DeadlockError.blocked": _OBSERVED,
@@ -308,20 +309,25 @@ def _self_fields(root: Path = ROOT) -> dict[str, str]:
     return fields
 
 
+#: Calls whose string arguments name an attribute.
+_ATTRIBUTE_CALLS = frozenset({"getattr", "hasattr", "setattr", "delattr", "attrgetter"})
+
+
 def _read_attributes(root: Path = ROOT) -> set[str]:
     reads: set[str] = set()
     for _, tree in _trees(root, USERS):
-        listed = _listed_constants(tree, ("__all__", "__slots__"))
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 reads.add(node.attr)
-            elif (
-                isinstance(node, ast.Constant)
-                and isinstance(node.value, str)
-                and node.value.isidentifier()
-                and id(node) not in listed
-            ):
-                reads.add(node.value)
+            elif isinstance(node, ast.Call) and (
+                getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            ) in _ATTRIBUTE_CALLS:
+                for arg in node.args:
+                    if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+                        # attrgetter("a.b") reads a, then b.
+                        reads.update(
+                            part for part in arg.value.split(".") if part.isidentifier()
+                        )
     return reads
 
 
@@ -383,9 +389,12 @@ class Box:
         self.size = size
         self.label = label
         self.opened = 0
+        self.hits = 0
+        self.tag = "t"
 
     def resize(self, factor=2, clamp=False):
         self.opened += 1
+        self.hits += 1
         return self.size * factor
 
     def weight(self):
@@ -404,7 +413,7 @@ def build(depth=3, **kw):
 from repro.box import build
 
 box = build()
-print(box.resize(3), box.label)
+print(box.resize(3), box.label, getattr(box, "tag"), {"hits": 1})
 ''',
 }
 
@@ -438,5 +447,7 @@ def test_def_scanner_on_a_synthetic_tree(tmp_path):
 
 def test_field_scanner_on_a_synthetic_tree(tmp_path):
     root = _synthetic_tree(tmp_path)
-    # ``opened`` is only ever ``+=``'d; ``size`` and ``label`` are read.
-    assert _write_only_fields(root) == ["box.py:Box.opened"]
+    # ``opened`` and ``hits`` are only ever ``+=``'d: the dict key
+    # spelling ``hits`` is no read.  ``size`` and ``label`` are read as
+    # attributes, ``tag`` through ``getattr``.
+    assert _write_only_fields(root) == ["box.py:Box.hits", "box.py:Box.opened"]
