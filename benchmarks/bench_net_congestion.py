@@ -78,7 +78,7 @@ def test_goodput_saturates_at_uplink():
 
 
 def test_dispatch_latency_inflation_under_background_traffic():
-    probes = dict(n_probes=8, probe_elems=1 << 22)
+    probes = dict(n_probes=8)
     base = run_net_congestion(n_senders=0, streams=0, **probes, **SCALE)
     loaded = run_net_congestion(
         n_senders=4,
@@ -113,7 +113,6 @@ def test_host_crash_mid_transfer_recovers_without_leaking_capacity():
         streams=2,
         flow_bytes=8 << 20,
         n_probes=4,
-        probe_elems=1 << 22,
         crash_sender_at=SCALE["duration_us"] * 0.25,
         crash_repair_us=SCALE["duration_us"] * 0.2,
         **SCALE,

@@ -36,7 +36,6 @@ def _base_kwargs():
         hosts_per_island=2,
         devices_per_host=4,
         n_replicas=2,
-        devices_per_replica=4,
         max_batch=8,
         slo_us=50_000.0,
         contention=True,
@@ -125,7 +124,6 @@ def test_autoscale_beats_fixed_width_on_diurnal_trace():
         islands=3,
         hosts_per_island=1,
         devices_per_host=4,
-        devices_per_replica=4,
         diurnal_amplitude=0.9,
         slo_us=50_000.0,
         contention=True,

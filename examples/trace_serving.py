@@ -48,7 +48,6 @@ def main() -> None:
         hosts_per_island=2,
         devices_per_host=4,
         n_replicas=2,
-        devices_per_replica=4,
         max_batch=8,
         max_wait_us=2_000.0,
         slo_us=50_000.0,

@@ -52,7 +52,7 @@ class MultiControllerJax:
         self.group = DeviceGroup.representative(island, island.n_devices)
         self.rng = np.random.default_rng(0)
         #: The hosts' Python dispatch thread.
-        self.dispatch_thread = Resource(sim, capacity=1, name="python")
+        self.dispatch_thread = Resource(sim, name="python")
 
     # -- dispatch cost model --------------------------------------------------
     def dispatch_overhead_us(self) -> float:

@@ -97,7 +97,7 @@ class PathwaysClient:
         self.system = system
         self.name = name
         #: The client's serial controller thread.
-        self.controller = Resource(system.sim, capacity=1, name=f"controller[{name}]")
+        self.controller = Resource(system.sim, name=f"controller[{name}]")
         self._lowered: dict[int, LowLevelProgram] = {}
         #: Typed rejection accounting: executions (counted once each)
         #: that lost a gang to the scheduler's deadline-eviction path

@@ -145,7 +145,7 @@ class Host(HostLane):
         island_id: int,
     ):
         super().__init__(
-            sim, (self,), Resource(sim, capacity=1, name=f"cpu[h{host_id}]", leak_check=True)
+            sim, (self,), Resource(sim, name=f"cpu[h{host_id}]", leak_check=True)
         )
         self.config = config
         self.host_id = host_id
@@ -154,12 +154,7 @@ class Host(HostLane):
         #: The lane this host's CPU serves in: itself, or a lockstep group's.
         self._lane: HostLane = self
         #: NIC egress serialization for DCN sends (leak-checked too).
-        self.nic = Resource(
-            sim,
-            capacity=1,
-            name=f"nic[h{host_id}]",
-            leak_check=True,
-        )
+        self.nic = Resource(sim, name=f"nic[h{host_id}]", leak_check=True)
         #: Set while the host is crashed; its devices are down with it.
         self.failed = False
         self.preps_aborted = 0
@@ -275,7 +270,7 @@ def _form_lane(members: tuple) -> HostLane:
     """A lane over quiet hosts, sharing one CPU slot."""
     sim = members[0].sim
     name = "cpu[" + "+".join(host.name for host in members) + "]"
-    cpu = Resource(sim, capacity=1, name=name, leak_check=True)
+    cpu = Resource(sim, name=name, leak_check=True)
     lane = HostLane(sim, members, cpu)
     for host in members:
         host._lane = lane

@@ -10,7 +10,8 @@ formulas.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Optional
+from functools import cached_property
+from typing import Literal
 
 __all__ = [
     "DECODER_136B",
@@ -49,7 +50,7 @@ class TransformerConfig:
     def embedding_params(self) -> int:
         return self.vocab_size * self.d_model
 
-    @property
+    @cached_property
     def params(self) -> int:
         return self.n_total_layers * self.params_per_layer + self.embedding_params
 
@@ -60,7 +61,6 @@ class TransformerConfig:
         n_devices: int,
         flops_per_us: float,
         efficiency: float,
-        params: Optional[int] = None,
     ) -> float:
         """Time of one inference-mode transformer step over ``tokens``
         total batched tokens on ``n_devices`` model-parallel cores.
@@ -68,20 +68,13 @@ class TransformerConfig:
         Linear in the batched token count: continuous batching works
         because decoding requests coalesced into one gang amortize the
         per-step weight traffic — the same reason the dense-layer
-        efficiency factor applies.  ``params`` overrides the model's
-        parameter count (the serving stack's ``nominal_params`` knob,
-        mirroring the trainers).
+        efficiency factor applies.
         """
         if n_devices < 1:
             raise ValueError(f"need >= 1 device, got {n_devices}")
         if tokens < 0:
             raise ValueError(f"negative token count {tokens}")
-        n = params if params is not None else self.params
-        return 2.0 * n * tokens / (n_devices * flops_per_us * efficiency)
-
-    def kv_cache_bytes_per_token(self) -> int:
-        """Per-token bf16 KV-cache footprint (keys + values, every layer)."""
-        return 2 * self.n_total_layers * self.d_model * 2
+        return 2.0 * self.params * tokens / (n_devices * flops_per_us * efficiency)
 
     # -- partitioning helpers --------------------------------------------
     def stage_params(self, n_stages: int) -> int:

@@ -6,7 +6,7 @@ replica is never resized mid-gang):
 
 * **queue depth** — backlog per routable replica above one full batch
   beyond the in-flight window (``max_batch * max_in_flight``) grows the
-  pool; an empty backlog for ``shrink_patience`` consecutive ticks
+  pool; an empty backlog for ``SHRINK_PATIENCE`` consecutive ticks
   retires the least-loaded replica (down to ``min_replicas``);
 * **capacity events** — the :class:`~repro.resilience.ElasticController`
   forwards resource-manager capacity changes (island added, repair,
@@ -35,6 +35,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["Autoscaler"]
 
+#: Consecutive idle ticks before the autoscaler retires a replica.
+SHRINK_PATIENCE = 3
+
 
 class Autoscaler:
     """Queue-, capacity-, and fabric-driven replica scaling."""
@@ -47,7 +50,6 @@ class Autoscaler:
         min_replicas: int = 1,
         max_replicas: int = 4,
         interval_us: float = 5_000.0,
-        shrink_patience: int = 3,
     ):
         if min_replicas < 0 or max_replicas < max(1, min_replicas):
             raise ValueError(
@@ -65,7 +67,6 @@ class Autoscaler:
         self.grow_backlog_per_replica = float(
             replicas.max_batch * replicas.max_in_flight
         )
-        self.shrink_patience = shrink_patience
         #: (time, action, island_id) decision log.
         self.decisions: list[tuple[float, str, int]] = []
         self.elastic = None
@@ -124,7 +125,7 @@ class Autoscaler:
             return
         if per_replica == 0 and len(active) > self.min_replicas:
             self._idle_ticks += 1
-            if self._idle_ticks >= self.shrink_patience:
+            if self._idle_ticks >= SHRINK_PATIENCE:
                 self._shrink(active)
                 self._idle_ticks = 0
         else:

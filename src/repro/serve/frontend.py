@@ -57,6 +57,15 @@ REJECT_NET_LOST = "net-lost"                # request/response message lost
 #: Wire size of a request's prompt and a response's generated tokens.
 _BYTES_PER_TOKEN = 4
 
+#: Admission: with it off every request is accepted and the scheduler's
+#: deadline eviction is the only overload backstop (the configuration
+#: the eviction tests patch in).  On, a request is turned away when its
+#: replica's queue holds ``MAX_QUEUE_PER_REPLICA`` requests, or when the
+#: latency estimate exceeds its remaining budget times ``ADMISSION_SLACK``.
+ADMISSION = True
+ADMISSION_SLACK = 1.0
+MAX_QUEUE_PER_REPLICA = 64
+
 REJECTION_REASONS = (
     REJECT_NO_CAPACITY,
     REJECT_QUEUE_FULL,
@@ -111,10 +120,6 @@ class Frontend:
         self,
         system: "PathwaysSystem",
         replicas: "ReplicaSet",
-        recorder: Optional[LatencyRecorder] = None,
-        admission: bool = True,
-        admission_slack: float = 1.0,
-        max_queue_per_replica: int = 64,
     ):
         self.system = system
         self.sim = system.sim
@@ -125,13 +130,7 @@ class Frontend:
         self.host = system.cluster.hosts[0]
         self.replicas = replicas
         replicas.attach_frontend(self)
-        self.recorder = recorder if recorder is not None else LatencyRecorder()
-        #: Admission knobs: with ``admission`` off every request is
-        #: accepted and the scheduler's deadline eviction is the only
-        #: overload backstop (the configuration the eviction tests use).
-        self.admission = admission
-        self.admission_slack = admission_slack
-        self.max_queue_per_replica = max_queue_per_replica
+        self.recorder = LatencyRecorder()
 
         # Outcome accounting: every arrived request ends in exactly one
         # of completed / rejections[reason] / abandoned.
@@ -199,12 +198,12 @@ class Frontend:
         if replica is None:
             self._reject(req, REJECT_NO_CAPACITY)
             return
-        if self.admission:
-            if replica.queue_len >= self.max_queue_per_replica:
+        if ADMISSION:
+            if replica.queue_len >= MAX_QUEUE_PER_REPLICA:
                 self._reject(req, REJECT_QUEUE_FULL)
                 return
             budget = req.deadline_at_us - self.sim.now
-            if self._estimated_latency_us(replica) > budget * self.admission_slack:
+            if self._estimated_latency_us(replica) > budget * ADMISSION_SLACK:
                 self._reject(req, REJECT_INFEASIBLE)
                 return
         req.admitted_us = self.sim.now

@@ -37,6 +37,13 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["Replica", "ReplicaSet"]
 
+#: Fraction of peak FLOP/s a batched inference step achieves.
+_EFFICIENCY = 0.5
+#: Model weights shipped to a replica added at runtime.
+_WEIGHTS_BYTES = 64 << 20
+#: Batches a replica keeps in flight (double buffering).
+MAX_IN_FLIGHT = 2
+
 
 class Replica:
     """One serving replica on a virtual slice."""
@@ -98,8 +105,7 @@ class Replica:
             tokens,
             rset.devices_per_replica,
             rset.config.tpu_flops_per_us,
-            rset.efficiency,
-            params=rset.params,
+            _EFFICIENCY,
         )
 
     def overhead_us(self) -> float:
@@ -155,12 +161,8 @@ class ReplicaSet:
         model: TransformerConfig,
         devices_per_replica: int,
         tokens_per_request: int,
-        efficiency: float = 0.5,
-        weights_bytes: int = 64 << 20,
         max_batch: int = 8,
         max_wait_us: float = 2_000.0,
-        max_in_flight: int = 2,
-        nominal_params: Optional[int] = None,
     ):
         if devices_per_replica < 1:
             raise ValueError("need >= 1 device per replica")
@@ -172,14 +174,9 @@ class ReplicaSet:
         self.model = model
         self.devices_per_replica = devices_per_replica
         self.tokens_per_request = tokens_per_request
-        self.efficiency = efficiency
-        self.weights_bytes = weights_bytes
         self.max_batch = max_batch
         self.max_wait_us = max_wait_us
-        self.max_in_flight = max_in_flight
-        self.params = (
-            nominal_params if nominal_params is not None else model.params
-        )
+        self.max_in_flight = MAX_IN_FLIGHT
         #: Prefix of every replica's (and its client's) name.
         self.name = "serve"
         self.frontend: Optional["Frontend"] = None
@@ -301,14 +298,12 @@ class ReplicaSet:
         self.replicas.append(replica)
         if initial:
             self._activate_now(replica)
-        elif self.weights_bytes > 0:
+        else:
             # Ship the model weights to the replica's lead host; the
             # transfer contends on the fabric like any other traffic.
             self.system.transport.send(
-                self.frontend.host, replica.lead_host, self.weights_bytes
+                self.frontend.host, replica.lead_host, _WEIGHTS_BYTES
             ).add_callback(lambda ev: self._spun_up(replica, ev._exc))
-        else:
-            self._spun_up(replica, None)
         return replica
 
     def _activate_now(self, replica: Replica) -> None:

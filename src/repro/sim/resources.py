@@ -1,11 +1,11 @@
 """Shared-resource primitives built on the event kernel.
 
-:class:`Resource` is a counted semaphore with FIFO granting — used for
-host CPUs and NICs and a client's controller thread.  It grants
-strictly in arrival order, which keeps the simulation deterministic and
-models the paper's FIFO hardware queues faithfully.  (PLAQUE channel
-shards are plain deques in :mod:`repro.plaque.channels`: nothing waits
-on them.)
+:class:`Resource` is a one-slot lock with FIFO granting — used for host
+CPUs and NICs, a client's controller thread and the JAX baseline's
+dispatch thread.  It grants strictly in arrival order, which keeps the
+simulation deterministic and models the paper's FIFO hardware queues
+faithfully.  (PLAQUE channel shards are plain deques in
+:mod:`repro.plaque.channels`: nothing waits on them.)
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ __all__ = ["Resource"]
 
 
 class Resource:
-    """A counted resource granting up to ``capacity`` concurrent holders.
+    """A one-slot resource granting one holder at a time, in FIFO order.
 
-    ``acquire(on_grant)`` calls ``on_grant()`` once a slot is held; the
+    ``acquire(on_grant)`` calls ``on_grant()`` once the slot is held; the
     holder must later call ``release()`` exactly once::
 
         def hold(sim, cpu, work_us):
@@ -34,14 +34,10 @@ class Resource:
     def __init__(
         self,
         sim: Simulator,
-        capacity: int = 1,
         name: str = "",
         leak_check: bool = False,
     ):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.sim = sim
-        self.capacity = capacity
         self.name = name or "resource"
         #: Leak-checked resources (host CPUs, NIC slots) must be fully
         #: released at natural drain end; the sim-sanitizer raises
@@ -64,12 +60,12 @@ class Resource:
         return len(self._waiters)
 
     def acquire(self, on_grant: Callable[[], None]) -> None:
-        """Call ``on_grant()`` once a slot is held, then :meth:`release` it.
+        """Call ``on_grant()`` once the slot is held, then :meth:`release` it.
 
         A contended waiter is granted inside the holder's
         :meth:`release`: no event, no loop entry.
         """
-        if self._in_use < self.capacity and not self._waiters:
+        if not self._in_use and not self._waiters:
             self._in_use += 1
             on_grant()
         else:

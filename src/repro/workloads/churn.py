@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Generator, Optional
 
-from repro.config import DEFAULT_CONFIG, SystemConfig
 from repro.core.client import PathwaysClient
 from repro.core.dispatch import ExecutionAbandoned
 from repro.core.scheduler import SchedulingPolicy
@@ -231,7 +230,6 @@ def run_churn(
     checkpoint_interval_us: Optional[float] = None,
     state_bytes: int = 64 << 20,
     seed: int = 0,
-    config: SystemConfig = DEFAULT_CONFIG,
     policy: Optional[SchedulingPolicy] = None,
     add_island_at: Optional[tuple[float, int, int]] = None,
     log_schedule: bool = False,
@@ -274,7 +272,7 @@ def run_churn(
         )
     system = PathwaysSystem.build(
         ClusterSpec(islands=((n_hosts, devices_per_host),), name="churn"),
-        config=config, policy=policy, log_schedule=log_schedule,
+        policy=policy, log_schedule=log_schedule,
     )
     RecoveryManager(system)
 

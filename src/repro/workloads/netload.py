@@ -54,6 +54,9 @@ __all__ = [
 _PROBE_INTERVAL_US = 5_000.0
 #: Compute time of each of the probe program's two nodes.
 _PROBE_COMPUTE_US = 200.0
+#: Elements of the probe program's tensor (4 B each): what its
+#: cross-island edge moves.
+PROBE_ELEMS = 1 << 22
 #: Open-loop arrival window of a flow fleet: much shorter than its
 #: drain time, so thousands of fluid flows are live at once.
 _ARRIVAL_WINDOW_US = 1_000.0
@@ -168,7 +171,6 @@ def attach_netload(
     flow_bytes: int = 4 << 20,
     duration_us: float = 50_000.0,
     n_probes: int = 5,
-    probe_elems: int = 1 << 22,
     resilient: bool = False,
 ) -> SimpleNamespace:
     """Attach bulk senders on island 0 pushing to island 1, then a
@@ -202,7 +204,7 @@ def attach_netload(
             system.make_virtual_device_set().add_slice(tpu_devices=2, island_id=i)
             for i in (0, 1)
         ]
-        spec = TensorSpec((probe_elems,))
+        spec = TensorSpec((PROBE_ELEMS,))
         fa, fb = (
             client.wrap(
                 CompiledFunction(
@@ -218,7 +220,7 @@ def attach_netload(
         def probe(v):
             return (fb(fa(v)),)
 
-        arr = np.zeros(probe_elems, dtype=np.float32)
+        arr = np.zeros(PROBE_ELEMS, dtype=np.float32)
         procs.append(sim.process(_prober(
             system, client, probe.trace(arr), arr, n_probes, resilient,
             probe_stats,
@@ -267,9 +269,7 @@ def run_net_congestion(
     devices_per_host: int = 4,
     flow_bytes: int = 4 << 20,
     duration_us: float = 50_000.0,
-    contention: bool = True,
     n_probes: int = 5,
-    probe_elems: int = 1 << 22,
     crash_sender_at: Optional[float] = None,
     crash_repair_us: float = 8_000.0,
     spine_paths: int = 1,
@@ -301,7 +301,7 @@ def run_net_congestion(
     crash = crash_sender_at is not None
     system = PathwaysSystem.build(
         ClusterSpec(islands=((hosts_per_island, devices_per_host),) * 2, name="netload"),
-        config=config.with_overrides(net_contention=contention, spine_paths=spine_paths),
+        config=config.with_overrides(net_contention=True, spine_paths=spine_paths),
         log_schedule=log_schedule,
         tracer=tracer,
     )
@@ -309,7 +309,7 @@ def run_net_congestion(
     sim = system.sim
     tenant = attach_netload(
         system, n_senders, streams, flow_bytes, duration_us, n_probes,
-        probe_elems, resilient=crash,
+        resilient=crash,
     )
 
     if crash:

@@ -24,19 +24,18 @@ Deterministic: all randomness flows from the seeded generator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from inspect import signature
 from types import SimpleNamespace
 from typing import Generator, Optional
 
 import numpy as np
 
-from repro.config import DEFAULT_CONFIG, SystemConfig
+from repro.config import DEFAULT_CONFIG
 from repro.core.scheduler import EarliestDeadlinePolicy
 from repro.core.system import PathwaysSystem
 from repro.hw.cluster import ClusterSpec
-from repro.models.transformer import DECODER_3B, TransformerConfig
+from repro.models.transformer import DECODER_3B
 from repro.resilience import ElasticController, RecoveryManager
-from repro.serve import Autoscaler, Frontend, LatencyRecorder, ReplicaSet
+from repro.serve import Autoscaler, Frontend, ReplicaSet
 
 __all__ = [
     "ServingResult",
@@ -45,6 +44,12 @@ __all__ = [
     "poisson_arrivals",
     "run_serving",
 ]
+
+#: Every replica serves ``DECODER_3B`` on this many devices, and every
+#: request has this shape.
+_DEVICES_PER_REPLICA = 4
+_PROMPT_TOKENS = 24
+_GEN_TOKENS = 8
 
 
 # -- arrival processes --------------------------------------------------------
@@ -149,25 +154,12 @@ def attach_serving(
     rate_rps: float = 400.0,
     duration_us: float = 500_000.0,
     n_replicas: int = 2,
-    devices_per_replica: int = 4,
-    model: TransformerConfig = DECODER_3B,
-    nominal_params: Optional[int] = None,
-    efficiency: float = 0.5,
-    prompt_tokens: int = 24,
-    gen_tokens: int = 8,
     slo_us: float = 50_000.0,
     max_batch: int = 8,
     max_wait_us: float = 2_000.0,
-    max_in_flight: int = 2,
-    weights_bytes: int = 64 << 20,
-    admission: bool = True,
-    admission_slack: float = 1.0,
-    max_queue_per_replica: int = 64,
     autoscale: bool = False,
-    min_replicas: Optional[int] = None,
     max_replicas: int = 4,
     autoscale_interval_us: float = 5_000.0,
-    shrink_patience: int = 3,
     diurnal_amplitude: float = 0.8,
     fail_replica_at: Optional[float] = None,
     repair_us: float = 30_000.0,
@@ -182,26 +174,18 @@ def attach_serving(
     """
     sim = system.sim
     replicas = ReplicaSet(
-        system, model=model, devices_per_replica=devices_per_replica,
-        tokens_per_request=prompt_tokens + gen_tokens, efficiency=efficiency,
-        weights_bytes=weights_bytes, max_batch=max_batch,
-        max_wait_us=max_wait_us, max_in_flight=max_in_flight,
-        nominal_params=nominal_params,
+        system, model=DECODER_3B, devices_per_replica=_DEVICES_PER_REPLICA,
+        tokens_per_request=_PROMPT_TOKENS + _GEN_TOKENS, max_batch=max_batch,
+        max_wait_us=max_wait_us,
     )
-    frontend = Frontend(
-        system, replicas, LatencyRecorder(), admission=admission,
-        admission_slack=admission_slack,
-        max_queue_per_replica=max_queue_per_replica,
-    )
+    frontend = Frontend(system, replicas)
     for _ in range(n_replicas):
         if replicas.grow(initial=True) is None:
             raise RuntimeError("no island slot for an initial replica")
     if autoscale:
         Autoscaler(
-            system, frontend, replicas,
-            min_replicas=min_replicas if min_replicas is not None else n_replicas,
+            system, frontend, replicas, min_replicas=n_replicas,
             max_replicas=max_replicas, interval_us=autoscale_interval_us,
-            shrink_patience=shrink_patience,
         )
 
     if arrival == "poisson":
@@ -241,7 +225,7 @@ def attach_serving(
             if delay > 0:
                 yield sim.timeout(delay)
             frontend.submit_from(
-                src_hosts[i % len(src_hosts)], prompt_tokens, gen_tokens, slo_us
+                src_hosts[i % len(src_hosts)], _PROMPT_TOKENS, _GEN_TOKENS, slo_us
             )
         yield frontend.close()
         return sim.now  # the instant the last request settled
@@ -290,10 +274,6 @@ def attach_serving(
     return SimpleNamespace(done=done, result=result)
 
 
-#: The tenant parameters ``run_serving`` passes through by name.
-_TENANT_PARAMS = tuple(signature(attach_serving).parameters)[1:]
-
-
 # -- the driver ---------------------------------------------------------------
 def run_serving(
     arrival: str = "poisson",
@@ -303,31 +283,17 @@ def run_serving(
     hosts_per_island: int = 2,
     devices_per_host: int = 4,
     n_replicas: int = 2,
-    devices_per_replica: int = 4,
-    model: TransformerConfig = DECODER_3B,
-    nominal_params: Optional[int] = None,
-    efficiency: float = 0.5,
-    prompt_tokens: int = 24,
-    gen_tokens: int = 8,
     slo_us: float = 50_000.0,
     max_batch: int = 8,
     max_wait_us: float = 2_000.0,
-    max_in_flight: int = 2,
-    weights_bytes: int = 64 << 20,
-    admission: bool = True,
-    admission_slack: float = 1.0,
-    max_queue_per_replica: int = 64,
     autoscale: bool = False,
-    min_replicas: Optional[int] = None,
     max_replicas: int = 4,
     autoscale_interval_us: float = 5_000.0,
-    shrink_patience: int = 3,
     diurnal_amplitude: float = 0.8,
     fail_replica_at: Optional[float] = None,
     repair_us: float = 30_000.0,
     contention: bool = True,
     seed: int = 0,
-    config: SystemConfig = DEFAULT_CONFIG,
     log_schedule: bool = False,
     tracer=None,
 ) -> ServingResult:
@@ -335,19 +301,19 @@ def run_serving(
 
     ``arrival`` picks the process: ``"poisson"`` at ``rate_rps``, or
     ``"diurnal"`` (mean ``rate_rps``, one sinusoidal day over the run).
-    ``autoscale`` attaches an :class:`~repro.serve.Autoscaler` between
-    ``min_replicas`` (default: the initial width) and ``max_replicas``.
+    Each replica serves ``DECODER_3B`` on four devices.  ``autoscale``
+    attaches an :class:`~repro.serve.Autoscaler` between the initial
+    width ``n_replicas`` and ``max_replicas``.
     ``fail_replica_at`` injects a device failure under replica 0 at that
     time (repaired ``repair_us`` later) — the replica-loss drill: the
     in-flight batch replays through the recovery path.  ``tracer``
     attaches a :class:`repro.telemetry.Tracer` (schedule-neutral: the
     run's event schedule is byte-identical with or without it).
     """
-    args = dict(locals())
     total_devices = islands * hosts_per_island * devices_per_host
-    if n_replicas * devices_per_replica > total_devices:
+    if n_replicas * _DEVICES_PER_REPLICA > total_devices:
         raise ValueError(
-            f"{n_replicas} replicas x {devices_per_replica} devices exceed "
+            f"{n_replicas} replicas x {_DEVICES_PER_REPLICA} devices exceed "
             f"the cluster ({total_devices} devices)"
         )
     system = PathwaysSystem.build(
@@ -355,13 +321,20 @@ def run_serving(
             islands=((hosts_per_island, devices_per_host),) * islands,
             name="serve",
         ),
-        config=config.with_overrides(net_contention=contention),
+        config=DEFAULT_CONFIG.with_overrides(net_contention=contention),
         policy=EarliestDeadlinePolicy(),
         log_schedule=log_schedule,
         tracer=tracer,
     )
     RecoveryManager(system, detection_us=500.0)
     ElasticController(system)
-    tenant = attach_serving(system, **{k: args[k] for k in _TENANT_PARAMS})
+    tenant = attach_serving(
+        system, arrival=arrival, rate_rps=rate_rps, duration_us=duration_us,
+        n_replicas=n_replicas, slo_us=slo_us, max_batch=max_batch,
+        max_wait_us=max_wait_us, autoscale=autoscale,
+        max_replicas=max_replicas, autoscale_interval_us=autoscale_interval_us,
+        diurnal_amplitude=diurnal_amplitude, fail_replica_at=fail_replica_at,
+        repair_us=repair_us, seed=seed,
+    )
     system.sim.drain(tenant.done)
     return tenant.result()

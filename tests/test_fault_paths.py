@@ -49,7 +49,7 @@ def _serving(hosts: int, recovery: bool = True):
         RecoveryManager(system, detection_us=500.0)
     rset = ReplicaSet(
         system, DECODER_3B, devices_per_replica=4, tokens_per_request=32,
-        max_batch=4, max_wait_us=2_000.0, max_in_flight=2,
+        max_batch=4, max_wait_us=2_000.0,
     )
     frontend = Frontend(system, rset)
     rset.grow(initial=True)

@@ -79,7 +79,7 @@ class TestTransformerConfig:
 
     def test_inference_step_cost_model(self):
         """The serving cost model: 2·N per token, linear in the batched
-        token count, nominal-params override honored."""
+        token count."""
         one = DECODER_3B.infer_step_time_us(32, 4, 61.25e6, 0.5)
         assert one == pytest.approx(
             2.0 * DECODER_3B.params * 32 / (4 * 61.25e6 * 0.5)
@@ -87,14 +87,8 @@ class TestTransformerConfig:
         assert DECODER_3B.infer_step_time_us(64, 4, 61.25e6, 0.5) == pytest.approx(
             2 * one
         )
-        # nominal_params override (the serving stack's knob).
-        tiny = DECODER_3B.infer_step_time_us(32, 4, 61.25e6, 0.5, params=1_000)
-        assert tiny == pytest.approx(2.0 * 1_000 * 32 / (4 * 61.25e6 * 0.5))
         with pytest.raises(ValueError, match="device"):
             DECODER_3B.infer_step_time_us(32, 0, 61.25e6, 0.5)
-
-    def test_kv_cache_bytes_per_token(self):
-        assert DECODER_3B.kv_cache_bytes_per_token() == 2 * 62 * 2048 * 2
 
 
 class TestSpmd:

@@ -14,12 +14,22 @@ use is code nothing runs):
   name: a method that only delegates (``def f(self): return
   self.x.f()``) keeps neither itself nor its delegate alive.
 * **Parameters.** Every defaulted parameter of a public function, a
-  public method, or a public class's ``__init__`` must be passed by some
-  call to a callee of that name (``f(...)``, ``x.f(...)``, or the class
-  name for ``__init__``).  A keyword counts, and so does a positional
-  argument at the parameter's index (a method's ``self`` or ``cls`` is
-  not counted).  A call with ``*args`` or ``**kwargs`` counts as passing
-  every parameter.  Private classes are out of scope.
+  public method, or a public class's ``__init__`` must be passed a value
+  other than its default by some call to a callee of that name
+  (``f(...)``, ``x.f(...)``, or the class name for ``__init__``).  A
+  keyword counts, and so does a positional argument at the parameter's
+  index (a method's ``self`` or ``cls`` is not counted).  A parameter
+  that every call passes only at its default's literal (``64 << 20``
+  for a default of ``64 << 20``) has one value in use and is flagged.
+  The scan reads a ``**`` splat it can spell: a dict display with
+  string keys, ``dict(k=v, ...)``, a name bound once (in the enclosing
+  def or the module) to one of those, a call to a module function whose
+  only ``return`` is one, or a subscript into a table of them (a
+  constant key picks its row, any other key takes every row).  A call
+  with ``*args`` or a ``**`` splat it cannot read (forwarding the
+  caller's own ``**kwargs``) counts as passing every parameter; those
+  splats are listed in ``SPLAT_ALLOWLIST`` with the reason each stays.
+  Private classes are out of scope.
 * **Fields.** Every attribute a ``src/`` class assigns on ``self`` must
   be read somewhere: an attribute load, or a string constant passed to
   ``getattr``, ``hasattr``, ``setattr``, ``delattr`` or ``attrgetter``.
@@ -34,8 +44,8 @@ methods are exempt.
 
 Whatever the scan flags but the project keeps goes in an allowlist with
 the reason it stays.  Each allowlist is checked too: an entry that no
-longer names a definition, parameter or field, or that is now reached,
-fails, so it cannot go stale.
+longer names a definition, parameter, field or unreadable splat, or
+that is now reached or readable, fails, so it cannot go stale.
 """
 
 from __future__ import annotations
@@ -60,9 +70,6 @@ ALLOWLIST: dict[str, str] = {
     "hw/host.py:Host.prep_request": (
         "the per-host prep path tests/oracles.py patches dispatch through"
     ),
-    "models/transformer.py:TransformerConfig.kv_cache_bytes_per_token": (
-        "needed by the parked KV-cache-aware serving direction (ROADMAP)"
-    ),
     "core/object_store.py:ShardedObjectStore.add_ref": (
         "the other half of release(): the paper's section 4.6 reference counting"
     ),
@@ -76,6 +83,12 @@ _FAULT_API = (
     "and send_reliable oracle comparisons drive"
 )
 _ENGINE = "the engine's SimPy-style event API, which its unit tests drive"
+_E2E = (
+    "benchmarks/e2e/workloads.py passes it at its default, and the "
+    "benchmark freezes that file"
+)
+_GOLDEN = "the golden schedules in tests/test_sim_determinism.py set it"
+_FUZZ = "the churn golden schedule or fault fuzz (tests/test_fault_fuzz.py) sets it"
 
 #: ``path:qualname(param)`` -> why it stays though nothing passes it.
 PARAM_ALLOWLIST: dict[str, str] = {
@@ -90,8 +103,42 @@ PARAM_ALLOWLIST: dict[str, str] = {
     "sim/engine.py:Simulator.__init__(sanitize)": (
         "tests force the sanitizer on or off whatever REPRO_SIM_SANITIZE says"
     ),
+    "sim/engine.py:Event.succeed_inline(value)": _ENGINE,
     "sim/engine.py:Simulator.completed(name)": _ENGINE,
+    "sim/engine.py:Simulator.completed(value)": _ENGINE,
     "sim/engine.py:Simulator.timeout(value)": _ENGINE,
+    "workloads/churn.py:run_churn(add_island_at)": _FUZZ,
+    "workloads/churn.py:run_churn(compute_time_us)": _FUZZ,
+    "workloads/churn.py:run_churn(log_schedule)": _GOLDEN,
+    "workloads/churn.py:run_churn(repair_us)": _FUZZ,
+    "workloads/netload.py:run_net_congestion(log_schedule)": _GOLDEN,
+    "workloads/netload.py:run_net_congestion(tracer)": (
+        "the golden tracing runs check a tracer leaves the schedule unchanged"
+    ),
+    "workloads/serving.py:run_serving(autoscale_interval_us)": _GOLDEN,
+    "workloads/serving.py:run_serving(contention)": _E2E,
+    "workloads/serving.py:run_serving(devices_per_host)": _E2E,
+    "workloads/serving.py:run_serving(log_schedule)": _GOLDEN,
+    "workloads/serving.py:run_serving(max_batch)": _GOLDEN,
+    "workloads/serving.py:run_serving(max_wait_us)": (
+        "the traced serving run of tests/test_telemetry.py and the "
+        "deadline-eviction test set it"
+    ),
+    "workloads/serving.py:run_serving(slo_us)": _GOLDEN,
+}
+
+#: ``path:qualname: callee(**expr)`` (path relative to the repo) -> why
+#: the scan cannot read that ``**`` splat, so its call passes everything.
+SPLAT_ALLOWLIST: dict[str, str] = {
+    "benchmarks/e2e/run.py:Probe.__init__.timed_build: build(**kwargs)": (
+        "the e2e probe wraps PathwaysSystem.build whatever its caller passes"
+    ),
+    "benchmarks/e2e/run.py:Probe._timed.timed: drain(**kwargs)": (
+        "the e2e probe wraps Simulator.run and run_until_triggered"
+    ),
+    "src/repro/config.py:SystemConfig.with_overrides: replace(**kwargs)": (
+        "with_overrides forwards its caller's field overrides to dataclasses.replace"
+    ),
 }
 
 #: ``path:Class.attr`` -> why it stays though nothing reads it.
@@ -207,12 +254,13 @@ def _unreferenced(root: Path = ROOT) -> list[str]:
 
 def _defaulted_params(
     root: Path = ROOT,
-) -> dict[str, tuple[str, str, Optional[int]]]:
-    """``path:qualname(param)`` -> ``(callee name, param, call index)``
-    for every defaulted parameter of a public function, a public method
-    of a public class, or a public class's ``__init__``.  The call index
-    is where a positional argument lands on it (None: keyword-only)."""
-    params: dict[str, tuple[str, str, Optional[int]]] = {}
+) -> dict[str, tuple[str, str, Optional[int], ast.expr]]:
+    """``path:qualname(param)`` -> ``(callee name, param, call index,
+    default)`` for every defaulted parameter of a public function, a
+    public method of a public class, or a public class's ``__init__``.
+    The call index is where a positional argument lands on it (None:
+    keyword-only)."""
+    params: dict[str, tuple[str, str, Optional[int], ast.expr]] = {}
 
     def add(key: str, callee: str, fn: ast.FunctionDef, skip: int) -> None:
         args = fn.args
@@ -220,10 +268,11 @@ def _defaulted_params(
         first_default = len(positional) - len(args.defaults)
         for i, arg in enumerate(positional):
             if i >= max(first_default, skip):
-                params[f"{key}({arg.arg})"] = (callee, arg.arg, i - skip)
+                default = args.defaults[i - first_default]
+                params[f"{key}({arg.arg})"] = (callee, arg.arg, i - skip, default)
         for arg, default in zip(args.kwonlyargs, args.kw_defaults):
             if default is not None:
-                params[f"{key}({arg.arg})"] = (callee, arg.arg, None)
+                params[f"{key}({arg.arg})"] = (callee, arg.arg, None, default)
 
     def walk(body, rel: str, owner: str, cls: Optional[str]) -> None:
         for node in body:
@@ -248,35 +297,256 @@ def _defaulted_params(
     return params
 
 
-def _unpassed_params(root: Path = ROOT) -> list[str]:
-    keywords: dict[str, set[str]] = {}
-    most_positional: dict[str, int] = {}
-    splatted: set[str] = set()
-    for _, tree in _trees(root, USERS):
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            name = getattr(func, "id", None) or getattr(func, "attr", None)
-            if name is None:
-                continue
-            if any(isinstance(a, ast.Starred) for a in node.args) or any(
-                k.arg is None for k in node.keywords
+_FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_DEFS = _FUNCS + (ast.ClassDef,)
+_SCOPES = _DEFS + (ast.Lambda,)
+
+#: A scope chain: the module, then each enclosing function or lambda (a
+#: class body is no scope for the functions inside it).
+Scopes = tuple[ast.AST, ...]
+
+
+def _own_nodes(scope: ast.AST) -> Iterator[ast.AST]:
+    """The nodes of ``scope``'s body, not descending into nested defs,
+    classes or lambdas (those nodes themselves are yielded)."""
+    body = scope.body
+    stack = list(body) if isinstance(body, list) else [body]
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _bindings(scope: ast.AST) -> dict[str, list[Optional[ast.AST]]]:
+    """name -> what each of ``scope``'s own bindings of it binds: the
+    value of a plain assignment, the def of a ``def``, or None for a
+    binding the scan cannot read (a parameter, an import, a loop target,
+    an augmented assignment)."""
+    names: dict[str, list[Optional[ast.AST]]] = {}
+    read_targets: set[int] = set()
+    if not isinstance(scope, ast.Module):
+        args = scope.args
+        for arg in (
+            args.posonlyargs + args.args + args.kwonlyargs
+            + [a for a in (args.vararg, args.kwarg) if a is not None]
+        ):
+            names.setdefault(arg.arg, []).append(None)
+    # A node comes before its children, so an assignment claims its
+    # targets before the walk reaches them.
+    for node in _own_nodes(scope):
+        if isinstance(node, _DEFS):
+            names.setdefault(node.name, []).append(node)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                names.setdefault(bound, []).append(None)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    names.setdefault(target.id, []).append(node.value)
+                    read_targets.add(id(target))
+        elif (
+            isinstance(node, ast.Name)
+            and isinstance(node.ctx, ast.Store)
+            and id(node) not in read_targets
+        ):
+            names.setdefault(node.id, []).append(None)
+    return names
+
+
+def _lookup(name: str, scopes: Scopes) -> Optional[tuple[ast.AST, Scopes]]:
+    """What ``name`` is bound to in the innermost scope that binds it,
+    with that scope's chain; None unless bound there exactly once,
+    readably."""
+    for depth in range(len(scopes), 0, -1):
+        bound = _bindings(scopes[depth - 1]).get(name)
+        if bound:
+            if len(bound) == 1 and bound[0] is not None:
+                return bound[0], scopes[:depth]
+            return None
+    return None
+
+
+#: An expression with the scope chain it is evaluated in.
+Located = tuple[ast.expr, Scopes]
+
+
+def _values(expr: ast.expr, scopes: Scopes, depth: int = 0) -> Optional[list[Located]]:
+    """What ``expr`` can stand for: ``expr`` itself, or, through a name
+    bound once, a call to a module function with one ``return``, or a
+    subscript into a table, what those lead to.  None if unreadable."""
+    if depth > 16:
+        return None
+    if isinstance(expr, ast.Name):
+        bound = _lookup(expr.id, scopes)
+        if bound is None or isinstance(bound[0], _DEFS):
+            return None
+        return _values(*bound, depth + 1)
+    if isinstance(expr, ast.Call) and getattr(expr.func, "id", "dict") != "dict":
+        bound = _lookup(expr.func.id, scopes)
+        if bound is None or len(bound[1]) != 1 or not isinstance(bound[0], _FUNCS):
+            return None
+        fn = bound[0]
+        returns = [n for n in _own_nodes(fn) if isinstance(n, ast.Return)]
+        if len(returns) != 1 or returns[0].value is None:
+            return None
+        return _values(returns[0].value, bound[1] + (fn,), depth + 1)
+    if isinstance(expr, ast.Subscript):
+        tables = _values(expr.value, scopes, depth + 1)
+        if tables is None:
+            return None
+        key = getattr(expr.slice, "value", None)
+        rows: list[Located] = []
+        for table, where in tables:
+            if not isinstance(table, ast.Dict) or None in table.keys:
+                return None
+            # A constant key picks its row; any other key, every row.
+            picked = [
+                v for k, v in zip(table.keys, table.values)
+                if isinstance(k, ast.Constant) and k.value == key
+            ] or table.values
+            for row in picked:
+                read = _values(row, where, depth + 1)
+                if read is None:
+                    return None
+                rows += read
+        return rows
+    return [(expr, scopes)]
+
+
+def _splat(expr: ast.expr, scopes: Scopes) -> Optional[dict[str, list[ast.expr]]]:
+    """keyword -> the values a ``**expr`` splat passes for it, when
+    ``expr`` reads as dict displays with string keys or ``dict(k=v)``
+    calls; None when the scan cannot read it."""
+    values = _values(expr, scopes)
+    if values is None:
+        return None
+    passed: dict[str, list[ast.expr]] = {}
+    for value, where in values:
+        if isinstance(value, ast.Dict):
+            if not all(
+                k is None or isinstance(getattr(k, "value", None), str)
+                for k in value.keys
             ):
-                splatted.add(name)
-            keywords.setdefault(name, set()).update(
-                k.arg for k in node.keywords if k.arg is not None
-            )
-            most_positional[name] = max(
-                most_positional.get(name, 0), len(node.args)
-            )
-    return sorted(
-        key
-        for key, (callee, param, index) in _defaulted_params(root).items()
-        if callee not in splatted
-        and param not in keywords.get(callee, ())
-        and (index is None or most_positional.get(callee, 0) <= index)
+                return None
+            pairs = [(k and k.value, v) for k, v in zip(value.keys, value.values)]
+        elif (
+            isinstance(value, ast.Call)
+            and getattr(value.func, "id", None) == "dict"
+            and not value.args
+        ):
+            pairs = [(k.arg, k.value) for k in value.keywords]
+        else:
+            return None
+        for key, item in pairs:
+            # A nested ``**item`` (key None) must be readable too.
+            inner = {key: [item]} if key is not None else _splat(item, where)
+            if inner is None:
+                return None
+            for k, v in inner.items():
+                passed.setdefault(k, []).extend(v)
+    return passed
+
+
+class _CallScan:
+    """Every call in ``src/``, ``benchmarks/`` and ``examples/``: what it
+    passes to each callee name, and the ``**`` splats it cannot read."""
+
+    def __init__(self, root: Path) -> None:
+        #: callee -> keyword -> passed values.
+        self.keywords: dict[str, dict[str, list[ast.expr]]] = {}
+        #: callee -> positional index -> passed values.
+        self.positional: dict[str, dict[int, list[ast.expr]]] = {}
+        #: callees some call passes ``*args`` or an unreadable ``**``.
+        self.splatted: set[str] = set()
+        #: ``path:qualname: callee(**expr)`` for every unreadable splat.
+        self.unread_splats: set[str] = set()
+        for path, tree in _trees(root, USERS):
+            self._visit(tree, path.relative_to(root).as_posix(), (tree,), ())
+
+    def _visit(self, node: ast.AST, rel: str, scopes: Scopes, qual: tuple) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                self._call(child, rel, scopes, qual)
+            if isinstance(child, _SCOPES):
+                inner = scopes if isinstance(child, ast.ClassDef) else scopes + (child,)
+                name = getattr(child, "name", "<lambda>")
+                self._visit(child, rel, inner, qual + (name,))
+            else:
+                self._visit(child, rel, scopes, qual)
+
+    def _call(self, node: ast.Call, rel: str, scopes: Scopes, qual: tuple) -> None:
+        func = node.func
+        name = getattr(func, "id", None) or getattr(func, "attr", None)
+        keywords = self.keywords.setdefault(name, {})
+        splatted = any(isinstance(a, ast.Starred) for a in node.args)
+        for k in node.keywords:
+            if k.arg is not None:
+                keywords.setdefault(k.arg, []).append(k.value)
+                continue
+            passed = _splat(k.value, scopes)
+            if passed is None:
+                splatted = True
+                where = ".".join(qual) or "<module>"
+                self.unread_splats.add(
+                    f"{rel}:{where}: {ast.unparse(func)}(**{ast.unparse(k.value)})"
+                )
+                continue
+            for kw, values in passed.items():
+                keywords.setdefault(kw, []).extend(values)
+        if splatted:
+            self.splatted.add(name)
+        positional = self.positional.setdefault(name, {})
+        for i, arg in enumerate(node.args):
+            positional.setdefault(i, []).append(arg)
+
+
+_LITERAL_NODES = (
+    ast.Constant, ast.UnaryOp, ast.BinOp, ast.Tuple,
+    ast.unaryop, ast.operator, ast.expr_context,
+)
+
+
+def _literal(node: ast.expr) -> tuple:
+    """``(value,)`` for a literal expression (constants combined by
+    unary and binary operators and tuples, like ``64 << 20``); ``()``
+    for anything else."""
+    if not all(isinstance(n, _LITERAL_NODES) for n in ast.walk(node)):
+        return ()
+    try:
+        return (eval(compile(ast.Expression(node), "<literal>", "eval"), {}),)
+    except (ArithmeticError, TypeError, ValueError):  # e.g. 1 / 0, "a" - 1
+        return ()
+
+
+def _at_default(passed: ast.expr, default: tuple) -> bool:
+    value = _literal(passed)
+    return bool(value) and value[0] == default[0] and (
+        isinstance(value[0], bool) == isinstance(default[0], bool)
     )
+
+
+def _unpassed_params(root: Path = ROOT) -> list[str]:
+    """Defaulted parameters no call passes a value other than the
+    default: never passed, or passed only at the default's literal."""
+    scan = _CallScan(root)
+    unpassed = []
+    for key, (callee, param, index, default) in _defaulted_params(root).items():
+        if callee in scan.splatted:
+            continue
+        passed = list(scan.keywords.get(callee, {}).get(param, ()))
+        if index is not None:
+            passed += scan.positional.get(callee, {}).get(index, ())
+        literal = _literal(default)
+        if not passed or (literal and all(_at_default(p, literal) for p in passed)):
+            unpassed.append(key)
+    return sorted(unpassed)
+
+
+def _unread_splats(root: Path = ROOT) -> list[str]:
+    return sorted(_CallScan(root).unread_splats)
 
 
 # -- fields --------------------------------------------------------------------
@@ -353,8 +623,19 @@ def test_every_defaulted_parameter_is_passed():
     unpassed = [key for key in _unpassed_params() if key not in PARAM_ALLOWLIST]
     assert not unpassed, (
         "defaulted parameters that no src/, benchmarks/ or examples/ call "
-        "passes (fold each into the value it always has, or allowlist it "
-        "with a reason):\n  " + "\n  ".join(unpassed)
+        "passes a value other than the default (fold each into the value "
+        "it always has, or allowlist it with a reason):\n  "
+        + "\n  ".join(unpassed)
+    )
+
+
+def test_every_splat_is_read():
+    unread = [key for key in _unread_splats() if key not in SPLAT_ALLOWLIST]
+    assert not unread, (
+        "** splats the parameter check cannot read, so their calls pass "
+        "every parameter unseen (pass a dict display, dict(k=v), or a name "
+        "bound once to one, or allowlist them with a reason):\n  "
+        + "\n  ".join(unread)
     )
 
 
@@ -378,6 +659,10 @@ def test_allowlist_is_current():
             assert reason.strip(), f"{key}: allowlist entry without a reason"
             assert key in defined, f"{key}: allowlisted but no longer defined"
             assert key in flagged, f"{key}: allowlisted but now reached"
+    unread = _unread_splats()
+    for key, reason in SPLAT_ALLOWLIST.items():
+        assert reason.strip(), f"{key}: allowlist entry without a reason"
+        assert key in unread, f"{key}: allowlisted but gone or now readable"
 
 
 # -- the scanners on a synthetic tree -------------------------------------------
@@ -408,12 +693,24 @@ class _Hidden:
 
 def build(depth=3, **kw):
     return Box(**kw)
+
+
+def pack(width=1, height=1, fragile=False, mode="fast"):
+    return width * height
 ''',
     "examples/use.py": '''
-from repro.box import build
+from repro.box import build, pack
+
+SIZES = {"small": dict(width=2), "large": {"width": 9}}
+
+
+def dims():
+    return dict(height=3)
+
 
 box = build()
 print(box.resize(3), box.label, getattr(box, "tag"), {"hits": 1})
+print(pack(**SIZES["small"], mode="fast"), pack(**dims()))
 ''',
 }
 
@@ -430,11 +727,23 @@ def _synthetic_tree(tmp_path: Path) -> Path:
 def test_param_scanner_on_a_synthetic_tree(tmp_path):
     root = _synthetic_tree(tmp_path)
     # ``factor`` is passed only positionally, past ``self``; ``size`` and
-    # ``label`` only through ``build``'s ``**kw``; ``_Hidden`` is private.
+    # ``label`` only through ``build``'s ``**kw``, which the scan cannot
+    # read, so that call passes everything; ``_Hidden`` is private.
+    # ``width`` and ``height`` reach ``pack`` only through splats the
+    # scan reads (a table row, a function's return); ``fragile`` is
+    # never passed and ``mode`` only at its default.
     assert _unpassed_params(root) == [
         "box.py:Box.resize(clamp)",
         "box.py:build(depth)",
+        "box.py:pack(fragile)",
+        "box.py:pack(mode)",
     ]
+
+
+def test_splat_scanner_on_a_synthetic_tree(tmp_path):
+    root = _synthetic_tree(tmp_path)
+    # ``build`` forwards its caller's own ``**kw``: no display to read.
+    assert _unread_splats(root) == ["src/repro/box.py:build: Box(**kw)"]
 
 
 def test_def_scanner_on_a_synthetic_tree(tmp_path):

@@ -122,7 +122,7 @@ class TestTimeoutTriggeredGuard:
 class TestResourceInvariants:
     def test_leaked_grant_detected(self):
         sim = Simulator(sanitize=True)
-        nic = Resource(sim, capacity=1, name="nic", leak_check=True)
+        nic = Resource(sim, name="nic", leak_check=True)
         nic.acquire(lambda: None)
         with pytest.raises(UnbalancedGrantError, match="nic"):
             sim.run()
@@ -140,13 +140,13 @@ class TestResourceInvariants:
         """Long-lived pools may stay held across a drain; only
         leak-checked resources are grant-audited."""
         sim = Simulator(sanitize=True)
-        pool = Resource(sim, capacity=2, name="pool")
+        pool = Resource(sim, name="pool")
         pool.acquire(lambda: None)
         sim.run()
 
     def test_stranded_waiter_detected(self):
         sim = Simulator(sanitize=True)
-        pool = Resource(sim, capacity=1, name="pool")
+        pool = Resource(sim, name="pool")
         pool.acquire(lambda: None)
         pool.acquire(lambda: None)  # queued forever: the holder never releases
         with pytest.raises(UnsettledWaitersError, match="lost wakeup"):
@@ -159,7 +159,7 @@ class TestResourceInvariants:
 
     def test_balanced_run_is_clean(self):
         sim = Simulator(sanitize=True)
-        cpu = Resource(sim, capacity=1, name="cpu", leak_check=True)
+        cpu = Resource(sim, name="cpu", leak_check=True)
 
         for _ in range(2):
             cpu.acquire(lambda: sim.timeout(10.0).add_callback(lambda ev: cpu.release()))
@@ -170,7 +170,7 @@ class TestResourceInvariants:
     def test_run_until_skips_drain_check(self):
         """Cut short at ``until``, held slots are expected, not leaks."""
         sim = Simulator(sanitize=True)
-        nic = Resource(sim, capacity=1, name="nic", leak_check=True)
+        nic = Resource(sim, name="nic", leak_check=True)
         nic.acquire(lambda: None)
         sim.timeout(100.0)
         assert sim.run(until=50.0) == 50.0

@@ -9,9 +9,14 @@ replica-loss recovery drill.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+import repro.serve.autoscale as autoscale_module
+import repro.serve.frontend as frontend_module
+import repro.serve.replicas as replicas_module
 from repro.config import DEFAULT_CONFIG
 from repro.core.scheduler import EarliestDeadlinePolicy
 from repro.core.system import PathwaysSystem
@@ -116,16 +121,12 @@ def make_serving_system(islands=1, hosts=2, devices=4):
     return system
 
 
-def make_stack(system, n_replicas=1, **kwargs):
-    rset_kwargs = dict(
-        devices_per_replica=4,
-        tokens_per_request=32,
-        max_batch=kwargs.pop("max_batch", 4),
-        max_wait_us=kwargs.pop("max_wait_us", 2_000.0),
-        max_in_flight=kwargs.pop("max_in_flight", 2),
+def make_stack(system, n_replicas=1, max_batch=4, max_wait_us=2_000.0):
+    rset = ReplicaSet(
+        system, DECODER_3B, devices_per_replica=4, tokens_per_request=32,
+        max_batch=max_batch, max_wait_us=max_wait_us,
     )
-    rset = ReplicaSet(system, DECODER_3B, **rset_kwargs)
-    frontend = Frontend(system, rset, **kwargs)
+    frontend = Frontend(system, rset)
     for _ in range(n_replicas):
         rset.grow(initial=True)
     return frontend, rset
@@ -206,13 +207,14 @@ class TestAdmission:
 
     def test_queue_full_rejection(self):
         system = make_serving_system()
-        frontend, _ = make_stack(
-            system, max_queue_per_replica=2, admission_slack=1e9
-        )
+        frontend, _ = make_stack(system)
         host = system.cluster.hosts[1]
-        for _ in range(30):
-            frontend.submit_from(host, 24, 8, 10_000_000.0)
-        system.sim.run()
+        with mock.patch.multiple(
+            frontend_module, MAX_QUEUE_PER_REPLICA=2, ADMISSION_SLACK=1e9
+        ):
+            for _ in range(30):
+                frontend.submit_from(host, 24, 8, 10_000_000.0)
+            system.sim.run()
         assert frontend.rejections.get(REJECT_QUEUE_FULL, 0) > 0
         assert frontend.completed + frontend.total_rejected == 30
 
@@ -220,9 +222,10 @@ class TestAdmission:
         """Admission off: a request whose deadline passes inside the
         coalescing window leaves as a typed expiry, not a submission."""
         system = make_serving_system()
-        frontend, rset = make_stack(system, admission=False, max_wait_us=5_000.0)
-        req = frontend.submit_from(system.cluster.hosts[1], 24, 8, 1_000.0)
-        system.sim.run()
+        frontend, rset = make_stack(system, max_wait_us=5_000.0)
+        with mock.patch.object(frontend_module, "ADMISSION", False):
+            req = frontend.submit_from(system.cluster.hosts[1], 24, 8, 1_000.0)
+            system.sim.run()
         assert req.rejected == REJECT_EXPIRED
         assert rset.replicas[0].batches == 0
 
@@ -242,19 +245,19 @@ class TestDeadlineEvictionBackstop:
         whose PR-4 deadline eviction turns it into typed
         ``deadline-evicted`` rejections (and the per-client counter) —
         never abandons."""
-        r = run_serving(
-            rate_rps=2_500.0,
-            duration_us=60_000.0,
-            islands=1,
-            hosts_per_island=2,
-            n_replicas=1,
-            max_batch=2,
-            max_in_flight=8,
-            max_wait_us=200.0,
-            slo_us=20_000.0,
-            admission=False,
-            seed=4,
-        )
+        with mock.patch.object(frontend_module, "ADMISSION", False), \
+                mock.patch.object(replicas_module, "MAX_IN_FLIGHT", 8):
+            r = run_serving(
+                rate_rps=2_500.0,
+                duration_us=60_000.0,
+                islands=1,
+                hosts_per_island=2,
+                n_replicas=1,
+                max_batch=2,
+                max_wait_us=200.0,
+                slo_us=20_000.0,
+                seed=4,
+            )
         assert r.rejections.get(REJECT_EVICTED, 0) > 0, r.rejections
         assert r.deadline_rejections > 0
         assert r.abandoned == 0
@@ -347,6 +350,7 @@ class TestSpinupFailure:
 
 
 class TestAutoscaler:
+    @mock.patch.object(autoscale_module, "SHRINK_PATIENCE", 10)
     def test_grows_from_zero_on_rejected_demand(self):
         """With no routable replica, demand shows up as instantly
         rejected arrivals (outstanding is only non-zero for µs); the
@@ -355,7 +359,7 @@ class TestAutoscaler:
         frontend, rset = make_stack(system, n_replicas=1)
         Autoscaler(
             system, frontend, rset, min_replicas=0, max_replicas=1,
-            interval_us=2_000.0, shrink_patience=10,
+            interval_us=2_000.0,
         )
         sim = system.sim
         host = system.cluster.hosts[1]

@@ -172,7 +172,6 @@ SERVE_KWARGS = dict(
     hosts_per_island=2,
     devices_per_host=4,
     n_replicas=1,
-    devices_per_replica=4,
     max_batch=4,
     slo_us=60_000.0,
     autoscale=True,
@@ -426,7 +425,7 @@ class TestHotPathPrimitives:
     def test_resource_acquire_respects_capacity(self, sim):
         from repro.sim import Resource
 
-        res = Resource(sim, capacity=1)
+        res = Resource(sim)
         grants = []
         res.acquire(lambda: grants.append(None))
         res.acquire(lambda: grants.append(None))

@@ -31,13 +31,12 @@ def test_final_time_is_max_delay(delays):
 
 
 @given(
-    capacity=st.integers(min_value=1, max_value=5),
     works=st.lists(st.floats(min_value=0.1, max_value=50), min_size=1, max_size=25),
 )
 @settings(max_examples=60, deadline=None)
-def test_resource_never_exceeds_capacity(capacity, works):
+def test_resource_never_exceeds_capacity(works):
     sim = Simulator()
-    res = Resource(sim, capacity=capacity)
+    res = Resource(sim)
     max_seen = [0]
     held = []
 
@@ -54,10 +53,12 @@ def test_resource_never_exceeds_capacity(capacity, works):
     for w in works:
         res.acquire(lambda w=w: hold(w))
     sim.run()
-    assert max_seen[0] <= capacity
+    assert max_seen[0] <= 1
     assert res.in_use == 0
-    # Work conservation: total busy time equals the sum of holds.
+    # Work conservation: total busy time equals the sum of holds, and
+    # one slot runs them back to back.
     assert abs(sum(held) - sum(works)) < 1e-6
+    assert abs(sim.now - sum(works)) < 1e-6
 
 
 @given(n=st.integers(min_value=1, max_value=30))

@@ -18,13 +18,12 @@ def _take(res):
 
 class TestResource:
     def test_grant_within_capacity_is_immediate(self, sim):
-        res = Resource(sim, capacity=2)
+        res = Resource(sim)
         _take(res)
-        _take(res)
-        assert res.in_use == 2
+        assert res.in_use == 1 and res.queue_len == 0
 
     def test_excess_requests_queue(self, sim):
-        res = Resource(sim, capacity=1)
+        res = Resource(sim)
         _take(res)
         second = []
         res.acquire(lambda: second.append(None))
@@ -35,7 +34,7 @@ class TestResource:
         assert res.in_use == 1
 
     def test_fifo_grant_order(self, sim):
-        res = Resource(sim, capacity=1)
+        res = Resource(sim)
         _take(res)
         granted = []
         for i in range(3):
@@ -46,16 +45,12 @@ class TestResource:
         assert granted == [0, 1]
 
     def test_release_idle_rejected(self, sim):
-        res = Resource(sim, capacity=1)
+        res = Resource(sim)
         with pytest.raises(RuntimeError, match="idle"):
             res.release()
 
-    def test_invalid_capacity(self, sim):
-        with pytest.raises(ValueError):
-            Resource(sim, capacity=0)
-
     def test_acquire_holds_for_duration(self, sim):
-        res = Resource(sim, capacity=1)
+        res = Resource(sim)
         spans = []
 
         def hold(name):
@@ -74,7 +69,7 @@ class TestResource:
         assert spans == [("a", 0.0, 10.0), ("b", 0.0, 20.0)]
 
     def test_busy_time_accounting(self, sim):
-        res = Resource(sim, capacity=2)
+        res = Resource(sim)
         holds = []
 
         def hold():
@@ -89,9 +84,9 @@ class TestResource:
         for _ in range(2):
             res.acquire(hold)
         sim.run()
-        # Two slots: both holders run at once, 20 µs·holders in 10 µs.
-        assert holds == [(0.0, 10.0), (0.0, 10.0)]
-        assert sim.now == 10.0
+        # One slot: the second holder's 10 µs starts at the first's release.
+        assert holds == [(0.0, 10.0), (10.0, 20.0)]
+        assert sim.now == 20.0
 
 
 class TestAcquire:
@@ -99,7 +94,7 @@ class TestAcquire:
     dropped queue makes no loop entry at all."""
 
     def test_contended_acquire_is_granted_inside_release(self, sim):
-        res = Resource(sim, capacity=1)
+        res = Resource(sim)
         grants = []
         res.acquire(lambda: grants.append(("first", sim.now)))
         res.acquire(lambda: grants.append(("second", sim.now)))
@@ -117,7 +112,7 @@ class TestAcquire:
         assert sim.events_processed == 1  # the timeout; the grant adds none
 
     def test_fail_waiters_empties_the_queue_at_once(self, sim):
-        res = Resource(sim, capacity=1)
+        res = Resource(sim)
         _take(res)
         seen = []
         res.acquire(lambda: seen.append("granted"))
@@ -129,7 +124,7 @@ class TestAcquire:
 
     def test_sanitizer_reports_stranded_acquire_waiter(self):
         sim = Simulator(sanitize=True)
-        pool = Resource(sim, capacity=1, name="pool")
+        pool = Resource(sim, name="pool")
         _take(pool)
         pool.acquire(lambda: None)  # queued forever: never released
         with pytest.raises(UnsettledWaitersError, match="lost wakeup"):

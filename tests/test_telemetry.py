@@ -48,7 +48,6 @@ TRACED_SERVE_KWARGS = dict(
     hosts_per_island=2,
     devices_per_host=4,
     n_replicas=2,
-    devices_per_replica=4,
     max_batch=4,
     max_wait_us=1_500.0,
 )
@@ -198,7 +197,7 @@ class TestFlightRecorder:
         tr = Tracer(flight=fl)
         sim = Simulator(sanitize=True, tracer=tr)
         tr.instant("about-to-leak", "test")
-        nic = Resource(sim, capacity=1, name="nic", leak_check=True)
+        nic = Resource(sim, name="nic", leak_check=True)
         nic.acquire(lambda: None)
         with pytest.raises(UnbalancedGrantError, match="nic"):
             sim.run()

@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import hashlib
 import re
+from unittest import mock
 
 import pytest
 
+import repro.workloads.netload as netload_module
 from repro.config import DEFAULT_CONFIG
 from repro.core.client import PathwaysClient
 from repro.core.dispatch import ExecutionAbandoned
@@ -72,10 +74,11 @@ def _composed():
         state_bytes=1 << 20,
     )
     victim = next(s for s in bound() if id(s) not in before).group.devices[0]
-    netload = attach_netload(
-        system, n_senders=2, streams=2, flow_bytes=1 << 20,
-        duration_us=20_000.0, n_probes=2, probe_elems=1 << 16, resilient=True,
-    )
+    with mock.patch.object(netload_module, "PROBE_ELEMS", 1 << 16):
+        netload = attach_netload(
+            system, n_senders=2, streams=2, flow_bytes=1 << 20,
+            duration_us=20_000.0, n_probes=2, resilient=True,
+        )
     injector = FaultInjector(
         recovery,
         FaultSchedule().device_failure(3_000.0, victim.device_id, repair_us=10_000.0),
