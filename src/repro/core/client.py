@@ -176,7 +176,7 @@ class PathwaysClient:
         self,
         program: PathwaysProgram,
         args: Sequence[np.ndarray] = (),
-        mode: Optional[DispatchMode] = None,
+        mode: DispatchMode = DispatchMode.PARALLEL,
         compute_values: bool = True,
         retry_on_failure: bool = False,
         max_attempts: int = 8,
@@ -204,7 +204,7 @@ class PathwaysClient:
             self,
             low,
             tuple(np.asarray(a) for a in args),
-            mode=mode if mode is not None else self.system.default_mode,
+            mode=mode,
             compute_values=compute_values,
             retry_on_failure=retry_on_failure,
             max_attempts=max_attempts,
@@ -250,7 +250,7 @@ class PathwaysClient:
         args: Sequence[np.ndarray],
         n_iters: int,
         max_in_flight: int = 8,
-        mode: Optional[DispatchMode] = None,
+        mode: DispatchMode = DispatchMode.PARALLEL,
     ):
         """Generator process: keep up to ``max_in_flight`` executions live
         (idiomatic asynchronous-dispatch usage), releasing each one's

@@ -60,7 +60,6 @@ class PathwaysSystem:
             for isl in cluster.islands
         }
         self._clients: dict[str, "PathwaysClient"] = {}
-        self.default_mode = DispatchMode.PARALLEL
         #: Attached by :class:`repro.resilience.RecoveryManager`; the
         #: ``retry_on_failure`` dispatch path requires it.
         self.recovery = None

@@ -76,24 +76,6 @@ class TransformerConfig:
             raise ValueError(f"negative token count {tokens}")
         return 2.0 * self.params * tokens / (n_devices * flops_per_us * efficiency)
 
-    # -- partitioning helpers --------------------------------------------
-    def stage_params(self, n_stages: int) -> int:
-        """Parameters per balanced pipeline stage.
-
-        The paper balances stages by moving one Transformer layer out of
-        the first and last stages to offset the embedding and softmax
-        layers; for the cost model, an even split of total parameters is
-        the equivalent statement.
-        """
-        if n_stages < 1:
-            raise ValueError(f"invalid stage count {n_stages}")
-        if self.n_total_layers % n_stages not in (0,) and n_stages > self.n_total_layers:
-            raise ValueError(
-                f"{self.name}: cannot split {self.n_total_layers} layers into "
-                f"{n_stages} stages"
-            )
-        return self.params // n_stages
-
     def validate(self) -> None:
         for field_name in ("n_layers", "d_model", "d_ff", "n_heads"):
             if getattr(self, field_name) < 1:

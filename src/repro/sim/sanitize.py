@@ -1,9 +1,10 @@
 """The runtime sim-sanitizer: typed invariant checks for the engine.
 
-The static rules in :mod:`repro.analysis` catch what is visible in the
-source; this module catches the dynamic instances — a slot acquired on
-a path the linter could not follow, an event chain that dropped its
-continuation, link capacity stranded by an abort race.  Enable with
+The RPR lint rules (``tests/rpr_rules.py``, run as a tier-1 guard by
+``tests/test_analysis.py``) catch what is visible in the source; this
+module catches the dynamic instances — a slot acquired on a path the
+linter could not follow, an event chain that dropped its continuation,
+link capacity stranded by an abort race.  Enable with
 ``Simulator(sanitize=True)`` or ``REPRO_SIM_SANITIZE=1`` (the tier-1 CI
 job exports it, so every test runs instrumented).
 

@@ -1,6 +1,6 @@
 """repro.telemetry — schedule-neutral, pay-as-you-go observability.
 
-Three cooperating parts over one span stream:
+Two cooperating parts over one span stream:
 
 * **Causal span tracing** (:class:`Tracer`, :class:`Span`) — the
   simulator's one trace stream: request/program-scoped spans captured
@@ -10,15 +10,12 @@ Three cooperating parts over one span stream:
   (``python -m repro.telemetry critpath``), and turned into device
   utilization, program shares, interleave granularity and ASCII
   timelines by :mod:`repro.telemetry.timeline`.
-* **Metrics registry** (:class:`MetricsRegistry`) — counters and
-  histograms, fed from the span stream and sampled by hand into
-  exportable time-series.
 * **Flight recorder** (:class:`FlightRecorder`) — a bounded ring of
   recent observations, dumped automatically on ``SanitizerError`` (the
   transport's own ``net.lost`` instants land in it like any other).
 
-None of the three creates sim events: golden schedules are
-byte-identical with telemetry on or off.
+Neither creates sim events: golden schedules are byte-identical with
+telemetry on or off.
 """
 
 from repro.telemetry.critpath import (
@@ -29,15 +26,11 @@ from repro.telemetry.critpath import (
     summarize,
 )
 from repro.telemetry.flight import FlightRecorder
-from repro.telemetry.histogram import Histogram, percentile
-from repro.telemetry.metrics import Counter, MetricsRegistry
+from repro.telemetry.histogram import percentile
 from repro.telemetry.spans import Span, Tracer
 
 __all__ = [
-    "Counter",
     "FlightRecorder",
-    "Histogram",
-    "MetricsRegistry",
     "RequestPath",
     "STAGES",
     "Span",

@@ -1,7 +1,7 @@
-"""The simulator-specific lint rules, RPR001-RPR007.
+"""The simulator-specific lint rules, RPR001-RPR007, and their runner.
 
-Every rule here is derived from a bug that actually shipped in this
-repo and was found by hand:
+Every rule is derived from a bug that actually shipped in this repo and
+was found by hand:
 
 * **RPR001** — eager f-string/``.format`` event names (the PR-3 lazy-name
   overhaul exists because name building dominated hot-path profiles);
@@ -19,16 +19,159 @@ repo and was found by hand:
 * **RPR007** — tracer spans opened without a guaranteed close, or span
   labels built eagerly outside a ``tracer is not None`` gate (the
   ``repro.telemetry`` pay-as-you-go contract).
+
+Every rule is an :class:`ast.NodeVisitor` run over one file's tree with
+a shared :class:`FileContext` (parent pointers, ``# repro: noqa[RPRxxx]``
+suppressions, sim-code classification).  :func:`lint` runs them over
+files and directories, each tree parsed once per session by
+:func:`sources.parse`; ``tests/test_analysis.py`` runs it over the repo
+as a guard and over the fixture corpus through :func:`lint_source`.
+
+Suppression syntax, modeled on ruff's but namespaced so the two tools
+never fight over a comment::
+
+    cpu.acquire(state.on_grant)  # repro: noqa[RPR005] ownership moves to _PrepState
+    for p in procs:              # repro: noqa  (suppresses every rule on the line)
+
+Rules that only make sense for simulator code (hot-path event naming,
+schedule-feeding iteration order) set ``sim_only = True`` and are
+skipped outside a ``repro`` package directory unless the caller forces
+``assume_sim=True`` (the fixture tests do).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Callable, Optional
+import re
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Callable, Iterable, Optional
 
-from repro.analysis.engine import FileContext, Rule
+from sources import parse, python_files
 
-__all__ = ["ALL_RULES", "rule_table"]
+#: ``# repro: noqa`` or ``# repro: noqa[RPR001]`` / ``[RPR001,RPR005]``.
+_NOQA_RE = re.compile(
+    r"#\s*repro:\s*noqa(?:\[\s*(?P<codes>RPR\d{3}(?:\s*,\s*RPR\d{3})*)\s*\])?",
+    re.IGNORECASE,
+)
+
+#: Directories never walked: caches, VCS litter, and the deliberate-bug
+#: fixture corpus (its files *must* violate the rules; the tests point
+#: the rules at them explicitly via ``lint_source``).
+EXCLUDED_DIRS = frozenset(
+    {"__pycache__", ".git", ".ruff_cache", "analysis_fixtures"}
+)
+
+
+@dataclass(frozen=True)
+class Violation:
+    """One rule hit at a source location."""
+
+    path: str
+    line: int
+    col: int
+    code: str
+    message: str
+
+
+class FileContext:
+    """Everything rules share about one file: source, tree, parents,
+    suppressions, and whether the file counts as simulator code."""
+
+    def __init__(
+        self, path: str, source: str, tree: ast.Module, assume_sim: bool = False
+    ):
+        self.path = path
+        self.source = source
+        self.tree = tree
+        self.lines = source.splitlines()
+        #: line number -> frozenset of suppressed codes (empty = all).
+        self.noqa: dict[int, frozenset[str]] = {}
+        for lineno, text in enumerate(self.lines, start=1):
+            m = _NOQA_RE.search(text)
+            if m is None:
+                continue
+            codes = m.group("codes")
+            if codes is None:
+                self.noqa[lineno] = frozenset()
+            else:
+                self.noqa[lineno] = frozenset(
+                    c.strip().upper() for c in codes.split(",")
+                )
+        self.is_sim = assume_sim or _is_sim_path(path)
+        #: child -> parent node map for ancestor queries (gating checks,
+        #: finally-block membership).
+        self.parents: dict[ast.AST, ast.AST] = {}
+        for parent in ast.walk(self.tree):
+            for child in ast.iter_child_nodes(parent):
+                self.parents[child] = parent
+
+    def suppressed(self, line: int, code: str) -> bool:
+        codes = self.noqa.get(line)
+        if codes is None:
+            return False
+        return not codes or code in codes
+
+    def ancestors(self, node: ast.AST) -> Iterable[ast.AST]:
+        cur = self.parents.get(node)
+        while cur is not None:
+            yield cur
+            cur = self.parents.get(cur)
+
+    def in_finally(self, node: ast.AST) -> bool:
+        """True when ``node`` sits inside some ``try``'s ``finally``."""
+        cur = node
+        for parent in self.ancestors(node):
+            if isinstance(parent, ast.Try) and any(
+                _contains(stmt, cur) for stmt in parent.finalbody
+            ):
+                return True
+            cur = parent
+        return False
+
+
+def _contains(root: ast.AST, target: ast.AST) -> bool:
+    if root is target:
+        return True
+    return any(node is target for node in ast.walk(root))
+
+
+def _is_sim_path(path: str) -> bool:
+    """Simulator code = anything inside a ``repro`` package directory."""
+    return "repro" in Path(path).parts
+
+
+class Rule(ast.NodeVisitor):
+    """Base class for one lint rule.
+
+    Subclasses set ``code``/``name``/``summary``, optionally
+    ``sim_only``, and call :meth:`report` from their visit methods.
+    """
+
+    code: str = "RPR000"
+    name: str = "unnamed"
+    summary: str = ""
+    #: Only applies to simulator source (see :class:`FileContext`).
+    sim_only: bool = False
+
+    def __init__(self, ctx: FileContext):
+        self.ctx = ctx
+        self.violations: list[Violation] = []
+
+    def report(self, node: ast.AST, message: Optional[str] = None) -> None:
+        self.violations.append(
+            Violation(
+                path=self.ctx.path,
+                line=getattr(node, "lineno", 0),
+                col=getattr(node, "col_offset", 0) + 1,
+                code=self.code,
+                message=message or self.summary,
+            )
+        )
+
+    def run(self) -> list[Violation]:
+        self.visit(self.ctx.tree)
+        return self.violations
 
 
 # --------------------------------------------------------------------------
@@ -736,14 +879,42 @@ ALL_RULES = [
 ]
 
 
-def rule_table() -> list[dict]:
-    """Code/name/summary/scope for every rule (the CLI's --list-rules)."""
+def _lint(
+    path: str, source: str, parse_tree: Callable[[], ast.Module], assume_sim: bool
+) -> list[Violation]:
+    """Every unsuppressed rule hit in one file, in source order; a file
+    that does not parse is one ``RPR000``."""
+    try:
+        ctx = FileContext(path, source, parse_tree(), assume_sim)
+    except SyntaxError as exc:
+        return [
+            Violation(path, exc.lineno or 0, exc.offset or 0, "RPR000",
+                      f"syntax error: {exc.msg}")
+        ]
+    out = [
+        v
+        for rule_cls in ALL_RULES
+        if ctx.is_sim or not rule_cls.sim_only
+        for v in rule_cls(ctx).run()
+        if not ctx.suppressed(v.line, v.code)
+    ]
+    out.sort(key=lambda v: (v.line, v.col, v.code))
+    return out
+
+
+def lint_source(
+    source: str, path: str = "<string>", assume_sim: bool = False
+) -> list[Violation]:
+    """Lint one source string with every rule."""
+    return _lint(path, source, lambda: ast.parse(source, filename=path), assume_sim)
+
+
+def lint(paths: Iterable[Path]) -> list[str]:
+    """``path:line:col: RPRxxx message`` for every violation in the
+    files and directories ``paths``, skipping ``EXCLUDED_DIRS``."""
     return [
-        {
-            "code": r.code,
-            "name": r.name,
-            "summary": r.summary,
-            "sim_only": r.sim_only,
-        }
-        for r in ALL_RULES
+        f"{v.path}:{v.line}:{v.col}: {v.code} {v.message}"
+        for f in python_files(paths)
+        if not EXCLUDED_DIRS.intersection(f.parts)
+        for v in _lint(str(f), f.read_text(encoding="utf-8"), lambda: parse(f), False)
     ]

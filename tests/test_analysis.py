@@ -1,25 +1,26 @@
-"""The repro.analysis lint engine: rules, suppression, CLI, fixtures.
+"""The RPR lint rules: the guard over the repo, suppression, scoping and
+the fixture corpus.
 
-Every rule is exercised against the deliberate-bug corpus in
+``test_own_tree_is_clean`` is the guard CI runs: every rule of
+``rpr_rules`` over ``src``, ``tests``, ``benchmarks`` and ``examples``,
+failing with one ``path:line:col: RPRxxx message`` line per violation.
+Every rule is also exercised against the deliberate-bug corpus in
 ``tests/analysis_fixtures/`` — one ``*_bad.py`` (must hit, with the
 expected count) and one ``*_good.py`` (must stay clean) per rule.  The
-corpus is excluded from the default tree walk, so these tests point the
-checker at the files explicitly with ``assume_sim=True``.
+corpus is excluded from the tree walk, so these tests point the rules
+at the files explicitly with ``assume_sim=True``.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import Checker, check_paths, check_source
-from repro.analysis.cli import main
-from repro.analysis.engine import EXCLUDED_DIRS
-from repro.analysis.rules import ALL_RULES, rule_table
+from rpr_rules import ALL_RULES, EXCLUDED_DIRS, lint, lint_source
 
-FIXTURES = Path(__file__).parent / "analysis_fixtures"
+ROOT = Path(__file__).resolve().parents[1]
+FIXTURES = ROOT / "tests" / "analysis_fixtures"
 
 #: fixture file -> (expected code, expected hit count).
 BAD_FIXTURES = {
@@ -34,8 +35,18 @@ BAD_FIXTURES = {
 GOOD_FIXTURES = [f"rpr00{i}_good.py" for i in range(1, 8)]
 
 
+def test_own_tree_is_clean():
+    """The guard: the repo lints clean."""
+    violations = lint(ROOT / d for d in ("src", "tests", "benchmarks", "examples"))
+    assert not violations, (
+        "RPR rule violations (fix each, or suppress a deliberate one with "
+        "`# repro: noqa[RPRxxx] <why>`):\n  " + "\n  ".join(violations)
+    )
+
+
 def _check_fixture(name: str):
-    return Checker().check_file(str(FIXTURES / name), assume_sim=True)
+    path = FIXTURES / name
+    return lint_source(path.read_text(encoding="utf-8"), str(path), assume_sim=True)
 
 
 class TestFixtureCorpus:
@@ -62,97 +73,56 @@ class TestSuppression:
     SOURCE = 'def f(sim, i):\n    return sim.event(name=f"e{i}")\n'
 
     def test_violation_without_noqa(self):
-        out = check_source(self.SOURCE, assume_sim=True)
+        out = lint_source(self.SOURCE, assume_sim=True)
         assert [v.code for v in out] == ["RPR001"]
 
     def test_coded_noqa_suppresses(self):
         src = self.SOURCE.replace(
             ")\n", ")  # repro: noqa[RPR001] hot path measured, name unused\n"
         )
-        assert check_source(src, assume_sim=True) == []
+        assert lint_source(src, assume_sim=True) == []
 
     def test_bare_noqa_suppresses_everything(self):
         src = self.SOURCE.replace(")\n", ")  # repro: noqa\n")
-        assert check_source(src, assume_sim=True) == []
+        assert lint_source(src, assume_sim=True) == []
 
     def test_noqa_for_other_code_does_not_suppress(self):
         src = self.SOURCE.replace(")\n", ")  # repro: noqa[RPR002]\n")
-        assert [v.code for v in check_source(src, assume_sim=True)] == ["RPR001"]
+        assert [v.code for v in lint_source(src, assume_sim=True)] == ["RPR001"]
 
     def test_plain_ruff_noqa_is_not_ours(self):
         src = self.SOURCE.replace(")\n", ")  # noqa\n")
-        assert [v.code for v in check_source(src, assume_sim=True)] == ["RPR001"]
+        assert [v.code for v in lint_source(src, assume_sim=True)] == ["RPR001"]
 
 
 class TestScoping:
     def test_sim_only_rules_skip_non_sim_files(self):
         src = 'def f(sim, i):\n    return sim.event(name=f"e{i}")\n'
-        assert check_source(src, path="somewhere/app.py") == []
-        assert check_source(src, path="src/repro/core/x.py") != []
+        assert lint_source(src, path="somewhere/app.py") == []
+        assert lint_source(src, path="src/repro/core/x.py") != []
 
     def test_everywhere_rules_apply_to_non_sim_files(self):
         src = "class C:\n    def stats(self):\n        return {}\n"
-        out = check_source(src, path="somewhere/app.py")
+        out = lint_source(src, path="somewhere/app.py")
         assert [v.code for v in out] == ["RPR006"]
 
     def test_syntax_error_reports_rpr000(self):
-        out = check_source("def broken(:\n")
+        out = lint_source("def broken(:\n")
         assert [v.code for v in out] == ["RPR000"]
         assert "syntax error" in out[0].message
 
-    def test_fixture_corpus_excluded_from_tree_walk(self):
+    def test_fixture_corpus_excluded_from_tree_walk(self, tmp_path):
+        # The same eager event name in a plain simulator module and in a
+        # fixture directory: the walk reports the first and skips the
+        # second, one line per hit.
+        bad = 'def spawn(sim, i):\n    return sim.event(name=f"e{i}")\n'
+        plain = tmp_path / "src" / "repro" / "spawn.py"
+        fixture = tmp_path / "src" / "repro" / "analysis_fixtures" / "spawn.py"
+        for path in (plain, fixture):
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(bad, encoding="utf-8")
         assert "analysis_fixtures" in EXCLUDED_DIRS
-        out = check_paths([str(Path(__file__).parent)])
-        assert not [v for v in out if "analysis_fixtures" in v.path]
-
-
-class TestCli:
-    def test_check_bad_file_exits_1(self, capsys):
-        rc = main(
-            ["check", str(FIXTURES / "rpr001_bad.py"), "--assume-sim"]
-        )
-        captured = capsys.readouterr()
-        assert rc == 1
-        assert "RPR001" in captured.out
-        assert "found 5 violation(s)" in captured.out
-
-    def test_check_good_file_exits_0(self, capsys):
-        rc = main(
-            ["check", str(FIXTURES / "rpr001_good.py"), "--assume-sim"]
-        )
-        assert rc == 0
-        assert "all clean" in capsys.readouterr().out
-
-    def test_json_format(self, capsys):
-        rc = main(
-            [
-                "check",
-                str(FIXTURES / "rpr004_bad.py"),
-                "--assume-sim",
-                "--format",
-                "json",
-            ]
-        )
-        report = json.loads(capsys.readouterr().out)
-        assert rc == 1
-        assert report["summary"]["total"] == 2
-        assert report["summary"]["by_code"] == {"RPR004": 2}
-        assert all(v["code"] == "RPR004" for v in report["violations"])
-
-    def test_rules_listing(self, capsys):
-        rc = main(["rules"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        for row in rule_table():
-            assert row["code"] in out
-
-    def test_own_tree_is_clean(self, capsys):
-        """The acceptance gate CI runs: the repo lints clean."""
-        repo = Path(__file__).resolve().parent.parent
-        paths = [
-            str(repo / d)
-            for d in ("src", "tests", "benchmarks", "examples")
-            if (repo / d).is_dir()
+        assert lint([tmp_path]) == [
+            f"{plain}:2:27: RPR001 eager f-string/.format event name; "
+            "pass a lazy lambda"
         ]
-        rc = main(["check", *paths])
-        assert rc == 0, capsys.readouterr().out

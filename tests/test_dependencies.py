@@ -21,6 +21,8 @@ import re
 import sys
 from pathlib import Path
 
+from sources import parse, python_files
+
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT_TREES = ("tests", "benchmarks", "examples")
 
@@ -62,7 +64,7 @@ def declared_arrays(pyproject: str) -> dict[str, set[str]]:
 def _imports(path: Path) -> set[str]:
     """Top-level modules ``path`` imports by absolute name."""
     found: set[str] = set()
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for node in ast.walk(parse(path)):
         if isinstance(node, ast.Import):
             found.update(alias.name.split(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -79,7 +81,7 @@ def undeclared(root: Path) -> list[str]:
     dev = arrays["project.optional-dependencies.dev"]
     problems = []
     for tree in ("src", *SCRIPT_TREES):
-        files = sorted((root / tree).rglob("*.py"))
+        files = python_files([root / tree])
         allowed = runtime
         if tree != "src":
             allowed = runtime | dev | {f.stem for f in files}

@@ -59,11 +59,6 @@ class TestTransformerConfig:
         assert DECODER_64B.params == pytest.approx(64e9, rel=0.05)
         assert DECODER_136B.params == pytest.approx(136e9, rel=0.05)
 
-    def test_stage_params_even_split(self):
-        assert DECODER_3B.stage_params(4) * 4 == pytest.approx(
-            DECODER_3B.params, rel=0.01
-        )
-
     def test_validation(self):
         bad = TransformerConfig("bad", 2, 100, 400, 3)
         with pytest.raises(ValueError, match="n_heads"):

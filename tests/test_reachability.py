@@ -46,13 +46,20 @@ Whatever the scan flags but the project keeps goes in an allowlist with
 the reason it stays.  Each allowlist is checked too: an entry that no
 longer names a definition, parameter, field or unreadable splat, or
 that is now reached or readable, fails, so it cannot go stale.
+
+Each scan reads the trees ``sources.parse`` shares with the lint and
+dependency guards, and is memoized per root: the allowlist check reuses
+the scans the four checks ran.
 """
 
 from __future__ import annotations
 
 import ast
+from functools import cache
 from pathlib import Path
 from typing import Iterator, Optional
+
+from sources import parse, python_files
 
 ROOT = Path(__file__).resolve().parents[1]
 USERS = ("src", "benchmarks", "examples")
@@ -72,6 +79,9 @@ ALLOWLIST: dict[str, str] = {
     ),
     "core/object_store.py:ShardedObjectStore.add_ref": (
         "the other half of release(): the paper's section 4.6 reference counting"
+    ),
+    "stats.py:Stats.as_dict": (
+        "the stats() protocol's JSON serialization that README documents"
     ),
     "core/scheduler.py:IslandScheduler.paused": _OBSERVED,
     "hw/device.py:Device.kernels_run": _OBSERVED,
@@ -161,17 +171,16 @@ FIELD_ALLOWLIST: dict[str, str] = {
 }
 
 
-def _trees(root: Path, tops: tuple[str, ...]) -> Iterator[tuple[Path, ast.Module]]:
-    for top in tops:
-        for path in sorted((root / top).rglob("*.py")):
-            yield path, ast.parse(path.read_text(encoding="utf-8"))
+def _users(root: Path) -> list[Path]:
+    """Every file of ``USERS``: the code whose references count."""
+    return python_files(root / top for top in USERS)
 
 
 def _src_trees(root: Path) -> Iterator[tuple[str, ast.Module]]:
     """``(path relative to src/repro, tree)`` for every ``src`` module."""
     src = root / "src" / "repro"
-    for path, tree in _trees(root, ("src",)):
-        yield path.relative_to(src).as_posix(), tree
+    for path in python_files([src]):
+        yield path.relative_to(src).as_posix(), parse(path)
 
 
 def _listed_constants(tree: ast.Module, names: tuple[str, ...]) -> set[int]:
@@ -193,7 +202,8 @@ def _is_visitor_method(qualname: str) -> bool:
     return "." in qualname and qualname.rsplit(".", 1)[1].startswith("visit_")
 
 
-def _public_defs(root: Path = ROOT) -> dict[str, str]:
+@cache
+def _public_defs(root: Path) -> dict[str, str]:
     """``path:qualname`` -> bare name, for every public def and class."""
     defs: dict[str, str] = {}
 
@@ -213,7 +223,7 @@ def _public_defs(root: Path = ROOT) -> dict[str, str]:
     return defs
 
 
-def _referenced_names(root: Path = ROOT) -> set[str]:
+def _referenced_names(root: Path) -> set[str]:
     names: set[str] = set()
 
     def visit(node: ast.AST, exports: set[int], inside: frozenset) -> None:
@@ -237,12 +247,14 @@ def _referenced_names(root: Path = ROOT) -> set[str]:
         for child in ast.iter_child_nodes(node):
             visit(child, exports, inside)
 
-    for _, tree in _trees(root, USERS):
+    for path in _users(root):
+        tree = parse(path)
         visit(tree, _listed_constants(tree, ("__all__",)), frozenset())
     return names
 
 
-def _unreferenced(root: Path = ROOT) -> list[str]:
+@cache
+def _unreferenced(root: Path) -> list[str]:
     referenced = _referenced_names(root)
     return sorted(
         key for key, name in _public_defs(root).items()
@@ -252,8 +264,9 @@ def _unreferenced(root: Path = ROOT) -> list[str]:
 
 # -- parameters ----------------------------------------------------------------
 
+@cache
 def _defaulted_params(
-    root: Path = ROOT,
+    root: Path,
 ) -> dict[str, tuple[str, str, Optional[int], ast.expr]]:
     """``path:qualname(param)`` -> ``(callee name, param, call index,
     default)`` for every defaulted parameter of a public function, a
@@ -463,7 +476,8 @@ class _CallScan:
         self.splatted: set[str] = set()
         #: ``path:qualname: callee(**expr)`` for every unreadable splat.
         self.unread_splats: set[str] = set()
-        for path, tree in _trees(root, USERS):
+        for path in _users(root):
+            tree = parse(path)
             self._visit(tree, path.relative_to(root).as_posix(), (tree,), ())
 
     def _visit(self, node: ast.AST, rel: str, scopes: Scopes, qual: tuple) -> None:
@@ -503,6 +517,11 @@ class _CallScan:
             positional.setdefault(i, []).append(arg)
 
 
+@cache
+def _call_scan(root: Path) -> _CallScan:
+    return _CallScan(root)
+
+
 _LITERAL_NODES = (
     ast.Constant, ast.UnaryOp, ast.BinOp, ast.Tuple,
     ast.unaryop, ast.operator, ast.expr_context,
@@ -528,10 +547,11 @@ def _at_default(passed: ast.expr, default: tuple) -> bool:
     )
 
 
-def _unpassed_params(root: Path = ROOT) -> list[str]:
+@cache
+def _unpassed_params(root: Path) -> list[str]:
     """Defaulted parameters no call passes a value other than the
     default: never passed, or passed only at the default's literal."""
-    scan = _CallScan(root)
+    scan = _call_scan(root)
     unpassed = []
     for key, (callee, param, index, default) in _defaulted_params(root).items():
         if callee in scan.splatted:
@@ -545,13 +565,15 @@ def _unpassed_params(root: Path = ROOT) -> list[str]:
     return sorted(unpassed)
 
 
-def _unread_splats(root: Path = ROOT) -> list[str]:
-    return sorted(_CallScan(root).unread_splats)
+@cache
+def _unread_splats(root: Path) -> list[str]:
+    return sorted(_call_scan(root).unread_splats)
 
 
 # -- fields --------------------------------------------------------------------
 
-def _self_fields(root: Path = ROOT) -> dict[str, str]:
+@cache
+def _self_fields(root: Path) -> dict[str, str]:
     """``path:Class.attr`` -> attr, for every attribute a ``src`` class
     assigns (``=``, ``+=``, annotated) on ``self`` in its methods."""
     fields: dict[str, str] = {}
@@ -583,10 +605,10 @@ def _self_fields(root: Path = ROOT) -> dict[str, str]:
 _ATTRIBUTE_CALLS = frozenset({"getattr", "hasattr", "setattr", "delattr", "attrgetter"})
 
 
-def _read_attributes(root: Path = ROOT) -> set[str]:
+def _read_attributes(root: Path) -> set[str]:
     reads: set[str] = set()
-    for _, tree in _trees(root, USERS):
-        for node in ast.walk(tree):
+    for path in _users(root):
+        for node in ast.walk(parse(path)):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 reads.add(node.attr)
             elif isinstance(node, ast.Call) and (
@@ -601,7 +623,8 @@ def _read_attributes(root: Path = ROOT) -> set[str]:
     return reads
 
 
-def _write_only_fields(root: Path = ROOT) -> list[str]:
+@cache
+def _write_only_fields(root: Path) -> list[str]:
     reads = _read_attributes(root)
     return sorted(
         key for key, attr in _self_fields(root).items() if attr not in reads
@@ -611,7 +634,7 @@ def _write_only_fields(root: Path = ROOT) -> list[str]:
 # -- the checks ----------------------------------------------------------------
 
 def test_every_public_surface_is_referenced():
-    unreached = [key for key in _unreferenced() if key not in ALLOWLIST]
+    unreached = [key for key in _unreferenced(ROOT) if key not in ALLOWLIST]
     assert not unreached, (
         "public src/ names that no src/, benchmarks/ or examples/ file "
         "references (delete them with the tests that only exercise them, "
@@ -620,7 +643,7 @@ def test_every_public_surface_is_referenced():
 
 
 def test_every_defaulted_parameter_is_passed():
-    unpassed = [key for key in _unpassed_params() if key not in PARAM_ALLOWLIST]
+    unpassed = [key for key in _unpassed_params(ROOT) if key not in PARAM_ALLOWLIST]
     assert not unpassed, (
         "defaulted parameters that no src/, benchmarks/ or examples/ call "
         "passes a value other than the default (fold each into the value "
@@ -630,7 +653,7 @@ def test_every_defaulted_parameter_is_passed():
 
 
 def test_every_splat_is_read():
-    unread = [key for key in _unread_splats() if key not in SPLAT_ALLOWLIST]
+    unread = [key for key in _unread_splats(ROOT) if key not in SPLAT_ALLOWLIST]
     assert not unread, (
         "** splats the parameter check cannot read, so their calls pass "
         "every parameter unseen (pass a dict display, dict(k=v), or a name "
@@ -640,7 +663,7 @@ def test_every_splat_is_read():
 
 
 def test_every_field_is_read():
-    unread = [key for key in _write_only_fields() if key not in FIELD_ALLOWLIST]
+    unread = [key for key in _write_only_fields(ROOT) if key not in FIELD_ALLOWLIST]
     assert not unread, (
         "attributes a src/ class assigns on self that no src/, "
         "benchmarks/ or examples/ file reads (delete them, or allowlist "
@@ -650,16 +673,16 @@ def test_every_field_is_read():
 
 def test_allowlist_is_current():
     checks = (
-        (ALLOWLIST, _public_defs(), _unreferenced()),
-        (PARAM_ALLOWLIST, _defaulted_params(), _unpassed_params()),
-        (FIELD_ALLOWLIST, _self_fields(), _write_only_fields()),
+        (ALLOWLIST, _public_defs(ROOT), _unreferenced(ROOT)),
+        (PARAM_ALLOWLIST, _defaulted_params(ROOT), _unpassed_params(ROOT)),
+        (FIELD_ALLOWLIST, _self_fields(ROOT), _write_only_fields(ROOT)),
     )
     for allowlist, defined, flagged in checks:
         for key, reason in allowlist.items():
             assert reason.strip(), f"{key}: allowlist entry without a reason"
             assert key in defined, f"{key}: allowlisted but no longer defined"
             assert key in flagged, f"{key}: allowlisted but now reached"
-    unread = _unread_splats()
+    unread = _unread_splats(ROOT)
     for key, reason in SPLAT_ALLOWLIST.items():
         assert reason.strip(), f"{key}: allowlist entry without a reason"
         assert key in unread, f"{key}: allowlisted but gone or now readable"

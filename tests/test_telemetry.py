@@ -28,8 +28,6 @@ from repro.stats import ElasticStats, FaultInjectorStats
 from repro.telemetry import (
     STAGES,
     FlightRecorder,
-    Histogram,
-    MetricsRegistry,
     Tracer,
     critical_paths,
     percentile,
@@ -68,24 +66,6 @@ class TestHistogram:
         assert percentile(vals, 50.0) == 20.0
         assert percentile(vals, 99.0) == 40.0
         assert percentile([], 50.0) == 0.0
-
-    def test_histogram_agrees_with_function(self):
-        h = Histogram()
-        vals = [float(v) for v in (5, 1, 9, 3, 7, 2, 8)]
-        for v in vals:
-            h.observe(v)
-        for q in (0.0, 25.0, 50.0, 90.0, 99.0, 100.0):
-            assert h.percentile(q) == percentile(vals, q)
-        assert h.count == 7
-        assert h.mean == pytest.approx(sum(vals) / 7)
-        assert h.min == 1.0 and h.max == 9.0
-
-    def test_quantile_cache_invalidated_by_observe(self):
-        h = Histogram()
-        h.observe(5.0)
-        assert h.percentile(50.0) == 5.0
-        h.observe(1.0)
-        assert h.percentile(50.0) == 1.0
 
 
 class TestTracerEnabled:
@@ -142,23 +122,6 @@ class TestTracerEnabled:
         path = tr.write_chrome_trace(str(tmp_path / "trace.json"))
         with open(path, encoding="utf-8") as fh:
             assert json.load(fh) == tr.to_chrome_trace()
-
-
-class TestMetricsRegistry:
-    def test_counters_and_histograms(self):
-        reg = MetricsRegistry()
-        reg.counter("c").inc()
-        reg.counter("c").inc()  # get-or-create returns the same object
-        reg.counter("c").inc()
-        for v in (1.0, 2.0, 3.0):
-            reg.histogram("h").observe(v)
-        reg.sample(10.0)
-        reg.counter("c").inc()
-        reg.sample(20.0)
-        assert reg.series("c") == [(10.0, 3.0), (20.0, 4.0)]
-        assert reg.series("h.count")[-1] == (20.0, 3.0)
-        assert reg.series("h.p99")[-1] == (20.0, 3.0)
-        assert reg.names() == ["c", "h.count", "h.mean", "h.p99"]
 
 
 class TestFlightRecorder:
